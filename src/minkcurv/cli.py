@@ -118,9 +118,11 @@ class RunConfig:
         e_nodes = np.array([e_fn(x) for x in mesh.nodes])
         growth_c = p.get("growth_c", float(np.abs(e_nodes).max()))
         growth_q = p.get("growth_q", 2.0)
-        return NonlinearitySpec(evaluate=lambda x, s, fn=e_fn: fn(x), jumps=(),
-                                growth_c=growth_c, growth_q=growth_q,
-                                name="prescribed")
+        return NonlinearitySpec(
+            evaluate=lambda x, s, fn=e_fn: fn(x), jumps=(),
+            growth_c=growth_c, growth_q=growth_q, name="prescribed",
+            exact_primitive=lambda nodes, s, fn=e_fn:
+                np.array([fn(x) for x in nodes]) * s)
 
     def constant_rhs(self):
         """The constant right-hand side value, when the forcing is one."""
@@ -503,9 +505,12 @@ def cmd_sweep(args) -> int:
         else:
             rows = [_sweep_one(config, args.param, v, out_dir, args.seed)
                     for v in values]
-    except (ConfigError, MeshError, InnerSolveError) as err:
+    except (ConfigError, MeshError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 1
+    except InnerSolveError as err:
+        print(f"error: inner solve failed: {err}", file=sys.stderr)
+        return 2
     with open(out_dir / "sweep.csv", "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow([args.param, "energy", "linf_error_vs_analytic",

@@ -106,7 +106,14 @@ def psi_gradient(mesh: Mesh, field: Field, margin: float = 1e-9) -> np.ndarray:
 
 
 def script_f(mesh: Mesh, field: Field, spec: NonlinearitySpec) -> float:
-    """Lumped potential term: sum of node_weight * F(x_i, v_i)."""
+    """Lumped potential term: sum of node_weight * F(x_i, v_i).
+
+    One array call of the spec's closed-form primitive when it has one;
+    otherwise F is integrated numerically node by node (see `primitive`).
+    """
+    if spec.exact_primitive is not None:
+        return float(np.dot(mesh.node_weight,
+                            spec.exact_primitive(mesh.nodes, field.values)))
     total = 0.0
     for i, w in enumerate(mesh.node_weight):
         total += w * primitive(spec, mesh.nodes[i], field.values[i])

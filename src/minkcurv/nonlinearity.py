@@ -1,8 +1,10 @@
 """Pointwise forcing rules f(x, s), their envelopes, primitives, and selections.
 
 A `NonlinearitySpec` bundles a pointwise evaluator with optional jump
-metadata (level, one-sided limits) and the growth constants (C, q) bounding
-|f(x,s)| <= C*(1 + |s|^(q-1)).  Jump metadata is the primary mechanism for
+metadata (level, one-sided limits), the growth constants (C, q) bounding
+|f(x,s)| <= C*(1 + |s|^(q-1)), and optionally the primitive F in closed form
+over node arrays (every catalog rule has one; other rules are integrated by
+adaptive quadrature).  Jump metadata is the primary mechanism for
 exact lower/upper envelopes; without it a sampling estimator is used and the
 result is flagged approximate.  The estimator works from point values only,
 so it cannot distinguish a rule from an almost-everywhere modification of
@@ -11,7 +13,7 @@ it; declare the jump structure whenever exactness matters.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -76,6 +78,10 @@ class NonlinearitySpec:
         Constants of the growth bound |f(x,s)| <= C*(1 + |s|^(q-1)).
     name : str
         Display name used by reports.
+    exact_primitive : callable (nodes, values) -> array, or None
+        Closed form of the primitive F for a whole node array: `nodes` has
+        shape (K, d), `values` shape (K,), the result shape (K,).  None
+        (the default) makes `primitive` integrate f numerically.
     """
 
     evaluate: Callable[[np.ndarray, float], float]
@@ -83,6 +89,7 @@ class NonlinearitySpec:
     growth_c: float = 1.0
     growth_q: float = 2.0
     name: str = "custom"
+    exact_primitive: Optional[Callable[[np.ndarray, np.ndarray], np.ndarray]] = None
 
     def __post_init__(self):
         if self.growth_c < 0:
@@ -192,14 +199,17 @@ def _adaptive_gauss(fn, a: float, b: float, rel_tol: float, max_depth: int = 40)
 def primitive(spec: NonlinearitySpec, x, s: float, rel_tol: float = 1e-10) -> float:
     """The primitive F(x, s), the integral of f(x, .) from 0 to s.
 
-    Splits at declared jump levels strictly inside the integration range,
-    then integrates each smooth piece with adaptive 7-point Gauss panels
-    subdivided until the relative tolerance is met.  For s < 0 the usual
-    orientation convention applies (the result is minus the integral over
-    (s, 0)).
+    Uses the spec's `exact_primitive` when it has one (every catalog rule
+    does), so scalar and array callers agree.  Otherwise splits at declared
+    jump levels strictly inside the integration range, then integrates each
+    smooth piece with adaptive 7-point Gauss panels subdivided until the
+    relative tolerance is met.  For s < 0 the usual orientation convention
+    applies (the result is minus the integral over (s, 0)).
     """
     x = np.asanyarray(x, dtype=float)
     s = float(s)
+    if spec.exact_primitive is not None:
+        return float(spec.exact_primitive(x.reshape(1, -1), np.array([s]))[0])
     if s == 0.0:
         return 0.0
     a, b, sign = (0.0, s, 1.0) if s > 0 else (s, 0.0, -1.0)
@@ -213,6 +223,42 @@ def primitive(spec: NonlinearitySpec, x, s: float, rel_tol: float = 1e-10) -> fl
     for lo, hi in zip(cuts[:-1], cuts[1:]):
         total += _adaptive_gauss(lambda t: float(spec.evaluate(x, t)), lo, hi, rel_tol)
     return sign * total
+
+
+def primitive_array(spec: NonlinearitySpec, nodes, values,
+                    rel_tol: float = 1e-10) -> np.ndarray:
+    """F(x_k, s_k) for K points at once: nodes (K, d), values (K,).
+
+    One call of the closed form when the spec has one, else `primitive`
+    point by point.
+    """
+    nodes = np.asarray(nodes, dtype=float)
+    values = np.asarray(values, dtype=float)
+    if spec.exact_primitive is not None:
+        return np.asarray(spec.exact_primitive(nodes, values), dtype=float)
+    return np.array([primitive(spec, x, s, rel_tol) for x, s in zip(nodes, values)])
+
+
+def envelopes(spec: NonlinearitySpec, nodes, values, window: float):
+    """Envelope arrays (lo, hi) at K points, widened near jump levels.
+
+    Starts from `bracket` at every point; where a value lies within
+    `window` of a declared jump level the pair is widened to contain that
+    jump's whole interval.  `window=0.0` widens only points exactly on a
+    level, where the bracket already is that interval, so it returns the
+    plain brackets.
+    """
+    lo = np.empty(len(values))
+    hi = np.empty(len(values))
+    for i, (x, s) in enumerate(zip(nodes, values)):
+        br = bracket(spec, x, s)
+        lo[i], hi[i] = br.lo, br.hi
+        for j in spec.jumps or ():
+            if abs(s - float(j.level(x))) <= window:
+                a, b = float(j.left(x)), float(j.right(x))
+                lo[i] = min(lo[i], a, b)
+                hi[i] = max(hi[i], a, b)
+    return lo, hi
 
 
 @dataclass(frozen=True)
@@ -259,7 +305,8 @@ def growth_check(spec: NonlinearitySpec, sample_box, count: int, seed: int = 0) 
 def constant(a: float) -> NonlinearitySpec:
     """f(x, s) = a.  Continuous; trivial growth constants."""
     return NonlinearitySpec(evaluate=lambda x, s: a, jumps=(),
-                            growth_c=abs(a), growth_q=2.0, name=f"constant({a:g})")
+                            growth_c=abs(a), growth_q=2.0, name=f"constant({a:g})",
+                            exact_primitive=lambda nodes, s: a * s)
 
 
 def neg_sign() -> NonlinearitySpec:
@@ -267,7 +314,8 @@ def neg_sign() -> NonlinearitySpec:
     return NonlinearitySpec(
         evaluate=lambda x, s: -float(np.sign(s)),
         jumps=(Jump(level=lambda x: 0.0, left=lambda x: 1.0, right=lambda x: -1.0),),
-        growth_c=1.0, growth_q=2.0, name="neg_sign")
+        growth_c=1.0, growth_q=2.0, name="neg_sign",
+        exact_primitive=lambda nodes, s: -np.abs(s))
 
 
 def step(a: float, b: float, s0: float) -> NonlinearitySpec:
@@ -278,18 +326,23 @@ def step(a: float, b: float, s0: float) -> NonlinearitySpec:
         if s > s0:
             return b
         return 0.5 * (a + b)
+
+    def prim(nodes, s):
+        # a over the part of (0, s) below s0, b over the part above it
+        return (a * (np.minimum(s, s0) - min(0.0, s0))
+                + b * (np.maximum(s, s0) - max(0.0, s0)))
+
     jumps = () if a == b else (
         Jump(level=lambda x: s0, left=lambda x: a, right=lambda x: b),)
     return NonlinearitySpec(evaluate=ev, jumps=jumps,
                             growth_c=max(abs(a), abs(b)), growth_q=2.0,
-                            name=f"step({a:g},{b:g},{s0:g})")
+                            name=f"step({a:g},{b:g},{s0:g})", exact_primitive=prim)
 
 
 def heaviside() -> NonlinearitySpec:
     """f(s) = 0 for s < 0 and 1 for s > 0."""
     spec = step(0.0, 1.0, 0.0)
-    return NonlinearitySpec(evaluate=spec.evaluate, jumps=spec.jumps,
-                            growth_c=1.0, growth_q=2.0, name="heaviside")
+    return replace(spec, growth_c=1.0, growth_q=2.0, name="heaviside")
 
 
 def power(c: float, r: float) -> NonlinearitySpec:
@@ -298,7 +351,8 @@ def power(c: float, r: float) -> NonlinearitySpec:
         raise ValueError(f"power exponent must be > 1, got {r}")
     return NonlinearitySpec(
         evaluate=lambda x, s: c * abs(s) ** (r - 1.0) * float(np.sign(s)),
-        jumps=(), growth_c=abs(c), growth_q=r, name=f"power({c:g},{r:g})")
+        jumps=(), growth_c=abs(c), growth_q=r, name=f"power({c:g},{r:g})",
+        exact_primitive=lambda nodes, s: c * np.abs(s) ** r / r)
 
 
 CATALOG = {

@@ -26,7 +26,9 @@ import scipy.sparse as sp
 from scipy.sparse.linalg import splu
 
 from .mesh import Field, Mesh, element_gradients
-from .nonlinearity import NonlinearitySpec, bracket, selection
+# `bracket` is no longer called here; it stays a module attribute because
+# bench/worker.py wraps solver.bracket when it traces a run.
+from .nonlinearity import NonlinearitySpec, bracket, envelopes, selection  # noqa: F401
 from .energy import total_energy
 
 
@@ -106,15 +108,6 @@ def _selection_values(mesh: Mesh, spec: NonlinearitySpec, values, rule: str) -> 
                      for x, s in zip(mesh.nodes, values)])
 
 
-def _envelope_values(mesh: Mesh, spec: NonlinearitySpec, values):
-    lo = np.empty(len(values))
-    hi = np.empty(len(values))
-    for i, (x, s) in enumerate(zip(mesh.nodes, values)):
-        br = bracket(spec, x, s)
-        lo[i], hi[i] = br.lo, br.hi
-    return lo, hi
-
-
 def _certificate_selection(mesh: Mesh, spec: NonlinearitySpec, u: Field,
                            margin: float) -> np.ndarray:
     """The selection inside the envelope bracket closest to the operator value.
@@ -127,9 +120,8 @@ def _certificate_selection(mesh: Mesh, spec: NonlinearitySpec, u: Field,
     solutions crossing a jump level between nodes).
     """
     from .energy import psi_gradient
-    from .verify import windowed_envelopes
 
-    lo, hi = windowed_envelopes(mesh, spec, u.values)
+    lo, hi = envelopes(spec, mesh.nodes, u.values, mesh.mesh_size())
     m = -psi_gradient(mesh, u, margin=margin) / mesh.node_weight
     return np.clip(m, lo, hi)
 
@@ -293,7 +285,7 @@ def _escape_probe(mesh, spec, opts, u, I_u, zeta, stats_sink):
     """
     if spec.jumps is not None and len(spec.jumps) == 0:
         return None  # declared continuous: envelopes equal the selection
-    lo, hi = _envelope_values(mesh, spec, u)
+    lo, hi = envelopes(spec, mesh.nodes, u, window=0.0)
     proj = _certificate_selection(mesh, spec,
                                   Field(mesh, u, dirichlet_zero=True),
                                   opts.working_margin)
@@ -392,13 +384,13 @@ def stationarity_measure(mesh: Mesh, u: Field, spec: NonlinearitySpec,
     max(0, max_v -D(v)/|v - u|_inf); it vanishes (up to solver tolerances)
     exactly at critical points.
     """
-    from .verify import random_feasible_field, windowed_envelopes
+    from .verify import random_feasible_field
     from .energy import psi
 
     rng = np.random.default_rng(seed)
     values = u.values
     zeta = _selection_values(mesh, spec, values, selection_rule)
-    lo, hi = windowed_envelopes(mesh, spec, values)
+    lo, hi = envelopes(spec, mesh.nodes, values, mesh.mesh_size())
     at_jump = hi > lo
     w = mesh.node_weight
     psi_u = psi(mesh, u)

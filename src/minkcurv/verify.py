@@ -23,7 +23,9 @@ import scipy.sparse as sp
 from scipy.spatial import cKDTree
 
 from .mesh import Field, Mesh, element_gradients, inradius
-from .nonlinearity import NonlinearitySpec, bracket, primitive
+# `bracket` is no longer called here; it stays a module attribute because
+# bench/worker.py wraps verify.bracket when it traces a run.
+from .nonlinearity import NonlinearitySpec, bracket, envelopes, primitive_array  # noqa: F401
 from .energy import psi, psi_gradient, total_energy
 
 
@@ -122,17 +124,7 @@ def windowed_envelopes(mesh: Mesh, spec: NonlinearitySpec, values,
     """
     if window is None:
         window = mesh.mesh_size()
-    lo = np.empty(len(values))
-    hi = np.empty(len(values))
-    for i, (x, s) in enumerate(zip(mesh.nodes, values)):
-        br = bracket(spec, x, s)
-        lo[i], hi[i] = br.lo, br.hi
-        for j in spec.jumps or ():
-            if abs(s - float(j.level(x))) <= window:
-                a, b = float(j.left(x)), float(j.right(x))
-                lo[i] = min(lo[i], a, b)
-                hi[i] = max(hi[i], a, b)
-    return lo, hi
+    return envelopes(spec, mesh.nodes, values, window)
 
 
 def inclusion_residual(mesh: Mesh, u: Field, spec: NonlinearitySpec,
@@ -282,8 +274,8 @@ def brute_force_minimize(mesh: Mesh, spec: NonlinearitySpec, grid_step: float):
     # lumped potential per interior node, tabulated over the grid
     f_tab = np.empty((m, n_grid))
     for k, i in enumerate(interior):
-        w, x = mesh.node_weight[i], mesh.nodes[i]
-        f_tab[k] = [w * primitive(spec, x, s) for s in grid]
+        x_rows = np.broadcast_to(mesh.nodes[i], (n_grid, mesh.dim))
+        f_tab[k] = mesh.node_weight[i] * primitive_array(spec, x_rows, grid)
 
     node_slot = {int(i): k for k, i in enumerate(interior)}
     measures = mesh.element_measure

@@ -208,6 +208,17 @@ class TestVerifyCommand:
         assert code == 1
 
 
+@pytest.mark.parametrize("command", ["solve", "sweep"])
+def test_inner_solve_failure_exits_2(tmp_path, capsys, command):
+    # one Newton step cannot solve the prescribed problem from zero
+    cfg = write_cfg(tmp_path, PRESCRIBED_CFG + "solver.max_inner = 1\n")
+    argv = [command, "--config", str(cfg)]
+    if command == "sweep":
+        argv += ["--param", "n", "--values", "16,32"]
+    assert main(argv) == 2
+    assert "inner solve failed" in capsys.readouterr().err
+
+
 class TestSweepCommand:
     def test_mesh_sweep_reports_convergence(self, tmp_path):
         cfg = write_cfg(tmp_path, PRESCRIBED_CFG)

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -8,7 +9,7 @@ from minkcurv.energy import (EnergyBounds, StrictFeasibilityError, bounds,
                              total_energy)
 from minkcurv.mesh import (Field, build_disk_mesh, build_interval_mesh,
                            build_rectangle_mesh, element_gradients, inradius)
-from minkcurv.nonlinearity import constant, neg_sign, power, step
+from minkcurv.nonlinearity import constant, heaviside, neg_sign, power, step
 from minkcurv.verify import random_feasible_field
 
 
@@ -133,6 +134,18 @@ class TestScriptF:
             dist_l1 = float(np.dot(m.node_weight, np.abs(v.values - w.values)))
             diff = abs(script_f(m, v, spec) - script_f(m, w, spec))
             assert diff <= b.C1 * dist_l1 + 1e-9
+
+    @pytest.mark.parametrize("spec", [step(-1.0, 1.0, 0.25), heaviside(),
+                                      neg_sign(), constant(0.5), power(2.0, 3.0)],
+                             ids=lambda s: s.name)
+    def test_closed_form_matches_quadrature(self, spec):
+        twin = dataclasses.replace(spec, exact_primitive=None)
+        rng = np.random.default_rng(21)
+        for m in (build_interval_mesh(-1, 1, 16), build_rectangle_mesh(1, 1, 3, 3)):
+            for _ in range(4):
+                v = random_feasible_field(m, rng)
+                assert script_f(m, v, spec) == pytest.approx(
+                    script_f(m, v, twin), abs=1e-12)
 
 
 class TestTotalEnergy:

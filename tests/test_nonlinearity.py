@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -7,8 +8,9 @@ from scipy.integrate import quad
 from minkcurv.nonlinearity import (Bracket, Jump, NonlinearitySpec,
                                    QuadratureError, bracket, constant,
                                    from_catalog, growth_check, heaviside,
-                                   lower_envelope, neg_sign, power, primitive,
-                                   selection, step, upper_envelope)
+                                   envelopes, lower_envelope, neg_sign, power,
+                                   primitive, primitive_array, selection, step,
+                                   upper_envelope)
 
 X = np.zeros(1)
 
@@ -159,6 +161,58 @@ class TestPrimitive:
         with pytest.raises(QuadratureError) as info:
             primitive(hidden, X, 1.0, rel_tol=1e-300)
         assert info.value.achieved > 0
+
+
+def quadrature_twin(spec):
+    """The same rule without its closed form, so `primitive` integrates f."""
+    return dataclasses.replace(spec, exact_primitive=None)
+
+
+# s grid with negative values, zero, and every jump level used below
+S_GRID = np.array([-1.7, -0.3, -0.1, -1e-9, 0.0, 1e-9, 0.1, 0.25, 0.3, 0.9, 2.4])
+
+
+class TestExactPrimitive:
+    CATALOG_RULES = [step(-1.0, 1.0, -0.3), step(2.0, -0.5, 0.0),
+                     step(-1.0, 1.0, 0.25), step(0.7, 0.7, 0.25), heaviside(),
+                     neg_sign(), constant(1.5), constant(-0.25)]
+
+    @pytest.mark.parametrize("spec", CATALOG_RULES, ids=lambda s: s.name)
+    def test_matches_quadrature(self, spec):
+        assert spec.exact_primitive is not None
+        twin = quadrature_twin(spec)
+        for s in S_GRID:
+            assert primitive(spec, X, s) == pytest.approx(
+                primitive(twin, X, s), abs=1e-12)
+
+    @pytest.mark.parametrize("r", [1.5, 2.0, 3.0])
+    def test_power_matches_quadrature(self, r):
+        spec = power(1.3, r)
+        twin = quadrature_twin(spec)
+        for s in S_GRID:
+            assert primitive(spec, X, s) == pytest.approx(
+                primitive(twin, X, s), rel=1e-10, abs=0.0)
+
+    @pytest.mark.parametrize("spec", CATALOG_RULES + [power(1.3, 2.5)],
+                             ids=lambda s: s.name)
+    def test_array_and_scalar_callers_agree(self, spec):
+        nodes = np.linspace(-1.0, 1.0, S_GRID.size)[:, None]
+        arr = primitive_array(spec, nodes, S_GRID)
+        assert arr.shape == S_GRID.shape
+        for x, s, v in zip(nodes, S_GRID, arr):
+            assert v == primitive(spec, x, s)
+        fallback = primitive_array(quadrature_twin(spec), nodes, S_GRID)
+        np.testing.assert_allclose(arr, fallback, rtol=1e-10, atol=1e-12)
+
+
+class TestEnvelopeArrays:
+    def test_zero_window_is_the_plain_bracket(self):
+        spec = step(-1.0, 2.0, 0.25)
+        nodes = np.zeros((S_GRID.size, 1))
+        lo, hi = envelopes(spec, nodes, S_GRID, window=0.0)
+        for s, a, b in zip(S_GRID, lo, hi):
+            br = bracket(spec, X, s)
+            assert (a, b) == (br.lo, br.hi)
 
 
 class TestGrowthCheck:

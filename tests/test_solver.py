@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -179,6 +180,19 @@ class TestSolveInclusion:
         res = solve_inclusion(m, neg_sign(), opts)
         assert res.max_iterate_gradient <= 1 - opts.working_margin
         assert res.max_iterate_value <= inradius(m) + m.mesh_size() + 1e-12
+
+    def test_closed_form_primitive_leaves_the_run_unchanged(self):
+        # the repelling step takes the energy safeguard on most outer steps,
+        # so every energy comparison is exercised with both primitives
+        m = build_interval_mesh(-1, 1, 16)
+        spec = step(-1.0, 1.0, 0.25)
+        exact = solve_inclusion(m, spec)
+        fallback = solve_inclusion(m, dataclasses.replace(spec, exact_primitive=None))
+        assert exact.outer_iterations == fallback.outer_iterations
+        assert exact.inner_iterations == fallback.inner_iterations
+        assert len(exact.energy_trace) == len(fallback.energy_trace)
+        np.testing.assert_allclose(exact.energy_trace, fallback.energy_trace,
+                                   rtol=0.0, atol=1e-12)
 
     def test_outer_cap_returns_unconverged(self):
         m = build_interval_mesh(-1, 1, 64)
