@@ -452,6 +452,11 @@ _SWEEP_PARAMS = {"n", "refinement", "selection_rule", "outer_tol"}
 
 
 def _sweep_one(config: RunConfig, param: str, value: str, out_dir: Path, seed: int):
+    """One sweep run: (sweep.csv row, failure message or None).
+
+    An inner solve failure is not fatal to the sweep; it yields a
+    converged=false row with empty result fields.
+    """
     import copy
 
     cfg = copy.deepcopy(config)
@@ -470,14 +475,17 @@ def _sweep_one(config: RunConfig, param: str, value: str, out_dir: Path, seed: i
     else:
         cfg.solver["outer_tol"] = float(value)
     sub = out_dir / f"{param}_{value}"
-    mesh, spec, result = _run_solve(cfg, sub, seed)
+    try:
+        mesh, spec, result = _run_solve(cfg, sub, seed)
+    except InnerSolveError as exc:
+        return [value, "", "", "", "", "false"], f"{param}={value}: inner solve failed: {exc}"
     analytic = cfg.analytic_oracle(mesh)
     err = ""
     if analytic is not None:
         err = _fmt(float(np.abs(result.u.values - analytic(mesh.nodes)).max()))
     return [value, _fmt(result.energy), err,
             str(result.outer_iterations), str(result.inner_iterations),
-            "true" if result.converged else "false"]
+            "true" if result.converged else "false"], None
 
 
 def cmd_sweep(args) -> int:
@@ -499,25 +507,26 @@ def cmd_sweep(args) -> int:
     try:
         if args.threads > 1:
             with ThreadPoolExecutor(max_workers=args.threads) as pool:
-                rows = list(pool.map(
+                runs = list(pool.map(
                     lambda v: _sweep_one(config, args.param, v, out_dir, args.seed),
                     values))
         else:
-            rows = [_sweep_one(config, args.param, v, out_dir, args.seed)
+            runs = [_sweep_one(config, args.param, v, out_dir, args.seed)
                     for v in values]
     except (ConfigError, MeshError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 1
-    except InnerSolveError as err:
-        print(f"error: inner solve failed: {err}", file=sys.stderr)
-        return 2
+    rows = [row for row, _ in runs]
+    for _, failure in runs:
+        if failure is not None:
+            print(f"error: {failure}", file=sys.stderr)
     with open(out_dir / "sweep.csv", "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow([args.param, "energy", "linf_error_vs_analytic",
                          "outer_iterations", "inner_iterations", "converged"])
         writer.writerows(rows)
     print(f"sweep over {args.param}: {len(rows)} runs -> {out_dir / 'sweep.csv'}")
-    return 0
+    return 0 if all(row[-1] == "true" for row in rows) else 2
 
 
 def cmd_mesh_info(args) -> int:
@@ -552,8 +561,6 @@ def main(argv=None) -> int:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--seed", type=int, default=0,
                         help="seed for trial-field randomness (default 0)")
-    common.add_argument("--threads", type=int, default=1,
-                        help="parallel sweep workers (default 1, sequential)")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_solve = sub.add_parser("solve", parents=[common],
@@ -573,6 +580,8 @@ def main(argv=None) -> int:
     p_sweep.add_argument("--values", required=True,
                          help="comma-separated list of parameter values")
     p_sweep.add_argument("--out", default=None)
+    p_sweep.add_argument("--threads", type=int, default=1,
+                         help="parallel sweep workers (default 1, sequential)")
 
     p_info = sub.add_parser("mesh-info", parents=[common],
                             help="print mesh statistics")

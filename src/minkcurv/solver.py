@@ -19,6 +19,7 @@ points sitting at a jump level of the forcing rule.
 from __future__ import annotations
 
 import math
+import weakref
 from dataclasses import dataclass, field as dataclass_field
 
 import numpy as np
@@ -29,7 +30,7 @@ from .mesh import Field, Mesh, element_gradients
 # `bracket` is no longer called here; it stays a module attribute because
 # bench/worker.py wraps solver.bracket when it traces a run.
 from .nonlinearity import NonlinearitySpec, bracket, envelopes, selection  # noqa: F401
-from .energy import total_energy
+from .energy import psi, psi_gradient, total_energy
 
 
 class InnerSolveError(RuntimeError):
@@ -119,11 +120,120 @@ def _certificate_selection(mesh: Mesh, spec: NonlinearitySpec, u: Field,
     (the midpoint convention steers the iteration, but cannot certify
     solutions crossing a jump level between nodes).
     """
-    from .energy import psi_gradient
-
     lo, hi = envelopes(spec, mesh.nodes, u.values, mesh.mesh_size())
     m = -psi_gradient(mesh, u, margin=margin) / mesh.node_weight
     return np.clip(m, lo, hi)
+
+
+# -- per-mesh Newton workspace ---------------------------------------------------
+
+_DISSECTION_LEAF = 64
+
+
+def _nested_dissection(points: np.ndarray, adjacency: sp.csr_matrix) -> np.ndarray:
+    """Fill-reducing elimination order of a graph whose vertices sit at `points`.
+
+    Recursive coordinate bisection: a part is sorted along the longest axis
+    of its bounding box and cut at the median; the nodes of the lower half
+    that touch the upper half form the vertex separator, which is ordered
+    after both halves.  Parts of at most `_DISSECTION_LEAF` nodes keep the
+    order they arrive in.  Only stable sorts are used, so the order is a
+    deterministic function of the coordinates and the graph.
+    """
+    blocks = []
+
+    def dissect(part):
+        if len(part) <= _DISSECTION_LEAF:
+            blocks.append(part)
+            return
+        coords = points[part]
+        axis = int(np.argmax(np.ptp(coords, axis=0)))
+        part = part[np.argsort(coords[:, axis], kind="stable")]
+        low, high = np.split(part, [len(part) // 2])
+        in_high = np.zeros(len(points))
+        in_high[high] = 1.0
+        touches = adjacency[low] @ in_high > 0.0
+        dissect(low[~touches])
+        dissect(high)
+        blocks.append(low[touches])
+
+    dissect(np.arange(len(points)))
+    return np.concatenate(blocks)
+
+
+@dataclass(frozen=True)
+class _NewtonWorkspace:
+    """What every Newton step on one mesh shares.
+
+    The interior Hessian is assembled straight into a fixed CSC pattern
+    (`indptr`, `indices`) whose rows and columns follow `order`, the
+    interior node ids in nested-dissection elimination order.  Entry
+    (e, a, b) of the element blocks lands in data slot `scatter[e*nv*nv +
+    a*nv + b]`; entries touching a boundary node go to the dummy slot
+    `len(indices)`.  `stiffness` holds B B^T per element (B the basis
+    gradients).  Holds no reference to the mesh, so the cache entry dies
+    with it.
+    """
+
+    order: np.ndarray
+    indptr: np.ndarray
+    indices: np.ndarray
+    scatter: np.ndarray
+    stiffness: np.ndarray
+
+
+_workspace_cache = weakref.WeakKeyDictionary()
+
+
+def _newton_workspace(mesh: Mesh) -> _NewtonWorkspace:
+    """The mesh's Newton workspace, built on first use and cached."""
+    try:
+        return _workspace_cache[mesh]
+    except KeyError:
+        pass
+    interior = mesh.interior_nodes
+    n = len(interior)
+    nv = mesh.dim + 1
+    local = np.full(len(mesh.nodes), -1, dtype=np.int64)
+    local[interior] = np.arange(n)
+    el = local[mesh.elements]
+    rows = np.repeat(el, nv, axis=1).ravel()  # node of vertex a in entry (a, b)
+    cols = np.tile(el, (1, nv)).ravel()       # node of vertex b
+    keep = (rows >= 0) & (cols >= 0)
+    rows, cols = rows[keep], cols[keep]
+    adjacency = sp.csr_matrix((np.ones(len(rows)), (rows, cols)), shape=(n, n))
+    order = _nested_dissection(mesh.nodes[interior], adjacency)
+    rank = np.empty(n, dtype=np.int64)
+    rank[order] = np.arange(n)
+    slots, slot_of = np.unique(rank[cols] * n + rank[rows], return_inverse=True)
+    scatter = np.full(keep.size, len(slots), dtype=np.int32)
+    scatter[keep] = slot_of
+    indptr = np.zeros(n + 1, dtype=np.int32)
+    np.cumsum(np.bincount(slots // n, minlength=n), out=indptr[1:])
+    B = mesh.basis_gradients
+    workspace = _NewtonWorkspace(
+        order=interior[order], indptr=indptr,
+        indices=(slots % n).astype(np.int32), scatter=scatter,
+        stiffness=np.einsum("evd,ewd->evw", B, B))
+    for arr in vars(workspace).values():
+        arr.setflags(write=False)
+    _workspace_cache[mesh] = workspace
+    return workspace
+
+
+def _area_hessian(mesh: Mesh, ws: _NewtonWorkspace, root, Bg) -> sp.csc_matrix:
+    """Interior Hessian of the area term, rows and columns in `ws.order`.
+
+    Element block: measure * (B B^T / r + (B g)(B g)^T / r^3), with
+    r = sqrt(1 - |g|^2) and `Bg` = B g per element, shape (M, nv).
+    """
+    m = mesh.element_measure
+    h_el = (m / root)[:, None, None] * ws.stiffness \
+        + (m / root ** 3)[:, None, None] * Bg[:, :, None] * Bg[:, None, :]
+    nnz = len(ws.indices)
+    data = np.bincount(ws.scatter, weights=h_el.ravel(), minlength=nnz + 1)[:nnz]
+    n = len(ws.order)
+    return sp.csc_matrix((data, ws.indices, ws.indptr), shape=(n, n))
 
 
 def _solve_prescribed(mesh: Mesh, e, opts: SolverOptions, initial=None,
@@ -167,18 +277,20 @@ def _solve_prescribed(mesh: Mesh, e, opts: SolverOptions, initial=None,
     stats.max_value = float(np.abs(values).max())
     stats.max_gradient = float(np.sqrt(g2.max())) if g2.size else 0.0
 
-    eye = np.eye(mesh.dim)
+    ws = _newton_workspace(mesh)
+    order = ws.order
     obj = objective(g2, values)
     if objective_trace is not None:
         objective_trace.append(obj)
     for _ in range(opts.max_inner + 1):
         root = np.sqrt(1.0 - g2)
-        dens = g / root[:, None]
-        contrib = mesh.element_measure[:, None] * np.einsum(
-            "evd,ed->ev", mesh.basis_gradients, dens)
-        full_grad = np.zeros(len(mesh.nodes))
-        np.add.at(full_grad, mesh.elements, contrib)
-        grad = full_grad[interior] + linear[interior]
+        # B g per element: the gradient is measure/r * B g, and the Hessian
+        # reuses it for its rank-one part
+        Bg = np.einsum("evd,ed->ev", mesh.basis_gradients, g)
+        contrib = (mesh.element_measure / root)[:, None] * Bg
+        full_grad = np.bincount(mesh.elements.ravel(), weights=contrib.ravel(),
+                                minlength=len(mesh.nodes))
+        grad = full_grad[order] + linear[order]
         residual = float(np.abs(grad).max()) if grad.size else 0.0
         if not math.isfinite(residual):
             raise InnerSolveError("non-finite gradient encountered",
@@ -192,22 +304,13 @@ def _solve_prescribed(mesh: Mesh, e, opts: SolverOptions, initial=None,
                 f"(residual {residual:.3e})",
                 last_values=values, residual=residual, iterations=stats.iterations)
 
-        # exact Hessian of the area density: (I + g g^T/(1-|g|^2)) / sqrt(1-|g|^2)
-        A = eye[None, :, :] / root[:, None, None] \
-            + g[:, :, None] * g[:, None, :] / (root ** 3)[:, None, None]
-        B = mesh.basis_gradients
-        h_el = mesh.element_measure[:, None, None] * np.einsum(
-            "mvd,mde,mwe->mvw", B, A, B)
-        nv = mesh.dim + 1
-        rows = np.broadcast_to(mesh.elements[:, :, None],
-                               (len(mesh.elements), nv, nv)).ravel()
-        cols = np.broadcast_to(mesh.elements[:, None, :],
-                               (len(mesh.elements), nv, nv)).ravel()
-        K = sp.coo_matrix((h_el.ravel(), (rows, cols)),
-                          shape=(len(mesh.nodes), len(mesh.nodes))).tocsr()
-        K_int = K[interior][:, interior].tocsc()
+        # The Hessian is SPD and already in nested-dissection order: no
+        # column reordering and no pivoting.  The factor is used once and
+        # not kept, so only one LU is alive at a time.
         try:
-            direction = splu(K_int).solve(-grad)
+            direction = splu(_area_hessian(mesh, ws, root, Bg), permc_spec="NATURAL",
+                             diag_pivot_thresh=0.0,
+                             options=dict(SymmetricMode=True)).solve(-grad)
         except RuntimeError as err:
             raise InnerSolveError(f"Hessian factorization failed: {err}",
                                   last_values=values, residual=residual,
@@ -224,7 +327,7 @@ def _solve_prescribed(mesh: Mesh, e, opts: SolverOptions, initial=None,
         t = 1.0
         while True:
             cand = values.copy()
-            cand[interior] += t * direction
+            cand[order] += t * direction
             g_c, g2_c = grad_sq(cand)
             if np.all(g2_c <= limit2):
                 obj_c = objective(g2_c, cand)
@@ -385,7 +488,6 @@ def stationarity_measure(mesh: Mesh, u: Field, spec: NonlinearitySpec,
     exactly at critical points.
     """
     from .verify import random_feasible_field
-    from .energy import psi
 
     rng = np.random.default_rng(seed)
     values = u.values

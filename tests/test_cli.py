@@ -241,6 +241,34 @@ class TestSweepCommand:
         assert len(lines) == 4
         assert all(line.endswith("true") for line in lines[1:])
 
+    def test_unconverged_runs_exit_2(self, tmp_path):
+        cfg = write_cfg(tmp_path, NEG_SIGN_CFG.replace("domain.n = 128", "domain.n = 64")
+                        + "solver.max_outer = 1\n")
+        code = main(["sweep", "--config", str(cfg), "--param", "n",
+                     "--values", "16,32", "--out", str(tmp_path / "sw")])
+        assert code == 2
+        lines = (tmp_path / "sw" / "sweep.csv").read_text().splitlines()
+        assert len(lines) == 3
+        assert all(line.endswith(",false") for line in lines[1:])
+
+    def test_inner_failure_keeps_the_other_rows(self, tmp_path, capsys):
+        # 7 Newton steps solve n = 16 but not n = 64
+        cfg = write_cfg(tmp_path, PRESCRIBED_CFG + "solver.max_inner = 7\n")
+        code = main(["sweep", "--config", str(cfg), "--param", "n",
+                     "--values", "16,64", "--out", str(tmp_path / "sw")])
+        assert code == 2
+        assert "n=64: inner solve failed" in capsys.readouterr().err
+        lines = (tmp_path / "sw" / "sweep.csv").read_text().splitlines()
+        assert len(lines) == 3
+        assert lines[1].startswith("16,") and lines[1].endswith(",true")
+        assert lines[2] == "64,,,,,false"
+
+    def test_threads_is_a_sweep_option_only(self, tmp_path, capsys):
+        cfg = write_cfg(tmp_path, PRESCRIBED_CFG)
+        with pytest.raises(SystemExit):
+            main(["solve", "--config", str(cfg), "--threads", "2"])
+        assert "--threads" in capsys.readouterr().err
+
     def test_empty_values_is_noop(self, tmp_path, capsys):
         cfg = write_cfg(tmp_path, PRESCRIBED_CFG)
         code = main(["sweep", "--config", str(cfg), "--param", "n",

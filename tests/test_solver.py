@@ -1,14 +1,20 @@
 import dataclasses
+import gc
+import itertools
 import math
+import weakref
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
+from minkcurv import solver
 from minkcurv.energy import total_energy
 from minkcurv.mesh import (Field, Mesh, build_disk_mesh, build_interval_mesh,
-                           element_gradients, inradius)
+                           build_rectangle_mesh, element_gradients, inradius)
 from minkcurv.nonlinearity import (bracket, constant, neg_sign, step)
-from minkcurv.solver import (InnerSolveError, SolverOptions, _solve_prescribed,
+from minkcurv.solver import (InnerSolveError, SolverOptions, _area_hessian,
+                             _newton_workspace, _solve_prescribed,
                              solve_inclusion, solve_prescribed,
                              stationarity_measure)
 
@@ -243,3 +249,104 @@ class TestSolverOptions:
     def test_validation(self, kw):
         with pytest.raises(ValueError):
             SolverOptions(**kw)
+
+
+def cube_mesh(cells):
+    """Unit cube, `cells` cubes per side, each split into the six Kuhn tetrahedra."""
+    side = cells + 1
+    grid = np.array(list(itertools.product(range(side), repeat=3)), dtype=float)
+    nodes = grid / cells
+
+    def idx(p):
+        return (p[0] * side + p[1]) * side + p[2]
+
+    elements = []
+    for corner in itertools.product(range(cells), repeat=3):
+        for axes in itertools.permutations(range(3)):
+            p = list(corner)
+            tet = [idx(p)]
+            for a in axes:
+                p[a] += 1
+                tet.append(idx(p))
+            elements.append(tet)
+    boundary = [i for i, x in enumerate(grid) if np.any((x == 0) | (x == cells))]
+    return Mesh(nodes, elements, boundary)
+
+
+WORKSPACE_MESHES = {
+    "interval": lambda: build_interval_mesh(-1, 1, 64),
+    "rectangle": lambda: build_rectangle_mesh(2.0, 1.0, 12, 7),
+    "disk": lambda: build_disk_mesh(1.0, 3),
+    "cube": lambda: cube_mesh(6),
+}
+
+
+def reference_hessian(mesh, values, order):
+    """COO assembly of m * B (I/r + g g^T/r^3) B^T, interior rows/columns in `order`."""
+    g = element_gradients(mesh, values)
+    root = np.sqrt(1.0 - (g * g).sum(axis=1))
+    A = np.eye(mesh.dim)[None] / root[:, None, None] \
+        + g[:, :, None] * g[:, None, :] / (root ** 3)[:, None, None]
+    B = mesh.basis_gradients
+    h_el = mesh.element_measure[:, None, None] * np.einsum("mvd,mde,mwe->mvw", B, A, B)
+    nv = mesh.dim + 1
+    rows = np.repeat(mesh.elements, nv, axis=1).ravel()
+    cols = np.tile(mesh.elements, (1, nv)).ravel()
+    n = len(mesh.nodes)
+    K = sp.coo_matrix((h_el.ravel(), (rows, cols)), shape=(n, n)).tocsr()
+    return K[order][:, order].toarray()
+
+
+class TestNewtonWorkspace:
+    @pytest.mark.parametrize("name", sorted(WORKSPACE_MESHES))
+    def test_assembly_matches_coo_reference(self, name):
+        mesh = WORKSPACE_MESHES[name]()
+        rng = np.random.default_rng(3)
+        values = rng.standard_normal(len(mesh.nodes))
+        values[mesh.boundary_nodes] = 0.0
+        values *= 0.9 / max_gradient_norm(mesh, values)
+        ws = _newton_workspace(mesh)
+        g = element_gradients(mesh, values)
+        root = np.sqrt(1.0 - (g * g).sum(axis=1))
+        Bg = np.einsum("evd,ed->ev", mesh.basis_gradients, g)
+        K = _area_hessian(mesh, ws, root, Bg)
+        assert K.has_canonical_format
+        ref = reference_hessian(mesh, values, ws.order)
+        assert np.abs(K.toarray() - ref).max() <= 1e-13 * np.abs(ref).max()
+
+    @pytest.mark.parametrize("name", sorted(WORKSPACE_MESHES))
+    def test_order_is_a_permutation_of_the_interior(self, name):
+        mesh = WORKSPACE_MESHES[name]()
+        order = _newton_workspace(mesh).order
+        assert len(order) == len(mesh.interior_nodes)
+        assert np.array_equal(np.sort(order), mesh.interior_nodes)
+
+    def test_built_once_and_freed_with_the_mesh(self, monkeypatch):
+        builds = []
+        dissect = solver._nested_dissection
+        monkeypatch.setattr(solver, "_nested_dissection",
+                            lambda *args: builds.append(1) or dissect(*args))
+        mesh = build_disk_mesh(1.0, 2)
+        solve_prescribed(mesh, 1.0)
+        solve_prescribed(mesh, 2.0)
+        ws = _newton_workspace(mesh)
+        assert len(builds) == 1
+        mesh_ref, ws_ref = weakref.ref(mesh), weakref.ref(ws)
+        del mesh, ws
+        gc.collect()
+        assert mesh_ref() is None and ws_ref() is None
+
+    def test_no_interior_node(self):
+        m = build_interval_mesh(-1, 1, 1)
+        assert np.all(solve_prescribed(m, 1.0).values == 0.0)
+
+    def test_one_interior_node(self):
+        # u(0) = c minimizes 2(1 - sqrt(1 - c^2)) + c, so c = -1/sqrt(5)
+        m = build_interval_mesh(-1, 1, 2)
+        u = solve_prescribed(m, 1.0)
+        assert u.values[1] == pytest.approx(-1.0 / math.sqrt(5.0), abs=1e-10)
+
+    @pytest.mark.parametrize("a, steps", [(1.5, 5), (2.0, 8), (2.4, 6)])
+    def test_disk_newton_step_counts(self, a, steps):
+        _, stats = _solve_prescribed(build_disk_mesh(1.0, 4), a, SolverOptions())
+        assert stats.iterations == steps
