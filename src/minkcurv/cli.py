@@ -13,10 +13,10 @@ written).
 from __future__ import annotations
 
 import argparse
+import copy
 import csv
 import math
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field as dataclass_field
 from pathlib import Path
 
@@ -25,10 +25,11 @@ import numpy as np
 from . import svg
 from .energy import bounds, total_energy
 from .mesh import (Field, Mesh, MeshError, build_disk_mesh, build_interval_mesh,
-                   build_rectangle_mesh, read_mesh)
-from .nonlinearity import NonlinearitySpec, from_catalog
+                   build_rectangle_mesh, inradius, read_mesh)
+from .nonlinearity import CATALOG, NonlinearitySpec, from_catalog
 from .solver import InnerSolveError, SolveResult, SolverOptions, solve_inclusion
-from .verify import analytic_radial, format_report, verification_report
+from .verify import (analytic_radial, format_report, inclusion_residual,
+                     verification_report)
 
 
 class ConfigError(ValueError):
@@ -103,26 +104,30 @@ class RunConfig:
 
     def build_spec(self, mesh: Mesh) -> NonlinearitySpec:
         kind, p = self.nonlinearity_kind, self.nonlinearity
-        if kind == "constant":
-            return from_catalog("constant", p["a"])
-        if kind == "neg_sign":
-            return from_catalog("neg_sign")
-        if kind == "heaviside":
-            return from_catalog("heaviside")
-        if kind == "step":
-            return from_catalog("step", p["a"], p["b"], p["s0"])
-        if kind == "power":
-            return from_catalog("power", p["c"], p["r"])
+        if kind in CATALOG:
+            return from_catalog(kind, **p)
         # prescribed right-hand side e(x): forcing independent of s
         e_fn = p["e_fn"]
-        e_nodes = np.array([e_fn(x) for x in mesh.nodes])
+        source = p.get("expression", p.get("value"))
+        try:
+            with np.errstate(all="ignore"):
+                e_raw = e_fn(mesh.nodes)
+                if np.iscomplexobj(e_raw):
+                    raise ConfigError(f"prescribed forcing {source!r} is not real")
+                e_nodes = np.full(len(mesh.nodes), e_raw, dtype=float)
+        except ArithmeticError as err:
+            raise ConfigError(f"prescribed forcing {source!r} cannot be "
+                              f"evaluated: {err}") from None
+        bad = np.flatnonzero(~np.isfinite(e_nodes))
+        if bad.size:
+            raise ConfigError(f"prescribed forcing {source!r} is {e_nodes[bad[0]]} "
+                              f"at node {bad[0]} {mesh.nodes[bad[0]].tolist()}")
         growth_c = p.get("growth_c", float(np.abs(e_nodes).max()))
         growth_q = p.get("growth_q", 2.0)
         return NonlinearitySpec(
             evaluate=lambda x, s, fn=e_fn: fn(x), jumps=(),
             growth_c=growth_c, growth_q=growth_q, name="prescribed",
-            exact_primitive=lambda nodes, s, fn=e_fn:
-                np.array([fn(x) for x in nodes]) * s)
+            exact_primitive=lambda nodes, s, fn=e_fn: fn(nodes) * s)
 
     def constant_rhs(self):
         """The constant right-hand side value, when the forcing is one."""
@@ -172,6 +177,11 @@ def _typed(cfg, key, kind, default=None, required=False, choices=None):
     return value
 
 
+# config keys of the catalog rules with parameters: the factory's parameter
+# names, each with its default (None: required)
+_CATALOG_PARAMS = {"constant": {"a": None}, "step": {"a": None, "b": None, "s0": 0.0},
+                   "power": {"c": None, "r": None}}
+
 _EXPR_NAMES = {name: getattr(np, name) for name in
                ("sin", "cos", "tan", "exp", "sqrt", "abs", "log", "tanh", "sign")}
 _EXPR_NAMES["pi"] = math.pi
@@ -186,12 +196,12 @@ def _expression_fn(expr: str, lineno: int):
         if name not in _EXPR_NAMES and name not in ("x", "y", "r"):
             raise ConfigError(f"line {lineno}: expression uses unknown name {name!r}")
 
-    def fn(xvec):
+    def fn(nodes):
         local = dict(_EXPR_NAMES)
-        local["x"] = float(xvec[0])
-        local["y"] = float(xvec[1]) if len(xvec) > 1 else 0.0
-        local["r"] = float(np.sqrt((np.asarray(xvec) ** 2).sum()))
-        return float(eval(code, {"__builtins__": {}}, local))
+        local["x"] = nodes[:, 0]
+        local["y"] = nodes[:, 1] if nodes.shape[1] > 1 else np.zeros(len(nodes))
+        local["r"] = np.sqrt((nodes ** 2).sum(axis=1))
+        return eval(code, {"__builtins__": {}}, local)
 
     return fn
 
@@ -228,19 +238,12 @@ def load_config(path) -> RunConfig:
         domain["path"] = mesh_path
 
     nl_kind = _typed(cfg, "nonlinearity.kind", str, required=True,
-                     choices={"constant", "neg_sign", "step", "power",
-                              "heaviside", "prescribed"})
+                     choices=sorted(CATALOG) + ["prescribed"])
     nl = {}
-    if nl_kind == "constant":
-        nl["a"] = _typed(cfg, "nonlinearity.a", float, required=True)
-    elif nl_kind == "step":
-        nl["a"] = _typed(cfg, "nonlinearity.a", float, required=True)
-        nl["b"] = _typed(cfg, "nonlinearity.b", float, required=True)
-        nl["s0"] = _typed(cfg, "nonlinearity.s0", float, default=0.0)
-    elif nl_kind == "power":
-        nl["c"] = _typed(cfg, "nonlinearity.c", float, required=True)
-        nl["r"] = _typed(cfg, "nonlinearity.r", float, required=True)
-    elif nl_kind == "prescribed":
+    for key, default in _CATALOG_PARAMS.get(nl_kind, {}).items():
+        nl[key] = _typed(cfg, f"nonlinearity.{key}", float, default=default,
+                         required=default is None)
+    if nl_kind == "prescribed":
         value = _typed(cfg, "nonlinearity.value", float)
         expr_item = cfg.get("nonlinearity.expression")
         expr = _typed(cfg, "nonlinearity.expression", str)
@@ -250,8 +253,9 @@ def load_config(path) -> RunConfig:
                 "or nonlinearity.expression")
         if value is not None:
             nl["value"] = value
-            nl["e_fn"] = lambda xvec, v=value: v
+            nl["e_fn"] = lambda nodes, v=value: v
         else:
+            nl["expression"] = expr
             nl["e_fn"] = _expression_fn(expr, expr_item[1])
         gc = _typed(cfg, "nonlinearity.growth_c", float)
         gq = _typed(cfg, "nonlinearity.growth_q", float)
@@ -369,10 +373,8 @@ def write_report(path, mesh, spec, result: SolveResult, energy_bounds) -> None:
 
 def _write_svg(out_dir: Path, mesh: Mesh, spec, result: SolveResult) -> None:
     if mesh.dim == 1:
-        levels = []
-        for j in spec.jumps:
-            mid = mesh.nodes.mean(axis=0)
-            levels.append(float(j.level(mid)))
+        mid = mesh.nodes.mean(axis=0, keepdims=True)
+        levels = [float(np.full(1, j.level(mid))[0]) for j in spec.jumps]
         doc = svg.field_svg_1d(mesh, result.u.values, guide_levels=levels,
                                title=f"u ({spec.name})")
         (out_dir / "solution.svg").write_text(doc)
@@ -393,7 +395,6 @@ def _run_solve(config: RunConfig, out_dir: Path, seed: int):
     result = solve_inclusion(mesh, spec, opts)
     out_dir.mkdir(parents=True, exist_ok=True)
     if config.emit_csv:
-        from .verify import inclusion_residual
         residuals = inclusion_residual(mesh, result.u, spec,
                                        margin=opts.working_margin)
         write_solution_csv(out_dir / "solution.csv", mesh, result, residuals)
@@ -457,8 +458,6 @@ def _sweep_one(config: RunConfig, param: str, value: str, out_dir: Path, seed: i
     An inner solve failure is not fatal to the sweep; it yields a
     converged=false row with empty result fields.
     """
-    import copy
-
     cfg = copy.deepcopy(config)
     if param == "n":
         if cfg.domain_kind != "interval":
@@ -505,14 +504,8 @@ def cmd_sweep(args) -> int:
         return 0
     out_dir.mkdir(parents=True, exist_ok=True)
     try:
-        if args.threads > 1:
-            with ThreadPoolExecutor(max_workers=args.threads) as pool:
-                runs = list(pool.map(
-                    lambda v: _sweep_one(config, args.param, v, out_dir, args.seed),
-                    values))
-        else:
-            runs = [_sweep_one(config, args.param, v, out_dir, args.seed)
-                    for v in values]
+        runs = [_sweep_one(config, args.param, v, out_dir, args.seed)
+                for v in values]
     except (ConfigError, MeshError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 1
@@ -541,8 +534,6 @@ def cmd_mesh_info(args) -> int:
     except (ConfigError, MeshError, OSError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 1
-    from .mesh import inradius
-
     print(f"dim {mesh.dim}")
     print(f"nodes {len(mesh.nodes)}")
     print(f"elements {len(mesh.elements)}")
@@ -580,8 +571,6 @@ def main(argv=None) -> int:
     p_sweep.add_argument("--values", required=True,
                          help="comma-separated list of parameter values")
     p_sweep.add_argument("--out", default=None)
-    p_sweep.add_argument("--threads", type=int, default=1,
-                         help="parallel sweep workers (default 1, sequential)")
 
     p_info = sub.add_parser("mesh-info", parents=[common],
                             help="print mesh statistics")

@@ -15,7 +15,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .mesh import Field, Mesh, element_gradients, inradius
-from .nonlinearity import NonlinearitySpec, primitive
+# `primitive` is no longer called here; it stays a module attribute because
+# bench/worker.py wraps energy.primitive when it traces a run.
+from .nonlinearity import NonlinearitySpec, primitive, primitive_array  # noqa: F401
 
 
 class StrictFeasibilityError(ValueError):
@@ -109,15 +111,10 @@ def script_f(mesh: Mesh, field: Field, spec: NonlinearitySpec) -> float:
     """Lumped potential term: sum of node_weight * F(x_i, v_i).
 
     One array call of the spec's closed-form primitive when it has one;
-    otherwise F is integrated numerically node by node (see `primitive`).
+    otherwise F is integrated numerically node by node (see `primitive_array`).
     """
-    if spec.exact_primitive is not None:
-        return float(np.dot(mesh.node_weight,
-                            spec.exact_primitive(mesh.nodes, field.values)))
-    total = 0.0
-    for i, w in enumerate(mesh.node_weight):
-        total += w * primitive(spec, mesh.nodes[i], field.values[i])
-    return float(total)
+    return float(np.dot(mesh.node_weight,
+                        primitive_array(spec, mesh.nodes, field.values)))
 
 
 def total_energy(mesh: Mesh, field: Field, spec: NonlinearitySpec) -> float:

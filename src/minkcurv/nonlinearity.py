@@ -3,12 +3,13 @@
 A `NonlinearitySpec` bundles a pointwise evaluator with optional jump
 metadata (level, one-sided limits), the growth constants (C, q) bounding
 |f(x,s)| <= C*(1 + |s|^(q-1)), and optionally the primitive F in closed form
-over node arrays (every catalog rule has one; other rules are integrated by
-adaptive quadrature).  Jump metadata is the primary mechanism for
-exact lower/upper envelopes; without it a sampling estimator is used and the
-result is flagged approximate.  The estimator works from point values only,
-so it cannot distinguish a rule from an almost-everywhere modification of
-it; declare the jump structure whenever exactness matters.
+(every catalog rule has one; other rules are integrated by adaptive
+quadrature).  Rules are evaluated on whole node arrays.  Jump metadata is
+the primary mechanism for exact lower/upper envelopes; without it a sampling
+estimator is used and the result is flagged approximate.  The estimator
+works from point values only, so it cannot distinguish a rule from an
+almost-everywhere modification of it; declare the jump structure whenever
+exactness matters.
 """
 
 from __future__ import annotations
@@ -33,13 +34,15 @@ class QuadratureError(ArithmeticError):
 class Jump:
     """One declared discontinuity of f(x, .) at the level s = level(x).
 
-    `left` and `right` are the one-sided limits of f(x, .) from below and
-    above the level.  The level rule must be continuous in x.
+    Each callable takes a node array of shape (K, d) and returns a (K,)
+    array; a scalar return is broadcast to every node.  `left` and `right`
+    are the one-sided limits of f(x, .) from below and above the level.
+    The level rule must be continuous in x.
     """
 
-    level: Callable[[np.ndarray], float]
-    left: Callable[[np.ndarray], float]
-    right: Callable[[np.ndarray], float]
+    level: Callable[[np.ndarray], np.ndarray]
+    left: Callable[[np.ndarray], np.ndarray]
+    right: Callable[[np.ndarray], np.ndarray]
 
 
 @dataclass(frozen=True)
@@ -54,12 +57,6 @@ class Bracket:
         if self.lo > self.hi:
             raise ValueError(f"bracket lo={self.lo} exceeds hi={self.hi}")
 
-    def contains(self, value: float, slack: float = 0.0) -> bool:
-        return self.lo - slack <= value <= self.hi + slack
-
-    def distance(self, value: float, slack: float = 0.0) -> float:
-        return max(0.0, self.lo - slack - value, value - self.hi - slack)
-
 
 @dataclass(frozen=True)
 class NonlinearitySpec:
@@ -67,9 +64,11 @@ class NonlinearitySpec:
 
     Fields
     ------
-    evaluate : callable (x, s) -> float
-        Pointwise value of f; x is a coordinate array, s a real.  Need not
-        be meaningful exactly on a declared jump level.
+    evaluate : callable (nodes, values) -> array
+        Pointwise value of f at K points at once: `nodes` has shape (K, d),
+        `values` shape (K,), the result shape (K,); a scalar result is
+        broadcast to every point.  Need not be meaningful exactly on a
+        declared jump level.
     jumps : tuple of Jump, or None
         Declared discontinuities in s.  An empty tuple declares f
         continuous in s; None marks a black-box rule whose envelopes must
@@ -84,7 +83,7 @@ class NonlinearitySpec:
         (the default) makes `primitive` integrate f numerically.
     """
 
-    evaluate: Callable[[np.ndarray, float], float]
+    evaluate: Callable[[np.ndarray, np.ndarray], np.ndarray]
     jumps: Optional[tuple] = ()
     growth_c: float = 1.0
     growth_q: float = 2.0
@@ -99,42 +98,80 @@ class NonlinearitySpec:
         if self.jumps is not None:
             object.__setattr__(self, "jumps", tuple(self.jumps))
 
-    def jump_at(self, x, s) -> Optional[Jump]:
-        """The declared jump whose level equals s at x exactly, if any."""
-        for j in self.jumps or ():
-            if s == j.level(x):
-                return j
-        return None
-
 
 _DEFAULT_DELTAS = (1e-2, 1e-3, 1e-4)
+_DEFAULT_SAMPLES = 64
+
+
+def _per_node(value, k: int) -> np.ndarray:
+    """A rule's return value as a fresh (k,) float array; a scalar is broadcast."""
+    return np.full(k, value, dtype=float)
+
+
+def _one_row(x, s):
+    """The point (x, s) as a (1, d) node array and a (1,) value array."""
+    return np.asarray(x, dtype=float).reshape(1, -1), np.array([float(s)])
+
+
+def _envelopes(spec: NonlinearitySpec, nodes, values, window: float,
+               delta: float, samples: int):
+    """Envelope arrays (lo, hi) at K points; see `envelopes`.
+
+    Black-box rules (jumps=None) take the min/max of `samples` point values
+    on [s - delta, s + delta] per point, all in one `evaluate` call.
+    """
+    nodes = np.asarray(nodes, dtype=float)
+    values = np.asarray(values, dtype=float)
+    k = len(values)
+    if spec.jumps is None:
+        t = np.linspace(values - delta, values + delta, samples, axis=1)
+        f = _per_node(spec.evaluate(np.repeat(nodes, samples, axis=0), t.ravel()),
+                      t.size).reshape(k, samples)
+        return f.min(axis=1), f.max(axis=1)
+    lo = _per_node(spec.evaluate(nodes, values), k)
+    hi = lo.copy()
+    limits = [(_per_node(j.level(nodes), k), _per_node(j.left(nodes), k),
+               _per_node(j.right(nodes), k)) for j in spec.jumps]
+    # exactly on a level f is not used: the jump intervals alone make the bracket
+    for level, _, _ in limits:
+        on = values == level
+        lo[on], hi[on] = np.inf, -np.inf
+    for level, a, b in limits:
+        near = (values == level) | (np.abs(values - level) <= window)
+        np.minimum(lo, np.minimum(a, b), out=lo, where=near)
+        np.maximum(hi, np.maximum(a, b), out=hi, where=near)
+    return lo, hi
+
+
+def envelopes(spec: NonlinearitySpec, nodes, values, window: float):
+    """Envelope arrays (lo, hi) at K points: nodes (K, d), values (K,).
+
+    The only bracket code: `bracket` and `selection` are its one-row and
+    zero-window cases.  With jump metadata (including a declared-continuous
+    empty tuple) the brackets are exact: on a jump level the ordered pair of
+    one-sided limits, elsewhere the pointwise value twice.  Where a value
+    lies within `window` of a declared jump level the pair is widened to
+    contain that jump's whole interval; `window=0.0` gives the plain
+    brackets.  For black-box rules (jumps=None) inf/sup of point samples
+    over |t - s| <= 1e-4 are taken; that estimate is approximate and
+    ignores `window`.
+    """
+    return _envelopes(spec, nodes, values, window,
+                      _DEFAULT_DELTAS[-1], _DEFAULT_SAMPLES)
 
 
 def bracket(spec: NonlinearitySpec, x, s: float, *,
-            deltas: Sequence[float] = _DEFAULT_DELTAS, samples: int = 64) -> Bracket:
-    """Envelope pair [f_lower, f_upper] at (x, s).
+            deltas: Sequence[float] = _DEFAULT_DELTAS,
+            samples: int = _DEFAULT_SAMPLES) -> Bracket:
+    """Envelope pair [f_lower, f_upper] at one point (x, s).
 
-    With jump metadata (including a declared-continuous empty tuple) the
-    result is exact: at a jump level it is the ordered pair of one-sided
-    limits, elsewhere both envelopes collapse to the pointwise value.  For
-    black-box rules (jumps=None), inf/sup of point samples over a shrinking
-    window |t - s| < delta are taken and the last window wins; that
-    estimate is flagged approximate.
+    The one-row case of `envelopes` with a zero window.  For black-box
+    rules the estimator samples the last window of `deltas` (earlier
+    windows are superseded) and the result is flagged approximate.
     """
-    x = np.asanyarray(x, dtype=float)
-    if spec.jumps is not None:
-        j = spec.jump_at(x, s)
-        if j is not None:
-            a, b = float(j.left(x)), float(j.right(x))
-            return Bracket(min(a, b), max(a, b))
-        v = float(spec.evaluate(x, s))
-        return Bracket(v, v)
-    lo = hi = float(spec.evaluate(x, s))
-    for delta in deltas:
-        t = np.linspace(s - delta, s + delta, samples)
-        vals = np.array([spec.evaluate(x, ti) for ti in t], dtype=float)
-        lo, hi = float(vals.min()), float(vals.max())
-    return Bracket(lo, hi, approximate=True)
+    lo, hi = _envelopes(spec, *_one_row(x, s), 0.0,
+                        deltas[-1] if deltas else 0.0, samples)
+    return Bracket(float(lo[0]), float(hi[0]), approximate=spec.jumps is None)
 
 
 def lower_envelope(spec: NonlinearitySpec, x, s: float, **kw) -> float:
@@ -147,31 +184,34 @@ def upper_envelope(spec: NonlinearitySpec, x, s: float, **kw) -> float:
     return bracket(spec, x, s, **kw).hi
 
 
-def selection(spec: NonlinearitySpec, x, s: float, rule: str = "mid") -> float:
-    """A single value inside the envelope bracket at (x, s).
+def selection(spec: NonlinearitySpec, nodes, values, rule: str = "mid"):
+    """A value inside the envelope bracket at each point.
 
-    Off jump levels this is the pointwise value.  Exactly at a declared
-    jump level the `rule` decides: "mid" (default) takes the bracket
-    midpoint, "lo"/"hi" take the endpoints.
+    `nodes` (K, d) and `values` (K,) give a (K,) array; a single point x
+    and a real s give a float.  Off jump levels this is the pointwise
+    value.  Exactly at a declared jump level the `rule` decides: "mid"
+    (default) takes the bracket midpoint, "lo"/"hi" take the endpoints.
+    Black-box rules (jumps=None) always give the pointwise value.
     """
     if rule not in ("lo", "mid", "hi"):
         raise ValueError(f"unknown selection rule {rule!r}")
-    x = np.asanyarray(x, dtype=float)
-    j = spec.jump_at(x, s)
-    if j is None:
-        return float(spec.evaluate(x, s))
-    a, b = float(j.left(x)), float(j.right(x))
-    lo, hi = min(a, b), max(a, b)
-    if rule == "lo":
-        return lo
-    if rule == "hi":
-        return hi
-    return 0.5 * (lo + hi)
+    point = np.ndim(values) == 0
+    if point:
+        nodes, values = _one_row(nodes, values)
+    if spec.jumps is None:
+        values = np.asarray(values, dtype=float)
+        sel = _per_node(spec.evaluate(np.asarray(nodes, dtype=float), values),
+                        len(values))
+    else:
+        lo, hi = envelopes(spec, nodes, values, 0.0)
+        sel = lo if rule == "lo" else hi if rule == "hi" else 0.5 * (lo + hi)
+    return float(sel[0]) if point else sel
 
 
 def _gauss_panel(fn, a: float, b: float) -> float:
+    """7-point Gauss rule on [a, b]; `fn` maps the 7 abscissae to 7 values."""
     mid, half = 0.5 * (a + b), 0.5 * (b - a)
-    return half * sum(w * fn(mid + half * xi) for xi, w in zip(_GAUSS_X, _GAUSS_W))
+    return half * float(np.dot(_GAUSS_W, fn(mid + half * _GAUSS_X)))
 
 
 def _adaptive_gauss(fn, a: float, b: float, rel_tol: float, max_depth: int = 40) -> float:
@@ -206,22 +246,24 @@ def primitive(spec: NonlinearitySpec, x, s: float, rel_tol: float = 1e-10) -> fl
     relative tolerance is met.  For s < 0 the usual orientation convention
     applies (the result is minus the integral over (s, 0)).
     """
-    x = np.asanyarray(x, dtype=float)
-    s = float(s)
+    x, s_row = _one_row(x, s)
     if spec.exact_primitive is not None:
-        return float(spec.exact_primitive(x.reshape(1, -1), np.array([s]))[0])
+        return float(spec.exact_primitive(x, s_row)[0])
+    s = float(s_row[0])
     if s == 0.0:
         return 0.0
     a, b, sign = (0.0, s, 1.0) if s > 0 else (s, 0.0, -1.0)
     cuts = [a, b]
     for j in spec.jumps or ():
-        lv = float(j.level(x))
+        lv = float(_per_node(j.level(x), 1)[0])
         if a < lv < b:
             cuts.append(lv)
     cuts = sorted(set(cuts))
+    panel = np.repeat(x, _GAUSS_X.size, axis=0)
     total = 0.0
     for lo, hi in zip(cuts[:-1], cuts[1:]):
-        total += _adaptive_gauss(lambda t: float(spec.evaluate(x, t)), lo, hi, rel_tol)
+        total += _adaptive_gauss(lambda t: _per_node(spec.evaluate(panel, t), t.size),
+                                 lo, hi, rel_tol)
     return sign * total
 
 
@@ -237,28 +279,6 @@ def primitive_array(spec: NonlinearitySpec, nodes, values,
     if spec.exact_primitive is not None:
         return np.asarray(spec.exact_primitive(nodes, values), dtype=float)
     return np.array([primitive(spec, x, s, rel_tol) for x, s in zip(nodes, values)])
-
-
-def envelopes(spec: NonlinearitySpec, nodes, values, window: float):
-    """Envelope arrays (lo, hi) at K points, widened near jump levels.
-
-    Starts from `bracket` at every point; where a value lies within
-    `window` of a declared jump level the pair is widened to contain that
-    jump's whole interval.  `window=0.0` widens only points exactly on a
-    level, where the bracket already is that interval, so it returns the
-    plain brackets.
-    """
-    lo = np.empty(len(values))
-    hi = np.empty(len(values))
-    for i, (x, s) in enumerate(zip(nodes, values)):
-        br = bracket(spec, x, s)
-        lo[i], hi[i] = br.lo, br.hi
-        for j in spec.jumps or ():
-            if abs(s - float(j.level(x))) <= window:
-                a, b = float(j.left(x)), float(j.right(x))
-                lo[i] = min(lo[i], a, b)
-                hi[i] = max(hi[i], a, b)
-    return lo, hi
 
 
 @dataclass(frozen=True)
@@ -285,18 +305,19 @@ def growth_check(spec: NonlinearitySpec, sample_box, count: int, seed: int = 0) 
     x_hi = np.atleast_1d(np.asarray(x_hi, dtype=float))
     rng = np.random.default_rng(seed)
     c, q = spec.growth_c, spec.growth_q
-    best_ratio, worst_x, worst_s = -np.inf, x_lo, 0.0
     s_fixed = [s_lo, s_hi, 0.0] if s_lo <= 0.0 <= s_hi else [s_lo, s_hi]
+    xs, ss = [], []
     for k in range(count):
-        x = rng.uniform(x_lo, x_hi)
-        s = s_fixed[k] if k < len(s_fixed) else float(rng.uniform(s_lo, s_hi))
-        denom = c * (1.0 + abs(s) ** (q - 1.0))
-        f = abs(float(spec.evaluate(x, s)))
-        ratio = np.inf if denom == 0.0 and f > 0.0 else (0.0 if f == 0.0 else f / denom)
-        if ratio > best_ratio:
-            best_ratio, worst_x, worst_s = ratio, x, s
-    return GrowthReport(max_ratio=float(best_ratio), passed=best_ratio <= 1.0,
-                        worst_x=worst_x, worst_s=worst_s, count=count)
+        xs.append(rng.uniform(x_lo, x_hi))
+        ss.append(s_fixed[k] if k < len(s_fixed) else rng.uniform(s_lo, s_hi))
+    x, s = np.array(xs), np.array(ss, dtype=float)
+    denom = c * (1.0 + np.abs(s) ** (q - 1.0))
+    f = np.abs(_per_node(spec.evaluate(x, s), count))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        ratio = np.where(f == 0.0, 0.0, f / denom)  # f > 0 over denom 0 is inf
+    worst = int(np.argmax(ratio))
+    return GrowthReport(max_ratio=float(ratio[worst]), passed=bool(ratio[worst] <= 1.0),
+                        worst_x=x[worst], worst_s=float(s[worst]), count=count)
 
 
 # -- catalog -------------------------------------------------------------------
@@ -312,7 +333,7 @@ def constant(a: float) -> NonlinearitySpec:
 def neg_sign() -> NonlinearitySpec:
     """f(s) = -sign(s): the attracting discontinuous forcing with jump at 0."""
     return NonlinearitySpec(
-        evaluate=lambda x, s: -float(np.sign(s)),
+        evaluate=lambda x, s: -np.sign(s),
         jumps=(Jump(level=lambda x: 0.0, left=lambda x: 1.0, right=lambda x: -1.0),),
         growth_c=1.0, growth_q=2.0, name="neg_sign",
         exact_primitive=lambda nodes, s: -np.abs(s))
@@ -321,11 +342,7 @@ def neg_sign() -> NonlinearitySpec:
 def step(a: float, b: float, s0: float) -> NonlinearitySpec:
     """f(s) = a for s < s0 and b for s > s0, with exact jump metadata."""
     def ev(x, s):
-        if s < s0:
-            return a
-        if s > s0:
-            return b
-        return 0.5 * (a + b)
+        return np.where(s < s0, a, np.where(s > s0, b, 0.5 * (a + b)))
 
     def prim(nodes, s):
         # a over the part of (0, s) below s0, b over the part above it
@@ -350,7 +367,7 @@ def power(c: float, r: float) -> NonlinearitySpec:
     if not r > 1:
         raise ValueError(f"power exponent must be > 1, got {r}")
     return NonlinearitySpec(
-        evaluate=lambda x, s: c * abs(s) ** (r - 1.0) * float(np.sign(s)),
+        evaluate=lambda x, s: c * np.abs(s) ** (r - 1.0) * np.sign(s),
         jumps=(), growth_c=abs(c), growth_q=r, name=f"power({c:g},{r:g})",
         exact_primitive=lambda nodes, s: c * np.abs(s) ** r / r)
 

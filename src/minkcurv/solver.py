@@ -104,11 +104,6 @@ class _InnerStats:
     max_gradient: float = 0.0
 
 
-def _selection_values(mesh: Mesh, spec: NonlinearitySpec, values, rule: str) -> np.ndarray:
-    return np.array([selection(spec, x, s, rule=rule)
-                     for x, s in zip(mesh.nodes, values)])
-
-
 def _certificate_selection(mesh: Mesh, spec: NonlinearitySpec, u: Field,
                            margin: float) -> np.ndarray:
     """The selection inside the envelope bracket closest to the operator value.
@@ -435,12 +430,12 @@ def solve_inclusion(mesh: Mesh, spec: NonlinearitySpec,
     outer = 0
     while outer < opts.max_outer:
         outer += 1
-        zeta = _selection_values(mesh, spec, u, opts.selection_rule)
+        zeta = selection(spec, mesh.nodes, u, opts.selection_rule)
         cand, stats = _solve_prescribed(mesh, zeta, opts, initial=u)
         stats_all.append(stats)
         cand, I_cand = _safeguarded(mesh, spec, u, I_u, cand)
         step = float(np.abs(cand - u).max())
-        zeta_next = _selection_values(mesh, spec, cand, opts.selection_rule)
+        zeta_next = selection(spec, mesh.nodes, cand, opts.selection_rule)
         selection_fixed = np.array_equal(zeta_next[mesh.interior_nodes],
                                          zeta[mesh.interior_nodes])
         u, I_u = cand, I_cand
@@ -491,7 +486,7 @@ def stationarity_measure(mesh: Mesh, u: Field, spec: NonlinearitySpec,
 
     rng = np.random.default_rng(seed)
     values = u.values
-    zeta = _selection_values(mesh, spec, values, selection_rule)
+    zeta = selection(spec, mesh.nodes, values, selection_rule)
     lo, hi = envelopes(spec, mesh.nodes, values, mesh.mesh_size())
     at_jump = hi > lo
     w = mesh.node_weight

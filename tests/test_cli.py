@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -97,7 +98,7 @@ class TestConfigParsing:
         config = load_config(p)
         mesh = config.build_mesh()
         spec = config.build_spec(mesh)
-        assert spec.evaluate(np.array([0.5]), 0.0) == pytest.approx(2.0)
+        assert spec.evaluate(np.array([[0.5]]), np.zeros(1)) == pytest.approx(2.0)
 
     def test_expression_rejects_unknown_names(self, tmp_path):
         p = tmp_path / "c.cfg"
@@ -219,6 +220,37 @@ def test_inner_solve_failure_exits_2(tmp_path, capsys, command):
     assert "inner solve failed" in capsys.readouterr().err
 
 
+NON_FINITE_CFG = """\
+domain.kind = interval
+domain.a = -1
+domain.b = 1
+domain.n = 8
+nonlinearity.kind = prescribed
+nonlinearity.expression = {expr}
+output.dir = {{out}}
+"""
+
+
+@pytest.mark.parametrize("command", ["solve", "verify", "sweep"])
+@pytest.mark.parametrize("expr, detail", [("1/x", "node 4 [0.0]"),
+                                          ("log(x+1)", "node 0 [-1.0]"),
+                                          ("1/0", "cannot be evaluated"),
+                                          ("1j*x", "is not real")])
+def test_unusable_expression_exits_1(tmp_path, capsys, command, expr, detail):
+    # x = 0 and x = -1 are mesh nodes, where 1/x and log(x+1) are infinite
+    cfg = write_cfg(tmp_path, NON_FINITE_CFG.format(expr=expr))
+    argv = [command, "--config", str(cfg)]
+    if command == "verify":
+        argv += ["--solution", str(tmp_path / "none.csv")]
+    if command == "sweep":
+        argv += ["--param", "n", "--values", "8"]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and repr(expr) in err and detail in err
+
+
 class TestSweepCommand:
     def test_mesh_sweep_reports_convergence(self, tmp_path):
         cfg = write_cfg(tmp_path, PRESCRIBED_CFG)
@@ -263,10 +295,13 @@ class TestSweepCommand:
         assert lines[1].startswith("16,") and lines[1].endswith(",true")
         assert lines[2] == "64,,,,,false"
 
-    def test_threads_is_a_sweep_option_only(self, tmp_path, capsys):
+    @pytest.mark.parametrize("command", [["solve"], ["sweep", "--param", "n",
+                                                     "--values", "16"]],
+                             ids=["solve", "sweep"])
+    def test_threads_is_rejected(self, tmp_path, capsys, command):
         cfg = write_cfg(tmp_path, PRESCRIBED_CFG)
         with pytest.raises(SystemExit):
-            main(["solve", "--config", str(cfg), "--threads", "2"])
+            main([*command, "--config", str(cfg), "--threads", "2"])
         assert "--threads" in capsys.readouterr().err
 
     def test_empty_values_is_noop(self, tmp_path, capsys):
@@ -282,15 +317,6 @@ class TestSweepCommand:
                      "--values", "1,2"])
         assert code == 1
         assert "volume" in capsys.readouterr().err
-
-    def test_parallel_matches_sequential(self, tmp_path):
-        cfg = write_cfg(tmp_path, PRESCRIBED_CFG)
-        main(["sweep", "--config", str(cfg), "--param", "n", "--values",
-              "16,32", "--out", str(tmp_path / "seq")])
-        main(["sweep", "--config", str(cfg), "--param", "n", "--values",
-              "16,32", "--out", str(tmp_path / "par"), "--threads", "2"])
-        assert ((tmp_path / "seq" / "sweep.csv").read_bytes()
-                == (tmp_path / "par" / "sweep.csv").read_bytes())
 
 
 class TestMeshInfoCommand:

@@ -1,5 +1,4 @@
 import dataclasses
-import math
 
 import numpy as np
 import pytest
@@ -53,7 +52,7 @@ class TestEstimatorMode:
     def smooth_sides(self):
         # f(s) = s below the jump, s + 2 above it; metadata-free twin
         def ev(x, s):
-            return s if s < 0 else s + 2.0
+            return np.where(s < 0, s, s + 2.0)
         with_meta = NonlinearitySpec(
             evaluate=ev,
             jumps=(Jump(level=lambda x: 0.0, left=lambda x: 0.0,
@@ -86,7 +85,7 @@ class TestEstimatorMode:
     def test_sample_count_resolves_interior_extrema(self):
         # essential inf of sin(50 t) over |t| < 0.05 is exactly -1, attained
         # strictly inside the window
-        f = NonlinearitySpec(evaluate=lambda x, s: math.sin(50 * s), jumps=None,
+        f = NonlinearitySpec(evaluate=lambda x, s: np.sin(50 * s), jumps=None,
                              growth_c=1.0, growth_q=2.0)
         coarse = bracket(f, X, 0.0, deltas=(0.05,), samples=8)
         fine = bracket(f, X, 0.0, deltas=(0.05,), samples=512)
@@ -157,7 +156,7 @@ class TestPrimitive:
         # an undeclared jump off the dyadic grid cannot be resolved to an
         # impossible tolerance
         hidden = NonlinearitySpec(
-            evaluate=lambda x, s: 1.0 if s < 1.0 / 3.0 else 0.0, jumps=None)
+            evaluate=lambda x, s: np.where(s < 1.0 / 3.0, 1.0, 0.0), jumps=None)
         with pytest.raises(QuadratureError) as info:
             primitive(hidden, X, 1.0, rel_tol=1e-300)
         assert info.value.achieved > 0
@@ -215,6 +214,152 @@ class TestEnvelopeArrays:
             assert (a, b) == (br.lo, br.hi)
 
 
+# -- per-node reference: the point-by-point bracket, selection and widening
+# logic the array code replaced, calling the rule callables one row at a time
+
+
+def at(fn, x):
+    return float(np.full(1, fn(x[None, :]))[0])
+
+
+def ev_at(spec, x, s):
+    return float(np.full(1, spec.evaluate(x[None, :], np.array([s])))[0])
+
+
+def ref_jump_at(spec, x, s):
+    for j in spec.jumps or ():
+        if s == at(j.level, x):
+            return j
+    return None
+
+
+def ref_bracket(spec, x, s, delta=1e-4, samples=64):
+    if spec.jumps is not None:
+        j = ref_jump_at(spec, x, s)
+        if j is not None:
+            a, b = at(j.left, x), at(j.right, x)
+            return min(a, b), max(a, b)
+        v = ev_at(spec, x, s)
+        return v, v
+    vals = [ev_at(spec, x, t) for t in np.linspace(s - delta, s + delta, samples)]
+    return min(vals), max(vals)
+
+
+def ref_envelopes(spec, nodes, values, window):
+    lo, hi = np.empty(len(values)), np.empty(len(values))
+    for i, (x, s) in enumerate(zip(nodes, values)):
+        lo[i], hi[i] = ref_bracket(spec, x, s)
+        for j in spec.jumps or ():
+            if abs(s - at(j.level, x)) <= window:
+                a, b = at(j.left, x), at(j.right, x)
+                lo[i] = min(lo[i], a, b)
+                hi[i] = max(hi[i], a, b)
+    return lo, hi
+
+
+def ref_selection(spec, nodes, values, rule):
+    out = np.empty(len(values))
+    for i, (x, s) in enumerate(zip(nodes, values)):
+        j = ref_jump_at(spec, x, s)
+        if j is None:
+            out[i] = ev_at(spec, x, s)
+            continue
+        a, b = at(j.left, x), at(j.right, x)
+        out[i] = {"lo": min(a, b), "hi": max(a, b), "mid": 0.5 * (min(a, b) + max(a, b))}[rule]
+    return out
+
+
+def moving_level():
+    """Jump from 0 to 1 at s = x + y / 2; the value 7 on the level is ignored."""
+    def ev(x, s):
+        level = x[:, 0] + 0.5 * x[:, 1]
+        return np.where(s < level, 0.0, np.where(s > level, 1.0, 7.0))
+    return NonlinearitySpec(
+        evaluate=ev,
+        jumps=(Jump(level=lambda x: x[:, 0] + 0.5 * x[:, 1],
+                    left=lambda x: 0.0, right=lambda x: 1.0),),
+        name="moving_level")
+
+
+def two_close_jumps():
+    """Steps -1 -> 1 at s = 0 and 1 -> -2 at s = 0.01, closer than WINDOW."""
+    return NonlinearitySpec(
+        evaluate=lambda x, s: np.where(s < 0.0, -1.0, np.where(s < 0.01, 1.0, -2.0)),
+        jumps=(Jump(level=lambda x: 0.0, left=lambda x: -1.0, right=lambda x: 1.0),
+               Jump(level=lambda x: 0.01, left=lambda x: 1.0, right=lambda x: -2.0)),
+        name="two_close_jumps")
+
+
+WINDOW = 0.05
+NODES_2D = np.random.default_rng(11).uniform(-1.0, 1.0, (6, 2))
+JUMP_RULES = [neg_sign(), step(-1.0, 1.0, 0.25), step(2.0, -0.5, 0.0), heaviside(),
+              moving_level(), two_close_jumps()]
+SMOOTH_RULES = [constant(1.5), step(0.7, 0.7, 0.25), power(1.3, 2.5)]
+BLACK_BOX = [NonlinearitySpec(evaluate=heaviside().evaluate, jumps=None, name="blind"),
+             NonlinearitySpec(evaluate=lambda x, s: np.sin(50 * s) + x[:, 1],
+                              jumps=None, name="sine")]
+
+
+def probe_points(spec):
+    """Every node with values on each jump level, inside the window around
+    it and outside it, plus a few generic values."""
+    levels = [np.full(len(NODES_2D), j.level(NODES_2D), dtype=float)
+              for j in spec.jumps or ()] or [np.zeros(len(NODES_2D))]
+    offsets = [0.0, 0.4 * WINDOW, -0.9 * WINDOW, 3.0 * WINDOW, -1.7]
+    values = np.concatenate([lv + d for lv in levels for d in offsets])
+    nodes = np.tile(NODES_2D, (len(levels) * len(offsets), 1))
+    return nodes, values
+
+
+class TestArrayBracketsMatchPerNodeReference:
+    @pytest.mark.parametrize("spec", JUMP_RULES + SMOOTH_RULES + BLACK_BOX,
+                             ids=lambda s: s.name)
+    @pytest.mark.parametrize("window", [0.0, WINDOW])
+    def test_envelopes(self, spec, window):
+        nodes, values = probe_points(spec)
+        lo, hi = envelopes(spec, nodes, values, window)
+        ref_lo, ref_hi = ref_envelopes(spec, nodes, values, window)
+        np.testing.assert_array_equal(lo, ref_lo)
+        np.testing.assert_array_equal(hi, ref_hi)
+
+    @pytest.mark.parametrize("spec", JUMP_RULES + SMOOTH_RULES + BLACK_BOX,
+                             ids=lambda s: s.name)
+    @pytest.mark.parametrize("rule", ["lo", "mid", "hi"])
+    def test_selection(self, spec, rule):
+        nodes, values = probe_points(spec)
+        sel = selection(spec, nodes, values, rule)
+        assert sel.shape == values.shape
+        np.testing.assert_array_equal(sel, ref_selection(spec, nodes, values, rule))
+        for x, s, v in zip(nodes, values, sel):
+            assert selection(spec, x, s, rule) == v
+
+    @pytest.mark.parametrize("spec", JUMP_RULES + BLACK_BOX, ids=lambda s: s.name)
+    def test_point_bracket_is_one_row(self, spec):
+        nodes, values = probe_points(spec)
+        lo, hi = envelopes(spec, nodes, values, 0.0)
+        for x, s, a, b in zip(nodes, values, lo, hi):
+            assert bracket(spec, x, s) == Bracket(a, b, spec.jumps is None)
+
+    def test_black_box_bracket_calls_evaluate_once(self):
+        calls = []
+
+        def ev(x, s):
+            calls.append(len(s))
+            return np.sin(50 * s)
+        br = bracket(NonlinearitySpec(evaluate=ev, jumps=None), X, 0.0,
+                     deltas=(1e-2, 1e-3, 1e-4), samples=64)
+        assert calls == [64]
+        assert br.approximate
+
+    def test_scalar_rule_returns_are_broadcast(self):
+        spec = NonlinearitySpec(
+            evaluate=lambda x, s: 3.0,
+            jumps=(Jump(level=lambda x: 0.5, left=lambda x: 0.0, right=lambda x: 2.0),))
+        lo, hi = envelopes(spec, NODES_2D[:3], np.array([0.5, 0.52, 0.9]), WINDOW)
+        np.testing.assert_array_equal(lo, [0.0, 0.0, 3.0])
+        np.testing.assert_array_equal(hi, [2.0, 3.0, 3.0])
+
+
 class TestGrowthCheck:
     BOX = ((np.array([-1.0]), np.array([1.0])), (-2.0, 2.0))
 
@@ -238,6 +383,23 @@ class TestGrowthCheck:
     def test_rejects_bad_count(self):
         with pytest.raises(ValueError):
             growth_check(neg_sign(), self.BOX, 0)
+
+    @pytest.mark.parametrize("spec", [neg_sign(), power(1.3, 2.5), constant(0.0),
+                                      BLACK_BOX[1]], ids=lambda s: s.name)
+    def test_matches_per_draw_reference(self, spec):
+        # the draws interleave x and s exactly as a one-point-at-a-time loop
+        rng = np.random.default_rng(3)
+        best, worst_x, worst_s = -np.inf, None, None
+        for k in range(40):
+            x = rng.uniform(-1.0, 1.0, 2)
+            s = [-2.0, 2.0, 0.0][k] if k < 3 else float(rng.uniform(-2.0, 2.0))
+            f = abs(ev_at(spec, x, s))
+            ratio = 0.0 if f == 0.0 else f / (spec.growth_c * (1 + abs(s) ** (spec.growth_q - 1)))
+            if ratio > best:
+                best, worst_x, worst_s = ratio, x, s
+        rep = growth_check(spec, ((-np.ones(2), np.ones(2)), (-2.0, 2.0)), 40, seed=3)
+        assert (rep.max_ratio, rep.worst_s) == (best, worst_s)
+        np.testing.assert_array_equal(rep.worst_x, worst_x)
 
 
 class TestSpecValidation:
@@ -276,8 +438,8 @@ class TestCatalog:
     def test_x_dependent_jump_level(self):
         # jump level moves with x; envelopes follow it exactly
         spec = NonlinearitySpec(
-            evaluate=lambda x, s: 0.0 if s < x[0] else 1.0,
-            jumps=(Jump(level=lambda x: x[0], left=lambda x: 0.0,
+            evaluate=lambda x, s: np.where(s < x[:, 0], 0.0, 1.0),
+            jumps=(Jump(level=lambda x: x[:, 0], left=lambda x: 0.0,
                         right=lambda x: 1.0),),
             growth_c=1.0, growth_q=2.0)
         assert bracket(spec, np.array([0.4]), 0.4) == Bracket(0.0, 1.0)

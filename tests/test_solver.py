@@ -200,6 +200,23 @@ class TestSolveInclusion:
         np.testing.assert_allclose(exact.energy_trace, fallback.energy_trace,
                                    rtol=0.0, atol=1e-12)
 
+    def test_nonlinearity_calls_do_not_grow_with_the_mesh(self):
+        # every evaluate call covers all nodes at once, so the count follows
+        # the outer iterations only
+        counts = []
+        for refinement in (3, 4):
+            mesh = build_disk_mesh(1.0, refinement)
+            sizes = []
+
+            def ev(x, s, base=neg_sign().evaluate):
+                sizes.append(len(s))
+                return base(x, s)
+            res = solve_inclusion(mesh, dataclasses.replace(neg_sign(), evaluate=ev))
+            assert set(sizes) == {len(mesh.nodes)}
+            assert len(sizes) <= 4 * res.outer_iterations + 4
+            counts.append((res.outer_iterations, len(sizes)))
+        assert counts[0] == counts[1]
+
     def test_outer_cap_returns_unconverged(self):
         m = build_interval_mesh(-1, 1, 64)
         res = solve_inclusion(m, neg_sign(), SolverOptions(max_outer=1))
