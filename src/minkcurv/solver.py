@@ -3,9 +3,10 @@
 Inner level: damped Newton with a feasibility-guarding backtracking line
 search minimizes the strictly convex prescribed-right-hand-side energy over
 zero-boundary fields whose element gradients stay inside the unit ball.
-The per-element Hessian of the area density is exact and blows up like
-(1-|g|^2)^(-3/2) near the constraint surface, so Newton directions are
-naturally repelled from it; no explicit projection is needed.
+Objective and gradient come from the area kernel of `energy`.  The exact
+per-element Hessian blows up like (1-|g|^2)^(-3/2) near the constraint
+surface, so Newton directions are naturally repelled from it; no explicit
+projection is needed.
 
 Outer level: a selection fixed point.  Each iterate solves the inner
 problem with right-hand side given by the pointwise selection of the
@@ -14,23 +15,26 @@ whenever the candidate would raise the energy) and, on stall, escape probes
 that retry the two envelope selections and accept only a strict energy
 decrease.  The probes are what moves the iteration off spurious fixed
 points sitting at a jump level of the forcing rule.
+
+Certificates: one pass at the end of a solve gives the selection zeta and
+the inclusion residual; `stationarity_measure` samples trial fields.
 """
 
 from __future__ import annotations
 
 import math
 import weakref
-from dataclasses import dataclass, field as dataclass_field
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
 from scipy.sparse.linalg import splu
 
-from .mesh import Field, Mesh, element_gradients
+from .mesh import Field, Mesh, element_gradients, random_feasible_field
 # `bracket` is no longer called here; it stays a module attribute because
 # bench/worker.py wraps solver.bracket when it traces a run.
 from .nonlinearity import NonlinearitySpec, bracket, envelopes, selection  # noqa: F401
-from .energy import psi, psi_gradient, total_energy
+from .energy import area_gradient, area_value, psi, psi_gradient, total_energy
 
 
 class InnerSolveError(RuntimeError):
@@ -105,7 +109,7 @@ class _InnerStats:
 
 
 def _certificate_selection(mesh: Mesh, spec: NonlinearitySpec, u: Field,
-                           margin: float) -> np.ndarray:
+                           margin: float):
     """The selection inside the envelope bracket closest to the operator value.
 
     Away from jump levels the bracket is a point and this is just
@@ -114,10 +118,14 @@ def _certificate_selection(mesh: Mesh, spec: NonlinearitySpec, u: Field,
     selection realizing the fixed-point identity at a converged iterate
     (the midpoint convention steers the iteration, but cannot certify
     solutions crossing a jump level between nodes).
+
+    Returns zeta and |m - zeta| per node, the operator value's distance to
+    the bracket (at interior nodes, `verify.inclusion_residual`).
     """
     lo, hi = envelopes(spec, mesh.nodes, u.values, mesh.mesh_size())
     m = -psi_gradient(mesh, u, margin=margin) / mesh.node_weight
-    return np.clip(m, lo, hi)
+    zeta = np.clip(m, lo, hi)
+    return zeta, np.abs(m - zeta)
 
 
 # -- per-mesh Newton workspace ---------------------------------------------------
@@ -264,9 +272,7 @@ def _solve_prescribed(mesh: Mesh, e, opts: SolverOptions, initial=None,
             last_values=values, residual=math.inf)
 
     def objective(g2_local, vals):
-        area = float(np.dot(mesh.element_measure,
-                            1.0 - np.sqrt(np.maximum(0.0, 1.0 - g2_local))))
-        return area + float(np.dot(linear[interior], vals[interior]))
+        return area_value(mesh, g2_local) + float(np.dot(linear[interior], vals[interior]))
 
     stats = _InnerStats()
     stats.max_value = float(np.abs(values).max())
@@ -278,13 +284,8 @@ def _solve_prescribed(mesh: Mesh, e, opts: SolverOptions, initial=None,
     if objective_trace is not None:
         objective_trace.append(obj)
     for _ in range(opts.max_inner + 1):
-        root = np.sqrt(1.0 - g2)
-        # B g per element: the gradient is measure/r * B g, and the Hessian
-        # reuses it for its rank-one part
-        Bg = np.einsum("evd,ed->ev", mesh.basis_gradients, g)
-        contrib = (mesh.element_measure / root)[:, None] * Bg
-        full_grad = np.bincount(mesh.elements.ravel(), weights=contrib.ravel(),
-                                minlength=len(mesh.nodes))
+        # the Hessian reuses the kernel's root and B g
+        full_grad, root, Bg = area_gradient(mesh, g, g2)
         grad = full_grad[order] + linear[order]
         residual = float(np.abs(grad).max()) if grad.size else 0.0
         if not math.isfinite(residual):
@@ -384,9 +385,9 @@ def _escape_probe(mesh, spec, opts, u, I_u, zeta, stats_sink):
     if spec.jumps is not None and len(spec.jumps) == 0:
         return None  # declared continuous: envelopes equal the selection
     lo, hi = envelopes(spec, mesh.nodes, u, window=0.0)
-    proj = _certificate_selection(mesh, spec,
-                                  Field(mesh, u, dirichlet_zero=True),
-                                  opts.working_margin)
+    proj, _ = _certificate_selection(mesh, spec,
+                                     Field(mesh, u, dirichlet_zero=True),
+                                     opts.working_margin)
     interior = mesh.interior_nodes
     best = None
     for e in (lo, hi, proj):
@@ -414,8 +415,6 @@ def solve_inclusion(mesh: Mesh, spec: NonlinearitySpec,
     when max_outer is exhausted; in the latter case the result is returned
     with converged=False rather than raising.
     """
-    from .verify import inclusion_residual
-
     opts = opts or SolverOptions()
     if opts.initial is not None:
         u = np.array(opts.initial.values, dtype=float)
@@ -449,10 +448,9 @@ def solve_inclusion(mesh: Mesh, spec: NonlinearitySpec,
             trace.append(I_u)
 
     u_field = Field(mesh, u, dirichlet_zero=True)
-    zeta = _certificate_selection(mesh, spec, u_field, opts.working_margin)
+    zeta, res = _certificate_selection(mesh, spec, u_field, opts.working_margin)
     eps = stationarity_measure(mesh, u_field, spec, opts.certificate_trials,
                                seed=opts.seed, selection_rule=opts.selection_rule)
-    res = inclusion_residual(mesh, u_field, spec, margin=opts.working_margin)
     max_res = float(res[mesh.interior_nodes].max()) if mesh.interior_nodes.size else 0.0
     converged = fixed_point and eps <= opts.outer_tol * (1.0 + abs(I_u))
     return SolveResult(
@@ -482,8 +480,6 @@ def stationarity_measure(mesh: Mesh, u: Field, spec: NonlinearitySpec,
     max(0, max_v -D(v)/|v - u|_inf); it vanishes (up to solver tolerances)
     exactly at critical points.
     """
-    from .verify import random_feasible_field
-
     rng = np.random.default_rng(seed)
     values = u.values
     zeta = selection(spec, mesh.nodes, values, selection_rule)

@@ -14,100 +14,17 @@ from __future__ import annotations
 
 import itertools
 import math
-import weakref
 from dataclasses import dataclass, field as dataclass_field
 from typing import Optional
 
 import numpy as np
-import scipy.sparse as sp
-from scipy.spatial import cKDTree
 
-from .mesh import Field, Mesh, element_gradients, inradius
-# `bracket` is no longer called here; it stays a module attribute because
-# bench/worker.py wraps verify.bracket when it traces a run.
+# `element_gradients` and `bracket` are no longer called here; they stay module
+# attributes because bench/worker.py wraps them when it traces a run.
+from .mesh import (Field, Mesh, boundary_distance_cone, element_gradients,  # noqa: F401
+                   inradius, random_feasible_field)
 from .nonlinearity import NonlinearitySpec, bracket, envelopes, primitive_array  # noqa: F401
 from .energy import psi, psi_gradient, total_energy
-
-
-# -- trial fields --------------------------------------------------------------
-
-_adjacency_cache = weakref.WeakKeyDictionary()
-
-
-def _adjacency(mesh: Mesh):
-    try:
-        return _adjacency_cache[mesh]
-    except KeyError:
-        pass
-    nv = mesh.dim + 1
-    rows, cols = [], []
-    for a in range(nv):
-        for b in range(nv):
-            if a != b:
-                rows.append(mesh.elements[:, a])
-                cols.append(mesh.elements[:, b])
-    n = len(mesh.nodes)
-    A = sp.coo_matrix((np.ones(nv * (nv - 1) * len(mesh.elements)),
-                       (np.concatenate(rows), np.concatenate(cols))),
-                      shape=(n, n)).tocsr()
-    A.data[:] = 1.0
-    deg = np.maximum(A @ np.ones(n), 1.0)
-    _adjacency_cache[mesh] = (A, deg)
-    return A, deg
-
-
-def _random_bump(mesh: Mesh, rng) -> np.ndarray:
-    """Smooth random zero-boundary shape with max element gradient norm 1."""
-    A, deg = _adjacency(mesh)
-    for _ in range(32):
-        v = rng.standard_normal(len(mesh.nodes))
-        for _ in range(int(rng.integers(0, 9))):
-            v = 0.5 * v + 0.5 * (A @ v) / deg
-            v[mesh.boundary_nodes] = 0.0
-        if rng.random() < 0.3:
-            v = np.abs(v) * (1.0 if rng.random() < 0.5 else -1.0)
-        v[mesh.boundary_nodes] = 0.0
-        g = element_gradients(mesh, v)
-        gmax = float(np.sqrt((g * g).sum(axis=1).max()))
-        if gmax > 0.0:
-            return v / gmax
-    return np.zeros(len(mesh.nodes))
-
-
-def random_feasible_field(mesh: Mesh, rng, max_gradient: float = 0.9,
-                          around=None) -> Field:
-    """Random zero-boundary field with element gradient norms <= max_gradient.
-
-    Smooth random bumps (neighbor-averaged noise, occasionally rectified to
-    a single sign) rescaled until the gradient bound holds; the amplitude is
-    drawn log-uniformly so both tiny and near-maximal trial fields appear.
-    With `around` (a nodal value array) the bump perturbs that field instead
-    of zero, using the remaining gradient headroom, so local behaviour near
-    a candidate solution gets probed too.
-    """
-    bump = _random_bump(mesh, rng)
-    amp = 10.0 ** rng.uniform(-3.0, 0.0)
-    if around is None:
-        return Field(mesh, bump * (max_gradient * amp), dirichlet_zero=True)
-    base = np.asarray(around, dtype=float)
-    g = element_gradients(mesh, base)
-    headroom = max_gradient - float(np.sqrt((g * g).sum(axis=1).max()))
-    if headroom <= 0.0:
-        return Field(mesh, base.copy(), dirichlet_zero=True)
-    return Field(mesh, base + bump * (headroom * amp), dirichlet_zero=True)
-
-
-def boundary_distance_cone(mesh: Mesh, max_gradient: float = 0.9) -> Field:
-    """Distance-to-boundary-nodes field rescaled to the given gradient bound."""
-    vals = np.zeros(len(mesh.nodes))
-    tree = cKDTree(mesh.nodes[mesh.boundary_nodes])
-    d, _ = tree.query(mesh.nodes[mesh.interior_nodes])
-    vals[mesh.interior_nodes] = d
-    g = element_gradients(mesh, vals)
-    gmax = float(np.sqrt((g * g).sum(axis=1).max()))
-    if gmax > 0.0:
-        vals *= max_gradient / gmax
-    return Field(mesh, vals, dirichlet_zero=True)
 
 
 # -- pointwise inclusion residual ----------------------------------------------

@@ -136,6 +136,18 @@ class TestSolveCommand:
                                     build_interval_mesh(-1, 1, 64))
         assert np.all(u == 0.0)
 
+    @pytest.mark.parametrize("after, key, lineno", [
+        ("domain.n = 128\n", "domain.radius", 6),
+        ("nonlinearity.kind = neg_sign\n", "nonlinearity.a", 7),
+    ], ids=["radius-on-interval", "a-with-neg_sign"])
+    def test_misplaced_key_exits_1(self, tmp_path, capsys, after, key, lineno):
+        # a known key that the chosen kind does not use is an error, not ignored
+        cfg = write_cfg(tmp_path, NEG_SIGN_CFG.replace(after, f"{after}{key} = 3\n"))
+        assert main(["solve", "--config", str(cfg)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and f"run.cfg:{lineno}: key {key!r}" in err
+        assert not (tmp_path / "out").exists()
+
     def test_missing_config_exits_1(self, tmp_path, capsys):
         code = main(["solve", "--config", str(tmp_path / "nope.cfg")])
         assert code == 1

@@ -4,9 +4,9 @@ import math
 import numpy as np
 import pytest
 
-from minkcurv.energy import (EnergyBounds, StrictFeasibilityError, bounds,
-                             feasibility, psi, psi_gradient, script_f,
-                             total_energy)
+from minkcurv.energy import (EnergyBounds, StrictFeasibilityError, area_gradient,
+                             area_value, bounds, feasibility, psi, psi_gradient,
+                             script_f, total_energy)
 from minkcurv.mesh import (Field, build_disk_mesh, build_interval_mesh,
                            build_rectangle_mesh, element_gradients, inradius)
 from minkcurv.nonlinearity import constant, heaviside, neg_sign, power, step
@@ -16,6 +16,31 @@ from minkcurv.verify import random_feasible_field
 def cone_field(mesh, scale=1.0):
     return Field.from_function(mesh, lambda x: scale * (1 - abs(x[0])),
                                dirichlet_zero=True)
+
+
+class TestAreaKernel:
+    @pytest.mark.parametrize("mesh", [build_interval_mesh(-1, 1, 32),
+                                      build_disk_mesh(1.0, 3),
+                                      build_rectangle_mesh(2.0, 1.0, 6, 4)],
+                             ids=["interval", "disk", "rectangle"])
+    def test_matches_the_per_element_formula(self, mesh):
+        # reference: measure * (1 - r) summed, and measure * B (g / r)
+        # scattered node by node, with r = sqrt(1 - |g|^2)
+        fld = random_feasible_field(mesh, np.random.default_rng(4), max_gradient=0.95)
+        g = element_gradients(mesh, fld.values)
+        g2 = (g * g).sum(axis=1)
+        r = np.sqrt(1.0 - g2)
+        B = mesh.basis_gradients
+        assert area_value(mesh, g2) == pytest.approx(
+            float((mesh.element_measure * (1.0 - r)).sum()), rel=1e-13)
+        ref = np.zeros(len(mesh.nodes))
+        np.add.at(ref, mesh.elements, mesh.element_measure[:, None]
+                  * np.einsum("evd,ed->ev", B, g / r[:, None]))
+        gradient, root, Bg = area_gradient(mesh, g, g2)
+        assert np.abs(gradient - ref).max() <= 1e-13 * np.abs(ref).max()
+        np.testing.assert_array_equal(root, r)
+        np.testing.assert_allclose(Bg, np.einsum("evd,ed->ev", B, g),
+                                   rtol=0.0, atol=1e-15 * np.abs(B).max())
 
 
 class TestPsi:

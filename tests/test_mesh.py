@@ -3,10 +3,12 @@ import math
 import numpy as np
 import pytest
 
+from minkcurv import verify
 from minkcurv.mesh import (Field, Mesh, MeshError, MeshFormatError,
-                           build_disk_mesh, build_interval_mesh,
+                           boundary_distance_cone, build_disk_mesh, build_interval_mesh,
                            build_rectangle_mesh, element_gradient,
-                           element_gradients, inradius, read_mesh, write_mesh)
+                           element_gradients, inradius, max_gradient_norm,
+                           random_feasible_field, read_mesh, write_mesh)
 
 
 def brute_inradius(mesh):
@@ -129,6 +131,27 @@ class TestElementGradient:
         combo = element_gradients(m, a * u + b * v)
         parts = a * element_gradients(m, u) + b * element_gradients(m, v)
         assert np.allclose(combo, parts, atol=1e-13)
+
+
+class TestMaxGradientNorm:
+    def test_matches_the_per_element_gradients(self):
+        m = build_disk_mesh(1.0, 2)
+        vals = np.random.default_rng(2).standard_normal(len(m.nodes))
+        f = Field(m, vals)
+        expected = max(float(np.linalg.norm(element_gradient(m, f, e)))
+                       for e in range(len(m.elements)))
+        assert max_gradient_norm(m, vals) == pytest.approx(expected, rel=1e-14)
+
+    def test_zero_field_and_empty_mesh(self):
+        m = build_interval_mesh(0.0, 1.0, 4)
+        assert max_gradient_norm(m, np.zeros(5)) == 0.0
+        empty = Mesh(np.array([0.0, 1.0]), np.zeros((0, 2)), [0, 1])
+        assert max_gradient_norm(empty, np.zeros(2)) == 0.0
+
+
+def test_verify_reexports_the_trial_fields():
+    assert verify.random_feasible_field is random_feasible_field
+    assert verify.boundary_distance_cone is boundary_distance_cone
 
 
 class TestInradius:

@@ -11,21 +11,18 @@ import scipy.sparse as sp
 from minkcurv import solver
 from minkcurv.energy import total_energy
 from minkcurv.mesh import (Field, Mesh, build_disk_mesh, build_interval_mesh,
-                           build_rectangle_mesh, element_gradients, inradius)
+                           build_rectangle_mesh, element_gradients, inradius,
+                           max_gradient_norm)
 from minkcurv.nonlinearity import (bracket, constant, neg_sign, step)
 from minkcurv.solver import (InnerSolveError, SolverOptions, _area_hessian,
                              _newton_workspace, _solve_prescribed,
                              solve_inclusion, solve_prescribed,
                              stationarity_measure)
+from minkcurv.verify import inclusion_residual
 
 SQRT2 = math.sqrt(2.0)
 # closed-form energy of the attracting-sign problem on (-1, 1)
 CAP_ENERGY = 2.0 - SQRT2 - math.log(1.0 + SQRT2)
-
-
-def max_gradient_norm(mesh, values):
-    g = element_gradients(mesh, values)
-    return float(np.sqrt((g * g).sum(axis=1)).max())
 
 
 class TestSolvePrescribed:
@@ -172,6 +169,18 @@ class TestSolveInclusion:
         lo, hi = windowed_envelopes(m, spec, res.u.values)
         assert np.all(res.zeta >= lo - 1e-15)
         assert np.all(res.zeta <= hi + 1e-15)
+
+    @pytest.mark.parametrize("spec, n", [(neg_sign(), 64), (step(-1.0, 1.0, 0.25), 32)],
+                             ids=["neg_sign-64", "step-32"])
+    def test_residual_is_the_inclusion_residual(self, spec, n):
+        # the solver's own certificate pass reports exactly what the
+        # independent check computes; the step case ends with a large
+        # residual, so this is not only 0 == 0
+        m = build_interval_mesh(-1, 1, n)
+        opts = SolverOptions()
+        res = solve_inclusion(m, spec, opts)
+        ref = inclusion_residual(m, res.u, spec, margin=opts.working_margin)
+        assert res.residual == ref[m.interior_nodes].max()
 
     def test_converged_certificate_bound(self):
         m = build_interval_mesh(-1, 1, 128)
