@@ -18,6 +18,7 @@ import csv
 import math
 import sys
 from dataclasses import dataclass, field as dataclass_field
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -28,8 +29,7 @@ from .mesh import (Field, Mesh, MeshError, build_disk_mesh, build_interval_mesh,
                    build_rectangle_mesh, inradius, read_mesh)
 from .nonlinearity import CATALOG, NonlinearitySpec, from_catalog
 from .solver import InnerSolveError, SolveResult, SolverOptions, solve_inclusion
-from .verify import (analytic_radial, format_report, inclusion_residual,
-                     verification_report)
+from .verify import analytic_radial, format_report, verification_report
 
 
 class ConfigError(ValueError):
@@ -134,13 +134,15 @@ class RunConfig:
         return None
 
     def solver_options(self, seed: int = 0) -> SolverOptions:
+        """The solver options; `seed` is unused, kept for bench/workloads.py."""
         return SolverOptions(seed=seed, **self.solver)
 
 
-def _typed(cfg, key, kind, default=None, required=False, choices=None):
+def _typed(path, cfg, key, kind, default=None, required=False, choices=None):
+    """Pop `key` from `cfg` and convert it; errors name `path` and the line."""
     if key not in cfg:
         if required:
-            raise ConfigError(f"missing required key {key!r}")
+            raise ConfigError(f"{path}: missing required key {key!r}")
         return default
     raw, no = cfg.pop(key)
     try:
@@ -153,17 +155,17 @@ def _typed(cfg, key, kind, default=None, required=False, choices=None):
             raise ValueError(raw)
         value = kind(raw)
     except ValueError:
-        raise ConfigError(f"line {no}: key {key!r} expects {kind.__name__}, "
+        raise ConfigError(f"{path}:{no}: key {key!r} expects {kind.__name__}, "
                           f"got {raw!r}") from None
     if choices is not None and value not in choices:
-        raise ConfigError(f"line {no}: key {key!r} must be one of {sorted(choices)}, "
+        raise ConfigError(f"{path}:{no}: key {key!r} must be one of {sorted(choices)}, "
                           f"got {value!r}")
     return value
 
 
-def _present(cfg, section, kinds, choices=None):
+def _present(typed, cfg, section, kinds, choices=None):
     """{name: typed value} for each (name, kind) whose `section.name` cfg has."""
-    return {name: _typed(cfg, f"{section}.{name}", kind, choices=(choices or {}).get(name))
+    return {name: typed(f"{section}.{name}", kind, choices=(choices or {}).get(name))
             for name, kind in kinds if f"{section}.{name}" in cfg}
 
 
@@ -177,14 +179,15 @@ _EXPR_NAMES = {name: getattr(np, name) for name in
 _EXPR_NAMES["pi"] = math.pi
 
 
-def _expression_fn(expr: str, lineno: int):
+def _expression_fn(expr: str, where: str):
+    """The forcing expression as a node-array function; errors start with `where`."""
     try:
         code = compile(expr, "<nonlinearity.expression>", "eval")
     except SyntaxError as err:
-        raise ConfigError(f"line {lineno}: bad expression {expr!r}: {err.msg}") from None
+        raise ConfigError(f"{where}: bad expression {expr!r}: {err.msg}") from None
     for name in code.co_names:
         if name not in _EXPR_NAMES and name not in ("x", "y", "r"):
-            raise ConfigError(f"line {lineno}: expression uses unknown name {name!r}")
+            raise ConfigError(f"{where}: expression uses unknown name {name!r}")
 
     def fn(nodes):
         local = dict(_EXPR_NAMES)
@@ -205,39 +208,40 @@ def load_config(path) -> RunConfig:
     """
     path = Path(path)
     cfg = parse_flat_config(path)
-    kind = _typed(cfg, "domain.kind", str, required=True,
-                  choices={"interval", "rectangle", "disk", "file"})
+    typed = partial(_typed, path, cfg)
+    kind = typed("domain.kind", str, required=True,
+                 choices={"interval", "rectangle", "disk", "file"})
     domain = {}
     if kind == "interval":
-        domain["a"] = _typed(cfg, "domain.a", float, required=True)
-        domain["b"] = _typed(cfg, "domain.b", float, required=True)
-        domain["n"] = _typed(cfg, "domain.n", int, required=True)
+        domain["a"] = typed("domain.a", float, required=True)
+        domain["b"] = typed("domain.b", float, required=True)
+        domain["n"] = typed("domain.n", int, required=True)
     elif kind == "rectangle":
         for k in ("lx", "ly"):
-            domain[k] = _typed(cfg, f"domain.{k}", float, required=True)
+            domain[k] = typed(f"domain.{k}", float, required=True)
         for k in ("nx", "ny"):
-            domain[k] = _typed(cfg, f"domain.{k}", int, required=True)
+            domain[k] = typed(f"domain.{k}", int, required=True)
     elif kind == "disk":
-        domain["radius"] = _typed(cfg, "domain.radius", float, required=True)
-        domain["refinement"] = _typed(cfg, "domain.refinement", int, required=True)
+        domain["radius"] = typed("domain.radius", float, required=True)
+        domain["refinement"] = typed("domain.refinement", int, required=True)
     else:
-        mesh_path = Path(_typed(cfg, "domain.path", str, required=True))
+        mesh_path = Path(typed("domain.path", str, required=True))
         if not mesh_path.is_absolute():
             mesh_path = path.parent / mesh_path
         if not mesh_path.exists():
             raise ConfigError(f"mesh file does not exist: {mesh_path}")
         domain["path"] = mesh_path
 
-    nl_kind = _typed(cfg, "nonlinearity.kind", str, required=True,
-                     choices=sorted(CATALOG) + ["prescribed"])
+    nl_kind = typed("nonlinearity.kind", str, required=True,
+                    choices=sorted(CATALOG) + ["prescribed"])
     nl = {}
     for key, default in _CATALOG_PARAMS.get(nl_kind, {}).items():
-        nl[key] = _typed(cfg, f"nonlinearity.{key}", float, default=default,
-                         required=default is None)
+        nl[key] = typed(f"nonlinearity.{key}", float, default=default,
+                        required=default is None)
     if nl_kind == "prescribed":
-        value = _typed(cfg, "nonlinearity.value", float)
+        value = typed("nonlinearity.value", float)
         expr_item = cfg.get("nonlinearity.expression")
-        expr = _typed(cfg, "nonlinearity.expression", str)
+        expr = typed("nonlinearity.expression", str)
         if (value is None) == (expr is None):
             raise ConfigError(
                 "prescribed forcing needs exactly one of nonlinearity.value "
@@ -247,31 +251,31 @@ def load_config(path) -> RunConfig:
             nl["e_fn"] = lambda nodes, v=value: v
         else:
             nl["expression"] = expr
-            nl["e_fn"] = _expression_fn(expr, expr_item[1])
-        nl.update(_present(cfg, "nonlinearity", (("growth_c", float), ("growth_q", float))))
+            nl["e_fn"] = _expression_fn(expr, f"{path}:{expr_item[1]}")
+        nl.update(_present(typed, cfg, "nonlinearity", (("growth_c", float), ("growth_q", float))))
 
-    solver = _present(cfg, "solver", (("inner_tol", float), ("outer_tol", float),
-                                      ("max_inner", int), ("max_outer", int),
-                                      ("working_margin", float), ("damping", float),
-                                      ("certificate_trials", int), ("selection_rule", str)),
+    solver = _present(typed, cfg, "solver",
+                      (("inner_tol", float), ("outer_tol", float), ("max_inner", int),
+                       ("max_outer", int), ("working_margin", float), ("damping", float),
+                       ("selection_rule", str)),
                       choices={"selection_rule": {"lo", "mid", "hi"}})
 
-    out_dir = _typed(cfg, "output.dir", str, default="out")
+    out_dir = typed("output.dir", str, default="out")
     out_path = Path(out_dir)
     if not out_path.is_absolute():
         out_path = path.parent / out_path
 
-    verify_opts = _present(cfg, "verify", (("residual_tol", float), ("vi_tol", float),
-                                           ("vi_trials", int), ("analytic_tol", float),
-                                           ("bruteforce_step", float)))
+    verify_opts = _present(typed, cfg, "verify",
+                           (("residual_tol", float), ("vi_tol", float), ("vi_trials", int),
+                            ("analytic_tol", float), ("bruteforce_step", float)))
 
     config = RunConfig(
         path=path, domain_kind=kind, domain=domain,
         nonlinearity_kind=nl_kind, nonlinearity=nl,
         solver=solver, output_dir=out_path,
-        emit_csv=_typed(cfg, "emit.csv", bool, default=True),
-        emit_svg=_typed(cfg, "emit.svg", bool, default=False),
-        emit_report=_typed(cfg, "emit.report", bool, default=True),
+        emit_csv=typed("emit.csv", bool, default=True),
+        emit_svg=typed("emit.svg", bool, default=False),
+        emit_report=typed("emit.report", bool, default=True),
         verify=verify_opts,
     )
     # every key used above was consumed; what is left is unknown, or belongs
@@ -371,17 +375,14 @@ def _write_svg(out_dir: Path, mesh: Mesh, spec, result: SolveResult) -> None:
 # -- subcommands ----------------------------------------------------------------
 
 
-def _run_solve(config: RunConfig, out_dir: Path, seed: int):
+def _run_solve(config: RunConfig, out_dir: Path):
     """Shared solve pipeline; returns (mesh, spec, result)."""
     mesh = config.build_mesh()
     spec = config.build_spec(mesh)
-    opts = config.solver_options(seed=seed)
-    result = solve_inclusion(mesh, spec, opts)
+    result = solve_inclusion(mesh, spec, config.solver_options())
     out_dir.mkdir(parents=True, exist_ok=True)
     if config.emit_csv:
-        residuals = inclusion_residual(mesh, result.u, spec,
-                                       margin=opts.working_margin)
-        write_solution_csv(out_dir / "solution.csv", mesh, result, residuals)
+        write_solution_csv(out_dir / "solution.csv", mesh, result, result.residuals)
     if config.emit_report:
         write_report(out_dir / "report.txt", mesh, spec, result,
                      bounds(mesh, spec))
@@ -394,7 +395,7 @@ def cmd_solve(args) -> int:
     try:
         config = load_config(args.config)
         out_dir = Path(args.out) if args.out else config.output_dir
-        mesh, spec, result = _run_solve(config, out_dir, args.seed)
+        mesh, spec, result = _run_solve(config, out_dir)
     except (ConfigError, MeshError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 1
@@ -436,7 +437,7 @@ def cmd_verify(args) -> int:
 _SWEEP_PARAMS = {"n", "refinement", "selection_rule", "outer_tol"}
 
 
-def _sweep_one(config: RunConfig, param: str, value: str, out_dir: Path, seed: int):
+def _sweep_one(config: RunConfig, param: str, value: str, out_dir: Path):
     """One sweep run: (sweep.csv row, failure message or None).
 
     An inner solve failure is not fatal to the sweep; it yields a
@@ -459,7 +460,7 @@ def _sweep_one(config: RunConfig, param: str, value: str, out_dir: Path, seed: i
         cfg.solver["outer_tol"] = float(value)
     sub = out_dir / f"{param}_{value}"
     try:
-        mesh, spec, result = _run_solve(cfg, sub, seed)
+        mesh, spec, result = _run_solve(cfg, sub)
     except InnerSolveError as exc:
         return [value, "", "", "", "", "false"], f"{param}={value}: inner solve failed: {exc}"
     analytic = cfg.analytic_oracle(mesh)
@@ -488,8 +489,7 @@ def cmd_sweep(args) -> int:
         return 0
     out_dir.mkdir(parents=True, exist_ok=True)
     try:
-        runs = [_sweep_one(config, args.param, v, out_dir, args.seed)
-                for v in values]
+        runs = [_sweep_one(config, args.param, v, out_dir) for v in values]
     except (ConfigError, MeshError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 1
@@ -533,31 +533,26 @@ def main(argv=None) -> int:
         prog="minkcurv",
         description="Gradient-constrained curvature solver with discontinuous "
                     "forcing: solve, verify, and sweep batch runs.")
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--seed", type=int, default=0,
-                        help="seed for trial-field randomness (default 0)")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p_solve = sub.add_parser("solve", parents=[common],
-                             help="run a configured problem")
+    p_solve = sub.add_parser("solve", help="run a configured problem")
     p_solve.add_argument("--config", required=True)
     p_solve.add_argument("--out", default=None)
 
-    p_verify = sub.add_parser("verify", parents=[common],
-                              help="check a solution CSV against its config")
+    p_verify = sub.add_parser("verify", help="check a solution CSV against its config")
     p_verify.add_argument("--config", required=True)
     p_verify.add_argument("--solution", required=True)
+    p_verify.add_argument("--seed", type=int, default=0,
+                          help="seed for the random trial fields (default 0)")
 
-    p_sweep = sub.add_parser("sweep", parents=[common],
-                             help="re-run a config over parameter values")
+    p_sweep = sub.add_parser("sweep", help="re-run a config over parameter values")
     p_sweep.add_argument("--config", required=True)
     p_sweep.add_argument("--param", required=True)
     p_sweep.add_argument("--values", required=True,
                          help="comma-separated list of parameter values")
     p_sweep.add_argument("--out", default=None)
 
-    p_info = sub.add_parser("mesh-info", parents=[common],
-                            help="print mesh statistics")
+    p_info = sub.add_parser("mesh-info", help="print mesh statistics")
     p_info.add_argument("--config", default=None)
     p_info.add_argument("--mesh", default=None)
 

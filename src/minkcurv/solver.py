@@ -3,21 +3,26 @@
 Inner level: damped Newton with a feasibility-guarding backtracking line
 search minimizes the strictly convex prescribed-right-hand-side energy over
 zero-boundary fields whose element gradients stay inside the unit ball.
-Objective and gradient come from the area kernel of `energy`.  The exact
-per-element Hessian blows up like (1-|g|^2)^(-3/2) near the constraint
-surface, so Newton directions are naturally repelled from it; no explicit
-projection is needed.
+Objective and gradient come from the area kernel of `energy`; the exact
+Hessian blows up like (1-|g|^2)^(-3/2) near the constraint surface, so
+Newton directions are naturally repelled from it.  An increasing jump of f
+by c at `level` is the convex kink c * max(0, u_i - level) of the lumped
+energy, kept in the inner problem: Newton on the kinks' Moreau envelopes,
+gamma = 1, 0.1, ..., each stage pinning the nodes in the smoothing band at
+their level, until the pinned solution meets the inclusion exactly.
 
-Outer level: a selection fixed point.  Each iterate solves the inner
-problem with right-hand side given by the pointwise selection of the
-current iterate, with an energy safeguard (best dyadic convex combination
-whenever the candidate would raise the energy) and, on stall, escape probes
-that retry the two envelope selections and accept only a strict energy
-decrease.  The probes are what moves the iteration off spurious fixed
-points sitting at a jump level of the forcing rule.
+Outer level: a selection fixed point for the rest of f, f minus its kinks
+(constant for `step` and `heaviside`, so one iteration suffices; all of f
+for `neg_sign`).  If the rest jumps, a stall triggers escape probes (the
+envelope and operator-projected selections as right-hand sides) that are
+accepted only on a strict energy decrease.
 
-Certificates: one pass at the end of a solve gives the selection zeta and
-the inclusion residual; `stationarity_measure` samples trial fields.
+Certificate: with m = -grad psi / w and [lo, hi] the zero-window
+envelopes, convexity of psi gives for every feasible v, d = v - u,
+psi(v) - psi(u) + sum_i w_i max(lo_i d_i, hi_i d_i) >= -|d|_inf * rho with
+rho = sum_i w_i dist(m_i, [lo_i, hi_i]) (Szulkin's critical-point
+inequality).  `converged` means a fixed point with rho <= outer_tol *
+(1 + |energy|).
 """
 
 from __future__ import annotations
@@ -30,11 +35,11 @@ import numpy as np
 import scipy.sparse as sp
 from scipy.sparse.linalg import splu
 
-from .mesh import Field, Mesh, element_gradients, random_feasible_field
+from .mesh import Field, Mesh, element_gradients
 # `bracket` is no longer called here; it stays a module attribute because
 # bench/worker.py wraps solver.bracket when it traces a run.
 from .nonlinearity import NonlinearitySpec, bracket, envelopes, selection  # noqa: F401
-from .energy import area_gradient, area_value, psi, psi_gradient, total_energy
+from .energy import area_gradient, area_value, psi_gradient, total_energy
 
 
 class InnerSolveError(RuntimeError):
@@ -54,7 +59,8 @@ class SolverOptions:
     inner_tol bounds the max-norm of the Dirichlet-masked gradient of the
     inner objective; outer_tol bounds the sup-norm change between outer
     iterates.  working_margin keeps every accepted iterate at element
-    gradient norm <= 1 - working_margin.
+    gradient norm <= 1 - working_margin.  `seed` is unused (the solver draws
+    no random numbers); bench/workloads.py still passes it.
     """
 
     inner_tol: float = 1e-10
@@ -65,7 +71,6 @@ class SolverOptions:
     damping: float = 0.5
     initial: Field | None = None
     selection_rule: str = "mid"
-    certificate_trials: int = 64
     seed: int = 0
 
     def __post_init__(self):
@@ -83,7 +88,11 @@ class SolverOptions:
 
 @dataclass
 class SolveResult:
-    """Solution, selection, certificates, and run diagnostics."""
+    """Solution, selection, certificates, and run diagnostics.
+
+    `stationarity` is rho; `residuals` is the per-node h-window inclusion
+    residual (zero on the boundary) and `residual` its maximum.
+    """
 
     u: Field
     zeta: np.ndarray
@@ -93,6 +102,7 @@ class SolveResult:
     stationarity: float
     converged: bool
     residual: float
+    residuals: np.ndarray
     max_iterate_value: float = 0.0
     max_iterate_gradient: float = 0.0
 
@@ -108,24 +118,63 @@ class _InnerStats:
     max_gradient: float = 0.0
 
 
-def _certificate_selection(mesh: Mesh, spec: NonlinearitySpec, u: Field,
-                           margin: float):
-    """The selection inside the envelope bracket closest to the operator value.
+def _distance(m, lo, hi):
+    """Distance of m to the interval [lo, hi], elementwise."""
+    return np.maximum(0.0, np.maximum(lo - m, m - hi)) + 0.0
 
-    Away from jump levels the bracket is a point and this is just
-    f(x_i, u_i).  Within one mesh size of a jump level the discrete operator
-    value is projected onto the jump interval, which is exactly the
-    selection realizing the fixed-point identity at a converged iterate
-    (the midpoint convention steers the iteration, but cannot certify
-    solutions crossing a jump level between nodes).
 
-    Returns zeta and |m - zeta| per node, the operator value's distance to
-    the bracket (at interior nodes, `verify.inclusion_residual`).
-    """
-    lo, hi = envelopes(spec, mesh.nodes, u.values, mesh.mesh_size())
-    m = -psi_gradient(mesh, u, margin=margin) / mesh.node_weight
-    zeta = np.clip(m, lo, hi)
-    return zeta, np.abs(m - zeta)
+def _operator_value(mesh: Mesh, values, margin: float):
+    """m = -grad psi / node_weight, the discrete operator value per node."""
+    field = Field(mesh, values, dirichlet_zero=True)
+    return -psi_gradient(mesh, field, margin=margin) / mesh.node_weight
+
+
+def _certificate(mesh: Mesh, spec: NonlinearitySpec, values, margin: float):
+    """(zeta, residuals, rho) at `values`: zeta projects m onto the brackets
+    widened within h of a jump level (a P1 solution crosses it between nodes)."""
+    m = _operator_value(mesh, values, margin)
+    interior = mesh.interior_nodes
+    rho = _distance(m, *envelopes(spec, mesh.nodes, values, 0.0))[interior]
+    lo, hi = envelopes(spec, mesh.nodes, values, mesh.mesh_size())
+    residuals = np.zeros(len(mesh.nodes))
+    residuals[interior] = _distance(m, lo, hi)[interior]
+    return np.clip(m, lo, hi), residuals, float(np.dot(mesh.node_weight[interior], rho))
+
+
+@dataclass(frozen=True)
+class _Kinks:
+    """Increasing jumps as kinks sum_j jump[j] * max(0, u - level[j]), arrays
+    (J, N); `jump` is right - left where positive, else and on the boundary 0."""
+
+    level: np.ndarray
+    jump: np.ndarray
+
+    @classmethod
+    def split(cls, mesh: Mesh, spec: NonlinearitySpec):
+        """(kinks or None, whether f minus its kinks still jumps)."""
+        n = len(mesh.nodes)
+        jumps = [[np.full(n, rule(mesh.nodes), dtype=float) for rule in (j.level, j.left, j.right)]
+                 for j in spec.jumps or ()]
+        up = [(level, np.where(mesh.is_boundary, 0.0, np.maximum(right - left, 0.0)))
+              for level, left, right in jumps]
+        up = [pair for pair in up if pair[1].any()]
+        return (cls(*map(np.array, zip(*up))) if up else None,
+                spec.jumps is None or any(np.any(right < left) for _, left, right in jumps))
+
+    def subdifferential(self, values):
+        """(lo, hi) per node: the kinks' subdifferential at `values`."""
+        return ((self.jump * (values > self.level)).sum(axis=0),
+                (self.jump * (values >= self.level)).sum(axis=0))
+
+    def smoothed(self, values, gamma: float):
+        """Moreau envelope: value and slope per node, and the (J, N) band.
+
+        Per kink and t = u - level: 0 for t <= 0, t^2 / (2 gamma) on the band
+        0 < t < gamma * jump, jump * (t - gamma * jump / 2) above it."""
+        t = values - self.level
+        slope = np.clip(t / gamma, 0.0, self.jump)
+        return ((slope * (t - 0.5 * gamma * slope)).sum(axis=0), slope.sum(axis=0),
+                (t > 0.0) & (t < gamma * self.jump))
 
 
 # -- per-mesh Newton workspace ---------------------------------------------------
@@ -173,15 +222,16 @@ class _NewtonWorkspace:
     interior node ids in nested-dissection elimination order.  Entry
     (e, a, b) of the element blocks lands in data slot `scatter[e*nv*nv +
     a*nv + b]`; entries touching a boundary node go to the dummy slot
-    `len(indices)`.  `stiffness` holds B B^T per element (B the basis
-    gradients).  Holds no reference to the mesh, so the cache entry dies
-    with it.
+    `len(indices)`; `diagonal[j]` is the data slot of entry (j, j).
+    `stiffness` holds B B^T per element (B the basis gradients).  Holds no
+    reference to the mesh, so the cache entry dies with it.
     """
 
     order: np.ndarray
     indptr: np.ndarray
     indices: np.ndarray
     scatter: np.ndarray
+    diagonal: np.ndarray
     stiffness: np.ndarray
 
 
@@ -217,6 +267,7 @@ def _newton_workspace(mesh: Mesh) -> _NewtonWorkspace:
     workspace = _NewtonWorkspace(
         order=interior[order], indptr=indptr,
         indices=(slots % n).astype(np.int32), scatter=scatter,
+        diagonal=np.flatnonzero(slots % n == slots // n),
         stiffness=np.einsum("evd,ewd->evw", B, B))
     for arr in vars(workspace).values():
         arr.setflags(write=False)
@@ -240,12 +291,14 @@ def _area_hessian(mesh: Mesh, ws: _NewtonWorkspace, root, Bg) -> sp.csc_matrix:
 
 
 def _solve_prescribed(mesh: Mesh, e, opts: SolverOptions, initial=None,
-                      objective_trace=None):
+                      objective_trace=None, kinked=None):
     """Newton minimization of psi_h(w) + <e, w>_lumped over interior nodes.
 
     Returns (values, stats).  `e` is broadcast to one value per node.
     `objective_trace`, when a list, receives the objective value of every
-    accepted iterate (diagnostics for monotonicity checks).
+    accepted iterate (diagnostics for monotonicity checks).  `kinked` =
+    (kinks, gamma, pinned) adds the kinks' lumped Moreau envelopes and holds
+    the nodes of the boolean mask `pinned` at their initial values.
     """
     e = np.broadcast_to(np.asarray(e, dtype=float), (len(mesh.nodes),))
     if not np.all(np.isfinite(e)):
@@ -255,31 +308,37 @@ def _solve_prescribed(mesh: Mesh, e, opts: SolverOptions, initial=None,
     limit2 = (1.0 - margin) ** 2
     linear = mesh.node_weight * e
 
-    if initial is None:
-        values = np.zeros(len(mesh.nodes))
-    else:
-        values = np.array(initial, dtype=float)
-        values[mesh.boundary_nodes] = 0.0
+    values = np.zeros(len(mesh.nodes)) if initial is None else np.array(initial, dtype=float)
+    values[mesh.boundary_nodes] = 0.0
 
     def grad_sq(vals):
         g = element_gradients(mesh, vals)
         return g, (g * g).sum(axis=1)
 
+    stats = _InnerStats()
+
+    def failure(message, residual):
+        return InnerSolveError(message, last_values=values, residual=residual,
+                               iterations=stats.iterations)
+
     g, g2 = grad_sq(values)
     if np.any(g2 > limit2):
-        raise InnerSolveError(
-            "initial iterate violates the working feasibility margin",
-            last_values=values, residual=math.inf)
+        raise failure("initial iterate violates the working feasibility margin", math.inf)
 
     def objective(g2_local, vals):
-        return area_value(mesh, g2_local) + float(np.dot(linear[interior], vals[interior]))
+        obj = area_value(mesh, g2_local) + float(np.dot(linear[interior], vals[interior]))
+        if kinked is not None:
+            obj += float(np.dot(mesh.node_weight, kinks.smoothed(vals, gamma)[0]))
+        return obj
 
-    stats = _InnerStats()
     stats.max_value = float(np.abs(values).max())
     stats.max_gradient = float(np.sqrt(g2.max())) if g2.size else 0.0
 
     ws = _newton_workspace(mesh)
     order = ws.order
+    if kinked is not None:
+        kinks, gamma, pinned = kinked
+        fixed = pinned[order]
     obj = objective(g2, values)
     if objective_trace is not None:
         objective_trace.append(obj)
@@ -287,36 +346,36 @@ def _solve_prescribed(mesh: Mesh, e, opts: SolverOptions, initial=None,
         # the Hessian reuses the kernel's root and B g
         full_grad, root, Bg = area_gradient(mesh, g, g2)
         grad = full_grad[order] + linear[order]
+        if kinked is not None:
+            _, slope, band = kinks.smoothed(values, gamma)
+            grad += (mesh.node_weight * slope)[order]
+            grad[fixed] = 0.0
         residual = float(np.abs(grad).max()) if grad.size else 0.0
         if not math.isfinite(residual):
-            raise InnerSolveError("non-finite gradient encountered",
-                                  last_values=values, residual=residual,
-                                  iterations=stats.iterations)
+            raise failure("non-finite gradient encountered", residual)
         if residual <= opts.inner_tol:
             return values, stats
         if stats.iterations >= opts.max_inner:
-            raise InnerSolveError(
-                f"no convergence in {opts.max_inner} Newton iterations "
-                f"(residual {residual:.3e})",
-                last_values=values, residual=residual, iterations=stats.iterations)
+            raise failure(f"no convergence in {opts.max_inner} Newton iterations "
+                          f"(residual {residual:.3e})", residual)
 
         # The Hessian is SPD and already in nested-dissection order: no
-        # column reordering and no pivoting.  The factor is used once and
-        # not kept, so only one LU is alive at a time.
+        # column reordering and no pivoting; pinned nodes get identity rows
+        # (zero step).  The factor is used once, so one LU is alive at a time.
+        hessian = _area_hessian(mesh, ws, root, Bg)
+        if kinked is not None:
+            hessian.data[ws.diagonal] += (mesh.node_weight * band.sum(axis=0) / gamma)[order]
+            hessian.data[fixed[ws.indices]] = 0.0
+            hessian.data[ws.diagonal[fixed]] = 1.0
         try:
-            direction = splu(_area_hessian(mesh, ws, root, Bg), permc_spec="NATURAL",
-                             diag_pivot_thresh=0.0,
+            direction = splu(hessian, permc_spec="NATURAL", diag_pivot_thresh=0.0,
                              options=dict(SymmetricMode=True)).solve(-grad)
         except RuntimeError as err:
-            raise InnerSolveError(f"Hessian factorization failed: {err}",
-                                  last_values=values, residual=residual,
-                                  iterations=stats.iterations) from err
+            raise failure(f"Hessian factorization failed: {err}", residual) from err
         if not np.all(np.isfinite(direction)):
-            raise InnerSolveError("non-finite Newton direction",
-                                  last_values=values, residual=residual,
-                                  iterations=stats.iterations)
+            raise failure("non-finite Newton direction", residual)
 
-        slope = float(np.dot(grad, direction))
+        descent = float(np.dot(grad, direction))
         # sufficient decrease up to the roundoff resolution of the objective,
         # so the final Newton steps are not blocked by cancellation noise
         noise = 1e-15 * (1.0 + abs(obj))
@@ -327,14 +386,11 @@ def _solve_prescribed(mesh: Mesh, e, opts: SolverOptions, initial=None,
             g_c, g2_c = grad_sq(cand)
             if np.all(g2_c <= limit2):
                 obj_c = objective(g2_c, cand)
-                if obj_c <= obj + 1e-4 * t * slope + noise:
+                if obj_c <= obj + 1e-4 * t * descent + noise:
                     break
             t *= opts.damping
             if t < 1e-18:
-                raise InnerSolveError(
-                    f"line search stalled (residual {residual:.3e})",
-                    last_values=values, residual=residual,
-                    iterations=stats.iterations)
+                raise failure(f"line search stalled (residual {residual:.3e})", residual)
         values, g, g2, obj = cand, g_c, g2_c, obj_c
         stats.iterations += 1
         stats.max_value = max(stats.max_value, float(np.abs(values).max()))
@@ -357,47 +413,57 @@ def solve_prescribed(mesh: Mesh, e, opts: SolverOptions | None = None,
     return Field(mesh, values, dirichlet_zero=True)
 
 
-def _safeguarded(mesh, spec, u, I_u, cand):
-    """Replace an energy-increasing candidate by the best dyadic combination."""
-    I_cand = total_energy(mesh, Field(mesh, cand, dirichlet_zero=True), spec)
-    if not I_cand > I_u + 1e-12:
-        return cand, I_cand
-    d = cand - u
-    best_vals, best_I = u, I_u
-    lam = 1.0
-    for _ in range(60):
-        trial = u + lam * d
-        I_t = total_energy(mesh, Field(mesh, trial, dirichlet_zero=True), spec)
-        if I_t < best_I:
-            best_vals, best_I = trial, I_t
-        lam *= 0.5
-    return best_vals, best_I
+# smoothing stages of the kinked inner solve, and its acceptance residual
+_MAX_STAGES = 13
+_KINK_TOL = 1e-8
 
 
-def _escape_probe(mesh, spec, opts, u, I_u, zeta, stats_sink):
-    """Retry alternative bracket selections as right-hand sides at a stall.
+def _solve_kinked(mesh: Mesh, e, opts: SolverOptions, initial, kinks: _Kinks,
+                  stats_sink):
+    """Minimizer of psi_h(w) + <e, w>_lumped + the lumped kinks (module
+    docstring); accepted when m - e is within _KINK_TOL of their subdifferential."""
+    values, nodes = initial, np.arange(len(initial))
+    for stage in range(_MAX_STAGES):
+        gamma = 0.1 ** stage
+        values, stats = _solve_prescribed(
+            mesh, e, opts, initial=values, kinked=(kinks, gamma, np.zeros(len(nodes), bool)))
+        stats_sink.append(stats)
+        band = kinks.smoothed(values, gamma)[2]
+        pinned = band.any(axis=0)
+        trial = np.where(pinned, kinks.level[band.argmax(axis=0), nodes], values)
+        try:
+            trial, stats = _solve_prescribed(mesh, e, opts, initial=trial,
+                                             kinked=(kinks, gamma, pinned))
+        except InnerSolveError:
+            continue  # e.g. pinning left the feasible set: smaller band next
+        stats_sink.append(stats)
+        m = _operator_value(mesh, trial, opts.working_margin) - e
+        if _distance(m, *kinks.subdifferential(trial))[mesh.interior_nodes].max(
+                initial=0.0) <= _KINK_TOL:
+            return trial
+    return values
 
-    Probes the two envelope selections and the operator-projected selection;
-    returns (values, energy) of the best strictly improving probe, or None.
-    Probes that coincide with the current selection at every interior node
-    are skipped (boundary values never enter the inner solve).
+
+def _escape_probe(mesh, spec, opts, u, I_u, zeta, kinks, solve):
+    """(values, energy) of the best strictly improving probe at a stall, or None.
+
+    The probes are the two envelope selections and the operator-projected
+    one, less the kinks' slopes, each solved by `solve(e, initial)` unless
+    it equals the current selection `zeta` at every interior node.
     """
-    if spec.jumps is not None and len(spec.jumps) == 0:
-        return None  # declared continuous: envelopes equal the selection
     lo, hi = envelopes(spec, mesh.nodes, u, window=0.0)
-    proj, _ = _certificate_selection(mesh, spec,
-                                     Field(mesh, u, dirichlet_zero=True),
-                                     opts.working_margin)
+    proj = np.clip(_operator_value(mesh, u, opts.working_margin),
+                   *envelopes(spec, mesh.nodes, u, mesh.mesh_size()))
+    kink_slope = 0.0 if kinks is None else kinks.subdifferential(u)[0]
     interior = mesh.interior_nodes
     best = None
-    for e in (lo, hi, proj):
+    for e in (lo - kink_slope, hi - kink_slope, proj - kink_slope):
         if np.array_equal(e[interior], zeta[interior]):
             continue
         try:
-            vals, stats = _solve_prescribed(mesh, e, opts, initial=u)
+            vals = solve(e, u)
         except InnerSolveError:
             continue
-        stats_sink.append(stats)
         I_v = total_energy(mesh, Field(mesh, vals, dirichlet_zero=True), spec)
         if I_v < I_u - 1e-12 and (best is None or I_v < best[1]):
             best = (vals, I_v)
@@ -408,96 +474,70 @@ def solve_inclusion(mesh: Mesh, spec: NonlinearitySpec,
                     opts: SolverOptions | None = None) -> SolveResult:
     """Outer selection fixed point for the differential inclusion.
 
-    Iterates u_{k+1} = prescribed-solve(selection(u_k)) from the initial
-    field (zero by default), with the energy safeguard and envelope escape
-    probes described in the module docstring.  Terminates when successive
-    iterates agree within outer_tol (and no probe improves the energy) or
-    when max_outer is exhausted; in the latter case the result is returned
-    with converged=False rather than raising.
+    Iterates u_{k+1} = inner-solve(rest selection(u_k)) from the initial
+    field (zero by default), see the module docstring, until successive
+    iterates or selections agree and no escape probe improves the energy,
+    or until max_outer iterations (then with converged=False).
     """
     opts = opts or SolverOptions()
-    if opts.initial is not None:
-        u = np.array(opts.initial.values, dtype=float)
-        u[mesh.boundary_nodes] = 0.0
-    else:
-        u = np.zeros(len(mesh.nodes))
+    u = np.zeros(len(mesh.nodes)) if opts.initial is None else np.array(opts.initial.values)
+    u[mesh.boundary_nodes] = 0.0
+    kinks, rest_jumps = _Kinks.split(mesh, spec)
+    interior = mesh.interior_nodes
+    stats_all = []
+
+    def solve(e, initial):
+        if kinks is not None:
+            return _solve_kinked(mesh, e, opts, initial, kinks, stats_all)
+        values, stats = _solve_prescribed(mesh, e, opts, initial=initial)
+        stats_all.append(stats)
+        return values
+
+    def rest_selection(values):
+        # f's selection less the kinks' at the same rule: on a kink's level
+        # the rest is continuous, with the value of f just below the level
+        zeta = selection(spec, mesh.nodes, values, opts.selection_rule)
+        if kinks is None:
+            return zeta
+        k_lo, k_hi = kinks.subdifferential(values)
+        return zeta - {"lo": k_lo, "hi": k_hi, "mid": 0.5 * (k_lo + k_hi)}[opts.selection_rule]
+
     I_u = total_energy(mesh, Field(mesh, u, dirichlet_zero=True), spec)
     trace = [I_u]
-    stats_all = []
     fixed_point = False
-
     outer = 0
     while outer < opts.max_outer:
         outer += 1
-        zeta = selection(spec, mesh.nodes, u, opts.selection_rule)
-        cand, stats = _solve_prescribed(mesh, zeta, opts, initial=u)
-        stats_all.append(stats)
-        cand, I_cand = _safeguarded(mesh, spec, u, I_u, cand)
+        zeta = rest_selection(u)
+        cand = solve(zeta, u)
         step = float(np.abs(cand - u).max())
-        zeta_next = selection(spec, mesh.nodes, cand, opts.selection_rule)
-        selection_fixed = np.array_equal(zeta_next[mesh.interior_nodes],
-                                         zeta[mesh.interior_nodes])
-        u, I_u = cand, I_cand
+        zeta_next = rest_selection(cand)
+        u = cand
+        I_u = total_energy(mesh, Field(mesh, u, dirichlet_zero=True), spec)
         trace.append(I_u)
-        if step <= opts.outer_tol or selection_fixed:
-            improved = _escape_probe(mesh, spec, opts, u, I_u, zeta_next, stats_all)
-            if improved is None:
+        if step <= opts.outer_tol or np.array_equal(zeta_next[interior], zeta[interior]):
+            improved = rest_jumps and _escape_probe(mesh, spec, opts, u, I_u, zeta_next,
+                                                    kinks, solve)
+            if not improved:
                 fixed_point = True
                 break
             u, I_u = improved
             trace.append(I_u)
 
-    u_field = Field(mesh, u, dirichlet_zero=True)
-    zeta, res = _certificate_selection(mesh, spec, u_field, opts.working_margin)
-    eps = stationarity_measure(mesh, u_field, spec, opts.certificate_trials,
-                               seed=opts.seed, selection_rule=opts.selection_rule)
-    max_res = float(res[mesh.interior_nodes].max()) if mesh.interior_nodes.size else 0.0
-    converged = fixed_point and eps <= opts.outer_tol * (1.0 + abs(I_u))
+    zeta, residuals, rho = _certificate(mesh, spec, u, opts.working_margin)
     return SolveResult(
-        u=u_field, zeta=zeta,
+        u=Field(mesh, u, dirichlet_zero=True), zeta=zeta,
         inner_iterations=sum(s.iterations for s in stats_all),
-        outer_iterations=outer,
-        energy_trace=trace,
-        stationarity=eps,
-        converged=converged,
-        residual=max_res,
+        outer_iterations=outer, energy_trace=trace, stationarity=rho,
+        converged=fixed_point and rho <= opts.outer_tol * (1.0 + abs(I_u)),
+        residual=float(residuals[interior].max(initial=0.0)), residuals=residuals,
         max_iterate_value=max([s.max_value for s in stats_all], default=0.0),
         max_iterate_gradient=max([s.max_gradient for s in stats_all], default=0.0),
     )
 
 
 def stationarity_measure(mesh: Mesh, u: Field, spec: NonlinearitySpec,
-                         trial_count: int, seed: int = 0,
-                         selection_rule: str = "mid") -> float:
-    """Certificate for the critical-point inequality at u.
-
-    For random feasible trial fields v (half of them small perturbations of
-    u) the surrogate D(v) = <zeta_u, v - u>_lumped + psi(v) - psi(u) is
-    evaluated; at nodes sitting on a jump level (within one mesh size, the
-    same value window the residual check uses) the bracket endpoint
-    maximizing the pairing is used, which realizes the discrete generalized
-    directional derivative.  The returned value is
-    max(0, max_v -D(v)/|v - u|_inf); it vanishes (up to solver tolerances)
-    exactly at critical points.
-    """
-    rng = np.random.default_rng(seed)
-    values = u.values
-    zeta = selection(spec, mesh.nodes, values, selection_rule)
-    lo, hi = envelopes(spec, mesh.nodes, values, mesh.mesh_size())
-    at_jump = hi > lo
-    w = mesh.node_weight
-    psi_u = psi(mesh, u)
-    worst = 0.0
-    for k in range(trial_count):
-        v = random_feasible_field(mesh, rng,
-                                  around=values if k % 2 else None)
-        dv = v.values - values
-        denom = float(np.abs(dv).max())
-        if denom == 0.0:
-            continue
-        pair = zeta * dv
-        pair[at_jump] = np.maximum(lo[at_jump] * dv[at_jump],
-                                   hi[at_jump] * dv[at_jump])
-        D = float(np.dot(w, pair)) + psi(mesh, v) - psi_u
-        worst = max(worst, -D / denom)
-    return worst
+                         margin: float = 1e-12) -> float:
+    """rho at u (module docstring), what `solve_inclusion` reports as
+    `stationarity`: zero exactly when m lies in every zero-window bracket."""
+    return _certificate(mesh, spec, u.values, margin)[2]

@@ -12,7 +12,6 @@ level between nodes).
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass, field as dataclass_field
 from typing import Optional
@@ -162,94 +161,59 @@ def analytic_radial(a: float, R: float, N: int, center=None) -> RadialSolution:
 
 
 def brute_force_minimize(mesh: Mesh, spec: NonlinearitySpec, grid_step: float):
-    """Exhaustive search over quantized interior values on a tiny 1D mesh.
+    """Global minimum over quantized interior values on a tiny 1D mesh.
 
     Interior nodal values range over [-inradius, inradius] on a symmetric
     grid of spacing grid_step (zero included); configurations violating the
     per-element gradient bound (up to a 1e-12 quantization slack) are
-    discarded.  Returns (nodal values including boundary zeros, energy).
-    Ties are broken by the lexicographically smallest configuration in
-    interior-node order.
+    excluded.  The energy is a sum of node terms and terms of neighbouring
+    node pairs along the chain of nodes sorted by coordinate, so dynamic
+    programming along the chain finds the minimum over every grid
+    configuration exactly, without enumerating them.  Returns (nodal values
+    including boundary zeros, energy).  Ties are broken by the
+    lexicographically smallest configuration in chain order.
     """
     if mesh.dim != 1:
         raise ValueError("brute force search supports 1D meshes only")
     if grid_step <= 0:
         raise ValueError(f"grid_step must be positive, got {grid_step}")
-    interior = mesh.interior_nodes
-    m = interior.size
+    m = mesh.interior_nodes.size
     if m > 4:
         raise ValueError(f"{m} interior nodes is too many for exhaustive search (max 4)")
-    rad = inradius(mesh)
-    if m == 0:
-        vals = np.zeros(len(mesh.nodes))
-        f = Field(mesh, vals, dirichlet_zero=True)
-        return vals, total_energy(mesh, f, spec)
-    half = int(math.floor(rad / grid_step + 1e-12))
+    chain = np.argsort(mesh.nodes[:, 0], kind="stable")
+    rank = np.empty_like(chain)
+    rank[chain] = np.arange(len(chain))
+    links = np.sort(rank[mesh.elements], axis=1)
+    if not (np.array_equal(np.sort(links[:, 0]), np.arange(len(chain) - 1))
+            and np.all(links[:, 1] == links[:, 0] + 1)):
+        raise ValueError("brute force search needs elements joining neighbouring nodes")
+    half = int(math.floor(inradius(mesh) / grid_step + 1e-12))
     grid = np.arange(-half, half + 1) * grid_step
-    n_grid = grid.size
-
-    # lumped potential per interior node, tabulated over the grid
-    f_tab = np.empty((m, n_grid))
-    for k, i in enumerate(interior):
-        x_rows = np.broadcast_to(mesh.nodes[i], (n_grid, mesh.dim))
-        f_tab[k] = mesh.node_weight[i] * primitive_array(spec, x_rows, grid)
-
-    node_slot = {int(i): k for k, i in enumerate(interior)}
-    measures = mesh.element_measure
-    slack = 1.0 + 1e-12
-
-    def element_terms(assign):
-        """Per-element (feasible, energy) contributions given node values.
-
-        `assign` maps interior slot -> scalar or broadcastable array;
-        boundary nodes contribute zero.
-        """
-        feas, area = True, 0.0
-        for (na, nb), h in zip(mesh.elements, measures):
-            va = assign.get(node_slot.get(int(na), -1), 0.0)
-            vb = assign.get(node_slot.get(int(nb), -1), 0.0)
-            g = (vb - va) / h
-            g2 = np.minimum(np.square(g), 1.0)
-            feas = np.logical_and(feas, np.abs(g) <= slack)
-            area = area + h * (1.0 - np.sqrt(1.0 - g2))
-        return feas, area
-
-    best_energy = math.inf
-    best_slots = None
-    n_loop = max(0, m - 2)
-    vec_slots = list(range(n_loop, m))
-    shape = tuple(n_grid for _ in vec_slots)
-    vec_arrays = {}
-    for pos, slot in enumerate(vec_slots):
-        idx = [None] * len(vec_slots)
-        idx[pos] = slice(None)
-        vec_arrays[slot] = grid[tuple(idx)]
-
-    for combo in itertools.product(range(n_grid), repeat=n_loop):
-        assign = {slot: grid[j] for slot, j in zip(range(n_loop), combo)}
-        assign.update(vec_arrays)
-        feas, area = element_terms(assign)
-        if not np.any(feas):
-            continue
-        energy = area + sum(f_tab[slot][combo[slot]] for slot in range(n_loop))
-        for pos, slot in enumerate(vec_slots):
-            idx = [None] * len(vec_slots)
-            idx[pos] = slice(None)
-            energy = energy + f_tab[slot][tuple(idx)]
-        energy = np.where(feas, energy, math.inf)
-        flat = int(np.argmin(energy))
-        e_min = float(np.asarray(energy).ravel()[flat])
-        if e_min < best_energy:
-            best_energy = e_min
-            tail = np.unravel_index(flat, shape) if shape else ()
-            best_slots = tuple(combo) + tuple(int(t) for t in tail)
-
-    if best_slots is None:
+    x = mesh.nodes[chain, 0]
+    options = [np.zeros(1) if mesh.is_boundary[i] else grid for i in chain]
+    # lumped potential per node, tabulated over its options
+    node_terms = [mesh.node_weight[i] * primitive_array(
+        spec, np.broadcast_to(mesh.nodes[i], (len(v), 1)), v) for i, v in zip(chain, options)]
+    # best[j]: least energy of the chain from node k on, with node k at option j
+    best, choices = node_terms[-1], []
+    for k in range(len(chain) - 2, -1, -1):
+        h = x[k + 1] - x[k]
+        g = (options[k + 1][None, :] - options[k][:, None]) / h
+        area = np.where(np.abs(g) <= 1.0 + 1e-12,
+                        h * (1.0 - np.sqrt(1.0 - np.minimum(g * g, 1.0))), math.inf)
+        total = area + best[None, :]
+        choices.append(np.argmin(total, axis=1))
+        best = node_terms[k] + total.min(axis=1)
+    j = int(np.argmin(best))
+    energy = float(best[j])
+    if not math.isfinite(energy):
         raise ValueError("no feasible configuration on the search grid")
     vals = np.zeros(len(mesh.nodes))
-    for slot, j in enumerate(best_slots):
-        vals[interior[slot]] = grid[j]
-    return vals, best_energy
+    for k, choice in enumerate(reversed(choices)):
+        vals[chain[k]] = options[k][j]
+        j = choice[j]
+    vals[chain[-1]] = options[-1][j]
+    return vals, energy
 
 
 # -- composed report --------------------------------------------------------------

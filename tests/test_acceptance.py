@@ -85,14 +85,14 @@ def test_criterion_03_discontinuous_inclusion():
     mesh = build_interval_mesh(-1, 1, 256)
     spec = neg_sign()
     res = solve_inclusion(mesh, spec)
-    eps = stationarity_measure(mesh, res.u, spec, 200)
+    eps = stationarity_measure(mesh, res.u, spec)
     energy_err = abs(res.energy - CAP_ENERGY)
     ok = (res.converged and res.residual <= 1e-2
           and energy_err <= 2e-3 and eps <= 1e-6)
     report(3, ok, f"attracting sign: converged={res.converged}, "
                   f"residual={res.residual:.2e} (<=1e-2), "
                   f"|E-E*|={energy_err:.2e} (<=2e-3), "
-                  f"eps={eps:.2e} (<=1e-6, 200 trials)")
+                  f"eps={eps:.2e} (<=1e-6, exact bound)")
 
 
 def test_criterion_04_energy_lower_bound(catalog_runs):

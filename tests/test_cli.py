@@ -67,6 +67,26 @@ class TestConfigParsing:
         with pytest.raises(ConfigError, match="domain.n"):
             load_config(cfg)
 
+    def test_typed_errors_name_file_and_line(self, tmp_path):
+        cfg = write_cfg(tmp_path, NEG_SIGN_CFG.replace("domain.n = 128",
+                                                       "domain.n = many"))
+        with pytest.raises(ConfigError) as info:
+            load_config(cfg)
+        assert str(info.value).startswith(f"{cfg}:5: key 'domain.n' expects int")
+        cfg = write_cfg(tmp_path, NEG_SIGN_CFG.replace("domain.kind = interval",
+                                                       "domain.kind = circle"))
+        with pytest.raises(ConfigError, match=f"^{cfg}:2: key 'domain.kind' must be one of"):
+            load_config(cfg)
+        cfg = write_cfg(tmp_path, NEG_SIGN_CFG.replace("domain.n = 128\n", ""))
+        with pytest.raises(ConfigError, match=f"^{cfg}: missing required key 'domain.n'"):
+            load_config(cfg)
+
+    def test_certificate_trials_is_not_a_key(self, tmp_path, capsys):
+        cfg = write_cfg(tmp_path, NEG_SIGN_CFG + "solver.certificate_trials = 64\n")
+        assert main(["solve", "--config", str(cfg)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "run.cfg:9: key 'solver.certificate_trials'" in err
+
     def test_missing_mesh_file_names_path(self, tmp_path):
         p = tmp_path / "c.cfg"
         p.write_text("domain.kind = file\ndomain.path = nowhere.txt\n"
@@ -167,6 +187,19 @@ class TestSolveCommand:
                 == (tmp_path / "b" / "solution.csv").read_bytes())
         assert ((tmp_path / "a" / "report.txt").read_bytes()
                 == (tmp_path / "b" / "report.txt").read_bytes())
+
+
+@pytest.mark.parametrize("command", [["solve"], ["sweep", "--param", "n", "--values", "16"],
+                                     ["mesh-info"]], ids=["solve", "sweep", "mesh-info"])
+def test_seed_is_a_verify_option_only(tmp_path, capsys, command):
+    # the solver draws no random numbers; only verify's trial fields do
+    cfg = write_cfg(tmp_path, PRESCRIBED_CFG)
+    with pytest.raises(SystemExit):
+        main([*command, "--config", str(cfg), "--seed", "1"])
+    assert "--seed" in capsys.readouterr().err
+    assert main(["solve", "--config", str(cfg)]) == 0
+    assert main(["verify", "--config", str(cfg), "--seed", "1",
+                 "--solution", str(tmp_path / "out" / "solution.csv")]) == 0
 
 
 class TestVerifyCommand:

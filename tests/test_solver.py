@@ -13,12 +13,15 @@ from minkcurv.energy import total_energy
 from minkcurv.mesh import (Field, Mesh, build_disk_mesh, build_interval_mesh,
                            build_rectangle_mesh, element_gradients, inradius,
                            max_gradient_norm)
-from minkcurv.nonlinearity import (bracket, constant, neg_sign, step)
+from minkcurv.energy import psi, psi_gradient
+from minkcurv.nonlinearity import (Jump, NonlinearitySpec, bracket, constant, envelopes,
+                                   heaviside, neg_sign, power, step)
 from minkcurv.solver import (InnerSolveError, SolverOptions, _area_hessian,
                              _newton_workspace, _solve_prescribed,
                              solve_inclusion, solve_prescribed,
                              stationarity_measure)
-from minkcurv.verify import inclusion_residual
+from minkcurv.verify import (boundary_distance_cone, brute_force_minimize,
+                             inclusion_residual, random_feasible_field)
 
 SQRT2 = math.sqrt(2.0)
 # closed-form energy of the attracting-sign problem on (-1, 1)
@@ -170,17 +173,22 @@ class TestSolveInclusion:
         assert np.all(res.zeta >= lo - 1e-15)
         assert np.all(res.zeta <= hi + 1e-15)
 
-    @pytest.mark.parametrize("spec, n", [(neg_sign(), 64), (step(-1.0, 1.0, 0.25), 32)],
-                             ids=["neg_sign-64", "step-32"])
-    def test_residual_is_the_inclusion_residual(self, spec, n):
+    @pytest.mark.parametrize("spec, max_outer, min_residual",
+                             [(neg_sign(), 100, 0.0), (power(1.0, 2.0), 1, 0.1)],
+                             ids=["neg_sign-64", "power-64-one-step"])
+    def test_residual_is_the_inclusion_residual(self, spec, max_outer, min_residual):
         # the solver's own certificate pass reports exactly what the
-        # independent check computes; the step case ends with a large
-        # residual, so this is not only 0 == 0
-        m = build_interval_mesh(-1, 1, n)
-        opts = SolverOptions()
+        # independent check computes; one outer step of f(s) = s from a
+        # bump ends with a large residual, so this is not only 0 == 0
+        m = build_interval_mesh(-1, 1, 64)
+        x = m.nodes[:, 0]
+        opts = SolverOptions(max_outer=max_outer,
+                             initial=Field(m, 0.5 * (1 - np.abs(x)), dirichlet_zero=True))
         res = solve_inclusion(m, spec, opts)
         ref = inclusion_residual(m, res.u, spec, margin=opts.working_margin)
+        assert np.array_equal(res.residuals, ref)
         assert res.residual == ref[m.interior_nodes].max()
+        assert res.residual >= min_residual
 
     def test_converged_certificate_bound(self):
         m = build_interval_mesh(-1, 1, 128)
@@ -197,8 +205,8 @@ class TestSolveInclusion:
         assert res.max_iterate_value <= inradius(m) + m.mesh_size() + 1e-12
 
     def test_closed_form_primitive_leaves_the_run_unchanged(self):
-        # the repelling step takes the energy safeguard on most outer steps,
-        # so every energy comparison is exercised with both primitives
+        # the energy trace of the repelling step is evaluated with both
+        # primitives; the kinked inner solve does not depend on either
         m = build_interval_mesh(-1, 1, 16)
         spec = step(-1.0, 1.0, 0.25)
         exact = solve_inclusion(m, spec)
@@ -245,25 +253,116 @@ class TestStationarityMeasure:
     def test_converged_run_certifies(self):
         m = build_interval_mesh(-1, 1, 128)
         res = solve_inclusion(m, neg_sign())
-        eps = stationarity_measure(m, res.u, neg_sign(), 100)
+        eps = stationarity_measure(m, res.u, neg_sign())
         assert eps <= 1e-6
+        assert eps == res.stationarity
 
     def test_non_critical_point_detected(self):
         m = build_interval_mesh(-1, 1, 128)
-        eps = stationarity_measure(m, Field.zero(m), constant(1.0), 100)
+        eps = stationarity_measure(m, Field.zero(m), constant(1.0))
         assert eps > 0.1
 
     def test_trivial_critical_point(self):
         m = build_interval_mesh(-1, 1, 128)
-        eps = stationarity_measure(m, Field.zero(m), constant(0.0), 100)
+        eps = stationarity_measure(m, Field.zero(m), constant(0.0))
         assert eps <= 1e-12
 
-    def test_deterministic_under_seed(self):
-        m = build_interval_mesh(-1, 1, 64)
-        u = solve_prescribed(m, 1.0)
-        a = stationarity_measure(m, u, constant(1.0), 50, seed=123)
-        b = stationarity_measure(m, u, constant(1.0), 50, seed=123)
-        assert a == b
+    def test_scaled_solution_is_not_certified(self):
+        # every node of the scaled field lies within h of the level 0, so the
+        # h-window residual is 0; the zero-window bound still rejects it
+        m = build_disk_mesh(1.0, 4)
+        res = solve_inclusion(m, neg_sign())
+        scaled = Field(m, 0.1 * res.u.values, dirichlet_zero=True)
+        assert inclusion_residual(m, scaled, neg_sign()).max() == 0.0
+        assert stationarity_measure(m, scaled, neg_sign()) > 1.0
+
+    @pytest.mark.parametrize("name", ["neg_sign-64", "neg_sign-disk3", "step-64"])
+    @pytest.mark.parametrize("scale", [1.0, 0.5, 0.1])
+    def test_bound_holds_for_trial_fields(self, name, scale):
+        # psi(v) - psi(u) + sum w max(lo d, hi d) >= -|d|_inf * rho with
+        # d = v - u, for the trial fields of verify's sampled check
+        mesh, spec = {"neg_sign-64": (build_interval_mesh(-1, 1, 64), neg_sign()),
+                      "neg_sign-disk3": (build_disk_mesh(1.0, 3), neg_sign()),
+                      "step-64": (build_interval_mesh(-1, 1, 64), step(-1.0, 1.0, 0.25))}[name]
+        u = Field(mesh, scale * solve_inclusion(mesh, spec).u.values, dirichlet_zero=True)
+        rho = stationarity_measure(mesh, u, spec)
+        lo, hi = envelopes(spec, mesh.nodes, u.values, 0.0)
+        rng = np.random.default_rng(11)
+        trials = [boundary_distance_cone(mesh, max_gradient=a) for a in (0.9, 0.5, 0.1)]
+        trials += [random_feasible_field(mesh, rng, around=u.values if k % 2 else None)
+                   for k in range(40)]
+        for v in trials:
+            d = v.values - u.values
+            lhs = psi(mesh, v) - psi(mesh, u) + float(
+                np.dot(mesh.node_weight, np.maximum(lo * d, hi * d)))
+            assert lhs >= -np.abs(d).max() * rho - 1e-12
+
+
+REPELLING_CASES = {
+    # name: (mesh, rule, energy of the selection loop this solve replaced)
+    "interval-32": (lambda: build_interval_mesh(-1, 1, 32), -0.251814),
+    "interval-64": (lambda: build_interval_mesh(-1, 1, 64), -0.255100),
+    "interval-128": (lambda: build_interval_mesh(-1, 1, 128), -0.255410),
+    "interval-256": (lambda: build_interval_mesh(-1, 1, 256), -0.255478),
+    "disk-3": (lambda: build_disk_mesh(1.0, 3), -0.144512),
+    "disk-4": (lambda: build_disk_mesh(1.0, 4), -0.147054),
+}
+
+
+def mixed_rule():
+    """-sign(s) plus an upward jump by 1.5 at s = 0.1: one jump of each kind."""
+    return NonlinearitySpec(
+        evaluate=lambda x, s: -np.sign(s) + 1.5 * (s > 0.1),
+        jumps=(Jump(level=lambda x: 0.0, left=lambda x: 1.0, right=lambda x: -1.0),
+               Jump(level=lambda x: 0.1, left=lambda x: -1.0, right=lambda x: 0.5)),
+        growth_c=2.5, name="mixed",
+        exact_primitive=lambda x, s: -np.abs(s) + 1.5 * np.maximum(0.0, s - 0.1))
+
+
+class TestIncreasingJumps:
+    @pytest.mark.parametrize("name", sorted(REPELLING_CASES))
+    def test_converges_exactly_in_one_convex_solve(self, name):
+        make_mesh, loop_energy = REPELLING_CASES[name]
+        mesh = make_mesh()
+        spec = step(-1.0, 1.0, 0.25 if name.startswith("interval") else 0.1)
+        res = solve_inclusion(mesh, spec)
+        lo, hi = envelopes(spec, mesh.nodes, res.u.values, 0.0)
+        m_op = -psi_gradient(mesh, res.u, margin=1e-12) / mesh.node_weight
+        zero_window = np.maximum(0.0, np.maximum(lo - m_op, m_op - hi))[mesh.interior_nodes]
+        assert res.converged
+        assert zero_window.max() <= 1e-8
+        assert res.outer_iterations <= 3
+        assert res.energy <= loop_energy
+
+    @pytest.mark.parametrize("n", [4, 5])
+    def test_matches_the_grid_minimum(self, n):
+        mesh = build_interval_mesh(-1, 1, n)
+        spec = step(-1.0, 1.0, 0.25)
+        _, brute = brute_force_minimize(mesh, spec, 0.01)
+        res = solve_inclusion(mesh, spec)
+        assert res.converged
+        assert abs(res.energy - brute) <= 1e-3
+
+    def test_nodes_are_pinned_on_the_level(self):
+        res = solve_inclusion(build_interval_mesh(-1, 1, 64), step(-1.0, 1.0, 0.25))
+        assert np.count_nonzero(res.u.values == 0.25) >= 1
+
+    def test_heaviside_minimum_is_zero(self):
+        res = solve_inclusion(build_disk_mesh(1.0, 3), heaviside())
+        assert res.converged and res.outer_iterations == 1
+        assert np.all(res.u.values == 0.0) and res.energy == 0.0
+
+    @pytest.mark.parametrize("n", [4, 64])
+    def test_mixed_jumps(self, n):
+        # the decreasing jump stays in the selection loop with its escape
+        # probes, the increasing one is a kink of every inner solve
+        mesh = build_interval_mesh(-1, 1, n)
+        res = solve_inclusion(mesh, mixed_rule())
+        assert res.converged
+        assert res.stationarity <= 1e-9
+        if n == 4:
+            _, brute = brute_force_minimize(mesh, mixed_rule(), 0.01)
+            assert abs(res.energy - brute) <= 1e-3
 
 
 class TestSolverOptions:

@@ -67,3 +67,14 @@ def test_the_scan_sees_relative_and_absolute_imports():
     src = ("from .energy import psi\nfrom . import svg\n"
            "import minkcurv.verify\nfrom minkcurv.solver import x\n")
     assert package_imports(ast.parse(src)) == {"energy", "svg", "verify", "solver"}
+
+
+def test_solver_draws_no_random_numbers():
+    # the certificate is an exact bound, not a sample; only verify samples
+    names = {node.id for node in ast.walk(tree("solver")) if isinstance(node, ast.Name)}
+    random_attrs = [node.lineno for node in ast.walk(tree("solver"))
+                    if isinstance(node, ast.Attribute) and node.attr == "random"]
+    assert "random" not in names and random_attrs == []
+    assert "random" not in {alias.name.split(".")[0] for node in ast.walk(tree("solver"))
+                            if isinstance(node, (ast.Import, ast.ImportFrom))
+                            for alias in node.names}

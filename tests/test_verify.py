@@ -1,11 +1,12 @@
+import itertools
 import math
 
 import numpy as np
 import pytest
 
 from minkcurv.energy import total_energy
-from minkcurv.mesh import Field, build_disk_mesh, build_interval_mesh
-from minkcurv.nonlinearity import constant, neg_sign
+from minkcurv.mesh import Field, Mesh, build_disk_mesh, build_interval_mesh, inradius
+from minkcurv.nonlinearity import constant, neg_sign, power, primitive_array, step
 from minkcurv.solver import SolverOptions, solve_inclusion, solve_prescribed
 from minkcurv.verify import (VerificationReport, analytic_radial,
                              boundary_distance_cone, brute_force_minimize,
@@ -147,7 +148,38 @@ class TestAnalyticRadial:
         assert errs[2] <= 0.65 * errs[1]
 
 
+def enumerated_grid_minimum(mesh, spec, grid_step):
+    """Every grid configuration in interior-node order; the first least energy wins."""
+    interior = mesh.interior_nodes
+    half = int(math.floor(inradius(mesh) / grid_step + 1e-12))
+    grid = np.arange(-half, half + 1) * grid_step
+    best_energy, best = math.inf, None
+    for combo in itertools.product(grid, repeat=len(interior)):
+        vals = np.zeros(len(mesh.nodes))
+        vals[interior] = combo
+        g = np.abs(np.diff(vals[mesh.elements], axis=1)[:, 0]) / mesh.element_measure
+        if np.any(g > 1.0 + 1e-12):
+            continue
+        area = np.sum(mesh.element_measure * (1.0 - np.sqrt(1.0 - np.minimum(g * g, 1.0))))
+        energy = area + np.sum(mesh.node_weight * primitive_array(spec, mesh.nodes, vals))
+        if energy < best_energy:
+            best_energy, best = energy, vals
+    return best, best_energy
+
+
 class TestBruteForce:
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+    @pytest.mark.parametrize("spec", [neg_sign(), step(-1.0, 1.0, 0.25), constant(1.0),
+                                      power(2.0, 2.0)], ids=lambda spec: spec.name)
+    def test_matches_full_enumeration(self, n, spec):
+        # the search along the node chain finds the minimum over every
+        # configuration of the grid, the same one an enumeration finds
+        m = build_interval_mesh(-1, 1, n)
+        vals, energy = brute_force_minimize(m, spec, 0.2)
+        ref_vals, ref_energy = enumerated_grid_minimum(m, spec, 0.2)
+        assert energy == pytest.approx(ref_energy, abs=1e-12)
+        np.testing.assert_array_equal(vals, ref_vals)
+
     def test_zero_rule_minimizer_is_zero(self):
         m = build_interval_mesh(-1, 1, 4)
         vals, energy = brute_force_minimize(m, constant(0.0), 0.05)
@@ -177,6 +209,12 @@ class TestBruteForce:
     def test_rejects_large_meshes(self):
         m = build_interval_mesh(-1, 1, 8)  # seven interior nodes
         with pytest.raises(ValueError):
+            brute_force_minimize(m, neg_sign(), 0.1)
+
+    def test_rejects_elements_skipping_a_node(self):
+        # (0, 2) spans node 1, so the energy is not a sum along one chain
+        m = Mesh(np.array([0.0, 1.0, 2.0]), [[0, 2], [0, 1]], [0, 2])
+        with pytest.raises(ValueError, match="neighbouring nodes"):
             brute_force_minimize(m, neg_sign(), 0.1)
 
     def test_rejects_2d_and_bad_step(self):
