@@ -5,19 +5,22 @@ keys (``domain.kind = interval``), chosen over positional flags so a run can
 be archived and replayed byte-identically.  Outputs are a full-precision
 CSV of the nodal solution, a flat key-value report, and optional SVG plots.
 
-Exit codes: 0 success/converged, 1 configuration or input error,
-2 solver non-convergence or failed verification checks (results are still
-written).
+Each config rule lives in one place: domain keys are the mesh builders'
+arguments, solver keys the fields of `SolverOptions`, and the options and
+catalog rules check their own ranges.  A sweep value overrides one key and
+is checked like the file, every value before the first run.  Handlers
+raise; `main` maps errors to exit codes: 1 for a configuration or input
+error (`ValueError`, `OSError`), 2 for an inner solve failure,
+non-convergence or failed verification checks (results are still written).
 """
 
 from __future__ import annotations
 
 import argparse
-import copy
 import csv
 import math
 import sys
-from dataclasses import dataclass, field as dataclass_field
+from dataclasses import dataclass, field as dataclass_field, fields, replace
 from functools import partial
 from pathlib import Path
 
@@ -25,7 +28,7 @@ import numpy as np
 
 from . import svg
 from .energy import bounds
-from .mesh import (Field, Mesh, MeshError, build_disk_mesh, build_interval_mesh,
+from .mesh import (Field, Mesh, build_disk_mesh, build_interval_mesh,
                    build_rectangle_mesh, inradius, read_mesh)
 from .nonlinearity import CATALOG, NonlinearitySpec, from_catalog
 from .solver import InnerSolveError, SolveResult, SolverOptions, solve_inclusion
@@ -60,6 +63,28 @@ def parse_flat_config(path) -> dict:
     return out
 
 
+# domain.kind -> (mesh builder, {domain.* key: type}); the keys are the
+# builder's argument names, all required
+_DOMAINS = {
+    "interval": (build_interval_mesh, {"a": float, "b": float, "n": int}),
+    "rectangle": (build_rectangle_mesh, {"lx": float, "ly": float, "nx": int, "ny": int}),
+    "disk": (build_disk_mesh, {"radius": float, "refinement": int}),
+    "file": (read_mesh, {"path": str}),
+}
+
+# solver.* keys: the fields of SolverOptions a config can set
+_SOLVER_KEYS = {f.name: type(f.default) for f in fields(SolverOptions)
+                if f.name not in ("initial", "seed")}
+
+_VERIFY_KEYS = {"residual_tol": float, "vi_tol": float, "vi_trials": int,
+                "analytic_tol": float, "bruteforce_step": float}
+
+# config keys of the catalog rules with parameters: the factory's parameter
+# names, each with its default (None: required)
+_CATALOG_PARAMS = {"constant": {"a": None}, "step": {"a": None, "b": None, "s0": 0.0},
+                   "power": {"c": None, "r": None}}
+
+
 @dataclass
 class RunConfig:
     """A fully validated run description."""
@@ -69,7 +94,8 @@ class RunConfig:
     domain: dict
     nonlinearity_kind: str
     nonlinearity: dict
-    solver: dict
+    spec: NonlinearitySpec
+    solver: SolverOptions
     output_dir: Path
     emit_csv: bool = True
     emit_svg: bool = False
@@ -77,25 +103,17 @@ class RunConfig:
     verify: dict = dataclass_field(default_factory=dict)
 
     def build_mesh(self) -> Mesh:
-        d = self.domain
-        if self.domain_kind == "interval":
-            return build_interval_mesh(d["a"], d["b"], d["n"])
-        if self.domain_kind == "rectangle":
-            return build_rectangle_mesh(d["lx"], d["ly"], d["nx"], d["ny"])
-        if self.domain_kind == "disk":
-            return build_disk_mesh(d["radius"], d["refinement"])
-        return read_mesh(d["path"])
+        return _DOMAINS[self.domain_kind][0](**self.domain)
 
     def build_spec(self, mesh: Mesh) -> NonlinearitySpec:
-        kind, p = self.nonlinearity_kind, self.nonlinearity
-        if kind in CATALOG:
-            return from_catalog(kind, **p)
-        # prescribed right-hand side e(x): forcing independent of s
-        e_fn = p["e_fn"]
+        """The forcing on `mesh`; a prescribed e(x) must be finite at every node."""
+        if self.nonlinearity_kind != "prescribed":
+            return self.spec
+        p = self.nonlinearity
         source = p.get("expression", p.get("value"))
         try:
             with np.errstate(all="ignore"):
-                e_raw = e_fn(mesh.nodes)
+                e_raw = self.spec.evaluate(mesh.nodes, None)
                 if np.iscomplexobj(e_raw):
                     raise ConfigError(f"prescribed forcing {source!r} is not real")
                 e_nodes = np.full(len(mesh.nodes), e_raw, dtype=float)
@@ -106,24 +124,15 @@ class RunConfig:
         if bad.size:
             raise ConfigError(f"prescribed forcing {source!r} is {e_nodes[bad[0]]} "
                               f"at node {bad[0]} {mesh.nodes[bad[0]].tolist()}")
-        growth_c = p.get("growth_c", float(np.abs(e_nodes).max()))
-        growth_q = p.get("growth_q", 2.0)
-        return NonlinearitySpec(
-            evaluate=lambda x, s, fn=e_fn: fn(x), jumps=(),
-            growth_c=growth_c, growth_q=growth_q, name="prescribed",
-            exact_primitive=lambda nodes, s, fn=e_fn: fn(nodes) * s)
-
-    def constant_rhs(self):
-        """The constant right-hand side value, when the forcing is one."""
-        if self.nonlinearity_kind == "constant":
-            return self.nonlinearity["a"]
-        if self.nonlinearity_kind == "prescribed" and "value" in self.nonlinearity:
-            return self.nonlinearity["value"]
-        return None
+        if "growth_c" in p:
+            return self.spec
+        return replace(self.spec, growth_c=float(np.abs(e_nodes).max()))
 
     def analytic_oracle(self, mesh: Mesh):
         """Closed-form radial solution when the domain is a ball and e is constant."""
-        a = self.constant_rhs()
+        # a constant forcing is constant's `a` or prescribed's `value`
+        a = self.nonlinearity.get({"constant": "a", "prescribed": "value"}
+                                  .get(self.nonlinearity_kind))
         if a is None:
             return None
         if self.domain_kind == "interval":
@@ -135,7 +144,7 @@ class RunConfig:
 
     def solver_options(self, seed: int = 0) -> SolverOptions:
         """The solver options; `seed` is unused, kept for bench/workloads.py."""
-        return SolverOptions(seed=seed, **self.solver)
+        return replace(self.solver, seed=seed)
 
 
 def _typed(path, cfg, key, kind, default=None, required=False, choices=None):
@@ -157,22 +166,19 @@ def _typed(path, cfg, key, kind, default=None, required=False, choices=None):
     except ValueError:
         raise ConfigError(f"{path}:{no}: key {key!r} expects {kind.__name__}, "
                           f"got {raw!r}") from None
+    if kind is float and not math.isfinite(value):
+        raise ConfigError(f"{path}:{no}: key {key!r} must be finite, got {raw!r}")
     if choices is not None and value not in choices:
         raise ConfigError(f"{path}:{no}: key {key!r} must be one of {sorted(choices)}, "
                           f"got {value!r}")
     return value
 
 
-def _present(typed, cfg, section, kinds, choices=None):
-    """{name: typed value} for each (name, kind) whose `section.name` cfg has."""
-    return {name: typed(f"{section}.{name}", kind, choices=(choices or {}).get(name))
-            for name, kind in kinds if f"{section}.{name}" in cfg}
+def _present(typed, cfg, section, kinds):
+    """{name: typed value} for each name in `kinds` whose `section.name` cfg has."""
+    return {name: typed(f"{section}.{name}", kind)
+            for name, kind in kinds.items() if f"{section}.{name}" in cfg}
 
-
-# config keys of the catalog rules with parameters: the factory's parameter
-# names, each with its default (None: required)
-_CATALOG_PARAMS = {"constant": {"a": None}, "step": {"a": None, "b": None, "s0": 0.0},
-                   "power": {"c": None, "r": None}}
 
 _EXPR_NAMES = {name: getattr(np, name) for name in
                ("sin", "cos", "tan", "exp", "sqrt", "abs", "log", "tanh", "sign")}
@@ -207,76 +213,57 @@ def load_config(path) -> RunConfig:
     naming its file and line.
     """
     path = Path(path)
-    cfg = parse_flat_config(path)
+    return _validate(path, parse_flat_config(path))
+
+
+def _validate(path: Path, cfg: dict) -> RunConfig:
+    """The run that `cfg` ({key: (value, where)}, emptied here) describes."""
     typed = partial(_typed, path, cfg)
-    kind = typed("domain.kind", str, required=True,
-                 choices={"interval", "rectangle", "disk", "file"})
-    domain = {}
-    if kind == "interval":
-        domain["a"] = typed("domain.a", float, required=True)
-        domain["b"] = typed("domain.b", float, required=True)
-        domain["n"] = typed("domain.n", int, required=True)
-    elif kind == "rectangle":
-        for k in ("lx", "ly"):
-            domain[k] = typed(f"domain.{k}", float, required=True)
-        for k in ("nx", "ny"):
-            domain[k] = typed(f"domain.{k}", int, required=True)
-    elif kind == "disk":
-        domain["radius"] = typed("domain.radius", float, required=True)
-        domain["refinement"] = typed("domain.refinement", int, required=True)
-    else:
-        mesh_path = Path(typed("domain.path", str, required=True))
-        if not mesh_path.is_absolute():
-            mesh_path = path.parent / mesh_path
-        if not mesh_path.exists():
-            raise ConfigError(f"mesh file does not exist: {mesh_path}")
-        domain["path"] = mesh_path
+    kind = typed("domain.kind", str, required=True, choices=_DOMAINS)
+    domain = {name: typed(f"domain.{name}", t, required=True)
+              for name, t in _DOMAINS[kind][1].items()}
+    if kind == "file":
+        domain["path"] = path.parent / domain["path"]
+        if not domain["path"].exists():
+            raise ConfigError(f"mesh file does not exist: {domain['path']}")
 
     nl_kind = typed("nonlinearity.kind", str, required=True,
                     choices=sorted(CATALOG) + ["prescribed"])
-    nl = {}
-    for key, default in _CATALOG_PARAMS.get(nl_kind, {}).items():
-        nl[key] = typed(f"nonlinearity.{key}", float, default=default,
-                        required=default is None)
+    nl = {key: typed(f"nonlinearity.{key}", float, default=default, required=default is None)
+          for key, default in _CATALOG_PARAMS.get(nl_kind, {}).items()}
     if nl_kind == "prescribed":
-        value = typed("nonlinearity.value", float)
-        expr_item = cfg.get("nonlinearity.expression")
-        expr = typed("nonlinearity.expression", str)
-        if (value is None) == (expr is None):
+        expr_no = cfg.get("nonlinearity.expression", (None, None))[1]
+        nl = _present(typed, cfg, "nonlinearity", dict(
+            value=float, expression=str, growth_c=float, growth_q=float))
+        if ("value" in nl) == ("expression" in nl):
             raise ConfigError(
-                "prescribed forcing needs exactly one of nonlinearity.value "
+                f"{path}: prescribed forcing needs exactly one of nonlinearity.value "
                 "or nonlinearity.expression")
-        if value is not None:
-            nl["value"] = value
-            nl["e_fn"] = lambda nodes, v=value: v
+        e_fn = ((lambda nodes, v=nl["value"]: v) if "value" in nl
+                else _expression_fn(nl["expression"], f"{path}:{expr_no}"))
+    solver = _present(typed, cfg, "solver", _SOLVER_KEYS)
+    # the rules check their own ranges
+    try:
+        if nl_kind == "prescribed":
+            # forcing independent of s; build_spec sets a missing growth_c
+            spec = NonlinearitySpec(
+                evaluate=lambda x, s: e_fn(x), jumps=(),
+                growth_c=nl.get("growth_c", 0.0), growth_q=nl.get("growth_q", 2.0),
+                name="prescribed", exact_primitive=lambda nodes, s: e_fn(nodes) * s)
         else:
-            nl["expression"] = expr
-            nl["e_fn"] = _expression_fn(expr, f"{path}:{expr_item[1]}")
-        nl.update(_present(typed, cfg, "nonlinearity", (("growth_c", float), ("growth_q", float))))
-
-    solver = _present(typed, cfg, "solver",
-                      (("inner_tol", float), ("outer_tol", float), ("max_inner", int),
-                       ("max_outer", int), ("working_margin", float), ("damping", float),
-                       ("selection_rule", str)),
-                      choices={"selection_rule": {"lo", "mid", "hi"}})
-
-    out_dir = typed("output.dir", str, default="out")
-    out_path = Path(out_dir)
-    if not out_path.is_absolute():
-        out_path = path.parent / out_path
-
-    verify_opts = _present(typed, cfg, "verify",
-                           (("residual_tol", float), ("vi_tol", float), ("vi_trials", int),
-                            ("analytic_tol", float), ("bruteforce_step", float)))
+            spec = from_catalog(nl_kind, **nl)
+        options = SolverOptions(**solver)
+    except ValueError as err:
+        raise ConfigError(f"{path}: {err}") from None
 
     config = RunConfig(
         path=path, domain_kind=kind, domain=domain,
-        nonlinearity_kind=nl_kind, nonlinearity=nl,
-        solver=solver, output_dir=out_path,
+        nonlinearity_kind=nl_kind, nonlinearity=nl, spec=spec,
+        solver=options, output_dir=path.parent / typed("output.dir", str, default="out"),
         emit_csv=typed("emit.csv", bool, default=True),
         emit_svg=typed("emit.svg", bool, default=False),
         emit_report=typed("emit.report", bool, default=True),
-        verify=verify_opts,
+        verify=_present(typed, cfg, "verify", _VERIFY_KEYS),
     )
     # every key used above was consumed; what is left is unknown, or belongs
     # to a domain or nonlinearity kind other than the chosen one
@@ -307,7 +294,7 @@ def write_solution_csv(path, mesh: Mesh, result: SolveResult, residuals) -> None
 
 
 def read_solution_csv(path, mesh: Mesh):
-    """Load (u, zeta) written by `write_solution_csv`; validates the shape."""
+    """Load (u, zeta) written by `write_solution_csv`; checks the shape, finiteness."""
     path = Path(path)
     if not path.exists():
         raise ConfigError(f"solution file not found: {path}")
@@ -332,6 +319,9 @@ def read_solution_csv(path, mesh: Mesh):
             zeta[k] = float(row[z_col])
         except (ValueError, IndexError):
             raise ConfigError(f"{path}: malformed row {k + 2}") from None
+    bad = np.flatnonzero(~(np.isfinite(u) & np.isfinite(zeta)))
+    if bad.size:
+        raise ConfigError(f"{path}: non-finite value in row {bad[0] + 2}")
     return u, zeta
 
 
@@ -392,16 +382,9 @@ def _run_solve(config: RunConfig, out_dir: Path):
 
 
 def cmd_solve(args) -> int:
-    try:
-        config = load_config(args.config)
-        out_dir = Path(args.out) if args.out else config.output_dir
-        mesh, spec, result = _run_solve(config, out_dir)
-    except (ConfigError, MeshError) as err:
-        print(f"error: {err}", file=sys.stderr)
-        return 1
-    except InnerSolveError as err:
-        print(f"error: inner solve failed: {err}", file=sys.stderr)
-        return 2
+    config = load_config(args.config)
+    out_dir = Path(args.out) if args.out else config.output_dir
+    mesh, spec, result = _run_solve(config, out_dir)
     print(f"converged {'true' if result.converged else 'false'}")
     print(f"energy {result.energy:.12g}")
     print(f"outer_iterations {result.outer_iterations}")
@@ -413,28 +396,22 @@ def cmd_solve(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    try:
-        config = load_config(args.config)
-        mesh = config.build_mesh()
-        spec = config.build_spec(mesh)
-        u_vals, zeta = read_solution_csv(args.solution, mesh)
-        if np.any(u_vals[mesh.boundary_nodes] != 0.0):
-            raise ConfigError(f"{args.solution}: nonzero value at a boundary node")
-        u = Field(mesh, u_vals, dirichlet_zero=True)
-        analytic = config.analytic_oracle(mesh)
-        kwargs = dict(config.verify)
-        analytic_tol = kwargs.pop("analytic_tol", 2e-2)
-        report = verification_report(
-            mesh, u, zeta, spec, seed=args.seed,
-            analytic=analytic, analytic_tol=analytic_tol, **kwargs)
-    except (ConfigError, MeshError, ValueError) as err:
-        print(f"error: {err}", file=sys.stderr)
-        return 1
+    config = load_config(args.config)
+    mesh = config.build_mesh()
+    spec = config.build_spec(mesh)
+    u_vals, zeta = read_solution_csv(args.solution, mesh)
+    if np.any(u_vals[mesh.boundary_nodes] != 0.0):
+        raise ConfigError(f"{args.solution}: nonzero value at a boundary node")
+    report = verification_report(
+        mesh, Field(mesh, u_vals, dirichlet_zero=True), zeta, spec, seed=args.seed,
+        analytic=config.analytic_oracle(mesh), **config.verify)
     sys.stdout.write(format_report(report))
     return 0 if report.all_passed else 2
 
 
-_SWEEP_PARAMS = {"n", "refinement", "selection_rule", "outer_tol"}
+# sweep parameter -> the config key that each of its values overrides
+_SWEEP_PARAMS = {"n": "domain.n", "refinement": "domain.refinement",
+                 "selection_rule": "solver.selection_rule", "outer_tol": "solver.outer_tol"}
 
 
 def _sweep_one(config: RunConfig, param: str, value: str, out_dir: Path):
@@ -443,27 +420,11 @@ def _sweep_one(config: RunConfig, param: str, value: str, out_dir: Path):
     An inner solve failure is not fatal to the sweep; it yields a
     converged=false row with empty result fields.
     """
-    cfg = copy.deepcopy(config)
-    if param == "n":
-        if cfg.domain_kind != "interval":
-            raise ConfigError("sweep over n requires an interval domain")
-        cfg.domain["n"] = int(value)
-    elif param == "refinement":
-        if cfg.domain_kind != "disk":
-            raise ConfigError("sweep over refinement requires a disk domain")
-        cfg.domain["refinement"] = int(value)
-    elif param == "selection_rule":
-        if value not in ("lo", "mid", "hi"):
-            raise ConfigError(f"bad selection_rule {value!r}")
-        cfg.solver["selection_rule"] = value
-    else:
-        cfg.solver["outer_tol"] = float(value)
-    sub = out_dir / f"{param}_{value}"
     try:
-        mesh, spec, result = _run_solve(cfg, sub)
+        mesh, spec, result = _run_solve(config, out_dir / f"{param}_{value}")
     except InnerSolveError as exc:
         return [value, "", "", "", "", "false"], f"{param}={value}: inner solve failed: {exc}"
-    analytic = cfg.analytic_oracle(mesh)
+    analytic = config.analytic_oracle(mesh)
     err = ""
     if analytic is not None:
         err = _fmt(float(np.abs(result.u.values - analytic(mesh.nodes)).max()))
@@ -474,25 +435,21 @@ def _sweep_one(config: RunConfig, param: str, value: str, out_dir: Path):
 
 def cmd_sweep(args) -> int:
     if args.param not in _SWEEP_PARAMS:
-        print(f"error: unknown sweep parameter {args.param!r}; "
-              f"choose from {sorted(_SWEEP_PARAMS)}", file=sys.stderr)
-        return 1
-    values = [v for v in (args.values or "").split(",") if v.strip()]
-    try:
-        config = load_config(args.config)
-    except ConfigError as err:
-        print(f"error: {err}", file=sys.stderr)
-        return 1
+        raise ConfigError(f"unknown sweep parameter {args.param!r}; "
+                          f"choose from {sorted(_SWEEP_PARAMS)}")
+    path = Path(args.config)
+    parsed = parse_flat_config(path)
+    config = _validate(path, dict(parsed))
+    # each value overrides its key and is checked like the file, before any run
+    values = [v.strip() for v in args.values.split(",") if v.strip()]
+    configs = [_validate(path, {**parsed, _SWEEP_PARAMS[args.param]: (v, "--values")})
+               for v in values]
     out_dir = Path(args.out) if args.out else config.output_dir
     if not values:
         print("no sweep values given; nothing to do")
         return 0
     out_dir.mkdir(parents=True, exist_ok=True)
-    try:
-        runs = [_sweep_one(config, args.param, v, out_dir) for v in values]
-    except (ConfigError, MeshError) as err:
-        print(f"error: {err}", file=sys.stderr)
-        return 1
+    runs = [_sweep_one(c, args.param, v, out_dir) for c, v in zip(configs, values)]
     rows = [row for row, _ in runs]
     for _, failure in runs:
         if failure is not None:
@@ -507,17 +464,12 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_mesh_info(args) -> int:
-    try:
-        if args.mesh:
-            mesh = read_mesh(args.mesh)
-        elif args.config:
-            mesh = load_config(args.config).build_mesh()
-        else:
-            print("error: mesh-info needs --mesh or --config", file=sys.stderr)
-            return 1
-    except (ConfigError, MeshError, OSError) as err:
-        print(f"error: {err}", file=sys.stderr)
-        return 1
+    if args.mesh:
+        mesh = read_mesh(args.mesh)
+    elif args.config:
+        mesh = load_config(args.config).build_mesh()
+    else:
+        raise ConfigError("mesh-info needs --mesh or --config")
     print(f"dim {mesh.dim}")
     print(f"nodes {len(mesh.nodes)}")
     print(f"elements {len(mesh.elements)}")
@@ -559,7 +511,14 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     handler = {"solve": cmd_solve, "verify": cmd_verify,
                "sweep": cmd_sweep, "mesh-info": cmd_mesh_info}[args.command]
-    return handler(args)
+    try:
+        return handler(args)
+    except InnerSolveError as err:
+        print(f"error: inner solve failed: {err}", file=sys.stderr)
+        return 2
+    except (ValueError, OSError) as err:  # ConfigError and MeshError included
+        print(f"error: {err}", file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

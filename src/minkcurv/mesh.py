@@ -162,8 +162,12 @@ class Field:
 
     @classmethod
     def from_function(cls, mesh: Mesh, fn, dirichlet_zero: bool = False) -> "Field":
-        """Sample ``fn`` at every node; ``fn`` receives a coordinate array."""
-        vals = np.array([fn(x) for x in mesh.nodes], dtype=float)
+        """Evaluate ``fn`` once on the (K, d) node array: K values or a scalar."""
+        vals = np.array(fn(mesh.nodes), dtype=float)
+        if vals.ndim == 0:
+            vals = np.full(len(mesh.nodes), vals)
+        elif vals.shape != (len(mesh.nodes),):
+            raise MeshError(f"fn returned shape {vals.shape} for {len(mesh.nodes)} nodes")
         if dirichlet_zero:
             vals[mesh.boundary_nodes] = 0.0
         return cls(mesh, vals, dirichlet_zero=dirichlet_zero)

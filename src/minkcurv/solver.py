@@ -74,8 +74,9 @@ class SolverOptions:
     seed: int = 0
 
     def __post_init__(self):
-        if self.inner_tol <= 0 or self.outer_tol <= 0:
-            raise ValueError("tolerances must be positive")
+        if not (0 < self.inner_tol < math.inf and 0 < self.outer_tol < math.inf):
+            raise ValueError(f"tolerances must be positive and finite, got inner_tol="
+                             f"{self.inner_tol}, outer_tol={self.outer_tol}")
         if not 0.0 < self.damping < 1.0:
             raise ValueError(f"damping must be in (0,1), got {self.damping}")
         if not 0.0 < self.working_margin < 0.5:

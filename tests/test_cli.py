@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import warnings
 
@@ -7,6 +8,7 @@ import pytest
 from minkcurv.cli import (ConfigError, load_config, main, parse_flat_config,
                           read_solution_csv)
 from minkcurv.mesh import build_interval_mesh, write_mesh
+from minkcurv.solver import SolverOptions
 
 NEG_SIGN_CFG = """\
 # attracting discontinuous forcing
@@ -242,6 +244,17 @@ class TestVerifyCommand:
         assert code == 1
         assert "rows" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("column, value", [("u", "nan"), ("zeta", "inf")])
+    def test_non_finite_csv_value_exits_1(self, tmp_path, capsys, column, value):
+        cfg = write_cfg(tmp_path, PRESCRIBED_CFG)
+        assert main(["solve", "--config", str(cfg)]) == 0
+        sol = tmp_path / "out" / "solution.csv"
+        rows = [line.split(",") for line in sol.read_text().splitlines()]
+        rows[5][rows[0].index(column)] = value
+        sol.write_text("\n".join(",".join(row) for row in rows) + "\n")
+        assert main(["verify", "--config", str(cfg), "--solution", str(sol)]) == 1
+        assert f"{sol}: non-finite value in row 6" in capsys.readouterr().err
+
     def test_wrong_mesh_shape_exits_1(self, tmp_path):
         cfg_small = write_cfg(tmp_path, PRESCRIBED_CFG, name="small.cfg")
         cfg_big = write_cfg(tmp_path,
@@ -296,7 +309,61 @@ def test_unusable_expression_exits_1(tmp_path, capsys, command, expr, detail):
     assert err.startswith("error: ") and repr(expr) in err and detail in err
 
 
+POWER_CFG = PRESCRIBED_CFG.replace(
+    "nonlinearity.kind = prescribed\nnonlinearity.value = 1.0",
+    "nonlinearity.kind = power\nnonlinearity.c = 1\nnonlinearity.r = 0.5")
+STEP_CFG = PRESCRIBED_CFG.replace(
+    "nonlinearity.kind = prescribed\nnonlinearity.value = 1.0",
+    "nonlinearity.kind = step\nnonlinearity.a = nan\nnonlinearity.b = 1")
+
+
+@pytest.mark.parametrize("command", ["solve", "verify", "sweep"])
+@pytest.mark.parametrize("text, detail", [
+    (PRESCRIBED_CFG + "solver.damping = 2\n", "damping must be in (0,1)"),
+    (POWER_CFG, "power exponent must be > 1"),
+    (PRESCRIBED_CFG + "nonlinearity.growth_q = 0.5\n", "growth_q must be > 1"),
+    (PRESCRIBED_CFG + "solver.inner_tol = nan\n", ":8: key 'solver.inner_tol' must be finite"),
+    (PRESCRIBED_CFG + "solver.outer_tol = -inf\n", ":8: key 'solver.outer_tol' must be finite"),
+    (STEP_CFG, ":6: key 'nonlinearity.a' must be finite"),
+], ids=["damping", "power-r", "growth_q", "inner_tol-nan", "outer_tol-inf", "step-a-nan"])
+def test_bad_value_exits_1_naming_the_file(tmp_path, capsys, command, text, detail):
+    cfg = write_cfg(tmp_path, text)
+    argv = [command, "--config", str(cfg)]
+    if command == "verify":
+        argv += ["--solution", str(tmp_path / "none.csv")]
+    if command == "sweep":
+        argv += ["--param", "n", "--values", "8"]
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {cfg}") and detail in err and "Traceback" not in err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("field", [f for f in dataclasses.fields(SolverOptions)
+                                   if f.name not in ("initial", "seed")],
+                         ids=lambda f: f.name)
+def test_solver_keys_are_the_option_fields(tmp_path, field):
+    cfg = write_cfg(tmp_path, PRESCRIBED_CFG + f"solver.{field.name} = {field.default}\n")
+    assert load_config(cfg).solver_options() == SolverOptions()
+
+
 class TestSweepCommand:
+    @pytest.mark.parametrize("param, values, detail", [
+        ("n", "8,abc", ":--values: key 'domain.n' expects int, got 'abc'"),
+        ("outer_tol", "1e-8,-1", "tolerances must be positive and finite"),
+        ("outer_tol", "nan", ":--values: key 'solver.outer_tol' must be finite"),
+        ("selection_rule", "mid,top", "unknown selection rule 'top'"),
+        ("refinement", "2", ":--values: key 'domain.refinement' is unknown or not used"),
+    ], ids=["n-abc", "outer_tol-negative", "outer_tol-nan", "rule-top", "refinement-interval"])
+    def test_bad_value_exits_1_before_any_run(self, tmp_path, capsys, param, values, detail):
+        cfg = write_cfg(tmp_path, PRESCRIBED_CFG)
+        code = main(["sweep", "--config", str(cfg), "--param", param,
+                     "--values", values, "--out", str(tmp_path / "sw")])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {cfg}") and detail in err and "Traceback" not in err
+        assert not (tmp_path / "sw").exists()
+
     def test_mesh_sweep_reports_convergence(self, tmp_path):
         cfg = write_cfg(tmp_path, PRESCRIBED_CFG)
         code = main(["sweep", "--config", str(cfg), "--param", "n",

@@ -14,7 +14,7 @@ from minkcurv.verify import random_feasible_field
 
 
 def cone_field(mesh, scale=1.0):
-    return Field.from_function(mesh, lambda x: scale * (1 - abs(x[0])),
+    return Field.from_function(mesh, lambda x: scale * (1 - abs(x[:, 0])),
                                dirichlet_zero=True)
 
 

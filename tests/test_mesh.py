@@ -235,9 +235,21 @@ class TestField:
 
     def test_from_function(self):
         m = build_interval_mesh(-1, 1, 8)
-        f = Field.from_function(m, lambda x: 1 - abs(x[0]), dirichlet_zero=True)
+        f = Field.from_function(m, lambda x: 1 - abs(x[:, 0]), dirichlet_zero=True)
         assert f.values[4] == pytest.approx(1.0)
         assert np.all(f.values[m.boundary_nodes] == 0.0)
+
+    def test_from_function_result_shape(self):
+        m = build_interval_mesh(-1, 1, 8)
+        assert np.all(Field.from_function(m, lambda x: 0.25).values == 0.25)
+        # the values are a copy: zeroing the boundary leaves the nodes alone
+        Field.from_function(m, lambda x: x[:, 0], dirichlet_zero=True)
+        assert m.nodes[0, 0] == -1.0
+        # a per-node function sees the whole array: x[0] is node 0, not a coordinate
+        with pytest.raises(MeshError, match=r"shape \(1,\) for 9 nodes"):
+            Field.from_function(m, lambda x: 1 - abs(x[0]))
+        with pytest.raises(MeshError, match=r"shape \(9, 1\)"):
+            Field.from_function(m, lambda x: x)
 
 
 class TestMeshIO:

@@ -63,7 +63,7 @@ class TestSolvePrescribed:
         m = build_interval_mesh(-1, 1, 64)
         opts = SolverOptions()
         cold = solve_prescribed(m, 1.0, opts)
-        bump = Field.from_function(m, lambda x: 0.5 * (1 - abs(x[0])),
+        bump = Field.from_function(m, lambda x: 0.5 * (1 - abs(x[:, 0])),
                                    dirichlet_zero=True)
         warm = solve_prescribed(m, 1.0, opts, initial=bump)
         assert np.abs(cold.values - warm.values).max() <= 10 * opts.inner_tol
@@ -95,7 +95,7 @@ class TestSolvePrescribed:
 
     def test_infeasible_initial_rejected(self):
         m = build_interval_mesh(-1, 1, 8)
-        steep = Field.from_function(m, lambda x: 2.0 * (1 - abs(x[0])),
+        steep = Field.from_function(m, lambda x: 2.0 * (1 - abs(x[:, 0])),
                                     dirichlet_zero=True)
         with pytest.raises(InnerSolveError):
             solve_prescribed(m, 1.0, initial=steep)
@@ -115,6 +115,12 @@ class TestSolvePrescribed:
         e[3] = math.nan
         with pytest.raises(ValueError):
             solve_prescribed(m, e)
+
+    @pytest.mark.parametrize("name", ["inner_tol", "outer_tol"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf, 0.0, -1.0])
+    def test_options_reject_bad_tolerances(self, name, value):
+        with pytest.raises(ValueError, match="positive and finite"):
+            SolverOptions(**{name: value})
 
 
 class TestSolveInclusion:

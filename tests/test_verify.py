@@ -49,7 +49,7 @@ class TestInclusionResidual:
         # level-widened one contains them
         m = build_interval_mesh(-1, 1, 64)
         h = m.mesh_size()
-        u = Field.from_function(m, lambda x: 0.1 * h * (1 - abs(x[0])),
+        u = Field.from_function(m, lambda x: 0.1 * h * (1 - abs(x[:, 0])),
                                 dirichlet_zero=True)
         widened = inclusion_residual(m, u, neg_sign())
         assert np.all(widened == 0.0)
