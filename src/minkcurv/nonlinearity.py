@@ -15,7 +15,7 @@ exactness matters.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from typing import Callable, Optional, Sequence
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -91,15 +91,15 @@ class NonlinearitySpec:
     exact_primitive: Optional[Callable[[np.ndarray, np.ndarray], np.ndarray]] = None
 
     def __post_init__(self):
-        if self.growth_c < 0:
-            raise ValueError(f"growth_c must be >= 0, got {self.growth_c}")
-        if not self.growth_q > 1:
-            raise ValueError(f"growth_q must be > 1, got {self.growth_q}")
+        if not 0 <= self.growth_c < np.inf:
+            raise ValueError(f"growth_c must be >= 0 and finite, got {self.growth_c}")
+        if not 1 < self.growth_q < np.inf:
+            raise ValueError(f"growth_q must be > 1 and finite, got {self.growth_q}")
         if self.jumps is not None:
             object.__setattr__(self, "jumps", tuple(self.jumps))
 
 
-_DEFAULT_DELTAS = (1e-2, 1e-3, 1e-4)
+_DEFAULT_DELTA = 1e-4
 _DEFAULT_SAMPLES = 64
 
 
@@ -157,20 +157,19 @@ def envelopes(spec: NonlinearitySpec, nodes, values, window: float):
     ignores `window`.
     """
     return _envelopes(spec, nodes, values, window,
-                      _DEFAULT_DELTAS[-1], _DEFAULT_SAMPLES)
+                      _DEFAULT_DELTA, _DEFAULT_SAMPLES)
 
 
 def bracket(spec: NonlinearitySpec, x, s: float, *,
-            deltas: Sequence[float] = _DEFAULT_DELTAS,
+            delta: float = _DEFAULT_DELTA,
             samples: int = _DEFAULT_SAMPLES) -> Bracket:
     """Envelope pair [f_lower, f_upper] at one point (x, s).
 
     The one-row case of `envelopes` with a zero window.  For black-box
-    rules the estimator samples the last window of `deltas` (earlier
-    windows are superseded) and the result is flagged approximate.
+    rules the estimator samples `samples` values on [s - delta, s + delta]
+    and the result is flagged approximate.
     """
-    lo, hi = _envelopes(spec, *_one_row(x, s), 0.0,
-                        deltas[-1] if deltas else 0.0, samples)
+    lo, hi = _envelopes(spec, *_one_row(x, s), 0.0, delta, samples)
     return Bracket(float(lo[0]), float(hi[0]), approximate=spec.jumps is None)
 
 

@@ -7,15 +7,19 @@ Objective and gradient come from the area kernel of `energy`; the exact
 Hessian blows up like (1-|g|^2)^(-3/2) near the constraint surface, so
 Newton directions are naturally repelled from it.  An increasing jump of f
 by c at `level` is the convex kink c * max(0, u_i - level) of the lumped
-energy, kept in the inner problem: Newton on the kinks' Moreau envelopes,
-gamma = 1, 0.1, ..., each stage pinning the nodes in the smoothing band at
-their level, until the pinned solution meets the inclusion exactly.
+energy.  Every inner solve keeps the kinks, a set that may be empty: Newton
+on their Moreau envelopes, gamma = 1, 0.1, ...  A stage whose solution has
+no node in a smoothing band is exact (each slope there is a subgradient of
+its kink), so with no kinks the first stage is the whole solve; otherwise
+the band nodes are pinned at their level and the problem solved again,
+until the pinned solution meets the inclusion exactly.
 
 Outer level: a selection fixed point for the rest of f, f minus its kinks
 (constant for `step` and `heaviside`, so one iteration suffices; all of f
-for `neg_sign`).  If the rest jumps, a stall triggers escape probes (the
-envelope and operator-projected selections as right-hand sides) that are
-accepted only on a strict energy decrease.
+for `neg_sign`).  Each stall makes one certificate pass, the run's
+certificate if the stall ends the loop.  If the rest jumps, escape probes
+(that pass's envelope and operator-projected selections as right-hand
+sides) are accepted only on a strict energy decrease.
 
 Certificate: with m = -grad psi / w and [lo, hi] the zero-window
 envelopes, convexity of psi gives for every feasible v, d = v - u,
@@ -131,35 +135,38 @@ def _operator_value(mesh: Mesh, values, margin: float):
 
 
 def _certificate(mesh: Mesh, spec: NonlinearitySpec, values, margin: float):
-    """(zeta, residuals, rho) at `values`: zeta projects m onto the brackets
-    widened within h of a jump level (a P1 solution crosses it between nodes)."""
+    """(zeta, residuals, rho, lo, hi) at `values`: [lo, hi] are the zero-window
+    brackets; zeta projects m onto the brackets widened within h of a jump
+    level (a P1 solution crosses it between nodes)."""
     m = _operator_value(mesh, values, margin)
     interior = mesh.interior_nodes
-    rho = _distance(m, *envelopes(spec, mesh.nodes, values, 0.0))[interior]
+    lo0, hi0 = envelopes(spec, mesh.nodes, values, 0.0)
     lo, hi = envelopes(spec, mesh.nodes, values, mesh.mesh_size())
     residuals = np.zeros(len(mesh.nodes))
     residuals[interior] = _distance(m, lo, hi)[interior]
-    return np.clip(m, lo, hi), residuals, float(np.dot(mesh.node_weight[interior], rho))
+    rho = float(np.dot(mesh.node_weight[interior], _distance(m, lo0, hi0)[interior]))
+    return np.clip(m, lo, hi), residuals, rho, lo0, hi0
 
 
 @dataclass(frozen=True)
 class _Kinks:
     """Increasing jumps as kinks sum_j jump[j] * max(0, u - level[j]), arrays
-    (J, N); `jump` is right - left where positive, else and on the boundary 0."""
+    (J, N) with J >= 0; `jump` is right - left where positive, else and on the
+    boundary 0."""
 
     level: np.ndarray
     jump: np.ndarray
 
     @classmethod
     def split(cls, mesh: Mesh, spec: NonlinearitySpec):
-        """(kinks or None, whether f minus its kinks still jumps)."""
+        """(kinks, whether f minus its kinks still jumps)."""
         n = len(mesh.nodes)
         jumps = [[np.full(n, rule(mesh.nodes), dtype=float) for rule in (j.level, j.left, j.right)]
                  for j in spec.jumps or ()]
         up = [(level, np.where(mesh.is_boundary, 0.0, np.maximum(right - left, 0.0)))
               for level, left, right in jumps]
         up = [pair for pair in up if pair[1].any()]
-        return (cls(*map(np.array, zip(*up))) if up else None,
+        return (cls(*map(np.array, zip(*up))) if up else _NO_KINKS,
                 spec.jumps is None or any(np.any(right < left) for _, left, right in jumps))
 
     def subdifferential(self, values):
@@ -176,6 +183,9 @@ class _Kinks:
         slope = np.clip(t / gamma, 0.0, self.jump)
         return ((slope * (t - 0.5 * gamma * slope)).sum(axis=0), slope.sum(axis=0),
                 (t > 0.0) & (t < gamma * self.jump))
+
+
+_NO_KINKS = _Kinks(np.zeros((0, 1)), np.zeros((0, 1)))  # broadcasts to any mesh
 
 
 # -- per-mesh Newton workspace ---------------------------------------------------
@@ -292,14 +302,14 @@ def _area_hessian(mesh: Mesh, ws: _NewtonWorkspace, root, Bg) -> sp.csc_matrix:
 
 
 def _solve_prescribed(mesh: Mesh, e, opts: SolverOptions, initial=None,
-                      objective_trace=None, kinked=None):
-    """Newton minimization of psi_h(w) + <e, w>_lumped over interior nodes.
+                      objective_trace=None, kinks=_NO_KINKS, gamma=1.0, pinned=None):
+    """Newton minimization over interior nodes of psi_h(w) + <e, w>_lumped
+    plus the lumped Moreau envelopes (smoothing `gamma`) of `kinks`.
 
     Returns (values, stats).  `e` is broadcast to one value per node.
     `objective_trace`, when a list, receives the objective value of every
-    accepted iterate (diagnostics for monotonicity checks).  `kinked` =
-    (kinks, gamma, pinned) adds the kinks' lumped Moreau envelopes and holds
-    the nodes of the boolean mask `pinned` at their initial values.
+    accepted iterate (diagnostics for monotonicity checks).  The nodes of
+    the boolean mask `pinned` (default: none) keep their initial values.
     """
     e = np.broadcast_to(np.asarray(e, dtype=float), (len(mesh.nodes),))
     if not np.all(np.isfinite(e)):
@@ -327,30 +337,24 @@ def _solve_prescribed(mesh: Mesh, e, opts: SolverOptions, initial=None,
         raise failure("initial iterate violates the working feasibility margin", math.inf)
 
     def objective(g2_local, vals):
-        obj = area_value(mesh, g2_local) + float(np.dot(linear[interior], vals[interior]))
-        if kinked is not None:
-            obj += float(np.dot(mesh.node_weight, kinks.smoothed(vals, gamma)[0]))
-        return obj
+        return (area_value(mesh, g2_local) + float(np.dot(linear[interior], vals[interior]))
+                + float(np.dot(mesh.node_weight, kinks.smoothed(vals, gamma)[0])))
 
     stats.max_value = float(np.abs(values).max())
     stats.max_gradient = float(np.sqrt(g2.max())) if g2.size else 0.0
 
     ws = _newton_workspace(mesh)
     order = ws.order
-    if kinked is not None:
-        kinks, gamma, pinned = kinked
-        fixed = pinned[order]
+    fixed = np.zeros(len(order), bool) if pinned is None else pinned[order]
     obj = objective(g2, values)
     if objective_trace is not None:
         objective_trace.append(obj)
     for _ in range(opts.max_inner + 1):
         # the Hessian reuses the kernel's root and B g
         full_grad, root, Bg = area_gradient(mesh, g, g2)
-        grad = full_grad[order] + linear[order]
-        if kinked is not None:
-            _, slope, band = kinks.smoothed(values, gamma)
-            grad += (mesh.node_weight * slope)[order]
-            grad[fixed] = 0.0
+        _, slope, band = kinks.smoothed(values, gamma)
+        grad = full_grad[order] + linear[order] + (mesh.node_weight * slope)[order]
+        grad[fixed] = 0.0
         residual = float(np.abs(grad).max()) if grad.size else 0.0
         if not math.isfinite(residual):
             raise failure("non-finite gradient encountered", residual)
@@ -364,10 +368,9 @@ def _solve_prescribed(mesh: Mesh, e, opts: SolverOptions, initial=None,
         # column reordering and no pivoting; pinned nodes get identity rows
         # (zero step).  The factor is used once, so one LU is alive at a time.
         hessian = _area_hessian(mesh, ws, root, Bg)
-        if kinked is not None:
-            hessian.data[ws.diagonal] += (mesh.node_weight * band.sum(axis=0) / gamma)[order]
-            hessian.data[fixed[ws.indices]] = 0.0
-            hessian.data[ws.diagonal[fixed]] = 1.0
+        hessian.data[ws.diagonal] += (mesh.node_weight * band.sum(axis=0) / gamma)[order]
+        hessian.data[fixed[ws.indices]] = 0.0
+        hessian.data[ws.diagonal[fixed]] = 1.0
         try:
             direction = splu(hessian, permc_spec="NATURAL", diag_pivot_thresh=0.0,
                              options=dict(SymmetricMode=True)).solve(-grad)
@@ -414,27 +417,30 @@ def solve_prescribed(mesh: Mesh, e, opts: SolverOptions | None = None,
     return Field(mesh, values, dirichlet_zero=True)
 
 
-# smoothing stages of the kinked inner solve, and its acceptance residual
+# smoothing stages of the inner solve, and the acceptance residual of a pinned one
 _MAX_STAGES = 13
 _KINK_TOL = 1e-8
 
 
-def _solve_kinked(mesh: Mesh, e, opts: SolverOptions, initial, kinks: _Kinks,
-                  stats_sink):
+def _inner_solve(mesh: Mesh, e, opts: SolverOptions, initial, kinks: _Kinks,
+                 stats_sink):
     """Minimizer of psi_h(w) + <e, w>_lumped + the lumped kinks (module
-    docstring); accepted when m - e is within _KINK_TOL of their subdifferential."""
+    docstring): a stage with no node in a smoothing band is exact; a pinned
+    solution is accepted when m - e is within _KINK_TOL of their subdifferential."""
     values, nodes = initial, np.arange(len(initial))
     for stage in range(_MAX_STAGES):
         gamma = 0.1 ** stage
-        values, stats = _solve_prescribed(
-            mesh, e, opts, initial=values, kinked=(kinks, gamma, np.zeros(len(nodes), bool)))
+        values, stats = _solve_prescribed(mesh, e, opts, initial=values,
+                                          kinks=kinks, gamma=gamma)
         stats_sink.append(stats)
         band = kinks.smoothed(values, gamma)[2]
         pinned = band.any(axis=0)
+        if not pinned.any():
+            return values
         trial = np.where(pinned, kinks.level[band.argmax(axis=0), nodes], values)
         try:
             trial, stats = _solve_prescribed(mesh, e, opts, initial=trial,
-                                             kinked=(kinks, gamma, pinned))
+                                             kinks=kinks, gamma=gamma, pinned=pinned)
         except InnerSolveError:
             continue  # e.g. pinning left the feasible set: smaller band next
         stats_sink.append(stats)
@@ -445,24 +451,23 @@ def _solve_kinked(mesh: Mesh, e, opts: SolverOptions, initial, kinks: _Kinks,
     return values
 
 
-def _escape_probe(mesh, spec, opts, u, I_u, zeta, kinks, solve):
+def _escape_probe(mesh, spec, opts, u, I_u, zeta, certificate, kinks, stats_sink):
     """(values, energy) of the best strictly improving probe at a stall, or None.
 
-    The probes are the two envelope selections and the operator-projected
-    one, less the kinks' slopes, each solved by `solve(e, initial)` unless
-    it equals the current selection `zeta` at every interior node.
+    The probes are the two zero-window envelope selections and the
+    operator-projected one of the `_certificate` record at u, less the
+    kinks' slopes, each solved by `_inner_solve` from u unless it equals the
+    current selection `zeta` at every interior node.
     """
-    lo, hi = envelopes(spec, mesh.nodes, u, window=0.0)
-    proj = np.clip(_operator_value(mesh, u, opts.working_margin),
-                   *envelopes(spec, mesh.nodes, u, mesh.mesh_size()))
-    kink_slope = 0.0 if kinks is None else kinks.subdifferential(u)[0]
+    proj, _, _, lo, hi = certificate
+    kink_slope = kinks.subdifferential(u)[0]
     interior = mesh.interior_nodes
     best = None
     for e in (lo - kink_slope, hi - kink_slope, proj - kink_slope):
         if np.array_equal(e[interior], zeta[interior]):
             continue
         try:
-            vals = solve(e, u)
+            vals = _inner_solve(mesh, e, opts, u, kinks, stats_sink)
         except InnerSolveError:
             continue
         I_v = total_energy(mesh, Field(mesh, vals, dirichlet_zero=True), spec)
@@ -487,19 +492,10 @@ def solve_inclusion(mesh: Mesh, spec: NonlinearitySpec,
     interior = mesh.interior_nodes
     stats_all = []
 
-    def solve(e, initial):
-        if kinks is not None:
-            return _solve_kinked(mesh, e, opts, initial, kinks, stats_all)
-        values, stats = _solve_prescribed(mesh, e, opts, initial=initial)
-        stats_all.append(stats)
-        return values
-
     def rest_selection(values):
         # f's selection less the kinks' at the same rule: on a kink's level
         # the rest is continuous, with the value of f just below the level
         zeta = selection(spec, mesh.nodes, values, opts.selection_rule)
-        if kinks is None:
-            return zeta
         k_lo, k_hi = kinks.subdifferential(values)
         return zeta - {"lo": k_lo, "hi": k_hi, "mid": 0.5 * (k_lo + k_hi)}[opts.selection_rule]
 
@@ -510,22 +506,25 @@ def solve_inclusion(mesh: Mesh, spec: NonlinearitySpec,
     while outer < opts.max_outer:
         outer += 1
         zeta = rest_selection(u)
-        cand = solve(zeta, u)
+        cand = _inner_solve(mesh, zeta, opts, u, kinks, stats_all)
         step = float(np.abs(cand - u).max())
         zeta_next = rest_selection(cand)
         u = cand
         I_u = total_energy(mesh, Field(mesh, u, dirichlet_zero=True), spec)
         trace.append(I_u)
         if step <= opts.outer_tol or np.array_equal(zeta_next[interior], zeta[interior]):
+            certificate = _certificate(mesh, spec, u, opts.working_margin)
             improved = rest_jumps and _escape_probe(mesh, spec, opts, u, I_u, zeta_next,
-                                                    kinks, solve)
+                                                    certificate, kinks, stats_all)
             if not improved:
                 fixed_point = True
                 break
             u, I_u = improved
             trace.append(I_u)
 
-    zeta, residuals, rho = _certificate(mesh, spec, u, opts.working_margin)
+    if not fixed_point:  # max_outer ended the loop: no pass at this u yet
+        certificate = _certificate(mesh, spec, u, opts.working_margin)
+    zeta, residuals, rho = certificate[:3]
     return SolveResult(
         u=Field(mesh, u, dirichlet_zero=True), zeta=zeta,
         inner_iterations=sum(s.iterations for s in stats_all),

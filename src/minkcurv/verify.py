@@ -44,24 +44,21 @@ def windowed_envelopes(mesh: Mesh, spec: NonlinearitySpec, values,
 
 
 def inclusion_residual(mesh: Mesh, u: Field, spec: NonlinearitySpec,
-                       bracket_slack: float = 0.0,
                        jump_window: Optional[float] = None,
                        margin: float = 1e-9) -> np.ndarray:
     """Distance of the discrete operator value to the envelope bracket.
 
     Returns one residual per node (zero at boundary nodes, which carry the
-    Dirichlet condition instead).  `bracket_slack` widens every bracket
-    symmetrically; `jump_window` (default: the mesh size h) is the value
-    tolerance within which a node counts as sitting on a jump level, in
-    which case the bracket is widened to the whole jump interval.
+    Dirichlet condition instead).  `jump_window` (default: the mesh size h)
+    is the value tolerance within which a node counts as sitting on a jump
+    level, in which case the bracket is widened to the whole jump interval.
     """
     lo, hi = windowed_envelopes(mesh, spec, u.values, window=jump_window)
     grad = psi_gradient(mesh, u, margin=margin)
     out = np.zeros(len(mesh.nodes))
     idx = mesh.interior_nodes
     m = -grad[idx] / mesh.node_weight[idx]
-    out[idx] = np.maximum(0.0, np.maximum(lo[idx] - bracket_slack - m,
-                                          m - hi[idx] - bracket_slack)) + 0.0
+    out[idx] = np.maximum(0.0, np.maximum(lo[idx] - m, m - hi[idx])) + 0.0
     return out
 
 

@@ -77,8 +77,8 @@ class TestEstimatorMode:
         with_meta, blind = self.smooth_sides()
         exact = bracket(with_meta, X, 0.0)
         errs = []
-        for deltas in [(1e-2,), (1e-2, 1e-3), (1e-2, 1e-3, 1e-4)]:
-            est = bracket(blind, X, 0.0, deltas=deltas)
+        for delta in (1e-2, 1e-3, 1e-4):
+            est = bracket(blind, X, 0.0, delta=delta)
             errs.append(abs(est.lo - exact.lo) + abs(est.hi - exact.hi))
         assert errs[0] > errs[1] > errs[2]
 
@@ -87,8 +87,8 @@ class TestEstimatorMode:
         # strictly inside the window
         f = NonlinearitySpec(evaluate=lambda x, s: np.sin(50 * s), jumps=None,
                              growth_c=1.0, growth_q=2.0)
-        coarse = bracket(f, X, 0.0, deltas=(0.05,), samples=8)
-        fine = bracket(f, X, 0.0, deltas=(0.05,), samples=512)
+        coarse = bracket(f, X, 0.0, delta=0.05, samples=8)
+        fine = bracket(f, X, 0.0, delta=0.05, samples=512)
         assert abs(fine.lo + 1.0) < abs(coarse.lo + 1.0)
         assert abs(fine.lo + 1.0) <= 1e-3
 
@@ -347,7 +347,7 @@ class TestArrayBracketsMatchPerNodeReference:
             calls.append(len(s))
             return np.sin(50 * s)
         br = bracket(NonlinearitySpec(evaluate=ev, jumps=None), X, 0.0,
-                     deltas=(1e-2, 1e-3, 1e-4), samples=64)
+                     delta=1e-4, samples=64)
         assert calls == [64]
         assert br.approximate
 
@@ -412,6 +412,14 @@ class TestSpecValidation:
             NonlinearitySpec(evaluate=lambda x, s: 0.0, growth_c=-1.0)
         with pytest.raises(ValueError):
             NonlinearitySpec(evaluate=lambda x, s: 0.0, growth_q=1.0)
+
+    @pytest.mark.parametrize("key", ["growth_c", "growth_q"])
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_non_finite_growth_constant_rejected(self, key, value):
+        # nan passes every order comparison the other way: `bounds` would
+        # then return nan for C1, C2 and the lower bound
+        with pytest.raises(ValueError, match=key):
+            NonlinearitySpec(evaluate=lambda x, s: 0.0, **{key: value})
 
     def test_power_requires_superlinear(self):
         with pytest.raises(ValueError):

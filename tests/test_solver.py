@@ -20,7 +20,7 @@ from minkcurv.solver import (InnerSolveError, SolverOptions, _area_hessian,
                              _newton_workspace, _solve_prescribed,
                              solve_inclusion, solve_prescribed,
                              stationarity_measure)
-from minkcurv.verify import (boundary_distance_cone, brute_force_minimize,
+from minkcurv.verify import (analytic_radial, boundary_distance_cone, brute_force_minimize,
                              inclusion_residual, random_feasible_field)
 
 SQRT2 = math.sqrt(2.0)
@@ -369,6 +369,81 @@ class TestIncreasingJumps:
         if n == 4:
             _, brute = brute_force_minimize(mesh, mixed_rule(), 0.01)
             assert abs(res.energy - brute) <= 1e-3
+
+
+def counting(monkeypatch, name):
+    """Count the calls the solver makes to its module attribute `name`."""
+    calls = []
+    original = getattr(solver, name)
+
+    def wrapper(*args, **kwargs):
+        calls.append(name)
+        return original(*args, **kwargs)
+    monkeypatch.setattr(solver, name, wrapper)
+    return calls
+
+
+class TestSingleInnerPath:
+    @pytest.mark.parametrize("spec, rows, rest_jumps", [
+        (neg_sign(), 0, True), (constant(1.0), 0, False), (step(-1.0, 1.0, 0.25), 1, False),
+        (step(1.0, -1.0, 0.1), 0, True),
+        (NonlinearitySpec(evaluate=lambda x, s: -np.sign(s), jumps=None), 0, True),
+    ], ids=["neg_sign", "constant", "step-up", "step-down", "black-box"])
+    def test_kink_split(self, spec, rows, rest_jumps):
+        mesh = build_interval_mesh(-1, 1, 16)
+        kinks, rest = solver._Kinks.split(mesh, spec)
+        assert kinks.level.shape[0] == kinks.jump.shape[0] == rows
+        assert rest is rest_jumps
+        # an empty kink set adds nothing at any field
+        values = np.linspace(-0.5, 0.5, len(mesh.nodes))
+        if rows == 0:
+            value, slope, band = kinks.smoothed(values, 1.0)
+            assert not value.any() and not slope.any() and not band.any()
+            assert all(not part.any() for part in kinks.subdifferential(values))
+
+    def test_one_certificate_pass_per_stall(self, monkeypatch):
+        # two stalls (the first one's probe is accepted), no pass after the loop
+        envelope_calls = counting(monkeypatch, "envelopes")
+        gradient_calls = counting(monkeypatch, "psi_gradient")
+        res = solve_inclusion(build_interval_mesh(-1, 1, 64), neg_sign())
+        assert res.converged and res.outer_iterations == 2
+        assert len(envelope_calls) == 4
+        assert len(gradient_calls) == 2
+
+    def test_stage_without_band_nodes_ends_the_solve(self, monkeypatch):
+        calls = counting(monkeypatch, "_solve_prescribed")
+        res = solve_inclusion(build_disk_mesh(1.0, 4), heaviside())
+        assert res.converged and np.all(res.u.values == 0.0)
+        assert len(calls) == 1
+
+    def test_probe_accepted_on_the_last_iteration(self):
+        # max_outer ends the loop right after a probe moved u: the reported
+        # certificate belongs to the returned u, not to the stall before it
+        m = build_interval_mesh(-1, 1, 64)
+        spec, opts = neg_sign(), SolverOptions(max_outer=1)
+        res = solve_inclusion(m, spec, opts)
+        assert not res.converged and len(res.energy_trace) == 3
+        assert res.stationarity == stationarity_measure(m, res.u, spec,
+                                                        margin=opts.working_margin)
+        ref = inclusion_residual(m, res.u, spec, margin=opts.working_margin)
+        assert np.array_equal(res.residuals, ref)
+
+
+class TestConvergenceOrder:
+    def test_interval_cap_energy_is_second_order(self):
+        errs = [abs(solve_inclusion(build_interval_mesh(-1, 1, n), neg_sign()).energy
+                    - CAP_ENERGY) for n in (256, 1024, 4096)]
+        orders = [math.log(errs[k] / errs[k + 1], 4.0) for k in range(2)]
+        assert all(1.95 <= p <= 2.05 for p in orders), orders
+
+    def test_disk_prescribed_linf_order(self):
+        errs = []
+        for refinement in (2, 3, 4, 5):
+            mesh = build_disk_mesh(1.0, refinement)
+            exact = analytic_radial(2.0, 1.0, 2).on_mesh(mesh).values
+            errs.append(float(np.abs(solve_prescribed(mesh, 2.0).values - exact).max()))
+        orders = [math.log2(errs[k] / errs[k + 1]) for k in range(3)]
+        assert all(p >= 1.75 for p in orders), orders
 
 
 class TestSolverOptions:

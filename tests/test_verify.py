@@ -37,12 +37,6 @@ class TestInclusionResidual:
         assert np.allclose(res[m.interior_nodes], 1.0)
         assert np.all(res[m.boundary_nodes] == 0.0)
 
-    def test_bracket_slack_shrinks_residual(self):
-        m = build_interval_mesh(-1, 1, 64)
-        res = inclusion_residual(m, Field.zero(m), constant(1.0),
-                                 bracket_slack=0.25)
-        assert np.allclose(res[m.interior_nodes], 0.75)
-
     def test_jump_window_widens_near_levels(self):
         # a small positive cone sits just above the jump level everywhere:
         # the raw bracket {-1} misses the tiny operator values, the
