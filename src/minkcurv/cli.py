@@ -30,7 +30,7 @@ from . import svg
 from .energy import bounds
 from .mesh import (Field, Mesh, build_disk_mesh, build_interval_mesh,
                    build_rectangle_mesh, inradius, read_mesh)
-from .nonlinearity import CATALOG, NonlinearitySpec, from_catalog
+from .nonlinearity import CATALOG, NonlinearitySpec, from_catalog, jump_limits
 from .solver import InnerSolveError, SolveResult, SolverOptions, solve_inclusion
 from .verify import analytic_radial, format_report, verification_report
 
@@ -218,6 +218,7 @@ def load_config(path) -> RunConfig:
 
 def _validate(path: Path, cfg: dict) -> RunConfig:
     """The run that `cfg` ({key: (value, where)}, emptied here) describes."""
+    where = {key: f"{path}:{no}" for key, (_, no) in cfg.items()}
     typed = partial(_typed, path, cfg)
     kind = typed("domain.kind", str, required=True, choices=_DOMAINS)
     domain = {name: typed(f"domain.{name}", t, required=True)
@@ -232,7 +233,6 @@ def _validate(path: Path, cfg: dict) -> RunConfig:
     nl = {key: typed(f"nonlinearity.{key}", float, default=default, required=default is None)
           for key, default in _CATALOG_PARAMS.get(nl_kind, {}).items()}
     if nl_kind == "prescribed":
-        expr_no = cfg.get("nonlinearity.expression", (None, None))[1]
         nl = _present(typed, cfg, "nonlinearity", dict(
             value=float, expression=str, growth_c=float, growth_q=float))
         if ("value" in nl) == ("expression" in nl):
@@ -240,8 +240,15 @@ def _validate(path: Path, cfg: dict) -> RunConfig:
                 f"{path}: prescribed forcing needs exactly one of nonlinearity.value "
                 "or nonlinearity.expression")
         e_fn = ((lambda nodes, v=nl["value"]: v) if "value" in nl
-                else _expression_fn(nl["expression"], f"{path}:{expr_no}"))
+                else _expression_fn(nl["expression"], where["nonlinearity.expression"]))
     solver = _present(typed, cfg, "solver", _SOLVER_KEYS)
+    # one key at a time onto valid options, so a range error names its key's line
+    options = SolverOptions()
+    for name, value in solver.items():
+        try:
+            options = replace(options, **{name: value})
+        except ValueError as err:
+            raise ConfigError(f"{where['solver.' + name]}: {err}") from None
     # the rules check their own ranges
     try:
         if nl_kind == "prescribed":
@@ -252,7 +259,6 @@ def _validate(path: Path, cfg: dict) -> RunConfig:
                 name="prescribed", exact_primitive=lambda nodes, s: e_fn(nodes) * s)
         else:
             spec = from_catalog(nl_kind, **nl)
-        options = SolverOptions(**solver)
     except ValueError as err:
         raise ConfigError(f"{path}: {err}") from None
 
@@ -351,9 +357,8 @@ def write_report(path, mesh, spec, result: SolveResult, energy_bounds) -> None:
 
 def _write_svg(out_dir: Path, mesh: Mesh, spec, result: SolveResult) -> None:
     if mesh.dim == 1:
-        mid = mesh.nodes.mean(axis=0, keepdims=True)
-        levels = [float(np.full(1, j.level(mid))[0]) for j in spec.jumps]
-        doc = svg.field_svg_1d(mesh, result.u.values, guide_levels=levels,
+        levels = jump_limits(spec, mesh.nodes.mean(axis=0, keepdims=True))[0][:, 0]
+        doc = svg.field_svg_1d(mesh, result.u.values, guide_levels=levels.tolist(),
                                title=f"u ({spec.name})")
         (out_dir / "solution.svg").write_text(doc)
     elif mesh.dim == 2:

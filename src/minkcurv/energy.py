@@ -122,7 +122,7 @@ def script_f(mesh: Mesh, field: Field, spec: NonlinearitySpec) -> float:
     """Lumped potential term: sum of node_weight * F(x_i, v_i).
 
     One array call of the spec's closed-form primitive when it has one;
-    otherwise F is integrated numerically node by node (see `primitive_array`).
+    otherwise one batched quadrature over all nodes (see `primitive_array`).
     """
     return float(np.dot(mesh.node_weight,
                         primitive_array(spec, mesh.nodes, field.values)))

@@ -124,12 +124,9 @@ class Mesh:
 
     def mesh_size(self):
         """Longest element edge, the discretization parameter h."""
-        h = 0.0
-        for a in range(self.dim + 1):
-            for b in range(a + 1, self.dim + 1):
-                e = self.nodes[self.elements[:, a]] - self.nodes[self.elements[:, b]]
-                h = max(h, float(np.sqrt((e * e).sum(axis=1)).max()))
-        return h
+        a, b = np.triu_indices(self.dim + 1, 1)
+        e = self.nodes[self.elements[:, a]] - self.nodes[self.elements[:, b]]
+        return float(np.sqrt((e * e).sum(axis=-1)).max())
 
     def __repr__(self):
         return (f"Mesh(dim={self.dim}, nodes={len(self.nodes)}, "
@@ -199,23 +196,13 @@ def build_rectangle_mesh(lx: float, ly: float, nx: int, ny: int) -> Mesh:
         raise MeshError(f"rectangle sides must be positive, got {lx} x {ly}")
     if nx < 1 or ny < 1:
         raise MeshError(f"subdivision counts must be positive, got {nx} x {ny}")
-    xs = np.linspace(0.0, lx, nx + 1)
-    ys = np.linspace(0.0, ly, ny + 1)
-    nodes = np.array([(x, y) for y in ys for x in xs])
-
-    def idx(i, j):
-        return j * (nx + 1) + i
-
-    elements = []
-    for j in range(ny):
-        for i in range(nx):
-            v00, v10 = idx(i, j), idx(i + 1, j)
-            v01, v11 = idx(i, j + 1), idx(i + 1, j + 1)
-            elements.append((v00, v10, v11))
-            elements.append((v00, v11, v01))
-    boundary = [idx(i, j) for j in range(ny + 1) for i in range(nx + 1)
-                if i in (0, nx) or j in (0, ny)]
-    return Mesh(nodes, np.array(elements), boundary)
+    x, y = np.meshgrid(np.linspace(0.0, lx, nx + 1), np.linspace(0.0, ly, ny + 1))
+    idx = np.arange(x.size).reshape(x.shape)  # node (i, j) is idx[j, i]
+    v00, v10, v01, v11 = idx[:-1, :-1], idx[:-1, 1:], idx[1:, :-1], idx[1:, 1:]
+    # each cell, row by row, gives (v00, v10, v11) then (v00, v11, v01)
+    elements = np.stack([v00, v10, v11, v00, v11, v01], axis=-1).reshape(-1, 3)
+    boundary = np.setdiff1d(idx, idx[1:-1, 1:-1])
+    return Mesh(np.column_stack([x.ravel(), y.ravel()]), elements, boundary)
 
 
 def build_disk_mesh(radius: float, refinement: int) -> Mesh:
@@ -230,44 +217,28 @@ def build_disk_mesh(radius: float, refinement: int) -> Mesh:
         raise MeshError(f"disk radius must be positive, got {radius}")
     if refinement < 0:
         raise MeshError(f"refinement must be >= 0, got {refinement}")
-    nodes = [(0.0, 0.0)]
-    for k in range(6):
-        t = math.pi * k / 3.0
-        nodes.append((radius * math.cos(t), radius * math.sin(t)))
-    elements = [(0, 1 + k, 1 + (k + 1) % 6) for k in range(6)]
-    rim_edges = {frozenset((1 + k, 1 + (k + 1) % 6)) for k in range(6)}
-    boundary = set(range(1, 7))
-
+    nodes = np.array([(0.0, 0.0)] + [(radius * math.cos(math.pi * k / 3.0),
+                                      radius * math.sin(math.pi * k / 3.0)) for k in range(6)])
+    elements = np.array([(0, 1 + k, 1 + (k + 1) % 6) for k in range(6)])
+    boundary = [np.arange(1, 7)]
     for _ in range(refinement):
-        midpoint = {}
-
-        def split(a, b):
-            key = frozenset((a, b))
-            if key in midpoint:
-                return midpoint[key]
-            m = 0.5 * (np.asarray(nodes[a]) + np.asarray(nodes[b]))
-            if key in rim_edges:
-                m = m * (radius / np.hypot(m[0], m[1]))
-            nodes.append(tuple(m))
-            midpoint[key] = len(nodes) - 1
-            return midpoint[key]
-
-        new_elements = []
-        for (a, b, c) in elements:
-            mab, mbc, mca = split(a, b), split(b, c), split(c, a)
-            new_elements += [(a, mab, mca), (mab, b, mbc),
-                             (mca, mbc, c), (mab, mbc, mca)]
-        new_rim = set()
-        for edge in rim_edges:
-            a, b = tuple(edge)
-            m = midpoint[edge]
-            boundary.add(m)
-            new_rim.add(frozenset((a, m)))
-            new_rim.add(frozenset((m, b)))
-        elements = new_elements
-        rim_edges = new_rim
-
-    return Mesh(np.array(nodes), np.array(elements), boundary)
+        # edges (a, b), (b, c), (c, a) of every element; new nodes are
+        # numbered in the order their edges first appear
+        edges = np.sort(elements[:, [0, 1, 1, 2, 2, 0]].reshape(-1, 2), axis=1)
+        _, first, edge_of, count = np.unique(edges[:, 0] * len(nodes) + edges[:, 1],
+                                             return_index=True, return_inverse=True,
+                                             return_counts=True)
+        order = np.argsort(first)
+        number = len(nodes) + np.argsort(order)
+        mids = 0.5 * (nodes[edges[first[order], 0]] + nodes[edges[first[order], 1]])
+        # a rim edge belongs to one element; its midpoint goes onto the circle
+        rim = count[order] == 1
+        mids[rim] *= (radius / np.hypot(*mids[rim].T))[:, None]
+        boundary.append(len(nodes) + np.flatnonzero(rim))
+        nodes = np.vstack([nodes, mids])
+        (a, b, c), (ab, bc, ca) = elements.T, number[edge_of].reshape(-1, 3).T
+        elements = np.column_stack([a, ab, ca, ab, b, bc, ca, bc, c, ab, bc, ca]).reshape(-1, 3)
+    return Mesh(nodes, elements, np.concatenate(boundary))
 
 
 # -- element-level evaluation -------------------------------------------------
@@ -304,11 +275,12 @@ def inradius(mesh: Mesh) -> float:
     segments to the boundary cross elements of slope at most one), so it
     serves as the discrete uniform bound on the feasible set.
     """
-    if mesh.interior_nodes.size == 0:
-        return 0.0
-    tree = cKDTree(mesh.nodes[mesh.boundary_nodes])
-    dist, _ = tree.query(mesh.nodes[mesh.interior_nodes])
-    return float(dist.max())
+    return float(_boundary_distance(mesh).max(initial=0.0))
+
+
+def _boundary_distance(mesh: Mesh) -> np.ndarray:
+    """Distance from each interior node to the nearest boundary node."""
+    return cKDTree(mesh.nodes[mesh.boundary_nodes]).query(mesh.nodes[mesh.interior_nodes])[0]
 
 
 # -- trial fields --------------------------------------------------------------
@@ -376,9 +348,7 @@ def random_feasible_field(mesh: Mesh, rng, max_gradient: float = 0.9,
 def boundary_distance_cone(mesh: Mesh, max_gradient: float = 0.9) -> Field:
     """Distance-to-boundary-nodes field rescaled to the given gradient bound."""
     vals = np.zeros(len(mesh.nodes))
-    tree = cKDTree(mesh.nodes[mesh.boundary_nodes])
-    d, _ = tree.query(mesh.nodes[mesh.interior_nodes])
-    vals[mesh.interior_nodes] = d
+    vals[mesh.interior_nodes] = _boundary_distance(mesh)
     gmax = max_gradient_norm(mesh, vals)
     if gmax > 0.0:
         vals *= max_gradient / gmax
@@ -391,15 +361,11 @@ def boundary_distance_cone(mesh: Mesh, max_gradient: float = 0.9) -> Field:
 def write_mesh(mesh: Mesh, path) -> None:
     """Write a mesh in the plain-text exchange format."""
     with open(path, "w") as fh:
-        fh.write(f"dim {mesh.dim}\n")
-        fh.write(f"nodes {len(mesh.nodes)}\n")
-        for x in mesh.nodes:
-            fh.write(" ".join(f"{c:.17g}" for c in x) + "\n")
+        fh.write(f"dim {mesh.dim}\nnodes {len(mesh.nodes)}\n")
+        np.savetxt(fh, mesh.nodes, fmt="%.17g")
         fh.write(f"elements {len(mesh.elements)}\n")
-        for e in mesh.elements:
-            fh.write(" ".join(str(int(i)) for i in e) + "\n")
-        fh.write("boundary\n")
-        fh.write(" ".join(str(int(i)) for i in mesh.boundary_nodes) + "\n")
+        np.savetxt(fh, mesh.elements, fmt="%d")
+        fh.write("boundary\n" + " ".join(str(int(i)) for i in mesh.boundary_nodes) + "\n")
 
 
 def read_mesh(path) -> Mesh:

@@ -113,6 +113,15 @@ def _one_row(x, s):
     return np.asarray(x, dtype=float).reshape(1, -1), np.array([float(s)])
 
 
+def jump_limits(spec: NonlinearitySpec, nodes):
+    """(level, left, right) of the declared jumps at nodes (K, d), each (J, K);
+    J = 0 for a continuous or black-box rule.  The only caller of the jump rules."""
+    jumps, k = spec.jumps or (), len(nodes)
+    limits = np.array([[_per_node(rule(nodes), k) for rule in (j.level, j.left, j.right)]
+                       for j in jumps]).reshape(len(jumps), 3, k)
+    return limits.transpose(1, 0, 2)
+
+
 def _envelopes(spec: NonlinearitySpec, nodes, values, window: float,
                delta: float, samples: int):
     """Envelope arrays (lo, hi) at K points; see `envelopes`.
@@ -128,19 +137,13 @@ def _envelopes(spec: NonlinearitySpec, nodes, values, window: float,
         f = _per_node(spec.evaluate(np.repeat(nodes, samples, axis=0), t.ravel()),
                       t.size).reshape(k, samples)
         return f.min(axis=1), f.max(axis=1)
-    lo = _per_node(spec.evaluate(nodes, values), k)
-    hi = lo.copy()
-    limits = [(_per_node(j.level(nodes), k), _per_node(j.left(nodes), k),
-               _per_node(j.right(nodes), k)) for j in spec.jumps]
-    # exactly on a level f is not used: the jump intervals alone make the bracket
-    for level, _, _ in limits:
-        on = values == level
-        lo[on], hi[on] = np.inf, -np.inf
-    for level, a, b in limits:
-        near = (values == level) | (np.abs(values - level) <= window)
-        np.minimum(lo, np.minimum(a, b), out=lo, where=near)
-        np.maximum(hi, np.maximum(a, b), out=hi, where=near)
-    return lo, hi
+    f = _per_node(spec.evaluate(nodes, values), k)
+    level, left, right = jump_limits(spec, nodes)
+    # f itself unless s is exactly on a level, and the limits of each jump near s
+    on = values == level
+    use = np.vstack([~on.any(axis=0), on | (np.abs(values - level) <= window)])
+    return (np.where(use, np.vstack([f, np.minimum(left, right)]), np.inf).min(axis=0),
+            np.where(use, np.vstack([f, np.maximum(left, right)]), -np.inf).max(axis=0))
 
 
 def envelopes(spec: NonlinearitySpec, nodes, values, window: float):
@@ -207,77 +210,67 @@ def selection(spec: NonlinearitySpec, nodes, values, rule: str = "mid"):
     return float(sel[0]) if point else sel
 
 
-def _gauss_panel(fn, a: float, b: float) -> float:
-    """7-point Gauss rule on [a, b]; `fn` maps the 7 abscissae to 7 values."""
-    mid, half = 0.5 * (a + b), 0.5 * (b - a)
-    return half * float(np.dot(_GAUSS_W, fn(mid + half * _GAUSS_X)))
+def _gauss(spec: NonlinearitySpec, nodes, lo, hi):
+    """7-point Gauss rule of f(x_p, .) on [lo, hi] for all panels in one
+    `evaluate` call: nodes (P, d), lo and hi (P, n) for n panels a point."""
+    mid, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
+    t = mid[..., None] + half[..., None] * _GAUSS_X
+    f = _per_node(spec.evaluate(np.repeat(nodes, t[0].size, axis=0), t.ravel()), t.size)
+    return half * (f.reshape(t.shape) * _GAUSS_W).sum(axis=-1)
 
 
-def _adaptive_gauss(fn, a: float, b: float, rel_tol: float, max_depth: int = 40) -> float:
-    whole = _gauss_panel(fn, a, b)
-    stack = [(a, b, whole, 0)]
-    total = 0.0
-    while stack:
-        a0, b0, coarse, depth = stack.pop()
-        m = 0.5 * (a0 + b0)
-        left, right = _gauss_panel(fn, a0, m), _gauss_panel(fn, m, b0)
-        err = abs(left + right - coarse)
-        scale = max(abs(left + right), abs(whole), 1e-300)
-        if err <= rel_tol * scale or (b0 - a0) < 1e-15 * max(abs(a), abs(b), 1.0):
-            total += left + right
-        elif depth >= max_depth:
-            raise QuadratureError(
-                f"quadrature stalled on [{a0:g},{b0:g}] after {max_depth} subdivisions",
-                achieved=err / scale)
-        else:
-            stack.append((a0, m, left, depth + 1))
-            stack.append((m, b0, right, depth + 1))
-    return total
-
-
-def primitive(spec: NonlinearitySpec, x, s: float, rel_tol: float = 1e-10) -> float:
-    """The primitive F(x, s), the integral of f(x, .) from 0 to s.
-
-    Uses the spec's `exact_primitive` when it has one (every catalog rule
-    does), so scalar and array callers agree.  Otherwise splits at declared
-    jump levels strictly inside the integration range, then integrates each
-    smooth piece with adaptive 7-point Gauss panels subdivided until the
-    relative tolerance is met.  For s < 0 the usual orientation convention
-    applies (the result is minus the integral over (s, 0)).
-    """
-    x, s_row = _one_row(x, s)
-    if spec.exact_primitive is not None:
-        return float(spec.exact_primitive(x, s_row)[0])
-    s = float(s_row[0])
-    if s == 0.0:
-        return 0.0
-    a, b, sign = (0.0, s, 1.0) if s > 0 else (s, 0.0, -1.0)
-    cuts = [a, b]
-    for j in spec.jumps or ():
-        lv = float(_per_node(j.level(x), 1)[0])
-        if a < lv < b:
-            cuts.append(lv)
-    cuts = sorted(set(cuts))
-    panel = np.repeat(x, _GAUSS_X.size, axis=0)
-    total = 0.0
-    for lo, hi in zip(cuts[:-1], cuts[1:]):
-        total += _adaptive_gauss(lambda t: _per_node(spec.evaluate(panel, t), t.size),
-                                 lo, hi, rel_tol)
-    return sign * total
+_MAX_DEPTH, _MAX_PANELS = 40, 1 << 18  # halvings of a panel; open panels of a level
 
 
 def primitive_array(spec: NonlinearitySpec, nodes, values,
                     rel_tol: float = 1e-10) -> np.ndarray:
-    """F(x_k, s_k) for K points at once: nodes (K, d), values (K,).
+    """F(x_k, s_k), the integral of f(x_k, .) from 0 to s_k, at nodes (K, d)
+    and values (K,): the only primitive code, `primitive` is its one-row case.
 
-    One call of the closed form when the spec has one, else `primitive`
-    point by point.
+    The spec's `exact_primitive` when it has one (every catalog rule does).
+    Otherwise the pieces of (0, s) between declared jump levels, of all
+    points at once, are integrated by adaptive 7-point Gauss panels: one
+    `evaluate` call per level, halving each panel whose halves differ from
+    it by more than `rel_tol` of its piece.  `QuadratureError` after 40
+    halvings, beyond 2^18 open panels, or for a non-finite s or f.  For
+    s < 0 the result is minus the integral over (s, 0).
     """
     nodes = np.asarray(nodes, dtype=float)
     values = np.asarray(values, dtype=float)
     if spec.exact_primitive is not None:
         return np.asarray(spec.exact_primitive(nodes, values), dtype=float)
-    return np.array([primitive(spec, x, s, rel_tol) for x, s in zip(nodes, values)])
+    a, b = np.minimum(values, 0.0), np.maximum(values, 0.0)
+    cuts = np.sort(np.vstack([a, np.clip(jump_limits(spec, nodes)[0], a, b), b]), axis=0)
+    row, piece = np.nonzero(~(cuts[1:] <= cuts[:-1]).T)  # a NaN s keeps its pieces
+    lo, hi = cuts[piece, row], cuts[piece + 1, row]
+    total = np.zeros(len(values))
+    if not row.size:  # every s is 0
+        return total
+    whole = coarse = _gauss(spec, nodes[row], lo[:, None], hi[:, None])[:, 0]
+    floor = 1e-15 * np.maximum(np.maximum(np.abs(lo), np.abs(hi)), 1.0)
+    for depth in range(_MAX_DEPTH + 1):
+        mid = 0.5 * (lo + hi)
+        lo, hi = np.column_stack([lo, mid]), np.column_stack([mid, hi])
+        halves = _gauss(spec, nodes[row], lo, hi)
+        both = halves[:, 0] + halves[:, 1]
+        err = np.abs(both - coarse)
+        scale = np.maximum(np.maximum(np.abs(both), np.abs(whole)), 1e-300)
+        done = (err <= rel_tol * scale) | (hi[:, 1] - lo[:, 0] < floor)
+        total += np.bincount(row[done], both[done], len(values))
+        split = ~done
+        if not split.any():
+            break
+        if depth == _MAX_DEPTH or 2 * split.sum() > _MAX_PANELS or np.isnan(err).any():
+            raise QuadratureError(f"quadrature stalled at depth {depth}, {2 * split.sum()} "
+                                  "panels open", achieved=float((err / scale)[split].max()))
+        row, whole, floor = (np.repeat(v[split], 2) for v in (row, whole, floor))
+        lo, hi, coarse = lo[split].ravel(), hi[split].ravel(), halves[split].ravel()
+    return np.where(values < 0.0, -total, total)
+
+
+def primitive(spec: NonlinearitySpec, x, s: float, rel_tol: float = 1e-10) -> float:
+    """F(x, s) at one point: the one-row case of `primitive_array`."""
+    return float(primitive_array(spec, *_one_row(x, s), rel_tol)[0])
 
 
 @dataclass(frozen=True)

@@ -42,7 +42,8 @@ from scipy.sparse.linalg import splu
 from .mesh import Field, Mesh, element_gradients
 # `bracket` is no longer called here; it stays a module attribute because
 # bench/worker.py wraps solver.bracket when it traces a run.
-from .nonlinearity import NonlinearitySpec, bracket, envelopes, selection  # noqa: F401
+from .nonlinearity import (NonlinearitySpec, bracket, envelopes, jump_limits,  # noqa: F401
+                           selection)
 from .energy import area_gradient, area_value, psi_gradient, total_energy
 
 
@@ -160,14 +161,10 @@ class _Kinks:
     @classmethod
     def split(cls, mesh: Mesh, spec: NonlinearitySpec):
         """(kinks, whether f minus its kinks still jumps)."""
-        n = len(mesh.nodes)
-        jumps = [[np.full(n, rule(mesh.nodes), dtype=float) for rule in (j.level, j.left, j.right)]
-                 for j in spec.jumps or ()]
-        up = [(level, np.where(mesh.is_boundary, 0.0, np.maximum(right - left, 0.0)))
-              for level, left, right in jumps]
-        up = [pair for pair in up if pair[1].any()]
-        return (cls(*map(np.array, zip(*up))) if up else _NO_KINKS,
-                spec.jumps is None or any(np.any(right < left) for _, left, right in jumps))
+        level, left, right = jump_limits(spec, mesh.nodes)
+        jump = np.where(mesh.is_boundary, 0.0, np.maximum(right - left, 0.0))
+        up = jump.any(axis=1)
+        return cls(level[up], jump[up]), spec.jumps is None or bool((right < left).any())
 
     def subdifferential(self, values):
         """(lo, hi) per node: the kinks' subdifferential at `values`."""
@@ -457,22 +454,26 @@ def _escape_probe(mesh, spec, opts, u, I_u, zeta, certificate, kinks, stats_sink
     The probes are the two zero-window envelope selections and the
     operator-projected one of the `_certificate` record at u, less the
     kinks' slopes, each solved by `_inner_solve` from u unless it equals the
-    current selection `zeta` at every interior node.
+    current selection `zeta` at every interior node.  When every probe that
+    ran failed, the last failure is raised: the stall is not a fixed point.
     """
     proj, _, _, lo, hi = certificate
     kink_slope = kinks.subdifferential(u)[0]
     interior = mesh.interior_nodes
-    best = None
-    for e in (lo - kink_slope, hi - kink_slope, proj - kink_slope):
-        if np.array_equal(e[interior], zeta[interior]):
-            continue
+    probes = [e for e in (lo - kink_slope, hi - kink_slope, proj - kink_slope)
+              if not np.array_equal(e[interior], zeta[interior])]
+    best, failures = None, []
+    for e in probes:
         try:
             vals = _inner_solve(mesh, e, opts, u, kinks, stats_sink)
-        except InnerSolveError:
+        except InnerSolveError as err:
+            failures.append(err)
             continue
         I_v = total_energy(mesh, Field(mesh, vals, dirichlet_zero=True), spec)
         if I_v < I_u - 1e-12 and (best is None or I_v < best[1]):
             best = (vals, I_v)
+    if probes and len(failures) == len(probes):
+        raise failures[-1]
     return best
 
 
@@ -483,7 +484,9 @@ def solve_inclusion(mesh: Mesh, spec: NonlinearitySpec,
     Iterates u_{k+1} = inner-solve(rest selection(u_k)) from the initial
     field (zero by default), see the module docstring, until successive
     iterates or selections agree and no escape probe improves the energy,
-    or until max_outer iterations (then with converged=False).
+    or until max_outer iterations (then with converged=False).  Raises
+    `InnerSolveError` when an outer step's inner solve fails, or when every
+    escape probe of a stall fails.
     """
     opts = opts or SolverOptions()
     u = np.zeros(len(mesh.nodes)) if opts.initial is None else np.array(opts.initial.values)

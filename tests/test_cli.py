@@ -278,6 +278,18 @@ def test_inner_solve_failure_exits_2(tmp_path, capsys, command):
     assert "inner solve failed" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["solve", "sweep"])
+def test_failed_escape_probes_exit_2(tmp_path, capsys, command):
+    # every escape probe from the stall at u = 0 needs more than 3 Newton steps
+    cfg = write_cfg(tmp_path, NEG_SIGN_CFG.replace("domain.n = 128", "domain.n = 32")
+                    + "solver.max_inner = 3\n")
+    argv = [command, "--config", str(cfg)]
+    if command == "sweep":
+        argv += ["--param", "n", "--values", "32"]
+    assert main(argv) == 2
+    assert "inner solve failed: no convergence in 3 Newton" in capsys.readouterr().err
+
+
 NON_FINITE_CFG = """\
 domain.kind = interval
 domain.a = -1
@@ -319,7 +331,7 @@ STEP_CFG = PRESCRIBED_CFG.replace(
 
 @pytest.mark.parametrize("command", ["solve", "verify", "sweep"])
 @pytest.mark.parametrize("text, detail", [
-    (PRESCRIBED_CFG + "solver.damping = 2\n", "damping must be in (0,1)"),
+    (PRESCRIBED_CFG + "solver.damping = 2\n", ":8: damping must be in (0,1), got 2.0"),
     (POWER_CFG, "power exponent must be > 1"),
     (PRESCRIBED_CFG + "nonlinearity.growth_q = 0.5\n", "growth_q must be > 1"),
     (PRESCRIBED_CFG + "solver.inner_tol = nan\n", ":8: key 'solver.inner_tol' must be finite"),

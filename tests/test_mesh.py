@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import numpy as np
@@ -92,6 +93,42 @@ class TestDiskMesh:
     def test_rejects_nonpositive_radius(self):
         with pytest.raises(MeshError):
             build_disk_mesh(0.0, 2)
+
+
+def fingerprint(array):
+    return hashlib.sha256(np.ascontiguousarray(array).tobytes()).hexdigest()[:16]
+
+
+# sha256 prefixes of nodes, elements and boundary_nodes: the rows of
+# solution.csv follow the node order, so a generator may not change it
+GENERATOR_FINGERPRINTS = [
+    pytest.param(build_disk_mesh, (1, 0),
+                 ("f0863b993a4fcb93", "798df5934a425a91", "5f544d51f4618ae3"), id="disk-0"),
+    pytest.param(build_disk_mesh, (1, 1),
+                 ("3497418a5bd11fc7", "e5277ccd41f833ee", "2eb11368ecd12381"), id="disk-1"),
+    pytest.param(build_disk_mesh, (1, 2),
+                 ("84b5e0ed5540e555", "b9f5ee8fab7851a6", "ba5588bc21c217c8"), id="disk-2"),
+    pytest.param(build_disk_mesh, (1, 3),
+                 ("cef795ec969403ab", "3762f012561a5a2d", "868eb50b6cd9f6e5"), id="disk-3"),
+    pytest.param(build_disk_mesh, (1, 4),
+                 ("2c7acaac641c9cec", "c078ed210cb1c051", "6366dea15de37cd1"), id="disk-4"),
+    pytest.param(build_disk_mesh, (1, 5),
+                 ("8e583d22fa10b864", "820f59d403845a85", "018955755783aa62"), id="disk-5"),
+    pytest.param(build_disk_mesh, (1, 6),
+                 ("da3265ce41352b03", "a52671d4e36e2155", "8399dc880fdac98e"), id="disk-6"),
+    pytest.param(build_rectangle_mesh, (1, 1, 1, 1),
+                 ("9133dda276e06d15", "a64b6e70563a20d6", "a1e03200f1f82ad2"), id="rect-1-1"),
+    pytest.param(build_rectangle_mesh, (2, 3, 4, 7),
+                 ("609c00cae4c1c9f0", "5811bb6f44341530", "72fd9a18cf73b41f"), id="rect-4-7"),
+]
+
+
+@pytest.mark.parametrize("builder, args, expected", GENERATOR_FINGERPRINTS)
+def test_generators_are_pinned(builder, args, expected):
+    mesh = builder(*args)
+    assert mesh.nodes.dtype == np.float64 and mesh.elements.dtype == np.int64
+    got = tuple(fingerprint(a) for a in (mesh.nodes, mesh.elements, mesh.boundary_nodes))
+    assert got == expected
 
 
 class TestElementGradient:

@@ -1,9 +1,11 @@
 import dataclasses
+import warnings
 
 import numpy as np
 import pytest
 from scipy.integrate import quad
 
+from minkcurv import nonlinearity
 from minkcurv.nonlinearity import (Bracket, Jump, NonlinearitySpec,
                                    QuadratureError, bracket, constant,
                                    from_catalog, growth_check, heaviside,
@@ -161,6 +163,59 @@ class TestPrimitive:
             primitive(hidden, X, 1.0, rel_tol=1e-300)
         assert info.value.achieved > 0
 
+    @pytest.mark.parametrize("s", [np.nan, np.inf, -np.inf])
+    def test_non_finite_value_raises_at_once(self, s):
+        smooth = NonlinearitySpec(evaluate=lambda x, s: np.exp(-s * s), jumps=None)
+        with warnings.catch_warnings(), pytest.raises(QuadratureError, match="depth 0,"):
+            warnings.simplefilter("ignore", RuntimeWarning)
+            primitive_array(smooth, np.zeros((2, 1)), np.array([0.5, s]))
+
+    def test_unreachable_tolerance_stops_at_the_panel_bound(self, monkeypatch):
+        # roundoff keeps panels of a smooth rule open at every level; the
+        # bound on the panels of a level stops the batch before memory runs out
+        monkeypatch.setattr(nonlinearity, "_MAX_PANELS", 64)
+        smooth = NonlinearitySpec(evaluate=lambda x, s: np.exp(s), jumps=None)
+        values = np.linspace(0.1, 1.0, 40)
+        with pytest.raises(QuadratureError, match="panels open") as info:
+            primitive_array(smooth, np.zeros((40, 1)), values, rel_tol=1e-300)
+        assert info.value.achieved > 0 and "depth 40" not in str(info.value)
+
+
+def counted_moving_jump(calls):
+    """sin(3 s) + x, plus one above the level s = x / 2; counts evaluate calls."""
+    def ev(x, s):
+        calls.append(len(s))
+        return np.sin(3.0 * s) + x[:, 0] + (s > 0.5 * x[:, 0])
+    return NonlinearitySpec(
+        evaluate=ev,
+        jumps=(Jump(level=lambda x: 0.5 * x[:, 0],
+                    left=lambda x: np.sin(1.5 * x[:, 0]) + x[:, 0],
+                    right=lambda x: np.sin(1.5 * x[:, 0]) + x[:, 0] + 1.0),))
+
+
+class TestBatchedQuadrature:
+    @staticmethod
+    def points(k):
+        return np.linspace(-1.0, 1.0, k)[:, None], np.linspace(-1.5, 1.5, k)
+
+    def test_evaluate_calls_do_not_grow_with_the_points(self):
+        counts = []
+        for k in (10, 10_000):
+            calls = []
+            primitive_array(counted_moving_jump(calls), *self.points(k))
+            counts.append(len(calls))
+        assert counts[0] == counts[1] < 10
+
+    def test_rows_match_the_one_point_case_and_scipy(self):
+        spec = counted_moving_jump([])
+        nodes, values = self.points(10)
+        arr = primitive_array(spec, nodes, values)
+        for x, s, v in zip(nodes, values, arr):
+            assert v == primitive(spec, x, s)
+            exact, _ = quad(lambda t: np.sin(3 * t) + x[0] + (t > 0.5 * x[0]),
+                            min(s, 0.0), max(s, 0.0), points=[0.5 * x[0]])
+            assert v == pytest.approx(np.sign(s) * exact, abs=1e-12)
+
 
 def quadrature_twin(spec):
     """The same rule without its closed form, so `primitive` integrates f."""
@@ -269,6 +324,37 @@ def ref_selection(spec, nodes, values, rule):
     return out
 
 
+def ref_primitive(spec, x, s, rel_tol=1e-10):
+    """Depth-first adaptive 7-point Gauss quadrature of f(x, .) over (0, s),
+    one piece between declared jump levels at a time."""
+    gx, gw = np.polynomial.legendre.leggauss(7)
+
+    def panel(a, b):
+        t = 0.5 * (a + b) + 0.5 * (b - a) * gx
+        f = np.full(7, spec.evaluate(np.repeat(x[None], 7, axis=0), t), dtype=float)
+        return 0.5 * (b - a) * float(np.dot(gw, f))
+
+    a, b = min(s, 0.0), max(s, 0.0)
+    levels = [at(j.level, x) for j in spec.jumps or ()]
+    cuts = sorted({a, b, *(lv for lv in levels if a < lv < b)})
+    total = 0.0
+    for lo, hi in zip(cuts[:-1], cuts[1:]):
+        whole = panel(lo, hi)
+        stack = [(lo, hi, whole, 0)]
+        while stack:
+            a0, b0, coarse, depth = stack.pop()
+            m = 0.5 * (a0 + b0)
+            left, right = panel(a0, m), panel(m, b0)
+            scale = max(abs(left + right), abs(whole), 1e-300)
+            if (abs(left + right - coarse) <= rel_tol * scale
+                    or b0 - a0 < 1e-15 * max(abs(lo), abs(hi), 1.0)):
+                total += left + right
+            else:
+                assert depth < 40
+                stack += [(a0, m, left, depth + 1), (m, b0, right, depth + 1)]
+    return total if s >= 0 else -total
+
+
 def moving_level():
     """Jump from 0 to 1 at s = x + y / 2; the value 7 on the level is ignored."""
     def ev(x, s):
@@ -339,6 +425,16 @@ class TestArrayBracketsMatchPerNodeReference:
         lo, hi = envelopes(spec, nodes, values, 0.0)
         for x, s, a, b in zip(nodes, values, lo, hi):
             assert bracket(spec, x, s) == Bracket(a, b, spec.jumps is None)
+
+    @pytest.mark.parametrize("spec", JUMP_RULES + SMOOTH_RULES + BLACK_BOX,
+                             ids=lambda s: s.name)
+    def test_primitive_quadrature(self, spec):
+        # the batch sums its panels in another order than the one-point
+        # reference, so the two agree to roundoff: 1e-15 for these |F| < 3.5
+        twin = quadrature_twin(spec)
+        nodes, values = probe_points(spec)
+        ref = [ref_primitive(twin, x, s) for x, s in zip(nodes, values)]
+        np.testing.assert_allclose(primitive_array(twin, nodes, values), ref, rtol=0, atol=1e-15)
 
     def test_black_box_bracket_calls_evaluate_once(self):
         calls = []

@@ -124,6 +124,13 @@ class TestSolvePrescribed:
 
 
 class TestSolveInclusion:
+    def test_failed_escape_probes_raise(self):
+        # u = 0 is a fixed point of the mid selection of neg_sign; the probes
+        # that would leave it need more than three Newton steps each
+        m = build_interval_mesh(-1, 1, 32)
+        with pytest.raises(InnerSolveError, match="no convergence in 3 Newton"):
+            solve_inclusion(m, neg_sign(), SolverOptions(max_inner=3))
+
     def test_zero_rule(self):
         m = build_interval_mesh(-1, 1, 64)
         res = solve_inclusion(m, constant(0.0))
