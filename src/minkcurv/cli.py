@@ -288,15 +288,14 @@ def _fmt(x: float) -> str:
 
 
 def write_solution_csv(path, mesh: Mesh, result: SolveResult, residuals) -> None:
+    """One row per node: index, coordinates, u, zeta, residual; `\\r\\n` line
+    ends, as `csv.writer` writes them."""
     coord_names = ["x", "y", "z"][: mesh.dim]
+    table = np.column_stack([mesh.nodes, result.u.values, result.zeta, residuals])
+    row = "{}," + ",".join(["{:.16e}"] * table.shape[1]) + "\r\n"
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["index", *coord_names, "u", "zeta", "residual"])
-        for i in range(len(mesh.nodes)):
-            writer.writerow([
-                i, *(_fmt(c) for c in mesh.nodes[i]),
-                _fmt(result.u.values[i]), _fmt(result.zeta[i]), _fmt(residuals[i]),
-            ])
+        fh.write(",".join(["index", *coord_names, "u", "zeta", "residual"]) + "\r\n")
+        fh.writelines(row.format(i, *values) for i, values in enumerate(table.tolist()))
 
 
 def read_solution_csv(path, mesh: Mesh):
@@ -304,27 +303,24 @@ def read_solution_csv(path, mesh: Mesh):
     path = Path(path)
     if not path.exists():
         raise ConfigError(f"solution file not found: {path}")
-    with open(path, newline="") as fh:
-        rows = list(csv.reader(fh))
-    if not rows:
+    lines = path.read_text().splitlines()
+    if not lines:
         raise ConfigError(f"{path}: empty solution file")
-    header = rows[0]
+    header, body = lines[0].split(","), lines[1:]
     try:
-        u_col, z_col = header.index("u"), header.index("zeta")
+        columns = header.index("u"), header.index("zeta")
     except ValueError:
         raise ConfigError(f"{path}: header must contain 'u' and 'zeta' columns") from None
-    body = rows[1:]
     if len(body) != len(mesh.nodes):
         raise ConfigError(
             f"{path}: {len(body)} rows for a mesh with {len(mesh.nodes)} nodes")
-    u = np.empty(len(body))
-    zeta = np.empty(len(body))
-    for k, row in enumerate(body):
-        try:
-            u[k] = float(row[u_col])
-            zeta[k] = float(row[z_col])
-        except (ValueError, IndexError):
-            raise ConfigError(f"{path}: malformed row {k + 2}") from None
+    if "" in body:  # np.loadtxt would skip it
+        raise ConfigError(f"{path}: malformed row {body.index('') + 2}")
+    try:
+        u, zeta = np.loadtxt(body, delimiter=",", usecols=columns, ndmin=2, unpack=True,
+                             comments=None)
+    except ValueError as err:
+        raise ConfigError(f"{path}: malformed row ({err})") from None
     bad = np.flatnonzero(~(np.isfinite(u) & np.isfinite(zeta)))
     if bad.size:
         raise ConfigError(f"{path}: non-finite value in row {bad[0] + 2}")

@@ -18,8 +18,8 @@ Outer level: a selection fixed point for the rest of f, f minus its kinks
 (constant for `step` and `heaviside`, so one iteration suffices; all of f
 for `neg_sign`).  Each stall makes one certificate pass, the run's
 certificate if the stall ends the loop.  If the rest jumps, escape probes
-(that pass's envelope and operator-projected selections as right-hand
-sides) are accepted only on a strict energy decrease.
+(that pass's two envelope selections as right-hand sides) are accepted
+only on a strict energy decrease, the lower of the two if both decrease.
 
 Certificate: with m = -grad psi / w and [lo, hi] the zero-window
 envelopes, convexity of psi gives for every feasible v, d = v - u,
@@ -33,7 +33,7 @@ from __future__ import annotations
 
 import math
 import weakref
-from dataclasses import dataclass
+from dataclasses import dataclass, field as dataclass_field
 
 import numpy as np
 import scipy.sparse as sp
@@ -122,6 +122,7 @@ class _InnerStats:
     iterations: int = 0
     max_value: float = 0.0
     max_gradient: float = 0.0
+    objectives: list = dataclass_field(default_factory=list)  # every accepted objective
 
 
 def _distance(m, lo, hi):
@@ -137,7 +138,7 @@ def _operator_value(mesh: Mesh, values, margin: float):
 
 def _certificate(mesh: Mesh, spec: NonlinearitySpec, values, margin: float):
     """(zeta, residuals, rho, lo, hi) at `values`: [lo, hi] are the zero-window
-    brackets; zeta projects m onto the brackets widened within h of a jump
+    brackets; zeta is m clipped to the brackets widened within h of a jump
     level (a P1 solution crosses it between nodes)."""
     m = _operator_value(mesh, values, margin)
     interior = mesh.interior_nodes
@@ -299,14 +300,13 @@ def _area_hessian(mesh: Mesh, ws: _NewtonWorkspace, root, Bg) -> sp.csc_matrix:
 
 
 def _solve_prescribed(mesh: Mesh, e, opts: SolverOptions, initial=None,
-                      objective_trace=None, kinks=_NO_KINKS, gamma=1.0, pinned=None):
+                      kinks=_NO_KINKS, gamma=1.0, pinned=None):
     """Newton minimization over interior nodes of psi_h(w) + <e, w>_lumped
     plus the lumped Moreau envelopes (smoothing `gamma`) of `kinks`.
 
-    Returns (values, stats).  `e` is broadcast to one value per node.
-    `objective_trace`, when a list, receives the objective value of every
-    accepted iterate (diagnostics for monotonicity checks).  The nodes of
-    the boolean mask `pinned` (default: none) keep their initial values.
+    Returns (values, stats).  `e` is broadcast to one value per node.  The
+    nodes of the boolean mask `pinned` (default: none) keep their initial
+    values.
     """
     e = np.broadcast_to(np.asarray(e, dtype=float), (len(mesh.nodes),))
     if not np.all(np.isfinite(e)):
@@ -344,8 +344,7 @@ def _solve_prescribed(mesh: Mesh, e, opts: SolverOptions, initial=None,
     order = ws.order
     fixed = np.zeros(len(order), bool) if pinned is None else pinned[order]
     obj = objective(g2, values)
-    if objective_trace is not None:
-        objective_trace.append(obj)
+    stats.objectives.append(obj)
     for _ in range(opts.max_inner + 1):
         # the Hessian reuses the kernel's root and B g
         full_grad, root, Bg = area_gradient(mesh, g, g2)
@@ -396,8 +395,7 @@ def _solve_prescribed(mesh: Mesh, e, opts: SolverOptions, initial=None,
         stats.iterations += 1
         stats.max_value = max(stats.max_value, float(np.abs(values).max()))
         stats.max_gradient = max(stats.max_gradient, float(np.sqrt(g2.max())))
-        if objective_trace is not None:
-            objective_trace.append(obj)
+        stats.objectives.append(obj)
     raise AssertionError("unreachable")
 
 
@@ -449,20 +447,21 @@ def _inner_solve(mesh: Mesh, e, opts: SolverOptions, initial, kinks: _Kinks,
 
 
 def _escape_probe(mesh, spec, opts, u, I_u, zeta, certificate, kinks, stats_sink):
-    """(values, energy) of the best strictly improving probe at a stall, or None.
+    """(values, energy) of the lowest strictly improving probe at a stall, or None.
 
-    The probes are the two zero-window envelope selections and the
-    operator-projected one of the `_certificate` record at u, less the
-    kinks' slopes, each solved by `_inner_solve` from u unless it equals the
-    current selection `zeta` at every interior node.  When every probe that
-    ran failed, the last failure is raised: the stall is not a fixed point.
+    The probes are the two zero-window envelope selections lo and hi of the
+    `_certificate` record at u, less the kinks' slopes; each is solved by
+    `_inner_solve` from u unless it equals the current selection `zeta` at
+    every interior node.  They may reach different critical points, so the
+    lower energy wins (lo on a tie).  When every probe that ran failed, the
+    last failure is raised: the stall is not a fixed point.
     """
-    proj, _, _, lo, hi = certificate
+    lo, hi = certificate[3:]
     kink_slope = kinks.subdifferential(u)[0]
     interior = mesh.interior_nodes
-    probes = [e for e in (lo - kink_slope, hi - kink_slope, proj - kink_slope)
+    probes = [e for e in (lo - kink_slope, hi - kink_slope)
               if not np.array_equal(e[interior], zeta[interior])]
-    best, failures = None, []
+    lowest, failures = None, []
     for e in probes:
         try:
             vals = _inner_solve(mesh, e, opts, u, kinks, stats_sink)
@@ -470,11 +469,11 @@ def _escape_probe(mesh, spec, opts, u, I_u, zeta, certificate, kinks, stats_sink
             failures.append(err)
             continue
         I_v = total_energy(mesh, Field(mesh, vals, dirichlet_zero=True), spec)
-        if I_v < I_u - 1e-12 and (best is None or I_v < best[1]):
-            best = (vals, I_v)
+        if I_v < I_u - 1e-12 and (lowest is None or I_v < lowest[1]):
+            lowest = (vals, I_v)
     if probes and len(failures) == len(probes):
         raise failures[-1]
-    return best
+    return lowest
 
 
 def solve_inclusion(mesh: Mesh, spec: NonlinearitySpec,

@@ -188,9 +188,11 @@ def brute_force_minimize(mesh: Mesh, spec: NonlinearitySpec, grid_step: float):
     grid = np.arange(-half, half + 1) * grid_step
     x = mesh.nodes[chain, 0]
     options = [np.zeros(1) if mesh.is_boundary[i] else grid for i in chain]
-    # lumped potential per node, tabulated over its options
-    node_terms = [mesh.node_weight[i] * primitive_array(
-        spec, np.broadcast_to(mesh.nodes[i], (len(v), 1)), v) for i, v in zip(chain, options)]
+    # lumped potential per node, tabulated over its options in one call
+    sizes = [len(v) for v in options]
+    node_terms = np.split(np.repeat(mesh.node_weight[chain], sizes) * primitive_array(
+        spec, np.repeat(mesh.nodes[chain], sizes, axis=0), np.concatenate(options)),
+        np.cumsum(sizes)[:-1])
     # best[j]: least energy of the chain from node k on, with node k at option j
     best, choices = node_terms[-1], []
     for k in range(len(chain) - 2, -1, -1):

@@ -255,6 +255,18 @@ class TestVerifyCommand:
         assert main(["verify", "--config", str(cfg), "--solution", str(sol)]) == 1
         assert f"{sol}: non-finite value in row 6" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("row", ["# a comment", "", "   ", "5,0.1"],
+                             ids=["comment", "blank", "spaces", "short"])
+    def test_malformed_csv_row_exits_1(self, tmp_path, capsys, row):
+        cfg = write_cfg(tmp_path, PRESCRIBED_CFG)
+        assert main(["solve", "--config", str(cfg)]) == 0
+        sol = tmp_path / "out" / "solution.csv"
+        rows = sol.read_text().splitlines()
+        rows[5] = row
+        sol.write_text("\n".join(rows) + "\n")
+        assert main(["verify", "--config", str(cfg), "--solution", str(sol)]) == 1
+        assert f"{sol}: malformed row" in capsys.readouterr().err
+
     def test_wrong_mesh_shape_exits_1(self, tmp_path):
         cfg_small = write_cfg(tmp_path, PRESCRIBED_CFG, name="small.cfg")
         cfg_big = write_cfg(tmp_path,

@@ -52,9 +52,8 @@ class TestSolvePrescribed:
 
     def test_objective_strictly_decreases(self):
         m = build_interval_mesh(-1, 1, 128)
-        trace = []
-        _solve_prescribed(m, np.full(129, 1.0), SolverOptions(),
-                          objective_trace=trace)
+        _, stats = _solve_prescribed(m, np.full(129, 1.0), SolverOptions())
+        trace = stats.objectives
         diffs = np.diff(trace)
         # strict descent up to the roundoff resolution of the objective
         assert np.all(diffs < 1e-13 * (1.0 + np.abs(trace[:-1])))
@@ -332,6 +331,26 @@ def mixed_rule():
         exact_primitive=lambda x, s: -np.abs(s) + 1.5 * np.maximum(0.0, s - 0.1))
 
 
+def x_level_rule():
+    """-sign(s - x/10): an attracting jump whose level moves with x."""
+    def level(x):
+        return 0.1 * x[:, 0]
+    return NonlinearitySpec(
+        evaluate=lambda x, s: -np.sign(s - level(x)),
+        jumps=(Jump(level=level, left=lambda x: 1.0, right=lambda x: -1.0),),
+        growth_c=1.0, name="x-level",
+        exact_primitive=lambda x, s: np.abs(level(x)) - np.abs(s - level(x)))
+
+
+def two_jump_rule():
+    """-sign(s) less 1 above s = 0.2: two decreasing jumps."""
+    return NonlinearitySpec(
+        evaluate=lambda x, s: -np.sign(s) - 1.0 * (s > 0.2),
+        jumps=(Jump(level=lambda x: 0.0, left=lambda x: 1.0, right=lambda x: -1.0),
+               Jump(level=lambda x: 0.2, left=lambda x: -1.0, right=lambda x: -2.0)),
+        growth_c=2.0, name="two-jump")
+
+
 class TestIncreasingJumps:
     @pytest.mark.parametrize("name", sorted(REPELLING_CASES))
     def test_converges_exactly_in_one_convex_solve(self, name):
@@ -390,6 +409,24 @@ def counting(monkeypatch, name):
     return calls
 
 
+# energies at n = 64 of rules whose stalls run escape probes
+PROBE_CASES = [
+    (step(0.5, -3.0, 0.0), "lo", -1.7681948659985718),
+    (step(0.5, -3.0, 0.0), "mid", -1.7681948659985722),
+    (step(0.5, -3.0, 0.0), "hi", -0.08043944145251644),
+    (mixed_rule(), "lo", -0.1394505495524596),
+    # both probes decrease the energy at the zero field; the hi one is lower
+    (mixed_rule(), "mid", -0.2955296036662277),
+    (mixed_rule(), "hi", -0.2955296036662277),
+    (two_jump_rule(), "lo", -0.6039423061401255),
+    (two_jump_rule(), "mid", -0.6039423061401255),
+    (two_jump_rule(), "hi", -0.2955296036662275),
+    (x_level_rule(), "lo", -0.08060322076135588),
+    (x_level_rule(), "mid", -0.08060322076135584),
+    (x_level_rule(), "hi", -0.08060322076135587),
+]
+
+
 class TestSingleInnerPath:
     @pytest.mark.parametrize("spec, rows, rest_jumps", [
         (neg_sign(), 0, True), (constant(1.0), 0, False), (step(-1.0, 1.0, 0.25), 1, False),
@@ -409,19 +446,31 @@ class TestSingleInnerPath:
             assert all(not part.any() for part in kinks.subdifferential(values))
 
     def test_one_certificate_pass_per_stall(self, monkeypatch):
-        # two stalls (the first one's probe is accepted), no pass after the loop
+        # two stalls (the first one's probe is accepted), no pass after the
+        # loop; the zero-field stall solves the lo and hi probes and no other
         envelope_calls = counting(monkeypatch, "envelopes")
         gradient_calls = counting(monkeypatch, "psi_gradient")
+        inner_calls = counting(monkeypatch, "_inner_solve")
         res = solve_inclusion(build_interval_mesh(-1, 1, 64), neg_sign())
         assert res.converged and res.outer_iterations == 2
         assert len(envelope_calls) == 4
         assert len(gradient_calls) == 2
+        assert len(inner_calls) == 4 and res.inner_iterations == 18
+        assert res.energy == -0.2955296036662277
 
     def test_stage_without_band_nodes_ends_the_solve(self, monkeypatch):
         calls = counting(monkeypatch, "_solve_prescribed")
         res = solve_inclusion(build_disk_mesh(1.0, 4), heaviside())
         assert res.converged and np.all(res.u.values == 0.0)
         assert len(calls) == 1
+
+    @pytest.mark.parametrize("spec, rule, energy", PROBE_CASES,
+                             ids=[f"{spec.name}-{rule}" for spec, rule, _ in PROBE_CASES])
+    def test_escape_probe_energies(self, spec, rule, energy):
+        res = solve_inclusion(build_interval_mesh(-1, 1, 64), spec,
+                              SolverOptions(selection_rule=rule))
+        assert res.converged
+        assert res.energy == pytest.approx(energy, rel=1e-12, abs=0.0)
 
     def test_probe_accepted_on_the_last_iteration(self):
         # max_outer ends the loop right after a probe moved u: the reported

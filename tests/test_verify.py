@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import math
 
@@ -173,6 +174,20 @@ class TestBruteForce:
         ref_vals, ref_energy = enumerated_grid_minimum(m, spec, 0.2)
         assert energy == pytest.approx(ref_energy, abs=1e-12)
         np.testing.assert_array_equal(vals, ref_vals)
+
+    @pytest.mark.parametrize("spec", [neg_sign(), step(-1.0, 1.0, 0.25)],
+                             ids=lambda spec: spec.name)
+    def test_node_terms_take_one_quadrature_pass(self, spec):
+        # without a closed form the options of every node are integrated
+        # together: one Gauss rule per panel and one halving, whatever the
+        # number of nodes
+        calls = []
+        twin = dataclasses.replace(spec, exact_primitive=None,
+                                   evaluate=lambda x, s: calls.append(1) or spec.evaluate(x, s))
+        m = build_interval_mesh(-1, 1, 4)
+        _, energy = brute_force_minimize(m, twin, 0.01)
+        assert len(calls) == 2
+        assert energy == pytest.approx(brute_force_minimize(m, spec, 0.01)[1], abs=1e-12)
 
     def test_zero_rule_minimizer_is_zero(self):
         m = build_interval_mesh(-1, 1, 4)
