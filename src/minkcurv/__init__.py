@@ -16,7 +16,6 @@ from .mesh import (
     build_disk_mesh,
     build_interval_mesh,
     build_rectangle_mesh,
-    element_gradient,
     element_gradients,
     inradius,
     read_mesh,
@@ -34,20 +33,16 @@ from .nonlinearity import (
     from_catalog,
     growth_check,
     heaviside,
-    lower_envelope,
     neg_sign,
     power,
     primitive,
     selection,
     step,
-    upper_envelope,
 )
 from .energy import (
     EnergyBounds,
-    Feasibility,
     StrictFeasibilityError,
     bounds,
-    feasibility,
     psi,
     psi_gradient,
     script_f,

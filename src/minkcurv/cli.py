@@ -97,9 +97,7 @@ class RunConfig:
     spec: NonlinearitySpec
     solver: SolverOptions
     output_dir: Path
-    emit_csv: bool = True
     emit_svg: bool = False
-    emit_report: bool = True
     verify: dict = dataclass_field(default_factory=dict)
 
     def build_mesh(self) -> Mesh:
@@ -249,7 +247,7 @@ def _validate(path: Path, cfg: dict) -> RunConfig:
             options = replace(options, **{name: value})
         except ValueError as err:
             raise ConfigError(f"{where['solver.' + name]}: {err}") from None
-    # the rules check their own ranges
+    # the rules check their own ranges; an error naming a key names its line
     try:
         if nl_kind == "prescribed":
             # forcing independent of s; build_spec sets a missing growth_c
@@ -260,15 +258,14 @@ def _validate(path: Path, cfg: dict) -> RunConfig:
         else:
             spec = from_catalog(nl_kind, **nl)
     except ValueError as err:
-        raise ConfigError(f"{path}: {err}") from None
+        at = where.get(f"nonlinearity.{getattr(err, 'key', '')}", path)
+        raise ConfigError(f"{at}: {err}") from None
 
     config = RunConfig(
         path=path, domain_kind=kind, domain=domain,
         nonlinearity_kind=nl_kind, nonlinearity=nl, spec=spec,
         solver=options, output_dir=path.parent / typed("output.dir", str, default="out"),
-        emit_csv=typed("emit.csv", bool, default=True),
         emit_svg=typed("emit.svg", bool, default=False),
-        emit_report=typed("emit.report", bool, default=True),
         verify=_present(typed, cfg, "verify", _VERIFY_KEYS),
     )
     # every key used above was consumed; what is left is unknown, or belongs
@@ -372,11 +369,8 @@ def _run_solve(config: RunConfig, out_dir: Path):
     spec = config.build_spec(mesh)
     result = solve_inclusion(mesh, spec, config.solver_options())
     out_dir.mkdir(parents=True, exist_ok=True)
-    if config.emit_csv:
-        write_solution_csv(out_dir / "solution.csv", mesh, result, result.residuals)
-    if config.emit_report:
-        write_report(out_dir / "report.txt", mesh, spec, result,
-                     bounds(mesh, spec))
+    write_solution_csv(out_dir / "solution.csv", mesh, result, result.residuals)
+    write_report(out_dir / "report.txt", mesh, spec, result, bounds(mesh, spec))
     if config.emit_svg:
         _write_svg(out_dir, mesh, spec, result)
     return mesh, spec, result

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .mesh import Field, Mesh, element_gradients, inradius, max_gradient_norm
+from .mesh import Field, Mesh, element_gradients, inradius
 # `primitive` is no longer called here; it stays a module attribute because
 # bench/worker.py wraps energy.primitive when it traces a run.
 from .nonlinearity import NonlinearitySpec, primitive, primitive_array  # noqa: F401
@@ -35,15 +35,6 @@ class StrictFeasibilityError(ValueError):
 
 
 @dataclass(frozen=True)
-class Feasibility:
-    """Membership report for the constraint set (|grad| <= 1, zero trace)."""
-
-    in_K0: bool
-    max_element_gradient_norm: float
-    boundary_violation: float
-
-
-@dataclass(frozen=True)
 class EnergyBounds:
     """Uniform constants implied by the growth bound on the feasible set.
 
@@ -55,16 +46,6 @@ class EnergyBounds:
     C1: float
     C2: float
     lower_bound: float
-
-
-def feasibility(mesh: Mesh, field: Field) -> Feasibility:
-    """Exact constraint check: per-element gradient norms and boundary trace."""
-    max_norm = max_gradient_norm(mesh, field.values)
-    bviol = float(np.abs(field.values[mesh.boundary_nodes]).max()) \
-        if mesh.boundary_nodes.size else 0.0
-    return Feasibility(in_K0=(max_norm <= 1.0 and bviol == 0.0),
-                       max_element_gradient_norm=max_norm,
-                       boundary_violation=bviol)
 
 
 def area_value(mesh: Mesh, g2) -> float:

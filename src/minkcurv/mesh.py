@@ -244,17 +244,6 @@ def build_disk_mesh(radius: float, refinement: int) -> Mesh:
 # -- element-level evaluation -------------------------------------------------
 
 
-def element_gradient(mesh: Mesh, field: Field, element: int) -> np.ndarray:
-    """Constant gradient of the P1 interpolant of `field` on one simplex."""
-    if field.mesh is not mesh:
-        raise MeshError("field was built on a different mesh")
-    m = len(mesh.elements)
-    if not 0 <= element < m:
-        raise MeshError(f"element index {element} out of range [0, {m})")
-    verts = mesh.elements[element]
-    return mesh.basis_gradients[element].T @ field.values[verts]
-
-
 def element_gradients(mesh: Mesh, values) -> np.ndarray:
     """Per-element P1 gradients of a nodal value vector, shape (M, dim)."""
     values = np.asarray(values, dtype=float)

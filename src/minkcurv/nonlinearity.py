@@ -30,6 +30,14 @@ class QuadratureError(ArithmeticError):
         self.achieved = achieved
 
 
+class ParameterError(ValueError):
+    """A rule parameter out of range; `key` is the parameter's name."""
+
+    def __init__(self, message, key):
+        super().__init__(message)
+        self.key = key
+
+
 @dataclass(frozen=True)
 class Jump:
     """One declared discontinuity of f(x, .) at the level s = level(x).
@@ -92,9 +100,11 @@ class NonlinearitySpec:
 
     def __post_init__(self):
         if not 0 <= self.growth_c < np.inf:
-            raise ValueError(f"growth_c must be >= 0 and finite, got {self.growth_c}")
+            raise ParameterError(f"growth_c must be >= 0 and finite, got {self.growth_c}",
+                                 "growth_c")
         if not 1 < self.growth_q < np.inf:
-            raise ValueError(f"growth_q must be > 1 and finite, got {self.growth_q}")
+            raise ParameterError(f"growth_q must be > 1 and finite, got {self.growth_q}",
+                                 "growth_q")
         if self.jumps is not None:
             object.__setattr__(self, "jumps", tuple(self.jumps))
 
@@ -174,16 +184,6 @@ def bracket(spec: NonlinearitySpec, x, s: float, *,
     """
     lo, hi = _envelopes(spec, *_one_row(x, s), 0.0, delta, samples)
     return Bracket(float(lo[0]), float(hi[0]), approximate=spec.jumps is None)
-
-
-def lower_envelope(spec: NonlinearitySpec, x, s: float, **kw) -> float:
-    """Essential lower envelope of f(x, .) at s (see `bracket`)."""
-    return bracket(spec, x, s, **kw).lo
-
-
-def upper_envelope(spec: NonlinearitySpec, x, s: float, **kw) -> float:
-    """Essential upper envelope of f(x, .) at s (see `bracket`)."""
-    return bracket(spec, x, s, **kw).hi
 
 
 def selection(spec: NonlinearitySpec, nodes, values, rule: str = "mid"):
@@ -357,7 +357,7 @@ def heaviside() -> NonlinearitySpec:
 def power(c: float, r: float) -> NonlinearitySpec:
     """f(s) = c * |s|^(r-1) * sign(s), continuous for r > 1."""
     if not r > 1:
-        raise ValueError(f"power exponent must be > 1, got {r}")
+        raise ParameterError(f"power exponent must be > 1, got {r}", "r")
     return NonlinearitySpec(
         evaluate=lambda x, s: c * np.abs(s) ** (r - 1.0) * np.sign(s),
         jumps=(), growth_c=abs(c), growth_q=r, name=f"power({c:g},{r:g})",

@@ -20,6 +20,8 @@ for `neg_sign`).  Each stall makes one certificate pass, the run's
 certificate if the stall ends the loop.  If the rest jumps, escape probes
 (that pass's two envelope selections as right-hand sides) are accepted
 only on a strict energy decrease, the lower of the two if both decrease.
+At the zero field with a symmetric bracket one probe is the other's mirror
+image and only one is solved.
 
 Certificate: with m = -grad psi / w and [lo, hi] the zero-window
 envelopes, convexity of psi gives for every feasible v, d = v - u,
@@ -73,7 +75,6 @@ class SolverOptions:
     max_inner: int = 200
     max_outer: int = 100
     working_margin: float = 1e-12
-    damping: float = 0.5
     initial: Field | None = None
     selection_rule: str = "mid"
     seed: int = 0
@@ -82,8 +83,6 @@ class SolverOptions:
         if not (0 < self.inner_tol < math.inf and 0 < self.outer_tol < math.inf):
             raise ValueError(f"tolerances must be positive and finite, got inner_tol="
                              f"{self.inner_tol}, outer_tol={self.outer_tol}")
-        if not 0.0 < self.damping < 1.0:
-            raise ValueError(f"damping must be in (0,1), got {self.damping}")
         if not 0.0 < self.working_margin < 0.5:
             raise ValueError(f"working_margin must be in (0, 0.5), got {self.working_margin}")
         if self.max_inner < 1 or self.max_outer < 1:
@@ -388,9 +387,12 @@ def _solve_prescribed(mesh: Mesh, e, opts: SolverOptions, initial=None,
                 obj_c = objective(g2_c, cand)
                 if obj_c <= obj + 1e-4 * t * descent + noise:
                     break
-            t *= opts.damping
+            t *= 0.5
             if t < 1e-18:
                 raise failure(f"line search stalled (residual {residual:.3e})", residual)
+        if np.array_equal(cand, values):  # the same step would follow forever
+            raise failure(f"Newton step left the iterate unchanged (residual "
+                          f"{residual:.3e})", residual)
         values, g, g2, obj = cand, g_c, g2_c, obj_c
         stats.iterations += 1
         stats.max_value = max(stats.max_value, float(np.abs(values).max()))
@@ -452,22 +454,30 @@ def _escape_probe(mesh, spec, opts, u, I_u, zeta, certificate, kinks, stats_sink
     The probes are the two zero-window envelope selections lo and hi of the
     `_certificate` record at u, less the kinks' slopes; each is solved by
     `_inner_solve` from u unless it equals the current selection `zeta` at
-    every interior node.  They may reach different critical points, so the
-    lower energy wins (lo on a tie).  When every probe that ran failed, the
-    last failure is raised: the stall is not a fixed point.
+    every interior node.  At the zero field with no kinks and hi = -lo, psi
+    being even makes the hi probe the mirror image of a solved lo probe, so
+    it is not solved again.  They may reach different critical points, so
+    the lower energy wins (lo on a tie).  When every probe that ran failed,
+    the last failure is raised: the stall is not a fixed point.
     """
     lo, hi = certificate[3:]
     kink_slope = kinks.subdifferential(u)[0]
     interior = mesh.interior_nodes
     probes = [e for e in (lo - kink_slope, hi - kink_slope)
               if not np.array_equal(e[interior], zeta[interior])]
-    lowest, failures = None, []
+    mirror = (len(probes) == 2 and not u.any() and kinks.level.size == 0
+              and np.array_equal(hi[interior], -lo[interior]))
+    lowest, failures, solved = None, [], []
     for e in probes:
-        try:
-            vals = _inner_solve(mesh, e, opts, u, kinks, stats_sink)
-        except InnerSolveError as err:
-            failures.append(err)
-            continue
+        if mirror and solved:
+            vals = 0.0 - solved[0]  # 0.0 - keeps the boundary zeros at +0.0
+        else:
+            try:
+                vals = _inner_solve(mesh, e, opts, u, kinks, stats_sink)
+            except InnerSolveError as err:
+                failures.append(err)
+                continue
+            solved.append(vals)
         I_v = total_energy(mesh, Field(mesh, vals, dirichlet_zero=True), spec)
         if I_v < I_u - 1e-12 and (lowest is None or I_v < lowest[1]):
             lowest = (vals, I_v)

@@ -1,6 +1,8 @@
 import dataclasses
 import math
+import re
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -89,6 +91,12 @@ class TestConfigParsing:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "run.cfg:9: key 'solver.certificate_trials'" in err
 
+    def test_readme_sample_config_loads(self, tmp_path):
+        readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+        sample = re.search(r"```ini\n(.*?)```", readme, re.S).group(1)
+        config = load_config(write_cfg(tmp_path, sample))
+        assert config.nonlinearity_kind == "neg_sign" and config.emit_svg
+
     def test_missing_mesh_file_names_path(self, tmp_path):
         p = tmp_path / "c.cfg"
         p.write_text("domain.kind = file\ndomain.path = nowhere.txt\n"
@@ -161,7 +169,10 @@ class TestSolveCommand:
     @pytest.mark.parametrize("after, key, lineno", [
         ("domain.n = 128\n", "domain.radius", 6),
         ("nonlinearity.kind = neg_sign\n", "nonlinearity.a", 7),
-    ], ids=["radius-on-interval", "a-with-neg_sign"])
+        ("emit.svg = true\n", "solver.damping", 9),
+        ("emit.svg = true\n", "emit.csv", 9),
+        ("emit.svg = true\n", "emit.report", 9),
+    ], ids=["radius-on-interval", "a-with-neg_sign", "damping", "emit-csv", "emit-report"])
     def test_misplaced_key_exits_1(self, tmp_path, capsys, after, key, lineno):
         # a known key that the chosen kind does not use is an error, not ignored
         cfg = write_cfg(tmp_path, NEG_SIGN_CFG.replace(after, f"{after}{key} = 3\n"))
@@ -343,13 +354,15 @@ STEP_CFG = PRESCRIBED_CFG.replace(
 
 @pytest.mark.parametrize("command", ["solve", "verify", "sweep"])
 @pytest.mark.parametrize("text, detail", [
-    (PRESCRIBED_CFG + "solver.damping = 2\n", ":8: damping must be in (0,1), got 2.0"),
-    (POWER_CFG, "power exponent must be > 1"),
-    (PRESCRIBED_CFG + "nonlinearity.growth_q = 0.5\n", "growth_q must be > 1"),
+    (PRESCRIBED_CFG + "solver.max_inner = 0\n", ":8: iteration caps must be >= 1"),
+    (POWER_CFG, ":7: power exponent must be > 1"),
+    (PRESCRIBED_CFG + "nonlinearity.growth_q = 0.5\n", ":8: growth_q must be > 1"),
+    (PRESCRIBED_CFG + "nonlinearity.growth_c = -1\n", ":8: growth_c must be >= 0"),
     (PRESCRIBED_CFG + "solver.inner_tol = nan\n", ":8: key 'solver.inner_tol' must be finite"),
     (PRESCRIBED_CFG + "solver.outer_tol = -inf\n", ":8: key 'solver.outer_tol' must be finite"),
     (STEP_CFG, ":6: key 'nonlinearity.a' must be finite"),
-], ids=["damping", "power-r", "growth_q", "inner_tol-nan", "outer_tol-inf", "step-a-nan"])
+], ids=["max_inner", "power-r", "growth_q", "growth_c", "inner_tol-nan", "outer_tol-inf",
+        "step-a-nan"])
 def test_bad_value_exits_1_naming_the_file(tmp_path, capsys, command, text, detail):
     cfg = write_cfg(tmp_path, text)
     argv = [command, "--config", str(cfg)]

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from minkcurv.energy import (EnergyBounds, StrictFeasibilityError, area_gradient,
-                             area_value, bounds, feasibility, psi, psi_gradient,
+                             area_value, bounds, psi, psi_gradient,
                              script_f, total_energy)
 from minkcurv.mesh import (Field, build_disk_mesh, build_interval_mesh,
                            build_rectangle_mesh, element_gradients, inradius)
@@ -199,36 +199,6 @@ class TestTotalEnergy:
             for _ in range(10):
                 v = random_feasible_field(m, rng)
                 assert total_energy(m, v, spec) >= floor - 1e-12
-
-
-class TestFeasibility:
-    def test_zero_field(self):
-        m = build_interval_mesh(-1, 1, 8)
-        rep = feasibility(m, Field.zero(m))
-        assert rep.in_K0 and rep.max_element_gradient_norm == 0.0
-        assert rep.boundary_violation == 0.0
-
-    def test_unit_cone_on_the_boundary_of_K0(self):
-        m = build_interval_mesh(-1, 1, 8)
-        rep = feasibility(m, cone_field(m))
-        assert rep.in_K0
-        assert rep.max_element_gradient_norm == pytest.approx(1.0)
-
-    def test_double_cone_infeasible(self):
-        m = build_interval_mesh(-1, 1, 8)
-        rep = feasibility(m, cone_field(m, 2.0))
-        assert not rep.in_K0
-        assert rep.max_element_gradient_norm == pytest.approx(2.0)
-
-    def test_flag_consistency(self):
-        m = build_rectangle_mesh(1, 1, 4, 4)
-        rng = np.random.default_rng(29)
-        for _ in range(20):
-            vals = rng.standard_normal(len(m.nodes)) * rng.uniform(0, 0.4)
-            vals[m.boundary_nodes] = 0.0
-            rep = feasibility(m, Field(m, vals))
-            assert rep.in_K0 == (rep.max_element_gradient_norm <= 1.0
-                                 and rep.boundary_violation == 0.0)
 
 
 class TestBounds:

@@ -7,8 +7,7 @@ import pytest
 from minkcurv import verify
 from minkcurv.mesh import (Field, Mesh, MeshError, MeshFormatError,
                            boundary_distance_cone, build_disk_mesh, build_interval_mesh,
-                           build_rectangle_mesh, element_gradient,
-                           element_gradients, inradius, max_gradient_norm,
+                           build_rectangle_mesh, element_gradients, inradius, max_gradient_norm,
                            random_feasible_field, read_mesh, write_mesh)
 
 
@@ -134,30 +133,15 @@ def test_generators_are_pinned(builder, args, expected):
 class TestElementGradient:
     def test_1d_difference_quotient(self):
         m = build_interval_mesh(0.0, 1.0, 2)
-        f = Field(m, [0.0, 0.5, 0.0])
-        assert element_gradient(m, f, 0)[0] == pytest.approx(1.0)
+        assert element_gradients(m, [0.0, 0.5, 0.0])[0, 0] == pytest.approx(1.0)
 
     def test_zero_field(self):
         m = build_rectangle_mesh(1.0, 1.0, 2, 2)
-        f = Field.zero(m)
-        for e in range(len(m.elements)):
-            assert np.allclose(element_gradient(m, f, e), 0.0)
+        assert np.all(element_gradients(m, Field.zero(m).values) == 0.0)
 
     def test_reference_triangle(self):
         m = Mesh([(0.0, 0.0), (1.0, 0.0), (0.0, 1.0)], [(0, 1, 2)], [0, 1, 2])
-        f = Field(m, [0.0, 1.0, 0.0])
-        assert np.allclose(element_gradient(m, f, 0), [1.0, 0.0])
-
-    def test_invalid_index(self):
-        m = build_interval_mesh(0.0, 1.0, 2)
-        with pytest.raises(MeshError):
-            element_gradient(m, Field.zero(m), 5)
-
-    def test_field_from_other_mesh_rejected(self):
-        m1 = build_interval_mesh(0.0, 1.0, 2)
-        m2 = build_interval_mesh(0.0, 1.0, 2)
-        with pytest.raises(MeshError):
-            element_gradient(m1, Field.zero(m2), 0)
+        assert np.allclose(element_gradients(m, [0.0, 1.0, 0.0]), [[1.0, 0.0]])
 
     def test_linearity(self):
         m = build_rectangle_mesh(1.0, 2.0, 3, 4)
@@ -174,9 +158,11 @@ class TestMaxGradientNorm:
     def test_matches_the_per_element_gradients(self):
         m = build_disk_mesh(1.0, 2)
         vals = np.random.default_rng(2).standard_normal(len(m.nodes))
-        f = Field(m, vals)
-        expected = max(float(np.linalg.norm(element_gradient(m, f, e)))
-                       for e in range(len(m.elements)))
+        # independent per-element reference: B_e^T v on the element's vertices
+        ref = np.array([m.basis_gradients[e].T @ vals[m.elements[e]]
+                        for e in range(len(m.elements))])
+        np.testing.assert_allclose(element_gradients(m, vals), ref, rtol=1e-14, atol=1e-14)
+        expected = float(np.linalg.norm(ref, axis=1).max())
         assert max_gradient_norm(m, vals) == pytest.approx(expected, rel=1e-14)
 
     def test_zero_field_and_empty_mesh(self):

@@ -9,9 +9,8 @@ from minkcurv import nonlinearity
 from minkcurv.nonlinearity import (Bracket, Jump, NonlinearitySpec,
                                    QuadratureError, bracket, constant,
                                    from_catalog, growth_check, heaviside,
-                                   envelopes, lower_envelope, neg_sign, power,
-                                   primitive, primitive_array, selection, step,
-                                   upper_envelope)
+                                   envelopes, neg_sign, power, primitive,
+                                   primitive_array, selection, step)
 
 X = np.zeros(1)
 
@@ -19,8 +18,8 @@ X = np.zeros(1)
 class TestEnvelopes:
     def test_heaviside_bracket_at_jump(self):
         h = heaviside()
-        assert lower_envelope(h, X, 0.0) == 0.0
-        assert upper_envelope(h, X, 0.0) == 1.0
+        assert bracket(h, X, 0.0).lo == 0.0
+        assert bracket(h, X, 0.0).hi == 1.0
 
     def test_heaviside_collapses_off_jump(self):
         h = heaviside()
@@ -43,7 +42,7 @@ class TestEnvelopes:
         rng = np.random.default_rng(5)
         f = step(-2.0, 3.0, 0.25)
         for s in rng.uniform(-2, 2, 50):
-            lo, hi = lower_envelope(f, X, s), upper_envelope(f, X, s)
+            lo, hi = bracket(f, X, s).lo, bracket(f, X, s).hi
             sel = selection(f, X, s)
             assert lo <= sel <= hi
             if s != 0.25:

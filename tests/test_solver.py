@@ -108,6 +108,17 @@ class TestSolvePrescribed:
         assert math.isfinite(err.residual) and err.residual > 0
         assert err.iterations == 1
 
+    def test_unchanged_iterate_fails_at_once(self):
+        # e = 100 saturates the interval: the accepted step stops moving the
+        # iterate bit for bit with the residual above inner_tol, and the same
+        # step would follow until max_inner
+        m = build_interval_mesh(-1, 1, 64)
+        with pytest.raises(InnerSolveError, match="unchanged") as info:
+            _solve_prescribed(m, 100.0, SolverOptions())
+        err = info.value
+        assert err.iterations <= 20 and err.residual > SolverOptions().inner_tol
+        assert f"{err.residual:.3e}" in str(err)
+
     def test_rejects_non_finite_rhs(self):
         m = build_interval_mesh(-1, 1, 8)
         e = np.zeros(9)
@@ -447,7 +458,7 @@ class TestSingleInnerPath:
 
     def test_one_certificate_pass_per_stall(self, monkeypatch):
         # two stalls (the first one's probe is accepted), no pass after the
-        # loop; the zero-field stall solves the lo and hi probes and no other
+        # loop; the zero-field stall solves the lo probe, and hi is its mirror
         envelope_calls = counting(monkeypatch, "envelopes")
         gradient_calls = counting(monkeypatch, "psi_gradient")
         inner_calls = counting(monkeypatch, "_inner_solve")
@@ -455,8 +466,20 @@ class TestSingleInnerPath:
         assert res.converged and res.outer_iterations == 2
         assert len(envelope_calls) == 4
         assert len(gradient_calls) == 2
-        assert len(inner_calls) == 4 and res.inner_iterations == 18
+        assert len(inner_calls) == 3 and res.inner_iterations == 9
         assert res.energy == -0.2955296036662277
+
+    @pytest.mark.parametrize("mesh", [build_interval_mesh(-1, 1, 64), build_disk_mesh(1.0, 4),
+                                      build_rectangle_mesh(2.0, 1.0, 16, 8)],
+                             ids=["interval", "disk", "rectangle"])
+    def test_mirror_probe_is_the_solved_hi_probe(self, mesh):
+        # psi is even: Newton from 0 on -e takes the steps on e with signs flipped
+        spec, zero = neg_sign(), np.zeros(len(mesh.nodes))
+        kinks = solver._Kinks.split(mesh, spec)[0]
+        lo, hi = envelopes(spec, mesh.nodes, zero, 0.0)
+        lo_u, hi_u = (solver._inner_solve(mesh, e, SolverOptions(), zero, kinks, [])
+                      for e in (lo, hi))
+        assert (0.0 - lo_u).tobytes() == hi_u.tobytes()
 
     def test_stage_without_band_nodes_ends_the_solve(self, monkeypatch):
         calls = counting(monkeypatch, "_solve_prescribed")
@@ -504,8 +527,8 @@ class TestConvergenceOrder:
 
 class TestSolverOptions:
     @pytest.mark.parametrize("kw", [
-        dict(inner_tol=0.0), dict(outer_tol=-1.0), dict(damping=1.0),
-        dict(damping=0.0), dict(working_margin=0.6), dict(working_margin=0.0),
+        dict(inner_tol=0.0), dict(outer_tol=-1.0), dict(working_margin=0.5),
+        dict(max_outer=0), dict(working_margin=0.6), dict(working_margin=0.0),
         dict(max_inner=0), dict(selection_rule="median"),
     ])
     def test_validation(self, kw):
