@@ -10,8 +10,9 @@ arguments, solver keys the fields of `SolverOptions`, and the options and
 catalog rules check their own ranges.  A sweep value overrides one key and
 is checked like the file, every value before the first run.  Handlers
 raise; `main` maps errors to exit codes: 1 for a configuration or input
-error (`ValueError`, `OSError`), 2 for an inner solve failure,
-non-convergence or failed verification checks (results are still written).
+error (`ValueError`, `OSError`), 2 for non-convergence or failed
+verification checks (results are still written) or an inner solve failure
+(`solve` writes nothing, `sweep` a `converged=false` row).
 """
 
 from __future__ import annotations
@@ -189,7 +190,10 @@ def _expression_fn(expr: str, where: str):
         code = compile(expr, "<nonlinearity.expression>", "eval")
     except SyntaxError as err:
         raise ConfigError(f"{where}: bad expression {expr!r}: {err.msg}") from None
-    for name in code.co_names:
+    codes = [code]  # lambdas and comprehensions compile to nested code objects
+    for nested in codes:
+        codes += [c for c in nested.co_consts if isinstance(c, type(code))]
+    for name in (name for c in codes for name in c.co_names):
         if name not in _EXPR_NAMES and name not in ("x", "y", "r"):
             raise ConfigError(f"{where}: expression uses unknown name {name!r}")
 

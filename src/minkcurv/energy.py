@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .mesh import Field, Mesh, element_gradients, inradius
+from .mesh import Field, Mesh, element_gradients, inradius, squared_norms
 # `primitive` is no longer called here; it stays a module attribute because
 # bench/worker.py wraps energy.primitive when it traces a run.
 from .nonlinearity import NonlinearitySpec, primitive, primitive_array  # noqa: F401
@@ -75,7 +75,7 @@ def psi(mesh: Mesh, field: Field) -> float:
     above one anywhere, or a nonzero boundary value).
     """
     g = element_gradients(mesh, field.values)
-    g2 = (g * g).sum(axis=1)
+    g2 = squared_norms(g)
     if np.any(g2 > 1.0):
         return math.inf
     if mesh.boundary_nodes.size and np.any(field.values[mesh.boundary_nodes] != 0.0):
@@ -91,7 +91,7 @@ def psi_gradient(mesh: Mesh, field: Field, margin: float = 1e-9) -> np.ndarray:
     surface.
     """
     g = element_gradients(mesh, field.values)
-    g2 = (g * g).sum(axis=1)
+    g2 = squared_norms(g)
     limit = (1.0 - margin) ** 2
     if np.any(g2 > limit):
         bad = int(np.argmax(g2))

@@ -41,7 +41,7 @@ import numpy as np
 import scipy.sparse as sp
 from scipy.sparse.linalg import splu
 
-from .mesh import Field, Mesh, element_gradients
+from .mesh import Field, Mesh, element_gradients, squared_norms
 # `bracket` is no longer called here; it stays a module attribute because
 # bench/worker.py wraps solver.bracket when it traces a run.
 from .nonlinearity import (NonlinearitySpec, bracket, envelopes, jump_limits,  # noqa: F401
@@ -320,7 +320,7 @@ def _solve_prescribed(mesh: Mesh, e, opts: SolverOptions, initial=None,
 
     def grad_sq(vals):
         g = element_gradients(mesh, vals)
-        return g, (g * g).sum(axis=1)
+        return g, squared_norms(g)
 
     stats = _InnerStats()
 

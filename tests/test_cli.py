@@ -7,6 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from minkcurv import cli
 from minkcurv.cli import (ConfigError, load_config, main, parse_flat_config,
                           read_solution_csv)
 from minkcurv.mesh import build_interval_mesh, write_mesh
@@ -97,6 +98,13 @@ class TestConfigParsing:
         config = load_config(write_cfg(tmp_path, sample))
         assert config.nonlinearity_kind == "neg_sign" and config.emit_svg
 
+    def test_readme_quickstart_runs(self, capsys):
+        readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+        sample = re.search(r"```python\n(.*?)```", readme, re.S).group(1)
+        exec(compile(sample, "README.md", "exec"), {})
+        converged, energy = capsys.readouterr().out.splitlines()[0].split()
+        assert converged == "True" and float(energy) == pytest.approx(-0.29558, abs=1e-5)
+
     def test_missing_mesh_file_names_path(self, tmp_path):
         p = tmp_path / "c.cfg"
         p.write_text("domain.kind = file\ndomain.path = nowhere.txt\n"
@@ -121,21 +129,36 @@ class TestConfigParsing:
             load_config(p)
 
     def test_expression_forcing(self, tmp_path):
-        p = tmp_path / "c.cfg"
-        p.write_text("domain.kind = interval\ndomain.a = -1\ndomain.b = 1\n"
-                     "domain.n = 8\nnonlinearity.kind = prescribed\n"
-                     "nonlinearity.expression = 2*x + 1\n")
-        config = load_config(p)
-        mesh = config.build_mesh()
-        spec = config.build_spec(mesh)
-        assert spec.evaluate(np.array([[0.5]]), np.zeros(1)) == pytest.approx(2.0)
+        # a lambda of allowed names passes the name check of nested code
+        for expr in ("2*x + 1", "(lambda q: q * 2)(x) + 1"):
+            p = tmp_path / "c.cfg"
+            p.write_text("domain.kind = interval\ndomain.a = -1\ndomain.b = 1\n"
+                         "domain.n = 8\nnonlinearity.kind = prescribed\n"
+                         f"nonlinearity.expression = {expr}\n")
+            config = load_config(p)
+            mesh = config.build_mesh()
+            spec = config.build_spec(mesh)
+            assert spec.evaluate(np.array([[0.5]]), np.zeros(1)) == pytest.approx(2.0)
 
-    def test_expression_rejects_unknown_names(self, tmp_path):
+    @pytest.mark.parametrize("expr, name", [
+        ("__import__('os')", "__import__"),
+        ("(lambda: [c.__name__ for c in ().__class__.__base__.__subclasses__()][:3])()"
+         " and 0 * x + 1", "__class__"),
+        ("[c.__class__ for c in x] and 0 * x + 1", "__class__"),
+        ("(c.__class__ for c in x) and 0 * x + 1", "__class__"),
+    ], ids=["import", "lambda", "comprehension", "generator"])
+    def test_expression_rejects_unknown_names(self, tmp_path, monkeypatch, expr, name):
+        # lambdas and comprehensions compile to nested code objects, whose
+        # names are checked too, before anything is evaluated
+        def never(*args):
+            raise AssertionError("the expression was evaluated")
+
+        monkeypatch.setattr(cli, "eval", never, raising=False)
         p = tmp_path / "c.cfg"
         p.write_text("domain.kind = interval\ndomain.a = -1\ndomain.b = 1\n"
                      "domain.n = 8\nnonlinearity.kind = prescribed\n"
-                     "nonlinearity.expression = __import__('os')\n")
-        with pytest.raises(ConfigError):
+                     f"nonlinearity.expression = {expr}\n")
+        with pytest.raises(ConfigError, match=f":6: expression uses unknown name '{name}'"):
             load_config(p)
 
 
@@ -299,6 +322,12 @@ def test_inner_solve_failure_exits_2(tmp_path, capsys, command):
         argv += ["--param", "n", "--values", "16,32"]
     assert main(argv) == 2
     assert "inner solve failed" in capsys.readouterr().err
+    if command == "solve":
+        # the failure is raised before anything is written
+        assert not (tmp_path / "out" / "solution.csv").exists()
+    else:
+        rows = (tmp_path / "out" / "sweep.csv").read_text().splitlines()[1:]
+        assert [row.split(",")[-1] for row in rows] == ["false", "false"]
 
 
 @pytest.mark.parametrize("command", ["solve", "sweep"])

@@ -8,7 +8,7 @@ from minkcurv import verify
 from minkcurv.mesh import (Field, Mesh, MeshError, MeshFormatError,
                            boundary_distance_cone, build_disk_mesh, build_interval_mesh,
                            build_rectangle_mesh, element_gradients, inradius, max_gradient_norm,
-                           random_feasible_field, read_mesh, write_mesh)
+                           random_feasible_field, read_mesh, squared_norms, write_mesh)
 
 
 def brute_inradius(mesh):
@@ -170,6 +170,21 @@ class TestMaxGradientNorm:
         assert max_gradient_norm(m, np.zeros(5)) == 0.0
         empty = Mesh(np.array([0.0, 1.0]), np.zeros((0, 2)), [0, 1])
         assert max_gradient_norm(empty, np.zeros(2)) == 0.0
+
+
+class TestSquaredNorms:
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    @pytest.mark.parametrize("rows", [0, 1, 24576])
+    def test_bits_of_the_axis_sum(self, dim, rows):
+        # the one |g|^2 kernel gives the same bits as numpy's reduce over axis 1,
+        # across magnitudes and with zero and signed-zero rows
+        rng = np.random.default_rng(dim)
+        g = rng.standard_normal((rows, dim)) * 10.0 ** rng.uniform(-8, 8, (rows, 1))
+        g[::7] = 0.0
+        g[3::7] = -0.0
+        got = squared_norms(g)
+        assert got.shape == (rows,) and got.dtype == np.float64
+        assert got.tobytes() == (g * g).sum(axis=1).tobytes()
 
 
 def test_verify_reexports_the_trial_fields():

@@ -312,8 +312,10 @@ class TestStationarityMeasure:
         lo, hi = envelopes(spec, mesh.nodes, u.values, 0.0)
         rng = np.random.default_rng(11)
         trials = [boundary_distance_cone(mesh, max_gradient=a) for a in (0.9, 0.5, 0.1)]
-        trials += [random_feasible_field(mesh, rng, around=u.values if k % 2 else None)
-                   for k in range(40)]
+        headroom = max(0.9 - max_gradient_norm(mesh, u.values), 0.0)
+        for k in range(40):
+            v = random_feasible_field(mesh, rng, headroom if k % 2 else 0.9)
+            trials.append(Field(mesh, u.values + v.values, dirichlet_zero=True) if k % 2 else v)
         for v in trials:
             d = v.values - u.values
             lhs = psi(mesh, v) - psi(mesh, u) + float(

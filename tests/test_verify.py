@@ -5,6 +5,8 @@ import math
 import numpy as np
 import pytest
 
+import minkcurv.mesh as mesh_module
+import minkcurv.verify as verify_module
 from minkcurv.energy import total_energy
 from minkcurv.mesh import Field, Mesh, build_disk_mesh, build_interval_mesh, inradius
 from minkcurv.nonlinearity import constant, neg_sign, power, primitive_array, step
@@ -84,6 +86,22 @@ class TestVariationalInequality:
         slack = variational_inequality_check(
             m, Field.zero(m), np.ones(len(m.nodes)), 0)
         assert slack < -0.1
+
+    def test_candidate_gradient_norm_is_taken_once(self, monkeypatch):
+        # one headroom serves all 100 perturbed trials, so the candidate's
+        # gradient norm is taken at most once per check
+        m = build_disk_mesh(1.0, 3)
+        res = solve_inclusion(m, neg_sign())
+        original, on_candidate = mesh_module.max_gradient_norm, []
+
+        def counting(mesh, values):
+            on_candidate.append(np.array_equal(values, res.u.values))
+            return original(mesh, values)
+
+        monkeypatch.setattr(mesh_module, "max_gradient_norm", counting)
+        monkeypatch.setattr(verify_module, "max_gradient_norm", counting, raising=False)
+        variational_inequality_check(m, res.u, res.zeta, trials=200)
+        assert sum(on_candidate) <= 1
 
     def test_infeasible_candidate_rejected(self):
         m = build_interval_mesh(-1, 1, 16)
