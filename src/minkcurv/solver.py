@@ -5,7 +5,14 @@ search minimizes the strictly convex prescribed-right-hand-side energy over
 zero-boundary fields whose element gradients stay inside the unit ball.
 Objective and gradient come from the area kernel of `energy`; the exact
 Hessian blows up like (1-|g|^2)^(-3/2) near the constraint surface, so
-Newton directions are naturally repelled from it.  An increasing jump of f
+Newton directions are naturally repelled from it.  On a 2D mesh with no
+kinks and no pinned nodes the direction is inexact: CG preconditioned by
+the factor of K0 = sum_e m_e B B^T (the Hessian at the zero field), stopped
+at the relative residual min(0.1, residual).  One K0 factor at most is
+alive per process; it serves every such solve on its mesh until another
+mesh needs it, the mesh dies or `solve_inclusion` returns.  A step whose
+CG misses its forcing, and the rest of that solve, factor the Hessian
+directly, as every other solve does per step.  An increasing jump of f
 by c at `level` is the convex kink c * max(0, u_i - level) of the lumped
 energy.  Every inner solve keeps the kinks, a set that may be empty: Newton
 on their Moreau envelopes, gamma = 1, 0.1, ...  A stage whose solution has
@@ -39,7 +46,7 @@ from dataclasses import dataclass, field as dataclass_field
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.sparse.linalg import splu
+from scipy.sparse.linalg import LinearOperator, cg, splu
 
 from .mesh import Field, Mesh, element_gradients, squared_norms
 # `bracket` is no longer called here; it stays a module attribute because
@@ -298,6 +305,47 @@ def _area_hessian(mesh: Mesh, ws: _NewtonWorkspace, root, Bg) -> sp.csc_matrix:
     return sp.csc_matrix((data, ws.indices, ws.indptr), shape=(n, n))
 
 
+def _factor(matrix: sp.csc_matrix):
+    """SuperLU factor of an SPD matrix already in elimination order: no
+    column reordering and no pivoting."""
+    return splu(matrix, permc_spec="NATURAL", diag_pivot_thresh=0.0,
+                options=dict(SymmetricMode=True))
+
+
+# At most one K0 factor is alive per process: [weakref to its mesh, K0^-1 as
+# a LinearOperator].  A disk-6 factor takes 58 MB of heap, so one per live
+# mesh would grow with every mesh a caller keeps.
+_K0_SLOT = [None, None]
+
+
+def _release_k0(mesh_ref=None):
+    """Empty the slot; as the callback of a dying mesh's weakref, only if the
+    slot holds that mesh's factor."""
+    if mesh_ref is None or _K0_SLOT[0] is mesh_ref:
+        _K0_SLOT[:] = [None, None]
+
+
+def _k0_preconditioner(mesh: Mesh, ws: _NewtonWorkspace) -> LinearOperator:
+    """K0^-1 for the mesh, K0 = sum_e m_e B B^T the area Hessian at the zero
+    field, factored on first use and kept until another mesh needs the slot,
+    the mesh dies or `solve_inclusion` returns."""
+    mesh_ref, inverse = _K0_SLOT
+    if mesh_ref is not None and mesh_ref() is mesh:
+        return inverse
+    _release_k0()  # the old factor goes before the new one is made
+    k0 = _area_hessian(mesh, ws, np.ones(len(mesh.elements)),
+                       np.zeros(mesh.elements.shape))
+    inverse = LinearOperator(k0.shape, matvec=_factor(k0).solve, dtype=float)
+    _K0_SLOT[:] = [weakref.ref(mesh, _release_k0), inverse]
+    return inverse
+
+
+# CG iterations an inexact Newton step may take before it falls back to the
+# direct factor.  Disk-6 right-hand sides a in [1.5, 2.5] need at most 18;
+# on disk-4 at a = 30 the CG of the ninth step does not converge in 200.
+_CG_MAX_ITER = 50
+
+
 def _solve_prescribed(mesh: Mesh, e, opts: SolverOptions, initial=None,
                       kinks=_NO_KINKS, gamma=1.0, pinned=None):
     """Newton minimization over interior nodes of psi_h(w) + <e, w>_lumped
@@ -342,6 +390,11 @@ def _solve_prescribed(mesh: Mesh, e, opts: SolverOptions, initial=None,
     ws = _newton_workspace(mesh)
     order = ws.order
     fixed = np.zeros(len(order), bool) if pinned is None else pinned[order]
+    # Away from the constraint surface K0^-1 H has its spectrum in
+    # [1/r_max, 1/r_min^3], so with no kinks and no pins one K0 factor
+    # preconditions every step.  In 1D the tridiagonal factor costs next to
+    # nothing, and kinks and pins change the Hessian's diagonal per step.
+    inexact = mesh.dim >= 2 and kinks.level.size == 0 and pinned is None
     obj = objective(g2, values)
     stats.objectives.append(obj)
     for _ in range(opts.max_inner + 1):
@@ -359,16 +412,22 @@ def _solve_prescribed(mesh: Mesh, e, opts: SolverOptions, initial=None,
             raise failure(f"no convergence in {opts.max_inner} Newton iterations "
                           f"(residual {residual:.3e})", residual)
 
-        # The Hessian is SPD and already in nested-dissection order: no
-        # column reordering and no pivoting; pinned nodes get identity rows
-        # (zero step).  The factor is used once, so one LU is alive at a time.
+        # The Hessian is SPD and already in nested-dissection order; pinned
+        # nodes get identity rows (zero step).  CG stops at the linear
+        # Eisenstat-Walker forcing min(0.1, residual); if it misses that,
+        # this step and the rest of the solve factor the Hessian, used once,
+        # so at most one such LU is alive at a time.
         hessian = _area_hessian(mesh, ws, root, Bg)
         hessian.data[ws.diagonal] += (mesh.node_weight * band.sum(axis=0) / gamma)[order]
         hessian.data[fixed[ws.indices]] = 0.0
         hessian.data[ws.diagonal[fixed]] = 1.0
         try:
-            direction = splu(hessian, permc_spec="NATURAL", diag_pivot_thresh=0.0,
-                             options=dict(SymmetricMode=True)).solve(-grad)
+            if inexact:
+                direction, unmet = cg(hessian, -grad, rtol=min(0.1, residual), atol=0.0,
+                                      maxiter=_CG_MAX_ITER, M=_k0_preconditioner(mesh, ws))
+                inexact = not unmet
+            if not inexact:
+                direction = _factor(hessian).solve(-grad)
         except RuntimeError as err:
             raise failure(f"Hessian factorization failed: {err}", residual) from err
         if not np.all(np.isfinite(direction)):
@@ -515,24 +574,29 @@ def solve_inclusion(mesh: Mesh, spec: NonlinearitySpec,
     trace = [I_u]
     fixed_point = False
     outer = 0
-    while outer < opts.max_outer:
-        outer += 1
-        zeta = rest_selection(u)
-        cand = _inner_solve(mesh, zeta, opts, u, kinks, stats_all)
-        step = float(np.abs(cand - u).max())
-        zeta_next = rest_selection(cand)
-        u = cand
-        I_u = total_energy(mesh, Field(mesh, u, dirichlet_zero=True), spec)
-        trace.append(I_u)
-        if step <= opts.outer_tol or np.array_equal(zeta_next[interior], zeta[interior]):
-            certificate = _certificate(mesh, spec, u, opts.working_margin)
-            improved = rest_jumps and _escape_probe(mesh, spec, opts, u, I_u, zeta_next,
-                                                    certificate, kinks, stats_all)
-            if not improved:
-                fixed_point = True
-                break
-            u, I_u = improved
+    try:
+        while outer < opts.max_outer:
+            outer += 1
+            zeta = rest_selection(u)
+            cand = _inner_solve(mesh, zeta, opts, u, kinks, stats_all)
+            step = float(np.abs(cand - u).max())
+            zeta_next = rest_selection(cand)
+            u = cand
+            I_u = total_energy(mesh, Field(mesh, u, dirichlet_zero=True), spec)
             trace.append(I_u)
+            if step <= opts.outer_tol or np.array_equal(zeta_next[interior], zeta[interior]):
+                certificate = _certificate(mesh, spec, u, opts.working_margin)
+                improved = rest_jumps and _escape_probe(mesh, spec, opts, u, I_u, zeta_next,
+                                                        certificate, kinks, stats_all)
+                if not improved:
+                    fixed_point = True
+                    break
+                u, I_u = improved
+                trace.append(I_u)
+    finally:
+        # A K0 factor kept past the solve would live through the caller's
+        # post-processing and fragment the heap for the next mesh's factor.
+        _release_k0()
 
     if not fixed_point:  # max_outer ended the loop: no pass at this u yet
         certificate = _certificate(mesh, spec, u, opts.working_margin)

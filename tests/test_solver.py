@@ -613,15 +613,42 @@ class TestNewtonWorkspace:
         dissect = solver._nested_dissection
         monkeypatch.setattr(solver, "_nested_dissection",
                             lambda *args: builds.append(1) or dissect(*args))
+        factors = counting(monkeypatch, "splu")
         mesh = build_disk_mesh(1.0, 2)
         solve_prescribed(mesh, 1.0)
         solve_prescribed(mesh, 2.0)
+        for a in np.linspace(1.5, 2.5, 8):
+            solve_prescribed(mesh, a)
         ws = _newton_workspace(mesh)
         assert len(builds) == 1
+        # one K0 factor preconditions every kink-free 2D solve on the mesh
+        assert len(factors) == 1 and solver._K0_SLOT[0]() is mesh
+        # a 1D solve factors once per Newton step and keeps the slot
+        _, stats = _solve_prescribed(build_interval_mesh(-1, 1, 64), 1.0, SolverOptions())
+        assert stats.iterations > 0 and len(factors) == 1 + stats.iterations
+        assert solver._K0_SLOT[0]() is mesh
+        # another mesh drops the first mesh's factor: at most one is alive
+        k0 = weakref.ref(solver._K0_SLOT[1])
+        other = build_disk_mesh(1.0, 2)
+        solve_prescribed(other, 1.0)
+        assert k0() is None and solver._K0_SLOT[0]() is other
+        # a kinked solve factors once per Newton step; solve_inclusion empties
+        # the slot when it returns
+        k0 = weakref.ref(solver._K0_SLOT[1])
+        calls = len(factors)
+        res = solve_inclusion(build_disk_mesh(1.0, 3), step(-1.0, 1.0, 0.1))
+        assert res.inner_iterations > 0 and len(factors) == calls + res.inner_iterations
+        assert k0() is None and solver._K0_SLOT == [None, None]
         mesh_ref, ws_ref = weakref.ref(mesh), weakref.ref(ws)
         del mesh, ws
         gc.collect()
         assert mesh_ref() is None and ws_ref() is None
+        # the factor dies with its mesh
+        solve_prescribed(other, 1.0)
+        k0 = weakref.ref(solver._K0_SLOT[1])
+        del other
+        gc.collect()
+        assert k0() is None and solver._K0_SLOT == [None, None]
 
     def test_no_interior_node(self):
         m = build_interval_mesh(-1, 1, 1)
@@ -637,3 +664,17 @@ class TestNewtonWorkspace:
     def test_disk_newton_step_counts(self, a, steps):
         _, stats = _solve_prescribed(build_disk_mesh(1.0, 4), a, SolverOptions())
         assert stats.iterations == steps
+
+    @pytest.mark.parametrize("refinement, a, steps", [(4, 30.0, 9), (3, 100.0, 15)])
+    def test_strong_fields_fall_back_to_the_direct_factor(self, monkeypatch, refinement,
+                                                          a, steps):
+        # K0-preconditioned CG misses its forcing this close to the constraint
+        # surface; from that step on the Hessian is factored, one per step
+        factors = counting(monkeypatch, "splu")
+        mesh = build_disk_mesh(1.0, refinement)
+        values, stats = _solve_prescribed(mesh, a, SolverOptions())
+        gradient = psi_gradient(mesh, Field(mesh, values)) + mesh.node_weight * a
+        assert np.abs(gradient[mesh.interior_nodes]).max() <= 1e-10
+        assert stats.iterations == steps
+        # K0, then a direct factor per step from the first CG miss on
+        assert 2 <= len(factors) <= steps
