@@ -7,6 +7,13 @@ see `read_mesh` / `write_mesh`.  Trial fields for the certificates (random
 feasible fields, distance cones) live here too: they need only the mesh
 geometry and element gradients.
 
+Element gradients are one sparse mat-vec: each mesh carries its gradient
+operator G, the CSR matrix of shape (M*dim, K) whose row e*dim + k holds
+the basis gradients B[e, v, k] at the columns elements[e, v], stored in
+vertex order v = 0..dim.  `element_gradients` is the one reader of G, whose
+row sums add B_0 x_0 + B_1 x_1 + ... left to right, the bits of the
+per-vertex sum.
+
 A mesh is immutable after construction and safe to share across threads;
 apart from the random draws of the trial fields, all operations here are
 pure functions of their arguments.
@@ -53,6 +60,11 @@ class Mesh:
     node_weight : ndarray, shape (K,)
         Lumped quadrature weight: each element contributes measure/(dim+1)
         to each of its vertices.  Weights sum to the domain volume.
+    basis_gradients : ndarray, shape (M, dim+1, dim)
+        Gradient of each vertex's barycentric coordinate on each element.
+    gradient_operator : scipy.sparse.csr_matrix, shape (M*dim, K)
+        The element gradient operator G (module docstring), read-only, in
+        vertex order: never sorted or summed, which would change its bits.
     """
 
     def __init__(self, nodes, elements, boundary_nodes):
@@ -111,6 +123,16 @@ class Mesh:
         grads[:, 1:, :] = Dinv  # rows of D^{-1} are grad(lambda_j), j = 1..n
         grads[:, 0, :] = -grads[:, 1:, :].sum(axis=1)
         self.basis_gradients = grads
+
+        M, nv = self.elements.shape
+        G = sp.csr_matrix(
+            (np.ascontiguousarray(grads.transpose(0, 2, 1)).reshape(-1),
+             np.broadcast_to(self.elements[:, None, :], (M, n, nv)).reshape(-1),
+             np.arange(0, M * n * nv + 1, nv)),
+            shape=(M * n, len(self.nodes)))
+        for arr in (G.data, G.indices, G.indptr):
+            arr.setflags(write=False)
+        self.gradient_operator = G
 
         weight = np.zeros(len(self.nodes))
         np.add.at(weight, self.elements, (measure / (n + 1))[:, None])
@@ -247,7 +269,7 @@ def build_disk_mesh(radius: float, refinement: int) -> Mesh:
 def element_gradients(mesh: Mesh, values) -> np.ndarray:
     """Per-element P1 gradients of a nodal value vector, shape (M, dim)."""
     values = np.asarray(values, dtype=float)
-    return np.einsum("evd,ev->ed", mesh.basis_gradients, values[mesh.elements])
+    return (mesh.gradient_operator @ values).reshape(-1, mesh.dim)
 
 
 def squared_norms(g) -> np.ndarray:
@@ -273,9 +295,21 @@ def inradius(mesh: Mesh) -> float:
     return float(_boundary_distance(mesh).max(initial=0.0))
 
 
+_distance_cache = weakref.WeakKeyDictionary()
+
+
 def _boundary_distance(mesh: Mesh) -> np.ndarray:
-    """Distance from each interior node to the nearest boundary node."""
-    return cKDTree(mesh.nodes[mesh.boundary_nodes]).query(mesh.nodes[mesh.interior_nodes])[0]
+    """Distance from each interior node to the nearest boundary node, read-only.
+
+    One tree query per mesh, made on first use and cached for its lifetime."""
+    try:
+        return _distance_cache[mesh]
+    except KeyError:
+        pass
+    dist = cKDTree(mesh.nodes[mesh.boundary_nodes]).query(mesh.nodes[mesh.interior_nodes])[0]
+    dist.setflags(write=False)
+    _distance_cache[mesh] = dist
+    return dist
 
 
 # -- trial fields --------------------------------------------------------------

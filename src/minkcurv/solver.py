@@ -15,11 +15,12 @@ CG misses its forcing, and the rest of that solve, factor the Hessian
 directly, as every other solve does per step.  An increasing jump of f
 by c at `level` is the convex kink c * max(0, u_i - level) of the lumped
 energy.  Every inner solve keeps the kinks, a set that may be empty: Newton
-on their Moreau envelopes, gamma = 1, 0.1, ...  A stage whose solution has
-no node in a smoothing band is exact (each slope there is a subgradient of
-its kink), so with no kinks the first stage is the whole solve; otherwise
-the band nodes are pinned at their level and the problem solved again,
-until the pinned solution meets the inclusion exactly.
+on their Moreau envelopes, gamma = 1, 0.01, ..., 1e-12.  A stage whose
+solution has no node in a smoothing band is exact (each slope there is a
+subgradient of its kink), so with no kinks the first stage is the whole
+solve; otherwise the band nodes are pinned at their level and the problem
+solved again, until the pinned solution meets the inclusion exactly.  A
+rejected pinned solution starts the next stage.
 
 Outer level: a selection fixed point for the rest of f, f minus its kinks
 (constant for `step` and `heaviside`, so one iteration suffices; all of f
@@ -474,7 +475,7 @@ def solve_prescribed(mesh: Mesh, e, opts: SolverOptions | None = None,
 
 
 # smoothing stages of the inner solve, and the acceptance residual of a pinned one
-_MAX_STAGES = 13
+_MAX_STAGES = 7
 _KINK_TOL = 1e-8
 
 
@@ -485,7 +486,7 @@ def _inner_solve(mesh: Mesh, e, opts: SolverOptions, initial, kinks: _Kinks,
     solution is accepted when m - e is within _KINK_TOL of their subdifferential."""
     values, nodes = initial, np.arange(len(initial))
     for stage in range(_MAX_STAGES):
-        gamma = 0.1 ** stage
+        gamma = 0.01 ** stage
         values, stats = _solve_prescribed(mesh, e, opts, initial=values,
                                           kinks=kinks, gamma=gamma)
         stats_sink.append(stats)
@@ -504,6 +505,7 @@ def _inner_solve(mesh: Mesh, e, opts: SolverOptions, initial, kinks: _Kinks,
         if _distance(m, *kinks.subdifferential(trial))[mesh.interior_nodes].max(
                 initial=0.0) <= _KINK_TOL:
             return trial
+        values = trial  # the next stage starts from the pinned solution
     return values
 
 

@@ -1,14 +1,19 @@
+import gc
 import hashlib
+import itertools
 import math
+import weakref
 
 import numpy as np
 import pytest
+from scipy.spatial import Delaunay
 
-from minkcurv import verify
+from minkcurv import mesh as mesh_module, verify
 from minkcurv.mesh import (Field, Mesh, MeshError, MeshFormatError,
                            boundary_distance_cone, build_disk_mesh, build_interval_mesh,
                            build_rectangle_mesh, element_gradients, inradius, max_gradient_norm,
                            random_feasible_field, read_mesh, squared_norms, write_mesh)
+from minkcurv.nonlinearity import neg_sign
 
 
 def brute_inradius(mesh):
@@ -154,16 +159,28 @@ class TestElementGradient:
         assert np.allclose(combo, parts, atol=1e-13)
 
 
+def delaunay_mesh(dim, count, seed):
+    """Delaunay mesh of random points in the unit cube; hull vertices are the boundary."""
+    points = np.random.default_rng(seed).random((count, dim))
+    tri = Delaunay(points)
+    return Mesh(points, tri.simplices, np.unique(tri.convex_hull))
+
+
 class TestMaxGradientNorm:
     def test_matches_the_per_element_gradients(self):
-        m = build_disk_mesh(1.0, 2)
-        vals = np.random.default_rng(2).standard_normal(len(m.nodes))
-        # independent per-element reference: B_e^T v on the element's vertices
-        ref = np.array([m.basis_gradients[e].T @ vals[m.elements[e]]
-                        for e in range(len(m.elements))])
-        np.testing.assert_allclose(element_gradients(m, vals), ref, rtol=1e-14, atol=1e-14)
-        expected = float(np.linalg.norm(ref, axis=1).max())
-        assert max_gradient_norm(m, vals) == pytest.approx(expected, rel=1e-14)
+        meshes = [build_interval_mesh(-1.0, 2.0, 97), build_disk_mesh(1.0, 3),
+                  build_rectangle_mesh(2.0, 1.0, 13, 7), delaunay_mesh(3, 80, 4)]
+        rng = np.random.default_rng(2)
+        for m, scale in itertools.product(meshes, (1e-9, 1.0, 1e7)):
+            vals = rng.standard_normal(len(m.nodes)) * scale
+            vals[::5], vals[1::7] = 0.0, -0.0
+            # independent reference: B_0 v_0 + B_1 v_1 + ... per element, added
+            # left to right from zero; the operator gives exactly these bits
+            ref = sum(m.basis_gradients[:, v, :] * vals[m.elements[:, v], None]
+                      for v in range(m.dim + 1))
+            got = element_gradients(m, vals)
+            assert got.shape == ref.shape and got.tobytes() == ref.tobytes()
+            assert max_gradient_norm(m, vals) == float(np.sqrt(squared_norms(ref).max()))
 
     def test_zero_field_and_empty_mesh(self):
         m = build_interval_mesh(0.0, 1.0, 4)
@@ -211,6 +228,39 @@ class TestInradius:
     def test_no_interior_nodes(self):
         m = build_interval_mesh(0.0, 1.0, 1)
         assert inradius(m) == 0.0
+
+
+class TestPerMeshCaches:
+    def test_gradient_operator_is_read_only(self):
+        m = build_disk_mesh(1.0, 2)
+        G = m.gradient_operator
+        assert G.format == "csr" and G.shape == (2 * len(m.elements), len(m.nodes))
+        for arr in (G.data, G.indices, G.indptr):
+            assert not arr.flags.writeable
+        with pytest.raises(ValueError):
+            G.data[0] = 1.0
+
+    def test_one_distance_query_per_mesh_freed_with_it(self, monkeypatch):
+        queries = []
+
+        class CountingTree(mesh_module.cKDTree):
+            def query(self, *args, **kwargs):
+                queries.append(1)
+                return super().query(*args, **kwargs)
+        monkeypatch.setattr(mesh_module, "cKDTree", CountingTree)
+        m = build_disk_mesh(1.0, 3)
+        radius = inradius(m)
+        u = verify.analytic_radial(-1.0, 1.0, 2).on_mesh(m)
+        verify.verification_report(m, u, np.full(len(m.nodes), -1.0), neg_sign(), vi_trials=4)
+        assert inradius(m) == radius and len(queries) == 1
+        dist = mesh_module._boundary_distance(m)
+        assert not dist.flags.writeable and dist.max() == radius
+        inradius(build_disk_mesh(1.0, 2))
+        assert len(queries) == 2  # another mesh makes its own
+        mesh_ref, dist_ref = weakref.ref(m), weakref.ref(dist)
+        del m, u, dist
+        gc.collect()
+        assert mesh_ref() is None and dist_ref() is None
 
 
 class TestMeshInvariants:

@@ -379,6 +379,14 @@ class TestIncreasingJumps:
         assert res.outer_iterations <= 3
         assert res.energy <= loop_energy
 
+    @pytest.mark.parametrize("name, most", [("interval-64", 32), ("disk-4", 25)])
+    def test_each_stage_starts_from_the_rejected_pinned_solution(self, name, most):
+        # restarting each smoothing stage from the unpinned solution took 48
+        # and 44 Newton steps here
+        mesh = REPELLING_CASES[name][0]()
+        res = solve_inclusion(mesh, step(-1.0, 1.0, 0.25 if name.startswith("interval") else 0.1))
+        assert res.converged and res.inner_iterations <= most
+
     @pytest.mark.parametrize("n", [4, 5])
     def test_matches_the_grid_minimum(self, n):
         mesh = build_interval_mesh(-1, 1, n)

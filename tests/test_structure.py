@@ -78,3 +78,35 @@ def test_solver_draws_no_random_numbers():
     assert "random" not in {alias.name.split(".")[0] for node in ast.walk(tree("solver"))
                             if isinstance(node, (ast.Import, ast.ImportFrom))
                             for alias in node.names}
+
+
+def attribute_reads(module_tree, attr):
+    """Innermost enclosing function name ("<module>" at top level) of every
+    read of `.attr`, and of every string constant equal to `attr`."""
+    found = []
+
+    def visit(node, where):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            where = node.name
+        if isinstance(node, ast.Attribute) and node.attr == attr and isinstance(node.ctx, ast.Load):
+            found.append(where)
+        if isinstance(node, ast.Constant) and node.value == attr:
+            found.append(where)
+        for child in ast.iter_child_nodes(node):
+            visit(child, where)
+    visit(module_tree, "<module>")
+    return found
+
+
+def test_only_element_gradients_reads_the_gradient_operator():
+    # one gradient path: every element gradient is a call the bench can count
+    reads = {(name, where) for name in MODULES
+             for where in attribute_reads(tree(name), "gradient_operator")}
+    assert reads == {("mesh", "element_gradients")}
+
+
+def test_the_attribute_scan_sees_nested_reads_and_strings():
+    src = ("class A:\n    def __init__(self):\n        self.op = 1\n"
+           "def f(m):\n    def g():\n        return m.op\n    return g\n"
+           "x = getattr(m, 'op')\n")
+    assert attribute_reads(ast.parse(src), "op") == ["g", "<module>"]
