@@ -14,15 +14,17 @@ vertex order v = 0..dim.  `element_gradients` is the one reader of G, whose
 row sums add B_0 x_0 + B_1 x_1 + ... left to right, the bits of the
 per-vertex sum.
 
-A mesh is immutable after construction and safe to share across threads;
-apart from the random draws of the trial fields, all operations here are
-pure functions of their arguments.
+A mesh is immutable after construction and safe to share across threads,
+apart from its cache of derived data (`per_mesh`): filled on first use, it
+lives and dies with the mesh and is left out of its pickle.  Apart from the
+random draws of the trial fields, all operations here are pure functions of
+their arguments.
 """
 
 from __future__ import annotations
 
+import functools
 import math
-import weakref
 
 import numpy as np
 # scipy.spatial first: it imports scipy.sparse itself, and this order makes
@@ -100,6 +102,10 @@ class Mesh:
         self.interior_nodes = np.flatnonzero(~mask)
 
         self._build_geometry()
+        unused = np.flatnonzero((np.bincount(elements.ravel(), minlength=len(nodes)) == 0) & ~mask)
+        if unused.size:
+            raise MeshError(f"interior node {unused[0]} at {nodes[unused[0]].tolist()} "
+                            f"belongs to no element")
         for arr in (self.nodes, self.elements, self.boundary_nodes, self.is_boundary,
                     self.interior_nodes, self.element_measure, self.node_weight,
                     self.basis_gradients):
@@ -149,6 +155,9 @@ class Mesh:
         a, b = np.triu_indices(self.dim + 1, 1)
         e = self.nodes[self.elements[:, a]] - self.nodes[self.elements[:, b]]
         return float(np.sqrt((e * e).sum(axis=-1)).max())
+
+    def __getstate__(self):
+        return {k: v for k, v in vars(self).items() if k != "_derived"}
 
     def __repr__(self):
         return (f"Mesh(dim={self.dim}, nodes={len(self.nodes)}, "
@@ -263,6 +272,24 @@ def build_disk_mesh(radius: float, refinement: int) -> Mesh:
     return Mesh(nodes, elements, np.concatenate(boundary))
 
 
+# -- derived data ----------------------------------------------------------------
+
+
+def per_mesh(build):
+    """Decorator: `build(mesh)` runs on a mesh's first call, and later calls
+    return its value, kept in the mesh so that it dies with it.  The value
+    should not refer to the mesh, which would keep both alive until the
+    cycle collector runs.  Two threads that ask at once may both build it;
+    the values are equal."""
+    @functools.wraps(build)
+    def cached(mesh):
+        derived = vars(mesh).setdefault("_derived", {})
+        if build not in derived:
+            derived[build] = build(mesh)
+        return derived[build]
+    return cached
+
+
 # -- element-level evaluation -------------------------------------------------
 
 
@@ -295,34 +322,21 @@ def inradius(mesh: Mesh) -> float:
     return float(_boundary_distance(mesh).max(initial=0.0))
 
 
-_distance_cache = weakref.WeakKeyDictionary()
-
-
+@per_mesh
 def _boundary_distance(mesh: Mesh) -> np.ndarray:
-    """Distance from each interior node to the nearest boundary node, read-only.
-
-    One tree query per mesh, made on first use and cached for its lifetime."""
-    try:
-        return _distance_cache[mesh]
-    except KeyError:
-        pass
+    """Distance from each interior node to the nearest boundary node, read-only:
+    one tree query per mesh."""
     dist = cKDTree(mesh.nodes[mesh.boundary_nodes]).query(mesh.nodes[mesh.interior_nodes])[0]
     dist.setflags(write=False)
-    _distance_cache[mesh] = dist
     return dist
 
 
 # -- trial fields --------------------------------------------------------------
 
-_adjacency_cache = weakref.WeakKeyDictionary()
-
-
+@per_mesh
 def _adjacency(mesh: Mesh):
-    """Node adjacency matrix (ones on element edges) and node degrees, cached."""
-    try:
-        return _adjacency_cache[mesh]
-    except KeyError:
-        pass
+    """Node adjacency matrix (ones on element edges) and node degrees, read-only:
+    the graph of the trial fields and of the solver's elimination order."""
     nv = mesh.dim + 1
     rows = np.repeat(mesh.elements, nv, axis=1).ravel()
     cols = np.tile(mesh.elements, (1, nv)).ravel()
@@ -331,7 +345,8 @@ def _adjacency(mesh: Mesh):
     A = sp.csr_matrix((np.ones(edge.sum()), (rows[edge], cols[edge])), shape=(n, n))
     A.data[:] = 1.0
     deg = np.maximum(A @ np.ones(n), 1.0)
-    _adjacency_cache[mesh] = (A, deg)
+    for arr in (A.data, A.indices, A.indptr, deg):
+        arr.setflags(write=False)
     return A, deg
 
 

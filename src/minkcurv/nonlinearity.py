@@ -297,12 +297,14 @@ def growth_check(spec: NonlinearitySpec, sample_box, count: int, seed: int = 0) 
     x_hi = np.atleast_1d(np.asarray(x_hi, dtype=float))
     rng = np.random.default_rng(seed)
     c, q = spec.growth_c, spec.growth_q
-    s_fixed = [s_lo, s_hi, 0.0] if s_lo <= 0.0 <= s_hi else [s_lo, s_hi]
-    xs, ss = [], []
-    for k in range(count):
-        xs.append(rng.uniform(x_lo, x_hi))
-        ss.append(s_fixed[k] if k < len(s_fixed) else rng.uniform(s_lo, s_hi))
-    x, s = np.array(xs), np.array(ss, dtype=float)
+    s_fixed = ([s_lo, s_hi, 0.0] if s_lo <= 0.0 <= s_hi else [s_lo, s_hi])[:count]
+    # the stream of a one-point-at-a-time loop: d uniforms for each x, then
+    # one for s once the fixed values of s are used up
+    d = np.broadcast_shapes(x_lo.shape, x_hi.shape)[0]
+    head = rng.random((len(s_fixed), d))
+    tail = rng.random((count - len(s_fixed), d + 1))
+    x = x_lo + (x_hi - x_lo) * np.vstack([head, tail[:, :d]])
+    s = np.concatenate([s_fixed, s_lo + (s_hi - s_lo) * tail[:, d]])
     denom = c * (1.0 + np.abs(s) ** (q - 1.0))
     f = np.abs(_per_node(spec.evaluate(x, s), count))
     with np.errstate(divide="ignore", invalid="ignore"):

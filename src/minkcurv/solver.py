@@ -49,7 +49,7 @@ import numpy as np
 import scipy.sparse as sp
 from scipy.sparse.linalg import LinearOperator, cg, splu
 
-from .mesh import Field, Mesh, element_gradients, squared_norms
+from .mesh import Field, Mesh, _adjacency, element_gradients, per_mesh, squared_norms
 # `bracket` is no longer called here; it stays a module attribute because
 # bench/worker.py wraps solver.bracket when it traces a run.
 from .nonlinearity import (NonlinearitySpec, bracket, envelopes, jump_limits,  # noqa: F401
@@ -239,8 +239,7 @@ class _NewtonWorkspace:
     (e, a, b) of the element blocks lands in data slot `scatter[e*nv*nv +
     a*nv + b]`; entries touching a boundary node go to the dummy slot
     `len(indices)`; `diagonal[j]` is the data slot of entry (j, j).
-    `stiffness` holds B B^T per element (B the basis gradients).  Holds no
-    reference to the mesh, so the cache entry dies with it.
+    `stiffness` holds B B^T per element (B the basis gradients).
     """
 
     order: np.ndarray
@@ -251,15 +250,10 @@ class _NewtonWorkspace:
     stiffness: np.ndarray
 
 
-_workspace_cache = weakref.WeakKeyDictionary()
-
-
+@per_mesh
 def _newton_workspace(mesh: Mesh) -> _NewtonWorkspace:
-    """The mesh's Newton workspace, built on first use and cached."""
-    try:
-        return _workspace_cache[mesh]
-    except KeyError:
-        pass
+    """The mesh's Newton workspace; the elimination order dissects the mesh's
+    node graph (`_adjacency`) restricted to the interior."""
     interior = mesh.interior_nodes
     n = len(interior)
     nv = mesh.dim + 1
@@ -270,8 +264,7 @@ def _newton_workspace(mesh: Mesh) -> _NewtonWorkspace:
     cols = np.tile(el, (1, nv)).ravel()       # node of vertex b
     keep = (rows >= 0) & (cols >= 0)
     rows, cols = rows[keep], cols[keep]
-    adjacency = sp.csr_matrix((np.ones(len(rows)), (rows, cols)), shape=(n, n))
-    order = _nested_dissection(mesh.nodes[interior], adjacency)
+    order = _nested_dissection(mesh.nodes[interior], _adjacency(mesh)[0][interior][:, interior])
     rank = np.empty(n, dtype=np.int64)
     rank[order] = np.arange(n)
     slots, slot_of = np.unique(rank[cols] * n + rank[rows], return_inverse=True)
@@ -287,7 +280,6 @@ def _newton_workspace(mesh: Mesh) -> _NewtonWorkspace:
         stiffness=np.einsum("evd,ewd->evw", B, B))
     for arr in vars(workspace).values():
         arr.setflags(write=False)
-    _workspace_cache[mesh] = workspace
     return workspace
 
 
@@ -313,32 +305,21 @@ def _factor(matrix: sp.csc_matrix):
                 options=dict(SymmetricMode=True))
 
 
-# At most one K0 factor is alive per process: [weakref to its mesh, K0^-1 as
-# a LinearOperator].  A disk-6 factor takes 58 MB of heap, so one per live
-# mesh would grow with every mesh a caller keeps.
-_K0_SLOT = [None, None]
-
-
-def _release_k0(mesh_ref=None):
-    """Empty the slot; as the callback of a dying mesh's weakref, only if the
-    slot holds that mesh's factor."""
-    if mesh_ref is None or _K0_SLOT[0] is mesh_ref:
-        _K0_SLOT[:] = [None, None]
+# The K0 slot, {mesh: K0^-1 as a LinearOperator}.  At most one factor is alive
+# per process (a disk-6 factor takes 58 MB of heap), and it goes with its mesh.
+_K0 = weakref.WeakKeyDictionary()
 
 
 def _k0_preconditioner(mesh: Mesh, ws: _NewtonWorkspace) -> LinearOperator:
     """K0^-1 for the mesh, K0 = sum_e m_e B B^T the area Hessian at the zero
-    field, factored on first use and kept until another mesh needs the slot,
-    the mesh dies or `solve_inclusion` returns."""
-    mesh_ref, inverse = _K0_SLOT
-    if mesh_ref is not None and mesh_ref() is mesh:
-        return inverse
-    _release_k0()  # the old factor goes before the new one is made
-    k0 = _area_hessian(mesh, ws, np.ones(len(mesh.elements)),
-                       np.zeros(mesh.elements.shape))
-    inverse = LinearOperator(k0.shape, matvec=_factor(k0).solve, dtype=float)
-    _K0_SLOT[:] = [weakref.ref(mesh, _release_k0), inverse]
-    return inverse
+    field, factored on first use and kept in `_K0` until another mesh needs
+    the slot, the mesh dies or `solve_inclusion` returns."""
+    if mesh not in _K0:
+        _K0.clear()  # the old factor goes before the new one is made
+        k0 = _area_hessian(mesh, ws, np.ones(len(mesh.elements)),
+                           np.zeros(mesh.elements.shape))
+        _K0[mesh] = LinearOperator(k0.shape, matvec=_factor(k0).solve, dtype=float)
+    return _K0[mesh]
 
 
 # CG iterations an inexact Newton step may take before it falls back to the
@@ -598,7 +579,7 @@ def solve_inclusion(mesh: Mesh, spec: NonlinearitySpec,
     finally:
         # A K0 factor kept past the solve would live through the caller's
         # post-processing and fragment the heap for the next mesh's factor.
-        _release_k0()
+        _K0.clear()
 
     if not fixed_point:  # max_outer ended the loop: no pass at this u yet
         certificate = _certificate(mesh, spec, u, opts.working_margin)

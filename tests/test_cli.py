@@ -513,3 +513,16 @@ class TestMeshInfoCommand:
 
     def test_needs_a_source(self, capsys):
         assert main(["mesh-info"]) == 1
+
+    def test_interior_node_of_no_element_exits_1(self, tmp_path, capsys):
+        # node 3 at x = 5 belongs to no element: mesh-info and solve name it
+        mesh = tmp_path / "m.txt"
+        mesh.write_text("dim 1\nnodes 4\n-1\n0\n1\n5\nelements 2\n0 1\n1 2\nboundary\n0 2\n")
+        cfg = write_cfg(tmp_path, "domain.kind = file\ndomain.path = m.txt\n"
+                                  "nonlinearity.kind = neg_sign\noutput.dir = {out}\n")
+        for argv in (["mesh-info", "--mesh", str(mesh)], ["solve", "--config", str(cfg)]):
+            assert main(argv) == 1
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err == "error: interior node 3 at [5.0] belongs to no element\n"
+        assert not (tmp_path / "out").exists()

@@ -2,6 +2,7 @@ import gc
 import hashlib
 import itertools
 import math
+import pickle
 import weakref
 
 import numpy as np
@@ -14,6 +15,7 @@ from minkcurv.mesh import (Field, Mesh, MeshError, MeshFormatError,
                            build_rectangle_mesh, element_gradients, inradius, max_gradient_norm,
                            random_feasible_field, read_mesh, squared_norms, write_mesh)
 from minkcurv.nonlinearity import neg_sign
+from minkcurv.solver import solve_inclusion
 
 
 def brute_inradius(mesh):
@@ -263,6 +265,38 @@ class TestPerMeshCaches:
         assert mesh_ref() is None and dist_ref() is None
 
 
+    def test_adjacency_is_read_only(self):
+        A, deg = mesh_module._adjacency(build_disk_mesh(1.0, 2))
+        with pytest.raises(ValueError):
+            A.data[0] = 2.0
+        with pytest.raises(ValueError):
+            deg[0] = 2.0
+
+    def test_node_graph_built_once_per_mesh(self, monkeypatch):
+        m = build_disk_mesh(1.0, 3)
+        shapes = []
+        csr = mesh_module.sp.csr_matrix
+        monkeypatch.setattr(mesh_module.sp, "csr_matrix",
+                            lambda *args, **kw: shapes.append(kw.get("shape")) or csr(*args, **kw))
+        res = solve_inclusion(m, neg_sign())
+        verify.verification_report(m, res.u, res.zeta, neg_sign(), vi_trials=4)
+        verify.verification_report(m, res.u, res.zeta, neg_sign(), vi_trials=4)
+        # the trial fields and the elimination order share one graph
+        assert [s for s in shapes if s[0] == s[1]] == [(len(m.nodes), len(m.nodes))]
+
+    def test_pickles_as_built_after_use(self):
+        # derived data stays out of the pickle, which matches a fresh mesh's
+        m = build_disk_mesh(1.0, 3)
+        radius = inradius(m)
+        res = solve_inclusion(m, neg_sign())
+        verify.verification_report(m, res.u, res.zeta, neg_sign(), vi_trials=4)
+        data = pickle.dumps(m)
+        assert data == pickle.dumps(build_disk_mesh(1.0, 3))
+        copy = pickle.loads(data)
+        assert np.array_equal(copy.nodes, m.nodes) and inradius(copy) == radius
+        assert np.array_equal(solve_inclusion(copy, neg_sign()).u.values, res.u.values)
+
+
 class TestMeshInvariants:
     @pytest.mark.parametrize("mesh", [
         build_interval_mesh(-1, 1, 17),
@@ -375,6 +409,15 @@ class TestMeshIO:
         p.write_text("dim 1\nnodes 2\n0.0\noops oops\n")
         with pytest.raises(MeshFormatError, match="line 4"):
             read_mesh(p)
+
+    def test_interior_node_of_no_element_is_named(self, tmp_path):
+        # it would get node weight 0, and the operator value divides by it
+        p = tmp_path / "orphan.txt"
+        p.write_text("dim 1\nnodes 4\n-1\n0\n1\n5\nelements 2\n0 1\n1 2\nboundary\n0 2\n")
+        with pytest.raises(MeshError, match=r"^interior node 3 at \[5.0\] belongs to no element$"):
+            read_mesh(p)
+        # a boundary node needs no element
+        assert len(Mesh([-1.0, 0.0, 1.0, 5.0], [[0, 1], [1, 2]], [0, 3]).interior_nodes) == 2
 
     def test_comments_and_blank_lines(self, tmp_path):
         p = tmp_path / "c.txt"

@@ -630,33 +630,33 @@ class TestNewtonWorkspace:
         ws = _newton_workspace(mesh)
         assert len(builds) == 1
         # one K0 factor preconditions every kink-free 2D solve on the mesh
-        assert len(factors) == 1 and solver._K0_SLOT[0]() is mesh
+        assert len(factors) == 1 and list(solver._K0) == [mesh]
         # a 1D solve factors once per Newton step and keeps the slot
         _, stats = _solve_prescribed(build_interval_mesh(-1, 1, 64), 1.0, SolverOptions())
         assert stats.iterations > 0 and len(factors) == 1 + stats.iterations
-        assert solver._K0_SLOT[0]() is mesh
+        assert list(solver._K0) == [mesh]
         # another mesh drops the first mesh's factor: at most one is alive
-        k0 = weakref.ref(solver._K0_SLOT[1])
+        k0 = weakref.ref(solver._K0[mesh])
         other = build_disk_mesh(1.0, 2)
         solve_prescribed(other, 1.0)
-        assert k0() is None and solver._K0_SLOT[0]() is other
+        assert k0() is None and list(solver._K0) == [other]
         # a kinked solve factors once per Newton step; solve_inclusion empties
         # the slot when it returns
-        k0 = weakref.ref(solver._K0_SLOT[1])
+        k0 = weakref.ref(solver._K0[other])
         calls = len(factors)
         res = solve_inclusion(build_disk_mesh(1.0, 3), step(-1.0, 1.0, 0.1))
         assert res.inner_iterations > 0 and len(factors) == calls + res.inner_iterations
-        assert k0() is None and solver._K0_SLOT == [None, None]
+        assert k0() is None and len(solver._K0) == 0
         mesh_ref, ws_ref = weakref.ref(mesh), weakref.ref(ws)
         del mesh, ws
         gc.collect()
         assert mesh_ref() is None and ws_ref() is None
         # the factor dies with its mesh
         solve_prescribed(other, 1.0)
-        k0 = weakref.ref(solver._K0_SLOT[1])
+        k0 = weakref.ref(solver._K0[other])
         del other
         gc.collect()
-        assert k0() is None and solver._K0_SLOT == [None, None]
+        assert k0() is None and len(solver._K0) == 0
 
     def test_no_interior_node(self):
         m = build_interval_mesh(-1, 1, 1)

@@ -7,6 +7,7 @@ module imports inside a function body (the usual way to hide a cycle).
 """
 
 import ast
+import re
 from pathlib import Path
 
 import pytest
@@ -110,3 +111,59 @@ def test_the_attribute_scan_sees_nested_reads_and_strings():
            "def f(m):\n    def g():\n        return m.op\n    return g\n"
            "x = getattr(m, 'op')\n")
     assert attribute_reads(ast.parse(src), "op") == ["g", "<module>"]
+
+
+
+# what keeps values between calls: weak references, memoizers, empty containers
+KEEPERS = {"weakref", "WeakKeyDictionary", "WeakValueDictionary", "finalize",
+           "cache", "lru_cache", "cached_property"}
+EMPTY = re.compile(r"\{\}|\[(None(, )?)*\]|(dict|list|set)\(\)")
+
+
+def kept_state(module_tree):
+    """First source line of each top-level statement that can keep values
+    between calls: one naming a weak reference or a memoizer, or an
+    assignment of an empty container or a list of Nones."""
+    found = []
+    for top in module_tree.body:
+        names = {n.id if isinstance(n, ast.Name) else n.attr for n in ast.walk(top)
+                 if isinstance(n, (ast.Name, ast.Attribute))}
+        names |= {a.name for n in ast.walk(top) if isinstance(n, ast.ImportFrom)
+                  for a in n.names} | {getattr(top, "module", None)}
+        empty = isinstance(top, ast.Assign) and EMPTY.fullmatch(ast.unparse(top.value))
+        if names & KEEPERS or empty:
+            found.append(ast.unparse(top).splitlines()[0])
+    return found
+
+
+def mesh_stores(module_tree):
+    """Attribute assignments on a variable named `mesh`."""
+    return [ast.unparse(n) for n in ast.walk(module_tree)
+            if isinstance(n, ast.Attribute) and isinstance(n.ctx, ast.Store)
+            and isinstance(n.value, ast.Name) and n.value.id == "mesh"]
+
+
+def test_per_mesh_data_has_one_cache():
+    # derived data lives in the mesh, behind mesh.per_mesh; the one weak
+    # container is the process-wide K0 slot, which holds at most one factor
+    kept = {(name, line) for name in MODULES for line in kept_state(tree(name))}
+    assert kept == {("solver", "_K0 = weakref.WeakKeyDictionary()")}
+    assert [line for name in MODULES for line in mesh_stores(tree(name))] == []
+    reads = {(name, where) for name in MODULES
+             for where in attribute_reads(tree(name), "_derived")}
+    # `cached` is per_mesh's wrapper
+    assert reads == {("mesh", "cached"), ("mesh", "__getstate__")}
+
+
+def test_the_state_scans_see_the_old_caches():
+    src = ("import weakref\nfrom functools import lru_cache\nfrom weakref import ref\n"
+           "_distance_cache = weakref.WeakKeyDictionary()\n_SLOT = [None, None]\n"
+           "_seen = {}\n_built = set()\nCONST = {'a': 1}\nLIMIT = 64\n"
+           "@lru_cache\ndef g(m):\n    return m\n"
+           "def f(mesh, stats):\n    mesh._x = 1\n    stats.y = 2\n"
+           "def h(mesh):\n    return weakref.ref(mesh)\n")
+    assert kept_state(ast.parse(src)) == [
+        "from functools import lru_cache", "from weakref import ref",
+        "_distance_cache = weakref.WeakKeyDictionary()", "_SLOT = [None, None]",
+        "_seen = {}", "_built = set()", "@lru_cache", "def h(mesh):"]
+    assert mesh_stores(ast.parse(src)) == ["mesh._x"]
