@@ -35,5 +35,5 @@ print("contribute at second order")
 mesh = build_disk_mesh(1.0, 4)
 u = solve_prescribed(mesh, A)
 with open("disk_solution.svg", "w") as fh:
-    fh.write(field_svg_2d(mesh, u.values, titles=("u", "")))
+    fh.write(field_svg_2d(mesh, u.values))
 print("wrote disk_solution.svg")

@@ -90,7 +90,6 @@ _CATALOG_PARAMS = {"constant": {"a": None}, "step": {"a": None, "b": None, "s0":
 class RunConfig:
     """A fully validated run description."""
 
-    path: Path
     domain_kind: str
     domain: dict
     nonlinearity_kind: str
@@ -266,7 +265,7 @@ def _validate(path: Path, cfg: dict) -> RunConfig:
         raise ConfigError(f"{at}: {err}") from None
 
     config = RunConfig(
-        path=path, domain_kind=kind, domain=domain,
+        domain_kind=kind, domain=domain,
         nonlinearity_kind=nl_kind, nonlinearity=nl, spec=spec,
         solver=options, output_dir=path.parent / typed("output.dir", str, default="out"),
         emit_svg=typed("emit.svg", bool, default=False),
@@ -359,8 +358,7 @@ def _write_svg(out_dir: Path, mesh: Mesh, spec, result: SolveResult) -> None:
                                title=f"u ({spec.name})")
         (out_dir / "solution.svg").write_text(doc)
     elif mesh.dim == 2:
-        doc = svg.field_svg_2d(mesh, result.u.values, second=result.zeta,
-                               titles=("u", "zeta"))
+        doc = svg.field_svg_2d(mesh, result.u.values, second=result.zeta)
         (out_dir / "solution.svg").write_text(doc)
 
 

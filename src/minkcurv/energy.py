@@ -20,6 +20,9 @@ from .mesh import Field, Mesh, element_gradients, inradius, squared_norms
 # bench/worker.py wraps energy.primitive when it traces a run.
 from .nonlinearity import NonlinearitySpec, primitive, primitive_array  # noqa: F401
 
+# Newton's iterates and every certificate stay at |grad| <= 1 - FEASIBILITY_MARGIN
+FEASIBILITY_MARGIN = 1e-12
+
 
 class StrictFeasibilityError(ValueError):
     """A gradient was requested too close to the constraint surface."""
@@ -83,7 +86,7 @@ def psi(mesh: Mesh, field: Field) -> float:
     return area_value(mesh, g2)
 
 
-def psi_gradient(mesh: Mesh, field: Field, margin: float = 1e-9) -> np.ndarray:
+def psi_gradient(mesh: Mesh, field: Field, margin: float = FEASIBILITY_MARGIN) -> np.ndarray:
     """Exact nodal gradient of `psi` (see `area_gradient`), boundary nodes included.
 
     Raises `StrictFeasibilityError` when some element gradient norm exceeds

@@ -1,8 +1,9 @@
 """Two-level solution procedure for the discontinuous curvature problem.
 
 Inner level: damped Newton with a feasibility-guarding backtracking line
-search minimizes the strictly convex prescribed-right-hand-side energy over
-zero-boundary fields whose element gradients stay inside the unit ball.
+search minimizes the strictly convex prescribed-right-hand-side energy from
+`SolverOptions.initial` over zero-boundary fields whose element gradient
+norms stay at most 1 - energy.FEASIBILITY_MARGIN, the certificates' margin.
 Objective and gradient come from the area kernel of `energy`; the exact
 Hessian blows up like (1-|g|^2)^(-3/2) near the constraint surface, so
 Newton directions are naturally repelled from it.  On a 2D mesh with no
@@ -49,12 +50,12 @@ import numpy as np
 import scipy.sparse as sp
 from scipy.sparse.linalg import LinearOperator, cg, splu
 
-from .mesh import Field, Mesh, _adjacency, element_gradients, per_mesh, squared_norms
+from .mesh import Field, Mesh, MeshError, _adjacency, element_gradients, per_mesh, squared_norms
 # `bracket` is no longer called here; it stays a module attribute because
 # bench/worker.py wraps solver.bracket when it traces a run.
 from .nonlinearity import (NonlinearitySpec, bracket, envelopes, jump_limits,  # noqa: F401
                            selection)
-from .energy import area_gradient, area_value, psi_gradient, total_energy
+from .energy import FEASIBILITY_MARGIN, area_gradient, area_value, psi_gradient, total_energy
 
 
 class InnerSolveError(RuntimeError):
@@ -73,16 +74,15 @@ class SolverOptions:
 
     inner_tol bounds the max-norm of the Dirichlet-masked gradient of the
     inner objective; outer_tol bounds the sup-norm change between outer
-    iterates.  working_margin keeps every accepted iterate at element
-    gradient norm <= 1 - working_margin.  `seed` is unused (the solver draws
-    no random numbers); bench/workloads.py still passes it.
+    iterates.  `initial` is the start field of both entry points (zero by
+    default); it must be a field of the mesh being solved.  `seed` is unused
+    (the solver draws no random numbers); bench/workloads.py still passes it.
     """
 
     inner_tol: float = 1e-10
     outer_tol: float = 1e-8
     max_inner: int = 200
     max_outer: int = 100
-    working_margin: float = 1e-12
     initial: Field | None = None
     selection_rule: str = "mid"
     seed: int = 0
@@ -91,12 +91,22 @@ class SolverOptions:
         if not (0 < self.inner_tol < math.inf and 0 < self.outer_tol < math.inf):
             raise ValueError(f"tolerances must be positive and finite, got inner_tol="
                              f"{self.inner_tol}, outer_tol={self.outer_tol}")
-        if not 0.0 < self.working_margin < 0.5:
-            raise ValueError(f"working_margin must be in (0, 0.5), got {self.working_margin}")
         if self.max_inner < 1 or self.max_outer < 1:
             raise ValueError("iteration caps must be >= 1")
         if self.selection_rule not in ("lo", "mid", "hi"):
             raise ValueError(f"unknown selection rule {self.selection_rule!r}")
+
+    @property
+    def working_margin(self) -> float:
+        """`energy.FEASIBILITY_MARGIN`, read-only; bench/workloads.py reads it."""
+        return FEASIBILITY_MARGIN
+
+
+def _start(mesh: Mesh, opts: SolverOptions) -> np.ndarray:
+    """A copy of the values of `opts.initial` (a field of `mesh`), zeros if unset."""
+    if opts.initial is not None and opts.initial.mesh is not mesh:
+        raise MeshError("SolverOptions.initial is a field of another mesh")
+    return np.zeros(len(mesh.nodes)) if opts.initial is None else np.array(opts.initial.values)
 
 
 @dataclass
@@ -137,17 +147,18 @@ def _distance(m, lo, hi):
     return np.maximum(0.0, np.maximum(lo - m, m - hi)) + 0.0
 
 
-def _operator_value(mesh: Mesh, values, margin: float):
-    """m = -grad psi / node_weight, the discrete operator value per node."""
-    field = Field(mesh, values, dirichlet_zero=True)
-    return -psi_gradient(mesh, field, margin=margin) / mesh.node_weight
+def _operator_value(mesh: Mesh, values):
+    """m = -grad psi / node_weight, the discrete operator value per node; 0 at
+    a boundary node of no element (node weight 0)."""
+    grad, w = psi_gradient(mesh, Field(mesh, values, dirichlet_zero=True)), mesh.node_weight
+    return np.divide(-grad, w, out=np.zeros_like(grad), where=w > 0.0)
 
 
-def _certificate(mesh: Mesh, spec: NonlinearitySpec, values, margin: float):
+def _certificate(mesh: Mesh, spec: NonlinearitySpec, values):
     """(zeta, residuals, rho, lo, hi) at `values`: [lo, hi] are the zero-window
     brackets; zeta is m clipped to the brackets widened within h of a jump
     level (a P1 solution crosses it between nodes)."""
-    m = _operator_value(mesh, values, margin)
+    m = _operator_value(mesh, values)
     interior = mesh.interior_nodes
     lo0, hi0 = envelopes(spec, mesh.nodes, values, 0.0)
     lo, hi = envelopes(spec, mesh.nodes, values, mesh.mesh_size())
@@ -341,8 +352,7 @@ def _solve_prescribed(mesh: Mesh, e, opts: SolverOptions, initial=None,
     if not np.all(np.isfinite(e)):
         raise ValueError("prescribed right-hand side must be finite at every node")
     interior = mesh.interior_nodes
-    margin = opts.working_margin
-    limit2 = (1.0 - margin) ** 2
+    limit2 = (1.0 - FEASIBILITY_MARGIN) ** 2
     linear = mesh.node_weight * e
 
     values = np.zeros(len(mesh.nodes)) if initial is None else np.array(initial, dtype=float)
@@ -442,16 +452,14 @@ def _solve_prescribed(mesh: Mesh, e, opts: SolverOptions, initial=None,
     raise AssertionError("unreachable")
 
 
-def solve_prescribed(mesh: Mesh, e, opts: SolverOptions | None = None,
-                     initial: Field | None = None) -> Field:
+def solve_prescribed(mesh: Mesh, e, opts: SolverOptions | None = None) -> Field:
     """Unique zero-boundary minimizer of psi_h(w) + <e, w>_lumped.
 
-    `e` holds one right-hand-side value per node (a scalar is broadcast).
-    Raises `InnerSolveError` on non-convergence, carrying the last iterate.
+    `e` holds one right-hand-side value per node (a scalar is broadcast); Newton
+    starts from `opts.initial`.  Raises `InnerSolveError`, carrying the last iterate.
     """
     opts = opts or SolverOptions()
-    init = initial.values if initial is not None else None
-    values, _ = _solve_prescribed(mesh, e, opts, initial=init)
+    values, _ = _solve_prescribed(mesh, e, opts, _start(mesh, opts))
     return Field(mesh, values, dirichlet_zero=True)
 
 
@@ -482,7 +490,7 @@ def _inner_solve(mesh: Mesh, e, opts: SolverOptions, initial, kinks: _Kinks,
         except InnerSolveError:
             continue  # e.g. pinning left the feasible set: smaller band next
         stats_sink.append(stats)
-        m = _operator_value(mesh, trial, opts.working_margin) - e
+        m = _operator_value(mesh, trial) - e
         if _distance(m, *kinks.subdifferential(trial))[mesh.interior_nodes].max(
                 initial=0.0) <= _KINK_TOL:
             return trial
@@ -540,7 +548,7 @@ def solve_inclusion(mesh: Mesh, spec: NonlinearitySpec,
     escape probe of a stall fails.
     """
     opts = opts or SolverOptions()
-    u = np.zeros(len(mesh.nodes)) if opts.initial is None else np.array(opts.initial.values)
+    u = _start(mesh, opts)
     u[mesh.boundary_nodes] = 0.0
     kinks, rest_jumps = _Kinks.split(mesh, spec)
     interior = mesh.interior_nodes
@@ -568,7 +576,7 @@ def solve_inclusion(mesh: Mesh, spec: NonlinearitySpec,
             I_u = total_energy(mesh, Field(mesh, u, dirichlet_zero=True), spec)
             trace.append(I_u)
             if step <= opts.outer_tol or np.array_equal(zeta_next[interior], zeta[interior]):
-                certificate = _certificate(mesh, spec, u, opts.working_margin)
+                certificate = _certificate(mesh, spec, u)
                 improved = rest_jumps and _escape_probe(mesh, spec, opts, u, I_u, zeta_next,
                                                         certificate, kinks, stats_all)
                 if not improved:
@@ -582,7 +590,7 @@ def solve_inclusion(mesh: Mesh, spec: NonlinearitySpec,
         _K0.clear()
 
     if not fixed_point:  # max_outer ended the loop: no pass at this u yet
-        certificate = _certificate(mesh, spec, u, opts.working_margin)
+        certificate = _certificate(mesh, spec, u)
     zeta, residuals, rho = certificate[:3]
     return SolveResult(
         u=Field(mesh, u, dirichlet_zero=True), zeta=zeta,
@@ -595,8 +603,7 @@ def solve_inclusion(mesh: Mesh, spec: NonlinearitySpec,
     )
 
 
-def stationarity_measure(mesh: Mesh, u: Field, spec: NonlinearitySpec,
-                         margin: float = 1e-12) -> float:
+def stationarity_measure(mesh: Mesh, u: Field, spec: NonlinearitySpec) -> float:
     """rho at u (module docstring), what `solve_inclusion` reports as
     `stationarity`: zero exactly when m lies in every zero-window bracket."""
-    return _certificate(mesh, spec, u.values, margin)[2]
+    return _certificate(mesh, spec, u.values)[2]

@@ -141,12 +141,12 @@ def _panel_2d(canvas, mesh, values, box, title):
     canvas.text(x0 + w - 18, y0 + 30 + 24 * 5, f"{vlo:.3g}", size=9, anchor="end")
 
 
-def field_svg_2d(mesh, values, second=None, titles=("u", "zeta")) -> str:
-    """Flat-shaded triangle fill of one or two 2D nodal fields."""
+def field_svg_2d(mesh, values, second=None) -> str:
+    """Flat-shaded triangle fill of a 2D field `u` and, if given, `zeta`."""
     panels = 1 if second is None else 2
     W, H, m = 420 * panels + 40, 440, 20
     canvas = SvgCanvas(W, H)
-    _panel_2d(canvas, mesh, values, (m, m, 400, 400), titles[0])
+    _panel_2d(canvas, mesh, values, (m, m, 400, 400), "u")
     if second is not None:
-        _panel_2d(canvas, mesh, second, (m + 420, m, 400, 400), titles[1])
+        _panel_2d(canvas, mesh, second, (m + 420, m, 400, 400), "zeta")
     return canvas.render()

@@ -6,8 +6,9 @@ The discrete weak operator value at an interior node is read off as
 m_i = -(psi_gradient)_i / node_weight_i, which turns the inclusion into a
 per-node interval test.  The inclusion holds at a node when m_i lies inside
 the envelope bracket at (x_i, u_i); near a declared jump level the bracket
-is widened to the full jump interval (a discrete solution only crosses the
-level between nodes).
+is widened to the full jump interval within the mesh size h of it (a discrete
+solution only crosses the level between nodes).  m_i is read at the solver's
+margin, `energy.FEASIBILITY_MARGIN`, so every field it certifies gets a verdict.
 """
 
 from __future__ import annotations
@@ -23,37 +24,28 @@ import numpy as np
 from .mesh import (Field, Mesh, boundary_distance_cone, element_gradients,  # noqa: F401
                    inradius, max_gradient_norm, random_feasible_field)
 from .nonlinearity import NonlinearitySpec, bracket, envelopes, primitive_array  # noqa: F401
-from .energy import psi, psi_gradient, total_energy
+from .energy import FEASIBILITY_MARGIN, psi, psi_gradient, total_energy
 
 
 # -- pointwise inclusion residual ----------------------------------------------
 
 
-def windowed_envelopes(mesh: Mesh, spec: NonlinearitySpec, values,
-                       window: Optional[float] = None):
-    """Envelope arrays (lo, hi) at every node, widened near jump levels.
-
-    A nodal value within `window` (default: the mesh size h) of a declared
-    jump level sees the whole jump interval: a piecewise-affine candidate
-    crosses the level between nodes, so the limiting selection there may be
-    any bracket element.
-    """
-    if window is None:
-        window = mesh.mesh_size()
-    return envelopes(spec, mesh.nodes, values, window)
+def windowed_envelopes(mesh: Mesh, spec: NonlinearitySpec, values):
+    """Envelope arrays (lo, hi) at every node, widened to the whole jump
+    interval within the mesh size h of a jump level: a piecewise-affine
+    candidate crosses the level between nodes, so any bracket element may be
+    the limiting selection there."""
+    return envelopes(spec, mesh.nodes, values, mesh.mesh_size())
 
 
 def inclusion_residual(mesh: Mesh, u: Field, spec: NonlinearitySpec,
-                       jump_window: Optional[float] = None,
-                       margin: float = 1e-9) -> np.ndarray:
-    """Distance of the discrete operator value to the envelope bracket.
+                       margin: float = FEASIBILITY_MARGIN) -> np.ndarray:
+    """Distance of the discrete operator value to the `windowed_envelopes` bracket.
 
     Returns one residual per node (zero at boundary nodes, which carry the
-    Dirichlet condition instead).  `jump_window` (default: the mesh size h)
-    is the value tolerance within which a node counts as sitting on a jump
-    level, in which case the bracket is widened to the whole jump interval.
+    Dirichlet condition instead).  Raises `StrictFeasibilityError` where |grad| > 1 - margin.
     """
-    lo, hi = windowed_envelopes(mesh, spec, u.values, window=jump_window)
+    lo, hi = windowed_envelopes(mesh, spec, u.values)
     grad = psi_gradient(mesh, u, margin=margin)
     out = np.zeros(len(mesh.nodes))
     idx = mesh.interior_nodes
@@ -242,7 +234,7 @@ def verification_report(mesh: Mesh, u: Field, zeta, spec: NonlinearitySpec, *,
                         vi_trials: int = 200, seed: int = 0,
                         analytic=None, analytic_tol: float = 2e-2,
                         bruteforce_step: Optional[float] = None) -> VerificationReport:
-    """Run every applicable check on a candidate solution/selection pair."""
+    """Run every applicable check on a (u, zeta) pair; `analytic` maps nodes to exact u."""
     res = inclusion_residual(mesh, u, spec)
     max_res = float(res[mesh.interior_nodes].max()) if mesh.interior_nodes.size else 0.0
     vi = variational_inequality_check(mesh, u, zeta, vi_trials, seed=seed)
@@ -252,8 +244,7 @@ def verification_report(mesh: Mesh, u: Field, zeta, spec: NonlinearitySpec, *,
     }
     analytic_err = None
     if analytic is not None:
-        exact = analytic(mesh.nodes) if callable(analytic) else np.asarray(analytic)
-        analytic_err = float(np.abs(u.values - exact).max())
+        analytic_err = float(np.abs(u.values - analytic(mesh.nodes)).max())
         passed["analytic"] = analytic_err <= analytic_tol
     gap = None
     if bruteforce_step is not None:

@@ -34,6 +34,15 @@ nonlinearity.value = 1.0
 output.dir = {out}
 """
 
+DISK_CONSTANT_CFG = """\
+domain.kind = disk
+domain.radius = 1
+domain.refinement = {refinement}
+nonlinearity.kind = constant
+nonlinearity.a = 2
+output.dir = {{out}}
+"""
+
 
 def write_cfg(tmp_path, text, name="run.cfg", out="out"):
     p = tmp_path / name
@@ -85,6 +94,24 @@ class TestConfigParsing:
         cfg = write_cfg(tmp_path, NEG_SIGN_CFG.replace("domain.n = 128\n", ""))
         with pytest.raises(ConfigError, match=f"^{cfg}: missing required key 'domain.n'"):
             load_config(cfg)
+
+    @pytest.mark.parametrize("value", ["false", "off", "No", "0"])
+    def test_bool_key_spelled_false(self, tmp_path, value):
+        cfg = write_cfg(tmp_path, NEG_SIGN_CFG.replace("emit.svg = true",
+                                                       f"emit.svg = {value}"))
+        assert load_config(cfg).emit_svg is False
+
+    def test_invalid_bool_names_key_and_line(self, tmp_path, capsys):
+        cfg = write_cfg(tmp_path, NEG_SIGN_CFG.replace("emit.svg = true", "emit.svg = maybe"))
+        assert main(["solve", "--config", str(cfg)]) == 1
+        assert f"{cfg}:8: key 'emit.svg' expects bool, got 'maybe'" in capsys.readouterr().err
+
+    def test_working_margin_is_not_a_key(self, tmp_path, capsys):
+        # the feasibility margin is a constant of energy, not a setting
+        cfg = write_cfg(tmp_path, NEG_SIGN_CFG + "solver.working_margin = 1e-9\n")
+        assert main(["solve", "--config", str(cfg)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "run.cfg:9: key 'solver.working_margin'" in err
 
     def test_certificate_trials_is_not_a_key(self, tmp_path, capsys):
         cfg = write_cfg(tmp_path, NEG_SIGN_CFG + "solver.certificate_trials = 64\n")
@@ -215,6 +242,14 @@ class TestSolveCommand:
         assert code == 2
         assert (tmp_path / "out" / "solution.csv").exists()
 
+    def test_svg_of_a_2d_run_has_two_panels(self, tmp_path, capsys):
+        cfg = write_cfg(tmp_path, DISK_CONSTANT_CFG.format(refinement=2) + "emit.svg = on\n")
+        assert main(["solve", "--config", str(cfg)]) == 0
+        doc = (tmp_path / "out" / "solution.svg").read_text()
+        elements = len(load_config(cfg).build_mesh().elements)
+        assert doc.count("<polygon ") == 2 * elements  # one fill per element and panel
+        assert ">u</text>" in doc and ">zeta</text>" in doc
+
     def test_byte_identical_reruns(self, tmp_path):
         cfg = write_cfg(tmp_path, NEG_SIGN_CFG)
         main(["solve", "--config", str(cfg), "--out", str(tmp_path / "a")])
@@ -256,6 +291,47 @@ class TestVerifyCommand:
         out = capsys.readouterr().out
         assert code == 0
         assert "analytic_linf_error" in out
+
+    def test_disk_constant_with_analytic(self, tmp_path, capsys):
+        # the disk branch of the radial oracle
+        cfg = write_cfg(tmp_path, DISK_CONSTANT_CFG.format(refinement=4))
+        assert main(["solve", "--config", str(cfg)]) == 0
+        code = main(["verify", "--config", str(cfg),
+                     "--solution", str(tmp_path / "out" / "solution.csv")])
+        out = dict(line.split(" ", 1) for line in capsys.readouterr().out.splitlines())
+        assert code == 0
+        assert float(out["analytic_linf_error"]) == pytest.approx(1.6125731860533454e-4,
+                                                                  rel=1e-6)
+        assert out["passed.analytic"] == "true"
+
+    @pytest.mark.parametrize("gap, code", [(1e-10, 2), (1e-13, 1)])
+    def test_field_at_the_margin(self, tmp_path, capsys, gap, code):
+        # |grad| = 1 - gap: inside the solver's margin verify gives a verdict
+        # (failed checks, exit 2); outside it the input is rejected
+        cfg = write_cfg(tmp_path, PRESCRIBED_CFG.replace("domain.n = 64", "domain.n = 2"))
+        sol = tmp_path / "steep.csv"
+        sol.write_text(f"index,x,u,zeta,residual\n0,-1,0,1,0\n1,0,{1 - gap!r},1,0\n"
+                       "2,1,0,1,0\n")
+        assert main(["verify", "--config", str(cfg), "--solution", str(sol)]) == code
+        captured = capsys.readouterr()
+        if code == 2:
+            assert "all_passed false" in captured.out
+        else:
+            assert "|grad|" in captured.err
+
+    @pytest.mark.parametrize("text, detail", [
+        (None, "solution file not found"), ("", "empty solution file"),
+        ("index,x,u,residual\n", "header must contain 'u' and 'zeta' columns"),
+        ("index,x,zeta\n", "header must contain 'u' and 'zeta' columns"),
+    ], ids=["missing", "empty", "no-zeta", "no-u"])
+    def test_unreadable_solution_exits_1(self, tmp_path, capsys, text, detail):
+        cfg = write_cfg(tmp_path, PRESCRIBED_CFG)
+        sol = tmp_path / "solution.csv"
+        if text is not None:
+            sol.write_text(text)
+        assert main(["verify", "--config", str(cfg), "--solution", str(sol)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and str(sol) in err and detail in err
 
     def test_zero_field_against_nonzero_rule_fails(self, tmp_path, capsys):
         cfg = write_cfg(tmp_path, PRESCRIBED_CFG)

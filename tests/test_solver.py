@@ -9,8 +9,8 @@ import pytest
 import scipy.sparse as sp
 
 from minkcurv import solver
-from minkcurv.energy import total_energy
-from minkcurv.mesh import (Field, Mesh, build_disk_mesh, build_interval_mesh,
+from minkcurv.energy import FEASIBILITY_MARGIN, StrictFeasibilityError, total_energy
+from minkcurv.mesh import (Field, Mesh, MeshError, build_disk_mesh, build_interval_mesh,
                            build_rectangle_mesh, element_gradients, inradius,
                            max_gradient_norm)
 from minkcurv.energy import psi, psi_gradient
@@ -21,7 +21,8 @@ from minkcurv.solver import (InnerSolveError, SolverOptions, _area_hessian,
                              solve_inclusion, solve_prescribed,
                              stationarity_measure)
 from minkcurv.verify import (analytic_radial, boundary_distance_cone, brute_force_minimize,
-                             inclusion_residual, random_feasible_field)
+                             inclusion_residual, random_feasible_field,
+                             verification_report)
 
 SQRT2 = math.sqrt(2.0)
 # closed-form energy of the attracting-sign problem on (-1, 1)
@@ -64,7 +65,7 @@ class TestSolvePrescribed:
         cold = solve_prescribed(m, 1.0, opts)
         bump = Field.from_function(m, lambda x: 0.5 * (1 - abs(x[:, 0])),
                                    dirichlet_zero=True)
-        warm = solve_prescribed(m, 1.0, opts, initial=bump)
+        warm = solve_prescribed(m, 1.0, SolverOptions(initial=bump))
         assert np.abs(cold.values - warm.values).max() <= 10 * opts.inner_tol
 
     def test_iterates_stay_strictly_feasible(self):
@@ -96,8 +97,18 @@ class TestSolvePrescribed:
         m = build_interval_mesh(-1, 1, 8)
         steep = Field.from_function(m, lambda x: 2.0 * (1 - abs(x[:, 0])),
                                     dirichlet_zero=True)
-        with pytest.raises(InnerSolveError):
-            solve_prescribed(m, 1.0, initial=steep)
+        with pytest.raises(InnerSolveError, match="initial iterate violates"):
+            solve_prescribed(m, 1.0, SolverOptions(initial=steep))
+
+    def test_start_field_is_opts_initial(self):
+        # one Newton step does not reach the solution from zero; from the
+        # solution itself no step is needed
+        m = build_interval_mesh(-1, 1, 64)
+        cold = solve_prescribed(m, 1.0)
+        warm = solve_prescribed(m, 1.0, SolverOptions(initial=cold, max_inner=1))
+        assert np.array_equal(warm.values, cold.values)
+        with pytest.raises(TypeError):
+            solve_prescribed(m, 1.0, initial=cold)
 
     def test_nonconvergence_carries_last_iterate(self):
         m = build_interval_mesh(-1, 1, 64)
@@ -263,6 +274,27 @@ class TestSolveInclusion:
         assert not res.converged
         assert res.outer_iterations == 1
 
+    def test_field_of_another_mesh_rejected(self):
+        # same node count, other domain: only a field of the solved mesh starts
+        source = build_interval_mesh(-1, 1, 64)
+        start = solve_inclusion(source, neg_sign()).u
+        target = build_interval_mesh(0, 5, 64)
+        opts = SolverOptions(initial=start)
+        with pytest.raises(MeshError, match="another mesh"):
+            solve_inclusion(target, neg_sign(), opts)
+        with pytest.raises(MeshError, match="another mesh"):
+            solve_prescribed(target, 1.0, opts)
+        assert solve_inclusion(source, neg_sign(), opts).converged
+
+    def test_boundary_node_of_no_element(self):
+        # node weight 0 at (5, 5): its operator value is 0, not 0/0
+        nodes = [[0, 0], [1, 0], [1, 1], [0, 1], [0.5, 0.5], [5, 5]]
+        m = Mesh(nodes, [[0, 1, 4], [1, 2, 4], [2, 3, 4], [3, 0, 4]], [0, 1, 2, 3, 5])
+        res = solve_inclusion(m, neg_sign())
+        assert res.converged and np.all(np.isfinite(res.zeta))
+        report = verification_report(m, res.u, res.zeta, neg_sign())
+        assert report.vi_min_slack == 0.0 and report.all_passed
+
     def test_initial_field_is_used(self):
         m = build_interval_mesh(-1, 1, 64)
         x = m.nodes[:, 0]
@@ -273,6 +305,20 @@ class TestSolveInclusion:
 
 
 class TestStationarityMeasure:
+    @pytest.mark.parametrize("gap, verdict", [(1e-10, True), (1e-13, False)])
+    def test_margin_is_the_checkers(self, gap, verdict):
+        # |grad| = 1 - gap: inclusion_residual and verification_report
+        # differentiate psi at the same margin (tests/test_verify.py)
+        m = build_interval_mesh(-1, 1, 2)
+        u = Field.from_function(m, lambda x: (1 - gap) * (1 - abs(x[:, 0])),
+                                dirichlet_zero=True)
+        assert FEASIBILITY_MARGIN == SolverOptions().working_margin == 1e-12
+        if verdict:
+            assert 0.0 < stationarity_measure(m, u, neg_sign()) < math.inf
+        else:
+            with pytest.raises(StrictFeasibilityError):
+                stationarity_measure(m, u, neg_sign())
+
     def test_converged_run_certifies(self):
         m = build_interval_mesh(-1, 1, 128)
         res = solve_inclusion(m, neg_sign())
@@ -512,8 +558,7 @@ class TestSingleInnerPath:
         spec, opts = neg_sign(), SolverOptions(max_outer=1)
         res = solve_inclusion(m, spec, opts)
         assert not res.converged and len(res.energy_trace) == 3
-        assert res.stationarity == stationarity_measure(m, res.u, spec,
-                                                        margin=opts.working_margin)
+        assert res.stationarity == stationarity_measure(m, res.u, spec)
         ref = inclusion_residual(m, res.u, spec, margin=opts.working_margin)
         assert np.array_equal(res.residuals, ref)
 
@@ -537,13 +582,19 @@ class TestConvergenceOrder:
 
 class TestSolverOptions:
     @pytest.mark.parametrize("kw", [
-        dict(inner_tol=0.0), dict(outer_tol=-1.0), dict(working_margin=0.5),
-        dict(max_outer=0), dict(working_margin=0.6), dict(working_margin=0.0),
+        dict(inner_tol=0.0), dict(outer_tol=-1.0), dict(inner_tol=math.inf),
+        dict(max_outer=0), dict(outer_tol=math.nan), dict(max_outer=-3),
         dict(max_inner=0), dict(selection_rule="median"),
     ])
     def test_validation(self, kw):
         with pytest.raises(ValueError):
             SolverOptions(**kw)
+
+    def test_margin_is_not_an_option(self):
+        with pytest.raises(TypeError):
+            SolverOptions(working_margin=1e-9)
+        with pytest.raises(AttributeError):
+            SolverOptions().working_margin = 1e-9
 
 
 def cube_mesh(cells):

@@ -167,3 +167,53 @@ def test_the_state_scans_see_the_old_caches():
         "_distance_cache = weakref.WeakKeyDictionary()", "_SLOT = [None, None]",
         "_seen = {}", "_built = set()", "@lru_cache", "def h(mesh):"]
     assert mesh_stores(ast.parse(src)) == ["mesh._x"]
+
+
+def _number(node):
+    return (isinstance(node, ast.Constant) and isinstance(node.value, (int, float))
+            and not isinstance(node.value, bool))
+
+
+def margin_literals(module_tree):
+    """Every place that spells a feasibility margin as a number: the default
+    of a parameter, a keyword argument or an assigned value whose name holds
+    "margin" (any case), and the small literal of an inline bound `1 - <literal>`."""
+    found = []
+    for node in ast.walk(module_tree):
+        if isinstance(node, ast.arguments):
+            params = node.posonlyargs + node.args
+            pairs = list(zip(params[len(params) - len(node.defaults):], node.defaults))
+            pairs += zip(node.kwonlyargs, node.kw_defaults)
+            found += [f"{arg.arg}={ast.unparse(default)}" for arg, default in pairs
+                      if "margin" in arg.arg.lower() and default is not None and _number(default)]
+        elif isinstance(node, ast.keyword) and "margin" in (node.arg or "").lower():
+            found += [ast.unparse(node)] if _number(node.value) else []
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)) and _number(node.value):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names = [getattr(t, "id", getattr(t, "attr", "")) for t in targets]
+            found += [ast.unparse(node)] if any("margin" in n.lower() for n in names) else []
+        elif (isinstance(node, ast.BinOp) and isinstance(node.op, ast.Sub)
+              and _number(node.left) and node.left.value == 1
+              and _number(node.right) and 0 < node.right.value < 1e-3):
+            found.append(ast.unparse(node))
+    return found
+
+
+def test_one_feasibility_margin():
+    # solver and checker differentiate psi at the same distance from the
+    # constraint surface: one constant in energy, every margin default is it
+    found = {(name, text) for name in MODULES for text in margin_literals(tree(name))}
+    assert found == {("energy", "FEASIBILITY_MARGIN = 1e-12")}
+
+
+def test_the_margin_scan_sees_the_old_margins():
+    src = ("def psi_gradient(mesh, field, margin: float = 1e-9):\n"
+           "    return (1.0 - margin) ** 2\n"
+           "def f(mesh, *, margin=1e-12):\n    return g(mesh, margin=1e-12)\n"
+           "class Opts:\n    working_margin: float = 1e-12\n"
+           "def h(g2):\n    self.margin = 1e-9\n    return g2 > (1.0 - 1e-09) ** 2\n"
+           "def k(x, margin=FEASIBILITY_MARGIN, tol=1e-9):\n"
+           "    return g(x, margin=margin) + (1 - x) + (1.0 - 0.5) + (2.0 - 1e-9)\n")
+    assert sorted(margin_literals(ast.parse(src))) == sorted([
+        "margin=1e-09", "margin=1e-12", "margin=1e-12", "working_margin: float = 1e-12",
+        "self.margin = 1e-09", "1.0 - 1e-09"])

@@ -7,9 +7,10 @@ import pytest
 
 import minkcurv.mesh as mesh_module
 import minkcurv.verify as verify_module
-from minkcurv.energy import total_energy
+from minkcurv.energy import StrictFeasibilityError, psi_gradient, total_energy
 from minkcurv.mesh import Field, Mesh, build_disk_mesh, build_interval_mesh, inradius
-from minkcurv.nonlinearity import constant, neg_sign, power, primitive_array, step
+from minkcurv.nonlinearity import (constant, envelopes, neg_sign, power, primitive_array,
+                                   step)
 from minkcurv.solver import SolverOptions, solve_inclusion, solve_prescribed
 from minkcurv.verify import (VerificationReport, analytic_radial,
                              boundary_distance_cone, brute_force_minimize,
@@ -50,8 +51,32 @@ class TestInclusionResidual:
                                 dirichlet_zero=True)
         widened = inclusion_residual(m, u, neg_sign())
         assert np.all(widened == 0.0)
-        raw = inclusion_residual(m, u, neg_sign(), jump_window=0.0)
+        lo, hi = envelopes(neg_sign(), m.nodes, u.values, 0.0)
+        op = -psi_gradient(m, u) / m.node_weight
+        raw = np.maximum(0.0, np.maximum(lo - op, op - hi))[m.interior_nodes]
         assert raw.max() > 0.5
+
+    @pytest.mark.parametrize("gap, verdict", [(1e-10, True), (1e-13, False)])
+    def test_margin_is_the_solvers(self, gap, verdict):
+        # |grad| = 1 - gap: a field the solver's rho can judge gets a verdict
+        # here too, one it cannot judge raises in both (tests/test_solver.py)
+        m = build_interval_mesh(-1, 1, 2)
+        u = Field.from_function(m, lambda x: (1 - gap) * (1 - abs(x[:, 0])),
+                                dirichlet_zero=True)
+        zeta = np.zeros(len(m.nodes))
+        if verdict:
+            assert inclusion_residual(m, u, neg_sign())[1] > 1.0
+            assert not verification_report(m, u, zeta, neg_sign()).all_passed
+        else:
+            with pytest.raises(StrictFeasibilityError):
+                inclusion_residual(m, u, neg_sign())
+            with pytest.raises(StrictFeasibilityError):
+                verification_report(m, u, zeta, neg_sign())
+
+    def test_jump_window_is_not_a_parameter(self):
+        with pytest.raises(TypeError):
+            inclusion_residual(build_interval_mesh(-1, 1, 4), None, neg_sign(),
+                               jump_window=0.0)
 
     def test_interpolated_oracle_within_10h(self):
         for n in (32, 64, 128):
