@@ -152,9 +152,7 @@ class Mesh:
 
     def mesh_size(self):
         """Longest element edge, the discretization parameter h."""
-        a, b = np.triu_indices(self.dim + 1, 1)
-        e = self.nodes[self.elements[:, a]] - self.nodes[self.elements[:, b]]
-        return float(np.sqrt((e * e).sum(axis=-1)).max())
+        return _mesh_size(self)
 
     def __getstate__(self):
         return {k: v for k, v in vars(self).items() if k != "_derived"}
@@ -288,6 +286,14 @@ def per_mesh(build):
             derived[build] = build(mesh)
         return derived[build]
     return cached
+
+
+@per_mesh
+def _mesh_size(mesh: Mesh) -> float:
+    """`Mesh.mesh_size`, computed once per mesh."""
+    a, b = np.triu_indices(mesh.dim + 1, 1)
+    e = mesh.nodes[mesh.elements[:, a]] - mesh.nodes[mesh.elements[:, b]]
+    return float(np.sqrt((e * e).sum(axis=-1)).max())
 
 
 # -- element-level evaluation -------------------------------------------------

@@ -6,14 +6,18 @@ search minimizes the strictly convex prescribed-right-hand-side energy from
 norms stay at most 1 - energy.FEASIBILITY_MARGIN, the certificates' margin.
 Objective and gradient come from the area kernel of `energy`; the exact
 Hessian blows up like (1-|g|^2)^(-3/2) near the constraint surface, so
-Newton directions are naturally repelled from it.  On a 2D mesh with no
-kinks and no pinned nodes the direction is inexact: CG preconditioned by
-the factor of K0 = sum_e m_e B B^T (the Hessian at the zero field), stopped
-at the relative residual min(0.1, residual).  One K0 factor at most is
-alive per process; it serves every such solve on its mesh until another
-mesh needs it, the mesh dies or `solve_inclusion` returns.  A step whose
-CG misses its forcing, and the rest of that solve, factor the Hessian
-directly, as every other solve does per step.  An increasing jump of f
+Newton directions are naturally repelled from it.  On a 2D mesh every
+direction is inexact: CG preconditioned by the factor the solve holds,
+stopped at the relative residual min(0.1, (r / r_0)^2), with r the
+residual and r_0 the solve's first one (dimensionless Eisenstat-Walker
+forcing).  A solve with no kinks and no pinned nodes holds the factor of
+K0 = sum_e m_e B B^T (the Hessian at the zero field); one K0 factor at
+most is alive per process, and it serves every such solve on its mesh
+until another mesh needs it, the mesh dies or `solve_inclusion` returns.
+A kinked or pinned solve factors its first Hessian and holds that factor
+(a lagged preconditioner).  A step whose CG misses its forcing drops the
+held factor, factors its own Hessian and holds the new factor.  In 1D
+every step factors its Hessian.  An increasing jump of f
 by c at `level` is the convex kink c * max(0, u_i - level) of the lumped
 energy.  Every inner solve keeps the kinks, a set that may be empty: Newton
 on their Moreau envelopes, gamma = 1, 0.01, ..., 1e-12.  A stage whose
@@ -209,16 +213,20 @@ _NO_KINKS = _Kinks(np.zeros((0, 1)), np.zeros((0, 1)))  # broadcasts to any mesh
 _DISSECTION_LEAF = 64
 
 
-def _nested_dissection(points: np.ndarray, adjacency: sp.csr_matrix) -> np.ndarray:
-    """Fill-reducing elimination order of a graph whose vertices sit at `points`.
+def _nested_dissection(points: np.ndarray, adjacency: sp.csr_matrix,
+                       nodes: np.ndarray) -> np.ndarray:
+    """Fill-reducing elimination order of `nodes`, vertices of a graph whose
+    vertices sit at `points`.
 
     Recursive coordinate bisection: a part is sorted along the longest axis
     of its bounding box and cut at the median; the nodes of the lower half
     that touch the upper half form the vertex separator, which is ordered
     after both halves.  Parts of at most `_DISSECTION_LEAF` nodes keep the
     order they arrive in.  Only stable sorts are used, so the order is a
-    deterministic function of the coordinates and the graph.
+    deterministic function of the coordinates and the graph.  Vertices
+    outside `nodes` are in no part, so their edges never make a separator.
     """
+    indptr, indices = adjacency.indptr, adjacency.indices
     blocks = []
 
     def dissect(part):
@@ -229,14 +237,18 @@ def _nested_dissection(points: np.ndarray, adjacency: sp.csr_matrix) -> np.ndarr
         axis = int(np.argmax(np.ptp(coords, axis=0)))
         part = part[np.argsort(coords[:, axis], kind="stable")]
         low, high = np.split(part, [len(part) // 2])
-        in_high = np.zeros(len(points))
-        in_high[high] = 1.0
-        touches = adjacency[low] @ in_high > 0.0
+        in_high = np.zeros(len(points), dtype=bool)
+        in_high[high] = True
+        # the neighbours of the lower half, row by row, and their hits
+        start, degree = indptr[low], indptr[low + 1] - indptr[low]
+        row = np.repeat(np.arange(len(low)), degree)
+        slot = np.arange(len(row)) + np.repeat(start - (np.cumsum(degree) - degree), degree)
+        touches = np.bincount(row, weights=in_high[indices[slot]], minlength=len(low)) > 0.0
         dissect(low[~touches])
         dissect(high)
         blocks.append(low[touches])
 
-    dissect(np.arange(len(points)))
+    dissect(nodes)
     return np.concatenate(blocks)
 
 
@@ -250,7 +262,8 @@ class _NewtonWorkspace:
     (e, a, b) of the element blocks lands in data slot `scatter[e*nv*nv +
     a*nv + b]`; entries touching a boundary node go to the dummy slot
     `len(indices)`; `diagonal[j]` is the data slot of entry (j, j).
-    `stiffness` holds B B^T per element (B the basis gradients).
+    `stiffness` holds B B^T per element (B the basis gradients), element
+    last: entry (a, b) of element e is `stiffness[a, b, e]`.
     """
 
     order: np.ndarray
@@ -263,8 +276,8 @@ class _NewtonWorkspace:
 
 @per_mesh
 def _newton_workspace(mesh: Mesh) -> _NewtonWorkspace:
-    """The mesh's Newton workspace; the elimination order dissects the mesh's
-    node graph (`_adjacency`) restricted to the interior."""
+    """The mesh's Newton workspace; the elimination order dissects the
+    interior of the mesh's node graph (`_adjacency`)."""
     interior = mesh.interior_nodes
     n = len(interior)
     nv = mesh.dim + 1
@@ -275,7 +288,7 @@ def _newton_workspace(mesh: Mesh) -> _NewtonWorkspace:
     cols = np.tile(el, (1, nv)).ravel()       # node of vertex b
     keep = (rows >= 0) & (cols >= 0)
     rows, cols = rows[keep], cols[keep]
-    order = _nested_dissection(mesh.nodes[interior], _adjacency(mesh)[0][interior][:, interior])
+    order = local[_nested_dissection(mesh.nodes, _adjacency(mesh)[0], interior)]
     rank = np.empty(n, dtype=np.int64)
     rank[order] = np.arange(n)
     slots, slot_of = np.unique(rank[cols] * n + rank[rows], return_inverse=True)
@@ -288,7 +301,7 @@ def _newton_workspace(mesh: Mesh) -> _NewtonWorkspace:
         order=interior[order], indptr=indptr,
         indices=(slots % n).astype(np.int32), scatter=scatter,
         diagonal=np.flatnonzero(slots % n == slots // n),
-        stiffness=np.einsum("evd,ewd->evw", B, B))
+        stiffness=np.ascontiguousarray(np.einsum("evd,ewd->evw", B, B).transpose(1, 2, 0)))
     for arr in vars(workspace).values():
         arr.setflags(write=False)
     return workspace
@@ -298,13 +311,16 @@ def _area_hessian(mesh: Mesh, ws: _NewtonWorkspace, root, Bg) -> sp.csc_matrix:
     """Interior Hessian of the area term, rows and columns in `ws.order`.
 
     Element block: measure * (B B^T / r + (B g)(B g)^T / r^3), with
-    r = sqrt(1 - |g|^2) and `Bg` = B g per element, shape (M, nv).
+    r = sqrt(1 - |g|^2) and `Bg` = B g per element, shape (M, nv).  The
+    blocks are computed element last, so each product runs over all
+    elements at once, then copied to (e, a, b) order for the scatter.
     """
     m = mesh.element_measure
-    h_el = (m / root)[:, None, None] * ws.stiffness \
-        + (m / root ** 3)[:, None, None] * Bg[:, :, None] * Bg[:, None, :]
+    BgT = np.ascontiguousarray(Bg.T)
+    h_el = (m / root) * ws.stiffness + ((m / root ** 3) * BgT)[:, None, :] * BgT[None, :, :]
     nnz = len(ws.indices)
-    data = np.bincount(ws.scatter, weights=h_el.ravel(), minlength=nnz + 1)[:nnz]
+    data = np.bincount(ws.scatter, weights=h_el.transpose(2, 0, 1).ravel(),
+                       minlength=nnz + 1)[:nnz]
     n = len(ws.order)
     return sp.csc_matrix((data, ws.indices, ws.indptr), shape=(n, n))
 
@@ -316,8 +332,14 @@ def _factor(matrix: sp.csc_matrix):
                 options=dict(SymmetricMode=True))
 
 
-# The K0 slot, {mesh: K0^-1 as a LinearOperator}.  At most one factor is alive
-# per process (a disk-6 factor takes 58 MB of heap), and it goes with its mesh.
+def _inverse(matrix: sp.csc_matrix) -> LinearOperator:
+    """matrix^-1 through its `_factor`, which lives as long as the operator."""
+    return LinearOperator(matrix.shape, matvec=_factor(matrix).solve, dtype=float)
+
+
+# The K0 slot, {mesh: K0^-1 as a LinearOperator}.  At most one K0 factor is
+# alive per process (a disk-6 factor takes 58 MB of heap), and it goes with
+# its mesh.
 _K0 = weakref.WeakKeyDictionary()
 
 
@@ -329,13 +351,15 @@ def _k0_preconditioner(mesh: Mesh, ws: _NewtonWorkspace) -> LinearOperator:
         _K0.clear()  # the old factor goes before the new one is made
         k0 = _area_hessian(mesh, ws, np.ones(len(mesh.elements)),
                            np.zeros(mesh.elements.shape))
-        _K0[mesh] = LinearOperator(k0.shape, matvec=_factor(k0).solve, dtype=float)
+        _K0[mesh] = _inverse(k0)
     return _K0[mesh]
 
 
-# CG iterations an inexact Newton step may take before it falls back to the
-# direct factor.  Disk-6 right-hand sides a in [1.5, 2.5] need at most 18;
-# on disk-4 at a = 30 the CG of the ninth step does not converge in 200.
+# CG iterations a 2D Newton step may take before it factors its own Hessian.
+# With K0, disk-6 right-hand sides a in [1.5, 2.5] need at most 30; on
+# disk-4 at a = 30 the CG of the ninth step does not converge in 200.  The
+# held first factor of a kinked stage of disk-6 step(-1, 1, 0.1) needs up
+# to 47, and one step there misses.
 _CG_MAX_ITER = 50
 
 
@@ -382,11 +406,15 @@ def _solve_prescribed(mesh: Mesh, e, opts: SolverOptions, initial=None,
     ws = _newton_workspace(mesh)
     order = ws.order
     fixed = np.zeros(len(order), bool) if pinned is None else pinned[order]
-    # Away from the constraint surface K0^-1 H has its spectrum in
-    # [1/r_max, 1/r_min^3], so with no kinks and no pins one K0 factor
-    # preconditions every step.  In 1D the tridiagonal factor costs next to
-    # nothing, and kinks and pins change the Hessian's diagonal per step.
-    inexact = mesh.dim >= 2 and kinks.level.size == 0 and pinned is None
+    # In 2D every step is one CG solve preconditioned by the factor the
+    # solve holds.  Away from the constraint surface K0^-1 H has its
+    # spectrum in [1/r_max, 1/r_min^3], so with no kinks and no pins that
+    # is the process's K0 factor; kinks and pins change the Hessian's
+    # diagonal, so those solves hold their first Hessian factor instead (a
+    # lagged preconditioner).  In 1D the tridiagonal factor costs next to
+    # nothing and every step factors its own Hessian.
+    inexact = mesh.dim >= 2
+    held = None  # the preconditioner: K0^-1 or the solve's last Hessian factor
     obj = objective(g2, values)
     stats.objectives.append(obj)
     for _ in range(opts.max_inner + 1):
@@ -398,6 +426,8 @@ def _solve_prescribed(mesh: Mesh, e, opts: SolverOptions, initial=None,
         residual = float(np.abs(grad).max()) if grad.size else 0.0
         if not math.isfinite(residual):
             raise failure("non-finite gradient encountered", residual)
+        if stats.iterations == 0:
+            first = residual
         if residual <= opts.inner_tol:
             return values, stats
         if stats.iterations >= opts.max_inner:
@@ -405,21 +435,29 @@ def _solve_prescribed(mesh: Mesh, e, opts: SolverOptions, initial=None,
                           f"(residual {residual:.3e})", residual)
 
         # The Hessian is SPD and already in nested-dissection order; pinned
-        # nodes get identity rows (zero step).  CG stops at the linear
-        # Eisenstat-Walker forcing min(0.1, residual); if it misses that,
-        # this step and the rest of the solve factor the Hessian, used once,
-        # so at most one such LU is alive at a time.
+        # nodes get identity rows (zero step).  CG stops at the dimensionless
+        # Eisenstat-Walker forcing min(0.1, (residual / first residual)^2).
+        # With no factor held (1D, or a kinked or pinned solve's first step)
+        # or on a CG miss, the step factors its Hessian, and in 2D the solve
+        # holds that factor; the old one goes first, so at most one LU
+        # besides K0 is alive at a time.
         hessian = _area_hessian(mesh, ws, root, Bg)
         hessian.data[ws.diagonal] += (mesh.node_weight * band.sum(axis=0) / gamma)[order]
         hessian.data[fixed[ws.indices]] = 0.0
         hessian.data[ws.diagonal[fixed]] = 1.0
         try:
-            if inexact:
-                direction, unmet = cg(hessian, -grad, rtol=min(0.1, residual), atol=0.0,
-                                      maxiter=_CG_MAX_ITER, M=_k0_preconditioner(mesh, ws))
-                inexact = not unmet
-            if not inexact:
-                direction = _factor(hessian).solve(-grad)
+            if held is None and inexact and kinks.level.size == 0 and pinned is None:
+                held = _k0_preconditioner(mesh, ws)
+            if held is not None:
+                direction, unmet = cg(hessian, -grad, rtol=min(0.1, (residual / first) ** 2),
+                                      atol=0.0, maxiter=_CG_MAX_ITER, M=held)
+            if held is None or unmet:
+                held = None  # the old factor goes before the new one is made
+                if inexact:
+                    held = _inverse(hessian)
+                    direction = held.matvec(-grad)
+                else:
+                    direction = _factor(hessian).solve(-grad)
         except RuntimeError as err:
             raise failure(f"Hessian factorization failed: {err}", residual) from err
         if not np.all(np.isfinite(direction)):

@@ -284,6 +284,18 @@ class TestPerMeshCaches:
         # the trial fields and the elimination order share one graph
         assert [s for s in shapes if s[0] == s[1]] == [(len(m.nodes), len(m.nodes))]
 
+    def test_mesh_size_computed_once_per_mesh(self, monkeypatch):
+        builds = []
+        build = mesh_module._mesh_size.__wrapped__
+        monkeypatch.setattr(mesh_module, "_mesh_size",
+                            mesh_module.per_mesh(lambda m: builds.append(1) or build(m)))
+        m = build_disk_mesh(1.0, 3)
+        res = solve_inclusion(m, neg_sign())
+        verify.verification_report(m, res.u, res.zeta, neg_sign(), vi_trials=4)
+        # the certificate, the inclusion residual and the windowed envelopes
+        # all read h, from one computation
+        assert len(builds) == 1 and m.mesh_size() == build(m)
+
     def test_pickles_as_built_after_use(self):
         # derived data stays out of the pickle, which matches a fresh mesh's
         m = build_disk_mesh(1.0, 3)

@@ -7,6 +7,7 @@ import weakref
 import numpy as np
 import pytest
 import scipy.sparse as sp
+from scipy.sparse.linalg import LinearOperator
 
 from minkcurv import solver
 from minkcurv.energy import FEASIBILITY_MARGIN, StrictFeasibilityError, total_energy
@@ -318,6 +319,15 @@ class TestStationarityMeasure:
         else:
             with pytest.raises(StrictFeasibilityError):
                 stationarity_measure(m, u, neg_sign())
+
+    @pytest.mark.parametrize("refinement", [4, 5])
+    def test_disk_neg_sign_converges_with_margin(self, refinement):
+        # the inner solve stops on a max-norm of the gradient, rho is an l1
+        # of it: a loose final Newton step leaves rho near the gate
+        opts = SolverOptions()
+        res = solve_inclusion(build_disk_mesh(1.0, refinement), neg_sign(), opts)
+        assert res.converged
+        assert res.stationarity <= opts.outer_tol * (1.0 + abs(res.energy)) / 10.0
 
     def test_converged_run_certifies(self):
         m = build_interval_mesh(-1, 1, 128)
@@ -643,7 +653,41 @@ def reference_hessian(mesh, values, order):
     return K[order][:, order].toarray()
 
 
+def element_first_hessian(mesh, ws, root, Bg):
+    """Interior Hessian data from element blocks in (e, a, b) order and one
+    bincount over `ws.scatter`: the sums `_area_hessian` must reproduce."""
+    B = mesh.basis_gradients
+    m = mesh.element_measure
+    h_el = (m / root)[:, None, None] * np.einsum("evd,ewd->evw", B, B) \
+        + (m / root ** 3)[:, None, None] * Bg[:, :, None] * Bg[:, None, :]
+    nnz = len(ws.indices)
+    return np.bincount(ws.scatter, weights=h_el.ravel(), minlength=nnz + 1)[:nnz]
+
+
 class TestNewtonWorkspace:
+    @pytest.mark.parametrize("name", sorted(WORKSPACE_MESHES))
+    def test_assembly_is_bit_equal_to_element_first(self, monkeypatch, name):
+        mesh = WORKSPACE_MESHES[name]()
+        rng = np.random.default_rng(5)
+        values = rng.standard_normal(len(mesh.nodes))
+        values[mesh.boundary_nodes] = 0.0
+        values *= 0.9 / max_gradient_norm(mesh, values)
+        ws = _newton_workspace(mesh)
+        g = element_gradients(mesh, values)
+        root = np.sqrt(1.0 - (g * g).sum(axis=1))
+        Bg = np.einsum("evd,ed->ev", mesh.basis_gradients, g)
+        K = _area_hessian(mesh, ws, root, Bg)
+        assert np.array_equal(K.data, element_first_hessian(mesh, ws, root, Bg))
+        # the K0 matrix, as the preconditioner factors it
+        matrices = []
+        factor = solver._factor
+        monkeypatch.setattr(solver, "_factor", lambda k: matrices.append(k) or factor(k))
+        solver._k0_preconditioner(mesh, ws)
+        solver._K0.clear()
+        M = len(mesh.elements)
+        assert len(matrices) == 1 and np.array_equal(
+            matrices[0].data, element_first_hessian(mesh, ws, np.ones(M), np.zeros((M, mesh.dim + 1))))
+
     @pytest.mark.parametrize("name", sorted(WORKSPACE_MESHES))
     def test_assembly_matches_coo_reference(self, name):
         mesh = WORKSPACE_MESHES[name]()
@@ -691,12 +735,13 @@ class TestNewtonWorkspace:
         other = build_disk_mesh(1.0, 2)
         solve_prescribed(other, 1.0)
         assert k0() is None and list(solver._K0) == [other]
-        # a kinked solve factors once per Newton step; solve_inclusion empties
-        # the slot when it returns
+        # a kinked solve holds a Hessian factor across Newton steps, so it
+        # factors fewer times than it steps; solve_inclusion empties the slot
+        # when it returns
         k0 = weakref.ref(solver._K0[other])
         calls = len(factors)
         res = solve_inclusion(build_disk_mesh(1.0, 3), step(-1.0, 1.0, 0.1))
-        assert res.inner_iterations > 0 and len(factors) == calls + res.inner_iterations
+        assert 1 <= len(factors) - calls < res.inner_iterations
         assert k0() is None and len(solver._K0) == 0
         mesh_ref, ws_ref = weakref.ref(mesh), weakref.ref(ws)
         del mesh, ws
@@ -724,11 +769,37 @@ class TestNewtonWorkspace:
         _, stats = _solve_prescribed(build_disk_mesh(1.0, 4), a, SolverOptions())
         assert stats.iterations == steps
 
+    def test_k0_applications_on_disk5(self, monkeypatch):
+        # the dimensionless forcing needs fewer K0 solves than the absolute
+        # forcing min(0.1, residual), which made 286 here
+        applications = []
+        preconditioner = solver._k0_preconditioner
+
+        def counting_k0(mesh, ws):
+            k0 = preconditioner(mesh, ws)
+            return LinearOperator(
+                k0.shape, matvec=lambda x: applications.append(1) or k0.matvec(x), dtype=float)
+        monkeypatch.setattr(solver, "_k0_preconditioner", counting_k0)
+        mesh = build_disk_mesh(1.0, 5)
+        for a in np.linspace(1.5, 2.5, 8):
+            solve_prescribed(mesh, a)
+        solver._K0.clear()
+        assert 0 < len(applications) < 286
+
+    def test_kinked_stages_hold_their_factor(self, monkeypatch):
+        # each kinked or pinned stage factors its first Hessian and
+        # preconditions its later steps with it: fewer factors than steps
+        factors = counting(monkeypatch, "splu")
+        res = solve_inclusion(build_disk_mesh(1.0, 4), step(-1.0, 1.0, 0.1))
+        assert res.converged and res.inner_iterations == 21
+        assert len(factors) < res.inner_iterations
+
     @pytest.mark.parametrize("refinement, a, steps", [(4, 30.0, 9), (3, 100.0, 15)])
     def test_strong_fields_fall_back_to_the_direct_factor(self, monkeypatch, refinement,
                                                           a, steps):
         # K0-preconditioned CG misses its forcing this close to the constraint
-        # surface; from that step on the Hessian is factored, one per step
+        # surface; that step factors its Hessian, whose factor then
+        # preconditions the solve's later steps until the next miss
         factors = counting(monkeypatch, "splu")
         mesh = build_disk_mesh(1.0, refinement)
         values, stats = _solve_prescribed(mesh, a, SolverOptions())
