@@ -19,12 +19,13 @@ from typing import Optional
 
 import numpy as np
 
-# `element_gradients` and `bracket` are no longer called here; they stay module
-# attributes because bench/worker.py wraps them when it traces a run.
-from .mesh import (Field, Mesh, boundary_distance_cone, element_gradients,  # noqa: F401
-                   inradius, max_gradient_norm, random_feasible_field)
+# `bracket`, `psi` and `random_feasible_field` are no longer called here; they
+# stay module attributes because bench/worker.py wraps them when it traces a run.
+from .mesh import (Field, Mesh, _largest_norm, _random_trial,  # noqa: F401
+                   boundary_distance_cone, element_gradients, inradius,
+                   random_feasible_field, squared_norms)
 from .nonlinearity import NonlinearitySpec, bracket, envelopes, primitive_array  # noqa: F401
-from .energy import FEASIBILITY_MARGIN, psi, psi_gradient, total_energy
+from .energy import FEASIBILITY_MARGIN, area_value, psi, psi_gradient, total_energy  # noqa: F401
 
 
 # -- pointwise inclusion residual ----------------------------------------------
@@ -66,32 +67,50 @@ def variational_inequality_check(mesh: Mesh, u: Field, zeta, trials: int,
     `trials` random feasible fields, half of them perturbations of the
     candidate within its gradient headroom below 0.9.  At a critical point
     paired with its selection the returned minimum is nonnegative up to
-    solver tolerances.
+    solver tolerances.  Gradients come by linearity (`_trial_slacks`): one
+    element-gradient product per random trial, one for the candidate and
+    two for the unit distance cone, and no `Field` per trial.
+    """
+    return min(_trial_slacks(mesh, u, zeta, trials, seed))
+
+
+def _trial_slacks(mesh: Mesh, u: Field, zeta, trials: int, seed: int):
+    """The slacks of `variational_inequality_check`, one per trial field in
+    its order: the suite, then the random fields drawn as `trials` calls of
+    `random_feasible_field` on one generator seeded with `seed`.
+
+    Every gradient comes from linearity: G u is taken once, a cone's
+    gradient is the unit cone's scaled by amplitude and sign, a random
+    trial's comes with its values (`_random_trial`), and a perturbed trial
+    u + t has G u + G t.  A slack is the area kernel on those gradients,
+    +inf where some |g|^2 > 1, plus the lumped pairing with zeta.
     """
     zeta = np.asarray(zeta, dtype=float)
-    psi_u = psi(mesh, u)
-    if math.isinf(psi_u):
+    gu = element_gradients(mesh, u.values)
+    g2u = squared_norms(gu)
+    if np.any(g2u > 1.0) or np.any(u.values[mesh.boundary_nodes] != 0.0):
         raise ValueError("candidate field is outside the constraint set")
+    psi_u = area_value(mesh, g2u)
     w_lumped = mesh.node_weight * zeta
 
-    def slack(field: Field) -> float:
-        return psi(mesh, field) - psi_u + float(
-            np.dot(w_lumped, field.values - u.values))
+    def slack(g, step) -> float:
+        g2 = squared_norms(g)
+        if np.any(g2 > 1.0):
+            return math.inf
+        return area_value(mesh, g2) - psi_u + float(np.dot(w_lumped, step))
 
-    suite = [Field.zero(mesh), Field(mesh, u.values.copy(), dirichlet_zero=True)]
+    yield slack(np.zeros_like(gu), -u.values)
+    yield 0.0  # the candidate itself
+    cone = boundary_distance_cone(mesh, max_gradient=1.0).values
+    g_cone = element_gradients(mesh, cone)
     for amp in (0.9, 0.5, 0.25, 0.1):
-        cone = boundary_distance_cone(mesh, max_gradient=amp)
-        suite.append(cone)
-        suite.append(Field(mesh, -cone.values, dirichlet_zero=True))
+        for scale in (amp, -amp):
+            yield slack(g_cone * scale, cone * scale - u.values)
     rng = np.random.default_rng(seed)
-    worst = min(slack(w) for w in suite)
-    headroom = max(0.9 - max_gradient_norm(mesh, u.values), 0.0)
+    headroom = max(0.9 - _largest_norm(gu), 0.0)
     for k in range(trials):
-        trial = random_feasible_field(mesh, rng, headroom if k % 2 else 0.9)
-        if k % 2:
-            trial = Field(mesh, u.values + trial.values, dirichlet_zero=True)
-        worst = min(worst, slack(trial))
-    return worst
+        t, g = _random_trial(mesh, rng, headroom if k % 2 else 0.9)
+        yield slack(gu + g, t) if k % 2 else slack(g, t - u.values)
 
 
 # -- closed-form radial oracle ---------------------------------------------------

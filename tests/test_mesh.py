@@ -244,12 +244,9 @@ class TestPerMeshCaches:
 
     def test_one_distance_query_per_mesh_freed_with_it(self, monkeypatch):
         queries = []
-
-        class CountingTree(mesh_module.cKDTree):
-            def query(self, *args, **kwargs):
-                queries.append(1)
-                return super().query(*args, **kwargs)
-        monkeypatch.setattr(mesh_module, "cKDTree", CountingTree)
+        build = mesh_module._boundary_distance.__wrapped__
+        monkeypatch.setattr(mesh_module, "_boundary_distance",
+                            mesh_module.per_mesh(lambda m: queries.append(1) or build(m)))
         m = build_disk_mesh(1.0, 3)
         radius = inradius(m)
         u = verify.analytic_radial(-1.0, 1.0, 2).on_mesh(m)
@@ -271,6 +268,27 @@ class TestPerMeshCaches:
             A.data[0] = 2.0
         with pytest.raises(ValueError):
             deg[0] = 2.0
+
+    def test_smoother_is_one_read_only_averaging_step(self):
+        # S v is the old step 0.5 v + 0.5 (A v) / deg with the boundary
+        # reset, up to rounding in the largest entry
+        rng = np.random.default_rng(7)
+        for m in (build_disk_mesh(1.0, 3), build_interval_mesh(-1.0, 1.0, 64),
+                  build_rectangle_mesh(2.0, 1.0, 8, 4)):
+            S = mesh_module._smoother(m)
+            assert S.format == "csr" and S is mesh_module._smoother(m)
+            assert np.all(np.diff(S.indptr)[m.boundary_nodes] == 0)
+            for arr in (S.data, S.indices, S.indptr):
+                assert not arr.flags.writeable
+            A, deg = mesh_module._adjacency(m)
+            v = rng.standard_normal(len(m.nodes))
+            for _ in range(4):
+                old = 0.5 * v + 0.5 * (A @ v) / deg
+                old[m.boundary_nodes] = 0.0
+                new = S @ v
+                assert np.all(new[m.boundary_nodes] == 0.0)
+                assert np.abs(new - old).max() <= 1e-15 * np.abs(old).max()
+                v = old
 
     def test_node_graph_built_once_per_mesh(self, monkeypatch):
         m = build_disk_mesh(1.0, 3)

@@ -7,7 +7,10 @@ module imports inside a function body (the usual way to hide a cycle).
 """
 
 import ast
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -68,6 +71,50 @@ def test_the_scan_sees_relative_and_absolute_imports():
     src = ("from .energy import psi\nfrom . import svg\n"
            "import minkcurv.verify\nfrom minkcurv.solver import x\n")
     assert package_imports(ast.parse(src)) == {"energy", "svg", "verify", "solver"}
+
+
+def external_imports(module_tree):
+    """Dotted names of the absolute imports of a module: each `import a.b`,
+    and each `from a import b` as both `a` and `a.b`."""
+    found = set()
+    for node in ast.walk(module_tree):
+        if isinstance(node, ast.Import):
+            found.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and not node.level:
+            found.add(node.module)
+            found.update(f"{node.module}.{alias.name}" for alias in node.names)
+    return found
+
+
+def imports_scipy_spatial(module_tree):
+    return sorted(d for d in external_imports(module_tree)
+                  if d == "scipy.spatial" or d.startswith("scipy.spatial."))
+
+
+@pytest.mark.parametrize("name", MODULES)
+def test_no_module_imports_scipy_spatial(name):
+    # nearest-boundary distances are one sweep in mesh; a k-d tree would
+    # load scipy.spatial into every process that imports the package
+    assert imports_scipy_spatial(tree(name)) == []
+
+
+def test_the_scan_sees_scipy_spatial():
+    for src in ("from scipy.spatial import cKDTree\n", "import scipy.spatial\n",
+                "from scipy import spatial\n", "import scipy.spatial.distance as d\n",
+                "def f():\n    from scipy.spatial import KDTree\n"):
+        assert imports_scipy_spatial(ast.parse(src)) != [], src
+    sparse_only = "import scipy.sparse as sp\nfrom scipy import sparse\n"
+    assert imports_scipy_spatial(ast.parse(sparse_only)) == []
+
+
+def test_importing_the_package_leaves_scipy_spatial_out():
+    code = ("import sys, minkcurv, minkcurv.cli\n"
+            "print(sorted(m for m in sys.modules if m.split('.')[:2] == ['scipy', 'spatial']))\n")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(PACKAGE.parent), env.get("PYTHONPATH")]))
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, timeout=120, check=True)
+    assert out.stdout.strip() == "[]"
 
 
 def test_solver_draws_no_random_numbers():

@@ -5,9 +5,10 @@ import math
 import numpy as np
 import pytest
 
+import minkcurv.energy as energy_module
 import minkcurv.mesh as mesh_module
 import minkcurv.verify as verify_module
-from minkcurv.energy import StrictFeasibilityError, psi_gradient, total_energy
+from minkcurv.energy import StrictFeasibilityError, psi, psi_gradient, total_energy
 from minkcurv.mesh import Field, Mesh, build_disk_mesh, build_interval_mesh, inradius
 from minkcurv.nonlinearity import (constant, envelopes, neg_sign, power, primitive_array,
                                    step)
@@ -113,20 +114,74 @@ class TestVariationalInequality:
         assert slack < -0.1
 
     def test_candidate_gradient_norm_is_taken_once(self, monkeypatch):
-        # one headroom serves all 100 perturbed trials, so the candidate's
-        # gradient norm is taken at most once per check
+        # one product G u serves the headroom, the candidate's own slack and
+        # all 100 perturbed trials (G (u + t) = G u + G t); with two for the
+        # unit cone (its scale and its gradient) and one per random trial,
+        # the check makes 3 + trials products
         m = build_disk_mesh(1.0, 3)
         res = solve_inclusion(m, neg_sign())
-        original, on_candidate = mesh_module.max_gradient_norm, []
+        original, on_candidate = mesh_module.element_gradients, []
 
         def counting(mesh, values):
             on_candidate.append(np.array_equal(values, res.u.values))
             return original(mesh, values)
 
-        monkeypatch.setattr(mesh_module, "max_gradient_norm", counting)
-        monkeypatch.setattr(verify_module, "max_gradient_norm", counting, raising=False)
+        for module in (mesh_module, energy_module, verify_module):
+            monkeypatch.setattr(module, "element_gradients", counting)
         variational_inequality_check(m, res.u, res.zeta, trials=200)
-        assert sum(on_candidate) <= 1
+        assert sum(on_candidate) == 1
+        assert len(on_candidate) == 3 + 200
+
+    def test_draws_the_stream_of_random_feasible_field(self, monkeypatch):
+        # the check's generator ends where `trials` calls of
+        # random_feasible_field leave one seeded alike, and where the draws
+        # of a trial, in their order, leave a third
+        m = build_disk_mesh(1.0, 3)
+        res = solve_inclusion(m, neg_sign())
+        made, original = [], np.random.default_rng
+        monkeypatch.setattr(verify_module.np.random, "default_rng",
+                            lambda seed: made.append(original(seed)) or made[-1])
+        for trials, seed in ((0, 1), (1, 2), (7, 3), (60, 4)):
+            variational_inequality_check(m, res.u, res.zeta, trials, seed=seed)
+            ref, draws = original(seed), original(seed)
+            for _ in range(trials):
+                random_feasible_field(m, ref)
+                draws.standard_normal(len(m.nodes))
+                draws.integers(0, 9)
+                if draws.random() < 0.3:
+                    draws.random()
+                draws.uniform(-3.0, 0.0)
+            assert made[-1].bit_generator.state == ref.bit_generator.state
+            assert ref.bit_generator.state == draws.bit_generator.state
+
+    @pytest.mark.parametrize("build", [lambda: build_disk_mesh(1.0, 3),
+                                       lambda: build_interval_mesh(-1, 1, 64)],
+                             ids=["disk3", "n64"])
+    def test_slacks_by_linearity_match_the_trial_fields(self, build):
+        # each slack, from gradients by linearity, against psi of the trial
+        # Field the parent check built, in the check's order
+        m = build()
+        res = solve_inclusion(m, neg_sign())
+        u, trials, seed = res.u, 60, 5
+        for zeta in (res.zeta, res.zeta + 0.5):
+            fields = [Field.zero(m), u]
+            for amp in (0.9, 0.5, 0.25, 0.1):
+                cone = boundary_distance_cone(m, max_gradient=amp)
+                fields += [cone, Field(m, -cone.values, dirichlet_zero=True)]
+            rng = np.random.default_rng(seed)
+            headroom = max(0.9 - mesh_module.max_gradient_norm(m, u.values), 0.0)
+            for k in range(trials):
+                t = random_feasible_field(m, rng, headroom if k % 2 else 0.9)
+                fields.append(Field(m, u.values + t.values) if k % 2 else t)
+            w = m.node_weight * zeta
+            want = [(psi(m, f), psi(m, f) - psi(m, u) + float(np.dot(w, f.values - u.values)))
+                    for f in fields]
+            got = list(verify_module._trial_slacks(m, u, zeta, trials, seed=seed))
+            assert len(got) == len(want) == 10 + trials
+            for slack, (psi_w, direct) in zip(got, want):
+                assert math.isfinite(direct)
+                assert abs(slack - direct) <= 1e-12 * (1.0 + abs(psi_w))
+            assert variational_inequality_check(m, u, zeta, trials, seed=seed) == min(got)
 
     def test_infeasible_candidate_rejected(self):
         m = build_interval_mesh(-1, 1, 16)
