@@ -10,22 +10,26 @@ Newton directions are naturally repelled from it.  On a 2D mesh every
 direction is inexact: CG preconditioned by the factor the solve holds,
 stopped at the relative residual min(0.1, (r / r_0)^2), with r the
 residual and r_0 the solve's first one (dimensionless Eisenstat-Walker
-forcing).  A solve with no kinks and no pinned nodes holds the factor of
-K0 = sum_e m_e B B^T (the Hessian at the zero field); one K0 factor at
-most is alive per process, and it serves every such solve on its mesh
-until another mesh needs it, the mesh dies or `solve_inclusion` returns.
-A kinked or pinned solve factors its first Hessian and holds that factor
-(a lagged preconditioner).  A step whose CG misses its forcing drops the
-held factor, factors its own Hessian and holds the new factor.  In 1D
-every step factors its Hessian.  An increasing jump of f
-by c at `level` is the convex kink c * max(0, u_i - level) of the lumped
-energy.  Every inner solve keeps the kinks, a set that may be empty: Newton
-on their Moreau envelopes, gamma = 1, 0.01, ..., 1e-12.  A stage whose
-solution has no node in a smoothing band is exact (each slope there is a
-subgradient of its kink), so with no kinks the first stage is the whole
-solve; otherwise the band nodes are pinned at their level and the problem
-solved again, until the pinned solution meets the inclusion exactly.  A
-rejected pinned solution starts the next stage.
+forcing), or once the residual's 2-norm is a tenth of `inner_tol`, past
+which the step's max-norm stop needs nothing more.  A solve with no kinks
+and no pinned nodes holds the factor of K0 = sum_e m_e B B^T (the Hessian
+at the zero field); one K0 factor at most is alive per process, and it
+serves every such solve on its mesh until another mesh needs it, the mesh
+dies or `solve_inclusion` returns.  A kinked or pinned solve factors its
+first Hessian and holds that factor (a lagged preconditioner).  A step
+whose CG misses its forcing drops the held factor, factors its own Hessian
+and holds the new factor.  In 1D the interior in coordinate order has a
+banded Hessian, and every step is one banded Cholesky solve.
+
+An increasing jump of f by c at `level` is the convex kink
+c * max(0, u_i - level) of the lumped energy.  Every inner solve keeps the
+kinks, a set that may be empty: Newton on their Moreau envelopes, gamma =
+1, 0.01, ..., 1e-12.  A stage whose solution has no node in a smoothing
+band is exact (each slope there is a subgradient of its kink), so with no
+kinks the first stage is the whole solve; otherwise the band nodes are
+pinned at their level and the problem solved again, until the pinned
+solution meets the inclusion exactly.  A rejected pinned solution starts
+the next stage.
 
 Outer level: a selection fixed point for the rest of f, f minus its kinks
 (constant for `step` and `heaviside`, so one iteration suffices; all of f
@@ -52,6 +56,7 @@ from dataclasses import dataclass, field as dataclass_field
 
 import numpy as np
 import scipy.sparse as sp
+from scipy.linalg import LinAlgError, solveh_banded
 from scipy.sparse.linalg import LinearOperator, cg, splu
 
 from .mesh import Field, Mesh, MeshError, _adjacency, element_gradients, per_mesh, squared_norms
@@ -256,28 +261,44 @@ def _nested_dissection(points: np.ndarray, adjacency: sp.csr_matrix,
 class _NewtonWorkspace:
     """What every Newton step on one mesh shares.
 
-    The interior Hessian is assembled straight into a fixed CSC pattern
-    (`indptr`, `indices`) whose rows and columns follow `order`, the
-    interior node ids in nested-dissection elimination order.  Entry
-    (e, a, b) of the element blocks lands in data slot `scatter[e*nv*nv +
-    a*nv + b]`; entries touching a boundary node go to the dummy slot
-    `len(indices)`; `diagonal[j]` is the data slot of entry (j, j).
-    `stiffness` holds B B^T per element (B the basis gradients), element
-    last: entry (a, b) of element e is `stiffness[a, b, e]`.
+    The interior Hessian is assembled straight into the data of a fixed CSC
+    pattern (`indptr`, `indices`, the row of each slot, and `columns`)
+    whose rows and columns follow `order`, the interior node ids in
+    elimination order: nested dissection, or in 1D coordinate order, which
+    makes the Hessian banded.  Entry (e, a, b) of the element blocks lands
+    in data slot `scatter[e*nv*nv + a*nv + b]`; entries touching a boundary
+    node go to the dummy slot `len(indices)`; `diagonal[j]` is the data
+    slot of entry (j, j).  `stiffness` holds B B^T per element (B the basis
+    gradients), element last: entry (a, b) of element e is `stiffness[a,
+    b, e]`.  In 1D, `upper` gathers the upper band in LAPACK's layout:
+    entry (w + i - j, j) of the band (w the band width) is data slot
+    `upper[w + i - j, j]`, or the slot `len(indices)` outside the pattern.
     """
 
     order: np.ndarray
     indptr: np.ndarray
     indices: np.ndarray
+    columns: np.ndarray
     scatter: np.ndarray
     diagonal: np.ndarray
     stiffness: np.ndarray
+    upper: np.ndarray | None
+
+    def matrix(self, data) -> sp.csc_matrix:
+        """The interior matrix with Hessian data `data`."""
+        n = len(self.order)
+        return sp.csc_matrix((data, self.indices, self.indptr), shape=(n, n))
+
+    def banded(self, data) -> np.ndarray:
+        """The upper band of the interior matrix with data `data` (1D)."""
+        return np.append(data, 0.0)[self.upper]
 
 
 @per_mesh
 def _newton_workspace(mesh: Mesh) -> _NewtonWorkspace:
-    """The mesh's Newton workspace; the elimination order dissects the
-    interior of the mesh's node graph (`_adjacency`)."""
+    """The mesh's Newton workspace; in 2D and up the elimination order
+    dissects the interior of the mesh's node graph (`_adjacency`), in 1D it
+    sorts the interior by coordinate (stable)."""
     interior = mesh.interior_nodes
     n = len(interior)
     nv = mesh.dim + 1
@@ -288,7 +309,10 @@ def _newton_workspace(mesh: Mesh) -> _NewtonWorkspace:
     cols = np.tile(el, (1, nv)).ravel()       # node of vertex b
     keep = (rows >= 0) & (cols >= 0)
     rows, cols = rows[keep], cols[keep]
-    order = local[_nested_dissection(mesh.nodes, _adjacency(mesh)[0], interior)]
+    if mesh.dim == 1:
+        order = np.argsort(mesh.nodes[interior, 0], kind="stable")
+    else:
+        order = local[_nested_dissection(mesh.nodes, _adjacency(mesh)[0], interior)]
     rank = np.empty(n, dtype=np.int64)
     rank[order] = np.arange(n)
     slots, slot_of = np.unique(rank[cols] * n + rank[rows], return_inverse=True)
@@ -296,19 +320,28 @@ def _newton_workspace(mesh: Mesh) -> _NewtonWorkspace:
     scatter[keep] = slot_of
     indptr = np.zeros(n + 1, dtype=np.int32)
     np.cumsum(np.bincount(slots // n, minlength=n), out=indptr[1:])
+    row, column = slots % n, slots // n
+    upper = None
+    if mesh.dim == 1:
+        width = int((column - row).max(initial=0))
+        upper = np.full((width + 1, n), len(slots))
+        above = row <= column
+        upper[(width + row - column)[above], column[above]] = np.flatnonzero(above)
     B = mesh.basis_gradients
     workspace = _NewtonWorkspace(
-        order=interior[order], indptr=indptr,
-        indices=(slots % n).astype(np.int32), scatter=scatter,
-        diagonal=np.flatnonzero(slots % n == slots // n),
-        stiffness=np.ascontiguousarray(np.einsum("evd,ewd->evw", B, B).transpose(1, 2, 0)))
+        order=interior[order], indptr=indptr, indices=row.astype(np.int32),
+        columns=column.astype(np.int32), scatter=scatter,
+        diagonal=np.flatnonzero(row == column),
+        stiffness=np.ascontiguousarray(np.einsum("evd,ewd->evw", B, B).transpose(1, 2, 0)),
+        upper=upper)
     for arr in vars(workspace).values():
-        arr.setflags(write=False)
+        if arr is not None:
+            arr.setflags(write=False)
     return workspace
 
 
-def _area_hessian(mesh: Mesh, ws: _NewtonWorkspace, root, Bg) -> sp.csc_matrix:
-    """Interior Hessian of the area term, rows and columns in `ws.order`.
+def _area_hessian(mesh: Mesh, ws: _NewtonWorkspace, root, Bg) -> np.ndarray:
+    """Interior Hessian data of the area term in the slots of `ws`'s pattern.
 
     Element block: measure * (B B^T / r + (B g)(B g)^T / r^3), with
     r = sqrt(1 - |g|^2) and `Bg` = B g per element, shape (M, nv).  The
@@ -319,10 +352,8 @@ def _area_hessian(mesh: Mesh, ws: _NewtonWorkspace, root, Bg) -> sp.csc_matrix:
     BgT = np.ascontiguousarray(Bg.T)
     h_el = (m / root) * ws.stiffness + ((m / root ** 3) * BgT)[:, None, :] * BgT[None, :, :]
     nnz = len(ws.indices)
-    data = np.bincount(ws.scatter, weights=h_el.transpose(2, 0, 1).ravel(),
+    return np.bincount(ws.scatter, weights=h_el.transpose(2, 0, 1).ravel(),
                        minlength=nnz + 1)[:nnz]
-    n = len(ws.order)
-    return sp.csc_matrix((data, ws.indices, ws.indptr), shape=(n, n))
 
 
 def _factor(matrix: sp.csc_matrix):
@@ -351,15 +382,15 @@ def _k0_preconditioner(mesh: Mesh, ws: _NewtonWorkspace) -> LinearOperator:
         _K0.clear()  # the old factor goes before the new one is made
         k0 = _area_hessian(mesh, ws, np.ones(len(mesh.elements)),
                            np.zeros(mesh.elements.shape))
-        _K0[mesh] = _inverse(k0)
+        _K0[mesh] = _inverse(ws.matrix(k0))
     return _K0[mesh]
 
 
 # CG iterations a 2D Newton step may take before it factors its own Hessian.
-# With K0, disk-6 right-hand sides a in [1.5, 2.5] need at most 30; on
-# disk-4 at a = 30 the CG of the ninth step does not converge in 200.  The
-# held first factor of a kinked stage of disk-6 step(-1, 1, 0.1) needs up
-# to 47, and one step there misses.
+# With K0, disk-6 right-hand sides a in [1.5, 2.5] (21 of them) need at most
+# 20; on disk-4 at a = 30 the steps need 1, 7, 14, 34, 64, 99, 142, 186 and
+# 185.  The held first factor of a kinked stage of disk-6 step(-1, 1, 0.1)
+# needs up to 46, and one step there misses.
 _CG_MAX_ITER = 50
 
 
@@ -406,14 +437,14 @@ def _solve_prescribed(mesh: Mesh, e, opts: SolverOptions, initial=None,
     ws = _newton_workspace(mesh)
     order = ws.order
     fixed = np.zeros(len(order), bool) if pinned is None else pinned[order]
+    pinning = fixed[ws.indices] | fixed[ws.columns]  # the slots of pinned rows and columns
     # In 2D every step is one CG solve preconditioned by the factor the
     # solve holds.  Away from the constraint surface K0^-1 H has its
     # spectrum in [1/r_max, 1/r_min^3], so with no kinks and no pins that
     # is the process's K0 factor; kinks and pins change the Hessian's
     # diagonal, so those solves hold their first Hessian factor instead (a
-    # lagged preconditioner).  In 1D the tridiagonal factor costs next to
-    # nothing and every step factors its own Hessian.
-    inexact = mesh.dim >= 2
+    # lagged preconditioner).  In 1D the banded Cholesky solve costs next
+    # to nothing and every step makes one.
     held = None  # the preconditioner: K0^-1 or the solve's last Hessian factor
     obj = objective(g2, values)
     stats.objectives.append(obj)
@@ -434,31 +465,36 @@ def _solve_prescribed(mesh: Mesh, e, opts: SolverOptions, initial=None,
             raise failure(f"no convergence in {opts.max_inner} Newton iterations "
                           f"(residual {residual:.3e})", residual)
 
-        # The Hessian is SPD and already in nested-dissection order; pinned
-        # nodes get identity rows (zero step).  CG stops at the dimensionless
-        # Eisenstat-Walker forcing min(0.1, (residual / first residual)^2).
-        # With no factor held (1D, or a kinked or pinned solve's first step)
-        # or on a CG miss, the step factors its Hessian, and in 2D the solve
-        # holds that factor; the old one goes first, so at most one LU
-        # besides K0 is alive at a time.
-        hessian = _area_hessian(mesh, ws, root, Bg)
-        hessian.data[ws.diagonal] += (mesh.node_weight * band.sum(axis=0) / gamma)[order]
-        hessian.data[fixed[ws.indices]] = 0.0
-        hessian.data[ws.diagonal[fixed]] = 1.0
+        # The Hessian is SPD and already in elimination order; pinned nodes
+        # get identity rows and columns (zero step), so it stays symmetric.
+        # CG stops at the dimensionless Eisenstat-Walker forcing
+        # min(0.1, (residual / first residual)^2), or at a residual 2-norm of
+        # inner_tol / 10: the max-norm stop is met by then, so a tighter
+        # solve would be wasted.  With no factor held (a kinked or pinned
+        # solve's first step) or on a CG miss, the step factors its Hessian
+        # and the solve holds that factor; the old one goes first, so at
+        # most one LU besides K0 is alive at a time.
+        data = _area_hessian(mesh, ws, root, Bg)
+        data[ws.diagonal] += (mesh.node_weight * band.sum(axis=0) / gamma)[order]
+        data[pinning] = 0.0
+        data[ws.diagonal[fixed]] = 1.0
         try:
-            if held is None and inexact and kinks.level.size == 0 and pinned is None:
-                held = _k0_preconditioner(mesh, ws)
-            if held is not None:
-                direction, unmet = cg(hessian, -grad, rtol=min(0.1, (residual / first) ** 2),
-                                      atol=0.0, maxiter=_CG_MAX_ITER, M=held)
-            if held is None or unmet:
-                held = None  # the old factor goes before the new one is made
-                if inexact:
+            if mesh.dim == 1:
+                direction = solveh_banded(ws.banded(data), -grad, overwrite_ab=True,
+                                          overwrite_b=True, check_finite=False)
+            else:
+                hessian = ws.matrix(data)
+                if held is None and kinks.level.size == 0 and pinned is None:
+                    held = _k0_preconditioner(mesh, ws)
+                if held is not None:
+                    direction, unmet = cg(hessian, -grad, rtol=min(0.1, (residual / first) ** 2),
+                                          atol=0.1 * opts.inner_tol, maxiter=_CG_MAX_ITER,
+                                          M=held)
+                if held is None or unmet:
+                    held = None  # the old factor goes before the new one is made
                     held = _inverse(hessian)
                     direction = held.matvec(-grad)
-                else:
-                    direction = _factor(hessian).solve(-grad)
-        except RuntimeError as err:
+        except (RuntimeError, LinAlgError) as err:
             raise failure(f"Hessian factorization failed: {err}", residual) from err
         if not np.all(np.isfinite(direction)):
             raise failure("non-finite Newton direction", residual)

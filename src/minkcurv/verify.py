@@ -22,7 +22,7 @@ import numpy as np
 # `bracket`, `psi` and `random_feasible_field` are no longer called here; they
 # stay module attributes because bench/worker.py wraps them when it traces a run.
 from .mesh import (Field, Mesh, _largest_norm, _random_trial,  # noqa: F401
-                   boundary_distance_cone, element_gradients, inradius,
+                   boundary_distance_cone, element_gradients, inradius, per_mesh,
                    random_feasible_field, squared_norms)
 from .nonlinearity import NonlinearitySpec, bracket, envelopes, primitive_array  # noqa: F401
 from .energy import FEASIBILITY_MARGIN, area_value, psi, psi_gradient, total_energy  # noqa: F401
@@ -68,10 +68,21 @@ def variational_inequality_check(mesh: Mesh, u: Field, zeta, trials: int,
     candidate within its gradient headroom below 0.9.  At a critical point
     paired with its selection the returned minimum is nonnegative up to
     solver tolerances.  Gradients come by linearity (`_trial_slacks`): one
-    element-gradient product per random trial, one for the candidate and
-    two for the unit distance cone, and no `Field` per trial.
+    element-gradient product per random trial and one for the candidate,
+    the unit distance cone's two once per mesh, and no `Field` per trial.
     """
     return min(_trial_slacks(mesh, u, zeta, trials, seed))
+
+
+@per_mesh
+def _unit_cone(mesh: Mesh):
+    """Values and element gradients of the distance cone with gradient bound
+    1, read-only: the cones of every VI check on the mesh are its multiples."""
+    cone = boundary_distance_cone(mesh, max_gradient=1.0).values
+    g_cone = element_gradients(mesh, cone)
+    cone.setflags(write=False)
+    g_cone.setflags(write=False)
+    return cone, g_cone
 
 
 def _trial_slacks(mesh: Mesh, u: Field, zeta, trials: int, seed: int):
@@ -101,8 +112,7 @@ def _trial_slacks(mesh: Mesh, u: Field, zeta, trials: int, seed: int):
 
     yield slack(np.zeros_like(gu), -u.values)
     yield 0.0  # the candidate itself
-    cone = boundary_distance_cone(mesh, max_gradient=1.0).values
-    g_cone = element_gradients(mesh, cone)
+    cone, g_cone = _unit_cone(mesh)
     for amp in (0.9, 0.5, 0.25, 0.1):
         for scale in (amp, -amp):
             yield slack(g_cone * scale, cone * scale - u.values)

@@ -6,8 +6,9 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from scipy.linalg import LinAlgError
 
-from minkcurv import cli
+from minkcurv import cli, solver
 from minkcurv.cli import (ConfigError, load_config, main, parse_flat_config,
                           read_solution_csv)
 from minkcurv.mesh import build_interval_mesh, write_mesh
@@ -404,6 +405,18 @@ def test_inner_solve_failure_exits_2(tmp_path, capsys, command):
     else:
         rows = (tmp_path / "out" / "sweep.csv").read_text().splitlines()[1:]
         assert [row.split(",")[-1] for row in rows] == ["false", "false"]
+
+
+def test_band_solve_failure_exits_2(tmp_path, capsys, monkeypatch):
+    # a 1D Hessian that banded Cholesky rejects fails the inner solve
+    def failing(*args, **kwargs):
+        raise LinAlgError("2-th leading minor not positive definite")
+    monkeypatch.setattr(solver, "solveh_banded", failing)
+    cfg = write_cfg(tmp_path, PRESCRIBED_CFG)
+    assert main(["solve", "--config", str(cfg)]) == 2
+    assert ("inner solve failed: Hessian factorization failed: 2-th"
+            in capsys.readouterr().err)
+    assert not (tmp_path / "out" / "solution.csv").exists()
 
 
 @pytest.mark.parametrize("command", ["solve", "sweep"])

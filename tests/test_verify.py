@@ -117,7 +117,8 @@ class TestVariationalInequality:
         # one product G u serves the headroom, the candidate's own slack and
         # all 100 perturbed trials (G (u + t) = G u + G t); with two for the
         # unit cone (its scale and its gradient) and one per random trial,
-        # the check makes 3 + trials products
+        # the check makes 3 + trials products.  The cone is kept in the mesh,
+        # so a second check on it makes 1 + trials
         m = build_disk_mesh(1.0, 3)
         res = solve_inclusion(m, neg_sign())
         original, on_candidate = mesh_module.element_gradients, []
@@ -128,9 +129,13 @@ class TestVariationalInequality:
 
         for module in (mesh_module, energy_module, verify_module):
             monkeypatch.setattr(module, "element_gradients", counting)
-        variational_inequality_check(m, res.u, res.zeta, trials=200)
+        first = variational_inequality_check(m, res.u, res.zeta, trials=200)
         assert sum(on_candidate) == 1
         assert len(on_candidate) == 3 + 200
+        on_candidate.clear()
+        assert variational_inequality_check(m, res.u, res.zeta, trials=200) == first
+        assert sum(on_candidate) == 1
+        assert len(on_candidate) == 1 + 200
 
     def test_draws_the_stream_of_random_feasible_field(self, monkeypatch):
         # the check's generator ends where `trials` calls of
