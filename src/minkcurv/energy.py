@@ -56,18 +56,27 @@ def area_value(mesh: Mesh, g2) -> float:
     return float(np.dot(mesh.element_measure, 1.0 - np.sqrt(np.maximum(0.0, 1.0 - g2))))
 
 
+def gradient_adjoint(mesh: Mesh, weight, x):
+    """(sum over the elements at each node of weight * B x, B x): `x` holds
+    one vector per element (M, dim), `weight` one scalar per element (M,),
+    and B x (M, dim+1) applies the basis gradients to x.  The transpose of
+    `element_gradients` applied to weight * x."""
+    Bx = np.einsum("evd,ed->ev", mesh.basis_gradients, x)
+    total = np.bincount(mesh.elements.ravel(), weights=(weight[:, None] * Bx).ravel(),
+                        minlength=len(mesh.nodes))
+    return total, Bx
+
+
 def area_gradient(mesh: Mesh, g, g2):
     """Unchecked nodal area gradient from element gradients `g` (M, dim), |g| < 1.
 
     Returns (gradient, root, Bg): the gradient sums measure/r * B g over the
-    elements at each node, with r = sqrt(1 - |g|^2) and B g (M, dim+1) the
-    basis gradients applied to g; the Newton Hessian reuses `root` and `Bg`.
+    elements at each node (`gradient_adjoint`), with r = sqrt(1 - |g|^2) and
+    B g (M, dim+1) the basis gradients applied to g; the Newton Hessian
+    reuses `root` and `Bg`.
     """
     root = np.sqrt(1.0 - g2)
-    Bg = np.einsum("evd,ed->ev", mesh.basis_gradients, g)
-    contrib = (mesh.element_measure / root)[:, None] * Bg
-    gradient = np.bincount(mesh.elements.ravel(), weights=contrib.ravel(),
-                           minlength=len(mesh.nodes))
+    gradient, Bg = gradient_adjoint(mesh, mesh.element_measure / root, g)
     return gradient, root, Bg
 
 

@@ -1,9 +1,15 @@
 """Two-level solution procedure for the discontinuous curvature problem.
 
 Inner level: damped Newton with a feasibility-guarding backtracking line
-search minimizes the strictly convex prescribed-right-hand-side energy from
-`SolverOptions.initial` over zero-boundary fields whose element gradient
-norms stay at most 1 - energy.FEASIBILITY_MARGIN, the certificates' margin.
+search minimizes the strictly convex prescribed-right-hand-side energy over
+zero-boundary fields whose element gradient norms stay at most
+1 - energy.FEASIBILITY_MARGIN, the certificates' margin.  It starts from
+`SolverOptions.initial`; `solve_prescribed` without one starts from the
+flux start: the Poisson flux q mapped into the unit ball by
+q / sqrt(1 + |q|^2), the inverse of the operator's phi, and projected onto
+P1 gradients (two K0 solves).  Where the flux is a gradient (1D, radial
+problems) that is the solution, up to the projection; `solve_inclusion`
+starts every inner solve from its last iterate.
 Objective and gradient come from the area kernel of `energy`; the exact
 Hessian blows up like (1-|g|^2)^(-3/2) near the constraint surface, so
 Newton directions are naturally repelled from it.  On a 2D mesh every
@@ -59,12 +65,14 @@ import scipy.sparse as sp
 from scipy.linalg import LinAlgError, solveh_banded
 from scipy.sparse.linalg import LinearOperator, cg, splu
 
-from .mesh import Field, Mesh, MeshError, _adjacency, element_gradients, per_mesh, squared_norms
+from .mesh import (Field, Mesh, MeshError, _adjacency, element_gradients, max_gradient_norm,
+                   per_mesh, squared_norms)
 # `bracket` is no longer called here; it stays a module attribute because
 # bench/worker.py wraps solver.bracket when it traces a run.
 from .nonlinearity import (NonlinearitySpec, bracket, envelopes, jump_limits,  # noqa: F401
                            selection)
-from .energy import FEASIBILITY_MARGIN, area_gradient, area_value, psi_gradient, total_energy
+from .energy import (FEASIBILITY_MARGIN, area_gradient, area_value, gradient_adjoint,
+                     psi_gradient, total_energy)
 
 
 class InnerSolveError(RuntimeError):
@@ -83,9 +91,11 @@ class SolverOptions:
 
     inner_tol bounds the max-norm of the Dirichlet-masked gradient of the
     inner objective; outer_tol bounds the sup-norm change between outer
-    iterates.  `initial` is the start field of both entry points (zero by
-    default); it must be a field of the mesh being solved.  `seed` is unused
-    (the solver draws no random numbers); bench/workloads.py still passes it.
+    iterates.  `initial` is the start field of both entry points; it must be
+    a field of the mesh being solved.  Unset, `solve_inclusion` starts from
+    zero and `solve_prescribed` from the flux start (module docstring).
+    `seed` is unused (the solver draws no random numbers);
+    bench/workloads.py still passes it.
     """
 
     inner_tol: float = 1e-10
@@ -374,24 +384,84 @@ def _inverse(matrix: sp.csc_matrix) -> LinearOperator:
 _K0 = weakref.WeakKeyDictionary()
 
 
+def _k0_data(mesh: Mesh, ws: _NewtonWorkspace) -> np.ndarray:
+    """Interior data of K0 = sum_e m_e B B^T, the area Hessian at the zero field."""
+    return _area_hessian(mesh, ws, np.ones(len(mesh.elements)), np.zeros(mesh.elements.shape))
+
+
 def _k0_preconditioner(mesh: Mesh, ws: _NewtonWorkspace) -> LinearOperator:
-    """K0^-1 for the mesh, K0 = sum_e m_e B B^T the area Hessian at the zero
-    field, factored on first use and kept in `_K0` until another mesh needs
-    the slot, the mesh dies or `solve_inclusion` returns."""
+    """K0^-1 for the mesh, factored on first use and kept in `_K0` until
+    another mesh needs the slot, the mesh dies or `solve_inclusion` returns."""
     if mesh not in _K0:
         _K0.clear()  # the old factor goes before the new one is made
-        k0 = _area_hessian(mesh, ws, np.ones(len(mesh.elements)),
-                           np.zeros(mesh.elements.shape))
-        _K0[mesh] = _inverse(ws.matrix(k0))
+        _K0[mesh] = _inverse(ws.matrix(_k0_data(mesh, ws)))
     return _K0[mesh]
 
 
 # CG iterations a 2D Newton step may take before it factors its own Hessian.
-# With K0, disk-6 right-hand sides a in [1.5, 2.5] (21 of them) need at most
-# 20; on disk-4 at a = 30 the steps need 1, 7, 14, 34, 64, 99, 142, 186 and
-# 185.  The held first factor of a kinked stage of disk-6 step(-1, 1, 0.1)
-# needs up to 46, and one step there misses.
+# With K0 and the flux start, the steps of disk-6 right-hand sides a in
+# [1.5, 2.5] (21 of them) need at most 6 (at most 20 from zero); on disk-4 at
+# a = 30 the steps need 5, 9, 27, 65, 123, 185 and 179 (from zero 1, 7, 14,
+# 34, 64, 99, 142, 186 and 185), so the fourth misses.  The held first factor
+# of a kinked stage of disk-6 step(-1, 1, 0.1) needs up to 46, and one step
+# there misses.
 _CG_MAX_ITER = 50
+
+
+def _right_hand_side(mesh: Mesh, e) -> np.ndarray:
+    """`e` broadcast to one value per node; raises ValueError unless finite."""
+    e = np.broadcast_to(np.asarray(e, dtype=float), (len(mesh.nodes),))
+    if not np.all(np.isfinite(e)):
+        raise ValueError("prescribed right-hand side must be finite at every node")
+    return e
+
+
+# A flux start whose projection leaves the working set is scaled to this
+# fraction of the working limit.
+_START_SHRINK = 0.99
+
+
+def _flux_start(mesh: Mesh, e: np.ndarray) -> np.ndarray:
+    """Newton's default start for the finite right-hand side `e` (per node).
+
+    phi(v) = v / sqrt(1 - |v|^2) maps the unit ball onto R^dim, with inverse
+    q / sqrt(1 + |q|^2).  Where the flux is a gradient (1D, radial
+    problems), the solution's flux phi(grad u) is the Poisson flux q =
+    grad p, K0 p = -w e, so grad u = t = q / sqrt(1 + |q|^2).  The start is
+    the L2 projection of t onto zero-boundary P1 gradients, K0 u = sum_e
+    m_e B t_e, scaled to `_START_SHRINK` of the working limit when one of
+    its element gradients is past it.  The two K0 solves use the `_K0`
+    factor in 2D and are banded solves in 1D.  A failing solve raises the
+    InnerSolveError a failing Newton step raises, carrying the zero field.
+    """
+    ws = _newton_workspace(mesh)
+    order, linear = ws.order, mesh.node_weight * e
+    values = np.zeros(len(mesh.nodes))
+    if not linear[order].any():  # zero solves it, with no K0 factor needed
+        return values
+    try:
+        if mesh.dim == 1:
+            band = ws.banded(_k0_data(mesh, ws))
+
+            def k0_solve(rhs):
+                return solveh_banded(band, rhs, check_finite=False)
+        else:
+            k0_solve = _k0_preconditioner(mesh, ws).matvec
+        poisson = np.zeros(len(mesh.nodes))
+        poisson[order] = k0_solve(-linear[order])
+        q = element_gradients(mesh, poisson)
+        t = q / np.sqrt(1.0 + squared_norms(q))[:, None]
+        values[order] = k0_solve(gradient_adjoint(mesh, mesh.element_measure, t)[0][order])
+    except (RuntimeError, LinAlgError) as err:
+        raise InnerSolveError(f"Hessian factorization failed: {err}",
+                              last_values=np.zeros(len(mesh.nodes)),
+                              residual=float(np.abs(linear[order]).max())) from err
+    largest, limit = max_gradient_norm(mesh, values), 1.0 - FEASIBILITY_MARGIN
+    if not math.isfinite(largest):  # q overflowed: no start to be had from it
+        return np.zeros(len(mesh.nodes))
+    if largest > limit:
+        values *= _START_SHRINK * limit / largest
+    return values
 
 
 def _solve_prescribed(mesh: Mesh, e, opts: SolverOptions, initial=None,
@@ -400,12 +470,10 @@ def _solve_prescribed(mesh: Mesh, e, opts: SolverOptions, initial=None,
     plus the lumped Moreau envelopes (smoothing `gamma`) of `kinks`.
 
     Returns (values, stats).  `e` is broadcast to one value per node.  The
-    nodes of the boolean mask `pinned` (default: none) keep their initial
-    values.
+    start is `initial`, zero by default.  The nodes of the boolean mask
+    `pinned` (default: none) keep their initial values.
     """
-    e = np.broadcast_to(np.asarray(e, dtype=float), (len(mesh.nodes),))
-    if not np.all(np.isfinite(e)):
-        raise ValueError("prescribed right-hand side must be finite at every node")
+    e = _right_hand_side(mesh, e)
     interior = mesh.interior_nodes
     limit2 = (1.0 - FEASIBILITY_MARGIN) ** 2
     linear = mesh.node_weight * e
@@ -529,11 +597,16 @@ def _solve_prescribed(mesh: Mesh, e, opts: SolverOptions, initial=None,
 def solve_prescribed(mesh: Mesh, e, opts: SolverOptions | None = None) -> Field:
     """Unique zero-boundary minimizer of psi_h(w) + <e, w>_lumped.
 
-    `e` holds one right-hand-side value per node (a scalar is broadcast); Newton
-    starts from `opts.initial`.  Raises `InnerSolveError`, carrying the last iterate.
+    `e` holds one right-hand-side value per node (a scalar is broadcast).
+    Newton starts from `opts.initial`, or when it is unset from the flux
+    start (`_flux_start`: the Poisson flux mapped into the unit ball), the
+    solution up to its projection wherever the flux is a gradient.  Raises
+    `InnerSolveError`, carrying the last iterate.
     """
     opts = opts or SolverOptions()
-    values, _ = _solve_prescribed(mesh, e, opts, _start(mesh, opts))
+    e = _right_hand_side(mesh, e)
+    start = _flux_start(mesh, e) if opts.initial is None else _start(mesh, opts)
+    values, _ = _solve_prescribed(mesh, e, opts, start)
     return Field(mesh, values, dirichlet_zero=True)
 
 

@@ -113,9 +113,10 @@ class TestSolvePrescribed:
             solve_prescribed(m, 1.0, initial=cold)
 
     def test_nonconvergence_carries_last_iterate(self):
+        # from zero one step is short of the stop (the flux start needs none)
         m = build_interval_mesh(-1, 1, 64)
         with pytest.raises(InnerSolveError) as info:
-            solve_prescribed(m, 1.0, SolverOptions(max_inner=1))
+            solve_prescribed(m, 1.0, SolverOptions(initial=Field.zero(m), max_inner=1))
         err = info.value
         assert err.last_values is not None
         assert math.isfinite(err.residual) and err.residual > 0
@@ -144,6 +145,99 @@ class TestSolvePrescribed:
     def test_options_reject_bad_tolerances(self, name, value):
         with pytest.raises(ValueError, match="positive and finite"):
             SolverOptions(**{name: value})
+
+
+def newton_steps(monkeypatch):
+    """The Newton step count of every `_solve_prescribed` call from here on."""
+    steps = []
+    inner = solver._solve_prescribed
+
+    def recording(*args, **kwargs):
+        values, stats = inner(*args, **kwargs)
+        steps.append(stats.iterations)
+        return values, stats
+    monkeypatch.setattr(solver, "_solve_prescribed", recording)
+    return steps
+
+
+# (mesh, a): a symmetric interval, where the flux start is the solution; a
+# radial disk problem; and one whose projected start leaves the working set
+FLUX_START_CASES = {
+    "interval64-a1": (lambda: build_interval_mesh(-1, 1, 64), 1.0),
+    "disk4-a2": (lambda: build_disk_mesh(1.0, 4), 2.0),
+    "disk4-a30": (lambda: build_disk_mesh(1.0, 4), 30.0),
+}
+
+
+class TestFluxStart:
+    def test_symmetric_interval_needs_no_step(self, monkeypatch):
+        steps = newton_steps(monkeypatch)
+        solve_prescribed(build_interval_mesh(-1, 1, 64), 1.0)
+        assert steps == [0]
+
+    def test_disk_takes_at_most_three_steps(self, monkeypatch):
+        # from zero the same solve takes 8
+        steps = newton_steps(monkeypatch)
+        solve_prescribed(build_disk_mesh(1.0, 4), 2.0)
+        assert steps[0] <= 3
+
+    def test_disk_grid_newton_steps(self, monkeypatch):
+        # 32 steps over the grid from the flux start, 67 from zero
+        steps = newton_steps(monkeypatch)
+        mesh = build_disk_mesh(1.0, 4)
+        for a in np.linspace(1.5, 2.5, 11):
+            solve_prescribed(mesh, a)
+        assert sum(steps) <= 33
+
+    def test_projection_outside_the_working_set_is_scaled_inside(self):
+        mesh = build_disk_mesh(1.0, 4)
+        start = solver._flux_start(mesh, np.full(len(mesh.nodes), 30.0))
+        largest = max_gradient_norm(mesh, start)
+        assert largest < 1.0 - FEASIBILITY_MARGIN
+        assert largest == pytest.approx(solver._START_SHRINK * (1.0 - FEASIBILITY_MARGIN),
+                                        rel=1e-14)
+        assert np.all(start[mesh.boundary_nodes] == 0.0)
+
+    def test_overflowing_flux_gives_the_zero_start(self):
+        # q = inf - inf is nan: Newton then starts from zero, as it did
+        # before the flux start, and fails the way it did
+        m = build_interval_mesh(-1, 1, 8)
+        with np.errstate(all="ignore"):
+            assert np.array_equal(solver._flux_start(m, np.full(9, 1.7e308)), np.zeros(9))
+
+    @pytest.mark.parametrize("case", sorted(FLUX_START_CASES))
+    def test_matches_the_zero_start(self, case):
+        build, a = FLUX_START_CASES[case]
+        mesh = build()
+        flux = solve_prescribed(mesh, a)
+        zero = solve_prescribed(mesh, a, SolverOptions(initial=Field.zero(mesh)))
+        assert np.abs(flux.values - zero.values).max() <= 1e-10
+
+    def test_ten_disk_solves_make_one_factor(self, monkeypatch):
+        # the start's two K0 solves and every Newton step share one K0 factor
+        factors = counting(monkeypatch, "splu")
+        mesh = build_disk_mesh(1.0, 4)
+        for a in np.linspace(1.5, 2.5, 10):
+            solve_prescribed(mesh, a)
+        solver._K0.clear()
+        assert len(factors) == 1
+
+    def test_k0_failure_is_a_factorization_failure(self, monkeypatch):
+        def failing(*args, **kwargs):
+            raise RuntimeError("Factor is exactly singular")
+        monkeypatch.setattr(solver, "splu", failing)
+        mesh = build_disk_mesh(1.0, 2)
+        with pytest.raises(InnerSolveError, match="^Hessian factorization failed: Factor") as err:
+            solve_prescribed(mesh, 1.0)
+        assert err.value.iterations == 0 and not err.value.last_values.any()
+        assert err.value.residual == np.abs(mesh.node_weight[mesh.interior_nodes]).max()
+
+    def test_non_finite_rhs_fails_before_any_solve(self, monkeypatch):
+        calls = counting(monkeypatch, "solveh_banded")
+        m = build_interval_mesh(-1, 1, 8)
+        with pytest.raises(ValueError, match="finite"):
+            solve_prescribed(m, np.full(9, math.inf))
+        assert calls == []
 
 
 class TestSolveInclusion:
@@ -854,8 +948,10 @@ class TestNewtonWorkspace:
 
     def test_k0_applications_on_disk5(self, monkeypatch):
         # the dimensionless forcing needs fewer K0 solves than the absolute
-        # forcing min(0.1, residual), which made 286 here, and its floor at
-        # the inner stop fewer than the forcing alone, which made 260
+        # forcing min(0.1, residual), which made 286 here, its floor at the
+        # inner stop fewer than the forcing alone, which made 260, and the
+        # flux start (94, its two solves included) fewer than a zero start,
+        # which made 195
         applications = []
         preconditioner = solver._k0_preconditioner
 
@@ -868,7 +964,7 @@ class TestNewtonWorkspace:
         for a in np.linspace(1.5, 2.5, 8):
             solve_prescribed(mesh, a)
         solver._K0.clear()
-        assert 0 < len(applications) < 260
+        assert 0 < len(applications) < 195
 
     def test_kinked_stages_hold_their_factor(self, monkeypatch):
         # each kinked or pinned stage factors its first Hessian and
