@@ -3,13 +3,14 @@
 Inner level: damped Newton with a feasibility-guarding backtracking line
 search minimizes the strictly convex prescribed-right-hand-side energy over
 zero-boundary fields whose element gradient norms stay at most
-1 - energy.FEASIBILITY_MARGIN, the certificates' margin.  It starts from
-`SolverOptions.initial`; `solve_prescribed` without one starts from the
-flux start: the Poisson flux q mapped into the unit ball by
+1 - energy.FEASIBILITY_MARGIN, the certificates' margin.  Both entry
+points start an inner solve from its given field or, where that is zero,
+from the flux start: the Poisson flux q mapped into the unit ball by
 q / sqrt(1 + |q|^2), the inverse of the operator's phi, and projected onto
-P1 gradients (two K0 solves).  Where the flux is a gradient (1D, radial
-problems) that is the solution, up to the projection; `solve_inclusion`
-starts every inner solve from its last iterate.
+P1 gradients (two K0 solves), the solution wherever the flux is a gradient
+(1D, radial problems).  Newton stops at a gradient max-norm of `inner_tol`;
+kink-free solves of `solve_inclusion` also need |g|_1 <= outer_tol / 10 *
+(1 + |objective|), which bounds rho, or a step that leaves the iterate as is.
 Objective and gradient come from the area kernel of `energy`; the exact
 Hessian blows up like (1-|g|^2)^(-3/2) near the constraint surface, so
 Newton directions are naturally repelled from it.  On a 2D mesh every
@@ -91,9 +92,9 @@ class SolverOptions:
 
     inner_tol bounds the max-norm of the Dirichlet-masked gradient of the
     inner objective; outer_tol bounds the sup-norm change between outer
-    iterates.  `initial` is the start field of both entry points; it must be
-    a field of the mesh being solved.  Unset, `solve_inclusion` starts from
-    zero and `solve_prescribed` from the flux start (module docstring).
+    iterates and sets rho's gate and the inner l1 stop.  `initial` is the
+    start field of both entry points, a field of the mesh being solved;
+    unset or zero, they start from the flux start (module docstring).
     `seed` is unused (the solver draws no random numbers);
     bench/workloads.py still passes it.
     """
@@ -390,11 +391,15 @@ def _k0_data(mesh: Mesh, ws: _NewtonWorkspace) -> np.ndarray:
 
 
 def _k0_preconditioner(mesh: Mesh, ws: _NewtonWorkspace) -> LinearOperator:
-    """K0^-1 for the mesh, factored on first use and kept in `_K0` until
-    another mesh needs the slot, the mesh dies or `solve_inclusion` returns."""
+    """K0^-1 for the mesh (banded Cholesky in 1D), made on first use and kept
+    in `_K0` until another mesh needs it, the mesh dies or `solve_inclusion` returns."""
     if mesh not in _K0:
         _K0.clear()  # the old factor goes before the new one is made
-        _K0[mesh] = _inverse(ws.matrix(_k0_data(mesh, ws)))
+        data = _k0_data(mesh, ws)
+        band = ws.banded(data) if mesh.dim == 1 else None
+        solve = (_factor(ws.matrix(data)).solve if band is None
+                 else lambda rhs: solveh_banded(band, rhs, check_finite=False))
+        _K0[mesh] = LinearOperator((len(ws.order),) * 2, matvec=solve, dtype=float)
     return _K0[mesh]
 
 
@@ -430,9 +435,9 @@ def _flux_start(mesh: Mesh, e: np.ndarray) -> np.ndarray:
     grad p, K0 p = -w e, so grad u = t = q / sqrt(1 + |q|^2).  The start is
     the L2 projection of t onto zero-boundary P1 gradients, K0 u = sum_e
     m_e B t_e, scaled to `_START_SHRINK` of the working limit when one of
-    its element gradients is past it.  The two K0 solves use the `_K0`
-    factor in 2D and are banded solves in 1D.  A failing solve raises the
-    InnerSolveError a failing Newton step raises, carrying the zero field.
+    its element gradients is past it.  The two K0 solves go through the
+    `_K0` slot.  A failing solve raises the InnerSolveError a failing Newton
+    step raises, carrying the zero field.
     """
     ws = _newton_workspace(mesh)
     order, linear = ws.order, mesh.node_weight * e
@@ -440,13 +445,7 @@ def _flux_start(mesh: Mesh, e: np.ndarray) -> np.ndarray:
     if not linear[order].any():  # zero solves it, with no K0 factor needed
         return values
     try:
-        if mesh.dim == 1:
-            band = ws.banded(_k0_data(mesh, ws))
-
-            def k0_solve(rhs):
-                return solveh_banded(band, rhs, check_finite=False)
-        else:
-            k0_solve = _k0_preconditioner(mesh, ws).matvec
+        k0_solve = _k0_preconditioner(mesh, ws).matvec
         poisson = np.zeros(len(mesh.nodes))
         poisson[order] = k0_solve(-linear[order])
         q = element_gradients(mesh, poisson)
@@ -465,13 +464,14 @@ def _flux_start(mesh: Mesh, e: np.ndarray) -> np.ndarray:
 
 
 def _solve_prescribed(mesh: Mesh, e, opts: SolverOptions, initial=None,
-                      kinks=_NO_KINKS, gamma=1.0, pinned=None):
+                      kinks=_NO_KINKS, gamma=1.0, pinned=None, l1_tol=math.inf):
     """Newton minimization over interior nodes of psi_h(w) + <e, w>_lumped
     plus the lumped Moreau envelopes (smoothing `gamma`) of `kinks`.
 
     Returns (values, stats).  `e` is broadcast to one value per node.  The
     start is `initial`, zero by default.  The nodes of the boolean mask
-    `pinned` (default: none) keep their initial values.
+    `pinned` (default: none) keep their initial values.  It stops at gradient
+    norms max <= `inner_tol` and l1 <= `l1_tol * (1 + |objective|)`.
     """
     e = _right_hand_side(mesh, e)
     interior = mesh.interior_nodes
@@ -499,9 +499,6 @@ def _solve_prescribed(mesh: Mesh, e, opts: SolverOptions, initial=None,
         return (area_value(mesh, g2_local) + float(np.dot(linear[interior], vals[interior]))
                 + float(np.dot(mesh.node_weight, kinks.smoothed(vals, gamma)[0])))
 
-    stats.max_value = float(np.abs(values).max())
-    stats.max_gradient = float(np.sqrt(g2.max())) if g2.size else 0.0
-
     ws = _newton_workspace(mesh)
     order = ws.order
     fixed = np.zeros(len(order), bool) if pinned is None else pinned[order]
@@ -515,8 +512,10 @@ def _solve_prescribed(mesh: Mesh, e, opts: SolverOptions, initial=None,
     # to nothing and every step makes one.
     held = None  # the preconditioner: K0^-1 or the solve's last Hessian factor
     obj = objective(g2, values)
-    stats.objectives.append(obj)
     for _ in range(opts.max_inner + 1):
+        stats.max_value = max(stats.max_value, float(np.abs(values).max()))
+        stats.max_gradient = max(stats.max_gradient, float(np.sqrt(g2.max(initial=0.0))))
+        stats.objectives.append(obj)
         # the Hessian reuses the kernel's root and B g
         full_grad, root, Bg = area_gradient(mesh, g, g2)
         _, slope, band = kinks.smoothed(values, gamma)
@@ -527,7 +526,7 @@ def _solve_prescribed(mesh: Mesh, e, opts: SolverOptions, initial=None,
             raise failure("non-finite gradient encountered", residual)
         if stats.iterations == 0:
             first = residual
-        if residual <= opts.inner_tol:
+        if residual <= opts.inner_tol and np.abs(grad).sum() <= l1_tol * (1.0 + abs(obj)):
             return values, stats
         if stats.iterations >= opts.max_inner:
             raise failure(f"no convergence in {opts.max_inner} Newton iterations "
@@ -584,13 +583,12 @@ def _solve_prescribed(mesh: Mesh, e, opts: SolverOptions, initial=None,
             if t < 1e-18:
                 raise failure(f"line search stalled (residual {residual:.3e})", residual)
         if np.array_equal(cand, values):  # the same step would follow forever
+            if residual <= opts.inner_tol:  # the l1 stop is below roundoff
+                return values, stats
             raise failure(f"Newton step left the iterate unchanged (residual "
                           f"{residual:.3e})", residual)
         values, g, g2, obj = cand, g_c, g2_c, obj_c
         stats.iterations += 1
-        stats.max_value = max(stats.max_value, float(np.abs(values).max()))
-        stats.max_gradient = max(stats.max_gradient, float(np.sqrt(g2.max())))
-        stats.objectives.append(obj)
     raise AssertionError("unreachable")
 
 
@@ -598,15 +596,14 @@ def solve_prescribed(mesh: Mesh, e, opts: SolverOptions | None = None) -> Field:
     """Unique zero-boundary minimizer of psi_h(w) + <e, w>_lumped.
 
     `e` holds one right-hand-side value per node (a scalar is broadcast).
-    Newton starts from `opts.initial`, or when it is unset from the flux
+    Newton starts from `opts.initial`, or if it is unset or zero from the flux
     start (`_flux_start`: the Poisson flux mapped into the unit ball), the
-    solution up to its projection wherever the flux is a gradient.  Raises
-    `InnerSolveError`, carrying the last iterate.
+    solution wherever the flux is a gradient, and stops on the max-norm
+    alone.  Raises `InnerSolveError`, carrying the last iterate.
     """
     opts = opts or SolverOptions()
     e = _right_hand_side(mesh, e)
-    start = _flux_start(mesh, e) if opts.initial is None else _start(mesh, opts)
-    values, _ = _solve_prescribed(mesh, e, opts, start)
+    values = _inner_solve(mesh, e, opts, _start(mesh, opts), _NO_KINKS, [], l1_stop=False)
     return Field(mesh, values, dirichlet_zero=True)
 
 
@@ -616,21 +613,23 @@ _KINK_TOL = 1e-8
 
 
 def _inner_solve(mesh: Mesh, e, opts: SolverOptions, initial, kinks: _Kinks,
-                 stats_sink):
-    """Minimizer of psi_h(w) + <e, w>_lumped + the lumped kinks (module
-    docstring): a stage with no node in a smoothing band is exact; a pinned
+                 stats_sink, l1_stop=True):
+    """Minimizer of psi_h(w) + <e, w>_lumped + the lumped kinks from `initial`
+    or the flux start (module docstring), with the l1 stop if `l1_stop` and no
+    kinks: a stage with no node in a smoothing band is exact; a pinned
     solution is accepted when m - e is within _KINK_TOL of their subdifferential."""
-    values, nodes = initial, np.arange(len(initial))
+    values = initial if initial[mesh.interior_nodes].any() else _flux_start(mesh, e)
+    l1_tol = 0.1 * opts.outer_tol if l1_stop and kinks.level.size == 0 else math.inf
     for stage in range(_MAX_STAGES):
         gamma = 0.01 ** stage
-        values, stats = _solve_prescribed(mesh, e, opts, initial=values,
-                                          kinks=kinks, gamma=gamma)
+        values, stats = _solve_prescribed(mesh, e, opts, initial=values, kinks=kinks,
+                                          gamma=gamma, l1_tol=l1_tol)
         stats_sink.append(stats)
         band = kinks.smoothed(values, gamma)[2]
         pinned = band.any(axis=0)
         if not pinned.any():
             return values
-        trial = np.where(pinned, kinks.level[band.argmax(axis=0), nodes], values)
+        trial = np.where(pinned, kinks.level[band.argmax(axis=0), np.arange(len(values))], values)
         try:
             trial, stats = _solve_prescribed(mesh, e, opts, initial=trial,
                                              kinks=kinks, gamma=gamma, pinned=pinned)
@@ -690,7 +689,8 @@ def solve_inclusion(mesh: Mesh, spec: NonlinearitySpec,
     Iterates u_{k+1} = inner-solve(rest selection(u_k)) from the initial
     field (zero by default), see the module docstring, until successive
     iterates or selections agree and no escape probe improves the energy,
-    or until max_outer iterations (then with converged=False).  Raises
+    or until max_outer iterations (then with converged=False), with the
+    start rule and the l1 stop of the module docstring.  Raises
     `InnerSolveError` when an outer step's inner solve fails, or when every
     escape probe of a stall fails.
     """

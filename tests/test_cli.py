@@ -392,11 +392,12 @@ class TestVerifyCommand:
 
 @pytest.mark.parametrize("command", ["solve", "sweep"])
 def test_inner_solve_failure_exits_2(tmp_path, capsys, command):
-    # one Newton step cannot solve the prescribed problem from zero
-    cfg = write_cfg(tmp_path, PRESCRIBED_CFG + "solver.max_inner = 1\n")
+    # one Newton step cannot solve the disk problem from the flux start
+    cfg = write_cfg(tmp_path, DISK_CONSTANT_CFG.format(refinement=3)
+                    + "solver.max_inner = 1\n")
     argv = [command, "--config", str(cfg)]
     if command == "sweep":
-        argv += ["--param", "n", "--values", "16,32"]
+        argv += ["--param", "refinement", "--values", "2,3"]
     assert main(argv) == 2
     assert "inner solve failed" in capsys.readouterr().err
     if command == "solve":
@@ -421,14 +422,16 @@ def test_band_solve_failure_exits_2(tmp_path, capsys, monkeypatch):
 
 @pytest.mark.parametrize("command", ["solve", "sweep"])
 def test_failed_escape_probes_exit_2(tmp_path, capsys, command):
-    # every escape probe from the stall at u = 0 needs more than 3 Newton steps
-    cfg = write_cfg(tmp_path, NEG_SIGN_CFG.replace("domain.n = 128", "domain.n = 32")
-                    + "solver.max_inner = 3\n")
+    # every escape probe from the stall at u = 0 of the disk needs more than
+    # one Newton step from the flux start
+    cfg = write_cfg(tmp_path, DISK_CONSTANT_CFG.format(refinement=3).replace(
+        "nonlinearity.kind = constant\nnonlinearity.a = 2", "nonlinearity.kind = neg_sign")
+                    + "solver.max_inner = 1\n")
     argv = [command, "--config", str(cfg)]
     if command == "sweep":
-        argv += ["--param", "n", "--values", "32"]
+        argv += ["--param", "refinement", "--values", "3"]
     assert main(argv) == 2
-    assert "inner solve failed: no convergence in 3 Newton" in capsys.readouterr().err
+    assert "inner solve failed: no convergence in 1 Newton" in capsys.readouterr().err
 
 
 NON_FINITE_CFG = """\
@@ -551,16 +554,18 @@ class TestSweepCommand:
         assert all(line.endswith(",false") for line in lines[1:])
 
     def test_inner_failure_keeps_the_other_rows(self, tmp_path, capsys):
-        # 7 Newton steps solve n = 16 but not n = 64
-        cfg = write_cfg(tmp_path, PRESCRIBED_CFG + "solver.max_inner = 7\n")
-        code = main(["sweep", "--config", str(cfg), "--param", "n",
-                     "--values", "16,64", "--out", str(tmp_path / "sw")])
+        # at a = 30, 8 Newton steps from the flux start solve refinement 3
+        # (7 steps) but not refinement 2 (9)
+        cfg = write_cfg(tmp_path, DISK_CONSTANT_CFG.format(refinement=2).replace(
+            "nonlinearity.a = 2", "nonlinearity.a = 30") + "solver.max_inner = 8\n")
+        code = main(["sweep", "--config", str(cfg), "--param", "refinement",
+                     "--values", "3,2", "--out", str(tmp_path / "sw")])
         assert code == 2
-        assert "n=64: inner solve failed" in capsys.readouterr().err
+        assert "refinement=2: inner solve failed" in capsys.readouterr().err
         lines = (tmp_path / "sw" / "sweep.csv").read_text().splitlines()
         assert len(lines) == 3
-        assert lines[1].startswith("16,") and lines[1].endswith(",true")
-        assert lines[2] == "64,,,,,false"
+        assert lines[1].startswith("3,") and lines[1].endswith(",true")
+        assert lines[2] == "2,,,,,false"
 
     @pytest.mark.parametrize("command", [["solve"], ["sweep", "--param", "n",
                                                      "--values", "16"]],
