@@ -74,6 +74,9 @@ class Mesh:
         self.dim = nodes.shape[1]
         if self.dim not in (1, 2, 3):
             raise MeshError(f"unsupported spatial dimension {self.dim}")
+        bad = np.flatnonzero(~np.isfinite(nodes).all(axis=1))
+        if bad.size:
+            raise MeshError(f"node {bad[0]} has a non-finite coordinate {nodes[bad[0]].tolist()}")
 
         elements = np.array(elements, dtype=np.int64)
         if elements.size == 0:
@@ -381,13 +384,13 @@ def _smoother(mesh: Mesh):
     return S
 
 
-def _random_bump(mesh: Mesh, rng):
-    """Smooth random zero-boundary shape with max element gradient norm 1.
-
-    Returns (values, gradients): the nodal values and their element
-    gradients (M, dim), the latter from the one product G v that finds the
-    scale.  Each of the 0..8 smoothing steps is one mat-vec with `_smoother`.
-    """
+def _random_trial(mesh: Mesh, rng, max_gradient: float):
+    """(values, gradients) of `random_feasible_field`, which draws the same
+    numbers: normal node values, 0..8 smoothing steps (`_smoother`), at odds
+    0.3 rectified to one random sign, zero on the boundary, divided by their
+    largest element gradient norm unless zero (no interior node), times the
+    amplitude max_gradient * 10^U(-3, 0).  The gradients (M, dim) are those
+    of the one product G v that finds the norm, scaled with the values."""
     S = _smoother(mesh)
     v = rng.standard_normal(len(mesh.nodes))
     for _ in range(int(rng.integers(0, 9))):
@@ -398,16 +401,9 @@ def _random_bump(mesh: Mesh, rng):
     g = element_gradients(mesh, v)
     gmax = _largest_norm(g)
     if gmax > 0.0:
-        return v / gmax, g / gmax
-    return v, g  # the zero field without interior nodes
-
-
-def _random_trial(mesh: Mesh, rng, max_gradient: float):
-    """(values, gradients) of `random_feasible_field`, which draws the same
-    numbers: the gradients are the bump's, scaled with its values."""
-    bump, g = _random_bump(mesh, rng)
+        v, g = v / gmax, g / gmax
     scale = max_gradient * 10.0 ** rng.uniform(-3.0, 0.0)
-    return bump * scale, g * scale
+    return v * scale, g * scale
 
 
 def random_feasible_field(mesh: Mesh, rng, max_gradient: float = 0.9) -> Field:
@@ -474,9 +470,23 @@ def read_mesh(path) -> Mesh:
         if toks[0] != word or len(toks) != 2:
             raise MeshFormatError(f"line {no}: expected '{word} <count>', got {' '.join(toks)!r}")
         try:
-            return int(toks[1])
+            if int(toks[1]) >= 0:
+                return int(toks[1])
         except ValueError:
-            raise MeshFormatError(f"line {no}: bad count {toks[1]!r}") from None
+            pass
+        raise MeshFormatError(f"line {no}: bad count {toks[1]!r}")
+
+    def numbers(no, toks, what):
+        """Line `no` as coordinates (floats) or as node indices (ints in range)."""
+        kind = float if what == "coordinate" else int
+        try:
+            values = [kind(t) for t in toks]
+        except ValueError:
+            raise MeshFormatError(f"line {no}: bad {what} in {' '.join(toks)!r}") from None
+        for j in values if kind is int else ():
+            if not 0 <= j < n_nodes:
+                raise MeshFormatError(f"line {no}: {what} {j} out of range [0, {n_nodes})")
+        return values
 
     dim = keyword_count("dim")
     if dim not in (1, 2, 3):
@@ -487,10 +497,7 @@ def read_mesh(path) -> Mesh:
         no, toks = take("a coordinate line")
         if len(toks) != dim:
             raise MeshFormatError(f"line {no}: expected {dim} coordinates, got {len(toks)}")
-        try:
-            nodes[i] = [float(t) for t in toks]
-        except ValueError:
-            raise MeshFormatError(f"line {no}: bad coordinate in {' '.join(toks)!r}") from None
+        nodes[i] = numbers(no, toks, "coordinate")
 
     n_el = keyword_count("elements")
     elements = np.empty((n_el, dim + 1), dtype=np.int64)
@@ -498,29 +505,14 @@ def read_mesh(path) -> Mesh:
         no, toks = take("an element line")
         if len(toks) != dim + 1:
             raise MeshFormatError(f"line {no}: expected {dim + 1} node indices, got {len(toks)}")
-        try:
-            idx = [int(t) for t in toks]
-        except ValueError:
-            raise MeshFormatError(f"line {no}: bad node index in {' '.join(toks)!r}") from None
-        for j in idx:
-            if not 0 <= j < n_nodes:
-                raise MeshFormatError(f"line {no}: node index {j} out of range [0, {n_nodes})")
-        elements[i] = idx
+        elements[i] = numbers(no, toks, "node index")
 
     no, toks = take("'boundary'")
     if toks != ["boundary"]:
         raise MeshFormatError(f"line {no}: expected 'boundary', got {' '.join(toks)!r}")
+    boundary = []
     if pos < len(lines):
-        no, toks = take("a boundary index line")
-        try:
-            boundary = [int(t) for t in toks]
-        except ValueError:
-            raise MeshFormatError(f"line {no}: bad boundary index in {' '.join(toks)!r}") from None
-    else:
-        boundary = []
-    for j in boundary:
-        if not 0 <= j < n_nodes:
-            raise MeshFormatError(f"line {no}: boundary index {j} out of range [0, {n_nodes})")
+        boundary = numbers(*take("a boundary index line"), "boundary index")
     if pos < len(lines):
         no, toks = lines[pos]
         raise MeshFormatError(f"line {no}: trailing content {' '.join(toks)!r}")

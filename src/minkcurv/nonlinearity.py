@@ -4,12 +4,15 @@ A `NonlinearitySpec` bundles a pointwise evaluator with optional jump
 metadata (level, one-sided limits), the growth constants (C, q) bounding
 |f(x,s)| <= C*(1 + |s|^(q-1)), and optionally the primitive F in closed form
 (every catalog rule has one; other rules are integrated by adaptive
-quadrature).  Rules are evaluated on whole node arrays.  Jump metadata is
-the primary mechanism for exact lower/upper envelopes; without it a sampling
-estimator is used and the result is flagged approximate.  The estimator
-works from point values only, so it cannot distinguish a rule from an
-almost-everywhere modification of it; declare the jump structure whenever
-exactness matters.
+quadrature to the relative tolerance `_REL_TOL`).  Rules are evaluated on
+whole node arrays.  Jump metadata is the primary mechanism for exact
+lower/upper envelopes; without it a sampling estimator (`_SAMPLES` point
+values within `_DELTA` of s) is used and the result is flagged approximate.
+The estimator works from point values only, so it cannot distinguish a
+rule from an almost-everywhere modification of it; declare the jump
+structure whenever exactness matters.  These module constants, with the
+quadrature's bounds `_MAX_DEPTH` and `_MAX_PANELS`, are fixed: no function
+takes a tolerance or a sample count.
 """
 
 from __future__ import annotations
@@ -20,6 +23,9 @@ from typing import Callable, Optional
 import numpy as np
 
 _GAUSS_X, _GAUSS_W = np.polynomial.legendre.leggauss(7)
+_DELTA, _SAMPLES = 1e-4, 64  # half-width and point count of the black-box estimator
+_REL_TOL = 1e-10  # a quadrature panel's error bound, relative to its piece
+_MAX_DEPTH, _MAX_PANELS = 40, 1 << 18  # halvings of a panel; open panels of a level
 
 
 class QuadratureError(ArithmeticError):
@@ -109,10 +115,6 @@ class NonlinearitySpec:
             object.__setattr__(self, "jumps", tuple(self.jumps))
 
 
-_DEFAULT_DELTA = 1e-4
-_DEFAULT_SAMPLES = 64
-
-
 def _per_node(value, k: int) -> np.ndarray:
     """A rule's return value as a fresh (k,) float array; a scalar is broadcast."""
     return np.full(k, value, dtype=float)
@@ -132,20 +134,26 @@ def jump_limits(spec: NonlinearitySpec, nodes):
     return limits.transpose(1, 0, 2)
 
 
-def _envelopes(spec: NonlinearitySpec, nodes, values, window: float,
-               delta: float, samples: int):
-    """Envelope arrays (lo, hi) at K points; see `envelopes`.
+def envelopes(spec: NonlinearitySpec, nodes, values, window: float):
+    """Envelope arrays (lo, hi) at K points: nodes (K, d), values (K,).
 
-    Black-box rules (jumps=None) take the min/max of `samples` point values
-    on [s - delta, s + delta] per point, all in one `evaluate` call.
+    The only bracket code: `bracket` and `selection` are its one-row and
+    zero-window cases.  With jump metadata (including a declared-continuous
+    empty tuple) the brackets are exact: on a jump level the ordered pair of
+    one-sided limits, elsewhere the pointwise value twice.  Where a value
+    lies within `window` of a declared jump level the pair is widened to
+    contain that jump's whole interval; `window=0.0` gives the plain
+    brackets.  For black-box rules (jumps=None) the min/max of `_SAMPLES`
+    point values on [s - _DELTA, s + _DELTA] per point are taken, all in
+    one `evaluate` call; that estimate is approximate and ignores `window`.
     """
     nodes = np.asarray(nodes, dtype=float)
     values = np.asarray(values, dtype=float)
     k = len(values)
     if spec.jumps is None:
-        t = np.linspace(values - delta, values + delta, samples, axis=1)
-        f = _per_node(spec.evaluate(np.repeat(nodes, samples, axis=0), t.ravel()),
-                      t.size).reshape(k, samples)
+        t = np.linspace(values - _DELTA, values + _DELTA, _SAMPLES, axis=1)
+        f = _per_node(spec.evaluate(np.repeat(nodes, _SAMPLES, axis=0), t.ravel()),
+                      t.size).reshape(k, _SAMPLES)
         return f.min(axis=1), f.max(axis=1)
     f = _per_node(spec.evaluate(nodes, values), k)
     level, left, right = jump_limits(spec, nodes)
@@ -156,33 +164,14 @@ def _envelopes(spec: NonlinearitySpec, nodes, values, window: float,
             np.where(use, np.vstack([f, np.maximum(left, right)]), -np.inf).max(axis=0))
 
 
-def envelopes(spec: NonlinearitySpec, nodes, values, window: float):
-    """Envelope arrays (lo, hi) at K points: nodes (K, d), values (K,).
-
-    The only bracket code: `bracket` and `selection` are its one-row and
-    zero-window cases.  With jump metadata (including a declared-continuous
-    empty tuple) the brackets are exact: on a jump level the ordered pair of
-    one-sided limits, elsewhere the pointwise value twice.  Where a value
-    lies within `window` of a declared jump level the pair is widened to
-    contain that jump's whole interval; `window=0.0` gives the plain
-    brackets.  For black-box rules (jumps=None) inf/sup of point samples
-    over |t - s| <= 1e-4 are taken; that estimate is approximate and
-    ignores `window`.
-    """
-    return _envelopes(spec, nodes, values, window,
-                      _DEFAULT_DELTA, _DEFAULT_SAMPLES)
-
-
-def bracket(spec: NonlinearitySpec, x, s: float, *,
-            delta: float = _DEFAULT_DELTA,
-            samples: int = _DEFAULT_SAMPLES) -> Bracket:
+def bracket(spec: NonlinearitySpec, x, s: float) -> Bracket:
     """Envelope pair [f_lower, f_upper] at one point (x, s).
 
     The one-row case of `envelopes` with a zero window.  For black-box
-    rules the estimator samples `samples` values on [s - delta, s + delta]
+    rules the estimator samples `_SAMPLES` values on [s - _DELTA, s + _DELTA]
     and the result is flagged approximate.
     """
-    lo, hi = _envelopes(spec, *_one_row(x, s), 0.0, delta, samples)
+    lo, hi = envelopes(spec, *_one_row(x, s), 0.0)
     return Bracket(float(lo[0]), float(hi[0]), approximate=spec.jumps is None)
 
 
@@ -219,11 +208,7 @@ def _gauss(spec: NonlinearitySpec, nodes, lo, hi):
     return half * (f.reshape(t.shape) * _GAUSS_W).sum(axis=-1)
 
 
-_MAX_DEPTH, _MAX_PANELS = 40, 1 << 18  # halvings of a panel; open panels of a level
-
-
-def primitive_array(spec: NonlinearitySpec, nodes, values,
-                    rel_tol: float = 1e-10) -> np.ndarray:
+def primitive_array(spec: NonlinearitySpec, nodes, values) -> np.ndarray:
     """F(x_k, s_k), the integral of f(x_k, .) from 0 to s_k, at nodes (K, d)
     and values (K,): the only primitive code, `primitive` is its one-row case.
 
@@ -231,9 +216,9 @@ def primitive_array(spec: NonlinearitySpec, nodes, values,
     Otherwise the pieces of (0, s) between declared jump levels, of all
     points at once, are integrated by adaptive 7-point Gauss panels: one
     `evaluate` call per level, halving each panel whose halves differ from
-    it by more than `rel_tol` of its piece.  `QuadratureError` after 40
-    halvings, beyond 2^18 open panels, or for a non-finite s or f.  For
-    s < 0 the result is minus the integral over (s, 0).
+    it by more than `_REL_TOL` of its piece.  `QuadratureError` after
+    `_MAX_DEPTH` halvings, beyond `_MAX_PANELS` open panels, or for a
+    non-finite s or f.  For s < 0 the result is minus the integral over (s, 0).
     """
     nodes = np.asarray(nodes, dtype=float)
     values = np.asarray(values, dtype=float)
@@ -255,7 +240,7 @@ def primitive_array(spec: NonlinearitySpec, nodes, values,
         both = halves[:, 0] + halves[:, 1]
         err = np.abs(both - coarse)
         scale = np.maximum(np.maximum(np.abs(both), np.abs(whole)), 1e-300)
-        done = (err <= rel_tol * scale) | (hi[:, 1] - lo[:, 0] < floor)
+        done = (err <= _REL_TOL * scale) | (hi[:, 1] - lo[:, 0] < floor)
         total += np.bincount(row[done], both[done], len(values))
         split = ~done
         if not split.any():
@@ -268,9 +253,9 @@ def primitive_array(spec: NonlinearitySpec, nodes, values,
     return np.where(values < 0.0, -total, total)
 
 
-def primitive(spec: NonlinearitySpec, x, s: float, rel_tol: float = 1e-10) -> float:
-    """F(x, s) at one point: the one-row case of `primitive_array`."""
-    return float(primitive_array(spec, *_one_row(x, s), rel_tol)[0])
+def primitive(spec: NonlinearitySpec, x, s: float) -> float:
+    """F(x, s) at one point: the one-row case of `primitive_array` (to `_REL_TOL`)."""
+    return float(primitive_array(spec, *_one_row(x, s))[0])
 
 
 @dataclass(frozen=True)

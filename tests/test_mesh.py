@@ -351,6 +351,12 @@ class TestMeshInvariants:
         with pytest.raises(MeshError):
             Mesh([(0, 0), (1, 0), (2, 0)], [(0, 1, 2)], [0, 2, 1])
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_coordinate_rejected_before_geometry(self, bad):
+        # at once, without the RuntimeWarning of a determinant of nan
+        with pytest.raises(MeshError, match=rf"^node 1 has a non-finite coordinate \[{bad}\]$"):
+            Mesh([0.0, bad, 1.0], [(0, 1), (1, 2)], [0, 2])
+
     def test_measures_invariant_under_reordering(self):
         m = build_rectangle_mesh(1.0, 1.0, 3, 3)
         perm = np.random.default_rng(0).permutation(len(m.nodes))
@@ -448,6 +454,54 @@ class TestMeshIO:
             read_mesh(p)
         # a boundary node needs no element
         assert len(Mesh([-1.0, 0.0, 1.0, 5.0], [[0, 1], [1, 2]], [0, 3]).interior_nodes) == 2
+
+    # a triangle whose lines carry their own numbers: a comment, a blank line
+    TRIANGLE = ["# a triangle", "dim 2", "nodes 3", "0 0", "1 0", "", "0 1",
+                "elements 1", "0 1 2", "boundary", "0 1 2"]
+
+    @pytest.mark.parametrize("line,text,message", [
+        (5, "1 zero", "line 5: bad coordinate in '1 zero'"),
+        (5, "1", "line 5: expected 2 coordinates, got 1"),
+        (9, "0 1 two", "line 9: bad node index in '0 1 two'"),
+        (9, "0 1 3", "line 9: node index 3 out of range [0, 3)"),
+        (9, "0 -1 2", "line 9: node index -1 out of range [0, 3)"),
+        (9, "0 1", "line 9: expected 3 node indices, got 2"),
+        (11, "0 1 b", "line 11: bad boundary index in '0 1 b'"),
+        (11, "0 1 5", "line 11: boundary index 5 out of range [0, 3)"),
+        (12, "extra stuff", "line 12: trailing content 'extra stuff'"),
+        (3, "nodes three", "line 3: bad count 'three'"),
+        (8, "elements 1.5", "line 8: bad count '1.5'"),
+        (10, "boundary 0", "line 10: expected 'boundary', got 'boundary 0'"),
+    ], ids=["coordinate", "coordinate_count", "node_index", "node_index_range",
+            "negative_node_index", "node_index_count", "boundary_index",
+            "boundary_index_range", "trailing", "node_count", "element_count",
+            "boundary_keyword"])
+    def test_format_errors_are_pinned(self, tmp_path, line, text, message):
+        lines = self.TRIANGLE + [""]
+        lines[line - 1] = text
+        p = tmp_path / "bad.txt"
+        p.write_text("\n".join(lines))
+        with pytest.raises(MeshFormatError) as info:
+            read_mesh(p)
+        assert str(info.value) == message
+
+    @pytest.mark.parametrize("line,text", [(3, "nodes -1"), (8, "elements -2")])
+    def test_negative_count_names_its_line(self, tmp_path, line, text):
+        lines = list(self.TRIANGLE)
+        lines[line - 1] = text
+        p = tmp_path / "negative.txt"
+        p.write_text("\n".join(lines) + "\n")
+        with pytest.raises(MeshFormatError) as info:
+            read_mesh(p)
+        assert str(info.value) == f"line {line}: bad count '{text.split()[1]}'"
+
+    def test_non_finite_coordinate_is_named(self, tmp_path):
+        lines = list(self.TRIANGLE)
+        lines[4] = "nan 0"
+        p = tmp_path / "nan.txt"
+        p.write_text("\n".join(lines) + "\n")
+        with pytest.raises(MeshError, match=r"^node 1 has a non-finite coordinate \[nan, 0.0\]$"):
+            read_mesh(p)
 
     def test_comments_and_blank_lines(self, tmp_path):
         p = tmp_path / "c.txt"

@@ -1,4 +1,5 @@
 import dataclasses
+import inspect
 import warnings
 
 import numpy as np
@@ -13,6 +14,16 @@ from minkcurv.nonlinearity import (Bracket, Jump, NonlinearitySpec,
                                    primitive_array, selection, step)
 
 X = np.zeros(1)
+
+
+@pytest.mark.parametrize("fn,params", [
+    (envelopes, ["spec", "nodes", "values", "window"]), (bracket, ["spec", "x", "s"]),
+    (primitive_array, ["spec", "nodes", "values"]), (primitive, ["spec", "x", "s"])],
+    ids=["envelopes", "bracket", "primitive_array", "primitive"])
+def test_tolerances_are_module_constants(fn, params):
+    # the estimator's and the quadrature's settings are _DELTA, _SAMPLES and _REL_TOL
+    assert list(inspect.signature(fn).parameters) == params
+    assert (nonlinearity._DELTA, nonlinearity._SAMPLES, nonlinearity._REL_TOL) == (1e-4, 64, 1e-10)
 
 
 class TestEnvelopes:
@@ -74,22 +85,26 @@ class TestEstimatorMode:
         assert est.lo == pytest.approx(exact.lo, abs=2e-4)
         assert est.hi == pytest.approx(exact.hi, abs=2e-4)
 
-    def test_error_shrinks_along_delta_ladder(self):
+    def test_error_shrinks_along_delta_ladder(self, monkeypatch):
         with_meta, blind = self.smooth_sides()
         exact = bracket(with_meta, X, 0.0)
         errs = []
         for delta in (1e-2, 1e-3, 1e-4):
-            est = bracket(blind, X, 0.0, delta=delta)
+            monkeypatch.setattr(nonlinearity, "_DELTA", delta)
+            est = bracket(blind, X, 0.0)
             errs.append(abs(est.lo - exact.lo) + abs(est.hi - exact.hi))
         assert errs[0] > errs[1] > errs[2]
 
-    def test_sample_count_resolves_interior_extrema(self):
+    def test_sample_count_resolves_interior_extrema(self, monkeypatch):
         # essential inf of sin(50 t) over |t| < 0.05 is exactly -1, attained
         # strictly inside the window
         f = NonlinearitySpec(evaluate=lambda x, s: np.sin(50 * s), jumps=None,
                              growth_c=1.0, growth_q=2.0)
-        coarse = bracket(f, X, 0.0, delta=0.05, samples=8)
-        fine = bracket(f, X, 0.0, delta=0.05, samples=512)
+        monkeypatch.setattr(nonlinearity, "_DELTA", 0.05)
+        monkeypatch.setattr(nonlinearity, "_SAMPLES", 8)
+        coarse = bracket(f, X, 0.0)
+        monkeypatch.setattr(nonlinearity, "_SAMPLES", 512)
+        fine = bracket(f, X, 0.0)
         assert abs(fine.lo + 1.0) < abs(coarse.lo + 1.0)
         assert abs(fine.lo + 1.0) <= 1e-3
 
@@ -153,13 +168,14 @@ class TestPrimitive:
             quot = abs(primitive(f, X, s2) - primitive(f, X, s1)) / abs(s2 - s1)
             assert quot <= lip + 1e-9
 
-    def test_nonconvergence_reported(self):
+    def test_nonconvergence_reported(self, monkeypatch):
         # an undeclared jump off the dyadic grid cannot be resolved to an
         # impossible tolerance
+        monkeypatch.setattr(nonlinearity, "_REL_TOL", 1e-300)
         hidden = NonlinearitySpec(
             evaluate=lambda x, s: np.where(s < 1.0 / 3.0, 1.0, 0.0), jumps=None)
         with pytest.raises(QuadratureError) as info:
-            primitive(hidden, X, 1.0, rel_tol=1e-300)
+            primitive(hidden, X, 1.0)
         assert info.value.achieved > 0
 
     @pytest.mark.parametrize("s", [np.nan, np.inf, -np.inf])
@@ -173,10 +189,11 @@ class TestPrimitive:
         # roundoff keeps panels of a smooth rule open at every level; the
         # bound on the panels of a level stops the batch before memory runs out
         monkeypatch.setattr(nonlinearity, "_MAX_PANELS", 64)
+        monkeypatch.setattr(nonlinearity, "_REL_TOL", 1e-300)
         smooth = NonlinearitySpec(evaluate=lambda x, s: np.exp(s), jumps=None)
         values = np.linspace(0.1, 1.0, 40)
         with pytest.raises(QuadratureError, match="panels open") as info:
-            primitive_array(smooth, np.zeros((40, 1)), values, rel_tol=1e-300)
+            primitive_array(smooth, np.zeros((40, 1)), values)
         assert info.value.achieved > 0 and "depth 40" not in str(info.value)
 
 
@@ -441,8 +458,7 @@ class TestArrayBracketsMatchPerNodeReference:
         def ev(x, s):
             calls.append(len(s))
             return np.sin(50 * s)
-        br = bracket(NonlinearitySpec(evaluate=ev, jumps=None), X, 0.0,
-                     delta=1e-4, samples=64)
+        br = bracket(NonlinearitySpec(evaluate=ev, jumps=None), X, 0.0)
         assert calls == [64]
         assert br.approximate
 
