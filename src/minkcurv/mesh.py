@@ -35,7 +35,7 @@ class MeshError(ValueError):
 
 
 class MeshFormatError(MeshError):
-    """Malformed mesh file; message carries the offending line number."""
+    """Malformed mesh file; message names the file and the offending line."""
 
 
 class Mesh:
@@ -445,7 +445,8 @@ def read_mesh(path) -> Mesh:
     Format: ``dim N``; ``nodes K`` followed by K coordinate lines;
     ``elements M`` followed by M 0-based index lines; ``boundary`` followed
     by one line of indices.  ``#`` starts a comment; blank lines are
-    ignored.  Malformed input raises `MeshFormatError` naming the line.
+    ignored.  Malformed input raises `MeshFormatError` naming the file and
+    line, a mesh that `Mesh` rejects a `MeshError` naming the file.
     """
     with open(path) as fh:
         raw = fh.readlines()
@@ -460,7 +461,7 @@ def read_mesh(path) -> Mesh:
         nonlocal pos
         if pos >= len(lines):
             last = raw and len(raw) or 1
-            raise MeshFormatError(f"line {last}: unexpected end of file, expected {what}")
+            raise MeshFormatError(f"{path}:{last}: unexpected end of file, expected {what}")
         item = lines[pos]
         pos += 1
         return item
@@ -468,35 +469,37 @@ def read_mesh(path) -> Mesh:
     def keyword_count(word):
         no, toks = take(f"'{word} <count>'")
         if toks[0] != word or len(toks) != 2:
-            raise MeshFormatError(f"line {no}: expected '{word} <count>', got {' '.join(toks)!r}")
+            raise MeshFormatError(f"{path}:{no}: expected '{word} <count>', got {' '.join(toks)!r}")
         try:
             if int(toks[1]) >= 0:
                 return int(toks[1])
         except ValueError:
             pass
-        raise MeshFormatError(f"line {no}: bad count {toks[1]!r}")
+        raise MeshFormatError(f"{path}:{no}: bad count {toks[1]!r}")
 
     def numbers(no, toks, what):
-        """Line `no` as coordinates (floats) or as node indices (ints in range)."""
+        """Line `no` as coordinates (finite floats) or as node indices (ints in range)."""
         kind = float if what == "coordinate" else int
         try:
             values = [kind(t) for t in toks]
         except ValueError:
-            raise MeshFormatError(f"line {no}: bad {what} in {' '.join(toks)!r}") from None
+            raise MeshFormatError(f"{path}:{no}: bad {what} in {' '.join(toks)!r}") from None
+        if kind is float and not all(map(math.isfinite, values)):
+            raise MeshFormatError(f"{path}:{no}: non-finite {what} in {' '.join(toks)!r}")
         for j in values if kind is int else ():
             if not 0 <= j < n_nodes:
-                raise MeshFormatError(f"line {no}: {what} {j} out of range [0, {n_nodes})")
+                raise MeshFormatError(f"{path}:{no}: {what} {j} out of range [0, {n_nodes})")
         return values
 
     dim = keyword_count("dim")
     if dim not in (1, 2, 3):
-        raise MeshFormatError(f"unsupported dim {dim}")
+        raise MeshFormatError(f"{path}:{lines[pos - 1][0]}: unsupported dim {dim}")
     n_nodes = keyword_count("nodes")
     nodes = np.empty((n_nodes, dim))
     for i in range(n_nodes):
         no, toks = take("a coordinate line")
         if len(toks) != dim:
-            raise MeshFormatError(f"line {no}: expected {dim} coordinates, got {len(toks)}")
+            raise MeshFormatError(f"{path}:{no}: expected {dim} coordinates, got {len(toks)}")
         nodes[i] = numbers(no, toks, "coordinate")
 
     n_el = keyword_count("elements")
@@ -504,16 +507,19 @@ def read_mesh(path) -> Mesh:
     for i in range(n_el):
         no, toks = take("an element line")
         if len(toks) != dim + 1:
-            raise MeshFormatError(f"line {no}: expected {dim + 1} node indices, got {len(toks)}")
+            raise MeshFormatError(f"{path}:{no}: expected {dim + 1} node indices, got {len(toks)}")
         elements[i] = numbers(no, toks, "node index")
 
     no, toks = take("'boundary'")
     if toks != ["boundary"]:
-        raise MeshFormatError(f"line {no}: expected 'boundary', got {' '.join(toks)!r}")
+        raise MeshFormatError(f"{path}:{no}: expected 'boundary', got {' '.join(toks)!r}")
     boundary = []
     if pos < len(lines):
         boundary = numbers(*take("a boundary index line"), "boundary index")
     if pos < len(lines):
         no, toks = lines[pos]
-        raise MeshFormatError(f"line {no}: trailing content {' '.join(toks)!r}")
-    return Mesh(nodes, elements, boundary)
+        raise MeshFormatError(f"{path}:{no}: trailing content {' '.join(toks)!r}")
+    try:
+        return Mesh(nodes, elements, boundary)
+    except MeshError as err:
+        raise MeshError(f"{path}: {err}") from None

@@ -13,20 +13,20 @@ kink-free solves of `solve_inclusion` also need |g|_1 <= outer_tol / 10 *
 (1 + |objective|), which bounds rho, or a step that leaves the iterate as is.
 Objective and gradient come from the area kernel of `energy`; the exact
 Hessian blows up like (1-|g|^2)^(-3/2) near the constraint surface, so
-Newton directions are naturally repelled from it.  On a 2D mesh every
-direction is inexact: CG preconditioned by the factor the solve holds,
-stopped at the relative residual min(0.1, (r / r_0)^2), with r the
-residual and r_0 the solve's first one (dimensionless Eisenstat-Walker
-forcing), or once the residual's 2-norm is a tenth of `inner_tol`, past
-which the step's max-norm stop needs nothing more.  A solve with no kinks
-and no pinned nodes holds the factor of K0 = sum_e m_e B B^T (the Hessian
-at the zero field); one K0 factor at most is alive per process, and it
-serves every such solve on its mesh until another mesh needs it, the mesh
-dies or `solve_inclusion` returns.  A kinked or pinned solve factors its
-first Hessian and holds that factor (a lagged preconditioner).  A step
-whose CG misses its forcing drops the held factor, factors its own Hessian
-and holds the new factor.  In 1D the interior in coordinate order has a
-banded Hessian, and every step is one banded Cholesky solve.
+Newton directions are naturally repelled from it.  One function,
+`_factor`, factors every matrix: banded Cholesky in 1D, where the interior
+in coordinate order has a banded Hessian, else SuperLU.  Every 1D step
+factors its Hessian.  A 2D direction is inexact: CG preconditioned by the
+factor the solve holds, stopped at the relative residual min(0.1,
+(r / r_0)^2), with r the residual and r_0 the solve's first one
+(dimensionless Eisenstat-Walker forcing), or once the residual's 2-norm is
+a tenth of `inner_tol`, past which the step's max-norm stop needs nothing
+more.  A solve with no kinks and no pinned nodes holds the factor of K0 =
+sum_e m_e B B^T (the Hessian at the zero field); one K0 factor at most is
+alive per process, and it serves every such solve on its mesh until
+another mesh needs it, the mesh dies or `solve_inclusion` returns.  A
+kinked or pinned solve's first step and a step whose CG misses its forcing
+factor their own Hessian, and the solve holds it (a lagged preconditioner).
 
 An increasing jump of f by c at `level` is the convex kink
 c * max(0, u_i - level) of the lumped energy.  Every inner solve keeps the
@@ -111,8 +111,12 @@ class SolverOptions:
         if not (0 < self.inner_tol < math.inf and 0 < self.outer_tol < math.inf):
             raise ValueError(f"tolerances must be positive and finite, got inner_tol="
                              f"{self.inner_tol}, outer_tol={self.outer_tol}")
-        if self.max_inner < 1 or self.max_outer < 1:
-            raise ValueError("iteration caps must be >= 1")
+        if not all(isinstance(cap, (int, np.integer)) and cap >= 1
+                   for cap in (self.max_inner, self.max_outer)):
+            raise ValueError(f"iteration caps must be >= 1 and integral, got max_inner="
+                             f"{self.max_inner!r}, max_outer={self.max_outer!r}")
+        if not isinstance(self.initial, (Field, type(None))):
+            raise ValueError(f"initial must be a Field, got {type(self.initial).__name__}")
         if self.selection_rule not in ("lo", "mid", "hi"):
             raise ValueError(f"unknown selection rule {self.selection_rule!r}")
 
@@ -300,10 +304,6 @@ class _NewtonWorkspace:
         n = len(self.order)
         return sp.csc_matrix((data, self.indices, self.indptr), shape=(n, n))
 
-    def banded(self, data) -> np.ndarray:
-        """The upper band of the interior matrix with data `data` (1D)."""
-        return np.append(data, 0.0)[self.upper]
-
 
 @per_mesh
 def _newton_workspace(mesh: Mesh) -> _NewtonWorkspace:
@@ -367,39 +367,32 @@ def _area_hessian(mesh: Mesh, ws: _NewtonWorkspace, root, Bg) -> np.ndarray:
                        minlength=nnz + 1)[:nnz]
 
 
-def _factor(matrix: sp.csc_matrix):
-    """SuperLU factor of an SPD matrix already in elimination order: no
-    column reordering and no pivoting."""
-    return splu(matrix, permc_spec="NATURAL", diag_pivot_thresh=0.0,
-                options=dict(SymmetricMode=True))
+def _factor(ws: _NewtonWorkspace, data):
+    """rhs -> M^-1 rhs for the SPD interior matrix M with Hessian data `data`:
+    in 1D a banded Cholesky solve on the band `ws.upper` gathers, else the
+    SuperLU factor of M in elimination order (no column reordering, no
+    pivoting), which lives as long as the function."""
+    if ws.upper is not None:
+        band = np.append(data, 0.0)[ws.upper]
+        return lambda rhs: solveh_banded(band, rhs, check_finite=False)
+    return splu(ws.matrix(data), permc_spec="NATURAL", diag_pivot_thresh=0.0,
+                options=dict(SymmetricMode=True)).solve
 
 
-def _inverse(matrix: sp.csc_matrix) -> LinearOperator:
-    """matrix^-1 through its `_factor`, which lives as long as the operator."""
-    return LinearOperator(matrix.shape, matvec=_factor(matrix).solve, dtype=float)
-
-
-# The K0 slot, {mesh: K0^-1 as a LinearOperator}.  At most one K0 factor is
-# alive per process (a disk-6 factor takes 58 MB of heap), and it goes with
-# its mesh.
+# The K0 slot, {mesh: K0^-1 as a `_factor` function}.  At most one K0 factor
+# is alive per process (a disk-6 factor takes 58 MB of heap), and it goes
+# with its mesh.
 _K0 = weakref.WeakKeyDictionary()
 
 
-def _k0_data(mesh: Mesh, ws: _NewtonWorkspace) -> np.ndarray:
-    """Interior data of K0 = sum_e m_e B B^T, the area Hessian at the zero field."""
-    return _area_hessian(mesh, ws, np.ones(len(mesh.elements)), np.zeros(mesh.elements.shape))
-
-
-def _k0_preconditioner(mesh: Mesh, ws: _NewtonWorkspace) -> LinearOperator:
-    """K0^-1 for the mesh (banded Cholesky in 1D), made on first use and kept
-    in `_K0` until another mesh needs it, the mesh dies or `solve_inclusion` returns."""
+def _k0_preconditioner(mesh: Mesh, ws: _NewtonWorkspace):
+    """K0^-1 for the mesh, K0 = sum_e m_e B B^T the area Hessian at the zero
+    field, made on first use and kept in `_K0` until another mesh needs it,
+    the mesh dies or `solve_inclusion` returns."""
     if mesh not in _K0:
         _K0.clear()  # the old factor goes before the new one is made
-        data = _k0_data(mesh, ws)
-        band = ws.banded(data) if mesh.dim == 1 else None
-        solve = (_factor(ws.matrix(data)).solve if band is None
-                 else lambda rhs: solveh_banded(band, rhs, check_finite=False))
-        _K0[mesh] = LinearOperator((len(ws.order),) * 2, matvec=solve, dtype=float)
+        _K0[mesh] = _factor(ws, _area_hessian(mesh, ws, np.ones(len(mesh.elements)),
+                                              np.zeros(mesh.elements.shape)))
     return _K0[mesh]
 
 
@@ -416,8 +409,9 @@ _CG_MAX_ITER = 50
 def _right_hand_side(mesh: Mesh, e) -> np.ndarray:
     """`e` broadcast to one value per node; raises ValueError unless finite."""
     e = np.broadcast_to(np.asarray(e, dtype=float), (len(mesh.nodes),))
-    if not np.all(np.isfinite(e)):
-        raise ValueError("prescribed right-hand side must be finite at every node")
+    bad = np.flatnonzero(~np.isfinite(e))
+    if bad.size:
+        raise ValueError(f"forcing must be finite at every node, got {e[bad[0]]} at node {bad[0]}")
     return e
 
 
@@ -445,7 +439,7 @@ def _flux_start(mesh: Mesh, e: np.ndarray) -> np.ndarray:
     if not linear[order].any():  # zero solves it, with no K0 factor needed
         return values
     try:
-        k0_solve = _k0_preconditioner(mesh, ws).matvec
+        k0_solve = _k0_preconditioner(mesh, ws)
         poisson = np.zeros(len(mesh.nodes))
         poisson[order] = k0_solve(-linear[order])
         q = element_gradients(mesh, poisson)
@@ -473,7 +467,6 @@ def _solve_prescribed(mesh: Mesh, e, opts: SolverOptions, initial=None,
     `pinned` (default: none) keep their initial values.  It stops at gradient
     norms max <= `inner_tol` and l1 <= `l1_tol * (1 + |objective|)`.
     """
-    e = _right_hand_side(mesh, e)
     interior = mesh.interior_nodes
     limit2 = (1.0 - FEASIBILITY_MARGIN) ** 2
     linear = mesh.node_weight * e
@@ -503,14 +496,7 @@ def _solve_prescribed(mesh: Mesh, e, opts: SolverOptions, initial=None,
     order = ws.order
     fixed = np.zeros(len(order), bool) if pinned is None else pinned[order]
     pinning = fixed[ws.indices] | fixed[ws.columns]  # the slots of pinned rows and columns
-    # In 2D every step is one CG solve preconditioned by the factor the
-    # solve holds.  Away from the constraint surface K0^-1 H has its
-    # spectrum in [1/r_max, 1/r_min^3], so with no kinks and no pins that
-    # is the process's K0 factor; kinks and pins change the Hessian's
-    # diagonal, so those solves hold their first Hessian factor instead (a
-    # lagged preconditioner).  In 1D the banded Cholesky solve costs next
-    # to nothing and every step makes one.
-    held = None  # the preconditioner: K0^-1 or the solve's last Hessian factor
+    held = None  # K0^-1 or the solve's last `_factor`
     obj = objective(g2, values)
     for _ in range(opts.max_inner + 1):
         stats.max_value = max(stats.max_value, float(np.abs(values).max()))
@@ -534,33 +520,30 @@ def _solve_prescribed(mesh: Mesh, e, opts: SolverOptions, initial=None,
 
         # The Hessian is SPD and already in elimination order; pinned nodes
         # get identity rows and columns (zero step), so it stays symmetric.
-        # CG stops at the dimensionless Eisenstat-Walker forcing
-        # min(0.1, (residual / first residual)^2), or at a residual 2-norm of
-        # inner_tol / 10: the max-norm stop is met by then, so a tighter
-        # solve would be wasted.  With no factor held (a kinked or pinned
-        # solve's first step) or on a CG miss, the step factors its Hessian
-        # and the solve holds that factor; the old one goes first, so at
-        # most one LU besides K0 is alive at a time.
+        # A kink-free, unpinned 2D solve holds K0 (away from the constraint
+        # surface K0^-1 H has its spectrum in [1/r_max, 1/r_min^3]), and CG
+        # on the held factor stops at the forcing of the module docstring.
+        # A 1D step (a band solve costs next to nothing), a kinked or pinned
+        # 2D solve's first step and a CG miss factor the step's Hessian, and
+        # the solve holds that factor; the old one goes first, so at most
+        # one LU besides K0 is alive at a time.
         data = _area_hessian(mesh, ws, root, Bg)
         data[ws.diagonal] += (mesh.node_weight * band.sum(axis=0) / gamma)[order]
         data[pinning] = 0.0
         data[ws.diagonal[fixed]] = 1.0
         try:
-            if mesh.dim == 1:
-                direction = solveh_banded(ws.banded(data), -grad, overwrite_ab=True,
-                                          overwrite_b=True, check_finite=False)
-            else:
-                hessian = ws.matrix(data)
-                if held is None and kinks.level.size == 0 and pinned is None:
-                    held = _k0_preconditioner(mesh, ws)
-                if held is not None:
-                    direction, unmet = cg(hessian, -grad, rtol=min(0.1, (residual / first) ** 2),
-                                          atol=0.1 * opts.inner_tol, maxiter=_CG_MAX_ITER,
-                                          M=held)
-                if held is None or unmet:
-                    held = None  # the old factor goes before the new one is made
-                    held = _inverse(hessian)
-                    direction = held.matvec(-grad)
+            if held is None and mesh.dim > 1 and kinks.level.size == 0 and pinned is None:
+                held = _k0_preconditioner(mesh, ws)
+            unmet = mesh.dim == 1 or held is None
+            if not unmet:
+                direction, unmet = cg(ws.matrix(data), -grad,
+                                      rtol=min(0.1, (residual / first) ** 2),
+                                      atol=0.1 * opts.inner_tol, maxiter=_CG_MAX_ITER,
+                                      M=LinearOperator((len(order),) * 2, held, dtype=float))
+            if unmet:
+                held = None  # the old factor goes before the new one is made
+                held = _factor(ws, data)
+                direction = held(-grad)
         except (RuntimeError, LinAlgError) as err:
             raise failure(f"Hessian factorization failed: {err}", residual) from err
         if not np.all(np.isfinite(direction)):
@@ -602,7 +585,6 @@ def solve_prescribed(mesh: Mesh, e, opts: SolverOptions | None = None) -> Field:
     alone.  Raises `InnerSolveError`, carrying the last iterate.
     """
     opts = opts or SolverOptions()
-    e = _right_hand_side(mesh, e)
     values = _inner_solve(mesh, e, opts, _start(mesh, opts), _NO_KINKS, [], l1_stop=False)
     return Field(mesh, values, dirichlet_zero=True)
 
@@ -617,7 +599,9 @@ def _inner_solve(mesh: Mesh, e, opts: SolverOptions, initial, kinks: _Kinks,
     """Minimizer of psi_h(w) + <e, w>_lumped + the lumped kinks from `initial`
     or the flux start (module docstring), with the l1 stop if `l1_stop` and no
     kinks: a stage with no node in a smoothing band is exact; a pinned
-    solution is accepted when m - e is within _KINK_TOL of their subdifferential."""
+    solution is accepted when m - e is within _KINK_TOL of their subdifferential.
+    Raises ValueError unless `e` is finite."""
+    e = _right_hand_side(mesh, e)
     values = initial if initial[mesh.interior_nodes].any() else _flux_start(mesh, e)
     l1_tol = 0.1 * opts.outer_tol if l1_stop and kinks.level.size == 0 else math.inf
     for stage in range(_MAX_STAGES):

@@ -618,5 +618,22 @@ class TestMeshInfoCommand:
             assert main(argv) == 1
             captured = capsys.readouterr()
             assert captured.out == ""
-            assert captured.err == "error: interior node 3 at [5.0] belongs to no element\n"
+            assert captured.err == (f"error: {mesh}: interior node 3 at [5.0] belongs to "
+                                    "no element\n")
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("body, detail", [
+        ("dim 1\nnodes -1\n", "2: bad count '-1'"),
+        ("dim 4\n", "1: unsupported dim 4"),
+        ("dim 1\nnodes 3\n-1\ninf\n1\n", "4: non-finite coordinate in 'inf'"),
+    ], ids=["negative_count", "dim", "non_finite"])
+    def test_mesh_file_errors_name_the_file_and_line(self, tmp_path, capsys, body, detail):
+        mesh = tmp_path / "m.txt"
+        mesh.write_text(body)
+        cfg = write_cfg(tmp_path, "domain.kind = file\ndomain.path = m.txt\n"
+                                  "nonlinearity.kind = neg_sign\noutput.dir = {out}\n")
+        for argv in (["mesh-info", "--mesh", str(mesh)], ["mesh-info", "--config", str(cfg)],
+                     ["solve", "--config", str(cfg)]):
+            assert main(argv) == 1
+            assert capsys.readouterr().err == f"error: {mesh}:{detail}\n"
         assert not (tmp_path / "out").exists()

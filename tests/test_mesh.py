@@ -3,6 +3,7 @@ import hashlib
 import itertools
 import math
 import pickle
+import re
 import weakref
 
 import numpy as np
@@ -443,15 +444,16 @@ class TestMeshIO:
     def test_error_carries_line_number(self, tmp_path):
         p = tmp_path / "short.txt"
         p.write_text("dim 1\nnodes 2\n0.0\noops oops\n")
-        with pytest.raises(MeshFormatError, match="line 4"):
+        with pytest.raises(MeshFormatError, match=f"^{re.escape(str(p))}:4: "):
             read_mesh(p)
 
     def test_interior_node_of_no_element_is_named(self, tmp_path):
         # it would get node weight 0, and the operator value divides by it
         p = tmp_path / "orphan.txt"
         p.write_text("dim 1\nnodes 4\n-1\n0\n1\n5\nelements 2\n0 1\n1 2\nboundary\n0 2\n")
-        with pytest.raises(MeshError, match=r"^interior node 3 at \[5.0\] belongs to no element$"):
+        with pytest.raises(MeshError) as info:
             read_mesh(p)
+        assert str(info.value) == f"{p}: interior node 3 at [5.0] belongs to no element"
         # a boundary node needs no element
         assert len(Mesh([-1.0, 0.0, 1.0, 5.0], [[0, 1], [1, 2]], [0, 3]).interior_nodes) == 2
 
@@ -460,18 +462,18 @@ class TestMeshIO:
                 "elements 1", "0 1 2", "boundary", "0 1 2"]
 
     @pytest.mark.parametrize("line,text,message", [
-        (5, "1 zero", "line 5: bad coordinate in '1 zero'"),
-        (5, "1", "line 5: expected 2 coordinates, got 1"),
-        (9, "0 1 two", "line 9: bad node index in '0 1 two'"),
-        (9, "0 1 3", "line 9: node index 3 out of range [0, 3)"),
-        (9, "0 -1 2", "line 9: node index -1 out of range [0, 3)"),
-        (9, "0 1", "line 9: expected 3 node indices, got 2"),
-        (11, "0 1 b", "line 11: bad boundary index in '0 1 b'"),
-        (11, "0 1 5", "line 11: boundary index 5 out of range [0, 3)"),
-        (12, "extra stuff", "line 12: trailing content 'extra stuff'"),
-        (3, "nodes three", "line 3: bad count 'three'"),
-        (8, "elements 1.5", "line 8: bad count '1.5'"),
-        (10, "boundary 0", "line 10: expected 'boundary', got 'boundary 0'"),
+        (5, "1 zero", "5: bad coordinate in '1 zero'"),
+        (5, "1", "5: expected 2 coordinates, got 1"),
+        (9, "0 1 two", "9: bad node index in '0 1 two'"),
+        (9, "0 1 3", "9: node index 3 out of range [0, 3)"),
+        (9, "0 -1 2", "9: node index -1 out of range [0, 3)"),
+        (9, "0 1", "9: expected 3 node indices, got 2"),
+        (11, "0 1 b", "11: bad boundary index in '0 1 b'"),
+        (11, "0 1 5", "11: boundary index 5 out of range [0, 3)"),
+        (12, "extra stuff", "12: trailing content 'extra stuff'"),
+        (3, "nodes three", "3: bad count 'three'"),
+        (8, "elements 1.5", "8: bad count '1.5'"),
+        (10, "boundary 0", "10: expected 'boundary', got 'boundary 0'"),
     ], ids=["coordinate", "coordinate_count", "node_index", "node_index_range",
             "negative_node_index", "node_index_count", "boundary_index",
             "boundary_index_range", "trailing", "node_count", "element_count",
@@ -483,7 +485,7 @@ class TestMeshIO:
         p.write_text("\n".join(lines))
         with pytest.raises(MeshFormatError) as info:
             read_mesh(p)
-        assert str(info.value) == message
+        assert str(info.value) == f"{p}:{message}"
 
     @pytest.mark.parametrize("line,text", [(3, "nodes -1"), (8, "elements -2")])
     def test_negative_count_names_its_line(self, tmp_path, line, text):
@@ -493,15 +495,25 @@ class TestMeshIO:
         p.write_text("\n".join(lines) + "\n")
         with pytest.raises(MeshFormatError) as info:
             read_mesh(p)
-        assert str(info.value) == f"line {line}: bad count '{text.split()[1]}'"
+        assert str(info.value) == f"{p}:{line}: bad count '{text.split()[1]}'"
 
-    def test_non_finite_coordinate_is_named(self, tmp_path):
+    @pytest.mark.parametrize("text", ["nan 0", "0 -inf", "1e999 0"])
+    def test_non_finite_coordinate_is_named(self, tmp_path, text):
         lines = list(self.TRIANGLE)
-        lines[4] = "nan 0"
+        lines[4] = text
         p = tmp_path / "nan.txt"
         p.write_text("\n".join(lines) + "\n")
-        with pytest.raises(MeshError, match=r"^node 1 has a non-finite coordinate \[nan, 0.0\]$"):
+        with pytest.raises(MeshFormatError) as info:
             read_mesh(p)
+        assert str(info.value) == f"{p}:5: non-finite coordinate in {text!r}"
+
+    @pytest.mark.parametrize("dim", ["0", "4"])
+    def test_unsupported_dim_names_its_line(self, tmp_path, dim):
+        p = tmp_path / "dim.txt"
+        p.write_text(f"# a mesh\n\ndim {dim}\nnodes 0\n")
+        with pytest.raises(MeshFormatError) as info:
+            read_mesh(p)
+        assert str(info.value) == f"{p}:3: unsupported dim {dim}"
 
     def test_comments_and_blank_lines(self, tmp_path):
         p = tmp_path / "c.txt"

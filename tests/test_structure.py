@@ -264,3 +264,41 @@ def test_the_margin_scan_sees_the_old_margins():
     assert sorted(margin_literals(ast.parse(src))) == sorted([
         "margin=1e-09", "margin=1e-12", "margin=1e-12", "working_margin: float = 1e-12",
         "self.margin = 1e-09", "1.0 - 1e-09"])
+
+
+# scipy's factorizations and direct solves
+FACTORIZATIONS = {"splu", "spilu", "factorized", "spsolve", "solveh_banded", "solve_banded",
+                  "cholesky_banded", "cho_factor", "lu_factor"}
+
+
+def call_sites(module_tree, names):
+    """(callee, innermost enclosing function name) of every call of a name in
+    `names`, plain or as an attribute."""
+    found = []
+
+    def visit(node, where):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            where = node.name
+        if isinstance(node, ast.Call):
+            callee = getattr(node.func, "id", getattr(node.func, "attr", None))
+            if callee in names:
+                found.append((callee, where))
+        for child in ast.iter_child_nodes(node):
+            visit(child, where)
+    visit(module_tree, "<module>")
+    return found
+
+
+def test_one_factor_function():
+    # every matrix a Newton step or the K0 slot solves with is factored by
+    # solver._factor, the one place that knows the band and SuperLU settings
+    sites = {(name, *site) for name in MODULES for site in call_sites(tree(name), FACTORIZATIONS)}
+    assert sites == {("solver", "solveh_banded", "_factor"), ("solver", "splu", "_factor")}
+
+
+def test_the_call_scan_sees_the_old_factor_sites():
+    src = ("def _k0(ws):\n    return lambda rhs: solveh_banded(band, rhs)\n"
+           "def step(m):\n    d = linalg.solveh_banded(b, r)\n    return _factor(m).solve(r)\n"
+           "def _factor(m):\n    return splu(m)\n")
+    assert sorted(call_sites(ast.parse(src), FACTORIZATIONS)) == [
+        ("solveh_banded", "_k0"), ("solveh_banded", "step"), ("splu", "_factor")]
