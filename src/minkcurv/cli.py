@@ -437,10 +437,16 @@ def cmd_sweep(args) -> int:
     path = Path(args.config)
     parsed = parse_flat_config(path)
     config = _validate(path, dict(parsed))
-    # each value overrides its key and is checked like the file, before any run
+    # each value overrides its key and is checked like the file, before any run;
+    # a domain value is checked by the mesh builder, whose mesh is dropped
+    key = _SWEEP_PARAMS[args.param]
     values = [v.strip() for v in args.values.split(",") if v.strip()]
-    configs = [_validate(path, {**parsed, _SWEEP_PARAMS[args.param]: (v, "--values")})
-               for v in values]
+    configs = [_validate(path, {**parsed, key: (v, "--values")}) for v in values]
+    for c in (configs if key.startswith("domain.") else []):
+        try:
+            c.build_mesh()
+        except ValueError as err:
+            raise ConfigError(f"{path}:--values: key {key!r}: {err}") from None
     out_dir = Path(args.out) if args.out else config.output_dir
     if not values:
         print("no sweep values given; nothing to do")

@@ -52,7 +52,9 @@ envelopes, convexity of psi gives for every feasible v, d = v - u,
 psi(v) - psi(u) + sum_i w_i max(lo_i d_i, hi_i d_i) >= -|d|_inf * rho with
 rho = sum_i w_i dist(m_i, [lo_i, hi_i]) (Szulkin's critical-point
 inequality).  `converged` means a fixed point with rho <= outer_tol *
-(1 + |energy|).
+(1 + |energy|).  Its pieces are implemented once, and `verify` imports them:
+m (`_operator_value`), `_bracket_distance` (also the pinned stages' test) and
+`windowed_envelopes`, composed in `inclusion_residual`.
 """
 
 from __future__ import annotations
@@ -108,10 +110,13 @@ class SolverOptions:
     seed: int = 0
 
     def __post_init__(self):
-        if not (0 < self.inner_tol < math.inf and 0 < self.outer_tol < math.inf):
+        # a bool is an int, but neither a tolerance nor a cap
+        if not all(isinstance(tol, (int, float, np.integer, np.floating))
+                   and not isinstance(tol, bool) and 0 < tol < math.inf
+                   for tol in (self.inner_tol, self.outer_tol)):
             raise ValueError(f"tolerances must be positive and finite, got inner_tol="
-                             f"{self.inner_tol}, outer_tol={self.outer_tol}")
-        if not all(isinstance(cap, (int, np.integer)) and cap >= 1
+                             f"{self.inner_tol!r}, outer_tol={self.outer_tol!r}")
+        if not all(isinstance(cap, (int, np.integer)) and not isinstance(cap, bool) and cap >= 1
                    for cap in (self.max_inner, self.max_outer)):
             raise ValueError(f"iteration caps must be >= 1 and integral, got max_inner="
                              f"{self.max_inner!r}, max_outer={self.max_outer!r}")
@@ -166,30 +171,51 @@ class _InnerStats:
     objectives: list = dataclass_field(default_factory=list)  # every accepted objective
 
 
-def _distance(m, lo, hi):
-    """Distance of m to the interval [lo, hi], elementwise."""
-    return np.maximum(0.0, np.maximum(lo - m, m - hi)) + 0.0
-
-
-def _operator_value(mesh: Mesh, values):
-    """m = -grad psi / node_weight, the discrete operator value per node; 0 at
-    a boundary node of no element (node weight 0)."""
-    grad, w = psi_gradient(mesh, Field(mesh, values, dirichlet_zero=True)), mesh.node_weight
+def _operator_value(mesh: Mesh, u: Field, margin: float = FEASIBILITY_MARGIN):
+    """m = -grad psi / node_weight per node, grad psi taken at `margin` (raises
+    `StrictFeasibilityError` past it); 0 at a boundary node of no element."""
+    grad, w = psi_gradient(mesh, u, margin=margin), mesh.node_weight
     return np.divide(-grad, w, out=np.zeros_like(grad), where=w > 0.0)
 
 
+def _bracket_distance(mesh: Mesh, m, lo, hi) -> np.ndarray:
+    """Distance of m to [lo, hi] at the interior nodes, 0 on the boundary."""
+    out, idx = np.zeros(len(mesh.nodes)), mesh.interior_nodes
+    out[idx] = np.maximum(0.0, np.maximum(lo[idx] - m[idx], m[idx] - hi[idx])) + 0.0
+    return out
+
+
+def windowed_envelopes(mesh: Mesh, spec: NonlinearitySpec, values):
+    """Envelope arrays (lo, hi) at every node, widened to the whole jump
+    interval within the mesh size h of a jump level: a piecewise-affine
+    candidate crosses the level between nodes, so any bracket element may be
+    the limiting selection there."""
+    return envelopes(spec, mesh.nodes, values, mesh.mesh_size())
+
+
+def inclusion_residual(mesh: Mesh, u: Field, spec: NonlinearitySpec,
+                       margin: float = FEASIBILITY_MARGIN) -> np.ndarray:
+    """Distance of the operator value m to the `windowed_envelopes` bracket.
+
+    The inclusion holds at an interior node when m_i lies in the bracket at
+    (x_i, u_i).  Returns one residual per node (zero at boundary nodes, which
+    carry the Dirichlet condition instead).  Raises `StrictFeasibilityError`
+    where |grad| > 1 - margin.
+    """
+    return _bracket_distance(mesh, _operator_value(mesh, u, margin),
+                             *windowed_envelopes(mesh, spec, u.values))
+
+
 def _certificate(mesh: Mesh, spec: NonlinearitySpec, values):
-    """(zeta, residuals, rho, lo, hi) at `values`: [lo, hi] are the zero-window
-    brackets; zeta is m clipped to the brackets widened within h of a jump
-    level (a P1 solution crosses it between nodes)."""
-    m = _operator_value(mesh, values)
-    interior = mesh.interior_nodes
+    """(zeta, residuals, rho, lo, hi) at `values`: residuals are the
+    `inclusion_residual`, zeta is m clipped to the same windowed brackets,
+    and [lo, hi] are the zero-window brackets that rho is measured against."""
+    m = _operator_value(mesh, Field(mesh, values, dirichlet_zero=True))
+    lo, hi = windowed_envelopes(mesh, spec, values)
     lo0, hi0 = envelopes(spec, mesh.nodes, values, 0.0)
-    lo, hi = envelopes(spec, mesh.nodes, values, mesh.mesh_size())
-    residuals = np.zeros(len(mesh.nodes))
-    residuals[interior] = _distance(m, lo, hi)[interior]
-    rho = float(np.dot(mesh.node_weight[interior], _distance(m, lo0, hi0)[interior]))
-    return np.clip(m, lo, hi), residuals, rho, lo0, hi0
+    interior = mesh.interior_nodes
+    rho = float(np.dot(mesh.node_weight[interior], _bracket_distance(mesh, m, lo0, hi0)[interior]))
+    return np.clip(m, lo, hi), _bracket_distance(mesh, m, lo, hi), rho, lo0, hi0
 
 
 @dataclass(frozen=True)
@@ -620,9 +646,8 @@ def _inner_solve(mesh: Mesh, e, opts: SolverOptions, initial, kinks: _Kinks,
         except InnerSolveError:
             continue  # e.g. pinning left the feasible set: smaller band next
         stats_sink.append(stats)
-        m = _operator_value(mesh, trial) - e
-        if _distance(m, *kinks.subdifferential(trial))[mesh.interior_nodes].max(
-                initial=0.0) <= _KINK_TOL:
+        m = _operator_value(mesh, Field(mesh, trial, dirichlet_zero=True)) - e
+        if _bracket_distance(mesh, m, *kinks.subdifferential(trial)).max() <= _KINK_TOL:
             return trial
         values = trial  # the next stage starts from the pinned solution
     return values

@@ -1,14 +1,7 @@
-"""Independent checks: inclusion residuals, the critical-point inequality,
-closed-form radial oracles, and a brute-force global minimizer for tiny
-meshes.
-
-The discrete weak operator value at an interior node is read off as
-m_i = -(psi_gradient)_i / node_weight_i, which turns the inclusion into a
-per-node interval test.  The inclusion holds at a node when m_i lies inside
-the envelope bracket at (x_i, u_i); near a declared jump level the bracket
-is widened to the full jump interval within the mesh size h of it (a discrete
-solution only crosses the level between nodes).  m_i is read at the solver's
-margin, `energy.FEASIBILITY_MARGIN`, so every field it certifies gets a verdict.
+"""Checks of a candidate solution: the critical-point inequality, closed-form
+radial oracles, a brute-force global minimizer for tiny meshes, and the
+report that composes them with `solver.inclusion_residual`, the one
+implementation of the per-node inclusion residual.
 """
 
 from __future__ import annotations
@@ -19,40 +12,15 @@ from typing import Optional
 
 import numpy as np
 
-# `bracket`, `psi` and `random_feasible_field` are no longer called here; they
-# stay module attributes because bench/worker.py wraps them when it traces a run.
+# `bracket`, `psi`, `psi_gradient`, `random_feasible_field` and
+# `windowed_envelopes` are no longer called here; they stay module attributes
+# because bench/worker.py wraps them when it traces a run.
 from .mesh import (Field, Mesh, _largest_norm, _random_trial,  # noqa: F401
                    boundary_distance_cone, element_gradients, inradius, per_mesh,
                    random_feasible_field, squared_norms)
-from .nonlinearity import NonlinearitySpec, bracket, envelopes, primitive_array  # noqa: F401
-from .energy import FEASIBILITY_MARGIN, area_value, psi, psi_gradient, total_energy  # noqa: F401
-
-
-# -- pointwise inclusion residual ----------------------------------------------
-
-
-def windowed_envelopes(mesh: Mesh, spec: NonlinearitySpec, values):
-    """Envelope arrays (lo, hi) at every node, widened to the whole jump
-    interval within the mesh size h of a jump level: a piecewise-affine
-    candidate crosses the level between nodes, so any bracket element may be
-    the limiting selection there."""
-    return envelopes(spec, mesh.nodes, values, mesh.mesh_size())
-
-
-def inclusion_residual(mesh: Mesh, u: Field, spec: NonlinearitySpec,
-                       margin: float = FEASIBILITY_MARGIN) -> np.ndarray:
-    """Distance of the discrete operator value to the `windowed_envelopes` bracket.
-
-    Returns one residual per node (zero at boundary nodes, which carry the
-    Dirichlet condition instead).  Raises `StrictFeasibilityError` where |grad| > 1 - margin.
-    """
-    lo, hi = windowed_envelopes(mesh, spec, u.values)
-    grad = psi_gradient(mesh, u, margin=margin)
-    out = np.zeros(len(mesh.nodes))
-    idx = mesh.interior_nodes
-    m = -grad[idx] / mesh.node_weight[idx]
-    out[idx] = np.maximum(0.0, np.maximum(lo[idx] - m, m - hi[idx])) + 0.0
-    return out
+from .nonlinearity import NonlinearitySpec, bracket, primitive_array  # noqa: F401
+from .energy import area_value, psi, psi_gradient, total_energy  # noqa: F401
+from .solver import inclusion_residual, windowed_envelopes  # noqa: F401
 
 
 # -- critical-point inequality ---------------------------------------------------

@@ -512,7 +512,9 @@ class TestSweepCommand:
         ("outer_tol", "nan", ":--values: key 'solver.outer_tol' must be finite"),
         ("selection_rule", "mid,top", "unknown selection rule 'top'"),
         ("refinement", "2", ":--values: key 'domain.refinement' is unknown or not used"),
-    ], ids=["n-abc", "outer_tol-negative", "outer_tol-nan", "rule-top", "refinement-interval"])
+        ("n", "16,0,32", ":--values: key 'domain.n': need at least one element, got n=0"),
+    ], ids=["n-abc", "outer_tol-negative", "outer_tol-nan", "rule-top", "refinement-interval",
+            "n-zero"])
     def test_bad_value_exits_1_before_any_run(self, tmp_path, capsys, param, values, detail):
         cfg = write_cfg(tmp_path, PRESCRIBED_CFG)
         code = main(["sweep", "--config", str(cfg), "--param", param,

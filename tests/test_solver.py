@@ -2,6 +2,7 @@ import dataclasses
 import gc
 import itertools
 import math
+import re
 import weakref
 
 import numpy as np
@@ -163,6 +164,19 @@ class TestSolvePrescribed:
         with pytest.raises(ValueError, match=rf"^iteration caps must be >= 1 and integral, "
                                              rf"got .*{name}={value!r}"):
             SolverOptions(**{name: value})
+
+    @pytest.mark.parametrize("name, value", [
+        ("max_inner", True), ("max_outer", True), ("max_outer", np.True_), ("inner_tol", True),
+        ("outer_tol", True), ("inner_tol", "1e-10"), ("outer_tol", 1e-8j), ("inner_tol", None)])
+    def test_options_reject_bools_and_non_real_values(self, name, value):
+        # a bool cap used to run as 1, a bool tolerance as 1.0, and a string
+        # tolerance raised TypeError from the range comparison
+        with pytest.raises(ValueError, match=re.escape(f"{name}={value!r}")):
+            SolverOptions(**{name: value})
+
+    def test_options_take_int_and_numpy_tolerances(self):
+        opts = SolverOptions(inner_tol=np.float64(1e-10), outer_tol=1)
+        assert solve_inclusion(build_interval_mesh(-1, 1, 8), neg_sign(), opts).converged
 
     def test_options_take_numpy_integer_caps(self):
         opts = SolverOptions(max_inner=np.int64(7), max_outer=np.int32(2))
@@ -381,8 +395,9 @@ class TestSolveInclusion:
                              [(neg_sign(), 100, 0.0), (power(1.0, 2.0), 1, 0.1)],
                              ids=["neg_sign-64", "power-64-one-step"])
     def test_residual_is_the_inclusion_residual(self, spec, max_outer, min_residual):
-        # the solver's own certificate pass reports exactly what the
-        # independent check computes; one outer step of f(s) = s from a
+        # the certificate pass and `inclusion_residual` are built from the
+        # same pieces, not checked independently: this pins that the pass
+        # composes them as `verify` does; one outer step of f(s) = s from a
         # bump ends with a large residual, so this is not only 0 == 0
         m = build_interval_mesh(-1, 1, 64)
         x = m.nodes[:, 0]

@@ -302,3 +302,38 @@ def test_the_call_scan_sees_the_old_factor_sites():
            "def _factor(m):\n    return splu(m)\n")
     assert sorted(call_sites(ast.parse(src), FACTORIZATIONS)) == [
         ("solveh_banded", "_k0"), ("solveh_banded", "step"), ("splu", "_factor")]
+
+
+def window_sites(module_tree):
+    """Innermost functions that call both `envelopes` and `mesh_size`: the
+    places where the mesh size can become an envelope window."""
+    calls = set(call_sites(module_tree, {"envelopes", "mesh_size"}))
+    return {where for callee, where in calls
+            if callee == "envelopes" and ("mesh_size", where) in calls}
+
+
+def test_one_certificate():
+    # the solver's certificate, `verify` and the pinned stages' acceptance
+    # read the operator value m and the h-window brackets from one place each
+    gradients = {(name, *site) for name in MODULES
+                 for site in call_sites(tree(name), {"psi_gradient"})}
+    assert gradients == {("solver", "psi_gradient", "_operator_value")}
+    windows = {(name, where) for name in MODULES for where in window_sites(tree(name))}
+    assert windows == {("solver", "windowed_envelopes")}
+
+
+def test_the_certificate_scans_see_the_old_sites():
+    src = ("def inclusion_residual(mesh, u, spec, margin):\n"
+           "    lo, hi = windowed_envelopes(mesh, spec, u.values)\n"
+           "    grad = energy.psi_gradient(mesh, u, margin=margin)\n"
+           "def windowed_envelopes(mesh, spec, values):\n"
+           "    return envelopes(spec, mesh.nodes, values, mesh.mesh_size())\n"
+           "def _certificate(mesh, spec, values):\n"
+           "    m = -psi_gradient(mesh, values) / mesh.node_weight\n"
+           "    h = mesh.mesh_size()\n"
+           "    lo0, hi0 = nonlinearity.envelopes(spec, mesh.nodes, values, 0.0)\n"
+           "    return envelopes(spec, mesh.nodes, values, h)\n"
+           "def write_report(mesh):\n    return mesh.mesh_size()\n")
+    assert sorted(call_sites(ast.parse(src), {"psi_gradient"})) == [
+        ("psi_gradient", "_certificate"), ("psi_gradient", "inclusion_residual")]
+    assert window_sites(ast.parse(src)) == {"windowed_envelopes", "_certificate"}
