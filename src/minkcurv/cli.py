@@ -10,9 +10,8 @@ arguments, solver keys the fields of `SolverOptions`, and the options and
 catalog rules check their own ranges.  A sweep value overrides one key and
 is checked like the file, every value before the first run.  Handlers
 raise; `main` maps errors to exit codes: 1 for a configuration or input
-error (`ValueError`, `OSError`), 2 for non-convergence or failed
-verification checks (results are still written) or an inner solve failure
-(`solve` writes nothing, `sweep` a `converged=false` row).
+error (`ValueError`, `OSError`), 2 for non-convergence, an inner solve
+failure included, or failed verification checks (results are still written).
 """
 
 from __future__ import annotations
@@ -32,7 +31,7 @@ from .energy import bounds
 from .mesh import (Field, Mesh, build_disk_mesh, build_interval_mesh,
                    build_rectangle_mesh, inradius, read_mesh)
 from .nonlinearity import CATALOG, NonlinearitySpec, from_catalog, jump_limits
-from .solver import InnerSolveError, SolveResult, SolverOptions, solve_inclusion
+from .solver import SolveResult, SolverOptions, solve_inclusion
 from .verify import analytic_radial, format_report, verification_report
 
 
@@ -365,11 +364,14 @@ def _write_svg(out_dir: Path, mesh: Mesh, spec, result: SolveResult) -> None:
 # -- subcommands ----------------------------------------------------------------
 
 
-def _run_solve(config: RunConfig, out_dir: Path):
-    """Shared solve pipeline; returns (mesh, spec, result)."""
+def _run_solve(config: RunConfig, out_dir: Path, label: str = ""):
+    """Shared solve pipeline; returns (mesh, spec, result).  A run that did not
+    converge after an inner solve failure names it on stderr after `label`."""
     mesh = config.build_mesh()
     spec = config.build_spec(mesh)
     result = solve_inclusion(mesh, spec, config.solver_options())
+    if result.breakdown and not result.converged:
+        print(f"error: {label}inner solve failed: {result.breakdown}", file=sys.stderr)
     out_dir.mkdir(parents=True, exist_ok=True)
     write_solution_csv(out_dir / "solution.csv", mesh, result, result.residuals)
     write_report(out_dir / "report.txt", mesh, spec, result, bounds(mesh, spec))
@@ -412,22 +414,15 @@ _SWEEP_PARAMS = {"n": "domain.n", "refinement": "domain.refinement",
 
 
 def _sweep_one(config: RunConfig, param: str, value: str, out_dir: Path):
-    """One sweep run: (sweep.csv row, failure message or None).
-
-    An inner solve failure is not fatal to the sweep; it yields a
-    converged=false row with empty result fields.
-    """
-    try:
-        mesh, spec, result = _run_solve(config, out_dir / f"{param}_{value}")
-    except InnerSolveError as exc:
-        return [value, "", "", "", "", "false"], f"{param}={value}: inner solve failed: {exc}"
+    """One sweep run's sweep.csv row."""
+    mesh, spec, result = _run_solve(config, out_dir / f"{param}_{value}", f"{param}={value}: ")
     analytic = config.analytic_oracle(mesh)
     err = ""
     if analytic is not None:
         err = _fmt(float(np.abs(result.u.values - analytic(mesh.nodes)).max()))
     return [value, _fmt(result.energy), err,
             str(result.outer_iterations), str(result.inner_iterations),
-            "true" if result.converged else "false"], None
+            "true" if result.converged else "false"]
 
 
 def cmd_sweep(args) -> int:
@@ -452,11 +447,7 @@ def cmd_sweep(args) -> int:
         print("no sweep values given; nothing to do")
         return 0
     out_dir.mkdir(parents=True, exist_ok=True)
-    runs = [_sweep_one(c, args.param, v, out_dir) for c, v in zip(configs, values)]
-    rows = [row for row, _ in runs]
-    for _, failure in runs:
-        if failure is not None:
-            print(f"error: {failure}", file=sys.stderr)
+    rows = [_sweep_one(c, args.param, v, out_dir) for c, v in zip(configs, values)]
     with open(out_dir / "sweep.csv", "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow([args.param, "energy", "linf_error_vs_analytic",
@@ -516,9 +507,6 @@ def main(argv=None) -> int:
                "sweep": cmd_sweep, "mesh-info": cmd_mesh_info}[args.command]
     try:
         return handler(args)
-    except InnerSolveError as err:
-        print(f"error: inner solve failed: {err}", file=sys.stderr)
-        return 2
     except (ValueError, OSError) as err:  # ConfigError and MeshError included
         print(f"error: {err}", file=sys.stderr)
         return 1

@@ -10,7 +10,7 @@ q / sqrt(1 + |q|^2), the inverse of the operator's phi, and projected onto
 P1 gradients (two K0 solves), the solution wherever the flux is a gradient
 (1D, radial problems).  Newton stops at a gradient max-norm of `inner_tol`;
 kink-free solves of `solve_inclusion` also need |g|_1 <= outer_tol / 10 *
-(1 + |objective|), which bounds rho, or a step that leaves the iterate as is.
+(1 + |objective|), which bounds rho, unless Newton is at its roundoff floor.
 Objective and gradient come from the area kernel of `energy`; the exact
 Hessian blows up like (1-|g|^2)^(-3/2) near the constraint surface, so
 Newton directions are naturally repelled from it.  One function,
@@ -45,7 +45,7 @@ certificate if the stall ends the loop.  If the rest jumps, escape probes
 (that pass's two envelope selections as right-hand sides) are accepted
 only on a strict energy decrease, the lower of the two if both decrease.
 At the zero field with a symmetric bracket one probe is the other's mirror
-image and only one is solved.
+image and only one is solved.  An inner solve failure ends the loop.
 
 Certificate: with m = -grad psi / w and [lo, hi] the zero-window
 envelopes, convexity of psi gives for every feasible v, d = v - u,
@@ -60,6 +60,7 @@ m (`_operator_value`), `_bracket_distance` (also the pinned stages' test) and
 from __future__ import annotations
 
 import math
+import sys
 import weakref
 from dataclasses import dataclass, field as dataclass_field
 
@@ -110,12 +111,13 @@ class SolverOptions:
     seed: int = 0
 
     def __post_init__(self):
-        # a bool is an int, but neither a tolerance nor a cap
-        if not all(isinstance(tol, (int, float, np.integer, np.floating))
-                   and not isinstance(tol, bool) and 0 < tol < math.inf
-                   for tol in (self.inner_tol, self.outer_tol)):
+        # positive and finite as a float (a bool is an int, but neither a tolerance nor a cap)
+        if not all(isinstance(tol, (float, np.floating)) and 0 < float(tol) < math.inf
+                   or isinstance(tol, (int, np.integer)) and not isinstance(tol, bool)
+                   and 0 < tol <= sys.float_info.max for tol in (self.inner_tol, self.outer_tol)):
             raise ValueError(f"tolerances must be positive and finite, got inner_tol="
                              f"{self.inner_tol!r}, outer_tol={self.outer_tol!r}")
+        self.inner_tol, self.outer_tol = float(self.inner_tol), float(self.outer_tol)
         if not all(isinstance(cap, (int, np.integer)) and not isinstance(cap, bool) and cap >= 1
                    for cap in (self.max_inner, self.max_outer)):
             raise ValueError(f"iteration caps must be >= 1 and integral, got max_inner="
@@ -157,6 +159,7 @@ class SolveResult:
     residuals: np.ndarray
     max_iterate_value: float = 0.0
     max_iterate_gradient: float = 0.0
+    breakdown: str | None = None  # message of the inner solve failure that ended the run
 
     @property
     def energy(self) -> float:
@@ -430,6 +433,7 @@ def _k0_preconditioner(mesh: Mesh, ws: _NewtonWorkspace):
 # of a kinked stage of disk-6 step(-1, 1, 0.1) needs up to 46, and one step
 # there misses.
 _CG_MAX_ITER = 50
+_FLAT_STEPS = 3  # accepted steps in a row within the objective's roundoff end a solve
 
 
 def _right_hand_side(mesh: Mesh, e) -> np.ndarray:
@@ -483,15 +487,17 @@ def _flux_start(mesh: Mesh, e: np.ndarray) -> np.ndarray:
     return values
 
 
-def _solve_prescribed(mesh: Mesh, e, opts: SolverOptions, initial=None,
-                      kinks=_NO_KINKS, gamma=1.0, pinned=None, l1_tol=math.inf):
+def _solve_prescribed(mesh: Mesh, e, opts: SolverOptions, initial=None, kinks=_NO_KINKS,
+                      gamma=1.0, pinned=None, l1_tol=math.inf, stats_sink=None):
     """Newton minimization over interior nodes of psi_h(w) + <e, w>_lumped
     plus the lumped Moreau envelopes (smoothing `gamma`) of `kinks`.
 
-    Returns (values, stats).  `e` is broadcast to one value per node.  The
-    start is `initial`, zero by default.  The nodes of the boolean mask
-    `pinned` (default: none) keep their initial values.  It stops at gradient
-    norms max <= `inner_tol` and l1 <= `l1_tol * (1 + |objective|)`.
+    Returns (values, stats), stats also put on the list `stats_sink` if given.
+    `e` is broadcast to one value per node; the start is `initial`, zero by
+    default; the nodes of the boolean mask `pinned` (default: none) keep
+    their initial values.  It stops at gradient norms max <= `inner_tol` and
+    l1 <= `l1_tol * (1 + |objective|)`, at the roundoff floor (`_FLAT_STEPS`)
+    on the max-norm alone, and raises there or at `max_inner` otherwise.
     """
     interior = mesh.interior_nodes
     limit2 = (1.0 - FEASIBILITY_MARGIN) ** 2
@@ -505,6 +511,8 @@ def _solve_prescribed(mesh: Mesh, e, opts: SolverOptions, initial=None,
         return g, squared_norms(g)
 
     stats = _InnerStats()
+    if stats_sink is not None:  # before any step, so that a failed solve's steps count
+        stats_sink.append(stats)
 
     def failure(message, residual):
         return InnerSolveError(message, last_values=values, residual=residual,
@@ -524,6 +532,7 @@ def _solve_prescribed(mesh: Mesh, e, opts: SolverOptions, initial=None,
     pinning = fixed[ws.indices] | fixed[ws.columns]  # the slots of pinned rows and columns
     held = None  # K0^-1 or the solve's last `_factor`
     obj = objective(g2, values)
+    flat = 0  # accepted steps in a row that moved the objective by at most its noise
     for _ in range(opts.max_inner + 1):
         stats.max_value = max(stats.max_value, float(np.abs(values).max()))
         stats.max_gradient = max(stats.max_gradient, float(np.sqrt(g2.max(initial=0.0))))
@@ -538,8 +547,12 @@ def _solve_prescribed(mesh: Mesh, e, opts: SolverOptions, initial=None,
             raise failure("non-finite gradient encountered", residual)
         if stats.iterations == 0:
             first = residual
-        if residual <= opts.inner_tol and np.abs(grad).sum() <= l1_tol * (1.0 + abs(obj)):
-            return values, stats
+        if residual <= opts.inner_tol and (flat == _FLAT_STEPS
+                                           or np.abs(grad).sum() <= l1_tol * (1.0 + abs(obj))):
+            return values, stats  # at the roundoff floor the l1 stop may be out of reach
+        if flat == _FLAT_STEPS:
+            raise failure(f"Newton left the objective unchanged to roundoff for {flat} steps "
+                          f"(residual {residual:.3e})", residual)
         if stats.iterations >= opts.max_inner:
             raise failure(f"no convergence in {opts.max_inner} Newton iterations "
                           f"(residual {residual:.3e})", residual)
@@ -591,11 +604,7 @@ def _solve_prescribed(mesh: Mesh, e, opts: SolverOptions, initial=None,
             t *= 0.5
             if t < 1e-18:
                 raise failure(f"line search stalled (residual {residual:.3e})", residual)
-        if np.array_equal(cand, values):  # the same step would follow forever
-            if residual <= opts.inner_tol:  # the l1 stop is below roundoff
-                return values, stats
-            raise failure(f"Newton step left the iterate unchanged (residual "
-                          f"{residual:.3e})", residual)
+        flat = flat + 1 if abs(obj_c - obj) <= noise else 0
         values, g, g2, obj = cand, g_c, g2_c, obj_c
         stats.iterations += 1
     raise AssertionError("unreachable")
@@ -632,20 +641,18 @@ def _inner_solve(mesh: Mesh, e, opts: SolverOptions, initial, kinks: _Kinks,
     l1_tol = 0.1 * opts.outer_tol if l1_stop and kinks.level.size == 0 else math.inf
     for stage in range(_MAX_STAGES):
         gamma = 0.01 ** stage
-        values, stats = _solve_prescribed(mesh, e, opts, initial=values, kinks=kinks,
-                                          gamma=gamma, l1_tol=l1_tol)
-        stats_sink.append(stats)
+        values, _ = _solve_prescribed(mesh, e, opts, initial=values, kinks=kinks, gamma=gamma,
+                                      l1_tol=l1_tol, stats_sink=stats_sink)
         band = kinks.smoothed(values, gamma)[2]
         pinned = band.any(axis=0)
         if not pinned.any():
             return values
         trial = np.where(pinned, kinks.level[band.argmax(axis=0), np.arange(len(values))], values)
         try:
-            trial, stats = _solve_prescribed(mesh, e, opts, initial=trial,
-                                             kinks=kinks, gamma=gamma, pinned=pinned)
+            trial, _ = _solve_prescribed(mesh, e, opts, initial=trial, kinks=kinks,
+                                         gamma=gamma, pinned=pinned, stats_sink=stats_sink)
         except InnerSolveError:
             continue  # e.g. pinning left the feasible set: smaller band next
-        stats_sink.append(stats)
         m = _operator_value(mesh, Field(mesh, trial, dirichlet_zero=True)) - e
         if _bracket_distance(mesh, m, *kinks.subdifferential(trial)).max() <= _KINK_TOL:
             return trial
@@ -699,9 +706,10 @@ def solve_inclusion(mesh: Mesh, spec: NonlinearitySpec,
     field (zero by default), see the module docstring, until successive
     iterates or selections agree and no escape probe improves the energy,
     or until max_outer iterations (then with converged=False), with the
-    start rule and the l1 stop of the module docstring.  Raises
-    `InnerSolveError` when an outer step's inner solve fails, or when every
-    escape probe of a stall fails.
+    start rule and the l1 stop of the module docstring.  An inner solve
+    failure ends the loop at its last iterate, and a stall whose escape
+    probes all fail is no fixed point; either sets `breakdown`.  Raises
+    ValueError for a non-finite forcing or an infeasible `initial`.
     """
     opts = opts or SolverOptions()
     u = _start(mesh, opts)
@@ -719,13 +727,15 @@ def solve_inclusion(mesh: Mesh, spec: NonlinearitySpec,
 
     I_u = total_energy(mesh, Field(mesh, u, dirichlet_zero=True), spec)
     trace = [I_u]
-    fixed_point = False
-    outer = 0
+    fixed_point, breakdown, outer = False, None, 0
     try:
-        while outer < opts.max_outer:
+        while outer < opts.max_outer and breakdown is None:
             outer += 1
             zeta = rest_selection(u)
-            cand = _inner_solve(mesh, zeta, opts, u, kinks, stats_all)
+            try:
+                cand = _inner_solve(mesh, zeta, opts, u, kinks, stats_all)
+            except InnerSolveError as err:  # the certificate judges its last iterate
+                cand, breakdown = err.last_values, str(err)
             step = float(np.abs(cand - u).max())
             zeta_next = rest_selection(cand)
             u = cand
@@ -740,12 +750,14 @@ def solve_inclusion(mesh: Mesh, spec: NonlinearitySpec,
                     break
                 u, I_u = improved
                 trace.append(I_u)
+    except InnerSolveError as err:  # every escape probe of a stall failed: no fixed point
+        breakdown = str(err)
     finally:
         # A K0 factor kept past the solve would live through the caller's
         # post-processing and fragment the heap for the next mesh's factor.
         _K0.clear()
 
-    if not fixed_point:  # max_outer ended the loop: no pass at this u yet
+    if not fixed_point:  # max_outer or a failure ended the loop: certify this u
         certificate = _certificate(mesh, spec, u)
     zeta, residuals, rho = certificate[:3]
     return SolveResult(
@@ -756,7 +768,7 @@ def solve_inclusion(mesh: Mesh, spec: NonlinearitySpec,
         residual=float(residuals[interior].max(initial=0.0)), residuals=residuals,
         max_iterate_value=max([s.max_value for s in stats_all], default=0.0),
         max_iterate_gradient=max([s.max_gradient for s in stats_all], default=0.0),
-    )
+        breakdown=breakdown)
 
 
 def stationarity_measure(mesh: Mesh, u: Field, spec: NonlinearitySpec) -> float:

@@ -401,11 +401,14 @@ def test_inner_solve_failure_exits_2(tmp_path, capsys, command):
     assert main(argv) == 2
     assert "inner solve failed" in capsys.readouterr().err
     if command == "solve":
-        # the failure is raised before anything is written
-        assert not (tmp_path / "out" / "solution.csv").exists()
+        # the last iterate's outputs are written, with its verdict
+        report = (tmp_path / "out" / "report.txt").read_text()
+        assert report.startswith("converged false\n") and "\ninner_iterations 1\n" in report
+        assert (tmp_path / "out" / "solution.csv").exists()
     else:
         rows = (tmp_path / "out" / "sweep.csv").read_text().splitlines()[1:]
         assert [row.split(",")[-1] for row in rows] == ["false", "false"]
+        assert all("" not in row.split(",") for row in rows)
 
 
 def test_band_solve_failure_exits_2(tmp_path, capsys, monkeypatch):
@@ -417,7 +420,10 @@ def test_band_solve_failure_exits_2(tmp_path, capsys, monkeypatch):
     assert main(["solve", "--config", str(cfg)]) == 2
     assert ("inner solve failed: Hessian factorization failed: 2-th"
             in capsys.readouterr().err)
-    assert not (tmp_path / "out" / "solution.csv").exists()
+    # the flux start's K0 solve failed: the zero field is the last iterate
+    assert (tmp_path / "out" / "report.txt").read_text().startswith("converged false\n")
+    u, _ = read_solution_csv(tmp_path / "out" / "solution.csv", build_interval_mesh(-1, 1, 64))
+    assert not u.any()
 
 
 @pytest.mark.parametrize("command", ["solve", "sweep"])
@@ -567,7 +573,10 @@ class TestSweepCommand:
         lines = (tmp_path / "sw" / "sweep.csv").read_text().splitlines()
         assert len(lines) == 3
         assert lines[1].startswith("3,") and lines[1].endswith(",true")
-        assert lines[2] == "2,,,,,false"
+        # the failed run's row is full, its 8 Newton steps counted
+        value, energy, error, outer, inner, converged = lines[2].split(",")
+        assert (value, outer, inner, converged) == ("2", "1", "8", "false")
+        assert math.isfinite(float(energy)) and math.isfinite(float(error))
 
     @pytest.mark.parametrize("command", [["solve"], ["sweep", "--param", "n",
                                                      "--values", "16"]],

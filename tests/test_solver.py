@@ -143,6 +143,23 @@ class TestSolvePrescribed:
         assert np.abs(gradient[m.interior_nodes]).max() <= SolverOptions().inner_tol
         assert 0 < stats.iterations < SolverOptions().max_inner
 
+    def test_l1_target_below_roundoff_stops_at_the_floor(self):
+        # in 1D the iterate never stalls bit for bit, but the objective stops
+        # moving: the solve returns there, at the max-norm stop
+        m = build_interval_mesh(-1, 1, 64)
+        values, stats = _solve_prescribed(m, 1.0, SolverOptions(), l1_tol=0.0)
+        gradient = psi_gradient(m, Field(m, values)) + m.node_weight * 1.0
+        assert np.abs(gradient[m.interior_nodes]).max() <= SolverOptions().inner_tol
+        assert 0 < stats.iterations <= 15
+
+    def test_a_failed_solve_leaves_its_steps_in_the_sink(self):
+        m = build_interval_mesh(-1, 1, 64)
+        sink = []
+        with pytest.raises(InnerSolveError):
+            _solve_prescribed(m, 1.0, SolverOptions(max_inner=1), initial=np.zeros(65),
+                              stats_sink=sink)
+        assert [stats.iterations for stats in sink] == [1] and sink[0].max_value > 0.0
+
     def test_rejects_non_finite_rhs(self):
         m = build_interval_mesh(-1, 1, 8)
         e = np.zeros(9)
@@ -173,6 +190,18 @@ class TestSolvePrescribed:
         # tolerance raised TypeError from the range comparison
         with pytest.raises(ValueError, match=re.escape(f"{name}={value!r}")):
             SolverOptions(**{name: value})
+
+    @pytest.mark.parametrize("name", ["inner_tol", "outer_tol"])
+    @pytest.mark.parametrize("value", [10 ** 400, np.longdouble("1e400")], ids=["int", "long"])
+    def test_options_reject_tolerances_past_the_floats(self, name, value):
+        # float() of the int overflows, of the long double it is inf
+        with pytest.raises(ValueError, match="positive and finite"):
+            SolverOptions(**{name: value})
+
+    def test_options_store_float_tolerances(self):
+        opts = SolverOptions(inner_tol=np.float32(1e-10), outer_tol=10 ** 300)
+        assert type(opts.inner_tol) is float and type(opts.outer_tol) is float
+        assert opts.outer_tol == 1e300
 
     def test_options_take_int_and_numpy_tolerances(self):
         opts = SolverOptions(inner_tol=np.float64(1e-10), outer_tol=1)
@@ -308,10 +337,39 @@ class TestSolveInclusion:
     def test_failed_escape_probes_raise(self):
         # u = 0 is a fixed point of the mid selection of neg_sign; on the
         # disk the probes that would leave it need more than one Newton step
-        # each from the flux start
+        # each from the flux start.  The stall is no fixed point: rho = 0
+        # there, yet the run has not converged
         m = build_disk_mesh(1.0, 3)
-        with pytest.raises(InnerSolveError, match="no convergence in 1 Newton"):
-            solve_inclusion(m, neg_sign(), SolverOptions(max_inner=1))
+        res = solve_inclusion(m, neg_sign(), SolverOptions(max_inner=1))
+        assert not res.converged and res.stationarity == 0.0
+        assert res.breakdown.startswith("no convergence in 1 Newton")
+        assert not res.u.values.any()
+        # both probes' steps are counted, and so are their iterates
+        assert res.inner_iterations == 2 and res.max_iterate_value > 0.0
+
+    # strong constant forcing: Newton reaches its roundoff floor, and the
+    # certificate decides; no primal iterate certifies the UNCERTIFIED runs
+    STRONG = {"n2": lambda: build_interval_mesh(-1, 1, 2),
+              "n64": lambda: build_interval_mesh(-1, 1, 64),
+              "n1024": lambda: build_interval_mesh(-1, 1, 1024),
+              "disk3": lambda: build_disk_mesh(1.0, 3), "disk4": lambda: build_disk_mesh(1.0, 4)}
+    UNCERTIFIED = {("n1024", 300), ("n1024", 1000), ("n1024", 3000), ("n64", 3000),
+                   ("disk4", 3000)}
+
+    @pytest.mark.parametrize("a", [300, 1000, 3000])
+    @pytest.mark.parametrize("name", sorted(STRONG))
+    def test_strong_forcing_ends_in_a_verdict(self, name, a):
+        res = solve_inclusion(self.STRONG[name](), constant(float(a)))
+        assert res.breakdown.startswith("Newton left the objective unchanged to roundoff")
+        assert res.inner_iterations < SolverOptions().max_inner  # no solve ran to the cap
+        assert res.converged == ((name, a) not in self.UNCERTIFIED)
+
+    def test_infeasible_initial_is_a_value_error(self):
+        m = build_interval_mesh(-1, 1, 8)
+        steep = Field.from_function(m, lambda x: 2.0 * (1 - abs(x[:, 0])),
+                                    dirichlet_zero=True)
+        with pytest.raises(StrictFeasibilityError):
+            solve_inclusion(m, neg_sign(), SolverOptions(initial=steep))
 
     def test_zero_rule(self):
         m = build_interval_mesh(-1, 1, 64)

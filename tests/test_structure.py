@@ -337,3 +337,41 @@ def test_the_certificate_scans_see_the_old_sites():
     assert sorted(call_sites(ast.parse(src), {"psi_gradient"})) == [
         ("psi_gradient", "_certificate"), ("psi_gradient", "inclusion_residual")]
     assert window_sites(ast.parse(src)) == {"windowed_envelopes", "_certificate"}
+
+
+def caught_names(module_tree):
+    """Names of the exception classes the `except` clauses of a module name."""
+    found = set()
+    for node in ast.walk(module_tree):
+        if isinstance(node, ast.ExceptHandler) and node.type is not None:
+            types = node.type.elts if isinstance(node.type, ast.Tuple) else [node.type]
+            found.update(getattr(t, "id", getattr(t, "attr", None)) for t in types)
+    return found
+
+
+def imported_names(module_tree):
+    """Every name a module's import statements bind or load from a module."""
+    return {alias.name for node in ast.walk(module_tree)
+            if isinstance(node, (ast.Import, ast.ImportFrom)) for alias in node.names}
+
+
+def test_only_the_solver_handles_inner_solve_errors():
+    # solve_inclusion ends every inner breakdown in a verdict, so no caller
+    # of it has an InnerSolveError left to handle
+    assert {name for name in MODULES if "InnerSolveError" in caught_names(tree(name))} == {
+        "solver"}
+    assert "InnerSolveError" not in imported_names(tree("cli"))
+
+
+def test_the_except_scan_sees_the_old_handlers():
+    src = ("from .solver import InnerSolveError, SolveResult\n"
+           "def _sweep_one(config):\n    try:\n        return run(config)\n"
+           "    except InnerSolveError as exc:\n        return None\n"
+           "def main():\n    try:\n        return handler()\n"
+           "    except solver.InnerSolveError:\n        return 2\n"
+           "    except (ValueError, OSError) as err:\n        return 1\n"
+           "    except:\n        return 3\n")
+    assert caught_names(ast.parse(src)) == {"InnerSolveError", "ValueError", "OSError"}
+    assert imported_names(ast.parse(src)) == {"InnerSolveError", "SolveResult"}
+    assert caught_names(ast.parse("try:\n    f()\nexcept ValueError:\n    pass\n")) == {
+        "ValueError"}
