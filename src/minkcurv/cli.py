@@ -103,27 +103,30 @@ class RunConfig:
         return _DOMAINS[self.domain_kind][0](**self.domain)
 
     def build_spec(self, mesh: Mesh) -> NonlinearitySpec:
-        """The forcing on `mesh`; a prescribed e(x) must be finite at every node."""
+        """The forcing on `mesh`; a prescribed e(x) must be finite at every
+        interior node (a boundary node's value is fixed, and the solver sets
+        the forcing there to 0).  A missing growth_c is the largest finite |e|
+        at the nodes."""
         if self.nonlinearity_kind != "prescribed":
             return self.spec
         p = self.nonlinearity
         source = p.get("expression", p.get("value"))
         try:
-            with np.errstate(all="ignore"):
-                e_raw = self.spec.evaluate(mesh.nodes, None)
-                if np.iscomplexobj(e_raw):
-                    raise ConfigError(f"prescribed forcing {source!r} is not real")
-                e_nodes = np.full(len(mesh.nodes), e_raw, dtype=float)
+            e_raw = self.spec.evaluate(mesh.nodes, None)
+            if np.iscomplexobj(e_raw):
+                raise ConfigError(f"prescribed forcing {source!r} is not real")
+            e_nodes = np.full(len(mesh.nodes), e_raw, dtype=float)
         except ArithmeticError as err:
             raise ConfigError(f"prescribed forcing {source!r} cannot be "
                               f"evaluated: {err}") from None
-        bad = np.flatnonzero(~np.isfinite(e_nodes))
+        finite = np.isfinite(e_nodes)
+        bad = mesh.interior_nodes[~finite[mesh.interior_nodes]]
         if bad.size:
             raise ConfigError(f"prescribed forcing {source!r} is {e_nodes[bad[0]]} "
                               f"at node {bad[0]} {mesh.nodes[bad[0]].tolist()}")
         if "growth_c" in p:
             return self.spec
-        return replace(self.spec, growth_c=float(np.abs(e_nodes).max()))
+        return replace(self.spec, growth_c=float(np.abs(e_nodes[finite]).max(initial=0.0)))
 
     def analytic_oracle(self, mesh: Mesh):
         """Closed-form radial solution when the domain is a ball and e is constant."""
@@ -200,7 +203,9 @@ def _expression_fn(expr: str, where: str):
         local["x"] = nodes[:, 0]
         local["y"] = nodes[:, 1] if nodes.shape[1] > 1 else np.zeros(len(nodes))
         local["r"] = np.sqrt((nodes ** 2).sum(axis=1))
-        return eval(code, {"__builtins__": {}}, local)
+        # a non-finite value is no warning: build_spec rejects it at an interior node
+        with np.errstate(all="ignore"):
+            return eval(code, {"__builtins__": {}}, local)
 
     return fn
 
@@ -489,7 +494,8 @@ def main(argv=None) -> int:
     p_verify.add_argument("--config", required=True)
     p_verify.add_argument("--solution", required=True)
     p_verify.add_argument("--seed", type=int, default=0,
-                          help="seed for the random trial fields (default 0)")
+                          help="unused: verify draws no random numbers (accepted for "
+                               "existing scripts)")
 
     p_sweep = sub.add_parser("sweep", help="re-run a config over parameter values")
     p_sweep.add_argument("--config", required=True)

@@ -25,16 +25,25 @@ FEASIBILITY_MARGIN = 1e-12
 
 
 class StrictFeasibilityError(ValueError):
-    """A gradient was requested too close to the constraint surface."""
+    """A gradient was requested too close to the constraint surface; `name`,
+    if given, names the field at the start of the message."""
 
-    def __init__(self, element: int, gradient_norm: float, margin: float):
+    def __init__(self, element: int, gradient_norm: float, margin: float, name: str = ""):
         super().__init__(
-            f"element {element} has |grad| = {gradient_norm:.17g} "
+            f"{name + ': ' if name else ''}element {element} has |grad| = {gradient_norm:.17g} "
             f"> 1 - {margin:g}; gradients are only defined strictly inside "
             f"the unit ball")
         self.element = element
         self.gradient_norm = gradient_norm
         self.margin = margin
+
+
+def check_margin(g2, margin: float, name: str = "") -> None:
+    """Raise `StrictFeasibilityError` (for the field `name`) at the largest
+    element gradient if some |g|^2 in `g2` exceeds (1 - margin)^2."""
+    if np.any(g2 > (1.0 - margin) ** 2):
+        bad = int(np.argmax(g2))
+        raise StrictFeasibilityError(bad, float(np.sqrt(g2[bad])), margin, name)
 
 
 @dataclass(frozen=True)
@@ -104,21 +113,22 @@ def psi_gradient(mesh: Mesh, field: Field, margin: float = FEASIBILITY_MARGIN) -
     """
     g = element_gradients(mesh, field.values)
     g2 = squared_norms(g)
-    limit = (1.0 - margin) ** 2
-    if np.any(g2 > limit):
-        bad = int(np.argmax(g2))
-        raise StrictFeasibilityError(bad, float(np.sqrt(g2[bad])), margin)
+    check_margin(g2, margin)
     return area_gradient(mesh, g, g2)[0]
 
 
 def script_f(mesh: Mesh, field: Field, spec: NonlinearitySpec) -> float:
     """Lumped potential term: sum of node_weight * F(x_i, v_i).
 
-    One array call of the spec's closed-form primitive when it has one;
-    otherwise one batched quadrature over all nodes (see `primitive_array`).
+    F is taken at the interior nodes only: a boundary node's value is fixed
+    at 0, where F(x, 0) = 0, and the forcing there may be infinite.  One
+    array call of the spec's closed-form primitive when it has one;
+    otherwise one batched quadrature over the interior (`primitive_array`).
     """
-    return float(np.dot(mesh.node_weight,
-                        primitive_array(spec, mesh.nodes, field.values)))
+    idx = mesh.interior_nodes
+    terms = np.zeros(len(mesh.nodes))
+    terms[idx] = primitive_array(spec, mesh.nodes[idx], field.values[idx])
+    return float(np.dot(mesh.node_weight, terms))
 
 
 def total_energy(mesh: Mesh, field: Field, spec: NonlinearitySpec) -> float:

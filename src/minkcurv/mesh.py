@@ -28,6 +28,7 @@ import math
 
 import numpy as np
 import scipy.sparse as sp
+from scipy.sparse.csgraph import dijkstra
 
 
 class MeshError(ValueError):
@@ -324,10 +325,15 @@ def max_gradient_norm(mesh: Mesh, values) -> float:
 def inradius(mesh: Mesh) -> float:
     """Largest distance from an interior node to the nearest boundary node.
 
-    For a field with per-element gradient norms <= 1 and zero boundary
-    values, |v| at any interior node is bounded by this constant (straight
-    segments to the boundary cross elements of slope at most one), so it
-    serves as the discrete uniform bound on the feasible set.
+    It bounds |v| on the feasible set (element gradient norms <= 1, zero
+    boundary values) when the marked nodes are the whole boundary of the
+    meshed domain, convex or not: the ball of radius dist(x, boundary)
+    around a point x lies in the domain, so the segment from x to its
+    nearest boundary point does too, v is 1-Lipschitz along it and 0 at its
+    end, and dist(x, boundary) is at most the distance to the nearest
+    boundary node.  It serves as the discrete uniform bound on the feasible
+    set.  A mesh that marks only some of its boundary nodes needs the
+    edge-path bound `_boundary_path_length` instead.
     """
     return float(_boundary_distance(mesh).max(initial=0.0))
 
@@ -350,12 +356,29 @@ def _boundary_distance(mesh: Mesh) -> np.ndarray:
     return dist
 
 
+@per_mesh
+def _boundary_path_length(mesh: Mesh) -> np.ndarray:
+    """Edge-length graph distance from each node to the nearest marked boundary
+    node, read-only, inf where no edge path reaches one.  It bounds |v_i| for
+    every field with element gradient norms <= 1 and zero marked boundary
+    values on any mesh: along an element edge v changes by at most the
+    edge's length.  One multi-source Dijkstra per mesh on `_adjacency`."""
+    A = _adjacency(mesh)[0]
+    tail = np.repeat(np.arange(A.shape[0]), np.diff(A.indptr))
+    lengths = A.copy()
+    lengths.data = np.sqrt(squared_norms(mesh.nodes[A.indices] - mesh.nodes[tail]))
+    dist = dijkstra(lengths, indices=mesh.boundary_nodes, min_only=True)
+    dist.setflags(write=False)
+    return dist
+
+
 # -- trial fields --------------------------------------------------------------
 
 @per_mesh
 def _adjacency(mesh: Mesh):
     """Node adjacency matrix (ones on element edges) and node degrees, read-only:
-    the graph of the trial fields and of the solver's elimination order."""
+    the graph of the trial fields, of `_boundary_path_length` and of the
+    solver's elimination order."""
     nv = mesh.dim + 1
     rows = np.repeat(mesh.elements, nv, axis=1).ravel()
     cols = np.tile(mesh.elements, (1, nv)).ravel()

@@ -75,8 +75,8 @@ from .mesh import (Field, Mesh, MeshError, _adjacency, element_gradients, max_gr
 # bench/worker.py wraps solver.bracket when it traces a run.
 from .nonlinearity import (NonlinearitySpec, bracket, envelopes, jump_limits,  # noqa: F401
                            selection)
-from .energy import (FEASIBILITY_MARGIN, area_gradient, area_value, gradient_adjoint,
-                     psi_gradient, total_energy)
+from .energy import (FEASIBILITY_MARGIN, area_gradient, area_value, check_margin,
+                     gradient_adjoint, psi_gradient, total_energy)
 
 
 class InnerSolveError(RuntimeError):
@@ -211,14 +211,17 @@ def inclusion_residual(mesh: Mesh, u: Field, spec: NonlinearitySpec,
 
 def _certificate(mesh: Mesh, spec: NonlinearitySpec, values):
     """(zeta, residuals, rho, lo, hi) at `values`: residuals are the
-    `inclusion_residual`, zeta is m clipped to the same windowed brackets,
+    `inclusion_residual`, zeta is m clipped to the same windowed brackets (0
+    where a bracket is not finite, as `_right_hand_side` makes the forcing),
     and [lo, hi] are the zero-window brackets that rho is measured against."""
     m = _operator_value(mesh, Field(mesh, values, dirichlet_zero=True))
     lo, hi = windowed_envelopes(mesh, spec, values)
     lo0, hi0 = envelopes(spec, mesh.nodes, values, 0.0)
     interior = mesh.interior_nodes
     rho = float(np.dot(mesh.node_weight[interior], _bracket_distance(mesh, m, lo0, hi0)[interior]))
-    return np.clip(m, lo, hi), _bracket_distance(mesh, m, lo, hi), rho, lo0, hi0
+    zeta = np.clip(m, lo, hi)
+    zeta[~np.isfinite(zeta)] = 0.0  # where the forcing is not finite: boundary nodes only
+    return zeta, _bracket_distance(mesh, m, lo, hi), rho, lo0, hi0
 
 
 @dataclass(frozen=True)
@@ -437,8 +440,10 @@ _FLAT_STEPS = 3  # accepted steps in a row within the objective's roundoff end a
 
 
 def _right_hand_side(mesh: Mesh, e) -> np.ndarray:
-    """`e` broadcast to one value per node; raises ValueError unless finite."""
-    e = np.broadcast_to(np.asarray(e, dtype=float), (len(mesh.nodes),))
+    """`e` as one value per node, 0 at the boundary nodes, whose values are
+    fixed; raises ValueError unless finite at every interior node."""
+    e = np.array(np.broadcast_to(np.asarray(e, dtype=float), (len(mesh.nodes),)))
+    e[mesh.boundary_nodes] = 0.0
     bad = np.flatnonzero(~np.isfinite(e))
     if bad.size:
         raise ValueError(f"forcing must be finite at every node, got {e[bad[0]]} at node {bad[0]}")
@@ -709,11 +714,16 @@ def solve_inclusion(mesh: Mesh, spec: NonlinearitySpec,
     start rule and the l1 stop of the module docstring.  An inner solve
     failure ends the loop at its last iterate, and a stall whose escape
     probes all fail is no fixed point; either sets `breakdown`.  Raises
-    ValueError for a non-finite forcing or an infeasible `initial`.
+    ValueError for a forcing that is not finite at an interior node, and
+    `StrictFeasibilityError` (a ValueError naming `initial`) before the loop
+    for an `initial` past the working margin.
     """
     opts = opts or SolverOptions()
     u = _start(mesh, opts)
     u[mesh.boundary_nodes] = 0.0
+    if opts.initial is not None:
+        check_margin(squared_norms(element_gradients(mesh, u)), FEASIBILITY_MARGIN,
+                     "SolverOptions.initial")
     kinks, rest_jumps = _Kinks.split(mesh, spec)
     interior = mesh.interior_nodes
     stats_all = []

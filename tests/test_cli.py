@@ -453,11 +453,12 @@ output.dir = {{out}}
 
 @pytest.mark.parametrize("command", ["solve", "verify", "sweep"])
 @pytest.mark.parametrize("expr, detail", [("1/x", "node 4 [0.0]"),
-                                          ("log(x+1)", "node 0 [-1.0]"),
+                                          ("log(abs(x+0.5))", "node 2 [-0.5]"),
                                           ("1/0", "cannot be evaluated"),
                                           ("1j*x", "is not real")])
 def test_unusable_expression_exits_1(tmp_path, capsys, command, expr, detail):
-    # x = 0 and x = -1 are mesh nodes, where 1/x and log(x+1) are infinite
+    # x = 0 and x = -0.5 are interior nodes, where 1/x and log(abs(x+0.5))
+    # are infinite
     cfg = write_cfg(tmp_path, NON_FINITE_CFG.format(expr=expr))
     argv = [command, "--config", str(cfg)]
     if command == "verify":
@@ -469,6 +470,33 @@ def test_unusable_expression_exits_1(tmp_path, capsys, command, expr, detail):
         assert main(argv) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: ") and repr(expr) in err and detail in err
+
+
+@pytest.mark.parametrize("domain, expr", [
+    ("domain.kind = interval\ndomain.a = -1\ndomain.b = 1\ndomain.n = 8\n", "log(x+1)"),
+    ("domain.kind = disk\ndomain.radius = 1\ndomain.refinement = 2\n", "1/(r < 0.9)"),
+], ids=["interval-log", "disk2"])
+def test_forcing_infinite_only_on_the_boundary_is_solved(tmp_path, capsys, domain, expr):
+    # log(x+1) is -inf at the boundary node x = -1; 1/(r < 0.9) is 1 inside
+    # the disk and inf on its rim.  The forcing there never enters the
+    # problem: the run solves, its outputs are finite and verify passes
+    text = domain + "nonlinearity.kind = prescribed\noutput.dir = {out}\n"
+    cfg = write_cfg(tmp_path, text + f"nonlinearity.expression = {expr}\n")
+    out = tmp_path / "out"
+    assert main(["solve", "--config", str(cfg)]) == 0
+    assert main(["verify", "--config", str(cfg), "--solution", str(out / "solution.csv")]) == 0
+    capsys.readouterr()
+    config = load_config(cfg)
+    mesh = config.build_mesh()
+    e = config.spec.evaluate(mesh.nodes, None)
+    assert config.build_spec(mesh).growth_c == np.abs(e[mesh.interior_nodes]).max()
+    table = np.loadtxt(out / "solution.csv", delimiter=",", skiprows=1)
+    assert np.all(np.isfinite(table))
+    if expr.startswith("1/"):  # the same u as the constant forcing 1
+        ref = write_cfg(tmp_path, text + "nonlinearity.value = 1\n", name="ref.cfg", out="ref")
+        assert main(["solve", "--config", str(ref)]) == 0
+        u = np.loadtxt(tmp_path / "ref" / "solution.csv", delimiter=",", skiprows=1)[:, 3]
+        assert np.array_equal(table[:, 3], u)
 
 
 POWER_CFG = PRESCRIBED_CFG.replace(

@@ -123,10 +123,10 @@ class TestSolvePrescribed:
         assert math.isfinite(err.residual) and err.residual > 0
         assert err.iterations == 1
 
-    def test_unchanged_iterate_fails_at_once(self):
-        # e = 100 saturates the interval: the accepted step stops moving the
-        # iterate bit for bit with the residual above inner_tol, and the same
-        # step would follow until max_inner
+    def test_flat_steps_above_the_max_norm_stop_fail(self):
+        # e = 100 saturates the interval: _FLAT_STEPS accepted steps in a row
+        # leave the objective unchanged to roundoff with the residual above
+        # inner_tol, and the solve raises there instead of running to max_inner
         m = build_interval_mesh(-1, 1, 64)
         with pytest.raises(InnerSolveError, match="unchanged") as info:
             _solve_prescribed(m, 100.0, SolverOptions())
@@ -134,9 +134,10 @@ class TestSolvePrescribed:
         assert err.iterations <= 20 and err.residual > SolverOptions().inner_tol
         assert f"{err.residual:.3e}" in str(err)
 
-    def test_unchanged_iterate_past_the_max_norm_stop_is_returned(self):
-        # an l1 target below roundoff: the iterate stops moving once the
-        # max-norm stop holds, and the solve returns it instead of failing
+    def test_flat_steps_past_the_max_norm_stop_are_returned(self):
+        # an l1 target below roundoff: once the max-norm stop holds, the
+        # _FLAT_STEPS steps that leave the objective unchanged to roundoff end
+        # the solve, which returns the iterate instead of failing
         m = build_disk_mesh(1.0, 3)
         values, stats = _solve_prescribed(m, 2.0, SolverOptions(), l1_tol=0.0)
         gradient = psi_gradient(m, Field(m, values)) + m.node_weight * 2.0
@@ -232,6 +233,52 @@ class TestSolvePrescribed:
         with pytest.raises(ValueError, match=message):
             solve_inclusion(mesh, spec)
         assert factors == []
+
+
+class TestBoundaryForcing:
+    """A forcing that is infinite only at boundary nodes, whose values are
+    fixed, is the forcing 0 there."""
+
+    @staticmethod
+    def infinite_on_the_boundary(mesh):
+        # 1 inside, inf on the boundary; the primitive is nan there, so an
+        # energy that took it at a boundary node would be nan
+        def forcing(x, s):
+            on_boundary = (x[:, None, :] == mesh.nodes[mesh.boundary_nodes]).all(axis=2)
+            return np.where(on_boundary.any(axis=1), np.inf, 1.0)
+        return NonlinearitySpec(evaluate=forcing, jumps=(),
+                                exact_primitive=lambda x, s: np.where(
+                                    np.isfinite(forcing(x, s)), s, np.nan))
+
+    def test_right_hand_side_is_zero_on_the_boundary(self):
+        m = build_disk_mesh(1.0, 2)
+        e = np.full(len(m.nodes), 1.0)
+        e[m.boundary_nodes] = np.inf
+        rhs = solver._right_hand_side(m, e)
+        assert np.all(rhs[m.boundary_nodes] == 0.0) and np.all(rhs[m.interior_nodes] == 1.0)
+        finite = solver._right_hand_side(m, 2.0)
+        assert np.all(finite[m.interior_nodes] == 2.0) and np.all(finite[m.boundary_nodes] == 0.0)
+
+    def test_solves_as_the_constant_forcing(self):
+        m = build_disk_mesh(1.0, 2)
+        res = solve_inclusion(m, self.infinite_on_the_boundary(m))
+        ref = solve_inclusion(m, constant(1.0))
+        assert res.converged and res.breakdown is None
+        assert np.array_equal(res.u.values, ref.u.values)
+        assert res.energy_trace == ref.energy_trace
+        assert res.stationarity == ref.stationarity
+        interior = m.interior_nodes
+        assert np.array_equal(res.zeta[interior], ref.zeta[interior])
+        assert np.all(res.zeta[m.boundary_nodes] == 0.0)
+        report = verification_report(m, res.u, res.zeta, self.infinite_on_the_boundary(m))
+        assert report.all_passed
+
+    def test_an_interior_node_is_still_checked(self):
+        m = build_disk_mesh(1.0, 2)
+        e = np.full(len(m.nodes), 1.0)
+        e[m.interior_nodes[0]] = np.inf
+        with pytest.raises(ValueError, match=f"at node {m.interior_nodes[0]}$"):
+            solver._right_hand_side(m, e)
 
 
 def newton_steps(monkeypatch):
@@ -370,6 +417,20 @@ class TestSolveInclusion:
                                     dirichlet_zero=True)
         with pytest.raises(StrictFeasibilityError):
             solve_inclusion(m, neg_sign(), SolverOptions(initial=steep))
+
+    def test_infeasible_initial_is_named_before_the_loop(self, monkeypatch):
+        m = build_interval_mesh(-1, 1, 8)
+        steep = Field.from_function(m, lambda x: 2.0 * (1 - abs(x[:, 0])),
+                                    dirichlet_zero=True)
+        inner, certificates = (counting(monkeypatch, "_inner_solve"),
+                               counting(monkeypatch, "_certificate"))
+        with pytest.raises(ValueError, match=r"^SolverOptions\.initial: element \d+ has "
+                                             r"\|grad\| = 2 > 1 - 1e-12"):
+            solve_inclusion(m, neg_sign(), SolverOptions(initial=steep))
+        assert inner == certificates == []
+        edge = Field.from_function(m, lambda x: (1 - 1e-10) * (1 - abs(x[:, 0])),
+                                   dirichlet_zero=True)
+        assert solve_inclusion(m, neg_sign(), SolverOptions(initial=edge)).converged
 
     def test_zero_rule(self):
         m = build_interval_mesh(-1, 1, 64)

@@ -1,6 +1,8 @@
 import dataclasses
+import gc
 import itertools
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -12,13 +14,13 @@ from minkcurv.energy import StrictFeasibilityError, psi, psi_gradient, total_ene
 from minkcurv.mesh import Field, Mesh, build_disk_mesh, build_interval_mesh, inradius
 from minkcurv.nonlinearity import (constant, envelopes, neg_sign, power, primitive_array,
                                    step)
-from minkcurv.solver import SolverOptions, solve_inclusion, solve_prescribed
+from minkcurv.solver import SolverOptions, _operator_value, solve_inclusion, solve_prescribed
 from minkcurv.verify import (VerificationReport, analytic_radial,
                              boundary_distance_cone, brute_force_minimize,
                              format_report, inclusion_residual,
                              random_feasible_field,
                              variational_inequality_check,
-                             verification_report)
+                             verification_report, vi_slack_bound)
 
 SQRT2 = math.sqrt(2.0)
 
@@ -193,6 +195,141 @@ class TestVariationalInequality:
         bad = Field(m, 5.0 * boundary_distance_cone(m).values)
         with pytest.raises(ValueError):
             variational_inequality_check(m, bad, np.zeros(len(m.nodes)), 0)
+
+
+def l_shape(k=4, marked=lambda x, y: True):
+    """[0, 2]^2 less (1, 2] x (1, 2], square cells of side 1/k each split along
+    the diagonal; the boundary nodes for which `marked(x, y)` holds are marked."""
+    i, j = np.meshgrid(np.arange(2 * k + 1), np.arange(2 * k + 1))
+    keep = (i <= k) | (j <= k)
+    idx = np.full(i.shape, -1)
+    idx[keep] = np.arange(keep.sum())
+    a, b, c, d = idx[:-1, :-1], idx[:-1, 1:], idx[1:, :-1], idx[1:, 1:]
+    cell = (i[:-1, :-1] < k) | (j[:-1, :-1] < k)
+    elements = np.stack([a, b, d, a, d, c], axis=-1)[cell].reshape(-1, 3)
+    x, y = i[keep] / k, j[keep] / k
+    edge = (x == 0) | (y == 0) | (x == 2) | (y == 2) | ((x >= 1) & (y >= 1))
+    return Mesh(np.column_stack([x, y]), elements, np.flatnonzero(edge & marked(x, y)))
+
+
+SLACK_MESHES = {"n64": lambda: build_interval_mesh(-1, 1, 64),
+                "disk3": lambda: build_disk_mesh(1.0, 3), "L": l_shape}
+
+
+class TestSlackBound:
+    @pytest.mark.parametrize("name", sorted(SLACK_MESHES))
+    def test_lies_below_the_sampled_slacks(self, name):
+        # the bound holds for every feasible field, so for the 200 drawn
+        # ones too, with the converged selection and with a perturbed one
+        m = SLACK_MESHES[name]()
+        res = solve_inclusion(m, neg_sign())
+        assert res.converged
+        perturbed = res.zeta + 0.3 * np.sin(7.0 * m.nodes[:, 0])
+        bounds = [vi_slack_bound(m, res.u, zeta) for zeta in (res.zeta, perturbed)]
+        for zeta, bound in zip((res.zeta, perturbed), bounds):
+            assert bound <= variational_inequality_check(m, res.u, zeta, 200)
+        assert -1e-9 <= bounds[0] <= 0.0 and bounds[1] < -0.1
+
+    def test_is_the_sum_over_the_interior(self):
+        m = build_disk_mesh(1.0, 2)
+        res = solve_inclusion(m, constant(1.5))
+        zeta = res.zeta + np.linspace(-1.0, 1.0, len(m.nodes))
+        idx = m.interior_nodes
+        reach = mesh_module._boundary_path_length(m) + np.abs(res.u.values)
+        excess = m.node_weight * np.abs(zeta - _operator_value(m, res.u))
+        assert vi_slack_bound(m, res.u, zeta) == pytest.approx(-np.dot(excess[idx], reach[idx]),
+                                                             rel=1e-14)
+
+    @pytest.mark.parametrize("shift", [1.0, -1.0])
+    def test_wrong_pair_fails_through_the_bound(self, shift):
+        # zeta = m +- 1 is off by one everywhere; with m - 1 the deterministic
+        # suite reads 0 and only the bound sees it
+        m = build_interval_mesh(-1, 1, 64)
+        res = solve_inclusion(m, neg_sign())
+        zeta = _operator_value(m, res.u) + shift
+        report = verification_report(m, res.u, zeta, neg_sign())
+        assert report.vi_slack_bound < -1.0
+        assert not report.passed["variational_inequality"] and not report.all_passed
+        if shift < 0:
+            assert report.vi_min_slack == 0.0
+
+    def test_report_draws_no_random_number(self, monkeypatch):
+        m = build_disk_mesh(1.0, 3)
+        res = solve_inclusion(m, neg_sign())
+
+        def no_draws(*args):
+            raise AssertionError("a random trial was drawn")
+
+        monkeypatch.setattr(verify_module, "_random_trial", no_draws)
+        texts = {format_report(verification_report(m, res.u, res.zeta, neg_sign(),
+                                                   vi_trials=trials, seed=seed))
+                 for trials, seed in ((200, 0), (0, 0), (7, 3), (1000, 99))}
+        assert len(texts) == 1
+        text = texts.pop()
+        assert "vi_min_slack 0\n" in text and "all_passed true" in text
+
+    def test_unreachable_nodes(self):
+        # no boundary node: the path length is inf, which adds 0 where zeta = m
+        m = Mesh([[0, 0], [1, 0], [0, 1]], [[0, 1, 2]], [])
+        u = Field.zero(m)
+        assert np.all(np.isinf(mesh_module._boundary_path_length(m)))
+        assert vi_slack_bound(m, u, np.zeros(3)) == 0.0
+        assert vi_slack_bound(m, u, np.ones(3)) == -math.inf
+
+    def test_past_the_margin_raises(self):
+        m = build_interval_mesh(-1, 1, 2)
+        u = Field.from_function(m, lambda x: (1 - 1e-13) * (1 - abs(x[:, 0])),
+                                dirichlet_zero=True)
+        with pytest.raises(StrictFeasibilityError):
+            vi_slack_bound(m, u, np.zeros(3))
+
+
+class TestBoundaryPathLength:
+    def test_interval_distance_is_exact(self):
+        m = build_interval_mesh(-1, 1, 16)
+        dist = mesh_module._boundary_path_length(m)
+        assert np.allclose(dist, 1.0 - np.abs(m.nodes[:, 0]), rtol=0, atol=1e-15)
+
+    def test_disk_path_is_no_shorter_than_the_segment(self):
+        m = build_disk_mesh(1.0, 3)
+        dist = mesh_module._boundary_path_length(m)
+        assert np.all(dist[m.boundary_nodes] == 0.0)
+        straight = mesh_module._boundary_distance(m)
+        assert np.all(dist[m.interior_nodes] >= straight - 1e-15)
+        assert dist.max() <= 1.2 * inradius(m)
+
+    def test_bounds_every_feasible_field_of_a_partly_marked_mesh(self):
+        # only the top of the left arm is marked: the corner (2, 0) lies 1 +
+        # sqrt(2) from it inside the L, farther than the straight sqrt(5)
+        m = l_shape(marked=lambda x, y: y == 2)
+        dist = mesh_module._boundary_path_length(m)
+        corner = np.flatnonzero((m.nodes == [2.0, 0.0]).all(axis=1))[0]
+        euclid = np.zeros(len(m.nodes))
+        euclid[m.interior_nodes] = mesh_module._boundary_distance(m)
+        assert euclid[corner] == pytest.approx(math.sqrt(5.0))
+        assert dist[corner] >= 1.0 + math.sqrt(2.0)
+        rng = np.random.default_rng(3)
+        for _ in range(50):
+            v = random_feasible_field(m, rng, max_gradient=1.0).values
+            assert np.all(np.abs(v) <= dist + 1e-12)
+
+    def test_built_once_read_only_and_freed_with_the_mesh(self, monkeypatch):
+        builds = []
+        build = mesh_module._boundary_path_length.__wrapped__
+        monkeypatch.setattr(mesh_module, "_boundary_path_length",
+                            mesh_module.per_mesh(lambda m: builds.append(1) or build(m)))
+        monkeypatch.setattr(verify_module, "_boundary_path_length",
+                            mesh_module._boundary_path_length)
+        m = build_disk_mesh(1.0, 2)
+        res = solve_inclusion(m, neg_sign())
+        for _ in range(2):
+            verification_report(m, res.u, res.zeta, neg_sign())
+        dist = mesh_module._boundary_path_length(m)
+        assert len(builds) == 1 and not dist.flags.writeable
+        mesh_ref, dist_ref = weakref.ref(m), weakref.ref(dist)
+        del m, res, dist
+        gc.collect()
+        assert mesh_ref() is None and dist_ref() is None
 
 
 class TestAnalyticRadial:
@@ -403,6 +540,15 @@ class TestVerificationReport:
                                      bruteforce_step=0.02)
         assert report.bruteforce_gap is not None
         assert report.passed["bruteforce"]
+
+    def test_slack_bound_follows_the_min_slack(self):
+        m = build_interval_mesh(-1, 1, 64)
+        res = solve_inclusion(m, neg_sign())
+        report = verification_report(m, res.u, res.zeta, neg_sign())
+        lines = format_report(report).splitlines()
+        assert lines[1:3] == [f"vi_min_slack {report.vi_min_slack:.17g}",
+                              f"vi_slack_bound {report.vi_slack_bound:.17g}"]
+        assert -1e-9 <= report.vi_slack_bound <= 0.0 and report.all_passed
 
     def test_flat_serialization(self):
         rep = VerificationReport(max_inclusion_residual=0.5, vi_min_slack=-2e-7,
