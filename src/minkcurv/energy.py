@@ -70,7 +70,9 @@ def gradient_adjoint(mesh: Mesh, weight, x):
     one vector per element (M, dim), `weight` one scalar per element (M,),
     and B x (M, dim+1) applies the basis gradients to x.  The transpose of
     `element_gradients` applied to weight * x."""
-    Bx = np.einsum("evd,ed->ev", mesh.basis_gradients, x)
+    Bx = 0.0  # B x summed over d from +0.0, as einsum sums
+    for d in range(mesh.dim):
+        Bx = Bx + mesh.basis_gradients[:, :, d] * x[:, d, None]
     total = np.bincount(mesh.elements.ravel(), weights=(weight[:, None] * Bx).ravel(),
                         minlength=len(mesh.nodes))
     return total, Bx

@@ -15,8 +15,9 @@ Objective and gradient come from the area kernel of `energy`; the exact
 Hessian blows up like (1-|g|^2)^(-3/2) near the constraint surface, so
 Newton directions are naturally repelled from it.  One function,
 `_factor`, factors every matrix: banded Cholesky in 1D, where the interior
-in coordinate order has a banded Hessian, else SuperLU.  Every 1D step
-factors its Hessian.  A 2D direction is inexact: CG preconditioned by the
+in coordinate order has a banded Hessian (LAPACK's `?ptsv` on a tridiagonal
+band, `?pbsv` on a single node's, called directly), else SuperLU.  Every 1D
+step factors its Hessian.  A 2D direction is inexact: CG preconditioned by the
 factor the solve holds, stopped at the relative residual min(0.1,
 (r / r_0)^2), with r the residual and r_0 the solve's first one
 (dimensionless Eisenstat-Walker forcing), or once the residual's 2-norm is
@@ -66,7 +67,7 @@ from dataclasses import dataclass, field as dataclass_field
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.linalg import LinAlgError, solveh_banded
+from scipy.linalg import LinAlgError, get_lapack_funcs
 from scipy.sparse.linalg import LinearOperator, cg, splu
 
 from .mesh import (Field, Mesh, MeshError, _adjacency, element_gradients, max_gradient_norm,
@@ -252,7 +253,7 @@ class _Kinks:
         Per kink and t = u - level: 0 for t <= 0, t^2 / (2 gamma) on the band
         0 < t < gamma * jump, jump * (t - gamma * jump / 2) above it."""
         t = values - self.level
-        slope = np.clip(t / gamma, 0.0, self.jump)
+        slope = np.minimum(np.maximum(t / gamma, 0.0), self.jump)
         return ((slope * (t - 0.5 * gamma * slope)).sum(axis=0), slope.sum(axis=0),
                 (t > 0.0) & (t < gamma * self.jump))
 
@@ -370,12 +371,12 @@ def _newton_workspace(mesh: Mesh) -> _NewtonWorkspace:
         upper = np.full((width + 1, n), len(slots))
         above = row <= column
         upper[(width + row - column)[above], column[above]] = np.flatnonzero(above)
-    B = mesh.basis_gradients
+    Bt = np.ascontiguousarray(mesh.basis_gradients.transpose(2, 1, 0))  # (dim, nv, M)
     workspace = _NewtonWorkspace(
         order=interior[order], indptr=indptr, indices=row.astype(np.int32),
         columns=column.astype(np.int32), scatter=scatter,
         diagonal=np.flatnonzero(row == column),
-        stiffness=np.ascontiguousarray(np.einsum("evd,ewd->evw", B, B).transpose(1, 2, 0)),
+        stiffness=sum(Bd[:, None] * Bd[None, :] for Bd in Bt),
         upper=upper)
     for arr in vars(workspace).values():
         if arr is not None:
@@ -401,12 +402,23 @@ def _area_hessian(mesh: Mesh, ws: _NewtonWorkspace, root, Bg) -> np.ndarray:
 
 def _factor(ws: _NewtonWorkspace, data):
     """rhs -> M^-1 rhs for the SPD interior matrix M with Hessian data `data`:
-    in 1D a banded Cholesky solve on the band `ws.upper` gathers, else the
-    SuperLU factor of M in elimination order (no column reordering, no
+    in 1D banded Cholesky on the band `ws.upper` gathers, by the LAPACK
+    routine `scipy.linalg.solveh_banded` picks, called directly (`?ptsv` on a
+    band of two rows, `?pbsv` on the one row of a single interior node), else
+    the SuperLU factor of M in elimination order (no column reordering, no
     pivoting), which lives as long as the function."""
     if ws.upper is not None:
         band = np.append(data, 0.0)[ws.upper]
-        return lambda rhs: solveh_banded(band, rhs, check_finite=False)
+        tridiagonal = len(band) == 2
+        routine, = get_lapack_funcs(("ptsv" if tridiagonal else "pbsv",), (band,))
+        args = (band[1], band[0, 1:]) if tridiagonal else (band,)
+
+        def band_solve(rhs):
+            *_, x, info = routine(*args, rhs)  # the inputs are copied: the band serves again
+            if info > 0:
+                raise LinAlgError(f"{info}-th leading minor not positive definite")
+            return x
+        return band_solve
     return splu(ws.matrix(data), permc_spec="NATURAL", diag_pivot_thresh=0.0,
                 options=dict(SymmetricMode=True)).solve
 
@@ -446,7 +458,8 @@ def _right_hand_side(mesh: Mesh, e) -> np.ndarray:
     e[mesh.boundary_nodes] = 0.0
     bad = np.flatnonzero(~np.isfinite(e))
     if bad.size:
-        raise ValueError(f"forcing must be finite at every node, got {e[bad[0]]} at node {bad[0]}")
+        raise ValueError(f"forcing must be finite at every interior node, got {e[bad[0]]} "
+                         f"at node {bad[0]}")
     return e
 
 
@@ -524,19 +537,21 @@ def _solve_prescribed(mesh: Mesh, e, opts: SolverOptions, initial=None, kinks=_N
                                iterations=stats.iterations)
 
     g, g2 = grad_sq(values)
-    if np.any(g2 > limit2):
+    if (g2 > limit2).any():
         raise failure("initial iterate violates the working feasibility margin", math.inf)
 
     def objective(g2_local, vals):
+        """(objective, the kinks' `smoothed` triple at `vals`, which the step reuses)."""
+        smooth = kinks.smoothed(vals, gamma)
         return (area_value(mesh, g2_local) + float(np.dot(linear[interior], vals[interior]))
-                + float(np.dot(mesh.node_weight, kinks.smoothed(vals, gamma)[0])))
+                + float(np.dot(mesh.node_weight, smooth[0]))), smooth
 
     ws = _newton_workspace(mesh)
     order = ws.order
     fixed = np.zeros(len(order), bool) if pinned is None else pinned[order]
     pinning = fixed[ws.indices] | fixed[ws.columns]  # the slots of pinned rows and columns
     held = None  # K0^-1 or the solve's last `_factor`
-    obj = objective(g2, values)
+    obj, (_, slope, band) = objective(g2, values)
     flat = 0  # accepted steps in a row that moved the objective by at most its noise
     for _ in range(opts.max_inner + 1):
         stats.max_value = max(stats.max_value, float(np.abs(values).max()))
@@ -544,7 +559,6 @@ def _solve_prescribed(mesh: Mesh, e, opts: SolverOptions, initial=None, kinks=_N
         stats.objectives.append(obj)
         # the Hessian reuses the kernel's root and B g
         full_grad, root, Bg = area_gradient(mesh, g, g2)
-        _, slope, band = kinks.smoothed(values, gamma)
         grad = full_grad[order] + linear[order] + (mesh.node_weight * slope)[order]
         grad[fixed] = 0.0
         residual = float(np.abs(grad).max()) if grad.size else 0.0
@@ -590,7 +604,7 @@ def _solve_prescribed(mesh: Mesh, e, opts: SolverOptions, initial=None, kinks=_N
                 direction = held(-grad)
         except (RuntimeError, LinAlgError) as err:
             raise failure(f"Hessian factorization failed: {err}", residual) from err
-        if not np.all(np.isfinite(direction)):
+        if not np.isfinite(direction).all():
             raise failure("non-finite Newton direction", residual)
 
         descent = float(np.dot(grad, direction))
@@ -602,15 +616,15 @@ def _solve_prescribed(mesh: Mesh, e, opts: SolverOptions, initial=None, kinks=_N
             cand = values.copy()
             cand[order] += t * direction
             g_c, g2_c = grad_sq(cand)
-            if np.all(g2_c <= limit2):
-                obj_c = objective(g2_c, cand)
+            if (g2_c <= limit2).all():
+                obj_c, smooth_c = objective(g2_c, cand)
                 if obj_c <= obj + 1e-4 * t * descent + noise:
                     break
             t *= 0.5
             if t < 1e-18:
                 raise failure(f"line search stalled (residual {residual:.3e})", residual)
         flat = flat + 1 if abs(obj_c - obj) <= noise else 0
-        values, g, g2, obj = cand, g_c, g2_c, obj_c
+        values, g, g2, obj, (_, slope, band) = cand, g_c, g2_c, obj_c, smooth_c
         stats.iterations += 1
     raise AssertionError("unreachable")
 

@@ -1,8 +1,8 @@
 """Checks of a candidate solution: the critical-point inequality (a proven
 bound over every feasible field, and a sampled cross-check), closed-form
 radial oracles, a brute-force global minimizer for tiny meshes, and the
-report that composes them with `solver.inclusion_residual`, the one
-implementation of the per-node inclusion residual.
+report that composes them with the per-node inclusion residual, built from
+the pieces of `solver.inclusion_residual`, their one implementation.
 """
 
 from __future__ import annotations
@@ -14,14 +14,15 @@ from typing import Optional
 import numpy as np
 
 # `bracket`, `psi`, `psi_gradient`, `random_feasible_field` and
-# `windowed_envelopes` are no longer called here; they stay module attributes
+# `inclusion_residual` are no longer called here; they stay module attributes
 # because bench/worker.py wraps them when it traces a run.
 from .mesh import (Field, Mesh, _boundary_path_length, _largest_norm,  # noqa: F401
                    _random_trial, boundary_distance_cone, element_gradients, inradius,
                    per_mesh, random_feasible_field, squared_norms)
 from .nonlinearity import NonlinearitySpec, bracket, primitive_array  # noqa: F401
 from .energy import area_value, psi, psi_gradient, total_energy  # noqa: F401
-from .solver import _operator_value, inclusion_residual, windowed_envelopes  # noqa: F401
+from .solver import (_bracket_distance, _operator_value, inclusion_residual,  # noqa: F401
+                     windowed_envelopes)
 
 
 # -- critical-point inequality ---------------------------------------------------
@@ -39,9 +40,13 @@ def vi_slack_bound(mesh: Mesh, u: Field, zeta) -> float:
     on any mesh.  A node that no path joins to the boundary adds 0 where
     zeta = m, else -inf.  Raises `StrictFeasibilityError` past the margin.
     """
+    return _slack_bound(mesh, u, zeta, _operator_value(mesh, u))
+
+
+def _slack_bound(mesh: Mesh, u: Field, zeta, m) -> float:
+    """`vi_slack_bound` with the operator value `m` of u given."""
     idx = mesh.interior_nodes
-    excess = mesh.node_weight[idx] * np.abs(np.asarray(zeta, dtype=float)[idx]
-                                            - _operator_value(mesh, u)[idx])
+    excess = mesh.node_weight[idx] * np.abs(np.asarray(zeta, dtype=float)[idx] - m[idx])
     reach = _boundary_path_length(mesh)[idx] + np.abs(u.values[idx])
     return -float(np.dot(excess, np.where(excess > 0.0, reach, 0.0)))
 
@@ -202,11 +207,14 @@ def brute_force_minimize(mesh: Mesh, spec: NonlinearitySpec, grid_step: float):
     grid = np.arange(-half, half + 1) * grid_step
     x = mesh.nodes[chain, 0]
     options = [np.zeros(1) if mesh.is_boundary[i] else grid for i in chain]
-    # lumped potential per node, tabulated over its options in one call
+    # lumped potential per node, over the interior nodes' options in one call (0 on the boundary)
     sizes = [len(v) for v in options]
-    node_terms = np.split(np.repeat(mesh.node_weight[chain], sizes) * primitive_array(
-        spec, np.repeat(mesh.nodes[chain], sizes, axis=0), np.concatenate(options)),
-        np.cumsum(sizes)[:-1])
+    node, flat = np.repeat(chain, sizes), np.concatenate(options)
+    inner = ~mesh.is_boundary[node]
+    terms = np.zeros(len(flat))
+    terms[inner] = mesh.node_weight[node[inner]] * primitive_array(
+        spec, mesh.nodes[node[inner]], flat[inner])
+    node_terms = np.split(terms, np.cumsum(sizes)[:-1])
     # best[j]: least energy of the chain from node k on, with node k at option j
     best, choices = node_terms[-1], []
     for k in range(len(chain) - 2, -1, -1):
@@ -268,10 +276,11 @@ def verification_report(mesh: Mesh, u: Field, zeta, spec: NonlinearitySpec, *,
     them.  A candidate past the working margin raises
     `StrictFeasibilityError`.
     """
-    res = inclusion_residual(mesh, u, spec)
+    m = _operator_value(mesh, u)  # once, for the residual and the slack bound
+    res = _bracket_distance(mesh, m, *windowed_envelopes(mesh, spec, u.values))
     max_res = float(res[mesh.interior_nodes].max()) if mesh.interior_nodes.size else 0.0
     vi = min(_trial_slacks(mesh, u, zeta, 0, 0))
-    vi_bound = vi_slack_bound(mesh, u, zeta)
+    vi_bound = _slack_bound(mesh, u, zeta, m)
     passed = {
         "inclusion": max_res <= residual_tol,
         "variational_inequality": vi >= -vi_tol and vi_bound >= -vi_tol,

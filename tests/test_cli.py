@@ -6,7 +6,6 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from scipy.linalg import LinAlgError
 
 from minkcurv import cli, solver
 from minkcurv.cli import (ConfigError, load_config, main, parse_flat_config,
@@ -412,10 +411,13 @@ def test_inner_solve_failure_exits_2(tmp_path, capsys, command):
 
 
 def test_band_solve_failure_exits_2(tmp_path, capsys, monkeypatch):
-    # a 1D Hessian that banded Cholesky rejects fails the inner solve
-    def failing(*args, **kwargs):
-        raise LinAlgError("2-th leading minor not positive definite")
-    monkeypatch.setattr(solver, "solveh_banded", failing)
+    # a 1D Hessian that banded Cholesky rejects (LAPACK's info 2: the
+    # second minor) fails the inner solve
+    lapack = solver.get_lapack_funcs
+
+    def failing(names, arrays):
+        return tuple(lambda *args, f=f: (*f(*args)[:-1], 2) for f in lapack(names, arrays))
+    monkeypatch.setattr(solver, "get_lapack_funcs", failing)
     cfg = write_cfg(tmp_path, PRESCRIBED_CFG)
     assert main(["solve", "--config", str(cfg)]) == 2
     assert ("inner solve failed: Hessian factorization failed: 2-th"

@@ -8,7 +8,7 @@ import weakref
 import numpy as np
 import pytest
 import scipy.sparse as sp
-from scipy.linalg import LinAlgError
+from scipy.linalg import solveh_banded
 from scipy.sparse.linalg import splu
 
 from minkcurv import solver
@@ -229,7 +229,7 @@ class TestSolvePrescribed:
             evaluate=lambda x, s: np.where((x == mesh.nodes[node]).all(axis=1), np.inf, 1.0),
             jumps=())
         factors = counting(monkeypatch, "_factor")
-        message = f"^forcing must be finite at every node, got inf at node {node}$"
+        message = f"^forcing must be finite at every interior node, got inf at node {node}$"
         with pytest.raises(ValueError, match=message):
             solve_inclusion(mesh, spec)
         assert factors == []
@@ -373,7 +373,7 @@ class TestFluxStart:
         assert err.value.residual == np.abs(mesh.node_weight[mesh.interior_nodes]).max()
 
     def test_non_finite_rhs_fails_before_any_solve(self, monkeypatch):
-        calls = counting(monkeypatch, "solveh_banded")
+        calls = counting(monkeypatch, "get_lapack_funcs")
         m = build_interval_mesh(-1, 1, 8)
         with pytest.raises(ValueError, match="finite"):
             solve_prescribed(m, np.full(9, math.inf))
@@ -793,6 +793,14 @@ class TestIncreasingJumps:
             assert abs(res.energy - brute) <= 1e-3
 
 
+def band_routines(monkeypatch, wrap):
+    """Hand every LAPACK routine the solver gets through `get_lapack_funcs`
+    to it as `wrap(routine)`."""
+    lapack = solver.get_lapack_funcs
+    monkeypatch.setattr(solver, "get_lapack_funcs",
+                        lambda names, arrays: tuple(wrap(f) for f in lapack(names, arrays)))
+
+
 def counting(monkeypatch, name):
     """Count the calls the solver makes to its module attribute `name`."""
     calls = []
@@ -824,6 +832,18 @@ PROBE_CASES = [
 
 
 class TestSingleInnerPath:
+    def test_one_envelope_pass_per_objective(self, monkeypatch):
+        # a kinked solve smooths its kinks once per objective evaluation: the
+        # line search's accepted point hands its triple to the next step
+        mesh = build_interval_mesh(-1, 1, 64)
+        kinks, _ = solver._Kinks.split(mesh, step(-1.0, 1.0, 0.25))
+        objectives, smoothings = counting(monkeypatch, "area_value"), []
+        smoothed = solver._Kinks.smoothed
+        monkeypatch.setattr(solver._Kinks, "smoothed",
+                            lambda *args: smoothings.append(1) or smoothed(*args))
+        _, stats = _solve_prescribed(mesh, -1.0, SolverOptions(), kinks=kinks, gamma=0.01)
+        assert stats.iterations > 1 and len(smoothings) == len(objectives) > stats.iterations
+
     @pytest.mark.parametrize("spec, rows, rest_jumps", [
         (neg_sign(), 0, True), (constant(1.0), 0, False), (step(-1.0, 1.0, 0.25), 1, False),
         (step(1.0, -1.0, 0.1), 0, True),
@@ -947,6 +967,13 @@ def cube_mesh(cells):
             elements.append(tet)
     boundary = [i for i, x in enumerate(grid) if np.any((x == 0) | (x == cells))]
     return Mesh(nodes, elements, boundary)
+
+
+def shuffled_ids(mesh, seed=7):
+    """(the mesh with its node ids permuted, the new id of each old node)."""
+    new_id = np.random.default_rng(seed).permutation(len(mesh.nodes))
+    return (Mesh(mesh.nodes[np.argsort(new_id)], new_id[mesh.elements],
+                 new_id[mesh.boundary_nodes]), new_id)
 
 
 WORKSPACE_MESHES = {
@@ -1105,19 +1132,21 @@ class TestNewtonWorkspace:
         mesh = build_interval_mesh(-1, 1, 64)
         ws = _newton_workspace(mesh)
         hessians, errors = [], []
-        assemble, band_solve = solver._area_hessian, solver.solveh_banded
+        assemble = solver._area_hessian
 
         def recording(*args):
             hessians.append(assemble(*args))  # shifted and pinned in place
             return hessians[-1]
 
-        def checked(band, rhs, **kwargs):
-            reference = splu(ws.matrix(hessians[-1])).solve(rhs)
-            direction = band_solve(band, rhs, **kwargs)
-            errors.append(np.abs(direction - reference).max() / np.abs(reference).max())
-            return direction
+        def checked(routine):
+            def solve(*args):  # the right-hand side is the last argument
+                out = routine(*args)  # (..., solution, info)
+                reference = splu(ws.matrix(hessians[-1])).solve(args[-1])
+                errors.append(np.abs(out[-2] - reference).max() / np.abs(reference).max())
+                return out
+            return solve
         monkeypatch.setattr(solver, "_area_hessian", recording)
-        monkeypatch.setattr(solver, "solveh_banded", checked)
+        band_routines(monkeypatch, checked)
         mask = np.zeros(len(mesh.nodes), bool)
         mask[list(pinned)] = True
         values, stats = _solve_prescribed(mesh, 1.0, SolverOptions(),
@@ -1131,9 +1160,7 @@ class TestNewtonWorkspace:
         # Hessian is tridiagonal whatever the node ids
         factors = counting(monkeypatch, "splu")
         mesh = build_interval_mesh(-1, 1, 64)
-        new_id = np.random.default_rng(7).permutation(len(mesh.nodes))
-        shuffled = Mesh(mesh.nodes[np.argsort(new_id)], new_id[mesh.elements],
-                        new_id[mesh.boundary_nodes])
+        shuffled, new_id = shuffled_ids(mesh)
         assert _newton_workspace(shuffled).upper.shape == (2, 63)
         for spec in (step(-1.0, 1.0, 0.25), neg_sign()):
             res, res_shuffled = solve_inclusion(mesh, spec), solve_inclusion(shuffled, spec)
@@ -1142,10 +1169,35 @@ class TestNewtonWorkspace:
             assert np.array_equal(res_shuffled.u.values[new_id], res.u.values)
         assert factors == []
 
+    @pytest.mark.parametrize("build, routine", [
+        (lambda: build_interval_mesh(-1, 1, 64), "ptsv"),
+        (lambda: shuffled_ids(build_interval_mesh(-1, 1, 64))[0], "ptsv"),
+        (lambda: build_interval_mesh(-1, 1, 2), "pbsv"),
+    ], ids=["n64", "n64-shuffled", "one-interior-node"])
+    def test_band_solve_is_bit_equal_to_solveh_banded(self, monkeypatch, build, routine):
+        # the direct LAPACK call is the routine solveh_banded picks for the
+        # band: ptsv for two rows, pbsv for the one row of a single node
+        mesh = build()
+        ws = _newton_workspace(mesh)
+        rng = np.random.default_rng(11)
+        values = rng.standard_normal(len(mesh.nodes))
+        values[mesh.boundary_nodes] = 0.0
+        values *= 0.9 / max_gradient_norm(mesh, values)
+        g = element_gradients(mesh, values)
+        data = _area_hessian(mesh, ws, np.sqrt(1.0 - (g * g).sum(axis=1)),
+                             np.einsum("evd,ed->ev", mesh.basis_gradients, g))
+        asked, lapack = [], solver.get_lapack_funcs
+        monkeypatch.setattr(solver, "get_lapack_funcs",
+                            lambda names, arrays: asked.append(names) or lapack(names, arrays))
+        solve = solver._factor(ws, data)
+        assert asked == [(routine,)] and len(ws.upper) == (2 if routine == "ptsv" else 1)
+        for rhs in (rng.standard_normal(len(ws.order)), rng.standard_normal(len(ws.order))):
+            reference = solveh_banded(np.append(data, 0.0)[ws.upper], rhs)
+            assert np.array_equal(solve(rhs), reference)  # the factor serves again
+
     def test_band_solve_failure_is_a_factorization_failure(self, monkeypatch):
-        def failing(*args, **kwargs):
-            raise LinAlgError("2-th leading minor not positive definite")
-        monkeypatch.setattr(solver, "solveh_banded", failing)
+        # LAPACK reports a failed band Cholesky by info > 0, here the second minor
+        band_routines(monkeypatch, lambda routine: lambda *args: (*routine(*args)[:-1], 2))
         with pytest.raises(InnerSolveError, match="^Hessian factorization failed: 2-th") as err:
             solve_prescribed(build_interval_mesh(-1, 1, 64), 1.0)
         assert err.value.iterations == 0 and not err.value.last_values.any()

@@ -266,9 +266,10 @@ def test_the_margin_scan_sees_the_old_margins():
         "self.margin = 1e-09", "1.0 - 1e-09"])
 
 
-# scipy's factorizations and direct solves
+# scipy's factorizations and direct solves, and the LAPACK band solves
 FACTORIZATIONS = {"splu", "spilu", "factorized", "spsolve", "solveh_banded", "solve_banded",
-                  "cholesky_banded", "cho_factor", "lu_factor"}
+                  "cholesky_banded", "cho_factor", "lu_factor", "get_lapack_funcs", "ptsv",
+                  "pbsv", "dptsv", "dpbsv"}
 
 
 def call_sites(module_tree, names):
@@ -293,14 +294,18 @@ def test_one_factor_function():
     # every matrix a Newton step or the K0 slot solves with is factored by
     # solver._factor, the one place that knows the band and SuperLU settings
     sites = {(name, *site) for name in MODULES for site in call_sites(tree(name), FACTORIZATIONS)}
-    assert sites == {("solver", "solveh_banded", "_factor"), ("solver", "splu", "_factor")}
+    assert sites == {("solver", "get_lapack_funcs", "_factor"), ("solver", "splu", "_factor")}
 
 
 def test_the_call_scan_sees_the_old_factor_sites():
     src = ("def _k0(ws):\n    return lambda rhs: solveh_banded(band, rhs)\n"
            "def step(m):\n    d = linalg.solveh_banded(b, r)\n    return _factor(m).solve(r)\n"
-           "def _factor(m):\n    return splu(m)\n")
+           "def _factor(m):\n    return splu(m)\n"
+           "def _band(b, r):\n    pbsv, = get_lapack_funcs(('pbsv',), (b,))\n"
+           "    return pbsv(b, r)\n"
+           "def _tridiagonal(d, e, r):\n    return lapack.dptsv(d, e, r)[2]\n")
     assert sorted(call_sites(ast.parse(src), FACTORIZATIONS)) == [
+        ("dptsv", "_tridiagonal"), ("get_lapack_funcs", "_band"), ("pbsv", "_band"),
         ("solveh_banded", "_k0"), ("solveh_banded", "step"), ("splu", "_factor")]
 
 

@@ -12,8 +12,8 @@ import minkcurv.mesh as mesh_module
 import minkcurv.verify as verify_module
 from minkcurv.energy import StrictFeasibilityError, psi, psi_gradient, total_energy
 from minkcurv.mesh import Field, Mesh, build_disk_mesh, build_interval_mesh, inradius
-from minkcurv.nonlinearity import (constant, envelopes, neg_sign, power, primitive_array,
-                                   step)
+from minkcurv.nonlinearity import (NonlinearitySpec, constant, envelopes, neg_sign, power,
+                                   primitive_array, step)
 from minkcurv.solver import SolverOptions, _operator_value, solve_inclusion, solve_prescribed
 from minkcurv.verify import (VerificationReport, analytic_radial,
                              boundary_distance_cone, brute_force_minimize,
@@ -428,6 +428,20 @@ class TestBruteForce:
         _, energy = brute_force_minimize(m, twin, 0.01)
         assert len(calls) == 2
         assert energy == pytest.approx(brute_force_minimize(m, spec, 0.01)[1], abs=1e-12)
+
+    def test_boundary_forcing_does_not_count(self):
+        # a boundary node's value is fixed at 0, so its node term is 0 even
+        # where the forcing, and with it the exact primitive, is not finite
+        m = build_interval_mesh(-1, 1, 4)
+        ends = m.nodes[m.boundary_nodes]
+
+        def forcing(x, s):
+            return np.where((x[:, None, :] == ends).all(axis=2).any(axis=1), np.inf, 1.0)
+        spec = NonlinearitySpec(evaluate=forcing, jumps=(), exact_primitive=lambda x, s: np.where(
+            np.isfinite(forcing(x, s)), s, np.nan))
+        vals, energy = brute_force_minimize(m, spec, 0.01)
+        ref_vals, ref_energy = brute_force_minimize(m, constant(1.0), 0.01)
+        assert energy == ref_energy and np.array_equal(vals, ref_vals)
 
     def test_zero_rule_minimizer_is_zero(self):
         m = build_interval_mesh(-1, 1, 4)
