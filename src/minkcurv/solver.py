@@ -14,30 +14,34 @@ kink-free solves of `solve_inclusion` also need |g|_1 <= outer_tol / 10 *
 Objective and gradient come from the area kernel of `energy`; the exact
 Hessian blows up like (1-|g|^2)^(-3/2) near the constraint surface, so
 Newton directions are naturally repelled from it.  One function,
-`_factor`, factors every matrix: banded Cholesky in 1D, where the interior
-in coordinate order has a banded Hessian (LAPACK's `?ptsv` on a tridiagonal
-band, `?pbsv` on a single node's, called directly), else SuperLU.  Every 1D
-step factors its Hessian.  A 2D direction is inexact: CG preconditioned by the
-factor the solve holds, stopped at the relative residual min(0.1,
-(r / r_0)^2), with r the residual and r_0 the solve's first one
-(dimensionless Eisenstat-Walker forcing), or once the residual's 2-norm is
-a tenth of `inner_tol`, past which the step's max-norm stop needs nothing
-more.  A solve with no kinks and no pinned nodes holds the factor of K0 =
-sum_e m_e B B^T (the Hessian at the zero field); one K0 factor at most is
-alive per process, and it serves every such solve on its mesh until
-another mesh needs it, the mesh dies or `solve_inclusion` returns.  A
-kinked or pinned solve's first step and a step whose CG misses its forcing
-factor their own Hessian, and the solve holds it (a lagged preconditioner).
+`_factor`, factors every matrix once: banded Cholesky in 1D, where the
+interior in coordinate order has a banded Hessian (LAPACK's `?pttrf` on a
+tridiagonal band, `?pbtrf` on a single node's, called directly), else
+SuperLU.  Every 1D step factors its Hessian.  A 2D direction is inexact:
+CG preconditioned by the factor the solve holds, stopped at the relative
+residual min(0.1, (r / r_0)^2), with r the residual and r_0 the solve's
+first one (dimensionless Eisenstat-Walker forcing), or once the residual's
+2-norm is a tenth of `inner_tol`, past which the step's max-norm stop
+needs nothing more.  A solve with no kinks and no pinned nodes holds the
+factor of K0 = sum_e m_e B B^T (the Hessian at the zero field); one K0
+factor at most is alive per process, and it serves every such solve on
+its mesh until another mesh needs it, the mesh dies or `solve_inclusion`
+returns.  A kinked or pinned solve's first step and a step whose CG misses
+its forcing factor their own Hessian, and the solve holds it (a lagged
+preconditioner).
 
 An increasing jump of f by c at `level` is the convex kink
 c * max(0, u_i - level) of the lumped energy.  Every inner solve keeps the
 kinks, a set that may be empty: Newton on their Moreau envelopes, gamma =
-1, 0.01, ..., 1e-12.  A stage whose solution has no node in a smoothing
-band is exact (each slope there is a subgradient of its kink), so with no
-kinks the first stage is the whole solve; otherwise the band nodes are
-pinned at their level and the problem solved again, until the pinned
-solution meets the inclusion exactly.  A rejected pinned solution starts
-the next stage.
+1, 0.01, ..., 1e-12, entered at the first gamma whose band leaves out a
+node the start has above a level (a band that holds them all would pin
+them all; a start with no node above a level enters at 1, and one whose
+entry stage fails climbs the whole ladder from 1).  A stage whose
+solution has no node in a smoothing band is exact (each slope there is a
+subgradient of its kink), so with no kinks the first stage is the whole
+solve; otherwise the band nodes are pinned at their level and the problem
+solved again, until the pinned solution meets the inclusion exactly.  A
+rejected pinned solution starts the next stage.
 
 Outer level: a selection fixed point for the rest of f, f minus its kinks
 (constant for `step` and `heaviside`, so one iteration suffices; all of f
@@ -173,6 +177,7 @@ class _InnerStats:
     max_value: float = 0.0
     max_gradient: float = 0.0
     objectives: list = dataclass_field(default_factory=list)  # every accepted objective
+    band: np.ndarray | None = None  # the kinks' smoothing band at the returned values
 
 
 def _operator_value(mesh: Mesh, u: Field, margin: float = FEASIBILITY_MARGIN):
@@ -401,24 +406,23 @@ def _area_hessian(mesh: Mesh, ws: _NewtonWorkspace, root, Bg) -> np.ndarray:
 
 
 def _factor(ws: _NewtonWorkspace, data):
-    """rhs -> M^-1 rhs for the SPD interior matrix M with Hessian data `data`:
-    in 1D banded Cholesky on the band `ws.upper` gathers, by the LAPACK
-    routine `scipy.linalg.solveh_banded` picks, called directly (`?ptsv` on a
-    band of two rows, `?pbsv` on the one row of a single interior node), else
-    the SuperLU factor of M in elimination order (no column reordering, no
-    pivoting), which lives as long as the function."""
+    """rhs -> M^-1 rhs for the SPD interior matrix M with Hessian data `data`,
+    factored once here: in 1D banded Cholesky on the band `ws.upper` gathers,
+    by the factor and solve halves of the LAPACK routine
+    `scipy.linalg.solveh_banded` picks, called directly (`?pttrf`/`?pttrs`,
+    which make up `?ptsv`, on a band of two rows, `?pbtrf`/`?pbtrs` on the one
+    row of a single interior node), else the SuperLU factor of M in
+    elimination order (no column reordering, no pivoting).  The factor lives
+    as long as the function."""
     if ws.upper is not None:
         band = np.append(data, 0.0)[ws.upper]
         tridiagonal = len(band) == 2
-        routine, = get_lapack_funcs(("ptsv" if tridiagonal else "pbsv",), (band,))
-        args = (band[1], band[0, 1:]) if tridiagonal else (band,)
-
-        def band_solve(rhs):
-            *_, x, info = routine(*args, rhs)  # the inputs are copied: the band serves again
-            if info > 0:
-                raise LinAlgError(f"{info}-th leading minor not positive definite")
-            return x
-        return band_solve
+        factor, solve = get_lapack_funcs(("pttrf", "pttrs") if tridiagonal
+                                         else ("pbtrf", "pbtrs"), (band,))
+        *held, info = factor(*((band[1], band[0, 1:]) if tridiagonal else (band,)))
+        if info > 0:
+            raise LinAlgError(f"{info}-th leading minor not positive definite")
+        return lambda rhs: solve(*held, rhs)[0]
     return splu(ws.matrix(data), permc_spec="NATURAL", diag_pivot_thresh=0.0,
                 options=dict(SymmetricMode=True)).solve
 
@@ -510,7 +514,8 @@ def _solve_prescribed(mesh: Mesh, e, opts: SolverOptions, initial=None, kinks=_N
     """Newton minimization over interior nodes of psi_h(w) + <e, w>_lumped
     plus the lumped Moreau envelopes (smoothing `gamma`) of `kinks`.
 
-    Returns (values, stats), stats also put on the list `stats_sink` if given.
+    Returns (values, stats), stats also put on the list `stats_sink` if given;
+    `stats.band` is the kinks' smoothing band at the returned values.
     `e` is broadcast to one value per node; the start is `initial`, zero by
     default; the nodes of the boolean mask `pinned` (default: none) keep
     their initial values.  It stops at gradient norms max <= `inner_tol` and
@@ -568,7 +573,9 @@ def _solve_prescribed(mesh: Mesh, e, opts: SolverOptions, initial=None, kinks=_N
             first = residual
         if residual <= opts.inner_tol and (flat == _FLAT_STEPS
                                            or np.abs(grad).sum() <= l1_tol * (1.0 + abs(obj))):
-            return values, stats  # at the roundoff floor the l1 stop may be out of reach
+            # at the roundoff floor the l1 stop may be out of reach
+            stats.band = band
+            return values, stats
         if flat == _FLAT_STEPS:
             raise failure(f"Newton left the objective unchanged to roundoff for {flat} steps "
                           f"(residual {residual:.3e})", residual)
@@ -652,17 +659,39 @@ def _inner_solve(mesh: Mesh, e, opts: SolverOptions, initial, kinks: _Kinks,
                  stats_sink, l1_stop=True):
     """Minimizer of psi_h(w) + <e, w>_lumped + the lumped kinks from `initial`
     or the flux start (module docstring), with the l1 stop if `l1_stop` and no
-    kinks: a stage with no node in a smoothing band is exact; a pinned
-    solution is accepted when m - e is within _KINK_TOL of their subdifferential.
-    Raises ValueError unless `e` is finite."""
+    kinks.  The smoothing ladder gamma = 0.01 ** stage starts at the first
+    stage whose band leaves out a node the start has above a level (the last
+    stage at the latest), at gamma = 1 when no node is above one; when the
+    unpinned solve of a stage entered past gamma = 1 fails, the ladder
+    starts over at gamma = 1 from the start.  A stage with no node in a
+    smoothing band is exact; a pinned solution is accepted when m - e is
+    within _KINK_TOL of their subdifferential.  Raises ValueError unless `e`
+    is finite."""
     e = _right_hand_side(mesh, e)
     values = initial if initial[mesh.interior_nodes].any() else _flux_start(mesh, e)
     l1_tol = 0.1 * opts.outer_tol if l1_stop and kinks.level.size == 0 else math.inf
-    for stage in range(_MAX_STAGES):
+    first = 0  # skip the stages whose band holds every node the start has above a level
+    if kinks.level.size:
+        t = values - kinks.level
+        above = (t > 0.0) & (kinks.jump > 0.0)
+        t, jump = t[above], kinks.jump[above]
+        while t.size and first < _MAX_STAGES - 1 and (t < 0.01 ** first * jump).all():
+            first += 1
+    stage = first
+    while stage < _MAX_STAGES:
         gamma = 0.01 ** stage
-        values, _ = _solve_prescribed(mesh, e, opts, initial=values, kinks=kinks, gamma=gamma,
-                                      l1_tol=l1_tol, stats_sink=stats_sink)
-        band = kinks.smoothed(values, gamma)[2]
+        try:
+            values, stats = _solve_prescribed(mesh, e, opts, initial=values, kinks=kinks,
+                                              gamma=gamma, l1_tol=l1_tol, stats_sink=stats_sink)
+        except InnerSolveError:
+            if stage == 0 or stage > first:
+                raise
+            # Newton on a tiny band may not finish from nodes just above
+            # their level: the whole ladder from the start instead
+            stage = first = 0
+            continue
+        stage += 1
+        band = stats.band
         pinned = band.any(axis=0)
         if not pinned.any():
             return values

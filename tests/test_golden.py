@@ -22,15 +22,15 @@ GOLDEN = {
     "interval64-step": (
         INTERVAL.format(n=64) + STEP.format(s0=0.25),
         "03a5e9610d24afccf13df0f77b8a35afbc7c3530936126408215263892915022",
-        "c0d860c294c35ceef808acb7adf458ab6f2bed46336cf137f1e1ee7083fff7b9"),
+        "da530bfe2228d0862acf87663a667b33dd8a9b0ab2895f6a164b70b533cf966a"),
     "interval256-neg_sign": (
         INTERVAL.format(n=256) + "nonlinearity.kind = neg_sign\n",
         "83ebaf555d29f8919ebd61a770809fcc0486fc6894bcf679ceba42dd355d5b6e",
         "4f1fe9c4f0dc63898df022e48ffb97a5db7f0dea523301029e9d47e045846e27"),
     "disk3-step": (
         "domain.kind = disk\ndomain.radius = 1\ndomain.refinement = 3\n" + STEP.format(s0=0.1),
-        "b8daa8861edc748c4454495d2b8efc1dcc0c58b6ddcc2b88ad8e8383fcd7c071",
-        "04f3fa605d3c7f648038a7c4fc4e6a19b6c217a1798b648a6315eeb46d300bcb"),
+        "24b3dec48e991a4347d53b712bd8e454c091b2f442077a629878d8f4e0362ea6",
+        "7353a76a255d926a14ef88472d4a4461f7fee0d2bba9f2ed328a51be61ea9fe6"),
 }
 
 

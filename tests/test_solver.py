@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 from scipy.linalg import solveh_banded
+from scipy.linalg.lapack import dpttrf, dpttrs
 from scipy.sparse.linalg import splu
 
 from minkcurv import solver
@@ -361,6 +362,15 @@ class TestFluxStart:
             solve_prescribed(mesh, a)
         solver._K0.clear()
         assert len(factors) == 1
+
+    def test_interval_start_makes_one_band_factor(self, monkeypatch):
+        # the start's two K0 solves share one band factor, as in 2D
+        calls = []
+        band_routines(monkeypatch, lambda routine: lambda *args: (
+            calls.append(routine) or routine(*args)))
+        solver._flux_start(build_interval_mesh(-1, 1, 64), np.ones(65))
+        solver._K0.clear()
+        assert calls == [dpttrf, dpttrs, dpttrs]
 
     def test_k0_failure_is_a_factorization_failure(self, monkeypatch):
         def failing(*args, **kwargs):
@@ -793,6 +803,78 @@ class TestIncreasingJumps:
             assert abs(res.energy - brute) <= 1e-3
 
 
+def stage_gammas(monkeypatch):
+    """The smoothing `gamma` of every `_solve_prescribed` call from here on."""
+    gammas = []
+    inner = solver._solve_prescribed
+
+    def recording(*args, **kwargs):
+        gammas.append(kwargs.get("gamma", 1.0))
+        return inner(*args, **kwargs)
+    monkeypatch.setattr(solver, "_solve_prescribed", recording)
+    return gammas
+
+
+# (energy, Newton steps) of the increasing-jump rules when every kinked inner
+# solve started its ladder at gamma = 1
+LADDER_FROM_ONE = {
+    ("interval-64", 0.25): (-0.2555983500684893, 23),
+    ("interval-64", 0.1): (-0.1394505495524596, 25),
+    ("interval-256", 0.25): (-0.25564412879289006, 31),
+    ("interval-256", 0.1): (-0.13948280177034664, 35),
+    ("disk-3", 0.25): (-0.1871783693203045, 1),
+    ("disk-3", 0.1): (-0.14629043609300377, 20),
+    ("disk-4", 0.25): (-0.18843185845934596, 1),
+    ("disk-4", 0.1): (-0.14744465354139563, 20),
+}
+
+
+class TestLadderEntry:
+    def test_enters_at_the_first_band_that_leaves_out_a_node(self, monkeypatch):
+        # the flux start peaks near 0.41: the band of the jump 2 holds every
+        # node above 0.25 at gamma = 1 (t < 2), not at 0.01 (t < 0.02)
+        mesh = build_interval_mesh(-1, 1, 64)
+        t = solver._flux_start(mesh, np.full(len(mesh.nodes), -1.0)) - 0.25
+        assert 0.02 <= t.max() < 2.0
+        gammas = stage_gammas(monkeypatch)
+        res = solve_inclusion(mesh, step(-1.0, 1.0, 0.25))
+        assert res.converged and res.inner_iterations == 17
+        assert gammas[0] == 0.01 and gammas == sorted(gammas, reverse=True)
+
+    @pytest.mark.parametrize("spec", [step(-1.0, 1.0, 0.9), step(-1.0, -0.9, 0.25)],
+                             ids=["no-node-above", "band-leaves-one-out"])
+    def test_keeps_gamma_one(self, monkeypatch, spec):
+        # no node of the flux start lies above 0.9; with the jump 0.1 the
+        # band at gamma = 1 (t < 0.1) leaves out its peak near 0.41
+        gammas = stage_gammas(monkeypatch)
+        res = solve_inclusion(build_interval_mesh(-1, 1, 64), spec)
+        assert res.converged and gammas[0] == 1.0
+
+    @pytest.mark.parametrize("offset, entry", [(1e-9, 5), (1e-13, 6)])
+    def test_a_stalled_entry_climbs_the_whole_ladder(self, monkeypatch, offset, entry):
+        # nodes 1e-9 above the level put the entry at gamma = 1e-10, and
+        # 1e-13 at the ladder's floor, where Newton from them stalls at the
+        # roundoff floor; the solve then starts over at gamma = 1 and
+        # reaches the same solution
+        mesh, spec = build_interval_mesh(-1, 1, 64), step(-1.0, 1.0, 0.25)
+        u = solve_inclusion(mesh, spec).u.values
+        start = Field(mesh, u + offset * (u > 0.0), dirichlet_zero=True)
+        gammas = stage_gammas(monkeypatch)
+        res = solve_inclusion(mesh, spec, SolverOptions(initial=start))
+        assert gammas[:2] == [0.01 ** entry, 1.0]
+        assert res.converged and res.breakdown is None
+        assert res.energy == pytest.approx(LADDER_FROM_ONE["interval-64", 0.25][0],
+                                           rel=0.0, abs=1e-12)
+
+    @pytest.mark.parametrize("name, s0", sorted(LADDER_FROM_ONE))
+    def test_same_energies_in_no_more_steps(self, name, s0):
+        energy, steps = LADDER_FROM_ONE[name, s0]
+        res = solve_inclusion(REPELLING_CASES[name][0](), step(-1.0, 1.0, s0))
+        assert res.converged
+        assert res.energy == pytest.approx(energy, rel=0.0, abs=1e-12)
+        assert res.inner_iterations <= steps
+
+
 def band_routines(monkeypatch, wrap):
     """Hand every LAPACK routine the solver gets through `get_lapack_funcs`
     to it as `wrap(routine)`."""
@@ -834,7 +916,8 @@ PROBE_CASES = [
 class TestSingleInnerPath:
     def test_one_envelope_pass_per_objective(self, monkeypatch):
         # a kinked solve smooths its kinks once per objective evaluation: the
-        # line search's accepted point hands its triple to the next step
+        # line search's accepted point hands its triple to the next step, and
+        # each stage hands the band at its solution to the inner solve
         mesh = build_interval_mesh(-1, 1, 64)
         kinks, _ = solver._Kinks.split(mesh, step(-1.0, 1.0, 0.25))
         objectives, smoothings = counting(monkeypatch, "area_value"), []
@@ -843,6 +926,12 @@ class TestSingleInnerPath:
                             lambda *args: smoothings.append(1) or smoothed(*args))
         _, stats = _solve_prescribed(mesh, -1.0, SolverOptions(), kinks=kinks, gamma=0.01)
         assert stats.iterations > 1 and len(smoothings) == len(objectives) > stats.iterations
+        objectives.clear()
+        smoothings.clear()
+        sink = []
+        solver._inner_solve(mesh, -1.0, SolverOptions(), np.zeros(len(mesh.nodes)), kinks, sink)
+        assert len(sink) == 4  # two stages, each unpinned and pinned
+        assert len(smoothings) == len(objectives) > sum(s.iterations for s in sink)
 
     @pytest.mark.parametrize("spec, rows, rest_jumps", [
         (neg_sign(), 0, True), (constant(1.0), 0, False), (step(-1.0, 1.0, 0.25), 1, False),
@@ -1130,23 +1219,17 @@ class TestNewtonWorkspace:
         # the band holds the upper triangle only, so a pinned node must zero
         # its column as well as its row
         mesh = build_interval_mesh(-1, 1, 64)
-        ws = _newton_workspace(mesh)
-        hessians, errors = [], []
-        assemble = solver._area_hessian
+        errors, factor = [], solver._factor
 
-        def recording(*args):
-            hessians.append(assemble(*args))  # shifted and pinned in place
-            return hessians[-1]
+        def checked(ws, data):  # the Hessian data, shifted and pinned
+            solve, reference = factor(ws, data), splu(ws.matrix(data)).solve
 
-        def checked(routine):
-            def solve(*args):  # the right-hand side is the last argument
-                out = routine(*args)  # (..., solution, info)
-                reference = splu(ws.matrix(hessians[-1])).solve(args[-1])
-                errors.append(np.abs(out[-2] - reference).max() / np.abs(reference).max())
+            def compared(rhs):
+                out, ref = solve(rhs), reference(rhs)
+                errors.append(np.abs(out - ref).max() / np.abs(ref).max())
                 return out
-            return solve
-        monkeypatch.setattr(solver, "_area_hessian", recording)
-        band_routines(monkeypatch, checked)
+            return compared
+        monkeypatch.setattr(solver, "_factor", checked)
         mask = np.zeros(len(mesh.nodes), bool)
         mask[list(pinned)] = True
         values, stats = _solve_prescribed(mesh, 1.0, SolverOptions(),
@@ -1170,13 +1253,14 @@ class TestNewtonWorkspace:
         assert factors == []
 
     @pytest.mark.parametrize("build, routine", [
-        (lambda: build_interval_mesh(-1, 1, 64), "ptsv"),
-        (lambda: shuffled_ids(build_interval_mesh(-1, 1, 64))[0], "ptsv"),
-        (lambda: build_interval_mesh(-1, 1, 2), "pbsv"),
+        (lambda: build_interval_mesh(-1, 1, 64), ("pttrf", "pttrs")),
+        (lambda: shuffled_ids(build_interval_mesh(-1, 1, 64))[0], ("pttrf", "pttrs")),
+        (lambda: build_interval_mesh(-1, 1, 2), ("pbtrf", "pbtrs")),
     ], ids=["n64", "n64-shuffled", "one-interior-node"])
     def test_band_solve_is_bit_equal_to_solveh_banded(self, monkeypatch, build, routine):
-        # the direct LAPACK call is the routine solveh_banded picks for the
-        # band: ptsv for two rows, pbsv for the one row of a single node
+        # the direct LAPACK calls are the factor and solve halves of the
+        # routine solveh_banded picks for the band: ptsv for two rows, pbsv
+        # for the one row of a single node
         mesh = build()
         ws = _newton_workspace(mesh)
         rng = np.random.default_rng(11)
@@ -1190,7 +1274,7 @@ class TestNewtonWorkspace:
         monkeypatch.setattr(solver, "get_lapack_funcs",
                             lambda names, arrays: asked.append(names) or lapack(names, arrays))
         solve = solver._factor(ws, data)
-        assert asked == [(routine,)] and len(ws.upper) == (2 if routine == "ptsv" else 1)
+        assert asked == [routine] and len(ws.upper) == (2 if routine[0] == "pttrf" else 1)
         for rhs in (rng.standard_normal(len(ws.order)), rng.standard_normal(len(ws.order))):
             reference = solveh_banded(np.append(data, 0.0)[ws.upper], rhs)
             assert np.array_equal(solve(rhs), reference)  # the factor serves again
@@ -1248,7 +1332,7 @@ class TestNewtonWorkspace:
         # preconditions its later steps with it: fewer factors than steps
         factors = counting(monkeypatch, "splu")
         res = solve_inclusion(build_disk_mesh(1.0, 4), step(-1.0, 1.0, 0.1))
-        assert res.converged and res.inner_iterations == 20
+        assert res.converged and res.inner_iterations == 15
         assert len(factors) < res.inner_iterations
 
     @pytest.mark.parametrize("refinement, a, steps", [(4, 30.0, 9), (3, 100.0, 15)])

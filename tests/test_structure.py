@@ -269,7 +269,8 @@ def test_the_margin_scan_sees_the_old_margins():
 # scipy's factorizations and direct solves, and the LAPACK band solves
 FACTORIZATIONS = {"splu", "spilu", "factorized", "spsolve", "solveh_banded", "solve_banded",
                   "cholesky_banded", "cho_factor", "lu_factor", "get_lapack_funcs", "ptsv",
-                  "pbsv", "dptsv", "dpbsv"}
+                  "pbsv", "dptsv", "dpbsv", "pttrf", "pttrs", "pbtrf", "pbtrs", "dpttrf",
+                  "dpttrs", "dpbtrf", "dpbtrs"}
 
 
 def call_sites(module_tree, names):
