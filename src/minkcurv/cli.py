@@ -291,23 +291,33 @@ def _fmt(x: float) -> str:
     return f"{x:.16e}"
 
 
+_CSV_BLOCK = 1024  # rows per `%` format in write_solution_csv
+
+
 def write_solution_csv(path, mesh: Mesh, result: SolveResult, residuals) -> None:
     """One row per node: index, coordinates, u, zeta, residual; `\\r\\n` line
-    ends, as `csv.writer` writes them."""
+    ends, as `csv.writer` writes them.  Each block of `_CSV_BLOCK` rows is one
+    `%` format of its values; the index column is float, exact below 2^53,
+    and `%d` prints it as the integer."""
     coord_names = ["x", "y", "z"][: mesh.dim]
-    table = np.column_stack([mesh.nodes, result.u.values, result.zeta, residuals])
-    row = "{}," + ",".join(["{:.16e}"] * table.shape[1]) + "\r\n"
+    table = np.column_stack([np.arange(len(mesh.nodes), dtype=float), mesh.nodes,
+                             result.u.values, result.zeta, residuals])
+    row = "%d," + ",".join(["%.16e"] * (table.shape[1] - 1)) + "\r\n"
     with open(path, "w", newline="") as fh:
         fh.write(",".join(["index", *coord_names, "u", "zeta", "residual"]) + "\r\n")
-        fh.writelines(row.format(i, *values) for i, values in enumerate(table.tolist()))
+        for block in np.array_split(table, range(_CSV_BLOCK, len(table), _CSV_BLOCK)):
+            fh.write((row * len(block)) % tuple(block.ravel().tolist()))
 
 
 def read_solution_csv(path, mesh: Mesh):
-    """Load (u, zeta) written by `write_solution_csv`; checks the shape, finiteness."""
+    """Load (u, zeta) written by `write_solution_csv`; checks the shape, finiteness.
+
+    The file's bytes are decoded at once: `splitlines` gives the lines text
+    mode would give, without its newline translation pass."""
     path = Path(path)
     if not path.exists():
         raise ConfigError(f"solution file not found: {path}")
-    lines = path.read_text().splitlines()
+    lines = path.read_bytes().decode().splitlines()
     if not lines:
         raise ConfigError(f"{path}: empty solution file")
     header, body = lines[0].split(","), lines[1:]

@@ -75,7 +75,7 @@ def gradient_adjoint(mesh: Mesh, weight, x):
         Bx = Bx + mesh.basis_gradients[:, :, d] * x[:, d, None]
     total = np.bincount(mesh.elements.ravel(), weights=(weight[:, None] * Bx).ravel(),
                         minlength=len(mesh.nodes))
-    return total, Bx
+    return total.astype(float, copy=False), Bx  # bincount makes ints without elements
 
 
 def area_gradient(mesh: Mesh, g, g2):

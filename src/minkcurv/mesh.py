@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import functools
 import math
+from typing import NamedTuple
 
 import numpy as np
 import scipy.sparse as sp
@@ -141,9 +142,11 @@ class Mesh:
             arr.setflags(write=False)
         self.gradient_operator = G
 
-        weight = np.zeros(len(self.nodes))
-        np.add.at(weight, self.elements, (measure / (n + 1))[:, None])
-        self.node_weight = weight
+        # each node adds its elements' shares in element order; float also
+        # without elements, where bincount returns ints
+        self.node_weight = np.bincount(self.elements.ravel(),
+                                       weights=np.repeat(measure / (n + 1), n + 1),
+                                       minlength=len(self.nodes)).astype(float, copy=False)
 
     # -- derived scalars ---------------------------------------------------
 
@@ -289,12 +292,48 @@ def per_mesh(build):
     return cached
 
 
+class _EdgeTable(NamedTuple):
+    """The undirected edges of a mesh (`_edge_table`)."""
+
+    ends: np.ndarray     # (E, 2) end nodes i < j of each edge, sorted by (i, j)
+    length: np.ndarray   # (E,) |x_j - x_i|, squares added left to right
+    edge_of: np.ndarray  # (M, P) the edge of each vertex pair of each element
+    indptr: np.ndarray   # CSR pattern of the node graph: row r lists the
+    indices: np.ndarray  #   other end of each edge at r, ascending
+    edge_at: np.ndarray  # (2E,) the edge of each pattern entry
+
+
+@per_mesh
+def _edge_table(mesh: Mesh) -> _EdgeTable:
+    """The mesh's edges, read-only, from one `np.unique` per mesh.  Vertex
+    pairs (a, b), a < b, of an element are in `np.triu_indices` order.  The
+    node graph (`_adjacency`), `_mesh_size`, the edge lengths of
+    `_boundary_path_length` and the solver's Newton workspace read them here."""
+    K = len(mesh.nodes)
+    a, b = np.triu_indices(mesh.dim + 1, 1)
+    first, second = mesh.elements[:, a], mesh.elements[:, b]
+    keys, edge_of = np.unique(np.minimum(first, second) * K + np.maximum(first, second),
+                              return_inverse=True)
+    i, j = np.divmod(keys, K)
+    rows, cols = np.concatenate([i, j]), np.concatenate([j, i])
+    entry = np.argsort(rows * K + cols, kind="stable")
+    indptr = np.zeros(K + 1, dtype=np.int32)
+    np.cumsum(np.bincount(rows, minlength=K), out=indptr[1:])
+    # int32 indices, as scipy stores them: the table lives as long as the mesh
+    table = _EdgeTable(ends=np.column_stack([i, j]).astype(np.int32),
+                       length=np.sqrt(squared_norms(mesh.nodes[j] - mesh.nodes[i])),
+                       edge_of=edge_of.reshape(first.shape).astype(np.int32), indptr=indptr,
+                       indices=cols[entry].astype(np.int32),
+                       edge_at=(entry % len(keys)).astype(np.int32))
+    for arr in table:
+        arr.setflags(write=False)
+    return table
+
+
 @per_mesh
 def _mesh_size(mesh: Mesh) -> float:
-    """`Mesh.mesh_size`, computed once per mesh."""
-    a, b = np.triu_indices(mesh.dim + 1, 1)
-    e = mesh.nodes[mesh.elements[:, a]] - mesh.nodes[mesh.elements[:, b]]
-    return float(np.sqrt((e * e).sum(axis=-1)).max())
+    """`Mesh.mesh_size`, computed once per mesh: the longest edge, 0 without one."""
+    return float(_edge_table(mesh).length.max(initial=0.0))
 
 
 # -- element-level evaluation -------------------------------------------------
@@ -341,16 +380,22 @@ def inradius(mesh: Mesh) -> float:
 @per_mesh
 def _boundary_distance(mesh: Mesh) -> np.ndarray:
     """Distance from each interior node to the nearest boundary node, read-only:
-    one sweep over the boundary nodes per mesh, O(interior x boundary).  The
-    squared distance adds (x_0 - b_0)^2 + (x_1 - b_1)^2 + ... left to right
-    and the square root is taken of the least one."""
-    x = np.ascontiguousarray(mesh.nodes[mesh.interior_nodes].T)
-    diff = np.empty_like(x)
-    least = np.full(x.shape[1], np.inf)
-    for b in mesh.nodes[mesh.boundary_nodes]:
-        np.subtract(x, b[:, None], out=diff)
-        np.multiply(diff, diff, out=diff)
-        np.minimum(least, diff.sum(axis=0), out=least)
+    one sweep over the boundary nodes per mesh, O(interior x boundary), in
+    place on one contiguous array per coordinate.  The squared distance adds
+    (x_0 - b_0)^2 + (x_1 - b_1)^2 + ... left to right and the square root is
+    taken of the least one."""
+    x = mesh.nodes[mesh.interior_nodes]
+    columns = [np.ascontiguousarray(x[:, k]) for k in range(mesh.dim)]
+    least = np.full(len(x), np.inf)
+    total, term = np.empty(len(x)), np.empty(len(x))
+    for b in mesh.nodes[mesh.boundary_nodes].tolist():
+        np.subtract(columns[0], b[0], out=total)
+        np.multiply(total, total, out=total)
+        for column, b_k in zip(columns[1:], b[1:]):
+            np.subtract(column, b_k, out=term)
+            np.multiply(term, term, out=term)
+            np.add(total, term, out=total)
+        np.minimum(least, total, out=least)
     dist = np.sqrt(least)
     dist.setflags(write=False)
     return dist
@@ -362,11 +407,11 @@ def _boundary_path_length(mesh: Mesh) -> np.ndarray:
     node, read-only, inf where no edge path reaches one.  It bounds |v_i| for
     every field with element gradient norms <= 1 and zero marked boundary
     values on any mesh: along an element edge v changes by at most the
-    edge's length.  One multi-source Dijkstra per mesh on `_adjacency`."""
-    A = _adjacency(mesh)[0]
-    tail = np.repeat(np.arange(A.shape[0]), np.diff(A.indptr))
-    lengths = A.copy()
-    lengths.data = np.sqrt(squared_norms(mesh.nodes[A.indices] - mesh.nodes[tail]))
+    edge's length.  One multi-source Dijkstra per mesh on `_adjacency`, with
+    the edge lengths of `_edge_table`."""
+    edges = _edge_table(mesh)
+    lengths = _adjacency(mesh)[0].copy()
+    lengths.data = edges.length[edges.edge_at]
     dist = dijkstra(lengths, indices=mesh.boundary_nodes, min_only=True)
     dist.setflags(write=False)
     return dist
@@ -378,15 +423,11 @@ def _boundary_path_length(mesh: Mesh) -> np.ndarray:
 def _adjacency(mesh: Mesh):
     """Node adjacency matrix (ones on element edges) and node degrees, read-only:
     the graph of the trial fields, of `_boundary_path_length` and of the
-    solver's elimination order."""
-    nv = mesh.dim + 1
-    rows = np.repeat(mesh.elements, nv, axis=1).ravel()
-    cols = np.tile(mesh.elements, (1, nv)).ravel()
-    edge = rows != cols
+    solver's elimination order, on the pattern of `_edge_table`."""
+    edges = _edge_table(mesh)
     n = len(mesh.nodes)
-    A = sp.csr_matrix((np.ones(edge.sum()), (rows[edge], cols[edge])), shape=(n, n))
-    A.data[:] = 1.0
-    deg = np.maximum(A @ np.ones(n), 1.0)
+    A = sp.csr_matrix((np.ones(len(edges.indices)), edges.indices, edges.indptr), shape=(n, n))
+    deg = np.maximum(np.diff(edges.indptr), 1).astype(float)
     for arr in (A.data, A.indices, A.indptr, deg):
         arr.setflags(write=False)
     return A, deg

@@ -74,8 +74,8 @@ import scipy.sparse as sp
 from scipy.linalg import LinAlgError, get_lapack_funcs
 from scipy.sparse.linalg import LinearOperator, cg, splu
 
-from .mesh import (Field, Mesh, MeshError, _adjacency, element_gradients, max_gradient_norm,
-                   per_mesh, squared_norms)
+from .mesh import (Field, Mesh, MeshError, _adjacency, _edge_table, element_gradients,
+                   max_gradient_norm, per_mesh, squared_norms)
 # `bracket` is no longer called here; it stays a module attribute because
 # bench/worker.py wraps solver.bracket when it traces a run.
 from .nonlinearity import (NonlinearitySpec, bracket, envelopes, jump_limits,  # noqa: F401
@@ -283,31 +283,53 @@ def _nested_dissection(points: np.ndarray, adjacency: sp.csr_matrix,
     order they arrive in.  Only stable sorts are used, so the order is a
     deterministic function of the coordinates and the graph.  Vertices
     outside `nodes` are in no part, so their edges never make a separator.
+
+    The recursion runs level by level: the parts of one level lie end to end
+    in one array, are sorted by one stable lexsort and cut together, and
+    each part knows where its order starts, so a leaf or a separator goes
+    straight to its place.
     """
     indptr, indices = adjacency.indptr, adjacency.indices
-    blocks = []
-
-    def dissect(part):
-        if len(part) <= _DISSECTION_LEAF:
-            blocks.append(part)
-            return
-        coords = points[part]
-        axis = int(np.argmax(np.ptp(coords, axis=0)))
-        part = part[np.argsort(coords[:, axis], kind="stable")]
-        low, high = np.split(part, [len(part) // 2])
-        in_high = np.zeros(len(points), dtype=bool)
-        in_high[high] = True
-        # the neighbours of the lower half, row by row, and their hits
+    order = np.empty(len(nodes), dtype=nodes.dtype)
+    parts, sizes, starts = nodes, np.array([len(nodes)]), np.array([0])
+    while True:
+        label = np.repeat(np.arange(len(sizes)), sizes)
+        within = np.arange(len(parts)) - (np.cumsum(sizes) - sizes)[label]
+        leaf = (sizes <= _DISSECTION_LEAF)[label]
+        order[starts[label[leaf]] + within[leaf]] = parts[leaf]
+        big = sizes > _DISSECTION_LEAF
+        if not big.any():
+            return order
+        parts, sizes, starts, within = parts[~leaf], sizes[big], starts[big], within[~leaf]
+        label = np.repeat(np.arange(len(sizes)), sizes)
+        first = np.cumsum(sizes) - sizes
+        coords = points[parts]
+        axis = np.argmax(np.maximum.reduceat(coords, first) - np.minimum.reduceat(coords, first),
+                         axis=1)
+        parts = parts[np.lexsort((coords[np.arange(len(parts)), axis[label]], label))]
+        half = sizes // 2
+        high = within >= half[label]
+        # the neighbours of the lower halves, row by row, and their hits in
+        # the upper half of the same part
+        high_part = np.full(len(points), -1)
+        high_part[parts[high]] = label[high]
+        low, low_label = parts[~high], label[~high]
         start, degree = indptr[low], indptr[low + 1] - indptr[low]
         row = np.repeat(np.arange(len(low)), degree)
         slot = np.arange(len(row)) + np.repeat(start - (np.cumsum(degree) - degree), degree)
-        touches = np.bincount(row, weights=in_high[indices[slot]], minlength=len(low)) > 0.0
-        dissect(low[~touches])
-        dissect(high)
-        blocks.append(low[touches])
-
-    dissect(nodes)
-    return np.concatenate(blocks)
+        touches = np.zeros(len(low), dtype=bool)
+        touches[row[high_part[indices[slot]] == low_label[row]]] = True
+        # a part's order is its lower half less the separator, its upper half
+        # and the separator, which goes to its place now
+        sep_label = low_label[touches]
+        n_sep = np.bincount(sep_label, minlength=len(sizes))
+        rank = np.arange(len(sep_label)) - (np.cumsum(n_sep) - n_sep)[sep_label]
+        order[(starts + sizes - n_sep)[sep_label] + rank] = low[touches]
+        in_separator = np.zeros(len(parts), dtype=bool)
+        in_separator[np.flatnonzero(~high)[touches]] = True
+        parts = parts[~in_separator]
+        sizes = np.column_stack([half - n_sep, sizes - half]).ravel()
+        starts = np.column_stack([starts, starts + half - n_sep]).ravel()
 
 
 @dataclass(frozen=True)
@@ -347,29 +369,46 @@ class _NewtonWorkspace:
 def _newton_workspace(mesh: Mesh) -> _NewtonWorkspace:
     """The mesh's Newton workspace; in 2D and up the elimination order
     dissects the interior of the mesh's node graph (`_adjacency`), in 1D it
-    sorts the interior by coordinate (stable)."""
+    sorts the interior by coordinate (stable).  The pattern holds the
+    diagonal and both entries of each interior edge of `_edge_table`, and an
+    element entry (a, b), a != b, finds its slot through its edge."""
     interior = mesh.interior_nodes
     n = len(interior)
     nv = mesh.dim + 1
-    local = np.full(len(mesh.nodes), -1, dtype=np.int64)
-    local[interior] = np.arange(n)
-    el = local[mesh.elements]
-    rows = np.repeat(el, nv, axis=1).ravel()  # node of vertex a in entry (a, b)
-    cols = np.tile(el, (1, nv)).ravel()       # node of vertex b
-    keep = (rows >= 0) & (cols >= 0)
-    rows, cols = rows[keep], cols[keep]
+    edges = _edge_table(mesh)
     if mesh.dim == 1:
-        order = np.argsort(mesh.nodes[interior, 0], kind="stable")
+        order = interior[np.argsort(mesh.nodes[interior, 0], kind="stable")]
     else:
-        order = local[_nested_dissection(mesh.nodes, _adjacency(mesh)[0], interior)]
-    rank = np.empty(n, dtype=np.int64)
+        order = _nested_dissection(mesh.nodes, _adjacency(mesh)[0], interior)
+    rank = np.full(len(mesh.nodes), -1)
     rank[order] = np.arange(n)
-    slots, slot_of = np.unique(rank[cols] * n + rank[rows], return_inverse=True)
-    scatter = np.full(keep.size, len(slots), dtype=np.int32)
-    scatter[keep] = slot_of
+    ri, rj = rank[edges.ends.T]
+    inner = (ri >= 0) & (rj >= 0)
+    ri, rj = ri[inner], rj[inner]
+    # keys column * n + row of the diagonal, the entries (i, j) and (j, i)
+    keys = np.concatenate([np.arange(n) * (n + 1), rj * n + ri, ri * n + rj])
+    by_key = np.argsort(keys, kind="stable")
+    slots = keys[by_key]
+    slot_of = np.empty(len(keys), dtype=np.int64)
+    slot_of[by_key] = np.arange(len(keys))
+    # the slot of each node's diagonal and of each edge's entries (i, j) and
+    # (j, i); len(slots), the dummy slot, where an end is a boundary node
+    diagonal_of = np.full(len(mesh.nodes), len(slots))
+    diagonal_of[order] = slot_of[:n]
+    forward, backward = np.full((2, len(inner)), len(slots))
+    forward[inner], backward[inner] = np.split(slot_of[n:], 2)
+    el = mesh.elements
+    scatter = np.empty((len(el), nv, nv), dtype=np.int32)
+    for a in range(nv):
+        scatter[:, a, a] = diagonal_of[el[:, a]]
+    for pair, (a, b) in enumerate(zip(*np.triu_indices(nv, 1))):
+        edge, ascending = edges.edge_of[:, pair], el[:, a] < el[:, b]
+        scatter[:, a, b] = np.where(ascending, forward[edge], backward[edge])
+        scatter[:, b, a] = np.where(ascending, backward[edge], forward[edge])
+    scatter = scatter.reshape(-1)
+    column, row = np.divmod(slots, n)
     indptr = np.zeros(n + 1, dtype=np.int32)
-    np.cumsum(np.bincount(slots // n, minlength=n), out=indptr[1:])
-    row, column = slots % n, slots // n
+    np.cumsum(np.bincount(column, minlength=n), out=indptr[1:])
     upper = None
     if mesh.dim == 1:
         width = int((column - row).max(initial=0))
@@ -378,7 +417,7 @@ def _newton_workspace(mesh: Mesh) -> _NewtonWorkspace:
         upper[(width + row - column)[above], column[above]] = np.flatnonzero(above)
     Bt = np.ascontiguousarray(mesh.basis_gradients.transpose(2, 1, 0))  # (dim, nv, M)
     workspace = _NewtonWorkspace(
-        order=interior[order], indptr=indptr, indices=row.astype(np.int32),
+        order=order, indptr=indptr, indices=row.astype(np.int32),
         columns=column.astype(np.int32), scatter=scatter,
         diagonal=np.flatnonzero(row == column),
         stiffness=sum(Bd[:, None] * Bd[None, :] for Bd in Bt),

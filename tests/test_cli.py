@@ -663,6 +663,26 @@ class TestMeshInfoCommand:
                                     "no element\n")
         assert not (tmp_path / "out").exists()
 
+    def test_mesh_without_elements_solves_to_zero(self, tmp_path, capsys):
+        # every node is a boundary node: h is 0 and u = 0 is the solution
+        mesh = tmp_path / "m.txt"
+        mesh.write_text("dim 2\nnodes 3\n0 0\n1 0\n0 1\nelements 0\nboundary\n0 1 2\n")
+        cfg = write_cfg(tmp_path, "domain.kind = file\ndomain.path = m.txt\n"
+                                  "nonlinearity.kind = neg_sign\noutput.dir = {out}\n")
+        assert main(["mesh-info", "--config", str(cfg)]) == 0
+        info = capsys.readouterr().out
+        assert "elements 0\n" in info and "mesh_size 0\n" in info
+        assert main(["solve", "--config", str(cfg)]) == 0
+        assert capsys.readouterr().err == ""
+        u, zeta = cli.read_solution_csv(tmp_path / "out" / "solution.csv",
+                                        load_config(cfg).build_mesh())
+        assert np.array_equal(u, np.zeros(3)) and np.array_equal(zeta, np.zeros(3))
+        report = (tmp_path / "out" / "report.txt").read_text()
+        assert "converged true\n" in report and "mesh_size 0.0000000000000000e+00\n" in report
+        assert main(["verify", "--config", str(cfg),
+                     "--solution", str(tmp_path / "out" / "solution.csv")]) == 0
+        assert "all_passed true" in capsys.readouterr().out
+
     @pytest.mark.parametrize("body, detail", [
         ("dim 1\nnodes -1\n", "2: bad count '-1'"),
         ("dim 4\n", "1: unsupported dim 4"),
