@@ -417,7 +417,7 @@ def cmd_verify(args) -> int:
     if np.any(u_vals[mesh.boundary_nodes] != 0.0):
         raise ConfigError(f"{args.solution}: nonzero value at a boundary node")
     report = verification_report(
-        mesh, Field(mesh, u_vals, dirichlet_zero=True), zeta, spec, seed=args.seed,
+        mesh, Field(mesh, u_vals, dirichlet_zero=True), zeta, spec,
         analytic=config.analytic_oracle(mesh), **config.verify)
     sys.stdout.write(format_report(report))
     return 0 if report.all_passed else 2
@@ -503,9 +503,6 @@ def main(argv=None) -> int:
     p_verify = sub.add_parser("verify", help="check a solution CSV against its config")
     p_verify.add_argument("--config", required=True)
     p_verify.add_argument("--solution", required=True)
-    p_verify.add_argument("--seed", type=int, default=0,
-                          help="unused: verify draws no random numbers (accepted for "
-                               "existing scripts)")
 
     p_sweep = sub.add_parser("sweep", help="re-run a config over parameter values")
     p_sweep.add_argument("--config", required=True)

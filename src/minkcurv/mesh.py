@@ -3,9 +3,9 @@
 Built-in generators cover intervals, triangulated rectangles, and disks
 (midpoint refinement of an inscribed hexagon, boundary nodes kept exactly
 on the circle).  External meshes are exchanged through a small text format,
-see `read_mesh` / `write_mesh`.  Trial fields for the certificates (random
-feasible fields, distance cones) live here too: they need only the mesh
-geometry and element gradients.
+see `read_mesh` / `write_mesh`.  Trial fields live here too, as they need
+only the mesh geometry and element gradients: the distance cones of the
+critical-point check, and seeded random feasible fields for the tests.
 
 Element gradients are one sparse mat-vec: each mesh carries its gradient
 operator G, the CSR matrix of shape (M*dim, K) whose row e*dim + k holds
@@ -17,7 +17,7 @@ per-vertex sum.
 A mesh is immutable after construction and safe to share across threads,
 apart from its cache of derived data (`per_mesh`): filled on first use, it
 lives and dies with the mesh and is left out of its pickle.  Apart from the
-random draws of the trial fields, all operations here are pure functions of
+draws of `random_feasible_field`, all operations here are pure functions of
 their arguments.
 """
 
@@ -76,6 +76,8 @@ class Mesh:
         self.dim = nodes.shape[1]
         if self.dim not in (1, 2, 3):
             raise MeshError(f"unsupported spatial dimension {self.dim}")
+        if not len(nodes):
+            raise MeshError("the mesh has no nodes")
         bad = np.flatnonzero(~np.isfinite(nodes).all(axis=1))
         if bad.size:
             raise MeshError(f"node {bad[0]} has a non-finite coordinate {nodes[bad[0]].tolist()}")
@@ -351,14 +353,9 @@ def squared_norms(g) -> np.ndarray:
     return sum((g[:, k] * g[:, k] for k in range(1, g.shape[1])), g[:, 0] * g[:, 0])
 
 
-def _largest_norm(g) -> float:
-    """Largest row norm of element gradients `g` (M, dim), 0 without rows."""
-    return float(np.sqrt(squared_norms(g).max())) if len(g) else 0.0
-
-
 def max_gradient_norm(mesh: Mesh, values) -> float:
     """Largest element gradient norm of a nodal value vector (0 without elements)."""
-    return _largest_norm(element_gradients(mesh, values))
+    return float(np.sqrt(squared_norms(element_gradients(mesh, values)).max(initial=0.0)))
 
 
 def inradius(mesh: Mesh) -> float:
@@ -422,7 +419,7 @@ def _boundary_path_length(mesh: Mesh) -> np.ndarray:
 @per_mesh
 def _adjacency(mesh: Mesh):
     """Node adjacency matrix (ones on element edges) and node degrees, read-only:
-    the graph of the trial fields, of `_boundary_path_length` and of the
+    the graph of `random_feasible_field`, of `_boundary_path_length` and of the
     solver's elimination order, on the pattern of `_edge_table`."""
     edges = _edge_table(mesh)
     n = len(mesh.nodes)
@@ -435,7 +432,7 @@ def _adjacency(mesh: Mesh):
 
 @per_mesh
 def _smoother(mesh: Mesh):
-    """One smoothing step of the trial fields as a read-only CSR matrix,
+    """One smoothing step of `random_feasible_field` as a read-only CSR matrix,
     S = (I + D^-1 A) / 2 on the node graph (`_adjacency`), whose boundary
     rows are empty: S v averages each interior node with the mean of its
     neighbours and is zero on the boundary."""
@@ -448,13 +445,16 @@ def _smoother(mesh: Mesh):
     return S
 
 
-def _random_trial(mesh: Mesh, rng, max_gradient: float):
-    """(values, gradients) of `random_feasible_field`, which draws the same
-    numbers: normal node values, 0..8 smoothing steps (`_smoother`), at odds
-    0.3 rectified to one random sign, zero on the boundary, divided by their
-    largest element gradient norm unless zero (no interior node), times the
-    amplitude max_gradient * 10^U(-3, 0).  The gradients (M, dim) are those
-    of the one product G v that finds the norm, scaled with the values."""
+def random_feasible_field(mesh: Mesh, rng, max_gradient: float = 0.9) -> Field:
+    """Random zero-boundary field with element gradient norms <= max_gradient.
+
+    Smooth random bumps rescaled to the gradient bound: normal node values,
+    0..8 smoothing steps (`_smoother`), at odds 0.3 rectified to one random
+    sign, zero on the boundary, divided by their largest element gradient
+    norm unless zero (no interior node), times the amplitude
+    max_gradient * 10^U(-3, 0), log-uniform so that both tiny and
+    near-maximal fields appear.
+    """
     S = _smoother(mesh)
     v = rng.standard_normal(len(mesh.nodes))
     for _ in range(int(rng.integers(0, 9))):
@@ -462,22 +462,10 @@ def _random_trial(mesh: Mesh, rng, max_gradient: float):
     if rng.random() < 0.3:
         v = np.abs(v) * (1.0 if rng.random() < 0.5 else -1.0)
     v[mesh.boundary_nodes] = 0.0
-    g = element_gradients(mesh, v)
-    gmax = _largest_norm(g)
+    gmax = max_gradient_norm(mesh, v)
     if gmax > 0.0:
-        v, g = v / gmax, g / gmax
-    scale = max_gradient * 10.0 ** rng.uniform(-3.0, 0.0)
-    return v * scale, g * scale
-
-
-def random_feasible_field(mesh: Mesh, rng, max_gradient: float = 0.9) -> Field:
-    """Random zero-boundary field with element gradient norms <= max_gradient.
-
-    Smooth random bumps (neighbor-averaged noise, occasionally rectified to
-    a single sign) rescaled until the gradient bound holds; the amplitude is
-    drawn log-uniformly so both tiny and near-maximal trial fields appear.
-    """
-    return Field(mesh, _random_trial(mesh, rng, max_gradient)[0], dirichlet_zero=True)
+        v = v / gmax
+    return Field(mesh, v * (max_gradient * 10.0 ** rng.uniform(-3.0, 0.0)), dirichlet_zero=True)
 
 
 def boundary_distance_cone(mesh: Mesh, max_gradient: float = 0.9) -> Field:

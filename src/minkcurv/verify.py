@@ -1,8 +1,9 @@
 """Checks of a candidate solution: the critical-point inequality (a proven
-bound over every feasible field, and a sampled cross-check), closed-form
-radial oracles, a brute-force global minimizer for tiny meshes, and the
-report that composes them with the per-node inclusion residual, built from
-the pieces of `solver.inclusion_residual`, their one implementation.
+bound over every feasible field, and the least slack of a deterministic
+trial suite), closed-form radial oracles, a brute-force global minimizer for
+tiny meshes, and the report that composes them with the per-node inclusion
+residual, built from the pieces of `solver.inclusion_residual`, their one
+implementation.  No check draws a random number.
 """
 
 from __future__ import annotations
@@ -16,9 +17,9 @@ import numpy as np
 # `bracket`, `psi`, `psi_gradient`, `random_feasible_field` and
 # `inclusion_residual` are no longer called here; they stay module attributes
 # because bench/worker.py wraps them when it traces a run.
-from .mesh import (Field, Mesh, _boundary_path_length, _largest_norm,  # noqa: F401
-                   _random_trial, boundary_distance_cone, element_gradients, inradius,
-                   per_mesh, random_feasible_field, squared_norms)
+from .mesh import (Field, Mesh, _boundary_path_length, boundary_distance_cone,  # noqa: F401
+                   element_gradients, inradius, per_mesh, random_feasible_field,
+                   squared_norms)
 from .nonlinearity import NonlinearitySpec, bracket, primitive_array  # noqa: F401
 from .energy import area_value, psi, psi_gradient, total_energy  # noqa: F401
 from .solver import (_bracket_distance, _operator_value, inclusion_residual,  # noqa: F401
@@ -51,21 +52,35 @@ def _slack_bound(mesh: Mesh, u: Field, zeta, m) -> float:
     return -float(np.dot(excess, np.where(excess > 0.0, reach, 0.0)))
 
 
-def variational_inequality_check(mesh: Mesh, u: Field, zeta, trials: int,
-                                 seed: int = 0) -> float:
-    """Minimum slack of psi(w) - psi(u) + <zeta, w - u> over trial fields.
+def variational_inequality_check(mesh: Mesh, u: Field, zeta) -> float:
+    """Minimum slack of psi(w) - psi(u) + <zeta, w - u> over a deterministic
+    suite of trial fields: the zero field, the candidate itself, and the
+    distance cone at amplitudes 0.9, 0.5, 0.25 and 0.1 with both signs.
 
-    The trial set is a deterministic suite (zero field, the candidate
-    itself, distance cones at several amplitudes and both signs) plus
-    `trials` random feasible fields, half of them perturbations of the
-    candidate within its gradient headroom below 0.9.  At a critical point
-    paired with its selection the returned minimum is nonnegative up to
-    solver tolerances.  Gradients come by linearity (`_trial_slacks`): one
-    element-gradient product per random trial and one for the candidate,
-    the unit distance cone's two once per mesh, and no `Field` per trial.
-    A sampled cross-check of `vi_slack_bound`, which covers every field.
+    At a critical point paired with its selection the minimum is
+    nonnegative up to solver tolerances; `vi_slack_bound` covers every
+    feasible field.  Gradients come by linearity: G u is taken once, and a
+    cone's gradient is the unit cone's (`_unit_cone`, kept per mesh) scaled
+    by amplitude and sign.  A slack is the area kernel on those gradients,
+    +inf where some |g|^2 > 1, plus the lumped pairing with zeta.
     """
-    return min(_trial_slacks(mesh, u, zeta, trials, seed))
+    gu = element_gradients(mesh, u.values)
+    g2u = squared_norms(gu)
+    if np.any(g2u > 1.0) or np.any(u.values[mesh.boundary_nodes] != 0.0):
+        raise ValueError("candidate field is outside the constraint set")
+    psi_u = area_value(mesh, g2u)
+    w_lumped = mesh.node_weight * np.asarray(zeta, dtype=float)
+
+    def slack(g, step) -> float:
+        g2 = squared_norms(g)
+        if np.any(g2 > 1.0):
+            return math.inf
+        return area_value(mesh, g2) - psi_u + float(np.dot(w_lumped, step))
+
+    cone, g_cone = _unit_cone(mesh)
+    cones = [slack(g_cone * scale, cone * scale - u.values)
+             for amp in (0.9, 0.5, 0.25, 0.1) for scale in (amp, -amp)]
+    return min(slack(np.zeros_like(gu), -u.values), 0.0, *cones)  # 0.0: u itself
 
 
 @per_mesh
@@ -77,44 +92,6 @@ def _unit_cone(mesh: Mesh):
     cone.setflags(write=False)
     g_cone.setflags(write=False)
     return cone, g_cone
-
-
-def _trial_slacks(mesh: Mesh, u: Field, zeta, trials: int, seed: int):
-    """The slacks of `variational_inequality_check`, one per trial field in
-    its order: the suite, then the random fields drawn as `trials` calls of
-    `random_feasible_field` on one generator seeded with `seed`.
-
-    Every gradient comes from linearity: G u is taken once, a cone's
-    gradient is the unit cone's scaled by amplitude and sign, a random
-    trial's comes with its values (`_random_trial`), and a perturbed trial
-    u + t has G u + G t.  A slack is the area kernel on those gradients,
-    +inf where some |g|^2 > 1, plus the lumped pairing with zeta.
-    """
-    zeta = np.asarray(zeta, dtype=float)
-    gu = element_gradients(mesh, u.values)
-    g2u = squared_norms(gu)
-    if np.any(g2u > 1.0) or np.any(u.values[mesh.boundary_nodes] != 0.0):
-        raise ValueError("candidate field is outside the constraint set")
-    psi_u = area_value(mesh, g2u)
-    w_lumped = mesh.node_weight * zeta
-
-    def slack(g, step) -> float:
-        g2 = squared_norms(g)
-        if np.any(g2 > 1.0):
-            return math.inf
-        return area_value(mesh, g2) - psi_u + float(np.dot(w_lumped, step))
-
-    yield slack(np.zeros_like(gu), -u.values)
-    yield 0.0  # the candidate itself
-    cone, g_cone = _unit_cone(mesh)
-    for amp in (0.9, 0.5, 0.25, 0.1):
-        for scale in (amp, -amp):
-            yield slack(g_cone * scale, cone * scale - u.values)
-    rng = np.random.default_rng(seed)
-    headroom = max(0.9 - _largest_norm(gu), 0.0)
-    for k in range(trials):
-        t, g = _random_trial(mesh, rng, headroom if k % 2 else 0.9)
-        yield slack(gu + g, t) if k % 2 else slack(g, t - u.values)
 
 
 # -- closed-form radial oracle ---------------------------------------------------
@@ -279,7 +256,7 @@ def verification_report(mesh: Mesh, u: Field, zeta, spec: NonlinearitySpec, *,
     m = _operator_value(mesh, u)  # once, for the residual and the slack bound
     res = _bracket_distance(mesh, m, *windowed_envelopes(mesh, spec, u.values))
     max_res = float(res[mesh.interior_nodes].max()) if mesh.interior_nodes.size else 0.0
-    vi = min(_trial_slacks(mesh, u, zeta, 0, 0))
+    vi = variational_inequality_check(mesh, u, zeta)
     vi_bound = _slack_bound(mesh, u, zeta, m)
     passed = {
         "inclusion": max_res <= residual_tol,

@@ -261,16 +261,15 @@ class TestSolveCommand:
 
 
 @pytest.mark.parametrize("command", [["solve"], ["sweep", "--param", "n", "--values", "16"],
-                                     ["mesh-info"]], ids=["solve", "sweep", "mesh-info"])
-def test_seed_is_a_verify_option_only(tmp_path, capsys, command):
-    # the solver draws no random numbers; only verify's trial fields do
+                                     ["mesh-info"], ["verify", "--solution", "s.csv"]],
+                         ids=["solve", "sweep", "mesh-info", "verify"])
+def test_no_subcommand_takes_a_seed(tmp_path, capsys, command):
+    # neither the solver nor verify draws random numbers
     cfg = write_cfg(tmp_path, PRESCRIBED_CFG)
-    with pytest.raises(SystemExit):
+    with pytest.raises(SystemExit) as info:
         main([*command, "--config", str(cfg), "--seed", "1"])
-    assert "--seed" in capsys.readouterr().err
-    assert main(["solve", "--config", str(cfg)]) == 0
-    assert main(["verify", "--config", str(cfg), "--seed", "1",
-                 "--solution", str(tmp_path / "out" / "solution.csv")]) == 0
+    assert info.value.code == 2
+    assert "unrecognized arguments: --seed 1" in capsys.readouterr().err
 
 
 class TestVerifyCommand:
@@ -661,6 +660,20 @@ class TestMeshInfoCommand:
             assert captured.out == ""
             assert captured.err == (f"error: {mesh}: interior node 3 at [5.0] belongs to "
                                     "no element\n")
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("dim", [1, 2])
+    def test_mesh_without_nodes_exits_1(self, tmp_path, capsys, dim):
+        mesh = tmp_path / "m.txt"
+        mesh.write_text(f"dim {dim}\nnodes 0\nelements 0\nboundary\n")
+        cfg = write_cfg(tmp_path, "domain.kind = file\ndomain.path = m.txt\n"
+                                  "nonlinearity.kind = neg_sign\noutput.dir = {out}\n")
+        for argv in (["mesh-info", "--mesh", str(mesh)], ["mesh-info", "--config", str(cfg)],
+                     ["solve", "--config", str(cfg)]):
+            assert main(argv) == 1
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err == f"error: {mesh}: the mesh has no nodes\n"
         assert not (tmp_path / "out").exists()
 
     def test_mesh_without_elements_solves_to_zero(self, tmp_path, capsys):

@@ -300,7 +300,7 @@ class TestPerMeshCaches:
         res = solve_inclusion(m, neg_sign())
         verify.verification_report(m, res.u, res.zeta, neg_sign(), vi_trials=4)
         verify.verification_report(m, res.u, res.zeta, neg_sign(), vi_trials=4)
-        # the trial fields and the elimination order share one graph
+        # the slack bound's path lengths and the elimination order share one graph
         assert [s for s in shapes if s[0] == s[1]] == [(len(m.nodes), len(m.nodes))]
 
     def test_mesh_size_computed_once_per_mesh(self, monkeypatch):

@@ -688,7 +688,8 @@ class TestStationarityMeasure:
     @pytest.mark.parametrize("scale", [1.0, 0.5, 0.1])
     def test_bound_holds_for_trial_fields(self, name, scale):
         # psi(v) - psi(u) + sum w max(lo d, hi d) >= -|d|_inf * rho with
-        # d = v - u, for the trial fields of verify's sampled check
+        # d = v - u, for distance cones and random feasible fields, each odd
+        # one u plus a field within its gradient headroom below 0.9
         mesh, spec = {"neg_sign-64": (build_interval_mesh(-1, 1, 64), neg_sign()),
                       "neg_sign-disk3": (build_disk_mesh(1.0, 3), neg_sign()),
                       "step-64": (build_interval_mesh(-1, 1, 64), step(-1.0, 1.0, 0.25))}[name]

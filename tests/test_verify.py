@@ -98,29 +98,27 @@ class TestVariationalInequality:
     def test_candidate_itself_has_zero_slack(self):
         m = build_interval_mesh(-1, 1, 64)
         u = solve_prescribed(m, 1.0)
-        slack = variational_inequality_check(m, u, np.ones(len(m.nodes)), 0)
+        slack = variational_inequality_check(m, u, np.ones(len(m.nodes)))
         assert slack <= 0.0 + 1e-15  # the suite contains u itself
 
     def test_converged_pair_certifies(self):
         m = build_interval_mesh(-1, 1, 256)
         res = solve_inclusion(m, neg_sign())
-        slack = variational_inequality_check(m, res.u, res.zeta, 200)
+        slack = variational_inequality_check(m, res.u, res.zeta)
         assert slack >= -1e-6
 
     def test_wrong_pair_fails(self):
         # u = 0 with zeta = 1: the scaled negative cone is a descent
         # competitor, 2(1 - sqrt(1 - t^2)) - t < 0 for small t
         m = build_interval_mesh(-1, 1, 64)
-        slack = variational_inequality_check(
-            m, Field.zero(m), np.ones(len(m.nodes)), 0)
+        slack = variational_inequality_check(m, Field.zero(m), np.ones(len(m.nodes)))
         assert slack < -0.1
 
     def test_candidate_gradient_norm_is_taken_once(self, monkeypatch):
-        # one product G u serves the headroom, the candidate's own slack and
-        # all 100 perturbed trials (G (u + t) = G u + G t); with two for the
-        # unit cone (its scale and its gradient) and one per random trial,
-        # the check makes 3 + trials products.  The cone is kept in the mesh,
-        # so a second check on it makes 1 + trials
+        # one product G u serves the feasibility test and the candidate's own
+        # slack; with two for the unit cone (its scale and its gradient) the
+        # check makes 3 products.  The cone is kept in the mesh, so a second
+        # check on it makes 1
         m = build_disk_mesh(1.0, 3)
         res = solve_inclusion(m, neg_sign())
         original, on_candidate = mesh_module.element_gradients, []
@@ -131,70 +129,44 @@ class TestVariationalInequality:
 
         for module in (mesh_module, energy_module, verify_module):
             monkeypatch.setattr(module, "element_gradients", counting)
-        first = variational_inequality_check(m, res.u, res.zeta, trials=200)
+        first = variational_inequality_check(m, res.u, res.zeta)
         assert sum(on_candidate) == 1
-        assert len(on_candidate) == 3 + 200
+        assert len(on_candidate) == 3
         on_candidate.clear()
-        assert variational_inequality_check(m, res.u, res.zeta, trials=200) == first
-        assert sum(on_candidate) == 1
-        assert len(on_candidate) == 1 + 200
-
-    def test_draws_the_stream_of_random_feasible_field(self, monkeypatch):
-        # the check's generator ends where `trials` calls of
-        # random_feasible_field leave one seeded alike, and where the draws
-        # of a trial, in their order, leave a third
-        m = build_disk_mesh(1.0, 3)
-        res = solve_inclusion(m, neg_sign())
-        made, original = [], np.random.default_rng
-        monkeypatch.setattr(verify_module.np.random, "default_rng",
-                            lambda seed: made.append(original(seed)) or made[-1])
-        for trials, seed in ((0, 1), (1, 2), (7, 3), (60, 4)):
-            variational_inequality_check(m, res.u, res.zeta, trials, seed=seed)
-            ref, draws = original(seed), original(seed)
-            for _ in range(trials):
-                random_feasible_field(m, ref)
-                draws.standard_normal(len(m.nodes))
-                draws.integers(0, 9)
-                if draws.random() < 0.3:
-                    draws.random()
-                draws.uniform(-3.0, 0.0)
-            assert made[-1].bit_generator.state == ref.bit_generator.state
-            assert ref.bit_generator.state == draws.bit_generator.state
+        assert variational_inequality_check(m, res.u, res.zeta) == first
+        assert on_candidate == [True]
 
     @pytest.mark.parametrize("build", [lambda: build_disk_mesh(1.0, 3),
                                        lambda: build_interval_mesh(-1, 1, 64)],
                              ids=["disk3", "n64"])
     def test_slacks_by_linearity_match_the_trial_fields(self, build):
-        # each slack, from gradients by linearity, against psi of the trial
-        # Field the parent check built, in the check's order
+        # the check, from gradients by linearity, against the least slack of
+        # psi over the suite's trial Fields, for selections that make
+        # different fields of the suite the least
         m = build()
         res = solve_inclusion(m, neg_sign())
-        u, trials, seed = res.u, 60, 5
-        for zeta in (res.zeta, res.zeta + 0.5):
-            fields = [Field.zero(m), u]
-            for amp in (0.9, 0.5, 0.25, 0.1):
-                cone = boundary_distance_cone(m, max_gradient=amp)
-                fields += [cone, Field(m, -cone.values, dirichlet_zero=True)]
-            rng = np.random.default_rng(seed)
-            headroom = max(0.9 - mesh_module.max_gradient_norm(m, u.values), 0.0)
-            for k in range(trials):
-                t = random_feasible_field(m, rng, headroom if k % 2 else 0.9)
-                fields.append(Field(m, u.values + t.values) if k % 2 else t)
+        u = res.u
+        fields = [Field.zero(m), u]
+        for amp in (0.9, 0.5, 0.25, 0.1):
+            cone = boundary_distance_cone(m, max_gradient=amp)
+            fields += [cone, Field(m, -cone.values, dirichlet_zero=True)]
+        least = set()
+        for shift in (0.0, 0.5, -0.5, 1.5, -1.5, 3.0, -3.0):
+            zeta = res.zeta + shift
             w = m.node_weight * zeta
-            want = [(psi(m, f), psi(m, f) - psi(m, u) + float(np.dot(w, f.values - u.values)))
-                    for f in fields]
-            got = list(verify_module._trial_slacks(m, u, zeta, trials, seed=seed))
-            assert len(got) == len(want) == 10 + trials
-            for slack, (psi_w, direct) in zip(got, want):
-                assert math.isfinite(direct)
-                assert abs(slack - direct) <= 1e-12 * (1.0 + abs(psi_w))
-            assert variational_inequality_check(m, u, zeta, trials, seed=seed) == min(got)
+            direct = [psi(m, f) - psi(m, u) + float(np.dot(w, f.values - u.values))
+                      for f in fields]
+            assert all(map(math.isfinite, direct))
+            got = variational_inequality_check(m, u, zeta)
+            assert abs(got - min(direct)) <= 1e-12 * (1.0 + max(psi(m, f) for f in fields))
+            least.add(int(np.argmin(direct)))
+        assert len(least) >= 3
 
     def test_infeasible_candidate_rejected(self):
         m = build_interval_mesh(-1, 1, 16)
         bad = Field(m, 5.0 * boundary_distance_cone(m).values)
         with pytest.raises(ValueError):
-            variational_inequality_check(m, bad, np.zeros(len(m.nodes)), 0)
+            variational_inequality_check(m, bad, np.zeros(len(m.nodes)))
 
 
 def l_shape(k=4, marked=lambda x, y: True):
@@ -219,15 +191,28 @@ SLACK_MESHES = {"n64": lambda: build_interval_mesh(-1, 1, 64),
 class TestSlackBound:
     @pytest.mark.parametrize("name", sorted(SLACK_MESHES))
     def test_lies_below_the_sampled_slacks(self, name):
-        # the bound holds for every feasible field, so for the 200 drawn
-        # ones too, with the converged selection and with a perturbed one
+        # the bound holds for every feasible field, so for 200 drawn ones
+        # too (each odd one the candidate plus a field within its gradient
+        # headroom below 0.9) and for the deterministic suite, with the
+        # converged selection and with a perturbed one
         m = SLACK_MESHES[name]()
         res = solve_inclusion(m, neg_sign())
         assert res.converged
+        u = res.u
+        rng = np.random.default_rng(0)
+        headroom = max(0.9 - mesh_module.max_gradient_norm(m, u.values), 0.0)
+        fields = []
+        for k in range(200):
+            t = random_feasible_field(m, rng, headroom if k % 2 else 0.9)
+            fields.append(Field(m, u.values + t.values) if k % 2 else t)
         perturbed = res.zeta + 0.3 * np.sin(7.0 * m.nodes[:, 0])
-        bounds = [vi_slack_bound(m, res.u, zeta) for zeta in (res.zeta, perturbed)]
+        bounds = [vi_slack_bound(m, u, zeta) for zeta in (res.zeta, perturbed)]
         for zeta, bound in zip((res.zeta, perturbed), bounds):
-            assert bound <= variational_inequality_check(m, res.u, zeta, 200)
+            w = m.node_weight * zeta
+            sampled = min(psi(m, v) - psi(m, u) + float(np.dot(w, v.values - u.values))
+                          for v in fields)
+            assert bound <= sampled
+            assert bound <= variational_inequality_check(m, u, zeta)
         assert -1e-9 <= bounds[0] <= 0.0 and bounds[1] < -0.1
 
     def test_is_the_sum_over_the_interior(self):
@@ -257,10 +242,13 @@ class TestSlackBound:
         m = build_disk_mesh(1.0, 3)
         res = solve_inclusion(m, neg_sign())
 
-        def no_draws(*args):
-            raise AssertionError("a random trial was drawn")
+        def no_draws(*args, **kwargs):
+            raise AssertionError("a random number was drawn")
 
-        monkeypatch.setattr(verify_module, "_random_trial", no_draws)
+        for owner in (mesh_module, verify_module):
+            monkeypatch.setattr(owner, "random_feasible_field", no_draws)
+        monkeypatch.setattr(np.random, "default_rng", no_draws)
+        monkeypatch.setattr(np.random, "Generator", no_draws)
         texts = {format_report(verification_report(m, res.u, res.zeta, neg_sign(),
                                                    vi_trials=trials, seed=seed))
                  for trials, seed in ((200, 0), (0, 0), (7, 3), (1000, 99))}
