@@ -380,13 +380,15 @@ def _write_svg(out_dir: Path, mesh: Mesh, spec, result: SolveResult) -> None:
 
 
 def _run_solve(config: RunConfig, out_dir: Path, label: str = ""):
-    """Shared solve pipeline; returns (mesh, spec, result).  A run that did not
-    converge after an inner solve failure names it on stderr after `label`."""
+    """Shared solve pipeline; returns (mesh, spec, result).  An inner solve
+    failure is named on stderr after `label`: an error if the run did not
+    converge, a note if its certificate accepted the last iterate."""
     mesh = config.build_mesh()
     spec = config.build_spec(mesh)
     result = solve_inclusion(mesh, spec, config.solver_options())
-    if result.breakdown and not result.converged:
-        print(f"error: {label}inner solve failed: {result.breakdown}", file=sys.stderr)
+    if result.breakdown:
+        kind, tail = ("note", " (the run converged)") if result.converged else ("error", "")
+        print(f"{kind}: {label}inner solve failed: {result.breakdown}{tail}", file=sys.stderr)
     out_dir.mkdir(parents=True, exist_ok=True)
     write_solution_csv(out_dir / "solution.csv", mesh, result, result.residuals)
     write_report(out_dir / "report.txt", mesh, spec, result, bounds(mesh, spec))

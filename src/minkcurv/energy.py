@@ -1,7 +1,10 @@
 """The gradient-constrained area energy, the potential term, and their sum.
 
 The area-type functional is evaluated exactly per element (P1 gradients are
-constant) by one kernel, `area_value` / `area_gradient`; the potential term
+constant) by one kernel, `area_value` / `area_gradient` /
+`area_hessian_product`, whose nodal sums all go through the mesh's gradient
+operator G and its transpose (`element_gradients`, `gradient_adjoint`), so
+the Hessian applies to a vector without being assembled; the potential term
 by lumped vertex quadrature, so its partial derivative at a node is
 node_weight * f(x_i, u_i) wherever f is continuous.
 Infeasibility is a functional value: outside the constraint set the energy
@@ -15,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .mesh import Field, Mesh, element_gradients, inradius, squared_norms
+from .mesh import Field, Mesh, element_gradients, gradient_adjoint, inradius, squared_norms
 # `primitive` is no longer called here; it stays a module attribute because
 # bench/worker.py wraps energy.primitive when it traces a run.
 from .nonlinearity import NonlinearitySpec, primitive, primitive_array  # noqa: F401
@@ -65,30 +68,32 @@ def area_value(mesh: Mesh, g2) -> float:
     return float(np.dot(mesh.element_measure, 1.0 - np.sqrt(np.maximum(0.0, 1.0 - g2))))
 
 
-def gradient_adjoint(mesh: Mesh, weight, x):
-    """(sum over the elements at each node of weight * B x, B x): `x` holds
-    one vector per element (M, dim), `weight` one scalar per element (M,),
-    and B x (M, dim+1) applies the basis gradients to x.  The transpose of
-    `element_gradients` applied to weight * x."""
-    Bx = 0.0  # B x summed over d from +0.0, as einsum sums
-    for d in range(mesh.dim):
-        Bx = Bx + mesh.basis_gradients[:, :, d] * x[:, d, None]
-    total = np.bincount(mesh.elements.ravel(), weights=(weight[:, None] * Bx).ravel(),
-                        minlength=len(mesh.nodes))
-    return total.astype(float, copy=False), Bx  # bincount makes ints without elements
-
-
 def area_gradient(mesh: Mesh, g, g2):
     """Unchecked nodal area gradient from element gradients `g` (M, dim), |g| < 1.
 
-    Returns (gradient, root, Bg): the gradient sums measure/r * B g over the
-    elements at each node (`gradient_adjoint`), with r = sqrt(1 - |g|^2) and
-    B g (M, dim+1) the basis gradients applied to g; the Newton Hessian
-    reuses `root` and `Bg`.
+    Returns (gradient, root): the gradient is G^T((measure / r) g)
+    (`gradient_adjoint`), with r = sqrt(1 - |g|^2), which the Newton
+    Hessian (`area_hessian_product`, the solver's assembly) reuses.
     """
     root = np.sqrt(1.0 - g2)
-    gradient, Bg = gradient_adjoint(mesh, mesh.element_measure / root, g)
-    return gradient, root, Bg
+    return gradient_adjoint(mesh, (mesh.element_measure / root)[:, None] * g), root
+
+
+def area_hessian_product(mesh: Mesh, g, root):
+    """The area Hessian at element gradients `g` (M, dim), with `root` as
+    `area_gradient` returns it, as a function p -> H p on node values, without
+    assembly: H p = G^T[(m/r) q + (m/r^3)(g . q) g], q = G p, m the element
+    measures."""
+    weight = mesh.element_measure / root
+    tilt = (weight / (root * root))[:, None] * g  # (m / r^3) g
+
+    def product(p):
+        q = element_gradients(mesh, p)
+        along = sum((tilt[:, k] * q[:, k] for k in range(1, mesh.dim)), tilt[:, 0] * q[:, 0])
+        q *= weight[:, None]
+        q += along[:, None] * g
+        return gradient_adjoint(mesh, q)
+    return product
 
 
 def psi(mesh: Mesh, field: Field) -> float:

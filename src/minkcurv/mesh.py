@@ -10,9 +10,10 @@ critical-point check, and seeded random feasible fields for the tests.
 Element gradients are one sparse mat-vec: each mesh carries its gradient
 operator G, the CSR matrix of shape (M*dim, K) whose row e*dim + k holds
 the basis gradients B[e, v, k] at the columns elements[e, v], stored in
-vertex order v = 0..dim.  `element_gradients` is the one reader of G, whose
-row sums add B_0 x_0 + B_1 x_1 + ... left to right, the bits of the
-per-vertex sum.
+vertex order v = 0..dim.  `element_gradients` applies G, whose row sums add
+B_0 x_0 + B_1 x_1 + ... left to right, the bits of the per-vertex sum;
+`gradient_adjoint` applies its transpose, through a per-mesh CSC view of
+G's own arrays (no copy).  Nothing else reads G.
 
 A mesh is immutable after construction and safe to share across threads,
 apart from its cache of derived data (`per_mesh`): filled on first use, it
@@ -345,6 +346,20 @@ def element_gradients(mesh: Mesh, values) -> np.ndarray:
     """Per-element P1 gradients of a nodal value vector, shape (M, dim)."""
     values = np.asarray(values, dtype=float)
     return (mesh.gradient_operator @ values).reshape(-1, mesh.dim)
+
+
+@per_mesh
+def _gradient_transpose(mesh: Mesh) -> sp.csc_matrix:
+    """G^T for `gradient_adjoint`: scipy's transpose of a CSR matrix is the
+    CSC matrix on the same data, index and pointer arrays."""
+    return mesh.gradient_operator.T
+
+
+def gradient_adjoint(mesh: Mesh, x) -> np.ndarray:
+    """G^T x, the transpose of `element_gradients`, for `x` holding one vector
+    per element (M, dim): each node sums B[e, v] . x_e over its elements e,
+    in element order."""
+    return _gradient_transpose(mesh) @ np.ravel(x)
 
 
 def squared_norms(g) -> np.ndarray:

@@ -26,9 +26,14 @@ needs nothing more.  A solve with no kinks and no pinned nodes holds the
 factor of K0 = sum_e m_e B B^T (the Hessian at the zero field); one K0
 factor at most is alive per process, and it serves every such solve on
 its mesh until another mesh needs it, the mesh dies or `solve_inclusion`
-returns.  A kinked or pinned solve's first step and a step whose CG misses
-its forcing factor their own Hessian, and the solve holds it (a lagged
-preconditioner).
+returns.  Its CG applies the Hessian without assembling it, as the area
+kernel's product (`energy.area_hessian_product`, through the mesh's
+gradient operator and its transpose; Knoll and Keyes' Jacobian-free
+products).  A kinked or pinned solve's first step and a step whose CG
+misses its forcing factor their own Hessian, and the solve holds it (a
+lagged preconditioner).  The Hessian is assembled only there and for the
+CG on such a held factor, which takes 9 to 50 iterations a step, each
+product costing about a quarter of an assembly.
 
 An increasing jump of f by c at `level` is the convex kink
 c * max(0, u_i - level) of the lumped energy.  Every inner solve keeps the
@@ -75,13 +80,13 @@ from scipy.linalg import LinAlgError, get_lapack_funcs
 from scipy.sparse.linalg import LinearOperator, cg, splu
 
 from .mesh import (Field, Mesh, MeshError, _adjacency, _edge_table, element_gradients,
-                   max_gradient_norm, per_mesh, squared_norms)
+                   gradient_adjoint, max_gradient_norm, per_mesh, squared_norms)
 # `bracket` is no longer called here; it stays a module attribute because
 # bench/worker.py wraps solver.bracket when it traces a run.
 from .nonlinearity import (NonlinearitySpec, bracket, envelopes, jump_limits,  # noqa: F401
                            selection)
-from .energy import (FEASIBILITY_MARGIN, area_gradient, area_value, check_margin,
-                     gradient_adjoint, psi_gradient, total_energy)
+from .energy import (FEASIBILITY_MARGIN, area_gradient, area_hessian_product, area_value,
+                     check_margin, psi_gradient, total_energy)
 
 
 class InnerSolveError(RuntimeError):
@@ -342,12 +347,13 @@ class _NewtonWorkspace:
     elimination order: nested dissection, or in 1D coordinate order, which
     makes the Hessian banded.  Entry (e, a, b) of the element blocks lands
     in data slot `scatter[e*nv*nv + a*nv + b]`; entries touching a boundary
-    node go to the dummy slot `len(indices)`; `diagonal[j]` is the data
-    slot of entry (j, j).  `stiffness` holds B B^T per element (B the basis
-    gradients), element last: entry (a, b) of element e is `stiffness[a,
-    b, e]`.  In 1D, `upper` gathers the upper band in LAPACK's layout:
-    entry (w + i - j, j) of the band (w the band width) is data slot
-    `upper[w + i - j, j]`, or the slot `len(indices)` outside the pattern.
+    node go to the dummy slot `len(indices)`, the last of the Hessian data,
+    which holds 0; `diagonal[j]` is the data slot of entry (j, j).
+    `stiffness` holds B B^T per element (B the basis gradients), element
+    last: entry (a, b) of element e is `stiffness[a, b, e]`.  In 1D, `upper`
+    gathers the upper band in LAPACK's layout: entry (w + i - j, j) of the
+    band (w the band width) is data slot `upper[w + i - j, j]`, or the dummy
+    slot outside the pattern.
     """
 
     order: np.ndarray
@@ -360,9 +366,9 @@ class _NewtonWorkspace:
     upper: np.ndarray | None
 
     def matrix(self, data) -> sp.csc_matrix:
-        """The interior matrix with Hessian data `data`."""
+        """The interior matrix with Hessian data `data` (dummy slot included)."""
         n = len(self.order)
-        return sp.csc_matrix((data, self.indices, self.indptr), shape=(n, n))
+        return sp.csc_matrix((data[:-1], self.indices, self.indptr), shape=(n, n))
 
 
 @per_mesh
@@ -428,20 +434,59 @@ def _newton_workspace(mesh: Mesh) -> _NewtonWorkspace:
     return workspace
 
 
-def _area_hessian(mesh: Mesh, ws: _NewtonWorkspace, root, Bg) -> np.ndarray:
-    """Interior Hessian data of the area term in the slots of `ws`'s pattern.
+def _area_hessian(mesh: Mesh, ws: _NewtonWorkspace, root, g) -> np.ndarray:
+    """Interior Hessian data of the area term in the slots of `ws`'s pattern,
+    the dummy slot last and 0.
 
     Element block: measure * (B B^T / r + (B g)(B g)^T / r^3), with
-    r = sqrt(1 - |g|^2) and `Bg` = B g per element, shape (M, nv).  The
-    blocks are computed element last, so each product runs over all
-    elements at once, then copied to (e, a, b) order for the scatter.
+    r = `root` = sqrt(1 - |g|^2) and B g (M, nv) the basis gradients applied
+    to the element gradients `g`.  The blocks are computed element last, so
+    each product runs over all elements at once, then copied to (e, a, b)
+    order for the scatter.
     """
     m = mesh.element_measure
+    Bg = 0.0  # B g summed over d left to right from +0.0
+    for d in range(mesh.dim):
+        Bg = Bg + mesh.basis_gradients[:, :, d] * g[:, d, None]
     BgT = np.ascontiguousarray(Bg.T)
     h_el = (m / root) * ws.stiffness + ((m / root ** 3) * BgT)[:, None, :] * BgT[None, :, :]
-    nnz = len(ws.indices)
-    return np.bincount(ws.scatter, weights=h_el.transpose(2, 0, 1).ravel(),
-                       minlength=nnz + 1)[:nnz]
+    data = np.bincount(ws.scatter, weights=h_el.transpose(2, 0, 1).ravel(),
+                       minlength=len(ws.indices) + 1)
+    data[-1] = 0.0
+    return data
+
+
+def _step_hessian(mesh: Mesh, ws: _NewtonWorkspace, g, root, diagonal=None, fixed=None):
+    """Data of a Newton step's interior matrix in `ws`'s slots: the area
+    Hessian at `g` (`root` as `area_gradient` returns it) plus `diagonal` on
+    the diagonal, with the rows and columns of the mask `fixed` (both in
+    elimination order) replaced by the identity's."""
+    data = _area_hessian(mesh, ws, root, g)
+    if diagonal is not None:
+        data[ws.diagonal] += diagonal
+    if fixed is not None:
+        data[np.flatnonzero(fixed[ws.indices] | fixed[ws.columns])] = 0.0
+        data[ws.diagonal[fixed]] = 1.0
+    return data
+
+
+def _step_product(mesh: Mesh, ws: _NewtonWorkspace, g, root, diagonal=None, fixed=None):
+    """p -> K p for the matrix K of `_step_hessian` with the same arguments,
+    without assembling it (`area_hessian_product`)."""
+    area, order = area_hessian_product(mesh, g, root), ws.order
+    full = np.zeros(len(mesh.nodes))
+
+    def product(p):
+        full[order] = p
+        if fixed is not None:
+            full[order[fixed]] = 0.0
+        kp = area(full)[order]
+        if diagonal is not None:
+            kp += diagonal * p
+        if fixed is not None:
+            kp[fixed] = p[fixed]
+        return kp
+    return product
 
 
 def _factor(ws: _NewtonWorkspace, data):
@@ -454,7 +499,7 @@ def _factor(ws: _NewtonWorkspace, data):
     elimination order (no column reordering, no pivoting).  The factor lives
     as long as the function."""
     if ws.upper is not None:
-        band = np.append(data, 0.0)[ws.upper]
+        band = data[ws.upper]  # outside the pattern: the dummy slot's 0
         tridiagonal = len(band) == 2
         factor, solve = get_lapack_funcs(("pttrf", "pttrs") if tridiagonal
                                          else ("pbtrf", "pbtrs"), (band,))
@@ -479,16 +524,16 @@ def _k0_preconditioner(mesh: Mesh, ws: _NewtonWorkspace):
     if mesh not in _K0:
         _K0.clear()  # the old factor goes before the new one is made
         _K0[mesh] = _factor(ws, _area_hessian(mesh, ws, np.ones(len(mesh.elements)),
-                                              np.zeros(mesh.elements.shape)))
+                                              np.zeros((len(mesh.elements), mesh.dim))))
     return _K0[mesh]
 
 
 # CG iterations a 2D Newton step may take before it factors its own Hessian.
 # With K0 and the flux start, the steps of disk-6 right-hand sides a in
 # [1.5, 2.5] (21 of them) need at most 6 (at most 20 from zero); on disk-4 at
-# a = 30 the steps need 5, 9, 27, 65, 123, 185 and 179 (from zero 1, 7, 14,
-# 34, 64, 99, 142, 186 and 185), so the fourth misses.  The held first factor
-# of a kinked stage of disk-6 step(-1, 1, 0.1) needs up to 46, and one step
+# a = 30 the steps need 5, 9, 27, 65, 121, 181 and 179 (from zero 1, 7, 14,
+# 34, 64, 99, 141, 186 and 185), so the fourth misses.  The held first factor
+# of a kinked stage of disk-6 step(-1, 1, 0.1) needs up to 47, and one step
 # there misses.
 _CG_MAX_ITER = 50
 _FLAT_STEPS = 3  # accepted steps in a row within the objective's roundoff end a solve
@@ -535,7 +580,7 @@ def _flux_start(mesh: Mesh, e: np.ndarray) -> np.ndarray:
         poisson[order] = k0_solve(-linear[order])
         q = element_gradients(mesh, poisson)
         t = q / np.sqrt(1.0 + squared_norms(q))[:, None]
-        values[order] = k0_solve(gradient_adjoint(mesh, mesh.element_measure, t)[0][order])
+        values[order] = k0_solve(gradient_adjoint(mesh, mesh.element_measure[:, None] * t)[order])
     except (RuntimeError, LinAlgError) as err:
         raise InnerSolveError(f"Hessian factorization failed: {err}",
                               last_values=np.zeros(len(mesh.nodes)),
@@ -592,19 +637,18 @@ def _solve_prescribed(mesh: Mesh, e, opts: SolverOptions, initial=None, kinks=_N
 
     ws = _newton_workspace(mesh)
     order = ws.order
-    fixed = np.zeros(len(order), bool) if pinned is None else pinned[order]
-    pinning = fixed[ws.indices] | fixed[ws.columns]  # the slots of pinned rows and columns
-    held = None  # K0^-1 or the solve's last `_factor`
+    fixed = None if pinned is None else pinned[order]
+    held = k0 = None  # the held factor (K0^-1 or the solve's last `_factor`) and K0^-1
     obj, (_, slope, band) = objective(g2, values)
     flat = 0  # accepted steps in a row that moved the objective by at most its noise
     for _ in range(opts.max_inner + 1):
         stats.max_value = max(stats.max_value, float(np.abs(values).max()))
         stats.max_gradient = max(stats.max_gradient, float(np.sqrt(g2.max(initial=0.0))))
         stats.objectives.append(obj)
-        # the Hessian reuses the kernel's root and B g
-        full_grad, root, Bg = area_gradient(mesh, g, g2)
+        full_grad, root = area_gradient(mesh, g, g2)  # the Hessian reuses root
         grad = full_grad[order] + linear[order] + (mesh.node_weight * slope)[order]
-        grad[fixed] = 0.0
+        if fixed is not None:
+            grad[fixed] = 0.0
         residual = float(np.abs(grad).max()) if grad.size else 0.0
         if not math.isfinite(residual):
             raise failure("non-finite gradient encountered", residual)
@@ -626,26 +670,35 @@ def _solve_prescribed(mesh: Mesh, e, opts: SolverOptions, initial=None, kinks=_N
         # get identity rows and columns (zero step), so it stays symmetric.
         # A kink-free, unpinned 2D solve holds K0 (away from the constraint
         # surface K0^-1 H has its spectrum in [1/r_max, 1/r_min^3]), and CG
-        # on the held factor stops at the forcing of the module docstring.
+        # on the held factor stops at the forcing of the module docstring;
+        # with K0 it applies the Hessian unassembled (`_step_product`).
         # A 1D step (a band solve costs next to nothing), a kinked or pinned
         # 2D solve's first step and a CG miss factor the step's Hessian, and
         # the solve holds that factor; the old one goes first, so at most
-        # one LU besides K0 is alive at a time.
-        data = _area_hessian(mesh, ws, root, Bg)
-        data[ws.diagonal] += (mesh.node_weight * band.sum(axis=0) / gamma)[order]
-        data[pinning] = 0.0
-        data[ws.diagonal[fixed]] = 1.0
+        # one LU besides K0 is alive at a time.  CG on a held factor of the
+        # solve's own takes 9 to 50 iterations, each product a quarter of an
+        # assembly, so it multiplies by the assembled matrix.
+        diagonal = None if kinks.level.size == 0 else (
+            mesh.node_weight * band.sum(axis=0) / gamma)[order]
+        data = None
         try:
             if held is None and mesh.dim > 1 and kinks.level.size == 0 and pinned is None:
-                held = _k0_preconditioner(mesh, ws)
+                held = k0 = _k0_preconditioner(mesh, ws)
             unmet = mesh.dim == 1 or held is None
             if not unmet:
-                direction, unmet = cg(ws.matrix(data), -grad,
-                                      rtol=min(0.1, (residual / first) ** 2),
+                if held is k0:
+                    step = LinearOperator((len(order),) * 2, _step_product(mesh, ws, g, root),
+                                          dtype=float)
+                else:
+                    data = _step_hessian(mesh, ws, g, root, diagonal, fixed)
+                    step = ws.matrix(data)
+                direction, unmet = cg(step, -grad, rtol=min(0.1, (residual / first) ** 2),
                                       atol=0.1 * opts.inner_tol, maxiter=_CG_MAX_ITER,
                                       M=LinearOperator((len(order),) * 2, held, dtype=float))
             if unmet:
                 held = None  # the old factor goes before the new one is made
+                if data is None:
+                    data = _step_hessian(mesh, ws, g, root, diagonal, fixed)
                 held = _factor(ws, data)
                 direction = held(-grad)
         except (RuntimeError, LinAlgError) as err:

@@ -409,6 +409,25 @@ def test_inner_solve_failure_exits_2(tmp_path, capsys, command):
         assert all("" not in row.split(",") for row in rows)
 
 
+@pytest.mark.parametrize("command", ["solve", "sweep"])
+def test_converged_run_names_its_inner_failure(tmp_path, capsys, command):
+    # at a = 1000 Newton on n = 64 stops at its roundoff floor above the
+    # inner stop, and the certificate accepts the last iterate
+    cfg = write_cfg(tmp_path, PRESCRIBED_CFG.replace(
+        "nonlinearity.kind = prescribed\nnonlinearity.value = 1.0",
+        "nonlinearity.kind = constant\nnonlinearity.a = 1000"))
+    argv = [command, "--config", str(cfg)]
+    if command == "sweep":
+        argv += ["--param", "n", "--values", "64"]
+    assert main(argv) == 0
+    err = capsys.readouterr().err
+    assert err.startswith(f"note: {'n=64: ' if command == 'sweep' else ''}inner solve failed: "
+                          "Newton left the objective unchanged to roundoff for 3 steps")
+    assert err.endswith(" (the run converged)\n") and "error" not in err
+    report = tmp_path / "out" / ("n_64/report.txt" if command == "sweep" else "report.txt")
+    assert report.read_text().startswith("converged true\n")
+
+
 def test_band_solve_failure_exits_2(tmp_path, capsys, monkeypatch):
     # a 1D Hessian that banded Cholesky rejects (LAPACK's info 2: the
     # second minor) fails the inner solve

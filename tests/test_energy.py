@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from minkcurv.energy import (EnergyBounds, StrictFeasibilityError, area_gradient,
-                             area_value, bounds, psi, psi_gradient,
+                             area_hessian_product, area_value, bounds, psi, psi_gradient,
                              script_f, total_energy)
 from minkcurv.mesh import (Field, build_disk_mesh, build_interval_mesh,
                            build_rectangle_mesh, element_gradients, inradius)
@@ -36,11 +36,20 @@ class TestAreaKernel:
         ref = np.zeros(len(mesh.nodes))
         np.add.at(ref, mesh.elements, mesh.element_measure[:, None]
                   * np.einsum("evd,ed->ev", B, g / r[:, None]))
-        gradient, root, Bg = area_gradient(mesh, g, g2)
+        gradient, root = area_gradient(mesh, g, g2)
         assert np.abs(gradient - ref).max() <= 1e-13 * np.abs(ref).max()
         np.testing.assert_array_equal(root, r)
-        np.testing.assert_allclose(Bg, np.einsum("evd,ed->ev", B, g),
-                                   rtol=0.0, atol=1e-15 * np.abs(B).max())
+        # the Hessian product: measure * B (q / r + g (g . q) / r^3), q = G p,
+        # scattered node by node (B g itself is checked where the solver
+        # assembles the Hessian, tests/test_solver.py)
+        p = np.random.default_rng(5).standard_normal(len(mesh.nodes))
+        q = element_gradients(mesh, p)
+        a = q / r[:, None] + g * ((g * q).sum(axis=1) / r ** 3)[:, None]
+        ref = np.zeros(len(mesh.nodes))
+        np.add.at(ref, mesh.elements,
+                  mesh.element_measure[:, None] * np.einsum("evd,ed->ev", B, a))
+        hp = area_hessian_product(mesh, g, root)(p)
+        assert np.abs(hp - ref).max() <= 1e-13 * np.abs(ref).max()
 
 
 class TestPsi:

@@ -4,8 +4,9 @@ A change that leaves the solver's behaviour as it is must leave these bytes
 as they are: the solution CSV and the report carry every digit of `u`,
 `zeta`, the residuals, the energies and the iteration counts.  The cases
 cover the 1D band step (interval `step`), a kink-free 1D run (interval
-`neg_sign`) and the 2D K0-preconditioned CG with a kinked stage's held
-factor (disk `step`).  The hashes were taken with numpy 2.4 and scipy 1.17
+`neg_sign`), the 2D K0-preconditioned CG with a kinked stage's held
+factor (disk `step`) and a kink-free 2D run, whose CG on K0 applies the
+Hessian unassembled (disk `constant`).  The hashes were taken with numpy 2.4 and scipy 1.17
 on x86-64; other builds of the linear algebra may round differently.
 """
 
@@ -29,8 +30,13 @@ GOLDEN = {
         "4f1fe9c4f0dc63898df022e48ffb97a5db7f0dea523301029e9d47e045846e27"),
     "disk3-step": (
         "domain.kind = disk\ndomain.radius = 1\ndomain.refinement = 3\n" + STEP.format(s0=0.1),
-        "24b3dec48e991a4347d53b712bd8e454c091b2f442077a629878d8f4e0362ea6",
-        "7353a76a255d926a14ef88472d4a4461f7fee0d2bba9f2ed328a51be61ea9fe6"),
+        "73e2f4111874fda754770f0bd3b36784a08320e8f30401bb55e7c327092a5814",
+        "ccfef8e1a680f6838e39477970edbe5ed3c924d4079f12aef61f2312324a138e"),
+    "disk4-constant2": (
+        "domain.kind = disk\ndomain.radius = 1\ndomain.refinement = 4\n"
+        "nonlinearity.kind = constant\nnonlinearity.a = 2\n",
+        "8cad5af89e4672c8a4361c973e7f089d587ee6dfb7e3d742ba314983bfc82a1d",
+        "f6581f747b9586331edc27e4609e3b0053af2d9b42b61d140a4df41161c897e5"),
 }
 
 

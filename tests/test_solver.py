@@ -1092,13 +1092,14 @@ def reference_hessian(mesh, values, order):
 
 def element_first_hessian(mesh, ws, root, Bg):
     """Interior Hessian data from element blocks in (e, a, b) order and one
-    bincount over `ws.scatter`: the sums `_area_hessian` must reproduce."""
+    bincount over `ws.scatter`, the dummy slot last and 0: the sums
+    `_area_hessian` must reproduce."""
     B = mesh.basis_gradients
     m = mesh.element_measure
     h_el = (m / root)[:, None, None] * np.einsum("evd,ewd->evw", B, B) \
         + (m / root ** 3)[:, None, None] * Bg[:, :, None] * Bg[:, None, :]
     nnz = len(ws.indices)
-    return np.bincount(ws.scatter, weights=h_el.ravel(), minlength=nnz + 1)[:nnz]
+    return np.append(np.bincount(ws.scatter, weights=h_el.ravel(), minlength=nnz + 1)[:nnz], 0.0)
 
 
 class TestNewtonWorkspace:
@@ -1112,8 +1113,12 @@ class TestNewtonWorkspace:
         ws = _newton_workspace(mesh)
         g = element_gradients(mesh, values)
         root = np.sqrt(1.0 - (g * g).sum(axis=1))
-        Bg = np.einsum("evd,ed->ev", mesh.basis_gradients, g)
-        data = _area_hessian(mesh, ws, root, Bg)
+        # B g as `_area_hessian` forms it from g, summed over d left to right
+        B = mesh.basis_gradients
+        Bg = sum(B[:, :, d] * g[:, d, None] for d in range(mesh.dim))
+        np.testing.assert_allclose(Bg, np.einsum("evd,ed->ev", B, g),
+                                   rtol=0.0, atol=1e-15 * np.abs(B).max())
+        data = _area_hessian(mesh, ws, root, g)
         assert np.array_equal(data, element_first_hessian(mesh, ws, root, Bg))
         M = len(mesh.elements)
         k0 = element_first_hessian(mesh, ws, np.ones(M), np.zeros((M, mesh.dim + 1)))
@@ -1136,11 +1141,49 @@ class TestNewtonWorkspace:
         ws = _newton_workspace(mesh)
         g = element_gradients(mesh, values)
         root = np.sqrt(1.0 - (g * g).sum(axis=1))
-        Bg = np.einsum("evd,ed->ev", mesh.basis_gradients, g)
-        K = ws.matrix(_area_hessian(mesh, ws, root, Bg))
+        K = ws.matrix(_area_hessian(mesh, ws, root, g))
         assert K.has_canonical_format
         ref = reference_hessian(mesh, values, ws.order)
         assert np.abs(K.toarray() - ref).max() <= 1e-13 * np.abs(ref).max()
+
+    @pytest.mark.parametrize("build", [lambda: build_disk_mesh(1.0, 4),
+                                       lambda: build_rectangle_mesh(2.0, 1.0, 40, 20),
+                                       lambda: cube_mesh(6)],
+                             ids=["disk4", "rectangle40x20", "cube6"])
+    def test_step_product_is_the_assembled_step_matrix(self, build):
+        # K p by the gradient operator alone equals the assembled K times p,
+        # with a kink band on the diagonal and pinned rows and columns
+        mesh = build()
+        rng = np.random.default_rng(8)
+        values = rng.standard_normal(len(mesh.nodes))
+        values[mesh.boundary_nodes] = 0.0
+        values *= 0.9 / max_gradient_norm(mesh, values)
+        ws = _newton_workspace(mesh)
+        n = len(ws.order)
+        g = element_gradients(mesh, values)
+        root = np.sqrt(1.0 - (g * g).sum(axis=1))
+        band = rng.random(n) * (rng.random(n) < 0.3)
+        fixed = rng.random(n) < 0.2
+        for diagonal, pinned in ((None, None), (band, None), (None, fixed), (band, fixed)):
+            K = ws.matrix(solver._step_hessian(mesh, ws, g, root, diagonal, pinned))
+            product = solver._step_product(mesh, ws, g, root, diagonal, pinned)
+            for p in rng.standard_normal((3, n)):
+                ref = K @ p
+                assert np.abs(product(p) - ref).max() <= 1e-13 * np.abs(ref).max()
+        assert fixed.any() and band.any()
+
+    def test_warm_kink_free_solve_assembles_nothing(self, monkeypatch):
+        # with K0 factored, a kink-free solve applies its Hessians by the
+        # gradient operator and never assembles one
+        mesh = build_disk_mesh(1.0, 4)
+        solve_prescribed(mesh, 2.0)
+        assembled = []
+        area_hessian = solver._area_hessian
+        monkeypatch.setattr(solver, "_area_hessian",
+                            lambda *args: assembled.append(1) or area_hessian(*args))
+        _, stats = _solve_prescribed(mesh, 2.4, SolverOptions())
+        solver._K0.clear()
+        assert stats.iterations == 6 and assembled == []
 
     @pytest.mark.parametrize("name", sorted(WORKSPACE_MESHES))
     def test_order_is_a_permutation_of_the_interior(self, name):
@@ -1269,15 +1312,14 @@ class TestNewtonWorkspace:
         values[mesh.boundary_nodes] = 0.0
         values *= 0.9 / max_gradient_norm(mesh, values)
         g = element_gradients(mesh, values)
-        data = _area_hessian(mesh, ws, np.sqrt(1.0 - (g * g).sum(axis=1)),
-                             np.einsum("evd,ed->ev", mesh.basis_gradients, g))
+        data = _area_hessian(mesh, ws, np.sqrt(1.0 - (g * g).sum(axis=1)), g)
         asked, lapack = [], solver.get_lapack_funcs
         monkeypatch.setattr(solver, "get_lapack_funcs",
                             lambda names, arrays: asked.append(names) or lapack(names, arrays))
         solve = solver._factor(ws, data)
         assert asked == [routine] and len(ws.upper) == (2 if routine[0] == "pttrf" else 1)
         for rhs in (rng.standard_normal(len(ws.order)), rng.standard_normal(len(ws.order))):
-            reference = solveh_banded(np.append(data, 0.0)[ws.upper], rhs)
+            reference = solveh_banded(data[ws.upper], rhs)
             assert np.array_equal(solve(rhs), reference)  # the factor serves again
 
     def test_band_solve_failure_is_a_factorization_failure(self, monkeypatch):

@@ -134,13 +134,16 @@ def test_solver_draws_no_random_numbers():
 
 def attribute_reads(module_tree, attr):
     """Innermost enclosing function name ("<module>" at top level) of every
-    read of `.attr`, and of every string constant equal to `attr`."""
+    read of `.attr` or of the bare name `attr`, and of every string constant
+    equal to `attr`."""
     found = []
 
     def visit(node, where):
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
             where = node.name
-        if isinstance(node, ast.Attribute) and node.attr == attr and isinstance(node.ctx, ast.Load):
+        named = (isinstance(node, ast.Attribute) and node.attr == attr
+                 or isinstance(node, ast.Name) and node.id == attr)
+        if named and isinstance(node.ctx, ast.Load):
             found.append(where)
         if isinstance(node, ast.Constant) and node.value == attr:
             found.append(where)
@@ -151,10 +154,20 @@ def attribute_reads(module_tree, attr):
 
 
 def test_only_element_gradients_reads_the_gradient_operator():
-    # one gradient path: every element gradient is a call the bench can count
+    # one gradient path: every element gradient, and every sum back onto the
+    # nodes, is a call of `element_gradients` or `gradient_adjoint`; the
+    # latter reads G through its per-mesh transpose, which nothing else reads
     reads = {(name, where) for name in MODULES
              for where in attribute_reads(tree(name), "gradient_operator")}
-    assert reads == {("mesh", "element_gradients")}
+    assert reads == {("mesh", "element_gradients"), ("mesh", "_gradient_transpose")}
+    transposes = {(name, where) for name in MODULES
+                  for where in attribute_reads(tree(name), "_gradient_transpose")}
+    assert transposes == {("mesh", "gradient_adjoint")}
+
+
+def test_the_attribute_scan_sees_bare_names():
+    src = "def f(m):\n    def g():\n        return op(m)\n    return g\nop = 1\nx = op\n"
+    assert attribute_reads(ast.parse(src), "op") == ["g", "<module>"]
 
 
 def test_the_attribute_scan_sees_nested_reads_and_strings():
