@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import inspect
 import math
 import sys
 from dataclasses import dataclass, field as dataclass_field, fields, replace
@@ -79,10 +80,11 @@ _SOLVER_KEYS = {f.name: type(f.default) for f in fields(SolverOptions)
 _VERIFY_KEYS = {"residual_tol": float, "vi_tol": float, "vi_trials": int,
                 "analytic_tol": float, "bruteforce_step": float}
 
-# config keys of the catalog rules with parameters: the factory's parameter
-# names, each with its default (None: required)
-_CATALOG_PARAMS = {"constant": {"a": None}, "step": {"a": None, "b": None, "s0": 0.0},
-                   "power": {"c": None, "r": None}}
+# config keys of each catalog rule: the factory's parameter names, each with
+# its default (None: required)
+_CATALOG_PARAMS = {name: {p.name: None if p.default is p.empty else p.default
+                          for p in inspect.signature(factory).parameters.values()}
+                   for name, factory in CATALOG.items()}
 
 
 @dataclass

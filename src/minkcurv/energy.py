@@ -1,12 +1,15 @@
 """The gradient-constrained area energy, the potential term, and their sum.
 
 The area-type functional is evaluated exactly per element (P1 gradients are
-constant) by one kernel, `area_value` / `area_gradient` /
-`area_hessian_product`, whose nodal sums all go through the mesh's gradient
-operator G and its transpose (`element_gradients`, `gradient_adjoint`), so
-the Hessian applies to a vector without being assembled; the potential term
-by lumped vertex quadrature, so its partial derivative at a node is
-node_weight * f(x_i, u_i) wherever f is continuous.
+constant) by one kernel: its integrand `area_integrand`, summed by
+`area_value`, and `area_gradient`, `area_hessian_product` and
+`area_hessian_blocks`.  The gradient's and the product's nodal sums go
+through the mesh's gradient operator G and its transpose
+(`element_gradients`, `gradient_adjoint`), so the Hessian applies to a
+vector without being assembled; the blocks are what the solver assembles
+where it factors.  The potential term is evaluated by lumped vertex
+quadrature, so its partial derivative at a node is node_weight * f(x_i, u_i)
+wherever f is continuous.
 Infeasibility is a functional value: outside the constraint set the energy
 is +inf, never an exception.
 """
@@ -18,7 +21,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .mesh import Field, Mesh, element_gradients, gradient_adjoint, inradius, squared_norms
+from .mesh import (Field, Mesh, element_gradients, gradient_adjoint, inradius, per_mesh,
+                   squared_norms)
 # `primitive` is no longer called here; it stays a module attribute because
 # bench/worker.py wraps energy.primitive when it traces a run.
 from .nonlinearity import NonlinearitySpec, primitive, primitive_array  # noqa: F401
@@ -63,9 +67,14 @@ class EnergyBounds:
     lower_bound: float
 
 
+def area_integrand(g2):
+    """The area integrand 1 - sqrt(1 - |g|^2) of |g|^2 `g2`, 1 past |g| = 1."""
+    return 1.0 - np.sqrt(np.maximum(0.0, 1.0 - g2))
+
+
 def area_value(mesh: Mesh, g2) -> float:
-    """Unchecked area term sum measure * (1 - sqrt(1 - |g|^2)); `g2` is |g|^2 (M,)."""
-    return float(np.dot(mesh.element_measure, 1.0 - np.sqrt(np.maximum(0.0, 1.0 - g2))))
+    """Unchecked area term sum measure * `area_integrand`; `g2` is |g|^2 (M,)."""
+    return float(np.dot(mesh.element_measure, area_integrand(g2)))
 
 
 def area_gradient(mesh: Mesh, g, g2):
@@ -73,7 +82,7 @@ def area_gradient(mesh: Mesh, g, g2):
 
     Returns (gradient, root): the gradient is G^T((measure / r) g)
     (`gradient_adjoint`), with r = sqrt(1 - |g|^2), which the Newton
-    Hessian (`area_hessian_product`, the solver's assembly) reuses.
+    Hessian (`area_hessian_product`, `area_hessian_blocks`) reuses.
     """
     root = np.sqrt(1.0 - g2)
     return gradient_adjoint(mesh, (mesh.element_measure / root)[:, None] * g), root
@@ -94,6 +103,30 @@ def area_hessian_product(mesh: Mesh, g, root):
         q += along[:, None] * g
         return gradient_adjoint(mesh, q)
     return product
+
+
+@per_mesh
+def _stiffness(mesh: Mesh) -> np.ndarray:
+    """B B^T per element (B the basis gradients), element last and read-only:
+    entry (a, b) of element e is `_stiffness(mesh)[a, b, e]`."""
+    Bt = np.ascontiguousarray(mesh.basis_gradients.transpose(2, 1, 0))  # (dim, nv, M)
+    stiffness = sum(Bd[:, None] * Bd[None, :] for Bd in Bt)
+    stiffness.setflags(write=False)
+    return stiffness
+
+
+def area_hessian_blocks(mesh: Mesh, g, root) -> np.ndarray:
+    """The area Hessian's element blocks at element gradients `g` (M, dim),
+    with `root` as `area_gradient` returns it, element last (nv, nv, M):
+    measure * (B B^T / r + (B g)(B g)^T / r^3), B g (M, nv) the basis
+    gradients applied to `g`, summed over d left to right.  Each product
+    runs over all elements at once."""
+    m = mesh.element_measure
+    Bg = 0.0
+    for d in range(mesh.dim):
+        Bg = Bg + mesh.basis_gradients[:, :, d] * g[:, d, None]
+    BgT = np.ascontiguousarray(Bg.T)
+    return (m / root) * _stiffness(mesh) + ((m / root ** 3) * BgT)[:, None, :] * BgT[None, :, :]
 
 
 def psi(mesh: Mesh, field: Field) -> float:

@@ -51,7 +51,7 @@ class Mesh:
     elements : array_like, shape (M, dim+1)
         Node indices of each simplex.
     boundary_nodes : iterable of int
-        Indices of the nodes lying on the domain boundary.
+        Indices of the nodes lying on the domain boundary, at least one.
 
     Attributes
     ----------
@@ -100,6 +100,8 @@ class Mesh:
             raise MeshError("boundary node index out of range")
         if self.dim == 1 and boundary.size != 2:
             raise MeshError("a 1D mesh must have exactly two boundary nodes")
+        if not boundary.size:
+            raise MeshError("the mesh has no boundary node")
         self.boundary_nodes = boundary
         mask = np.zeros(len(nodes), dtype=bool)
         mask[boundary] = True
@@ -309,9 +311,10 @@ class _EdgeTable(NamedTuple):
 @per_mesh
 def _edge_table(mesh: Mesh) -> _EdgeTable:
     """The mesh's edges, read-only, from one `np.unique` per mesh.  Vertex
-    pairs (a, b), a < b, of an element are in `np.triu_indices` order.  The
-    node graph (`_adjacency`), `_mesh_size`, the edge lengths of
-    `_boundary_path_length` and the solver's Newton workspace read them here."""
+    pairs (a, b), a < b, of an element are in `np.triu_indices` order.  Its
+    CSR pattern is the mesh's one node graph: `_mesh_size`,
+    `_boundary_path_length`, `_smoother` and the solver's Newton workspace
+    and elimination order read it here."""
     K = len(mesh.nodes)
     a, b = np.triu_indices(mesh.dim + 1, 1)
     first, second = mesh.elements[:, a], mesh.elements[:, b]
@@ -419,11 +422,11 @@ def _boundary_path_length(mesh: Mesh) -> np.ndarray:
     node, read-only, inf where no edge path reaches one.  It bounds |v_i| for
     every field with element gradient norms <= 1 and zero marked boundary
     values on any mesh: along an element edge v changes by at most the
-    edge's length.  One multi-source Dijkstra per mesh on `_adjacency`, with
-    the edge lengths of `_edge_table`."""
-    edges = _edge_table(mesh)
-    lengths = _adjacency(mesh)[0].copy()
-    lengths.data = edges.length[edges.edge_at]
+    edge's length.  One multi-source Dijkstra per mesh on the node graph of
+    `_edge_table`, weighted by its edge lengths."""
+    edges, n = _edge_table(mesh), len(mesh.nodes)
+    lengths = sp.csr_matrix((edges.length[edges.edge_at], edges.indices, edges.indptr),
+                            shape=(n, n))
     dist = dijkstra(lengths, indices=mesh.boundary_nodes, min_only=True)
     dist.setflags(write=False)
     return dist
@@ -432,26 +435,15 @@ def _boundary_path_length(mesh: Mesh) -> np.ndarray:
 # -- trial fields --------------------------------------------------------------
 
 @per_mesh
-def _adjacency(mesh: Mesh):
-    """Node adjacency matrix (ones on element edges) and node degrees, read-only:
-    the graph of `random_feasible_field`, of `_boundary_path_length` and of the
-    solver's elimination order, on the pattern of `_edge_table`."""
-    edges = _edge_table(mesh)
-    n = len(mesh.nodes)
-    A = sp.csr_matrix((np.ones(len(edges.indices)), edges.indices, edges.indptr), shape=(n, n))
-    deg = np.maximum(np.diff(edges.indptr), 1).astype(float)
-    for arr in (A.data, A.indices, A.indptr, deg):
-        arr.setflags(write=False)
-    return A, deg
-
-
-@per_mesh
 def _smoother(mesh: Mesh):
     """One smoothing step of `random_feasible_field` as a read-only CSR matrix,
-    S = (I + D^-1 A) / 2 on the node graph (`_adjacency`), whose boundary
+    S = (I + D^-1 A) / 2 on the node graph of `_edge_table` (A its adjacency
+    matrix, ones on the edges, and D its degrees, at least 1), whose boundary
     rows are empty: S v averages each interior node with the mean of its
     neighbours and is zero on the boundary."""
-    A, deg = _adjacency(mesh)
+    edges, n = _edge_table(mesh), len(mesh.nodes)
+    A = sp.csr_matrix((np.ones(len(edges.indices)), edges.indices, edges.indptr), shape=(n, n))
+    deg = np.maximum(np.diff(edges.indptr), 1)
     keep = 0.5 * ~mesh.is_boundary
     S = (sp.diags(keep / deg) @ A + sp.diags(keep)).tocsr()
     S.eliminate_zeros()

@@ -318,7 +318,7 @@ def neg_sign() -> NonlinearitySpec:
         exact_primitive=lambda nodes, s: -np.abs(s))
 
 
-def step(a: float, b: float, s0: float) -> NonlinearitySpec:
+def step(a: float, b: float, s0: float = 0.0) -> NonlinearitySpec:
     """f(s) = a for s < s0 and b for s > s0, with exact jump metadata."""
     def ev(x, s):
         return np.where(s < s0, a, np.where(s > s0, b, 0.5 * (a + b)))

@@ -79,14 +79,14 @@ import scipy.sparse as sp
 from scipy.linalg import LinAlgError, get_lapack_funcs
 from scipy.sparse.linalg import LinearOperator, cg, splu
 
-from .mesh import (Field, Mesh, MeshError, _adjacency, _edge_table, element_gradients,
-                   gradient_adjoint, max_gradient_norm, per_mesh, squared_norms)
+from .mesh import (Field, Mesh, MeshError, _edge_table, element_gradients, gradient_adjoint,
+                   max_gradient_norm, per_mesh, squared_norms)
 # `bracket` is no longer called here; it stays a module attribute because
 # bench/worker.py wraps solver.bracket when it traces a run.
 from .nonlinearity import (NonlinearitySpec, bracket, envelopes, jump_limits,  # noqa: F401
                            selection)
-from .energy import (FEASIBILITY_MARGIN, area_gradient, area_hessian_product, area_value,
-                     check_margin, psi_gradient, total_energy)
+from .energy import (FEASIBILITY_MARGIN, area_gradient, area_hessian_blocks,
+                     area_hessian_product, area_value, check_margin, psi_gradient, total_energy)
 
 
 class InnerSolveError(RuntimeError):
@@ -276,10 +276,10 @@ _NO_KINKS = _Kinks(np.zeros((0, 1)), np.zeros((0, 1)))  # broadcasts to any mesh
 _DISSECTION_LEAF = 64
 
 
-def _nested_dissection(points: np.ndarray, adjacency: sp.csr_matrix,
-                       nodes: np.ndarray) -> np.ndarray:
+def _nested_dissection(points: np.ndarray, graph, nodes: np.ndarray) -> np.ndarray:
     """Fill-reducing elimination order of `nodes`, vertices of a graph whose
-    vertices sit at `points`.
+    vertices sit at `points` and whose CSR pattern `graph.indptr`,
+    `graph.indices` lists each vertex's neighbours (a mesh's `_edge_table`).
 
     Recursive coordinate bisection: a part is sorted along the longest axis
     of its bounding box and cut at the median; the nodes of the lower half
@@ -294,7 +294,7 @@ def _nested_dissection(points: np.ndarray, adjacency: sp.csr_matrix,
     each part knows where its order starts, so a leaf or a separator goes
     straight to its place.
     """
-    indptr, indices = adjacency.indptr, adjacency.indices
+    indptr, indices = graph.indptr, graph.indices
     order = np.empty(len(nodes), dtype=nodes.dtype)
     parts, sizes, starts = nodes, np.array([len(nodes)]), np.array([0])
     while True:
@@ -348,12 +348,10 @@ class _NewtonWorkspace:
     makes the Hessian banded.  Entry (e, a, b) of the element blocks lands
     in data slot `scatter[e*nv*nv + a*nv + b]`; entries touching a boundary
     node go to the dummy slot `len(indices)`, the last of the Hessian data,
-    which holds 0; `diagonal[j]` is the data slot of entry (j, j).
-    `stiffness` holds B B^T per element (B the basis gradients), element
-    last: entry (a, b) of element e is `stiffness[a, b, e]`.  In 1D, `upper`
-    gathers the upper band in LAPACK's layout: entry (w + i - j, j) of the
-    band (w the band width) is data slot `upper[w + i - j, j]`, or the dummy
-    slot outside the pattern.
+    which holds 0; `diagonal[j]` is the data slot of entry (j, j).  In 1D,
+    `upper` gathers the upper band in LAPACK's layout: entry (w + i - j, j)
+    of the band (w the band width) is data slot `upper[w + i - j, j]`, or the
+    dummy slot outside the pattern.
     """
 
     order: np.ndarray
@@ -362,7 +360,6 @@ class _NewtonWorkspace:
     columns: np.ndarray
     scatter: np.ndarray
     diagonal: np.ndarray
-    stiffness: np.ndarray
     upper: np.ndarray | None
 
     def matrix(self, data) -> sp.csc_matrix:
@@ -374,7 +371,7 @@ class _NewtonWorkspace:
 @per_mesh
 def _newton_workspace(mesh: Mesh) -> _NewtonWorkspace:
     """The mesh's Newton workspace; in 2D and up the elimination order
-    dissects the interior of the mesh's node graph (`_adjacency`), in 1D it
+    dissects the interior of the mesh's node graph (`_edge_table`), in 1D it
     sorts the interior by coordinate (stable).  The pattern holds the
     diagonal and both entries of each interior edge of `_edge_table`, and an
     element entry (a, b), a != b, finds its slot through its edge."""
@@ -385,7 +382,7 @@ def _newton_workspace(mesh: Mesh) -> _NewtonWorkspace:
     if mesh.dim == 1:
         order = interior[np.argsort(mesh.nodes[interior, 0], kind="stable")]
     else:
-        order = _nested_dissection(mesh.nodes, _adjacency(mesh)[0], interior)
+        order = _nested_dissection(mesh.nodes, edges, interior)
     rank = np.full(len(mesh.nodes), -1)
     rank[order] = np.arange(n)
     ri, rj = rank[edges.ends.T]
@@ -421,47 +418,26 @@ def _newton_workspace(mesh: Mesh) -> _NewtonWorkspace:
         upper = np.full((width + 1, n), len(slots))
         above = row <= column
         upper[(width + row - column)[above], column[above]] = np.flatnonzero(above)
-    Bt = np.ascontiguousarray(mesh.basis_gradients.transpose(2, 1, 0))  # (dim, nv, M)
     workspace = _NewtonWorkspace(
         order=order, indptr=indptr, indices=row.astype(np.int32),
         columns=column.astype(np.int32), scatter=scatter,
-        diagonal=np.flatnonzero(row == column),
-        stiffness=sum(Bd[:, None] * Bd[None, :] for Bd in Bt),
-        upper=upper)
+        diagonal=np.flatnonzero(row == column), upper=upper)
     for arr in vars(workspace).values():
         if arr is not None:
             arr.setflags(write=False)
     return workspace
 
 
-def _area_hessian(mesh: Mesh, ws: _NewtonWorkspace, root, g) -> np.ndarray:
-    """Interior Hessian data of the area term in the slots of `ws`'s pattern,
-    the dummy slot last and 0.
-
-    Element block: measure * (B B^T / r + (B g)(B g)^T / r^3), with
-    r = `root` = sqrt(1 - |g|^2) and B g (M, nv) the basis gradients applied
-    to the element gradients `g`.  The blocks are computed element last, so
-    each product runs over all elements at once, then copied to (e, a, b)
-    order for the scatter.
-    """
-    m = mesh.element_measure
-    Bg = 0.0  # B g summed over d left to right from +0.0
-    for d in range(mesh.dim):
-        Bg = Bg + mesh.basis_gradients[:, :, d] * g[:, d, None]
-    BgT = np.ascontiguousarray(Bg.T)
-    h_el = (m / root) * ws.stiffness + ((m / root ** 3) * BgT)[:, None, :] * BgT[None, :, :]
-    data = np.bincount(ws.scatter, weights=h_el.transpose(2, 0, 1).ravel(),
+def _step_hessian(mesh: Mesh, ws: _NewtonWorkspace, g, root, diagonal=None, fixed=None):
+    """Data of a Newton step's interior matrix in `ws`'s slots, the dummy slot
+    last and 0: the area Hessian at `g` (`root` as `area_gradient` returns
+    it), its `area_hessian_blocks` copied to (e, a, b) order and summed into
+    the slots, plus `diagonal` on the diagonal, with the rows and columns of
+    the mask `fixed` (both in elimination order) replaced by the identity's."""
+    blocks = area_hessian_blocks(mesh, g, root)
+    data = np.bincount(ws.scatter, weights=blocks.transpose(2, 0, 1).ravel(),
                        minlength=len(ws.indices) + 1)
     data[-1] = 0.0
-    return data
-
-
-def _step_hessian(mesh: Mesh, ws: _NewtonWorkspace, g, root, diagonal=None, fixed=None):
-    """Data of a Newton step's interior matrix in `ws`'s slots: the area
-    Hessian at `g` (`root` as `area_gradient` returns it) plus `diagonal` on
-    the diagonal, with the rows and columns of the mask `fixed` (both in
-    elimination order) replaced by the identity's."""
-    data = _area_hessian(mesh, ws, root, g)
     if diagonal is not None:
         data[ws.diagonal] += diagonal
     if fixed is not None:
@@ -470,22 +446,15 @@ def _step_hessian(mesh: Mesh, ws: _NewtonWorkspace, g, root, diagonal=None, fixe
     return data
 
 
-def _step_product(mesh: Mesh, ws: _NewtonWorkspace, g, root, diagonal=None, fixed=None):
-    """p -> K p for the matrix K of `_step_hessian` with the same arguments,
-    without assembling it (`area_hessian_product`)."""
+def _step_product(mesh: Mesh, ws: _NewtonWorkspace, g, root):
+    """p -> K p for the matrix K of `_step_hessian(mesh, ws, g, root)`, the
+    interior area Hessian, without assembling it (`area_hessian_product`)."""
     area, order = area_hessian_product(mesh, g, root), ws.order
     full = np.zeros(len(mesh.nodes))
 
     def product(p):
         full[order] = p
-        if fixed is not None:
-            full[order[fixed]] = 0.0
-        kp = area(full)[order]
-        if diagonal is not None:
-            kp += diagonal * p
-        if fixed is not None:
-            kp[fixed] = p[fixed]
-        return kp
+        return area(full)[order]
     return product
 
 
@@ -523,8 +492,8 @@ def _k0_preconditioner(mesh: Mesh, ws: _NewtonWorkspace):
     the mesh dies or `solve_inclusion` returns."""
     if mesh not in _K0:
         _K0.clear()  # the old factor goes before the new one is made
-        _K0[mesh] = _factor(ws, _area_hessian(mesh, ws, np.ones(len(mesh.elements)),
-                                              np.zeros((len(mesh.elements), mesh.dim))))
+        M = len(mesh.elements)
+        _K0[mesh] = _factor(ws, _step_hessian(mesh, ws, np.zeros((M, mesh.dim)), np.ones(M)))
     return _K0[mesh]
 
 

@@ -21,7 +21,7 @@ from .mesh import (Field, Mesh, _boundary_path_length, boundary_distance_cone,  
                    element_gradients, inradius, per_mesh, random_feasible_field,
                    squared_norms)
 from .nonlinearity import NonlinearitySpec, bracket, primitive_array  # noqa: F401
-from .energy import area_value, psi, psi_gradient, total_energy  # noqa: F401
+from .energy import area_integrand, area_value, psi, psi_gradient, total_energy  # noqa: F401
 from .solver import (_bracket_distance, _operator_value, inclusion_residual,  # noqa: F401
                      windowed_envelopes)
 
@@ -197,8 +197,7 @@ def brute_force_minimize(mesh: Mesh, spec: NonlinearitySpec, grid_step: float):
     for k in range(len(chain) - 2, -1, -1):
         h = x[k + 1] - x[k]
         g = (options[k + 1][None, :] - options[k][:, None]) / h
-        area = np.where(np.abs(g) <= 1.0 + 1e-12,
-                        h * (1.0 - np.sqrt(1.0 - np.minimum(g * g, 1.0))), math.inf)
+        area = np.where(np.abs(g) <= 1.0 + 1e-12, h * area_integrand(g * g), math.inf)
         total = area + best[None, :]
         choices.append(np.argmin(total, axis=1))
         best = node_terms[k] + total.min(axis=1)

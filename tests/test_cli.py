@@ -719,7 +719,10 @@ class TestMeshInfoCommand:
         ("dim 1\nnodes -1\n", "2: bad count '-1'"),
         ("dim 4\n", "1: unsupported dim 4"),
         ("dim 1\nnodes 3\n-1\ninf\n1\n", "4: non-finite coordinate in 'inf'"),
-    ], ids=["negative_count", "dim", "non_finite"])
+        # its energy is unbounded below: solving it reported nonsense as converged
+        ("dim 2\nnodes 3\n0 0\n1 0\n0 1\nelements 1\n0 1 2\nboundary\n",
+         " the mesh has no boundary node"),
+    ], ids=["negative_count", "dim", "non_finite", "no_boundary"])
     def test_mesh_file_errors_name_the_file_and_line(self, tmp_path, capsys, body, detail):
         mesh = tmp_path / "m.txt"
         mesh.write_text(body)

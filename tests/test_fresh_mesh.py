@@ -42,6 +42,14 @@ def reference_adjacency(mesh):
     return A, np.maximum(A @ np.ones(n), 1.0)
 
 
+def reference_smoother(mesh):
+    A, deg = reference_adjacency(mesh)
+    keep = 0.5 * ~mesh.is_boundary
+    S = (sp.diags(keep / deg) @ A + sp.diags(keep)).tocsr()
+    S.eliminate_zeros()
+    return S
+
+
 def reference_mesh_size(mesh):
     a, b = np.triu_indices(mesh.dim + 1, 1)
     e = mesh.nodes[mesh.elements[:, a]] - mesh.nodes[mesh.elements[:, b]]
@@ -196,12 +204,16 @@ class TestEdgeTable:
         assert_same(mesh.node_weight, reference_node_weight(mesh))
 
     def test_node_graph(self, mesh):
-        A, deg = mesh_module._adjacency(mesh)
-        A_ref, deg_ref = reference_adjacency(mesh)
-        assert A.format == "csr" and A.shape == A_ref.shape
+        # the edge table's pattern is the node graph, and the smoother built
+        # on it is the one built on the reference graph
+        edges = mesh_module._edge_table(mesh)
+        A_ref = reference_adjacency(mesh)[0]
+        assert_same(edges.indptr, A_ref.indptr)
+        assert_same(edges.indices, A_ref.indices)
+        S, S_ref = mesh_module._smoother(mesh), reference_smoother(mesh)
+        assert S.format == "csr" and S.shape == S_ref.shape
         for name in ("indptr", "indices", "data"):
-            assert_same(getattr(A, name), getattr(A_ref, name))
-        assert_same(deg, deg_ref)
+            assert_same(getattr(S, name), getattr(S_ref, name))
 
     def test_mesh_size(self, mesh):
         assert_same(mesh.mesh_size(), reference_mesh_size(mesh))
@@ -243,8 +255,10 @@ def test_mesh_without_elements():
     m = Mesh([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]], np.zeros((0, 3), dtype=int), [0, 1, 2])
     assert_same(m.node_weight, np.zeros(3))
     assert m.mesh_size() == 0.0
-    A, deg = mesh_module._adjacency(m)
-    assert A.nnz == 0 and np.array_equal(deg, np.ones(3))
+    edges = mesh_module._edge_table(m)
+    assert np.array_equal(edges.indptr, np.zeros(4)) and len(edges.indices) == 0
+    assert mesh_module._smoother(m).nnz == 0
+    assert np.array_equal(mesh_module._boundary_path_length(m), np.zeros(3))
     assert len(solver._newton_workspace(m).order) == 0
 
 

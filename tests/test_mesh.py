@@ -264,11 +264,14 @@ class TestPerMeshCaches:
 
 
     def test_adjacency_is_read_only(self):
-        A, deg = mesh_module._adjacency(build_disk_mesh(1.0, 2))
-        with pytest.raises(ValueError):
-            A.data[0] = 2.0
-        with pytest.raises(ValueError):
-            deg[0] = 2.0
+        # the node graph is the edge table's pattern; what is built on it
+        # and kept per mesh is read-only too
+        m = build_disk_mesh(1.0, 2)
+        edges = mesh_module._edge_table(m)
+        for arr in (edges.indptr, edges.indices, mesh_module._smoother(m).data,
+                    mesh_module._boundary_path_length(m)):
+            with pytest.raises(ValueError):
+                arr[0] = 2
 
     def test_smoother_is_one_read_only_averaging_step(self):
         # S v is the old step 0.5 v + 0.5 (A v) / deg with the boundary
@@ -281,10 +284,13 @@ class TestPerMeshCaches:
             assert np.all(np.diff(S.indptr)[m.boundary_nodes] == 0)
             for arr in (S.data, S.indices, S.indptr):
                 assert not arr.flags.writeable
-            A, deg = mesh_module._adjacency(m)
+            edges = mesh_module._edge_table(m)
+            degree = np.diff(edges.indptr)
+            row = np.repeat(np.arange(len(m.nodes)), degree)
             v = rng.standard_normal(len(m.nodes))
             for _ in range(4):
-                old = 0.5 * v + 0.5 * (A @ v) / deg
+                neighbours = np.bincount(row, weights=v[edges.indices], minlength=len(m.nodes))
+                old = 0.5 * v + 0.5 * neighbours / np.maximum(degree, 1)
                 old[m.boundary_nodes] = 0.0
                 new = S @ v
                 assert np.all(new[m.boundary_nodes] == 0.0)
@@ -300,7 +306,8 @@ class TestPerMeshCaches:
         res = solve_inclusion(m, neg_sign())
         verify.verification_report(m, res.u, res.zeta, neg_sign(), vi_trials=4)
         verify.verification_report(m, res.u, res.zeta, neg_sign(), vi_trials=4)
-        # the slack bound's path lengths and the elimination order share one graph
+        # the slack bound's path lengths make the one square matrix; the
+        # elimination order reads the edge table's pattern itself
         assert [s for s in shapes if s[0] == s[1]] == [(len(m.nodes), len(m.nodes))]
 
     def test_mesh_size_computed_once_per_mesh(self, monkeypatch):
@@ -343,6 +350,14 @@ class TestMeshInvariants:
     def test_1d_has_two_boundary_nodes(self):
         with pytest.raises(MeshError):
             Mesh([0.0, 0.5, 1.0], [(0, 1), (1, 2)], [0])
+
+    @pytest.mark.parametrize("dim", [2, 3])
+    def test_a_mesh_needs_a_boundary_node(self, dim):
+        # with no zero boundary value the energy is unbounded below
+        nodes, elements = np.eye(dim + 1, dim), [list(range(dim + 1))]
+        with pytest.raises(MeshError, match="^the mesh has no boundary node$"):
+            Mesh(nodes, elements, [])
+        assert Mesh(nodes, elements, [0]).interior_nodes.size == dim
 
     def test_element_index_out_of_range(self):
         with pytest.raises(MeshError):

@@ -20,10 +20,9 @@ from minkcurv.mesh import (Field, Mesh, MeshError, build_disk_mesh, build_interv
 from minkcurv.energy import psi, psi_gradient
 from minkcurv.nonlinearity import (Jump, NonlinearitySpec, bracket, constant, envelopes,
                                    heaviside, neg_sign, power, step)
-from minkcurv.solver import (InnerSolveError, SolverOptions, _area_hessian,
-                             _newton_workspace, _solve_prescribed,
-                             solve_inclusion, solve_prescribed,
-                             stationarity_measure)
+from minkcurv.solver import (InnerSolveError, SolverOptions, _newton_workspace,
+                             _solve_prescribed, _step_hessian, solve_inclusion,
+                             solve_prescribed, stationarity_measure)
 from minkcurv.verify import (analytic_radial, boundary_distance_cone, brute_force_minimize,
                              inclusion_residual, random_feasible_field,
                              verification_report)
@@ -1093,7 +1092,7 @@ def reference_hessian(mesh, values, order):
 def element_first_hessian(mesh, ws, root, Bg):
     """Interior Hessian data from element blocks in (e, a, b) order and one
     bincount over `ws.scatter`, the dummy slot last and 0: the sums
-    `_area_hessian` must reproduce."""
+    `_step_hessian` must reproduce."""
     B = mesh.basis_gradients
     m = mesh.element_measure
     h_el = (m / root)[:, None, None] * np.einsum("evd,ewd->evw", B, B) \
@@ -1113,12 +1112,12 @@ class TestNewtonWorkspace:
         ws = _newton_workspace(mesh)
         g = element_gradients(mesh, values)
         root = np.sqrt(1.0 - (g * g).sum(axis=1))
-        # B g as `_area_hessian` forms it from g, summed over d left to right
+        # B g as `area_hessian_blocks` forms it from g, summed over d left to right
         B = mesh.basis_gradients
         Bg = sum(B[:, :, d] * g[:, d, None] for d in range(mesh.dim))
         np.testing.assert_allclose(Bg, np.einsum("evd,ed->ev", B, g),
                                    rtol=0.0, atol=1e-15 * np.abs(B).max())
-        data = _area_hessian(mesh, ws, root, g)
+        data = _step_hessian(mesh, ws, g, root)
         assert np.array_equal(data, element_first_hessian(mesh, ws, root, Bg))
         M = len(mesh.elements)
         k0 = element_first_hessian(mesh, ws, np.ones(M), np.zeros((M, mesh.dim + 1)))
@@ -1141,7 +1140,7 @@ class TestNewtonWorkspace:
         ws = _newton_workspace(mesh)
         g = element_gradients(mesh, values)
         root = np.sqrt(1.0 - (g * g).sum(axis=1))
-        K = ws.matrix(_area_hessian(mesh, ws, root, g))
+        K = ws.matrix(_step_hessian(mesh, ws, g, root))
         assert K.has_canonical_format
         ref = reference_hessian(mesh, values, ws.order)
         assert np.abs(K.toarray() - ref).max() <= 1e-13 * np.abs(ref).max()
@@ -1151,26 +1150,20 @@ class TestNewtonWorkspace:
                                        lambda: cube_mesh(6)],
                              ids=["disk4", "rectangle40x20", "cube6"])
     def test_step_product_is_the_assembled_step_matrix(self, build):
-        # K p by the gradient operator alone equals the assembled K times p,
-        # with a kink band on the diagonal and pinned rows and columns
+        # K p by the gradient operator alone equals the assembled K times p
         mesh = build()
         rng = np.random.default_rng(8)
         values = rng.standard_normal(len(mesh.nodes))
         values[mesh.boundary_nodes] = 0.0
         values *= 0.9 / max_gradient_norm(mesh, values)
         ws = _newton_workspace(mesh)
-        n = len(ws.order)
         g = element_gradients(mesh, values)
         root = np.sqrt(1.0 - (g * g).sum(axis=1))
-        band = rng.random(n) * (rng.random(n) < 0.3)
-        fixed = rng.random(n) < 0.2
-        for diagonal, pinned in ((None, None), (band, None), (None, fixed), (band, fixed)):
-            K = ws.matrix(solver._step_hessian(mesh, ws, g, root, diagonal, pinned))
-            product = solver._step_product(mesh, ws, g, root, diagonal, pinned)
-            for p in rng.standard_normal((3, n)):
-                ref = K @ p
-                assert np.abs(product(p) - ref).max() <= 1e-13 * np.abs(ref).max()
-        assert fixed.any() and band.any()
+        K = ws.matrix(_step_hessian(mesh, ws, g, root))
+        product = solver._step_product(mesh, ws, g, root)
+        for p in rng.standard_normal((3, len(ws.order))):
+            ref = K @ p
+            assert np.abs(product(p) - ref).max() <= 1e-13 * np.abs(ref).max()
 
     def test_warm_kink_free_solve_assembles_nothing(self, monkeypatch):
         # with K0 factored, a kink-free solve applies its Hessians by the
@@ -1178,12 +1171,16 @@ class TestNewtonWorkspace:
         mesh = build_disk_mesh(1.0, 4)
         solve_prescribed(mesh, 2.0)
         assembled = []
-        area_hessian = solver._area_hessian
-        monkeypatch.setattr(solver, "_area_hessian",
-                            lambda *args: assembled.append(1) or area_hessian(*args))
+        step_hessian = solver._step_hessian
+        monkeypatch.setattr(solver, "_step_hessian",
+                            lambda *args: assembled.append(1) or step_hessian(*args))
+        _, stats = _solve_prescribed(mesh, 2.4, SolverOptions())
+        assert stats.iterations == 6 and assembled == []
+        # a cold solve assembles K0 there, and nothing else
+        solver._K0.clear()
         _, stats = _solve_prescribed(mesh, 2.4, SolverOptions())
         solver._K0.clear()
-        assert stats.iterations == 6 and assembled == []
+        assert stats.iterations == 6 and assembled == [1]
 
     @pytest.mark.parametrize("name", sorted(WORKSPACE_MESHES))
     def test_order_is_a_permutation_of_the_interior(self, name):
@@ -1312,7 +1309,7 @@ class TestNewtonWorkspace:
         values[mesh.boundary_nodes] = 0.0
         values *= 0.9 / max_gradient_norm(mesh, values)
         g = element_gradients(mesh, values)
-        data = _area_hessian(mesh, ws, np.sqrt(1.0 - (g * g).sum(axis=1)), g)
+        data = _step_hessian(mesh, ws, g, np.sqrt(1.0 - (g * g).sum(axis=1)))
         asked, lapack = [], solver.get_lapack_funcs
         monkeypatch.setattr(solver, "get_lapack_funcs",
                             lambda names, arrays: asked.append(names) or lapack(names, arrays))

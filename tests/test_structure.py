@@ -178,6 +178,47 @@ def test_the_attribute_scan_sees_nested_reads_and_strings():
 
 
 
+def cube_divisions(module_tree):
+    """Innermost enclosing function name of every division by a cube, `x / y ** 3`,
+    or by a square `x / (y * y)` of one expression: the r^-3 factor that sets the
+    area Hessian apart from the area gradient."""
+    found = []
+
+    def visit(node, where):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            where = node.name
+        if isinstance(node, ast.BinOp) and isinstance(node.op, ast.Div):
+            right = node.right
+            cube = (isinstance(right, ast.BinOp) and isinstance(right.op, ast.Pow)
+                    and isinstance(right.right, ast.Constant) and right.right.value == 3)
+            square = (isinstance(right, ast.BinOp) and isinstance(right.op, ast.Mult)
+                      and ast.dump(right.left) == ast.dump(right.right))
+            if cube or square:
+                found.append(where)
+        for child in ast.iter_child_nodes(node):
+            visit(child, where)
+    visit(module_tree, "<module>")
+    return found
+
+
+def test_one_home_for_the_area_hessian():
+    # the basis gradients are read where they are made and by the area
+    # kernel, and the kernel alone forms the Hessian's coefficients: its
+    # product and the element blocks that the solver assembles
+    readers = {name for name in MODULES if attribute_reads(tree(name), "basis_gradients")}
+    assert readers == {"mesh", "energy"}
+    sites = {(name, where) for name in MODULES for where in cube_divisions(tree(name))}
+    assert sites == {("energy", "area_hessian_product"), ("energy", "area_hessian_blocks")}
+
+
+def test_the_cube_scan_sees_the_old_assembly():
+    src = ("def _area_hessian(mesh, ws, root, g):\n"
+           "    h = (m / root) * ws.stiffness + ((m / root ** 3) * BgT)[:, None, :]\n"
+           "def product(p):\n    tilt = (weight / (root * root))[:, None] * g\n"
+           "def other(r, q):\n    return (r / q) ** 3 + r ** 3 / q + r / (q * r) + (r / q) ** 2\n")
+    assert cube_divisions(ast.parse(src)) == ["_area_hessian", "product"]
+
+
 # what keeps values between calls: weak references, memoizers, empty containers
 KEEPERS = {"weakref", "WeakKeyDictionary", "WeakValueDictionary", "finalize",
            "cache", "lru_cache", "cached_property"}

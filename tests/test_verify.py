@@ -257,12 +257,18 @@ class TestSlackBound:
         assert "vi_min_slack 0\n" in text and "all_passed true" in text
 
     def test_unreachable_nodes(self):
-        # no boundary node: the path length is inf, which adds 0 where zeta = m
-        m = Mesh([[0, 0], [1, 0], [0, 1]], [[0, 1, 2]], [])
+        # a unit square fanned around its marked rim, and a triangle with no
+        # marked node: its path lengths are inf, which adds 0 where zeta = m
+        m = Mesh([[0, 0], [1, 0], [1, 1], [0, 1], [0.5, 0.5], [3, 0], [4, 0], [3, 1]],
+                 [[0, 1, 4], [1, 2, 4], [2, 3, 4], [3, 0, 4], [5, 6, 7]], [0, 1, 2, 3])
         u = Field.zero(m)
-        assert np.all(np.isinf(mesh_module._boundary_path_length(m)))
-        assert vi_slack_bound(m, u, np.zeros(3)) == 0.0
-        assert vi_slack_bound(m, u, np.ones(3)) == -math.inf
+        dist = mesh_module._boundary_path_length(m)
+        assert np.array_equal(dist[:5], [0, 0, 0, 0, math.sqrt(0.5)])
+        assert np.all(np.isinf(dist[5:]))
+        assert vi_slack_bound(m, u, np.zeros(8)) == 0.0
+        square = np.repeat([1.0, 0.0], [5, 3])
+        assert -math.inf < vi_slack_bound(m, u, square) < 0.0
+        assert vi_slack_bound(m, u, np.ones(8)) == -math.inf
 
     def test_past_the_margin_raises(self):
         m = build_interval_mesh(-1, 1, 2)
