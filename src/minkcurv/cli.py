@@ -77,8 +77,7 @@ _DOMAINS = {
 _SOLVER_KEYS = {f.name: type(f.default) for f in fields(SolverOptions)
                 if f.name not in ("initial", "seed")}
 
-_VERIFY_KEYS = {"residual_tol": float, "vi_tol": float, "vi_trials": int,
-                "analytic_tol": float, "bruteforce_step": float}
+_VERIFY_KEYS = {"vi_trials": int, "bruteforce_step": float}
 
 # config keys of each catalog rule: the factory's parameter names, each with
 # its default (None: required)

@@ -8,7 +8,7 @@ points start an inner solve from its given field or, where that is zero,
 from the flux start: the Poisson flux q mapped into the unit ball by
 q / sqrt(1 + |q|^2), the inverse of the operator's phi, and projected onto
 P1 gradients (two K0 solves), the solution wherever the flux is a gradient
-(1D, radial problems).  Newton stops at a gradient max-norm of `inner_tol`;
+(1D, radial problems).  Newton stops at a gradient max-norm of `_INNER_TOL`;
 kink-free solves of `solve_inclusion` also need |g|_1 <= outer_tol / 10 *
 (1 + |objective|), which bounds rho, unless Newton is at its roundoff floor.
 Objective and gradient come from the area kernel of `energy`; the exact
@@ -21,7 +21,7 @@ SuperLU.  Every 1D step factors its Hessian.  A 2D direction is inexact:
 CG preconditioned by the factor the solve holds, stopped at the relative
 residual min(0.1, (r / r_0)^2), with r the residual and r_0 the solve's
 first one (dimensionless Eisenstat-Walker forcing), or once the residual's
-2-norm is a tenth of `inner_tol`, past which the step's max-norm stop
+2-norm is a tenth of `_INNER_TOL`, past which the step's max-norm stop
 needs nothing more.  A solve with no kinks and no pinned nodes holds the
 factor of K0 = sum_e m_e B B^T (the Hessian at the zero field); one K0
 factor at most is alive per process, and it serves every such solve on
@@ -79,8 +79,8 @@ import scipy.sparse as sp
 from scipy.linalg import LinAlgError, get_lapack_funcs
 from scipy.sparse.linalg import LinearOperator, cg, splu
 
-from .mesh import (Field, Mesh, MeshError, _edge_table, element_gradients, gradient_adjoint,
-                   max_gradient_norm, per_mesh, squared_norms)
+from .mesh import (Field, Mesh, MeshError, _boundary_path_length, _edge_table, element_gradients,
+                   gradient_adjoint, max_gradient_norm, per_mesh, squared_norms)
 # `bracket` is no longer called here; it stays a module attribute because
 # bench/worker.py wraps solver.bracket when it traces a run.
 from .nonlinearity import (NonlinearitySpec, bracket, envelopes, jump_limits,  # noqa: F401
@@ -101,37 +101,28 @@ class InnerSolveError(RuntimeError):
 
 @dataclass
 class SolverOptions:
-    """Tolerances and caps for the two solver levels.
+    """What a run chooses; the inner tolerance and the caps are constants.
 
-    inner_tol bounds the max-norm of the Dirichlet-masked gradient of the
-    inner objective; outer_tol bounds the sup-norm change between outer
-    iterates and sets rho's gate and the inner l1 stop.  `initial` is the
-    start field of both entry points, a field of the mesh being solved;
-    unset or zero, they start from the flux start (module docstring).
-    `seed` is unused (the solver draws no random numbers);
-    bench/workloads.py still passes it.
+    outer_tol bounds the sup-norm change between outer iterates and sets
+    rho's gate and the inner l1 stop.  `initial` is the start field of both
+    entry points, a field of the mesh being solved; unset or zero, they
+    start from the flux start (module docstring).  `seed` is unused (the
+    solver draws no random numbers); bench/workloads.py still passes it.
     """
 
-    inner_tol: float = 1e-10
     outer_tol: float = 1e-8
-    max_inner: int = 200
-    max_outer: int = 100
     initial: Field | None = None
     selection_rule: str = "mid"
     seed: int = 0
 
     def __post_init__(self):
-        # positive and finite as a float (a bool is an int, but neither a tolerance nor a cap)
-        if not all(isinstance(tol, (float, np.floating)) and 0 < float(tol) < math.inf
-                   or isinstance(tol, (int, np.integer)) and not isinstance(tol, bool)
-                   and 0 < tol <= sys.float_info.max for tol in (self.inner_tol, self.outer_tol)):
-            raise ValueError(f"tolerances must be positive and finite, got inner_tol="
-                             f"{self.inner_tol!r}, outer_tol={self.outer_tol!r}")
-        self.inner_tol, self.outer_tol = float(self.inner_tol), float(self.outer_tol)
-        if not all(isinstance(cap, (int, np.integer)) and not isinstance(cap, bool) and cap >= 1
-                   for cap in (self.max_inner, self.max_outer)):
-            raise ValueError(f"iteration caps must be >= 1 and integral, got max_inner="
-                             f"{self.max_inner!r}, max_outer={self.max_outer!r}")
+        # positive and finite as a float (a bool is an int, but not a tolerance)
+        tol = self.outer_tol
+        if not (isinstance(tol, (float, np.floating)) and 0 < float(tol) < math.inf
+                or isinstance(tol, (int, np.integer)) and not isinstance(tol, bool)
+                and 0 < tol <= sys.float_info.max):
+            raise ValueError(f"tolerances must be positive and finite, got outer_tol={tol!r}")
+        self.outer_tol = float(tol)
         if not isinstance(self.initial, (Field, type(None))):
             raise ValueError(f"initial must be a Field, got {type(self.initial).__name__}")
         if self.selection_rule not in ("lo", "mid", "hi"):
@@ -374,11 +365,16 @@ def _newton_workspace(mesh: Mesh) -> _NewtonWorkspace:
     dissects the interior of the mesh's node graph (`_edge_table`), in 1D it
     sorts the interior by coordinate (stable).  The pattern holds the
     diagonal and both entries of each interior edge of `_edge_table`, and an
-    element entry (a, b), a != b, finds its slot through its edge."""
+    element entry (a, b), a != b, finds its slot through its edge.  Raises
+    `MeshError` for a node no edge path joins to the boundary (no minimum)."""
     interior = mesh.interior_nodes
     n = len(interior)
     nv = mesh.dim + 1
     edges = _edge_table(mesh)
+    free = np.flatnonzero(np.isinf(_boundary_path_length(mesh)))
+    if free.size:
+        raise MeshError(f"node {free[0]} at {mesh.nodes[free[0]].tolist()} is in a part of the "
+                        f"mesh with no boundary node")
     if mesh.dim == 1:
         order = interior[np.argsort(mesh.nodes[interior, 0], kind="stable")]
     else:
@@ -506,6 +502,9 @@ def _k0_preconditioner(mesh: Mesh, ws: _NewtonWorkspace):
 # there misses.
 _CG_MAX_ITER = 50
 _FLAT_STEPS = 3  # accepted steps in a row within the objective's roundoff end a solve
+_INNER_TOL = 1e-10  # the Newton stop on the max-norm of the masked gradient
+_MAX_INNER = 200  # Newton steps per inner solve
+_MAX_OUTER = 100  # outer iterations of `solve_inclusion`
 
 
 def _right_hand_side(mesh: Mesh, e) -> np.ndarray:
@@ -562,8 +561,8 @@ def _flux_start(mesh: Mesh, e: np.ndarray) -> np.ndarray:
     return values
 
 
-def _solve_prescribed(mesh: Mesh, e, opts: SolverOptions, initial=None, kinks=_NO_KINKS,
-                      gamma=1.0, pinned=None, l1_tol=math.inf, stats_sink=None):
+def _solve_prescribed(mesh: Mesh, e, initial=None, kinks=_NO_KINKS, gamma=1.0, pinned=None,
+                      l1_tol=math.inf, stats_sink=None):
     """Newton minimization over interior nodes of psi_h(w) + <e, w>_lumped
     plus the lumped Moreau envelopes (smoothing `gamma`) of `kinks`.
 
@@ -571,9 +570,9 @@ def _solve_prescribed(mesh: Mesh, e, opts: SolverOptions, initial=None, kinks=_N
     `stats.band` is the kinks' smoothing band at the returned values.
     `e` is broadcast to one value per node; the start is `initial`, zero by
     default; the nodes of the boolean mask `pinned` (default: none) keep
-    their initial values.  It stops at gradient norms max <= `inner_tol` and
+    their initial values.  It stops at gradient norms max <= `_INNER_TOL` and
     l1 <= `l1_tol * (1 + |objective|)`, at the roundoff floor (`_FLAT_STEPS`)
-    on the max-norm alone, and raises there or at `max_inner` otherwise.
+    on the max-norm alone, and raises there or at `_MAX_INNER` otherwise.
     """
     interior = mesh.interior_nodes
     limit2 = (1.0 - FEASIBILITY_MARGIN) ** 2
@@ -610,7 +609,7 @@ def _solve_prescribed(mesh: Mesh, e, opts: SolverOptions, initial=None, kinks=_N
     held = k0 = None  # the held factor (K0^-1 or the solve's last `_factor`) and K0^-1
     obj, (_, slope, band) = objective(g2, values)
     flat = 0  # accepted steps in a row that moved the objective by at most its noise
-    for _ in range(opts.max_inner + 1):
+    for _ in range(_MAX_INNER + 1):
         stats.max_value = max(stats.max_value, float(np.abs(values).max()))
         stats.max_gradient = max(stats.max_gradient, float(np.sqrt(g2.max(initial=0.0))))
         stats.objectives.append(obj)
@@ -623,16 +622,16 @@ def _solve_prescribed(mesh: Mesh, e, opts: SolverOptions, initial=None, kinks=_N
             raise failure("non-finite gradient encountered", residual)
         if stats.iterations == 0:
             first = residual
-        if residual <= opts.inner_tol and (flat == _FLAT_STEPS
-                                           or np.abs(grad).sum() <= l1_tol * (1.0 + abs(obj))):
+        if residual <= _INNER_TOL and (flat == _FLAT_STEPS
+                                       or np.abs(grad).sum() <= l1_tol * (1.0 + abs(obj))):
             # at the roundoff floor the l1 stop may be out of reach
             stats.band = band
             return values, stats
         if flat == _FLAT_STEPS:
             raise failure(f"Newton left the objective unchanged to roundoff for {flat} steps "
                           f"(residual {residual:.3e})", residual)
-        if stats.iterations >= opts.max_inner:
-            raise failure(f"no convergence in {opts.max_inner} Newton iterations "
+        if stats.iterations >= _MAX_INNER:
+            raise failure(f"no convergence in {_MAX_INNER} Newton iterations "
                           f"(residual {residual:.3e})", residual)
 
         # The Hessian is SPD and already in elimination order; pinned nodes
@@ -662,7 +661,7 @@ def _solve_prescribed(mesh: Mesh, e, opts: SolverOptions, initial=None, kinks=_N
                     data = _step_hessian(mesh, ws, g, root, diagonal, fixed)
                     step = ws.matrix(data)
                 direction, unmet = cg(step, -grad, rtol=min(0.1, (residual / first) ** 2),
-                                      atol=0.1 * opts.inner_tol, maxiter=_CG_MAX_ITER,
+                                      atol=0.1 * _INNER_TOL, maxiter=_CG_MAX_ITER,
                                       M=LinearOperator((len(order),) * 2, held, dtype=float))
             if unmet:
                 held = None  # the old factor goes before the new one is made
@@ -706,8 +705,7 @@ def solve_prescribed(mesh: Mesh, e, opts: SolverOptions | None = None) -> Field:
     solution wherever the flux is a gradient, and stops on the max-norm
     alone.  Raises `InnerSolveError`, carrying the last iterate.
     """
-    opts = opts or SolverOptions()
-    values = _inner_solve(mesh, e, opts, _start(mesh, opts), _NO_KINKS, [], l1_stop=False)
+    values = _inner_solve(mesh, e, _start(mesh, opts or SolverOptions()), _NO_KINKS, [])
     return Field(mesh, values, dirichlet_zero=True)
 
 
@@ -716,21 +714,19 @@ _MAX_STAGES = 7
 _KINK_TOL = 1e-8
 
 
-def _inner_solve(mesh: Mesh, e, opts: SolverOptions, initial, kinks: _Kinks,
-                 stats_sink, l1_stop=True):
+def _inner_solve(mesh: Mesh, e, initial, kinks: _Kinks, stats_sink, l1_tol=math.inf):
     """Minimizer of psi_h(w) + <e, w>_lumped + the lumped kinks from `initial`
-    or the flux start (module docstring), with the l1 stop if `l1_stop` and no
-    kinks.  The smoothing ladder gamma = 0.01 ** stage starts at the first
-    stage whose band leaves out a node the start has above a level (the last
-    stage at the latest), at gamma = 1 when no node is above one; when the
-    unpinned solve of a stage entered past gamma = 1 fails, the ladder
-    starts over at gamma = 1 from the start.  A stage with no node in a
-    smoothing band is exact; a pinned solution is accepted when m - e is
+    or the flux start (module docstring), with the l1 stop at `l1_tol` (inf
+    with kinks).  The smoothing ladder gamma = 0.01 ** stage starts at the
+    first stage whose band leaves out a node the start has above a level
+    (the last stage at the latest), at gamma = 1 when no node is above one;
+    when the unpinned solve of a stage entered past gamma = 1 fails, the
+    ladder starts over at gamma = 1 from the start.  A stage with no node in
+    a smoothing band is exact; a pinned solution is accepted when m - e is
     within _KINK_TOL of their subdifferential.  Raises ValueError unless `e`
     is finite."""
     e = _right_hand_side(mesh, e)
     values = initial if initial[mesh.interior_nodes].any() else _flux_start(mesh, e)
-    l1_tol = 0.1 * opts.outer_tol if l1_stop and kinks.level.size == 0 else math.inf
     first = 0  # skip the stages whose band holds every node the start has above a level
     if kinks.level.size:
         t = values - kinks.level
@@ -742,8 +738,8 @@ def _inner_solve(mesh: Mesh, e, opts: SolverOptions, initial, kinks: _Kinks,
     while stage < _MAX_STAGES:
         gamma = 0.01 ** stage
         try:
-            values, stats = _solve_prescribed(mesh, e, opts, initial=values, kinks=kinks,
-                                              gamma=gamma, l1_tol=l1_tol, stats_sink=stats_sink)
+            values, stats = _solve_prescribed(mesh, e, initial=values, kinks=kinks, gamma=gamma,
+                                              l1_tol=l1_tol, stats_sink=stats_sink)
         except InnerSolveError:
             if stage == 0 or stage > first:
                 raise
@@ -758,8 +754,8 @@ def _inner_solve(mesh: Mesh, e, opts: SolverOptions, initial, kinks: _Kinks,
             return values
         trial = np.where(pinned, kinks.level[band.argmax(axis=0), np.arange(len(values))], values)
         try:
-            trial, _ = _solve_prescribed(mesh, e, opts, initial=trial, kinks=kinks,
-                                         gamma=gamma, pinned=pinned, stats_sink=stats_sink)
+            trial, _ = _solve_prescribed(mesh, e, initial=trial, kinks=kinks, gamma=gamma,
+                                         pinned=pinned, stats_sink=stats_sink)
         except InnerSolveError:
             continue  # e.g. pinning left the feasible set: smaller band next
         m = _operator_value(mesh, Field(mesh, trial, dirichlet_zero=True)) - e
@@ -769,15 +765,15 @@ def _inner_solve(mesh: Mesh, e, opts: SolverOptions, initial, kinks: _Kinks,
     return values
 
 
-def _escape_probe(mesh, spec, opts, u, I_u, zeta, certificate, kinks, stats_sink):
+def _escape_probe(mesh, spec, u, I_u, zeta, certificate, kinks, stats_sink, l1_tol):
     """(values, energy) of the lowest strictly improving probe at a stall, or None.
 
     The probes are the two zero-window envelope selections lo and hi of the
     `_certificate` record at u, less the kinks' slopes; each is solved by
-    `_inner_solve` from u unless it equals the current selection `zeta` at
-    every interior node.  At the zero field with no kinks and hi = -lo, psi
-    being even makes the hi probe the mirror image of a solved lo probe, so
-    it is not solved again.  They may reach different critical points, so
+    `_inner_solve` (l1 stop `l1_tol`) from u unless it equals the current
+    selection `zeta` at every interior node.  At the zero field with no
+    kinks and hi = -lo, psi being even makes the hi probe the mirror image
+    of a solved lo probe, so it is not solved again.  They may reach different critical points, so
     the lower energy wins (lo on a tie).  When every probe that ran failed,
     the last failure is raised: the stall is not a fixed point.
     """
@@ -794,7 +790,7 @@ def _escape_probe(mesh, spec, opts, u, I_u, zeta, certificate, kinks, stats_sink
             vals = 0.0 - solved[0]  # 0.0 - keeps the boundary zeros at +0.0
         else:
             try:
-                vals = _inner_solve(mesh, e, opts, u, kinks, stats_sink)
+                vals = _inner_solve(mesh, e, u, kinks, stats_sink, l1_tol)
             except InnerSolveError as err:
                 failures.append(err)
                 continue
@@ -814,7 +810,7 @@ def solve_inclusion(mesh: Mesh, spec: NonlinearitySpec,
     Iterates u_{k+1} = inner-solve(rest selection(u_k)) from the initial
     field (zero by default), see the module docstring, until successive
     iterates or selections agree and no escape probe improves the energy,
-    or until max_outer iterations (then with converged=False), with the
+    or until `_MAX_OUTER` iterations (then with converged=False), with the
     start rule and the l1 stop of the module docstring.  An inner solve
     failure ends the loop at its last iterate, and a stall whose escape
     probes all fail is no fixed point; either sets `breakdown`.  Raises
@@ -842,28 +838,30 @@ def solve_inclusion(mesh: Mesh, spec: NonlinearitySpec,
     I_u = total_energy(mesh, Field(mesh, u, dirichlet_zero=True), spec)
     trace = [I_u]
     fixed_point, breakdown, outer = False, None, 0
+    l1_tol = 0.1 * opts.outer_tol if kinks.level.size == 0 else math.inf
     try:
-        while outer < opts.max_outer and breakdown is None:
+        zeta = rest_selection(u)
+        while outer < _MAX_OUTER and breakdown is None:
             outer += 1
-            zeta = rest_selection(u)
             try:
-                cand = _inner_solve(mesh, zeta, opts, u, kinks, stats_all)
+                cand = _inner_solve(mesh, zeta, u, kinks, stats_all, l1_tol)
             except InnerSolveError as err:  # the certificate judges its last iterate
                 cand, breakdown = err.last_values, str(err)
             step = float(np.abs(cand - u).max())
-            zeta_next = rest_selection(cand)
+            zeta, previous = rest_selection(cand), zeta
             u = cand
             I_u = total_energy(mesh, Field(mesh, u, dirichlet_zero=True), spec)
             trace.append(I_u)
-            if step <= opts.outer_tol or np.array_equal(zeta_next[interior], zeta[interior]):
+            if step <= opts.outer_tol or np.array_equal(zeta[interior], previous[interior]):
                 certificate = _certificate(mesh, spec, u)
-                improved = rest_jumps and _escape_probe(mesh, spec, opts, u, I_u, zeta_next,
-                                                        certificate, kinks, stats_all)
+                improved = rest_jumps and _escape_probe(mesh, spec, u, I_u, zeta, certificate,
+                                                        kinks, stats_all, l1_tol)
                 if not improved:
                     fixed_point = True
                     break
                 u, I_u = improved
                 trace.append(I_u)
+                zeta = rest_selection(u)
     except InnerSolveError as err:  # every escape probe of a stall failed: no fixed point
         breakdown = str(err)
     finally:
@@ -871,7 +869,7 @@ def solve_inclusion(mesh: Mesh, spec: NonlinearitySpec,
         # post-processing and fragment the heap for the next mesh's factor.
         _K0.clear()
 
-    if not fixed_point:  # max_outer or a failure ended the loop: certify this u
+    if not fixed_point:  # _MAX_OUTER or a failure ended the loop: certify this u
         certificate = _certificate(mesh, spec, u)
     zeta, residuals, rho = certificate[:3]
     return SolveResult(

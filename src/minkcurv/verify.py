@@ -215,6 +215,9 @@ def brute_force_minimize(mesh: Mesh, spec: NonlinearitySpec, grid_step: float):
 
 # -- composed report --------------------------------------------------------------
 
+# the pass thresholds of `verification_report`: acceptance criteria 3, 9 and 2
+_RESIDUAL_TOL, _VI_TOL, _ANALYTIC_TOL = 1e-2, 1e-6, 2e-2
+
 
 @dataclass
 class VerificationReport:
@@ -238,19 +241,18 @@ class VerificationReport:
 
 
 def verification_report(mesh: Mesh, u: Field, zeta, spec: NonlinearitySpec, *,
-                        residual_tol: float = 1e-2, vi_tol: float = 1e-6,
-                        vi_trials: int = 200, seed: int = 0,
-                        analytic=None, analytic_tol: float = 2e-2,
+                        vi_trials: int = 200, seed: int = 0, analytic=None,
                         bruteforce_step: Optional[float] = None) -> VerificationReport:
     """Run every applicable check on a (u, zeta) pair; `analytic` maps nodes to exact u.
 
-    The critical-point inequality passes when both its proven bound over
-    every feasible field (`vi_slack_bound`) and the least slack of the
-    deterministic trial suite (`vi_min_slack`: the zero field, u itself and
-    the distance cones) are at least -vi_tol.  No random number is drawn:
-    `vi_trials` and `seed` are unused, and bench/workloads.py still passes
-    them.  A candidate past the working margin raises
-    `StrictFeasibilityError`.
+    The checks pass at a largest inclusion residual of at most
+    `_RESIDUAL_TOL`, an analytic error of at most `_ANALYTIC_TOL` and, for
+    the critical-point inequality, a proven bound over every feasible field
+    (`vi_slack_bound`) and a least slack of the deterministic trial suite
+    (`vi_min_slack`: the zero field, u itself and the distance cones) of at
+    least -`_VI_TOL`.  No random number is drawn: `vi_trials` and `seed` are
+    unused, and bench/workloads.py still passes them.  A candidate past the
+    working margin raises `StrictFeasibilityError`.
     """
     m = _operator_value(mesh, u)  # once, for the residual and the slack bound
     res = _bracket_distance(mesh, m, *windowed_envelopes(mesh, spec, u.values))
@@ -258,13 +260,13 @@ def verification_report(mesh: Mesh, u: Field, zeta, spec: NonlinearitySpec, *,
     vi = variational_inequality_check(mesh, u, zeta)
     vi_bound = _slack_bound(mesh, u, zeta, m)
     passed = {
-        "inclusion": max_res <= residual_tol,
-        "variational_inequality": vi >= -vi_tol and vi_bound >= -vi_tol,
+        "inclusion": max_res <= _RESIDUAL_TOL,
+        "variational_inequality": vi >= -_VI_TOL and vi_bound >= -_VI_TOL,
     }
     analytic_err = None
     if analytic is not None:
         analytic_err = float(np.abs(u.values - analytic(mesh.nodes)).max())
-        passed["analytic"] = analytic_err <= analytic_tol
+        passed["analytic"] = analytic_err <= _ANALYTIC_TOL
     gap = None
     if bruteforce_step is not None:
         _, brute_energy = brute_force_minimize(mesh, spec, bruteforce_step)

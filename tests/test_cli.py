@@ -10,7 +10,7 @@ import pytest
 from minkcurv import cli, solver
 from minkcurv.cli import (ConfigError, load_config, main, parse_flat_config,
                           read_solution_csv)
-from minkcurv.mesh import build_interval_mesh, write_mesh
+from minkcurv.mesh import Mesh, build_interval_mesh, build_rectangle_mesh, write_mesh
 from minkcurv.solver import SolverOptions
 
 NEG_SIGN_CFG = """\
@@ -236,8 +236,9 @@ class TestSolveCommand:
         assert code == 1
         assert "nope.cfg" in capsys.readouterr().err
 
-    def test_nonconverged_exits_2_but_writes(self, tmp_path, capsys):
-        cfg = write_cfg(tmp_path, NEG_SIGN_CFG + "solver.max_outer = 1\n")
+    def test_nonconverged_exits_2_but_writes(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(solver, "_MAX_OUTER", 1)
+        cfg = write_cfg(tmp_path, NEG_SIGN_CFG)
         code = main(["solve", "--config", str(cfg)])
         assert code == 2
         assert (tmp_path / "out" / "solution.csv").exists()
@@ -302,6 +303,29 @@ class TestVerifyCommand:
         assert float(out["analytic_linf_error"]) == pytest.approx(1.6125731860533454e-4,
                                                                   rel=1e-6)
         assert out["passed.analytic"] == "true"
+
+    def test_rectangle_has_no_analytic_check(self, tmp_path, capsys):
+        # constant forcing has a closed form on an interval or a disk only
+        cfg = write_cfg(tmp_path, "domain.kind = rectangle\ndomain.lx = 1\ndomain.ly = 1\n"
+                                  "domain.nx = 4\ndomain.ny = 4\nnonlinearity.kind = constant\n"
+                                  "nonlinearity.a = 1\noutput.dir = {out}\n")
+        config = load_config(cfg)
+        assert config.analytic_oracle(config.build_mesh()) is None
+        assert main(["solve", "--config", str(cfg)]) == 0
+        capsys.readouterr()
+        code = main(["verify", "--config", str(cfg),
+                     "--solution", str(tmp_path / "out" / "solution.csv")])
+        out = capsys.readouterr().out
+        assert code == 0 and "all_passed true" in out and "analytic" not in out
+
+    def test_nonzero_boundary_value_exits_1(self, tmp_path, capsys):
+        cfg = write_cfg(tmp_path, PRESCRIBED_CFG.replace("domain.n = 64", "domain.n = 2"))
+        sol = tmp_path / "lifted.csv"
+        sol.write_text("index,x,u,zeta,residual\n0,-1,0.5,1,0\n1,0,0,1,0\n2,1,0,1,0\n")
+        assert main(["verify", "--config", str(cfg), "--solution", str(sol)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {sol}: nonzero value at a boundary node\n"
 
     @pytest.mark.parametrize("gap, code", [(1e-10, 2), (1e-13, 1)])
     def test_field_at_the_margin(self, tmp_path, capsys, gap, code):
@@ -389,10 +413,10 @@ class TestVerifyCommand:
 
 
 @pytest.mark.parametrize("command", ["solve", "sweep"])
-def test_inner_solve_failure_exits_2(tmp_path, capsys, command):
+def test_inner_solve_failure_exits_2(tmp_path, capsys, monkeypatch, command):
     # one Newton step cannot solve the disk problem from the flux start
-    cfg = write_cfg(tmp_path, DISK_CONSTANT_CFG.format(refinement=3)
-                    + "solver.max_inner = 1\n")
+    monkeypatch.setattr(solver, "_MAX_INNER", 1)
+    cfg = write_cfg(tmp_path, DISK_CONSTANT_CFG.format(refinement=3))
     argv = [command, "--config", str(cfg)]
     if command == "sweep":
         argv += ["--param", "refinement", "--values", "2,3"]
@@ -447,12 +471,12 @@ def test_band_solve_failure_exits_2(tmp_path, capsys, monkeypatch):
 
 
 @pytest.mark.parametrize("command", ["solve", "sweep"])
-def test_failed_escape_probes_exit_2(tmp_path, capsys, command):
+def test_failed_escape_probes_exit_2(tmp_path, capsys, monkeypatch, command):
     # every escape probe from the stall at u = 0 of the disk needs more than
     # one Newton step from the flux start
+    monkeypatch.setattr(solver, "_MAX_INNER", 1)
     cfg = write_cfg(tmp_path, DISK_CONSTANT_CFG.format(refinement=3).replace(
-        "nonlinearity.kind = constant\nnonlinearity.a = 2", "nonlinearity.kind = neg_sign")
-                    + "solver.max_inner = 1\n")
+        "nonlinearity.kind = constant\nnonlinearity.a = 2", "nonlinearity.kind = neg_sign"))
     argv = [command, "--config", str(cfg)]
     if command == "sweep":
         argv += ["--param", "refinement", "--values", "3"]
@@ -529,15 +553,18 @@ STEP_CFG = PRESCRIBED_CFG.replace(
 
 @pytest.mark.parametrize("command", ["solve", "verify", "sweep"])
 @pytest.mark.parametrize("text, detail", [
-    (PRESCRIBED_CFG + "solver.max_inner = 0\n", ":8: iteration caps must be >= 1"),
+    (PRESCRIBED_CFG + "solver.max_inner = 0\n", ":8: key 'solver.max_inner' is unknown"),
     (POWER_CFG, ":7: power exponent must be > 1"),
     (PRESCRIBED_CFG + "nonlinearity.growth_q = 0.5\n", ":8: growth_q must be > 1"),
     (PRESCRIBED_CFG + "nonlinearity.growth_c = -1\n", ":8: growth_c must be >= 0"),
-    (PRESCRIBED_CFG + "solver.inner_tol = nan\n", ":8: key 'solver.inner_tol' must be finite"),
+    (PRESCRIBED_CFG + "solver.inner_tol = nan\n", ":8: key 'solver.inner_tol' is unknown"),
     (PRESCRIBED_CFG + "solver.outer_tol = -inf\n", ":8: key 'solver.outer_tol' must be finite"),
     (STEP_CFG, ":6: key 'nonlinearity.a' must be finite"),
+    (PRESCRIBED_CFG + " = 1\n", ":8: empty key"),
+    (PRESCRIBED_CFG.replace("value = 1.0", "expression = x +"),
+     ":6: bad expression 'x +': invalid syntax"),
 ], ids=["max_inner", "power-r", "growth_q", "growth_c", "inner_tol-nan", "outer_tol-inf",
-        "step-a-nan"])
+        "step-a-nan", "empty-key", "expression-syntax"])
 def test_bad_value_exits_1_naming_the_file(tmp_path, capsys, command, text, detail):
     cfg = write_cfg(tmp_path, text)
     argv = [command, "--config", str(cfg)]
@@ -599,9 +626,9 @@ class TestSweepCommand:
         assert len(lines) == 4
         assert all(line.endswith("true") for line in lines[1:])
 
-    def test_unconverged_runs_exit_2(self, tmp_path):
-        cfg = write_cfg(tmp_path, NEG_SIGN_CFG.replace("domain.n = 128", "domain.n = 64")
-                        + "solver.max_outer = 1\n")
+    def test_unconverged_runs_exit_2(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(solver, "_MAX_OUTER", 1)
+        cfg = write_cfg(tmp_path, NEG_SIGN_CFG.replace("domain.n = 128", "domain.n = 64"))
         code = main(["sweep", "--config", str(cfg), "--param", "n",
                      "--values", "16,32", "--out", str(tmp_path / "sw")])
         assert code == 2
@@ -609,11 +636,12 @@ class TestSweepCommand:
         assert len(lines) == 3
         assert all(line.endswith(",false") for line in lines[1:])
 
-    def test_inner_failure_keeps_the_other_rows(self, tmp_path, capsys):
+    def test_inner_failure_keeps_the_other_rows(self, tmp_path, capsys, monkeypatch):
         # at a = 30, 8 Newton steps from the flux start solve refinement 3
         # (7 steps) but not refinement 2 (9)
+        monkeypatch.setattr(solver, "_MAX_INNER", 8)
         cfg = write_cfg(tmp_path, DISK_CONSTANT_CFG.format(refinement=2).replace(
-            "nonlinearity.a = 2", "nonlinearity.a = 30") + "solver.max_inner = 8\n")
+            "nonlinearity.a = 2", "nonlinearity.a = 30"))
         code = main(["sweep", "--config", str(cfg), "--param", "refinement",
                      "--values", "3,2", "--out", str(tmp_path / "sw")])
         assert code == 2
@@ -694,6 +722,29 @@ class TestMeshInfoCommand:
             assert captured.out == ""
             assert captured.err == f"error: {mesh}: the mesh has no nodes\n"
         assert not (tmp_path / "out").exists()
+
+    def test_part_without_boundary_exits_1_in_solve_and_sweep(self, tmp_path, capsys):
+        # two unit squares, the one at x = 3 with no node marked: the zero
+        # boundary condition leaves it free and its energy has no minimum;
+        # mesh-info still reads the mesh
+        square = build_rectangle_mesh(1.0, 1.0, 4, 4)
+        n = len(square.nodes)
+        write_mesh(Mesh(np.vstack([square.nodes, square.nodes + [3.0, 0.0]]),
+                        np.vstack([square.elements, square.elements + n]),
+                        square.boundary_nodes), tmp_path / "m.txt")
+        cfg = write_cfg(tmp_path, "domain.kind = file\ndomain.path = m.txt\n"
+                                  "nonlinearity.kind = constant\nnonlinearity.a = 1\n"
+                                  "output.dir = {out}\n")
+        assert main(["mesh-info", "--config", str(cfg)]) == 0
+        assert f"nodes {2 * n}\n" in capsys.readouterr().out
+        message = (f"error: node {n} at [3.0, 0.0] is in a part of the mesh with no "
+                   "boundary node\n")
+        assert main(["solve", "--config", str(cfg)]) == 1
+        assert capsys.readouterr() == ("", message)
+        assert not (tmp_path / "out").exists()
+        assert main(["sweep", "--config", str(cfg), "--param", "selection_rule",
+                     "--values", "mid"]) == 1
+        assert capsys.readouterr() == ("", message)
 
     def test_mesh_without_elements_solves_to_zero(self, tmp_path, capsys):
         # every node is a boundary node: h is 0 and u = 0 is the solution

@@ -363,6 +363,18 @@ class TestMeshInvariants:
         with pytest.raises(MeshError):
             Mesh([0.0, 1.0], [(0, 5)], [0, 1])
 
+    TRIANGLE = [(0.0, 0.0), (1.0, 0.0), (0.0, 1.0)]
+
+    @pytest.mark.parametrize("nodes, elements, boundary, message", [
+        (np.eye(5, 4), [range(5)], [0], "unsupported spatial dimension 4"),
+        (TRIANGLE, [(0, 1)], [0], r"elements must be \(M, 3\) for dim 2, got \(1, 2\)"),
+        (TRIANGLE, [(0, 1, 2)], [0, 3], "boundary node index out of range"),
+        (TRIANGLE, [(0, 1, 2)], [-1], "boundary node index out of range"),
+    ], ids=["dim4", "element-shape", "boundary-past-end", "boundary-negative"])
+    def test_bad_arrays_rejected(self, nodes, elements, boundary, message):
+        with pytest.raises(MeshError, match=f"^{message}$"):
+            Mesh(nodes, elements, boundary)
+
     def test_degenerate_element_rejected(self):
         with pytest.raises(MeshError):
             Mesh([(0, 0), (1, 0), (2, 0)], [(0, 1, 2)], [0, 2, 1])

@@ -32,6 +32,16 @@ SQRT2 = math.sqrt(2.0)
 CAP_ENERGY = 2.0 - SQRT2 - math.log(1.0 + SQRT2)
 
 
+def refused(name, match):
+    """What `SolverOptions(**{name: <a bad value>})` raises: a ValueError
+    matching `match` for a field, a TypeError for the inner tolerance and the
+    caps, which are the module constants `_INNER_TOL`, `_MAX_INNER` and
+    `_MAX_OUTER` and no field."""
+    if name in ("inner_tol", "max_inner", "max_outer"):
+        return pytest.raises(TypeError, match=f"unexpected keyword argument '{name}'")
+    return pytest.raises(ValueError, match=match)
+
+
 class TestSolvePrescribed:
     def test_zero_rhs_gives_exact_zero(self):
         m = build_interval_mesh(-1, 1, 64)
@@ -56,7 +66,7 @@ class TestSolvePrescribed:
 
     def test_objective_strictly_decreases(self):
         m = build_interval_mesh(-1, 1, 128)
-        _, stats = _solve_prescribed(m, np.full(129, 1.0), SolverOptions())
+        _, stats = _solve_prescribed(m, np.full(129, 1.0))
         trace = stats.objectives
         diffs = np.diff(trace)
         # strict descent up to the roundoff resolution of the objective
@@ -64,18 +74,16 @@ class TestSolvePrescribed:
 
     def test_unique_minimizer_from_different_starts(self):
         m = build_interval_mesh(-1, 1, 64)
-        opts = SolverOptions()
-        cold = solve_prescribed(m, 1.0, opts)
+        cold = solve_prescribed(m, 1.0)
         bump = Field.from_function(m, lambda x: 0.5 * (1 - abs(x[:, 0])),
                                    dirichlet_zero=True)
         warm = solve_prescribed(m, 1.0, SolverOptions(initial=bump))
-        assert np.abs(cold.values - warm.values).max() <= 10 * opts.inner_tol
+        assert np.abs(cold.values - warm.values).max() <= 10 * solver._INNER_TOL
 
     def test_iterates_stay_strictly_feasible(self):
         m = build_interval_mesh(-1, 1, 64)
-        opts = SolverOptions()
-        vals, stats = _solve_prescribed(m, np.full(65, 3.0), opts)
-        assert stats.max_gradient <= 1.0 - opts.working_margin
+        vals, stats = _solve_prescribed(m, np.full(65, 3.0))
+        assert stats.max_gradient <= 1.0 - SolverOptions().working_margin
         assert stats.max_value <= inradius(m) + m.mesh_size() + 1e-12
 
     def test_mirror_symmetry(self):
@@ -103,21 +111,23 @@ class TestSolvePrescribed:
         with pytest.raises(InnerSolveError, match="initial iterate violates"):
             solve_prescribed(m, 1.0, SolverOptions(initial=steep))
 
-    def test_start_field_is_opts_initial(self):
+    def test_start_field_is_opts_initial(self, monkeypatch):
         # one Newton step does not reach the solution from zero; from the
         # solution itself no step is needed
         m = build_interval_mesh(-1, 1, 64)
         cold = solve_prescribed(m, 1.0)
-        warm = solve_prescribed(m, 1.0, SolverOptions(initial=cold, max_inner=1))
+        monkeypatch.setattr(solver, "_MAX_INNER", 1)
+        warm = solve_prescribed(m, 1.0, SolverOptions(initial=cold))
         assert np.array_equal(warm.values, cold.values)
         with pytest.raises(TypeError):
             solve_prescribed(m, 1.0, initial=cold)
 
-    def test_nonconvergence_carries_last_iterate(self):
+    def test_nonconvergence_carries_last_iterate(self, monkeypatch):
         # from zero one step is short of the stop (the flux start needs none)
         m = build_interval_mesh(-1, 1, 64)
+        monkeypatch.setattr(solver, "_MAX_INNER", 1)
         with pytest.raises(InnerSolveError) as info:
-            _solve_prescribed(m, 1.0, SolverOptions(max_inner=1), initial=np.zeros(65))
+            _solve_prescribed(m, 1.0, initial=np.zeros(65))
         err = info.value
         assert err.last_values is not None
         assert math.isfinite(err.residual) and err.residual > 0
@@ -126,12 +136,12 @@ class TestSolvePrescribed:
     def test_flat_steps_above_the_max_norm_stop_fail(self):
         # e = 100 saturates the interval: _FLAT_STEPS accepted steps in a row
         # leave the objective unchanged to roundoff with the residual above
-        # inner_tol, and the solve raises there instead of running to max_inner
+        # _INNER_TOL, and the solve raises there instead of running to _MAX_INNER
         m = build_interval_mesh(-1, 1, 64)
         with pytest.raises(InnerSolveError, match="unchanged") as info:
-            _solve_prescribed(m, 100.0, SolverOptions())
+            _solve_prescribed(m, 100.0)
         err = info.value
-        assert err.iterations <= 20 and err.residual > SolverOptions().inner_tol
+        assert err.iterations <= 20 and err.residual > solver._INNER_TOL
         assert f"{err.residual:.3e}" in str(err)
 
     def test_flat_steps_past_the_max_norm_stop_are_returned(self):
@@ -139,26 +149,26 @@ class TestSolvePrescribed:
         # _FLAT_STEPS steps that leave the objective unchanged to roundoff end
         # the solve, which returns the iterate instead of failing
         m = build_disk_mesh(1.0, 3)
-        values, stats = _solve_prescribed(m, 2.0, SolverOptions(), l1_tol=0.0)
+        values, stats = _solve_prescribed(m, 2.0, l1_tol=0.0)
         gradient = psi_gradient(m, Field(m, values)) + m.node_weight * 2.0
-        assert np.abs(gradient[m.interior_nodes]).max() <= SolverOptions().inner_tol
-        assert 0 < stats.iterations < SolverOptions().max_inner
+        assert np.abs(gradient[m.interior_nodes]).max() <= solver._INNER_TOL
+        assert 0 < stats.iterations < solver._MAX_INNER
 
     def test_l1_target_below_roundoff_stops_at_the_floor(self):
         # in 1D the iterate never stalls bit for bit, but the objective stops
         # moving: the solve returns there, at the max-norm stop
         m = build_interval_mesh(-1, 1, 64)
-        values, stats = _solve_prescribed(m, 1.0, SolverOptions(), l1_tol=0.0)
+        values, stats = _solve_prescribed(m, 1.0, l1_tol=0.0)
         gradient = psi_gradient(m, Field(m, values)) + m.node_weight * 1.0
-        assert np.abs(gradient[m.interior_nodes]).max() <= SolverOptions().inner_tol
+        assert np.abs(gradient[m.interior_nodes]).max() <= solver._INNER_TOL
         assert 0 < stats.iterations <= 15
 
-    def test_a_failed_solve_leaves_its_steps_in_the_sink(self):
+    def test_a_failed_solve_leaves_its_steps_in_the_sink(self, monkeypatch):
         m = build_interval_mesh(-1, 1, 64)
         sink = []
+        monkeypatch.setattr(solver, "_MAX_INNER", 1)
         with pytest.raises(InnerSolveError):
-            _solve_prescribed(m, 1.0, SolverOptions(max_inner=1), initial=np.zeros(65),
-                              stats_sink=sink)
+            _solve_prescribed(m, 1.0, initial=np.zeros(65), stats_sink=sink)
         assert [stats.iterations for stats in sink] == [1] and sink[0].max_value > 0.0
 
     def test_rejects_non_finite_rhs(self):
@@ -171,46 +181,47 @@ class TestSolvePrescribed:
     @pytest.mark.parametrize("name", ["inner_tol", "outer_tol"])
     @pytest.mark.parametrize("value", [math.nan, math.inf, 0.0, -1.0])
     def test_options_reject_bad_tolerances(self, name, value):
-        with pytest.raises(ValueError, match="positive and finite"):
+        with refused(name, "positive and finite"):
             SolverOptions(**{name: value})
 
     @pytest.mark.parametrize("name", ["max_inner", "max_outer"])
     @pytest.mark.parametrize("value", [2.5, 3.0, "3", None, 0, -1])
     def test_options_reject_bad_caps(self, name, value):
-        # a float cap would reach range() mid-solve (max_inner) or be
-        # compared as it is (max_outer)
-        with pytest.raises(ValueError, match=rf"^iteration caps must be >= 1 and integral, "
-                                             rf"got .*{name}={value!r}"):
+        # the caps are the module constants _MAX_INNER and _MAX_OUTER, no field
+        with pytest.raises(TypeError, match=f"unexpected keyword argument '{name}'"):
             SolverOptions(**{name: value})
 
     @pytest.mark.parametrize("name, value", [
         ("max_inner", True), ("max_outer", True), ("max_outer", np.True_), ("inner_tol", True),
         ("outer_tol", True), ("inner_tol", "1e-10"), ("outer_tol", 1e-8j), ("inner_tol", None)])
     def test_options_reject_bools_and_non_real_values(self, name, value):
-        # a bool cap used to run as 1, a bool tolerance as 1.0, and a string
-        # tolerance raised TypeError from the range comparison
-        with pytest.raises(ValueError, match=re.escape(f"{name}={value!r}")):
+        # a bool tolerance used to run as 1.0, and a string tolerance raised
+        # TypeError from the range comparison
+        with refused(name, re.escape(f"{name}={value!r}")):
             SolverOptions(**{name: value})
 
     @pytest.mark.parametrize("name", ["inner_tol", "outer_tol"])
     @pytest.mark.parametrize("value", [10 ** 400, np.longdouble("1e400")], ids=["int", "long"])
     def test_options_reject_tolerances_past_the_floats(self, name, value):
         # float() of the int overflows, of the long double it is inf
-        with pytest.raises(ValueError, match="positive and finite"):
+        with refused(name, "positive and finite"):
             SolverOptions(**{name: value})
 
     def test_options_store_float_tolerances(self):
-        opts = SolverOptions(inner_tol=np.float32(1e-10), outer_tol=10 ** 300)
-        assert type(opts.inner_tol) is float and type(opts.outer_tol) is float
-        assert opts.outer_tol == 1e300
+        assert type(SolverOptions(outer_tol=np.float32(1e-8)).outer_tol) is float
+        opts = SolverOptions(outer_tol=10 ** 300)
+        assert type(opts.outer_tol) is float and opts.outer_tol == 1e300
 
     def test_options_take_int_and_numpy_tolerances(self):
-        opts = SolverOptions(inner_tol=np.float64(1e-10), outer_tol=1)
-        assert solve_inclusion(build_interval_mesh(-1, 1, 8), neg_sign(), opts).converged
+        for tol in (1, np.float64(1e-8)):
+            opts = SolverOptions(outer_tol=tol)
+            assert solve_inclusion(build_interval_mesh(-1, 1, 8), neg_sign(), opts).converged
 
-    def test_options_take_numpy_integer_caps(self):
-        opts = SolverOptions(max_inner=np.int64(7), max_outer=np.int32(2))
-        assert solve_inclusion(build_interval_mesh(-1, 1, 8), neg_sign(), opts).converged
+    def test_options_take_numpy_integer_caps(self, monkeypatch):
+        # neg_sign on n=8 converges within 7 Newton steps a solve and 2 outer iterations
+        monkeypatch.setattr(solver, "_MAX_INNER", np.int64(7))
+        monkeypatch.setattr(solver, "_MAX_OUTER", np.int32(2))
+        assert solve_inclusion(build_interval_mesh(-1, 1, 8), neg_sign()).converged
 
     @pytest.mark.parametrize("initial", [np.zeros(9), [0.0] * 9, 0.0])
     def test_options_reject_an_initial_that_is_not_a_field(self, initial):
@@ -350,7 +361,7 @@ class TestFluxStart:
         build, a = FLUX_START_CASES[case]
         mesh = build()
         flux = solve_prescribed(mesh, a)
-        zero, _ = _solve_prescribed(mesh, a, SolverOptions(), initial=np.zeros(len(mesh.nodes)))
+        zero, _ = _solve_prescribed(mesh, a, initial=np.zeros(len(mesh.nodes)))
         assert np.abs(flux.values - zero).max() <= 1e-10
 
     def test_ten_disk_solves_make_one_factor(self, monkeypatch):
@@ -390,13 +401,14 @@ class TestFluxStart:
 
 
 class TestSolveInclusion:
-    def test_failed_escape_probes_raise(self):
+    def test_failed_escape_probes_raise(self, monkeypatch):
         # u = 0 is a fixed point of the mid selection of neg_sign; on the
         # disk the probes that would leave it need more than one Newton step
         # each from the flux start.  The stall is no fixed point: rho = 0
         # there, yet the run has not converged
         m = build_disk_mesh(1.0, 3)
-        res = solve_inclusion(m, neg_sign(), SolverOptions(max_inner=1))
+        monkeypatch.setattr(solver, "_MAX_INNER", 1)
+        res = solve_inclusion(m, neg_sign())
         assert not res.converged and res.stationarity == 0.0
         assert res.breakdown.startswith("no convergence in 1 Newton")
         assert not res.u.values.any()
@@ -417,7 +429,7 @@ class TestSolveInclusion:
     def test_strong_forcing_ends_in_a_verdict(self, name, a):
         res = solve_inclusion(self.STRONG[name](), constant(float(a)))
         assert res.breakdown.startswith("Newton left the objective unchanged to roundoff")
-        assert res.inner_iterations < SolverOptions().max_inner  # no solve ran to the cap
+        assert res.inner_iterations < solver._MAX_INNER  # no solve ran to the cap
         assert res.converged == ((name, a) not in self.UNCERTIFIED)
 
     def test_infeasible_initial_is_a_value_error(self):
@@ -462,13 +474,13 @@ class TestSolveInclusion:
 
     def test_strong_disk_forcing_converges(self):
         # the l1 stop scales with 1 + |objective|: a fixed target of
-        # outer_tol / 10 runs this solve to max_inner
+        # outer_tol / 10 runs this solve to _MAX_INNER
         res = solve_inclusion(build_disk_mesh(1.0, 4), constant(100.0))
         assert res.converged
 
     def test_fine_kinked_interval_converges(self):
         # the smoothing and pinned stages keep the max-norm stop alone; the
-        # l1 stop there runs this solve to max_inner
+        # l1 stop there runs this solve to _MAX_INNER
         res = solve_inclusion(build_interval_mesh(-1, 1, 4096), step(-1.0, 1.0, 0.1))
         assert res.converged
 
@@ -522,15 +534,16 @@ class TestSolveInclusion:
     @pytest.mark.parametrize("spec, max_outer, min_residual",
                              [(neg_sign(), 100, 0.0), (power(1.0, 2.0), 1, 0.1)],
                              ids=["neg_sign-64", "power-64-one-step"])
-    def test_residual_is_the_inclusion_residual(self, spec, max_outer, min_residual):
+    def test_residual_is_the_inclusion_residual(self, spec, max_outer, min_residual,
+                                                monkeypatch):
         # the certificate pass and `inclusion_residual` are built from the
         # same pieces, not checked independently: this pins that the pass
         # composes them as `verify` does; one outer step of f(s) = s from a
         # bump ends with a large residual, so this is not only 0 == 0
         m = build_interval_mesh(-1, 1, 64)
         x = m.nodes[:, 0]
-        opts = SolverOptions(max_outer=max_outer,
-                             initial=Field(m, 0.5 * (1 - np.abs(x)), dirichlet_zero=True))
+        monkeypatch.setattr(solver, "_MAX_OUTER", max_outer)
+        opts = SolverOptions(initial=Field(m, 0.5 * (1 - np.abs(x)), dirichlet_zero=True))
         res = solve_inclusion(m, spec, opts)
         ref = inclusion_residual(m, res.u, spec, margin=opts.working_margin)
         assert np.array_equal(res.residuals, ref)
@@ -581,9 +594,10 @@ class TestSolveInclusion:
             counts.append((res.outer_iterations, len(sizes)))
         assert counts[0] == counts[1]
 
-    def test_outer_cap_returns_unconverged(self):
+    def test_outer_cap_returns_unconverged(self, monkeypatch):
         m = build_interval_mesh(-1, 1, 64)
-        res = solve_inclusion(m, neg_sign(), SolverOptions(max_outer=1))
+        monkeypatch.setattr(solver, "_MAX_OUTER", 1)
+        res = solve_inclusion(m, neg_sign())
         assert not res.converged
         assert res.outer_iterations == 1
 
@@ -866,6 +880,24 @@ class TestLadderEntry:
         assert res.energy == pytest.approx(LADDER_FROM_ONE["interval-64", 0.25][0],
                                            rel=0.0, abs=1e-12)
 
+    def test_no_accepted_stage_returns_the_last_pinned_solution(self, monkeypatch):
+        # with _KINK_TOL = 0 no pinned solution is accepted; three stages
+        # (entry at 0.01, then 1e-4) end the ladder, which returns the last
+        # pinned solution: the one the default tolerance accepts.  With all
+        # seven stages, the unpinned solve at 1e-10 fails at the roundoff floor
+        mesh, spec = build_interval_mesh(-1, 1, 64), step(-1.0, 1.0, 0.25)
+        kinks, _ = solver._Kinks.split(mesh, spec)
+        zero = np.zeros(len(mesh.nodes))
+        accepted = solver._inner_solve(mesh, -1.0, zero, kinks, [])
+        monkeypatch.setattr(solver, "_KINK_TOL", 0.0)
+        monkeypatch.setattr(solver, "_MAX_STAGES", 3)
+        stages, inner = [], solver._solve_prescribed
+        monkeypatch.setattr(solver, "_solve_prescribed", lambda *args, **kwargs: (
+            stages.append((kwargs["gamma"], "pinned" in kwargs)) or inner(*args, **kwargs)))
+        values = solver._inner_solve(mesh, -1.0, zero, kinks, [])
+        assert stages == [(0.01, False), (0.01, True), (1e-4, False), (1e-4, True)]
+        assert np.array_equal(values, accepted)
+
     @pytest.mark.parametrize("name, s0", sorted(LADDER_FROM_ONE))
     def test_same_energies_in_no_more_steps(self, name, s0):
         energy, steps = LADDER_FROM_ONE[name, s0]
@@ -924,12 +956,12 @@ class TestSingleInnerPath:
         smoothed = solver._Kinks.smoothed
         monkeypatch.setattr(solver._Kinks, "smoothed",
                             lambda *args: smoothings.append(1) or smoothed(*args))
-        _, stats = _solve_prescribed(mesh, -1.0, SolverOptions(), kinks=kinks, gamma=0.01)
+        _, stats = _solve_prescribed(mesh, -1.0, kinks=kinks, gamma=0.01)
         assert stats.iterations > 1 and len(smoothings) == len(objectives) > stats.iterations
         objectives.clear()
         smoothings.clear()
         sink = []
-        solver._inner_solve(mesh, -1.0, SolverOptions(), np.zeros(len(mesh.nodes)), kinks, sink)
+        solver._inner_solve(mesh, -1.0, np.zeros(len(mesh.nodes)), kinks, sink)
         assert len(sink) == 4  # two stages, each unpinned and pinned
         assert len(smoothings) == len(objectives) > sum(s.iterations for s in sink)
 
@@ -972,8 +1004,7 @@ class TestSingleInnerPath:
         spec, zero = neg_sign(), np.zeros(len(mesh.nodes))
         kinks = solver._Kinks.split(mesh, spec)[0]
         lo, hi = envelopes(spec, mesh.nodes, zero, 0.0)
-        lo_u, hi_u = (solver._inner_solve(mesh, e, SolverOptions(), zero, kinks, [])
-                      for e in (lo, hi))
+        lo_u, hi_u = (solver._inner_solve(mesh, e, zero, kinks, []) for e in (lo, hi))
         assert (0.0 - lo_u).tobytes() == hi_u.tobytes()
 
     def test_stage_without_band_nodes_ends_the_solve(self, monkeypatch):
@@ -990,15 +1021,16 @@ class TestSingleInnerPath:
         assert res.converged
         assert res.energy == pytest.approx(energy, rel=1e-12, abs=0.0)
 
-    def test_probe_accepted_on_the_last_iteration(self):
-        # max_outer ends the loop right after a probe moved u: the reported
+    def test_probe_accepted_on_the_last_iteration(self, monkeypatch):
+        # _MAX_OUTER ends the loop right after a probe moved u: the reported
         # certificate belongs to the returned u, not to the stall before it
         m = build_interval_mesh(-1, 1, 64)
-        spec, opts = neg_sign(), SolverOptions(max_outer=1)
-        res = solve_inclusion(m, spec, opts)
+        spec = neg_sign()
+        monkeypatch.setattr(solver, "_MAX_OUTER", 1)
+        res = solve_inclusion(m, spec)
         assert not res.converged and len(res.energy_trace) == 3
         assert res.stationarity == stationarity_measure(m, res.u, spec)
-        ref = inclusion_residual(m, res.u, spec, margin=opts.working_margin)
+        ref = inclusion_residual(m, res.u, spec, margin=FEASIBILITY_MARGIN)
         assert np.array_equal(res.residuals, ref)
 
 
@@ -1021,9 +1053,9 @@ class TestConvergenceOrder:
 
 class TestSolverOptions:
     @pytest.mark.parametrize("kw", [
-        dict(inner_tol=0.0), dict(outer_tol=-1.0), dict(inner_tol=math.inf),
-        dict(max_outer=0), dict(outer_tol=math.nan), dict(max_outer=-3),
-        dict(max_inner=0), dict(selection_rule="median"),
+        dict(outer_tol=0.0), dict(outer_tol=-1.0), dict(outer_tol=math.inf),
+        dict(selection_rule="Mid"), dict(outer_tol=math.nan), dict(outer_tol=-math.inf),
+        dict(initial=np.zeros(3)), dict(selection_rule="median"),
     ])
     def test_validation(self, kw):
         with pytest.raises(ValueError):
@@ -1102,6 +1134,21 @@ def element_first_hessian(mesh, ws, root, Bg):
 
 
 class TestNewtonWorkspace:
+    @pytest.mark.parametrize("solve", [lambda m: solve_inclusion(m, constant(1.0)),
+                                       lambda m: solve_prescribed(m, 1.0)],
+                             ids=["inclusion", "prescribed"])
+    def test_a_part_without_boundary_is_rejected(self, solve):
+        # two unit squares, the one at x = 3 with no node marked: the zero
+        # boundary condition leaves it free, and the energy has no minimum
+        # (solved, it used to report converged at energy -4.8e14)
+        square = build_rectangle_mesh(1.0, 1.0, 4, 4)
+        n = len(square.nodes)
+        mesh = Mesh(np.vstack([square.nodes, square.nodes + [3.0, 0.0]]),
+                    np.vstack([square.elements, square.elements + n]), square.boundary_nodes)
+        with pytest.raises(MeshError, match=rf"^node {n} at \[3.0, 0.0\] is in a part of the "
+                                            "mesh with no boundary node$"):
+            solve(mesh)
+
     @pytest.mark.parametrize("name", sorted(WORKSPACE_MESHES))
     def test_assembly_is_bit_equal_to_element_first(self, monkeypatch, name):
         mesh = WORKSPACE_MESHES[name]()
@@ -1174,11 +1221,11 @@ class TestNewtonWorkspace:
         step_hessian = solver._step_hessian
         monkeypatch.setattr(solver, "_step_hessian",
                             lambda *args: assembled.append(1) or step_hessian(*args))
-        _, stats = _solve_prescribed(mesh, 2.4, SolverOptions())
+        _, stats = _solve_prescribed(mesh, 2.4)
         assert stats.iterations == 6 and assembled == []
         # a cold solve assembles K0 there, and nothing else
         solver._K0.clear()
-        _, stats = _solve_prescribed(mesh, 2.4, SolverOptions())
+        _, stats = _solve_prescribed(mesh, 2.4)
         solver._K0.clear()
         assert stats.iterations == 6 and assembled == [1]
 
@@ -1206,7 +1253,7 @@ class TestNewtonWorkspace:
         assert len(factors) == 1 and list(solver._K0) == [mesh]
         # a 1D solve takes banded Cholesky steps, makes no SuperLU factor
         # and keeps the slot
-        _, stats = _solve_prescribed(build_interval_mesh(-1, 1, 64), 1.0, SolverOptions())
+        _, stats = _solve_prescribed(build_interval_mesh(-1, 1, 64), 1.0)
         assert stats.iterations > 0 and len(factors) == 1
         assert list(solver._K0) == [mesh]
         # another mesh drops the first mesh's factor: at most one is alive
@@ -1249,7 +1296,7 @@ class TestNewtonWorkspace:
         # node, a diagonal with one, one off-diagonal from two on
         factors = counting(monkeypatch, "splu")
         mesh = build_interval_mesh(-1, 1, n)
-        values, _ = _solve_prescribed(mesh, 1.0, SolverOptions())
+        values, _ = _solve_prescribed(mesh, 1.0)
         gradient = psi_gradient(mesh, Field(mesh, values)) + mesh.node_weight
         assert np.abs(gradient[mesh.interior_nodes]).max(initial=0.0) <= 1e-10
         assert factors == []
@@ -1273,7 +1320,7 @@ class TestNewtonWorkspace:
         monkeypatch.setattr(solver, "_factor", checked)
         mask = np.zeros(len(mesh.nodes), bool)
         mask[list(pinned)] = True
-        values, stats = _solve_prescribed(mesh, 1.0, SolverOptions(),
+        values, stats = _solve_prescribed(mesh, 1.0,
                                           pinned=mask if pinned else None)
         assert stats.iterations == len(errors) > 0
         assert max(errors) <= 1e-14
@@ -1336,16 +1383,15 @@ class TestNewtonWorkspace:
             stops.append(max(kwargs["atol"], kwargs["rtol"] * np.linalg.norm(b)))
             return original(A, b, **kwargs)
         monkeypatch.setattr(solver, "cg", recording)
-        opts = SolverOptions()
         mesh = build_disk_mesh(1.0, 4)
         for a in (1.5, 2.0, 2.4):
-            solve_prescribed(mesh, a, opts)
-        solve_inclusion(build_disk_mesh(1.0, 3), step(-1.0, 1.0, 0.1), opts)
-        assert stops and min(stops) >= 0.1 * opts.inner_tol
+            solve_prescribed(mesh, a)
+        solve_inclusion(build_disk_mesh(1.0, 3), step(-1.0, 1.0, 0.1))
+        assert stops and min(stops) >= 0.1 * solver._INNER_TOL
 
     @pytest.mark.parametrize("a, steps", [(1.5, 5), (2.0, 8), (2.4, 6)])
     def test_disk_newton_step_counts(self, a, steps):
-        _, stats = _solve_prescribed(build_disk_mesh(1.0, 4), a, SolverOptions())
+        _, stats = _solve_prescribed(build_disk_mesh(1.0, 4), a)
         assert stats.iterations == steps
 
     def test_k0_applications_on_disk5(self, monkeypatch):
@@ -1383,7 +1429,7 @@ class TestNewtonWorkspace:
         # preconditions the solve's later steps until the next miss
         factors = counting(monkeypatch, "splu")
         mesh = build_disk_mesh(1.0, refinement)
-        values, stats = _solve_prescribed(mesh, a, SolverOptions())
+        values, stats = _solve_prescribed(mesh, a)
         gradient = psi_gradient(mesh, Field(mesh, values)) + mesh.node_weight * a
         assert np.abs(gradient[mesh.interior_nodes]).max() <= 1e-10
         assert stats.iterations == steps

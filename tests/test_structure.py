@@ -3,7 +3,9 @@
 The order is mesh -> nonlinearity -> energy -> solver -> verify -> cli; a
 module may import package modules that come earlier, never later, and no
 module imports inside a function body (the usual way to hide a cycle).
-`svg` imports no package module.
+`svg` imports no package module.  Decisions kept in one place are pinned
+here too: among them, only the solver's entry points take `SolverOptions`,
+and the settings that became module constants are no config keys.
 """
 
 import ast
@@ -14,6 +16,8 @@ import sys
 from pathlib import Path
 
 import pytest
+
+from minkcurv.cli import main
 
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "minkcurv"
 ORDER = ["mesh", "nonlinearity", "energy", "solver", "verify", "cli"]
@@ -439,3 +443,66 @@ def test_the_except_scan_sees_the_old_handlers():
     assert imported_names(ast.parse(src)) == {"InnerSolveError", "SolveResult"}
     assert caught_names(ast.parse("try:\n    f()\nexcept ValueError:\n    pass\n")) == {
         "ValueError"}
+
+
+REMOVED_OPTIONS = {"inner_tol", "max_inner", "max_outer"}
+
+
+def option_readers(module_tree):
+    """Innermost enclosing function name of every parameter named `opts` and
+    of every read of `.inner_tol`, `.max_inner` or `.max_outer`."""
+    found = []
+
+    def visit(node, where):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            where = node.name
+            params = node.args.posonlyargs + node.args.args + node.args.kwonlyargs
+            if any(param.arg == "opts" for param in params):
+                found.append(where)
+        if (isinstance(node, ast.Attribute) and node.attr in REMOVED_OPTIONS
+                and isinstance(node.ctx, ast.Load)):
+            found.append(where)
+        for child in ast.iter_child_nodes(node):
+            visit(child, where)
+    visit(module_tree, "<module>")
+    return found
+
+
+def test_only_the_entry_points_take_solver_options():
+    # the Newton layer reads no options: the inner tolerance and the caps
+    # are solver constants, and the inner l1 stop arrives as a number
+    readers = {(name, where) for name in MODULES for where in option_readers(tree(name))}
+    assert readers == {("solver", "_start"), ("solver", "solve_prescribed"),
+                       ("solver", "solve_inclusion")}
+
+
+def test_the_option_scan_sees_the_old_sites():
+    src = ("def _solve_prescribed(mesh, e, opts, initial=None):\n"
+           "    for _ in range(opts.max_inner + 1):\n        pass\n"
+           "def _inner_solve(mesh, e, opts, initial, kinks):\n"
+           "    return 0.1 * opts.outer_tol\n"
+           "def _escape_probe(mesh, spec, opts, u):\n    return u\n"
+           "def solve_inclusion(mesh, spec, *, opts=None):\n"
+           "    def rest(values):\n        return values < opts.max_outer\n"
+           "    return rest\n"
+           "def floor(config):\n    return 0.1 * config.solver.inner_tol\n")
+    assert option_readers(ast.parse(src)) == [
+        "_solve_prescribed", "_solve_prescribed", "_inner_solve", "_escape_probe",
+        "solve_inclusion", "rest", "floor"]
+
+
+RUN_CONFIG = ("domain.kind = interval\ndomain.a = -1\ndomain.b = 1\ndomain.n = 8\n"
+              "nonlinearity.kind = neg_sign\n")
+
+
+@pytest.mark.parametrize("key", ["solver.inner_tol", "solver.max_inner", "solver.max_outer",
+                                 "verify.residual_tol", "verify.vi_tol", "verify.analytic_tol"])
+def test_removed_settings_are_unknown_keys(tmp_path, capsys, key):
+    # the solver's inner tolerance and caps and the checker's pass
+    # thresholds are module constants, which no config sets
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(RUN_CONFIG + f"{key} = 1\noutput.dir = {tmp_path / 'out'}\n")
+    assert main(["solve", "--config", str(cfg)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {cfg}:6: key {key!r} is unknown or not used")
+    assert not (tmp_path / "out").exists()

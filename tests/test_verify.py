@@ -531,13 +531,13 @@ class TestVerificationReport:
         assert not report.all_passed
         assert report.max_inclusion_residual == pytest.approx(1.0)
 
-    def test_analytic_check_included(self):
+    def test_analytic_check_included(self, monkeypatch):
         m = build_interval_mesh(-1, 1, 64)
         u = solve_prescribed(m, 1.0)
         zeta = np.ones(len(m.nodes))
+        monkeypatch.setattr(verify_module, "_ANALYTIC_TOL", 1e-3)
         report = verification_report(m, u, zeta, constant(1.0),
-                                     analytic=analytic_radial(1.0, 1.0, 1),
-                                     analytic_tol=1e-3)
+                                     analytic=analytic_radial(1.0, 1.0, 1))
         assert report.analytic_linf_error <= 1e-3
         assert report.passed["analytic"]
 
