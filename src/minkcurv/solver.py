@@ -45,13 +45,14 @@ entry stage fails climbs the whole ladder from 1).  A stage whose
 solution has no node in a smoothing band is exact (each slope there is a
 subgradient of its kink), so with no kinks the first stage is the whole
 solve; otherwise the band nodes are pinned at their level and the problem
-solved again, until the pinned solution meets the inclusion exactly.  A
-rejected pinned solution starts the next stage.
+solved again, until a pinned solution passes rho's gate with the kinks'
+subdifferential as its bracket.  A rejected one starts the next stage.
 
 Outer level: a selection fixed point for the rest of f, f minus its kinks
 (constant for `step` and `heaviside`, so one iteration suffices; all of f
 for `neg_sign`).  Each stall makes one certificate pass, the run's
-certificate if the stall ends the loop.  If the rest jumps, escape probes
+certificate if the stall ends the loop; a stall whose selection moved
+ends it only if rho is within its gate.  If the rest jumps, escape probes
 (that pass's two envelope selections as right-hand sides) are accepted
 only on a strict energy decrease, the lower of the two if both decrease.
 At the zero field with a symmetric bracket one probe is the other's mirror
@@ -63,7 +64,8 @@ psi(v) - psi(u) + sum_i w_i max(lo_i d_i, hi_i d_i) >= -|d|_inf * rho with
 rho = sum_i w_i dist(m_i, [lo_i, hi_i]) (Szulkin's critical-point
 inequality).  `converged` means a fixed point with rho <= outer_tol *
 (1 + |energy|).  Its pieces are implemented once, and `verify` imports them:
-m (`_operator_value`), `_bracket_distance` (also the pinned stages' test) and
+m (`_operator_value`), `_bracket_distance` and its weighted sum
+`_weighted_distance` (rho, and the pinned stages' gate), and
 `windowed_envelopes`, composed in `inclusion_residual`.
 """
 
@@ -135,10 +137,14 @@ class SolverOptions:
 
 
 def _start(mesh: Mesh, opts: SolverOptions) -> np.ndarray:
-    """A copy of the values of `opts.initial` (a field of `mesh`), zeros if unset."""
+    """A copy of the values of `opts.initial` (a field of `mesh`, finite inside), zeros if unset."""
     if opts.initial is not None and opts.initial.mesh is not mesh:
         raise MeshError("SolverOptions.initial is a field of another mesh")
-    return np.zeros(len(mesh.nodes)) if opts.initial is None else np.array(opts.initial.values)
+    values = np.zeros(len(mesh.nodes)) if opts.initial is None else np.array(opts.initial.values)
+    bad = mesh.interior_nodes[~np.isfinite(values[mesh.interior_nodes])]
+    if bad.size:
+        raise ValueError(f"SolverOptions.initial is {values[bad[0]]} at node {bad[0]}, not finite")
+    return values
 
 
 @dataclass
@@ -190,6 +196,12 @@ def _bracket_distance(mesh: Mesh, m, lo, hi) -> np.ndarray:
     return out
 
 
+def _weighted_distance(mesh: Mesh, m, lo, hi) -> float:
+    """sum_interior w_i dist(m_i, [lo_i, hi_i]), `_bracket_distance` weighted."""
+    interior = mesh.interior_nodes
+    return float(np.dot(mesh.node_weight[interior], _bracket_distance(mesh, m, lo, hi)[interior]))
+
+
 def windowed_envelopes(mesh: Mesh, spec: NonlinearitySpec, values):
     """Envelope arrays (lo, hi) at every node, widened to the whole jump
     interval within the mesh size h of a jump level: a piecewise-affine
@@ -219,11 +231,9 @@ def _certificate(mesh: Mesh, spec: NonlinearitySpec, values):
     m = _operator_value(mesh, Field(mesh, values, dirichlet_zero=True))
     lo, hi = windowed_envelopes(mesh, spec, values)
     lo0, hi0 = envelopes(spec, mesh.nodes, values, 0.0)
-    interior = mesh.interior_nodes
-    rho = float(np.dot(mesh.node_weight[interior], _bracket_distance(mesh, m, lo0, hi0)[interior]))
     zeta = np.clip(m, lo, hi)
     zeta[~np.isfinite(zeta)] = 0.0  # where the forcing is not finite: boundary nodes only
-    return zeta, _bracket_distance(mesh, m, lo, hi), rho, lo0, hi0
+    return zeta, _bracket_distance(mesh, m, lo, hi), _weighted_distance(mesh, m, lo0, hi0), lo0, hi0
 
 
 @dataclass(frozen=True)
@@ -642,10 +652,8 @@ def _solve_prescribed(mesh: Mesh, e, initial=None, kinks=_NO_KINKS, gamma=1.0, p
         # with K0 it applies the Hessian unassembled (`_step_product`).
         # A 1D step (a band solve costs next to nothing), a kinked or pinned
         # 2D solve's first step and a CG miss factor the step's Hessian, and
-        # the solve holds that factor; the old one goes first, so at most
-        # one LU besides K0 is alive at a time.  CG on a held factor of the
-        # solve's own takes 9 to 50 iterations, each product a quarter of an
-        # assembly, so it multiplies by the assembled matrix.
+        # the solve holds that factor, the old one going first (at most one
+        # LU besides K0 is alive); CG on it multiplies by the assembled matrix.
         diagonal = None if kinks.level.size == 0 else (
             mesh.node_weight * band.sum(axis=0) / gamma)[order]
         data = None
@@ -705,27 +713,26 @@ def solve_prescribed(mesh: Mesh, e, opts: SolverOptions | None = None) -> Field:
     solution wherever the flux is a gradient, and stops on the max-norm
     alone.  Raises `InnerSolveError`, carrying the last iterate.
     """
-    values = _inner_solve(mesh, e, _start(mesh, opts or SolverOptions()), _NO_KINKS, [])
+    values = _inner_solve(mesh, e, _start(mesh, opts or SolverOptions()), _NO_KINKS, [], math.inf)
     return Field(mesh, values, dirichlet_zero=True)
 
 
-# smoothing stages of the inner solve, and the acceptance residual of a pinned one
-_MAX_STAGES = 7
-_KINK_TOL = 1e-8
+_MAX_STAGES = 7  # smoothing stages of the inner solve
 
 
-def _inner_solve(mesh: Mesh, e, initial, kinks: _Kinks, stats_sink, l1_tol=math.inf):
+def _inner_solve(mesh: Mesh, e, initial, kinks: _Kinks, stats_sink, tol):
     """Minimizer of psi_h(w) + <e, w>_lumped + the lumped kinks from `initial`
-    or the flux start (module docstring), with the l1 stop at `l1_tol` (inf
-    with kinks).  The smoothing ladder gamma = 0.01 ** stage starts at the
-    first stage whose band leaves out a node the start has above a level
-    (the last stage at the latest), at gamma = 1 when no node is above one;
-    when the unpinned solve of a stage entered past gamma = 1 fails, the
-    ladder starts over at gamma = 1 from the start.  A stage with no node in
-    a smoothing band is exact; a pinned solution is accepted when m - e is
-    within _KINK_TOL of their subdifferential.  Raises ValueError unless `e`
-    is finite."""
+    or the flux start (module docstring), to the run's tolerance `tol`: the
+    l1 stop 0.1 * tol with no kinks, none with kinks.  The smoothing ladder
+    gamma = 0.01 ** stage starts at the first stage whose band leaves out a
+    node the start has above a level (the last stage at the latest), at
+    gamma = 1 when no node is above one; when the unpinned solve of a stage
+    entered past gamma = 1 fails, the ladder starts over at gamma = 1 from
+    the start.  A stage with no node in a smoothing band is exact; a pinned
+    one is accepted by rho's gate, with the kinks' subdifferential as the
+    bracket and tol * (1 + |its last objective|).  Raises ValueError unless `e` is finite."""
     e = _right_hand_side(mesh, e)
+    l1_tol = 0.1 * tol if kinks.level.size == 0 else math.inf
     values = initial if initial[mesh.interior_nodes].any() else _flux_start(mesh, e)
     first = 0  # skip the stages whose band holds every node the start has above a level
     if kinks.level.size:
@@ -754,28 +761,29 @@ def _inner_solve(mesh: Mesh, e, initial, kinks: _Kinks, stats_sink, l1_tol=math.
             return values
         trial = np.where(pinned, kinks.level[band.argmax(axis=0), np.arange(len(values))], values)
         try:
-            trial, _ = _solve_prescribed(mesh, e, initial=trial, kinks=kinks, gamma=gamma,
-                                         pinned=pinned, stats_sink=stats_sink)
+            trial, stats = _solve_prescribed(mesh, e, initial=trial, kinks=kinks, gamma=gamma,
+                                             pinned=pinned, stats_sink=stats_sink)
         except InnerSolveError:
             continue  # e.g. pinning left the feasible set: smaller band next
         m = _operator_value(mesh, Field(mesh, trial, dirichlet_zero=True)) - e
-        if _bracket_distance(mesh, m, *kinks.subdifferential(trial)).max() <= _KINK_TOL:
+        if (_weighted_distance(mesh, m, *kinks.subdifferential(trial))
+                <= tol * (1.0 + abs(stats.objectives[-1]))):
             return trial
         values = trial  # the next stage starts from the pinned solution
     return values
 
 
-def _escape_probe(mesh, spec, u, I_u, zeta, certificate, kinks, stats_sink, l1_tol):
+def _escape_probe(mesh, spec, u, I_u, zeta, certificate, kinks, stats_sink, tol):
     """(values, energy) of the lowest strictly improving probe at a stall, or None.
 
     The probes are the two zero-window envelope selections lo and hi of the
     `_certificate` record at u, less the kinks' slopes; each is solved by
-    `_inner_solve` (l1 stop `l1_tol`) from u unless it equals the current
-    selection `zeta` at every interior node.  At the zero field with no
-    kinks and hi = -lo, psi being even makes the hi probe the mirror image
-    of a solved lo probe, so it is not solved again.  They may reach different critical points, so
-    the lower energy wins (lo on a tie).  When every probe that ran failed,
-    the last failure is raised: the stall is not a fixed point.
+    `_inner_solve` (tolerance `tol`) from u unless it equals the current
+    selection `zeta` at every interior node.  At the zero field with no kinks
+    and hi = -lo, psi being even makes the hi probe the mirror image of a
+    solved lo probe, so it is not solved again.  They may reach different
+    critical points, so the lower energy wins (lo on a tie).  When every
+    probe that ran failed, the last failure is raised: no fixed point.
     """
     lo, hi = certificate[3:]
     kink_slope = kinks.subdifferential(u)[0]
@@ -790,7 +798,7 @@ def _escape_probe(mesh, spec, u, I_u, zeta, certificate, kinks, stats_sink, l1_t
             vals = 0.0 - solved[0]  # 0.0 - keeps the boundary zeros at +0.0
         else:
             try:
-                vals = _inner_solve(mesh, e, u, kinks, stats_sink, l1_tol)
+                vals = _inner_solve(mesh, e, u, kinks, stats_sink, tol)
             except InnerSolveError as err:
                 failures.append(err)
                 continue
@@ -809,12 +817,12 @@ def solve_inclusion(mesh: Mesh, spec: NonlinearitySpec,
 
     Iterates u_{k+1} = inner-solve(rest selection(u_k)) from the initial
     field (zero by default), see the module docstring, until successive
-    iterates or selections agree and no escape probe improves the energy,
-    or until `_MAX_OUTER` iterations (then with converged=False), with the
-    start rule and the l1 stop of the module docstring.  An inner solve
-    failure ends the loop at its last iterate, and a stall whose escape
-    probes all fail is no fixed point; either sets `breakdown`.  Raises
-    ValueError for a forcing that is not finite at an interior node, and
+    selections agree, or successive iterates agree with rho within its gate,
+    and no escape probe improves the energy, or until `_MAX_OUTER`
+    iterations (then with converged=False).  An inner solve failure ends
+    the loop at its last iterate, and a stall whose escape probes all fail
+    is no fixed point; either sets `breakdown`.  Raises ValueError for a
+    forcing or an `initial` not finite at an interior node, and
     `StrictFeasibilityError` (a ValueError naming `initial`) before the loop
     for an `initial` past the working margin.
     """
@@ -838,13 +846,12 @@ def solve_inclusion(mesh: Mesh, spec: NonlinearitySpec,
     I_u = total_energy(mesh, Field(mesh, u, dirichlet_zero=True), spec)
     trace = [I_u]
     fixed_point, breakdown, outer = False, None, 0
-    l1_tol = 0.1 * opts.outer_tol if kinks.level.size == 0 else math.inf
     try:
         zeta = rest_selection(u)
         while outer < _MAX_OUTER and breakdown is None:
             outer += 1
             try:
-                cand = _inner_solve(mesh, zeta, u, kinks, stats_all, l1_tol)
+                cand = _inner_solve(mesh, zeta, u, kinks, stats_all, opts.outer_tol)
             except InnerSolveError as err:  # the certificate judges its last iterate
                 cand, breakdown = err.last_values, str(err)
             step = float(np.abs(cand - u).max())
@@ -852,10 +859,13 @@ def solve_inclusion(mesh: Mesh, spec: NonlinearitySpec,
             u = cand
             I_u = total_energy(mesh, Field(mesh, u, dirichlet_zero=True), spec)
             trace.append(I_u)
-            if step <= opts.outer_tol or np.array_equal(zeta[interior], previous[interior]):
+            moved = not np.array_equal(zeta[interior], previous[interior])
+            if step <= opts.outer_tol or not moved:
                 certificate = _certificate(mesh, spec, u)
+                if moved and certificate[2] > opts.outer_tol * (1.0 + abs(I_u)):
+                    continue  # a small step alone is no fixed point short of the gate
                 improved = rest_jumps and _escape_probe(mesh, spec, u, I_u, zeta, certificate,
-                                                        kinks, stats_all, l1_tol)
+                                                        kinks, stats_all, opts.outer_tol)
                 if not improved:
                     fixed_point = True
                     break

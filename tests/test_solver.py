@@ -601,6 +601,33 @@ class TestSolveInclusion:
         assert not res.converged
         assert res.outer_iterations == 1
 
+    def test_contracting_fixed_point_runs_to_rhos_gate(self):
+        # f(s) = s from a bump: each outer step shrinks |u| about 2.5-fold;
+        # after 21 the step is below outer_tol but rho (1.01e-8) is not
+        # within its gate (1.0e-8), and the 22nd step brings it there
+        m = build_interval_mesh(-1, 1, 64)
+        x = m.nodes[:, 0]
+        opts = SolverOptions(initial=Field(m, 0.5 * (1 - np.abs(x)), dirichlet_zero=True))
+        res = solve_inclusion(m, power(1.0, 2.0), opts)
+        assert res.converged and res.outer_iterations == 22
+        assert res.stationarity <= opts.outer_tol * (1 + abs(res.energy))
+
+    @pytest.mark.parametrize("solve", [lambda m, opts: solve_inclusion(m, neg_sign(), opts).u,
+                                       lambda m, opts: solve_prescribed(m, 1.0, opts)],
+                             ids=["solve_inclusion", "solve_prescribed"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    def test_non_finite_initial_is_named(self, solve, value):
+        # the start is named before the forcing check or Newton can trip
+        # over it; a boundary value is replaced by 0 and may be anything
+        m = build_interval_mesh(-1, 1, 8)
+        values = np.zeros(9)
+        values[0] = values[4] = value
+        with pytest.raises(ValueError, match=f"^SolverOptions\\.initial is {value} at node 4, "
+                                             f"not finite$"):
+            solve(m, SolverOptions(initial=Field(m, values)))
+        values[4] = 0.0
+        assert np.isfinite(solve(m, SolverOptions(initial=Field(m, values))).values).all()
+
     def test_field_of_another_mesh_rejected(self):
         # same node count, other domain: only a field of the solved mesh starts
         source = build_interval_mesh(-1, 1, 64)
@@ -881,22 +908,31 @@ class TestLadderEntry:
                                            rel=0.0, abs=1e-12)
 
     def test_no_accepted_stage_returns_the_last_pinned_solution(self, monkeypatch):
-        # with _KINK_TOL = 0 no pinned solution is accepted; three stages
-        # (entry at 0.01, then 1e-4) end the ladder, which returns the last
-        # pinned solution: the one the default tolerance accepts.  With all
-        # seven stages, the unpinned solve at 1e-10 fails at the roundoff floor
+        # with tol = 0 no pinned solution is accepted; three stages (entry
+        # at 0.01, then 1e-4) end the ladder, which returns the last pinned
+        # solution: the one the default tolerance accepts.  With all seven
+        # stages, the unpinned solve at 1e-10 fails at the roundoff floor
         mesh, spec = build_interval_mesh(-1, 1, 64), step(-1.0, 1.0, 0.25)
         kinks, _ = solver._Kinks.split(mesh, spec)
         zero = np.zeros(len(mesh.nodes))
-        accepted = solver._inner_solve(mesh, -1.0, zero, kinks, [])
-        monkeypatch.setattr(solver, "_KINK_TOL", 0.0)
+        accepted = solver._inner_solve(mesh, -1.0, zero, kinks, [], SolverOptions().outer_tol)
         monkeypatch.setattr(solver, "_MAX_STAGES", 3)
         stages, inner = [], solver._solve_prescribed
         monkeypatch.setattr(solver, "_solve_prescribed", lambda *args, **kwargs: (
             stages.append((kwargs["gamma"], "pinned" in kwargs)) or inner(*args, **kwargs)))
-        values = solver._inner_solve(mesh, -1.0, zero, kinks, [])
+        values = solver._inner_solve(mesh, -1.0, zero, kinks, [], 0.0)
         assert stages == [(0.01, False), (0.01, True), (1e-4, False), (1e-4, True)]
         assert np.array_equal(values, accepted)
+
+    def test_a_fine_interval_stage_is_accepted_by_rhos_gate(self, monkeypatch):
+        # interval n=32768: the pinned solution of the gamma = 1e-8 stage
+        # misses rho's gate and the ladder goes on; the 1e-10 one passes it
+        # with a per-node residual of 1.9e-8, which a per-node test at 1e-8
+        # would reject, leaving the 1e-12 stage to stall at the roundoff floor
+        gammas = stage_gammas(monkeypatch)
+        res = solve_inclusion(build_interval_mesh(-1, 1, 32768), step(-1.0, 1.0, 0.25))
+        assert res.converged and res.breakdown is None
+        assert gammas == [0.01 ** stage for stage in (1, 1, 2, 2, 3, 3, 4, 4, 5, 5)]
 
     @pytest.mark.parametrize("name, s0", sorted(LADDER_FROM_ONE))
     def test_same_energies_in_no_more_steps(self, name, s0):
@@ -961,7 +997,8 @@ class TestSingleInnerPath:
         objectives.clear()
         smoothings.clear()
         sink = []
-        solver._inner_solve(mesh, -1.0, np.zeros(len(mesh.nodes)), kinks, sink)
+        solver._inner_solve(mesh, -1.0, np.zeros(len(mesh.nodes)), kinks, sink,
+                            SolverOptions().outer_tol)
         assert len(sink) == 4  # two stages, each unpinned and pinned
         assert len(smoothings) == len(objectives) > sum(s.iterations for s in sink)
 
@@ -1004,7 +1041,7 @@ class TestSingleInnerPath:
         spec, zero = neg_sign(), np.zeros(len(mesh.nodes))
         kinks = solver._Kinks.split(mesh, spec)[0]
         lo, hi = envelopes(spec, mesh.nodes, zero, 0.0)
-        lo_u, hi_u = (solver._inner_solve(mesh, e, zero, kinks, []) for e in (lo, hi))
+        lo_u, hi_u = (solver._inner_solve(mesh, e, zero, kinks, [], math.inf) for e in (lo, hi))
         assert (0.0 - lo_u).tobytes() == hi_u.tobytes()
 
     def test_stage_without_band_nodes_ends_the_solve(self, monkeypatch):

@@ -407,6 +407,53 @@ def test_the_certificate_scans_see_the_old_sites():
     assert window_sites(ast.parse(src)) == {"windowed_envelopes", "_certificate"}
 
 
+def identifiers(module_tree):
+    """Every name a module binds, reads or passes as a string: names,
+    attributes, parameters, function and class names, string constants."""
+    found = set()
+    for node in ast.walk(module_tree):
+        found.update(value for value in (
+            getattr(node, "id", None), getattr(node, "attr", None), getattr(node, "arg", None),
+            getattr(node, "name", None), getattr(node, "value", None)) if isinstance(value, str))
+    return found
+
+
+def weighted_distance_sites(module_tree):
+    """Innermost functions that call `_bracket_distance` and read
+    `node_weight`: the places that can sum a w-weighted bracket distance."""
+    calls = {where for _, where in call_sites(module_tree, {"_bracket_distance"})}
+    return calls & set(attribute_reads(module_tree, "node_weight"))
+
+
+def test_one_gate():
+    # rho's gate accepts a pinned stage as it accepts a run: no per-node
+    # kink tolerance is left, and rho's weighted sum has one home, which
+    # `_certificate` and `_inner_solve` both call
+    assert not any("_KINK_TOL" in identifiers(tree(name)) for name in MODULES)
+    sites = {(name, where) for name in MODULES for where in weighted_distance_sites(tree(name))}
+    assert sites == {("solver", "_weighted_distance")}
+
+
+def test_the_gate_scans_see_the_old_sites():
+    src = ("_KINK_TOL = 1e-8\n"
+           "def _certificate(mesh, spec, values):\n"
+           "    interior = mesh.interior_nodes\n"
+           "    return float(np.dot(mesh.node_weight[interior],\n"
+           "                        _bracket_distance(mesh, m, lo0, hi0)[interior]))\n"
+           "def _inner_solve(mesh, e, kinks):\n"
+           "    def accept(trial):\n"
+           "        w = mesh.node_weight\n"
+           "        return (w * solver._bracket_distance(mesh, m, lo, hi)).sum() <= tol\n"
+           "    return _bracket_distance(mesh, m, *kinks.subdifferential(e)).max() <= _KINK_TOL\n"
+           "def inclusion_residual(mesh, u, spec):\n"
+           "    return _bracket_distance(mesh, m, lo, hi)\n")
+    assert weighted_distance_sites(ast.parse(src)) == {"_certificate", "accept"}
+    for old in (src, "def test(monkeypatch):\n    monkeypatch.setattr(solver, '_KINK_TOL', 0)\n",
+                "def f(x):\n    return solver._KINK_TOL * x\n",
+                "def f(x, _KINK_TOL=1e-8):\n    return x\n"):
+        assert "_KINK_TOL" in identifiers(ast.parse(old))
+
+
 def caught_names(module_tree):
     """Names of the exception classes the `except` clauses of a module name."""
     found = set()
