@@ -36,17 +36,14 @@ CG on such a held factor, which takes 9 to 50 iterations a step, each
 product costing about a quarter of an assembly.
 
 An increasing jump of f by c at `level` is the convex kink
-c * max(0, u_i - level) of the lumped energy.  Every inner solve keeps the
-kinks, a set that may be empty: Newton on their Moreau envelopes, gamma =
-1, 0.01, ..., 1e-12, entered at the first gamma whose band leaves out a
-node the start has above a level (a band that holds them all would pin
-them all; a start with no node above a level enters at 1, and one whose
-entry stage fails climbs the whole ladder from 1).  A stage whose
-solution has no node in a smoothing band is exact (each slope there is a
-subgradient of its kink), so with no kinks the first stage is the whole
-solve; otherwise the band nodes are pinned at their level and the problem
-solved again, until a pinned solution passes rho's gate with the kinks'
-subdifferential as its bracket.  A rejected one starts the next stage.
+c * max(0, u_i - level) of the lumped energy.  An inner solve with no kinks
+is one Newton solve.  One with kinks runs Newton on their Moreau
+envelopes, gamma = 0.01, 1e-4, ..., 1e-12, each stage from the last one's
+values.  A stage whose solution has no node in a smoothing band is exact
+(each slope there is a subgradient of its kink); otherwise the band nodes
+are pinned at their level and the problem solved again, until a pinned
+solution passes rho's gate with the kinks' subdifferential as its bracket.
+A rejected one starts the next stage.
 
 Outer level: a selection fixed point for the rest of f, f minus its kinks
 (constant for `step` and `heaviside`, so one iteration suffices; all of f
@@ -137,13 +134,19 @@ class SolverOptions:
 
 
 def _start(mesh: Mesh, opts: SolverOptions) -> np.ndarray:
-    """A copy of the values of `opts.initial` (a field of `mesh`, finite inside), zeros if unset."""
+    """A copy of the values of `opts.initial` with zeros on the boundary, zeros
+    if unset.  Raises unless it is a field of `mesh`, finite inside and within
+    the working margin (`StrictFeasibilityError`, naming `initial`)."""
     if opts.initial is not None and opts.initial.mesh is not mesh:
         raise MeshError("SolverOptions.initial is a field of another mesh")
     values = np.zeros(len(mesh.nodes)) if opts.initial is None else np.array(opts.initial.values)
     bad = mesh.interior_nodes[~np.isfinite(values[mesh.interior_nodes])]
     if bad.size:
         raise ValueError(f"SolverOptions.initial is {values[bad[0]]} at node {bad[0]}, not finite")
+    values[mesh.boundary_nodes] = 0.0
+    if opts.initial is not None:
+        check_margin(squared_norms(element_gradients(mesh, values)), FEASIBILITY_MARGIN,
+                     "SolverOptions.initial")
     return values
 
 
@@ -711,50 +714,34 @@ def solve_prescribed(mesh: Mesh, e, opts: SolverOptions | None = None) -> Field:
     Newton starts from `opts.initial`, or if it is unset or zero from the flux
     start (`_flux_start`: the Poisson flux mapped into the unit ball), the
     solution wherever the flux is a gradient, and stops on the max-norm
-    alone.  Raises `InnerSolveError`, carrying the last iterate.
+    alone.  Raises for `opts.initial` as `solve_inclusion` does, and
+    `InnerSolveError`, carrying the last iterate, when Newton fails.
     """
     values = _inner_solve(mesh, e, _start(mesh, opts or SolverOptions()), _NO_KINKS, [], math.inf)
     return Field(mesh, values, dirichlet_zero=True)
 
 
-_MAX_STAGES = 7  # smoothing stages of the inner solve
+_MAX_STAGES = 7  # a kinked inner solve's stages are 1 ... _MAX_STAGES - 1
 
 
 def _inner_solve(mesh: Mesh, e, initial, kinks: _Kinks, stats_sink, tol):
     """Minimizer of psi_h(w) + <e, w>_lumped + the lumped kinks from `initial`
-    or the flux start (module docstring), to the run's tolerance `tol`: the
-    l1 stop 0.1 * tol with no kinks, none with kinks.  The smoothing ladder
-    gamma = 0.01 ** stage starts at the first stage whose band leaves out a
-    node the start has above a level (the last stage at the latest), at
-    gamma = 1 when no node is above one; when the unpinned solve of a stage
-    entered past gamma = 1 fails, the ladder starts over at gamma = 1 from
-    the start.  A stage with no node in a smoothing band is exact; a pinned
-    one is accepted by rho's gate, with the kinks' subdifferential as the
-    bracket and tol * (1 + |its last objective|).  Raises ValueError unless `e` is finite."""
+    or the flux start (module docstring), to the run's tolerance `tol`.  With
+    no kinks it is one Newton solve with the l1 stop 0.1 * tol.  With kinks
+    each stage gamma = 0.01 ** stage, stage = 1 ... `_MAX_STAGES` - 1, starts
+    from the last stage's values and has no l1 stop.  A stage with no node in
+    a smoothing band is exact; a pinned one is accepted by rho's gate, with
+    the kinks' subdifferential as the bracket and tol * (1 + |its last
+    objective|).  Raises ValueError unless `e` is finite."""
     e = _right_hand_side(mesh, e)
-    l1_tol = 0.1 * tol if kinks.level.size == 0 else math.inf
     values = initial if initial[mesh.interior_nodes].any() else _flux_start(mesh, e)
-    first = 0  # skip the stages whose band holds every node the start has above a level
-    if kinks.level.size:
-        t = values - kinks.level
-        above = (t > 0.0) & (kinks.jump > 0.0)
-        t, jump = t[above], kinks.jump[above]
-        while t.size and first < _MAX_STAGES - 1 and (t < 0.01 ** first * jump).all():
-            first += 1
-    stage = first
-    while stage < _MAX_STAGES:
+    if kinks.level.size == 0:
+        return _solve_prescribed(mesh, e, initial=values, l1_tol=0.1 * tol,
+                                 stats_sink=stats_sink)[0]
+    for stage in range(1, _MAX_STAGES):
         gamma = 0.01 ** stage
-        try:
-            values, stats = _solve_prescribed(mesh, e, initial=values, kinks=kinks, gamma=gamma,
-                                              l1_tol=l1_tol, stats_sink=stats_sink)
-        except InnerSolveError:
-            if stage == 0 or stage > first:
-                raise
-            # Newton on a tiny band may not finish from nodes just above
-            # their level: the whole ladder from the start instead
-            stage = first = 0
-            continue
-        stage += 1
+        values, stats = _solve_prescribed(mesh, e, initial=values, kinks=kinks, gamma=gamma,
+                                          stats_sink=stats_sink)
         band = stats.band
         pinned = band.any(axis=0)
         if not pinned.any():
@@ -828,10 +815,6 @@ def solve_inclusion(mesh: Mesh, spec: NonlinearitySpec,
     """
     opts = opts or SolverOptions()
     u = _start(mesh, opts)
-    u[mesh.boundary_nodes] = 0.0
-    if opts.initial is not None:
-        check_margin(squared_norms(element_gradients(mesh, u)), FEASIBILITY_MARGIN,
-                     "SolverOptions.initial")
     kinks, rest_jumps = _Kinks.split(mesh, spec)
     interior = mesh.interior_nodes
     stats_all = []

@@ -108,7 +108,7 @@ class TestSolvePrescribed:
         m = build_interval_mesh(-1, 1, 8)
         steep = Field.from_function(m, lambda x: 2.0 * (1 - abs(x[:, 0])),
                                     dirichlet_zero=True)
-        with pytest.raises(InnerSolveError, match="initial iterate violates"):
+        with pytest.raises(StrictFeasibilityError, match=r"^SolverOptions\.initial: element"):
             solve_prescribed(m, 1.0, SolverOptions(initial=steep))
 
     def test_start_field_is_opts_initial(self, monkeypatch):
@@ -781,6 +781,17 @@ def x_level_rule():
         exact_primitive=lambda x, s: np.abs(level(x)) - np.abs(s - level(x)))
 
 
+def affine_jump_rule():
+    """-2s - 1 below s = 0.1 and -2s + 1 above: an increasing jump by 2 on a
+    decreasing line, whose outer loop warm-starts every kinked solve after
+    the first from a plateau on the level."""
+    return NonlinearitySpec(
+        evaluate=lambda x, s: -2.0 * s + np.where(s > 0.1, 1.0, -1.0),
+        jumps=(Jump(level=lambda x: 0.1, left=lambda x: -1.2, right=lambda x: 0.8),),
+        growth_c=3.0, name="affine-jump",
+        exact_primitive=lambda x, s: -s * s - s + 2.0 * np.maximum(0.0, s - 0.1))
+
+
 def two_jump_rule():
     """-sign(s) less 1 above s = 0.2: two decreasing jumps."""
     return NonlinearitySpec(
@@ -884,28 +895,39 @@ class TestLadderEntry:
 
     @pytest.mark.parametrize("spec", [step(-1.0, 1.0, 0.9), step(-1.0, -0.9, 0.25)],
                              ids=["no-node-above", "band-leaves-one-out"])
-    def test_keeps_gamma_one(self, monkeypatch, spec):
+    def test_enters_at_gamma_0_01_with_no_node_in_its_band(self, monkeypatch, spec):
         # no node of the flux start lies above 0.9; with the jump 0.1 the
-        # band at gamma = 1 (t < 0.1) leaves out its peak near 0.41
+        # band at gamma = 1 (t < 0.1) would leave out its peak near 0.41.
+        # Neither is a reason to run a stage at gamma = 1
         gammas = stage_gammas(monkeypatch)
         res = solve_inclusion(build_interval_mesh(-1, 1, 64), spec)
-        assert res.converged and gammas[0] == 1.0
+        assert res.converged and gammas[0] == 0.01
 
-    @pytest.mark.parametrize("offset, entry", [(1e-9, 5), (1e-13, 6)])
-    def test_a_stalled_entry_climbs_the_whole_ladder(self, monkeypatch, offset, entry):
-        # nodes 1e-9 above the level put the entry at gamma = 1e-10, and
-        # 1e-13 at the ladder's floor, where Newton from them stalls at the
-        # roundoff floor; the solve then starts over at gamma = 1 and
-        # reaches the same solution
+    @pytest.mark.parametrize("offset", [1e-9, 1e-13])
+    def test_a_start_just_above_the_level_enters_at_gamma_0_01(self, monkeypatch, offset):
+        # an entry stage at the gamma whose band leaves out nodes this close
+        # to the level (1e-10, or the ladder's floor) stalls Newton at the
+        # roundoff floor; from gamma = 0.01 the ladder reaches the same
+        # solution with no stage at gamma = 1
         mesh, spec = build_interval_mesh(-1, 1, 64), step(-1.0, 1.0, 0.25)
         u = solve_inclusion(mesh, spec).u.values
         start = Field(mesh, u + offset * (u > 0.0), dirichlet_zero=True)
         gammas = stage_gammas(monkeypatch)
         res = solve_inclusion(mesh, spec, SolverOptions(initial=start))
-        assert gammas[:2] == [0.01 ** entry, 1.0]
+        assert gammas[0] == 0.01 and 1.0 not in gammas
         assert res.converged and res.breakdown is None
         assert res.energy == pytest.approx(LADDER_FROM_ONE["interval-64", 0.25][0],
                                            rel=0.0, abs=1e-12)
+
+    def test_a_warm_start_on_the_level_runs_no_stage_at_gamma_one(self, monkeypatch):
+        # every outer iteration after the first starts its kinked solve from
+        # the last one, whose plateau sits exactly on the level, so no node
+        # is above it; an entry rule keyed on such nodes adds a stage at
+        # gamma = 1 to each of these solves (174 Newton steps in all)
+        gammas = stage_gammas(monkeypatch)
+        res = solve_inclusion(build_interval_mesh(-1, 1, 64), affine_jump_rule())
+        assert 1.0 not in gammas
+        assert res.converged and res.outer_iterations == 6 and res.inner_iterations <= 95
 
     def test_no_accepted_stage_returns_the_last_pinned_solution(self, monkeypatch):
         # with tol = 0 no pinned solution is accepted; three stages (entry

@@ -454,6 +454,77 @@ def test_the_gate_scans_see_the_old_sites():
         assert "_KINK_TOL" in identifiers(ast.parse(old))
 
 
+def ladder_entry(module_tree):
+    """For a module's `_inner_solve`: per `except` handler, whether its `try`
+    body passes `pinned=` (the pinned trial), and the line of every read of
+    the name `first` (an entry stage computed from the start)."""
+    fn = next(node for node in ast.walk(module_tree)
+              if isinstance(node, ast.FunctionDef) and node.name == "_inner_solve")
+    handlers = [any(isinstance(n, ast.keyword) and n.arg == "pinned"
+                    for stmt in node.body for n in ast.walk(stmt))
+                for node in ast.walk(fn) if isinstance(node, ast.Try) for _ in node.handlers]
+    first_reads = [node.lineno for node in ast.walk(fn) if isinstance(node, ast.Name)
+                   and node.id == "first" and isinstance(node.ctx, ast.Load)]
+    return handlers, first_reads
+
+
+def test_one_way_into_the_kinked_ladder():
+    # every kinked inner solve starts at gamma = 0.01 from its start: no
+    # entry stage is read off the start, and a failed unpinned stage is not
+    # caught to start the ladder over; the one handler is the pinned trial's
+    assert ladder_entry(tree("solver")) == ([True], [])
+
+
+# `_inner_solve` as it was with the entry rule and its restart from gamma = 1
+OLD_INNER_SOLVE = """
+def _inner_solve(mesh, e, initial, kinks, stats_sink, tol):
+    e = _right_hand_side(mesh, e)
+    l1_tol = 0.1 * tol if kinks.level.size == 0 else math.inf
+    values = initial if initial[mesh.interior_nodes].any() else _flux_start(mesh, e)
+    first = 0  # skip the stages whose band holds every node the start has above a level
+    if kinks.level.size:
+        t = values - kinks.level
+        above = (t > 0.0) & (kinks.jump > 0.0)
+        t, jump = t[above], kinks.jump[above]
+        while t.size and first < _MAX_STAGES - 1 and (t < 0.01 ** first * jump).all():
+            first += 1
+    stage = first
+    while stage < _MAX_STAGES:
+        gamma = 0.01 ** stage
+        try:
+            values, stats = _solve_prescribed(mesh, e, initial=values, kinks=kinks, gamma=gamma,
+                                              l1_tol=l1_tol, stats_sink=stats_sink)
+        except InnerSolveError:
+            if stage == 0 or stage > first:
+                raise
+            stage = first = 0
+            continue
+        stage += 1
+        band = stats.band
+        pinned = band.any(axis=0)
+        if not pinned.any():
+            return values
+        trial = np.where(pinned, kinks.level[band.argmax(axis=0), np.arange(len(values))], values)
+        try:
+            trial, stats = _solve_prescribed(mesh, e, initial=trial, kinks=kinks, gamma=gamma,
+                                             pinned=pinned, stats_sink=stats_sink)
+        except InnerSolveError:
+            continue
+        m = _operator_value(mesh, Field(mesh, trial, dirichlet_zero=True)) - e
+        if (_weighted_distance(mesh, m, *kinks.subdifferential(trial))
+                <= tol * (1.0 + abs(stats.objectives[-1]))):
+            return trial
+        values = trial
+    return values
+"""
+
+
+def test_the_ladder_scan_sees_the_old_entry_and_restart():
+    handlers, first_reads = ladder_entry(ast.parse(OLD_INNER_SOLVE))
+    assert handlers == [False, True]  # the restart, then the pinned trial
+    assert len(first_reads) == 4  # twice in the entry loop, `stage = first`, the restart
+
+
 def caught_names(module_tree):
     """Names of the exception classes the `except` clauses of a module name."""
     found = set()
