@@ -2,9 +2,9 @@
 """Envelope brackets, growth checks, and the tiny-mesh brute-force oracle.
 
 Walks through the pointwise machinery for discontinuous rules: exact
-envelope brackets from declared jumps, the sampling estimator for black-box
-rules, the growth-bound check, and finally an exhaustive grid search on a
-four-element mesh that confirms the solver's energy is the global minimum.
+envelope brackets from declared jumps, the growth-bound check, and finally
+an exhaustive grid search on a four-element mesh that confirms the solver's
+energy is the global minimum.
 """
 
 import numpy as np
@@ -20,13 +20,6 @@ for spec, s in ((heaviside(), 0.0), (heaviside(), 0.3), (neg_sign(), 0.0),
                 (neg_sign(), -0.4)):
     br = bracket(spec, x, s)
     print(f"  {spec.name:10s} at s={s:+.1f}: [{br.lo:+.1f}, {br.hi:+.1f}]")
-
-print()
-print("sampling estimator for a black-box rule (same step, no metadata):")
-blind = NonlinearitySpec(evaluate=heaviside().evaluate, jumps=None)
-br = bracket(blind, x, 0.0)
-print(f"  estimated bracket at the jump: [{br.lo:.4f}, {br.hi:.4f}], "
-      f"approximate={br.approximate}")
 
 print()
 print("primitives F(s) = integral of f from 0 to s:")

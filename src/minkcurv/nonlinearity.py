@@ -1,18 +1,15 @@
 """Pointwise forcing rules f(x, s), their envelopes, primitives, and selections.
 
-A `NonlinearitySpec` bundles a pointwise evaluator with optional jump
-metadata (level, one-sided limits), the growth constants (C, q) bounding
-|f(x,s)| <= C*(1 + |s|^(q-1)), and optionally the primitive F in closed form
-(every catalog rule has one; other rules are integrated by adaptive
-quadrature to the relative tolerance `_REL_TOL`).  Rules are evaluated on
-whole node arrays.  Jump metadata is the primary mechanism for exact
-lower/upper envelopes; without it a sampling estimator (`_SAMPLES` point
-values within `_DELTA` of s) is used and the result is flagged approximate.
-The estimator works from point values only, so it cannot distinguish a
-rule from an almost-everywhere modification of it; declare the jump
-structure whenever exactness matters.  These module constants, with the
-quadrature's bounds `_MAX_DEPTH` and `_MAX_PANELS`, are fixed: no function
-takes a tolerance or a sample count.
+A `NonlinearitySpec` bundles a pointwise evaluator with its declared jumps
+(level, one-sided limits; an empty tuple for a rule continuous in s), the
+growth constants (C, q) bounding |f(x,s)| <= C*(1 + |s|^(q-1)), and
+optionally the primitive F in closed form (every catalog rule has one;
+other rules are integrated by adaptive quadrature to the relative
+tolerance `_REL_TOL`).  Rules are evaluated on whole node arrays.  The
+lower/upper envelopes are exact from the declared jumps: a jump that is not
+declared is not seen, so f is taken as continuous wherever none is
+declared.  `_REL_TOL`, with the quadrature's bounds `_MAX_DEPTH` and
+`_MAX_PANELS`, is fixed: no function takes a tolerance.
 """
 
 from __future__ import annotations
@@ -23,7 +20,6 @@ from typing import Callable, Optional
 import numpy as np
 
 _GAUSS_X, _GAUSS_W = np.polynomial.legendre.leggauss(7)
-_DELTA, _SAMPLES = 1e-4, 64  # half-width and point count of the black-box estimator
 _REL_TOL = 1e-10  # a quadrature panel's error bound, relative to its piece
 _MAX_DEPTH, _MAX_PANELS = 40, 1 << 18  # halvings of a panel; open panels of a level
 
@@ -61,11 +57,10 @@ class Jump:
 
 @dataclass(frozen=True)
 class Bracket:
-    """Envelope pair [lo, hi] at a point; `approximate` marks estimator mode."""
+    """Envelope pair [lo, hi] at a point."""
 
     lo: float
     hi: float
-    approximate: bool = False
 
     def __post_init__(self):
         if self.lo > self.hi:
@@ -83,10 +78,9 @@ class NonlinearitySpec:
         `values` shape (K,), the result shape (K,); a scalar result is
         broadcast to every point.  Need not be meaningful exactly on a
         declared jump level.
-    jumps : tuple of Jump, or None
-        Declared discontinuities in s.  An empty tuple declares f
-        continuous in s; None marks a black-box rule whose envelopes must
-        be estimated by sampling.
+    jumps : tuple of Jump
+        Declared discontinuities in s; an empty tuple (the default)
+        declares f continuous in s.  Anything else raises ParameterError.
     growth_c, growth_q : float
         Constants of the growth bound |f(x,s)| <= C*(1 + |s|^(q-1)).
     name : str
@@ -98,7 +92,7 @@ class NonlinearitySpec:
     """
 
     evaluate: Callable[[np.ndarray, np.ndarray], np.ndarray]
-    jumps: Optional[tuple] = ()
+    jumps: tuple = ()
     growth_c: float = 1.0
     growth_q: float = 2.0
     name: str = "custom"
@@ -111,8 +105,10 @@ class NonlinearitySpec:
         if not 1 < self.growth_q < np.inf:
             raise ParameterError(f"growth_q must be > 1 and finite, got {self.growth_q}",
                                  "growth_q")
-        if self.jumps is not None:
-            object.__setattr__(self, "jumps", tuple(self.jumps))
+        if not (isinstance(self.jumps, (tuple, list))
+                and all(isinstance(j, Jump) for j in self.jumps)):
+            raise ParameterError(f"jumps must be a tuple of Jump, got {self.jumps!r}", "jumps")
+        object.__setattr__(self, "jumps", tuple(self.jumps))
 
 
 def _per_node(value, k: int) -> np.ndarray:
@@ -127,10 +123,10 @@ def _one_row(x, s):
 
 def jump_limits(spec: NonlinearitySpec, nodes):
     """(level, left, right) of the declared jumps at nodes (K, d), each (J, K);
-    J = 0 for a continuous or black-box rule.  The only caller of the jump rules."""
-    jumps, k = spec.jumps or (), len(nodes)
+    J = 0 for a continuous rule.  The only caller of the jump rules."""
+    k = len(nodes)
     limits = np.array([[_per_node(rule(nodes), k) for rule in (j.level, j.left, j.right)]
-                       for j in jumps]).reshape(len(jumps), 3, k)
+                       for j in spec.jumps]).reshape(len(spec.jumps), 3, k)
     return limits.transpose(1, 0, 2)
 
 
@@ -138,24 +134,15 @@ def envelopes(spec: NonlinearitySpec, nodes, values, window: float):
     """Envelope arrays (lo, hi) at K points: nodes (K, d), values (K,).
 
     The only bracket code: `bracket` and `selection` are its one-row and
-    zero-window cases.  With jump metadata (including a declared-continuous
-    empty tuple) the brackets are exact: on a jump level the ordered pair of
-    one-sided limits, elsewhere the pointwise value twice.  Where a value
-    lies within `window` of a declared jump level the pair is widened to
-    contain that jump's whole interval; `window=0.0` gives the plain
-    brackets.  For black-box rules (jumps=None) the min/max of `_SAMPLES`
-    point values on [s - _DELTA, s + _DELTA] per point are taken, all in
-    one `evaluate` call; that estimate is approximate and ignores `window`.
+    zero-window cases.  The brackets are exact from the declared jumps: on
+    a jump level the ordered pair of one-sided limits, elsewhere the
+    pointwise value twice.  Where a value lies within `window` of a declared
+    jump level the pair is widened to contain that jump's whole interval;
+    `window=0.0` gives the plain brackets.
     """
     nodes = np.asarray(nodes, dtype=float)
     values = np.asarray(values, dtype=float)
-    k = len(values)
-    if spec.jumps is None:
-        t = np.linspace(values - _DELTA, values + _DELTA, _SAMPLES, axis=1)
-        f = _per_node(spec.evaluate(np.repeat(nodes, _SAMPLES, axis=0), t.ravel()),
-                      t.size).reshape(k, _SAMPLES)
-        return f.min(axis=1), f.max(axis=1)
-    f = _per_node(spec.evaluate(nodes, values), k)
+    f = _per_node(spec.evaluate(nodes, values), len(values))
     level, left, right = jump_limits(spec, nodes)
     # f itself unless s is exactly on a level, and the limits of each jump near s
     on = values == level
@@ -167,12 +154,10 @@ def envelopes(spec: NonlinearitySpec, nodes, values, window: float):
 def bracket(spec: NonlinearitySpec, x, s: float) -> Bracket:
     """Envelope pair [f_lower, f_upper] at one point (x, s).
 
-    The one-row case of `envelopes` with a zero window.  For black-box
-    rules the estimator samples `_SAMPLES` values on [s - _DELTA, s + _DELTA]
-    and the result is flagged approximate.
+    The one-row case of `envelopes` with a zero window.
     """
     lo, hi = envelopes(spec, *_one_row(x, s), 0.0)
-    return Bracket(float(lo[0]), float(hi[0]), approximate=spec.jumps is None)
+    return Bracket(float(lo[0]), float(hi[0]))
 
 
 def selection(spec: NonlinearitySpec, nodes, values, rule: str = "mid"):
@@ -182,20 +167,14 @@ def selection(spec: NonlinearitySpec, nodes, values, rule: str = "mid"):
     and a real s give a float.  Off jump levels this is the pointwise
     value.  Exactly at a declared jump level the `rule` decides: "mid"
     (default) takes the bracket midpoint, "lo"/"hi" take the endpoints.
-    Black-box rules (jumps=None) always give the pointwise value.
     """
     if rule not in ("lo", "mid", "hi"):
         raise ValueError(f"unknown selection rule {rule!r}")
     point = np.ndim(values) == 0
     if point:
         nodes, values = _one_row(nodes, values)
-    if spec.jumps is None:
-        values = np.asarray(values, dtype=float)
-        sel = _per_node(spec.evaluate(np.asarray(nodes, dtype=float), values),
-                        len(values))
-    else:
-        lo, hi = envelopes(spec, nodes, values, 0.0)
-        sel = lo if rule == "lo" else hi if rule == "hi" else 0.5 * (lo + hi)
+    lo, hi = envelopes(spec, nodes, values, 0.0)
+    sel = lo if rule == "lo" else hi if rule == "hi" else 0.5 * (lo + hi)
     return float(sel[0]) if point else sel
 
 

@@ -43,7 +43,8 @@ values.  A stage whose solution has no node in a smoothing band is exact
 (each slope there is a subgradient of its kink); otherwise the band nodes
 are pinned at their level and the problem solved again, until a pinned
 solution passes rho's gate with the kinks' subdifferential as its bracket.
-A rejected one starts the next stage.
+A rejected one starts the next stage, as do the last values solved when a
+solve fails; only a failure of the last stage is raised, carrying them.
 
 Outer level: a selection fixed point for the rest of f, f minus its kinks
 (constant for `step` and `heaviside`, so one iteration suffices; all of f
@@ -254,7 +255,7 @@ class _Kinks:
         level, left, right = jump_limits(spec, mesh.nodes)
         jump = np.where(mesh.is_boundary, 0.0, np.maximum(right - left, 0.0))
         up = jump.any(axis=1)
-        return cls(level[up], jump[up]), spec.jumps is None or bool((right < left).any())
+        return cls(level[up], jump[up]), bool((right < left).any())
 
     def subdifferential(self, values):
         """(lo, hi) per node: the kinks' subdifferential at `values`."""
@@ -732,7 +733,8 @@ def _inner_solve(mesh: Mesh, e, initial, kinks: _Kinks, stats_sink, tol):
     from the last stage's values and has no l1 stop.  A stage with no node in
     a smoothing band is exact; a pinned one is accepted by rho's gate, with
     the kinks' subdifferential as the bracket and tol * (1 + |its last
-    objective|).  Raises ValueError unless `e` is finite."""
+    objective|).  A failed solve skips its stage; the last stage's failure is
+    raised with the last values solved.  Raises ValueError unless `e` is finite."""
     e = _right_hand_side(mesh, e)
     values = initial if initial[mesh.interior_nodes].any() else _flux_start(mesh, e)
     if kinks.level.size == 0:
@@ -740,18 +742,21 @@ def _inner_solve(mesh: Mesh, e, initial, kinks: _Kinks, stats_sink, tol):
                                  stats_sink=stats_sink)[0]
     for stage in range(1, _MAX_STAGES):
         gamma = 0.01 ** stage
-        values, stats = _solve_prescribed(mesh, e, initial=values, kinks=kinks, gamma=gamma,
-                                          stats_sink=stats_sink)
-        band = stats.band
-        pinned = band.any(axis=0)
-        if not pinned.any():
-            return values
-        trial = np.where(pinned, kinks.level[band.argmax(axis=0), np.arange(len(values))], values)
         try:
+            values, stats = _solve_prescribed(mesh, e, initial=values, kinks=kinks, gamma=gamma,
+                                              stats_sink=stats_sink)
+            band = stats.band
+            pinned = band.any(axis=0)
+            if not pinned.any():
+                return values
+            trial = np.where(pinned, kinks.level[band.argmax(axis=0), np.arange(len(values))], values)
             trial, stats = _solve_prescribed(mesh, e, initial=trial, kinks=kinks, gamma=gamma,
                                              pinned=pinned, stats_sink=stats_sink)
-        except InnerSolveError:
-            continue  # e.g. pinning left the feasible set: smaller band next
+        except InnerSolveError as err:  # e.g. a roundoff floor, or pinning left the feasible set
+            if stage == _MAX_STAGES - 1:
+                err.last_values = values
+                raise
+            continue  # from the last values solved: smaller band next
         m = _operator_value(mesh, Field(mesh, trial, dirichlet_zero=True)) - e
         if (_weighted_distance(mesh, m, *kinks.subdifferential(trial))
                 <= tol * (1.0 + abs(stats.objectives[-1]))):

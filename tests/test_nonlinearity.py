@@ -21,9 +21,9 @@ X = np.zeros(1)
     (primitive_array, ["spec", "nodes", "values"]), (primitive, ["spec", "x", "s"])],
     ids=["envelopes", "bracket", "primitive_array", "primitive"])
 def test_tolerances_are_module_constants(fn, params):
-    # the estimator's and the quadrature's settings are _DELTA, _SAMPLES and _REL_TOL
+    # the quadrature's setting is _REL_TOL
     assert list(inspect.signature(fn).parameters) == params
-    assert (nonlinearity._DELTA, nonlinearity._SAMPLES, nonlinearity._REL_TOL) == (1e-4, 64, 1e-10)
+    assert nonlinearity._REL_TOL == 1e-10
 
 
 class TestEnvelopes:
@@ -58,55 +58,6 @@ class TestEnvelopes:
             assert lo <= sel <= hi
             if s != 0.25:
                 assert lo == sel == hi
-
-
-class TestEstimatorMode:
-    def smooth_sides(self):
-        # f(s) = s below the jump, s + 2 above it; metadata-free twin
-        def ev(x, s):
-            return np.where(s < 0, s, s + 2.0)
-        with_meta = NonlinearitySpec(
-            evaluate=ev,
-            jumps=(Jump(level=lambda x: 0.0, left=lambda x: 0.0,
-                        right=lambda x: 2.0),),
-            growth_c=4.0, growth_q=2.0)
-        blind = NonlinearitySpec(evaluate=ev, jumps=None, growth_c=4.0, growth_q=2.0)
-        return with_meta, blind
-
-    def test_flagged_approximate(self):
-        _, blind = self.smooth_sides()
-        assert bracket(blind, X, 0.0).approximate
-        assert not bracket(self.smooth_sides()[0], X, 0.0).approximate
-
-    def test_matches_exact_mode_within_window(self):
-        with_meta, blind = self.smooth_sides()
-        exact = bracket(with_meta, X, 0.0)
-        est = bracket(blind, X, 0.0)
-        assert est.lo == pytest.approx(exact.lo, abs=2e-4)
-        assert est.hi == pytest.approx(exact.hi, abs=2e-4)
-
-    def test_error_shrinks_along_delta_ladder(self, monkeypatch):
-        with_meta, blind = self.smooth_sides()
-        exact = bracket(with_meta, X, 0.0)
-        errs = []
-        for delta in (1e-2, 1e-3, 1e-4):
-            monkeypatch.setattr(nonlinearity, "_DELTA", delta)
-            est = bracket(blind, X, 0.0)
-            errs.append(abs(est.lo - exact.lo) + abs(est.hi - exact.hi))
-        assert errs[0] > errs[1] > errs[2]
-
-    def test_sample_count_resolves_interior_extrema(self, monkeypatch):
-        # essential inf of sin(50 t) over |t| < 0.05 is exactly -1, attained
-        # strictly inside the window
-        f = NonlinearitySpec(evaluate=lambda x, s: np.sin(50 * s), jumps=None,
-                             growth_c=1.0, growth_q=2.0)
-        monkeypatch.setattr(nonlinearity, "_DELTA", 0.05)
-        monkeypatch.setattr(nonlinearity, "_SAMPLES", 8)
-        coarse = bracket(f, X, 0.0)
-        monkeypatch.setattr(nonlinearity, "_SAMPLES", 512)
-        fine = bracket(f, X, 0.0)
-        assert abs(fine.lo + 1.0) < abs(coarse.lo + 1.0)
-        assert abs(fine.lo + 1.0) <= 1e-3
 
 
 class TestSelection:
@@ -173,14 +124,14 @@ class TestPrimitive:
         # impossible tolerance
         monkeypatch.setattr(nonlinearity, "_REL_TOL", 1e-300)
         hidden = NonlinearitySpec(
-            evaluate=lambda x, s: np.where(s < 1.0 / 3.0, 1.0, 0.0), jumps=None)
+            evaluate=lambda x, s: np.where(s < 1.0 / 3.0, 1.0, 0.0), jumps=())
         with pytest.raises(QuadratureError) as info:
             primitive(hidden, X, 1.0)
         assert info.value.achieved > 0
 
     @pytest.mark.parametrize("s", [np.nan, np.inf, -np.inf])
     def test_non_finite_value_raises_at_once(self, s):
-        smooth = NonlinearitySpec(evaluate=lambda x, s: np.exp(-s * s), jumps=None)
+        smooth = NonlinearitySpec(evaluate=lambda x, s: np.exp(-s * s), jumps=())
         with warnings.catch_warnings(), pytest.raises(QuadratureError, match="depth 0,"):
             warnings.simplefilter("ignore", RuntimeWarning)
             primitive_array(smooth, np.zeros((2, 1)), np.array([0.5, s]))
@@ -190,7 +141,7 @@ class TestPrimitive:
         # bound on the panels of a level stops the batch before memory runs out
         monkeypatch.setattr(nonlinearity, "_MAX_PANELS", 64)
         monkeypatch.setattr(nonlinearity, "_REL_TOL", 1e-300)
-        smooth = NonlinearitySpec(evaluate=lambda x, s: np.exp(s), jumps=None)
+        smooth = NonlinearitySpec(evaluate=lambda x, s: np.exp(s), jumps=())
         values = np.linspace(0.1, 1.0, 40)
         with pytest.raises(QuadratureError, match="panels open") as info:
             primitive_array(smooth, np.zeros((40, 1)), values)
@@ -298,29 +249,26 @@ def ev_at(spec, x, s):
 
 
 def ref_jump_at(spec, x, s):
-    for j in spec.jumps or ():
+    for j in spec.jumps:
         if s == at(j.level, x):
             return j
     return None
 
 
-def ref_bracket(spec, x, s, delta=1e-4, samples=64):
-    if spec.jumps is not None:
-        j = ref_jump_at(spec, x, s)
-        if j is not None:
-            a, b = at(j.left, x), at(j.right, x)
-            return min(a, b), max(a, b)
-        v = ev_at(spec, x, s)
-        return v, v
-    vals = [ev_at(spec, x, t) for t in np.linspace(s - delta, s + delta, samples)]
-    return min(vals), max(vals)
+def ref_bracket(spec, x, s):
+    j = ref_jump_at(spec, x, s)
+    if j is not None:
+        a, b = at(j.left, x), at(j.right, x)
+        return min(a, b), max(a, b)
+    v = ev_at(spec, x, s)
+    return v, v
 
 
 def ref_envelopes(spec, nodes, values, window):
     lo, hi = np.empty(len(values)), np.empty(len(values))
     for i, (x, s) in enumerate(zip(nodes, values)):
         lo[i], hi[i] = ref_bracket(spec, x, s)
-        for j in spec.jumps or ():
+        for j in spec.jumps:
             if abs(s - at(j.level, x)) <= window:
                 a, b = at(j.left, x), at(j.right, x)
                 lo[i] = min(lo[i], a, b)
@@ -351,7 +299,7 @@ def ref_primitive(spec, x, s, rel_tol=1e-10):
         return 0.5 * (b - a) * float(np.dot(gw, f))
 
     a, b = min(s, 0.0), max(s, 0.0)
-    levels = [at(j.level, x) for j in spec.jumps or ()]
+    levels = [at(j.level, x) for j in spec.jumps]
     cuts = sorted({a, b, *(lv for lv in levels if a < lv < b)})
     total = 0.0
     for lo, hi in zip(cuts[:-1], cuts[1:]):
@@ -397,16 +345,17 @@ NODES_2D = np.random.default_rng(11).uniform(-1.0, 1.0, (6, 2))
 JUMP_RULES = [neg_sign(), step(-1.0, 1.0, 0.25), step(2.0, -0.5, 0.0), heaviside(),
               moving_level(), two_close_jumps()]
 SMOOTH_RULES = [constant(1.5), step(0.7, 0.7, 0.25), power(1.3, 2.5)]
-BLACK_BOX = [NonlinearitySpec(evaluate=heaviside().evaluate, jumps=None, name="blind"),
-             NonlinearitySpec(evaluate=lambda x, s: np.sin(50 * s) + x[:, 1],
-                              jumps=None, name="sine")]
+# rules that declare no jump: heaviside's step left undeclared, which the
+# brackets then take as continuous, and an x-dependent smooth rule
+UNDECLARED = [NonlinearitySpec(evaluate=heaviside().evaluate, name="blind"),
+              NonlinearitySpec(evaluate=lambda x, s: np.sin(50 * s) + x[:, 1], name="sine")]
 
 
 def probe_points(spec):
     """Every node with values on each jump level, inside the window around
     it and outside it, plus a few generic values."""
     levels = [np.full(len(NODES_2D), j.level(NODES_2D), dtype=float)
-              for j in spec.jumps or ()] or [np.zeros(len(NODES_2D))]
+              for j in spec.jumps] or [np.zeros(len(NODES_2D))]
     offsets = [0.0, 0.4 * WINDOW, -0.9 * WINDOW, 3.0 * WINDOW, -1.7]
     values = np.concatenate([lv + d for lv in levels for d in offsets])
     nodes = np.tile(NODES_2D, (len(levels) * len(offsets), 1))
@@ -414,7 +363,7 @@ def probe_points(spec):
 
 
 class TestArrayBracketsMatchPerNodeReference:
-    @pytest.mark.parametrize("spec", JUMP_RULES + SMOOTH_RULES + BLACK_BOX,
+    @pytest.mark.parametrize("spec", JUMP_RULES + SMOOTH_RULES + UNDECLARED,
                              ids=lambda s: s.name)
     @pytest.mark.parametrize("window", [0.0, WINDOW])
     def test_envelopes(self, spec, window):
@@ -424,7 +373,7 @@ class TestArrayBracketsMatchPerNodeReference:
         np.testing.assert_array_equal(lo, ref_lo)
         np.testing.assert_array_equal(hi, ref_hi)
 
-    @pytest.mark.parametrize("spec", JUMP_RULES + SMOOTH_RULES + BLACK_BOX,
+    @pytest.mark.parametrize("spec", JUMP_RULES + SMOOTH_RULES + UNDECLARED,
                              ids=lambda s: s.name)
     @pytest.mark.parametrize("rule", ["lo", "mid", "hi"])
     def test_selection(self, spec, rule):
@@ -435,14 +384,14 @@ class TestArrayBracketsMatchPerNodeReference:
         for x, s, v in zip(nodes, values, sel):
             assert selection(spec, x, s, rule) == v
 
-    @pytest.mark.parametrize("spec", JUMP_RULES + BLACK_BOX, ids=lambda s: s.name)
+    @pytest.mark.parametrize("spec", JUMP_RULES + UNDECLARED, ids=lambda s: s.name)
     def test_point_bracket_is_one_row(self, spec):
         nodes, values = probe_points(spec)
         lo, hi = envelopes(spec, nodes, values, 0.0)
         for x, s, a, b in zip(nodes, values, lo, hi):
-            assert bracket(spec, x, s) == Bracket(a, b, spec.jumps is None)
+            assert bracket(spec, x, s) == Bracket(a, b)
 
-    @pytest.mark.parametrize("spec", JUMP_RULES + SMOOTH_RULES + BLACK_BOX,
+    @pytest.mark.parametrize("spec", JUMP_RULES + SMOOTH_RULES + UNDECLARED,
                              ids=lambda s: s.name)
     def test_primitive_quadrature(self, spec):
         # the batch sums its panels in another order than the one-point
@@ -451,16 +400,6 @@ class TestArrayBracketsMatchPerNodeReference:
         nodes, values = probe_points(spec)
         ref = [ref_primitive(twin, x, s) for x, s in zip(nodes, values)]
         np.testing.assert_allclose(primitive_array(twin, nodes, values), ref, rtol=0, atol=1e-15)
-
-    def test_black_box_bracket_calls_evaluate_once(self):
-        calls = []
-
-        def ev(x, s):
-            calls.append(len(s))
-            return np.sin(50 * s)
-        br = bracket(NonlinearitySpec(evaluate=ev, jumps=None), X, 0.0)
-        assert calls == [64]
-        assert br.approximate
 
     def test_scalar_rule_returns_are_broadcast(self):
         spec = NonlinearitySpec(
@@ -496,7 +435,7 @@ class TestGrowthCheck:
             growth_check(neg_sign(), self.BOX, 0)
 
     @pytest.mark.parametrize("spec", [neg_sign(), power(1.3, 2.5), constant(0.0),
-                                      BLACK_BOX[1]], ids=lambda s: s.name)
+                                      UNDECLARED[1]], ids=lambda s: s.name)
     def test_matches_per_draw_reference(self, spec):
         # the draws interleave x and s exactly as a one-point-at-a-time loop
         rng = np.random.default_rng(3)
@@ -531,6 +470,21 @@ class TestSpecValidation:
         # then return nan for C1, C2 and the lower bound
         with pytest.raises(ValueError, match=key):
             NonlinearitySpec(evaluate=lambda x, s: 0.0, **{key: value})
+
+    @pytest.mark.parametrize("jumps", [None, (1,), (neg_sign().jumps[0], "level"), 0.0],
+                             ids=["none", "number", "one-not-a-jump", "scalar"])
+    def test_undeclared_jumps_rejected(self, jumps):
+        # every rule declares its jumps, () for one continuous in s: no
+        # envelope is estimated from point values, and the solver's kink
+        # split never meets a rule whose jumps it cannot read
+        with pytest.raises(nonlinearity.ParameterError, match="^jumps must be") as info:
+            NonlinearitySpec(evaluate=lambda x, s: 0.0, jumps=jumps)
+        assert info.value.key == "jumps"
+
+    def test_declared_jumps_are_kept_as_a_tuple(self):
+        jump = neg_sign().jumps[0]
+        assert NonlinearitySpec(evaluate=lambda x, s: 0.0, jumps=[jump]).jumps == (jump,)
+        assert NonlinearitySpec(evaluate=lambda x, s: 0.0).jumps == ()
 
     def test_power_requires_superlinear(self):
         with pytest.raises(ValueError):

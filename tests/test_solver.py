@@ -965,6 +965,87 @@ class TestLadderEntry:
         assert res.inner_iterations <= steps
 
 
+def stage_log(monkeypatch):
+    """(gamma, pinned, start, InnerSolveError or None, values) of every
+    `_solve_prescribed` call from here on; the values of a failed call are
+    its own last iterate."""
+    log = []
+    inner = solver._solve_prescribed
+
+    def recording(*args, **kwargs):
+        entry = [kwargs["gamma"], "pinned" in kwargs, np.array(kwargs["initial"]), None, None]
+        log.append(entry)
+        try:
+            entry[4], stats = inner(*args, **kwargs)
+        except InnerSolveError as err:
+            entry[3], entry[4] = err, np.array(err.last_values)
+            raise
+        return entry[4], stats
+    monkeypatch.setattr(solver, "_solve_prescribed", recording)
+    return log
+
+
+def steep_level_rule():
+    """-10 below s = x / 2 and 10 above: an increasing jump whose level is
+    steep enough that pinning the 0.01 band on n = 8 leaves the margin."""
+    return NonlinearitySpec(
+        evaluate=lambda x, s: np.where(s < 0.5 * x[:, 0], -10.0, 10.0),
+        jumps=(Jump(level=lambda x: 0.5 * x[:, 0], left=lambda x: -10.0,
+                    right=lambda x: 10.0),),
+        growth_c=10.0, name="steep-level")
+
+
+class TestStageFailures:
+    def test_a_stage_at_its_roundoff_floor_hands_on_its_start(self, monkeypatch):
+        # the gamma = 0.01 stage stops just above the inner stop; returning
+        # its smoothed iterate ended the run at energy +29.42 with rho
+        # 8.4e8 times its gate, above the zero field's 0
+        log = stage_log(monkeypatch)
+        mesh = build_interval_mesh(-1, 1, 64)
+        res = solve_inclusion(mesh, step(-100.0, 100.0, 0.2))
+        first = log[0][3]
+        assert str(first).startswith("Newton left the objective unchanged to roundoff")
+        assert [tuple(entry[:2]) for entry in log] == [(0.01, False), (1e-4, False), (1e-4, True)]
+        assert np.array_equal(log[1][2], log[0][2])  # the next stage starts where it did
+        assert res.converged and res.breakdown is None and res.outer_iterations == 1
+        assert res.energy == pytest.approx(-35.61861691954762, rel=0.0, abs=1e-10)
+        assert res.inner_iterations <= 33
+
+    def test_a_last_stage_failure_keeps_the_last_values_solved(self, monkeypatch):
+        # every stage of this strong jump fails from the flux start; the run
+        # ends with a breakdown at that feasible start, not at the last
+        # stage's own failed iterate
+        log = stage_log(monkeypatch)
+        mesh = build_interval_mesh(-1, 1, 64)
+        res = solve_inclusion(mesh, step(-3000.0, 3000.0, 0.1))
+        start = solver._flux_start(mesh, np.full(len(mesh.nodes), -3000.0))
+        assert [tuple(entry[:2]) for entry in log] == [(0.01 ** k, False) for k in range(1, 7)]
+        assert all(entry[3] is not None for entry in log)
+        assert res.breakdown == str(log[-1][3])
+        assert res.breakdown.startswith("no convergence in 200 Newton iterations")
+        assert not res.converged and res.outer_iterations == 1
+        assert np.array_equal(res.u.values, start)
+        assert not np.array_equal(res.u.values, log[-1][4])
+        assert max_gradient_norm(mesh, res.u.values) <= 1.0 - FEASIBILITY_MARGIN
+        assert res.inner_iterations == sum(entry[3].iterations for entry in log) == 562
+
+    def test_a_pinned_trial_past_the_margin_starts_the_next_stage(self, monkeypatch):
+        # pinning the 0.01 band at its steep level leaves the working margin:
+        # the trial fails before its first step, and the next stage starts
+        # from the unpinned solution
+        log = stage_log(monkeypatch)
+        mesh = build_interval_mesh(-1, 1, 8)
+        res = solve_inclusion(mesh, steep_level_rule())
+        gamma, pinned, trial, err, _ = log[1]
+        assert (gamma, pinned) == (0.01, True)
+        assert str(err) == "initial iterate violates the working feasibility margin"
+        assert err.iterations == 0 and err.residual == math.inf
+        assert np.array_equal(err.last_values, trial)
+        assert max_gradient_norm(mesh, trial) > 1.0 - FEASIBILITY_MARGIN
+        assert tuple(log[2][:2]) == (1e-4, False) and np.array_equal(log[2][2], log[0][4])
+        assert res.converged and res.breakdown is None
+
+
 def band_routines(monkeypatch, wrap):
     """Hand every LAPACK routine the solver gets through `get_lapack_funcs`
     to it as `wrap(routine)`."""
@@ -1027,8 +1108,7 @@ class TestSingleInnerPath:
     @pytest.mark.parametrize("spec, rows, rest_jumps", [
         (neg_sign(), 0, True), (constant(1.0), 0, False), (step(-1.0, 1.0, 0.25), 1, False),
         (step(1.0, -1.0, 0.1), 0, True),
-        (NonlinearitySpec(evaluate=lambda x, s: -np.sign(s), jumps=None), 0, True),
-    ], ids=["neg_sign", "constant", "step-up", "step-down", "black-box"])
+    ], ids=["neg_sign", "constant", "step-up", "step-down"])
     def test_kink_split(self, spec, rows, rest_jumps):
         mesh = build_interval_mesh(-1, 1, 16)
         kinks, rest = solver._Kinks.split(mesh, spec)
@@ -1431,6 +1511,32 @@ class TestNewtonWorkspace:
         with pytest.raises(InnerSolveError, match="^Hessian factorization failed: 2-th") as err:
             solve_prescribed(build_interval_mesh(-1, 1, 64), 1.0)
         assert err.value.iterations == 0 and not err.value.last_values.any()
+
+    def test_newton_step_factorization_failure(self, monkeypatch):
+        # the third band Cholesky fails: the solve raises at its third step
+        # with the iterate of two steps, the one a two-step cap stops at
+        mesh = build_interval_mesh(-1, 1, 64)
+        monkeypatch.setattr(solver, "_MAX_INNER", 2)
+        with pytest.raises(InnerSolveError, match="^no convergence in 2 Newton") as capped:
+            _solve_prescribed(mesh, 1.0)
+        monkeypatch.undo()
+        factors, lapack = [], solver.get_lapack_funcs
+
+        def failing_third(names, arrays):
+            factor, solve = lapack(names, arrays)
+
+            def call(*args):
+                factors.append(1)
+                out = factor(*args)
+                return (*out[:-1], 2) if len(factors) == 3 else out
+            return call, solve
+        monkeypatch.setattr(solver, "get_lapack_funcs", failing_third)
+        with pytest.raises(InnerSolveError,
+                           match=r"^Hessian factorization failed: 2-th leading minor") as err:
+            _solve_prescribed(mesh, 1.0)
+        assert err.value.iterations == 2 and len(factors) == 3
+        assert np.array_equal(err.value.last_values, capped.value.last_values)
+        assert err.value.residual == capped.value.residual
 
     def test_cg_stops_at_a_tenth_of_the_inner_stop(self, monkeypatch):
         # scipy's CG stops at max(atol, rtol * |b|_2); the Newton stop is a

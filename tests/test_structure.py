@@ -525,6 +525,67 @@ def test_the_ladder_scan_sees_the_old_entry_and_restart():
     assert len(first_reads) == 4  # twice in the entry loop, `stage = first`, the restart
 
 
+ESTIMATOR_NAMES = {"_DELTA", "_SAMPLES", "approximate"}
+
+
+def undeclared_jump_tests(module_tree):
+    """Lines of every `is` / `is not` comparison of something that reads
+    `jumps` with None: a branch for a rule that declares no jumps."""
+    found = []
+    for node in ast.walk(module_tree):
+        if isinstance(node, ast.Compare) and any(isinstance(op, (ast.Is, ast.IsNot))
+                                                 for op in node.ops):
+            operands = [node.left, *node.comparators]
+            if (any(isinstance(o, ast.Constant) and o.value is None for o in operands)
+                    and any("jumps" in identifiers(o) for o in operands)):
+                found.append(node.lineno)
+    return found
+
+
+def test_every_rule_declares_its_jumps():
+    # the envelopes come from declared jumps only: no branch for a rule
+    # without them, and neither the sampling estimator's settings nor its flag
+    for name in MODULES:
+        assert undeclared_jump_tests(tree(name)) == [], name
+        assert identifiers(tree(name)) & ESTIMATOR_NAMES == set(), name
+
+
+# `envelopes` and `bracket` as they were with the estimator for black-box rules
+OLD_ENVELOPES = """
+_DELTA, _SAMPLES = 1e-4, 64
+def envelopes(spec, nodes, values, window):
+    nodes = np.asarray(nodes, dtype=float)
+    values = np.asarray(values, dtype=float)
+    k = len(values)
+    if spec.jumps is None:
+        t = np.linspace(values - _DELTA, values + _DELTA, _SAMPLES, axis=1)
+        f = _per_node(spec.evaluate(np.repeat(nodes, _SAMPLES, axis=0), t.ravel()),
+                      t.size).reshape(k, _SAMPLES)
+        return f.min(axis=1), f.max(axis=1)
+    f = _per_node(spec.evaluate(nodes, values), k)
+    level, left, right = jump_limits(spec, nodes)
+    on = values == level
+    use = np.vstack([~on.any(axis=0), on | (np.abs(values - level) <= window)])
+    return (np.where(use, np.vstack([f, np.minimum(left, right)]), np.inf).min(axis=0),
+            np.where(use, np.vstack([f, np.maximum(left, right)]), -np.inf).max(axis=0))
+def bracket(spec, x, s):
+    lo, hi = envelopes(spec, *_one_row(x, s), 0.0)
+    return Bracket(float(lo[0]), float(hi[0]), approximate=spec.jumps is None)
+"""
+
+
+def test_the_jump_scan_sees_the_old_estimator():
+    old = ast.parse(OLD_ENVELOPES)
+    assert undeclared_jump_tests(old) == [7, 20]
+    assert identifiers(old) & ESTIMATOR_NAMES == ESTIMATOR_NAMES
+    for src in ("def f(jumps):\n    return None is not jumps\n",
+                "def f(spec):\n    return (spec.jumps or ()) if spec.jumps is not None else ()\n"):
+        assert len(undeclared_jump_tests(ast.parse(src))) == 1
+    # a None test of something else, and a tuple test of the jumps, are no such branch
+    assert undeclared_jump_tests(ast.parse(
+        "def f(spec):\n    return spec.exact_primitive is None or spec.jumps == ()\n")) == []
+
+
 def caught_names(module_tree):
     """Names of the exception classes the `except` clauses of a module name."""
     found = set()
