@@ -30,7 +30,7 @@ import numpy as np
 from . import svg
 from .energy import bounds
 from .mesh import (Field, Mesh, build_disk_mesh, build_interval_mesh,
-                   build_rectangle_mesh, inradius, read_mesh)
+                   build_rectangle_mesh, inradius, read_mesh, squared_norms)
 from .nonlinearity import CATALOG, NonlinearitySpec, from_catalog, jump_limits
 from .solver import SolveResult, SolverOptions, solve_inclusion
 from .verify import analytic_radial, format_report, verification_report
@@ -203,7 +203,7 @@ def _expression_fn(expr: str, where: str):
         local = dict(_EXPR_NAMES)
         local["x"] = nodes[:, 0]
         local["y"] = nodes[:, 1] if nodes.shape[1] > 1 else np.zeros(len(nodes))
-        local["r"] = np.sqrt((nodes ** 2).sum(axis=1))
+        local["r"] = np.sqrt(squared_norms(nodes))
         # a non-finite value is no warning: build_spec rejects it at an interior node
         with np.errstate(all="ignore"):
             return eval(code, {"__builtins__": {}}, local)

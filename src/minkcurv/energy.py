@@ -5,11 +5,12 @@ constant) by one kernel: its integrand `area_integrand`, summed by
 `area_value`, and `area_gradient`, `area_hessian_product` and
 `area_hessian_blocks`.  The gradient's and the product's nodal sums go
 through the mesh's gradient operator G and its transpose
-(`element_gradients`, `gradient_adjoint`), so the Hessian applies to a
-vector without being assembled; the blocks are what the solver assembles
-where it factors.  The potential term is evaluated by lumped vertex
-quadrature, so its partial derivative at a node is node_weight * f(x_i, u_i)
-wherever f is continuous.
+(`element_gradients`, `gradient_adjoint`), or through the pair a caller
+passes in their place (the solver's restriction of G to its interior
+coordinates), so the Hessian applies to a vector without being assembled;
+the blocks are what the solver assembles where it factors.  The potential
+term is evaluated by lumped vertex quadrature, so its partial derivative at
+a node is node_weight * f(x_i, u_i) wherever f is continuous.
 Infeasibility is a functional value: outside the constraint set the energy
 is +inf, never an exception.
 """
@@ -77,31 +78,58 @@ def area_value(mesh: Mesh, g2) -> float:
     return float(np.dot(mesh.element_measure, area_integrand(g2)))
 
 
-def area_gradient(mesh: Mesh, g, g2):
+def _per_component(a, dim):
+    """`np.repeat(a, dim)`: the per-element array `a` (M,) at every component
+    of a flat (M*dim,) element array, by dim strided copies (`a` in 1D)."""
+    if dim == 1:
+        return a
+    out = np.empty(len(a) * dim)
+    for k in range(dim):
+        out[k::dim] = a
+    return out
+
+
+def area_gradient(mesh: Mesh, g, g2, adjoint=None):
     """Unchecked nodal area gradient from element gradients `g` (M, dim), |g| < 1.
 
     Returns (gradient, root): the gradient is G^T((measure / r) g)
-    (`gradient_adjoint`), with r = sqrt(1 - |g|^2), which the Newton
-    Hessian (`area_hessian_product`, `area_hessian_blocks`) reuses.
+    (`gradient_adjoint`, or `adjoint` applied to that flat (M*dim,) array),
+    with r = sqrt(1 - |g|^2), which the Newton Hessian
+    (`area_hessian_product`, `area_hessian_blocks`) reuses.
     """
     root = np.sqrt(1.0 - g2)
-    return gradient_adjoint(mesh, (mesh.element_measure / root)[:, None] * g), root
+    adjoint = adjoint or (lambda y: gradient_adjoint(mesh, y))
+    return adjoint(_per_component(mesh.element_measure / root, mesh.dim) * g.reshape(-1)), root
 
 
-def area_hessian_product(mesh: Mesh, g, root):
+def area_hessian_product(mesh: Mesh, g, root, gradient=None, adjoint=None):
     """The area Hessian at element gradients `g` (M, dim), with `root` as
-    `area_gradient` returns it, as a function p -> H p on node values, without
-    assembly: H p = G^T[(m/r) q + (m/r^3)(g . q) g], q = G p, m the element
-    measures."""
+    `area_gradient` returns it, as a function p -> H p, without assembly:
+    H p = G^T[(m/r) q + (m/r^3)(g . q) g], q = G p, m the element measures.
+
+    G p and G^T are `gradient(p)` and `adjoint`, both on flat (M*dim,)
+    element arrays; by default `element_gradients` and `gradient_adjoint`,
+    so that p holds node values.  Each element step runs on flat arrays,
+    with the products of (g . q) summed over k left to right."""
+    dim, flat = mesh.dim, g.reshape(-1)
     weight = mesh.element_measure / root
-    tilt = (weight / (root * root))[:, None] * g  # (m / r^3) g
+    tilt = _per_component(weight / (root * root), dim) * flat  # (m / r^3) g
+    weight = _per_component(weight, dim)
+    gradient = gradient or (lambda p: element_gradients(mesh, p).reshape(-1))
+    adjoint = adjoint or (lambda y: gradient_adjoint(mesh, y))
 
     def product(p):
-        q = element_gradients(mesh, p)
-        along = sum((tilt[:, k] * q[:, k] for k in range(1, mesh.dim)), tilt[:, 0] * q[:, 0])
-        q *= weight[:, None]
-        q += along[:, None] * g
-        return gradient_adjoint(mesh, q)
+        q = gradient(p)
+        tilted = tilt * q
+        along = tilted[::dim]  # (m / r^3)(g . q), then copied to every k
+        for k in range(1, dim):
+            along += tilted[k::dim]
+        for k in range(1, dim):
+            tilted[k::dim] = along
+        tilted *= flat
+        q *= weight
+        q += tilted
+        return adjoint(q)
     return product
 
 

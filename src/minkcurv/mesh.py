@@ -13,7 +13,8 @@ the basis gradients B[e, v, k] at the columns elements[e, v], stored in
 vertex order v = 0..dim.  `element_gradients` applies G, whose row sums add
 B_0 x_0 + B_1 x_1 + ... left to right, the bits of the per-vertex sum;
 `gradient_adjoint` applies its transpose, through a per-mesh CSC view of
-G's own arrays (no copy).  Nothing else reads G.
+G's own arrays (no copy).  Besides them only the solver's Newton
+workspace reads G, once per mesh, to restrict it to its own coordinates.
 
 A mesh is immutable after construction and safe to share across threads,
 apart from its cache of derived data (`per_mesh`): filled on first use, it
@@ -366,8 +367,9 @@ def gradient_adjoint(mesh: Mesh, x) -> np.ndarray:
 
 
 def squared_norms(g) -> np.ndarray:
-    """Per-element |g|^2 of element gradients `g` (M, dim): the bits of numpy's
-    `sum(axis=1)` of `g * g` (a short axis adds left to right), without its reduce."""
+    """Row-wise |g|^2 of `g` (rows, dim), element gradients or points: the bits
+    of numpy's `sum(axis=1)` of `g * g` or of `g ** 2` (a short axis adds left
+    to right), without its reduce."""
     return sum((g[:, k] * g[:, k] for k in range(1, g.shape[1])), g[:, 0] * g[:, 0])
 
 

@@ -27,13 +27,16 @@ factor of K0 = sum_e m_e B B^T (the Hessian at the zero field); one K0
 factor at most is alive per process, and it serves every such solve on
 its mesh until another mesh needs it, the mesh dies or `solve_inclusion`
 returns.  Its CG applies the Hessian without assembling it, as the area
-kernel's product (`energy.area_hessian_product`, through the mesh's
-gradient operator and its transpose; Knoll and Keyes' Jacobian-free
-products).  A kinked or pinned solve's first step and a step whose CG
-misses its forcing factor their own Hessian, and the solve holds it (a
-lagged preconditioner).  The Hessian is assembled only there and for the
-CG on such a held factor, which takes 9 to 50 iterations a step, each
-product costing about a quarter of an assembly.
+kernel's product (`energy.area_hessian_product`; Knoll and Keyes'
+Jacobian-free products), through the mesh's gradient operator restricted
+to the Newton workspace's coordinates, the interior nodes in elimination
+order: the Newton loop, its line search and the flux start run in them,
+and node arrays are read on entry and made on exit.  A kinked or pinned
+solve's first step and a step whose CG misses its forcing factor their
+own Hessian, and the solve holds it (a lagged preconditioner).  The
+Hessian is assembled only there and for the CG on such a held factor,
+which takes 9 to 50 iterations a step, each product costing about a
+seventh of an assembly (0.46 ms against 3.1 ms on disk-6).
 
 An increasing jump of f by c at `level` is the convex kink
 c * max(0, u_i - level) of the lumped energy.  An inner solve with no kinks
@@ -80,7 +83,7 @@ from scipy.linalg import LinAlgError, get_lapack_funcs
 from scipy.sparse.linalg import LinearOperator, cg, splu
 
 from .mesh import (Field, Mesh, MeshError, _boundary_path_length, _edge_table, element_gradients,
-                   gradient_adjoint, max_gradient_norm, per_mesh, squared_norms)
+                   per_mesh, squared_norms)
 # `bracket` is no longer called here; it stays a module attribute because
 # bench/worker.py wraps solver.bracket when it traces a run.
 from .nonlinearity import (NonlinearitySpec, bracket, envelopes, jump_limits,  # noqa: F401
@@ -257,6 +260,12 @@ class _Kinks:
         up = jump.any(axis=1)
         return cls(level[up], jump[up]), bool((right < left).any())
 
+    def restricted(self, nodes):
+        """The kinks at `nodes`, (J, len(nodes)): at the Newton workspace's
+        coordinates with `_NewtonWorkspace.node_of`, whose dummy is a
+        boundary node, so that it has no kink (jump 0)."""
+        return _Kinks(self.level[:, nodes], self.jump[:, nodes]) if self.level.size else self
+
     def subdifferential(self, values):
         """(lo, hi) per node: the kinks' subdifferential at `values`."""
         return ((self.jump * (values > self.level)).sum(axis=0),
@@ -357,6 +366,18 @@ class _NewtonWorkspace:
     `upper` gathers the upper band in LAPACK's layout: entry (w + i - j, j)
     of the band (w the band width) is data slot `upper[w + i - j, j]`, or the
     dummy slot outside the pattern.
+
+    Newton runs in the workspace's coordinates: the n interior nodes in
+    elimination order, then one dummy coordinate, always 0, that stands for
+    every boundary node; `rank` is each node's coordinate (n on the
+    boundary), so `x[rank]` is the node array of coordinates `x`, and
+    `node_of` the node at each coordinate, the first boundary node at the
+    dummy's.
+    `gradient` is the mesh's gradient operator G on these coordinates, G's
+    own data and row pointers with each column index mapped through `rank`,
+    and `adjoint` its transpose, a CSC view of the same arrays: their
+    products repeat G's terms one for one, in G's order, so `gradient @ x`
+    has the bits of `element_gradients` (flat) of the node array `x[rank]`.
     """
 
     order: np.ndarray
@@ -366,11 +387,20 @@ class _NewtonWorkspace:
     scatter: np.ndarray
     diagonal: np.ndarray
     upper: np.ndarray | None
+    rank: np.ndarray
+    node_of: np.ndarray
+    gradient: sp.csr_matrix
+    adjoint: sp.csc_matrix
 
     def matrix(self, data) -> sp.csc_matrix:
         """The interior matrix with Hessian data `data` (dummy slot included)."""
         n = len(self.order)
         return sp.csc_matrix((data[:-1], self.indices, self.indptr), shape=(n, n))
+
+    def sums(self, y):
+        """G^T y for a flat (M*dim,) element array `y`, at the n interior
+        coordinates: the bits of `gradient_adjoint` at the nodes `order`."""
+        return (self.adjoint @ y)[:-1]
 
 
 @per_mesh
@@ -393,10 +423,10 @@ def _newton_workspace(mesh: Mesh) -> _NewtonWorkspace:
         order = interior[np.argsort(mesh.nodes[interior, 0], kind="stable")]
     else:
         order = _nested_dissection(mesh.nodes, edges, interior)
-    rank = np.full(len(mesh.nodes), -1)
+    rank = np.full(len(mesh.nodes), n)
     rank[order] = np.arange(n)
     ri, rj = rank[edges.ends.T]
-    inner = (ri >= 0) & (rj >= 0)
+    inner = (ri < n) & (rj < n)
     ri, rj = ri[inner], rj[inner]
     # keys column * n + row of the diagonal, the entries (i, j) and (j, i)
     keys = np.concatenate([np.arange(n) * (n + 1), rj * n + ri, ri * n + rj])
@@ -428,12 +458,17 @@ def _newton_workspace(mesh: Mesh) -> _NewtonWorkspace:
         upper = np.full((width + 1, n), len(slots))
         above = row <= column
         upper[(width + row - column)[above], column[above]] = np.flatnonzero(above)
+    G = mesh.gradient_operator
+    # int32 column indices, gathered from an int32 rank with no int64 copy
+    gradient = sp.csr_matrix((G.data, rank.astype(np.int32)[G.indices], G.indptr),
+                             shape=(G.shape[0], n + 1))
     workspace = _NewtonWorkspace(
         order=order, indptr=indptr, indices=row.astype(np.int32),
         columns=column.astype(np.int32), scatter=scatter,
-        diagonal=np.flatnonzero(row == column), upper=upper)
-    for arr in vars(workspace).values():
-        if arr is not None:
+        diagonal=np.flatnonzero(row == column), upper=upper, rank=rank,
+        node_of=np.append(order, mesh.boundary_nodes[0]), gradient=gradient, adjoint=gradient.T)
+    for arr in [*vars(workspace).values(), gradient.indices]:
+        if isinstance(arr, np.ndarray):
             arr.setflags(write=False)
     return workspace
 
@@ -458,14 +493,14 @@ def _step_hessian(mesh: Mesh, ws: _NewtonWorkspace, g, root, diagonal=None, fixe
 
 def _step_product(mesh: Mesh, ws: _NewtonWorkspace, g, root):
     """p -> K p for the matrix K of `_step_hessian(mesh, ws, g, root)`, the
-    interior area Hessian, without assembling it (`area_hessian_product`)."""
-    area, order = area_hessian_product(mesh, g, root), ws.order
-    full = np.zeros(len(mesh.nodes))
+    interior area Hessian, without assembling it: `area_hessian_product`
+    through `ws.gradient` and `ws.sums`, p copied ahead of the dummy 0."""
+    padded = np.zeros(len(ws.order) + 1)
 
-    def product(p):
-        full[order] = p
-        return area(full)[order]
-    return product
+    def gradient(p):
+        padded[:-1] = p
+        return ws.gradient @ padded
+    return area_hessian_product(mesh, g, root, gradient, ws.sums)
 
 
 def _factor(ws: _NewtonWorkspace, data):
@@ -548,31 +583,32 @@ def _flux_start(mesh: Mesh, e: np.ndarray) -> np.ndarray:
     the L2 projection of t onto zero-boundary P1 gradients, K0 u = sum_e
     m_e B t_e, scaled to `_START_SHRINK` of the working limit when one of
     its element gradients is past it.  The two K0 solves go through the
-    `_K0` slot.  A failing solve raises the InnerSolveError a failing Newton
-    step raises, carrying the zero field.
+    `_K0` slot, and both projections through the workspace's coordinates.
+    A failing solve raises the InnerSolveError a failing Newton step
+    raises, carrying the zero field.
     """
     ws = _newton_workspace(mesh)
-    order, linear = ws.order, mesh.node_weight * e
-    values = np.zeros(len(mesh.nodes))
-    if not linear[order].any():  # zero solves it, with no K0 factor needed
-        return values
+    linear = (mesh.node_weight * e)[ws.order]
+    if not linear.any():  # zero solves it, with no K0 factor needed
+        return np.zeros(len(mesh.nodes))
+    values = np.zeros(len(ws.order) + 1)  # p, then u, in the workspace's coordinates
     try:
         k0_solve = _k0_preconditioner(mesh, ws)
-        poisson = np.zeros(len(mesh.nodes))
-        poisson[order] = k0_solve(-linear[order])
-        q = element_gradients(mesh, poisson)
+        values[:-1] = k0_solve(-linear)
+        q = (ws.gradient @ values).reshape(-1, mesh.dim)
         t = q / np.sqrt(1.0 + squared_norms(q))[:, None]
-        values[order] = k0_solve(gradient_adjoint(mesh, mesh.element_measure[:, None] * t)[order])
+        values[:-1] = k0_solve(ws.sums((mesh.element_measure[:, None] * t).reshape(-1)))
     except (RuntimeError, LinAlgError) as err:
         raise InnerSolveError(f"Hessian factorization failed: {err}",
                               last_values=np.zeros(len(mesh.nodes)),
-                              residual=float(np.abs(linear[order]).max())) from err
-    largest, limit = max_gradient_norm(mesh, values), 1.0 - FEASIBILITY_MARGIN
+                              residual=float(np.abs(linear).max())) from err
+    g2 = squared_norms((ws.gradient @ values).reshape(-1, mesh.dim))
+    largest, limit = float(np.sqrt(g2.max(initial=0.0))), 1.0 - FEASIBILITY_MARGIN
     if not math.isfinite(largest):  # q overflowed: no start to be had from it
         return np.zeros(len(mesh.nodes))
     if largest > limit:
         values *= _START_SHRINK * limit / largest
-    return values
+    return values[ws.rank]
 
 
 def _solve_prescribed(mesh: Mesh, e, initial=None, kinks=_NO_KINKS, gamma=1.0, pinned=None,
@@ -587,16 +623,26 @@ def _solve_prescribed(mesh: Mesh, e, initial=None, kinks=_NO_KINKS, gamma=1.0, p
     their initial values.  It stops at gradient norms max <= `_INNER_TOL` and
     l1 <= `l1_tol * (1 + |objective|)`, at the roundoff floor (`_FLAT_STEPS`)
     on the max-norm alone, and raises there or at `_MAX_INNER` otherwise.
+    Newton runs in the workspace's coordinates (`_NewtonWorkspace`): node
+    arrays are read on entry and made on exit, and the objective's lumped
+    sums keep their operands in node order, so that every sum has the bits
+    it has on node arrays.
     """
-    interior = mesh.interior_nodes
+    ws = _newton_workspace(mesh)
+    order, rank, interior = ws.order, ws.rank, mesh.interior_nodes
     limit2 = (1.0 - FEASIBILITY_MARGIN) ** 2
-    linear = mesh.node_weight * e
+    lumped = mesh.node_weight * e
+    linear, weight = lumped[order], mesh.node_weight[order]
+    lumped, at_interior = lumped[interior], rank[interior]  # the objective's, in node order
+    kinks = kinks.restricted(ws.node_of)
+    fixed = None if pinned is None else pinned[order]
 
-    values = np.zeros(len(mesh.nodes)) if initial is None else np.array(initial, dtype=float)
-    values[mesh.boundary_nodes] = 0.0
+    x = np.zeros(len(order) + 1)  # the iterate's coordinates, the dummy 0 last
+    if initial is not None:
+        x[:-1] = np.asarray(initial, dtype=float)[order]
 
-    def grad_sq(vals):
-        g = element_gradients(mesh, vals)
+    def grad_sq(coordinates):
+        g = (ws.gradient @ coordinates).reshape(-1, mesh.dim)
         return g, squared_norms(g)
 
     stats = _InnerStats()
@@ -604,31 +650,30 @@ def _solve_prescribed(mesh: Mesh, e, initial=None, kinks=_NO_KINKS, gamma=1.0, p
         stats_sink.append(stats)
 
     def failure(message, residual):
-        return InnerSolveError(message, last_values=values, residual=residual,
+        return InnerSolveError(message, last_values=x[rank], residual=residual,
                                iterations=stats.iterations)
 
-    g, g2 = grad_sq(values)
+    g, g2 = grad_sq(x)
     if (g2 > limit2).any():
         raise failure("initial iterate violates the working feasibility margin", math.inf)
 
-    def objective(g2_local, vals):
-        """(objective, the kinks' `smoothed` triple at `vals`, which the step reuses)."""
-        smooth = kinks.smoothed(vals, gamma)
-        return (area_value(mesh, g2_local) + float(np.dot(linear[interior], vals[interior]))
-                + float(np.dot(mesh.node_weight, smooth[0]))), smooth
+    def objective(g2_local, coordinates):
+        """(objective, the kinks' `smoothed` triple at `coordinates`, which the step reuses)."""
+        smooth = kinks.smoothed(coordinates, gamma)
+        obj = area_value(mesh, g2_local) + float(np.dot(lumped, coordinates[at_interior]))
+        if kinks.level.size:  # else the sum is 0
+            obj += float(np.dot(mesh.node_weight, smooth[0][rank]))
+        return obj, smooth
 
-    ws = _newton_workspace(mesh)
-    order = ws.order
-    fixed = None if pinned is None else pinned[order]
     held = k0 = None  # the held factor (K0^-1 or the solve's last `_factor`) and K0^-1
-    obj, (_, slope, band) = objective(g2, values)
+    obj, (_, slope, band) = objective(g2, x)
     flat = 0  # accepted steps in a row that moved the objective by at most its noise
     for _ in range(_MAX_INNER + 1):
-        stats.max_value = max(stats.max_value, float(np.abs(values).max()))
+        stats.max_value = max(stats.max_value, float(np.abs(x).max()))
         stats.max_gradient = max(stats.max_gradient, float(np.sqrt(g2.max(initial=0.0))))
         stats.objectives.append(obj)
-        full_grad, root = area_gradient(mesh, g, g2)  # the Hessian reuses root
-        grad = full_grad[order] + linear[order] + (mesh.node_weight * slope)[order]
+        area_grad, root = area_gradient(mesh, g, g2, ws.sums)  # the Hessian reuses root
+        grad = area_grad + linear + weight * slope[:-1]
         if fixed is not None:
             grad[fixed] = 0.0
         residual = float(np.abs(grad).max()) if grad.size else 0.0
@@ -639,8 +684,8 @@ def _solve_prescribed(mesh: Mesh, e, initial=None, kinks=_NO_KINKS, gamma=1.0, p
         if residual <= _INNER_TOL and (flat == _FLAT_STEPS
                                        or np.abs(grad).sum() <= l1_tol * (1.0 + abs(obj))):
             # at the roundoff floor the l1 stop may be out of reach
-            stats.band = band
-            return values, stats
+            stats.band = band[:, rank]
+            return x[rank], stats
         if flat == _FLAT_STEPS:
             raise failure(f"Newton left the objective unchanged to roundoff for {flat} steps "
                           f"(residual {residual:.3e})", residual)
@@ -658,8 +703,7 @@ def _solve_prescribed(mesh: Mesh, e, initial=None, kinks=_NO_KINKS, gamma=1.0, p
         # 2D solve's first step and a CG miss factor the step's Hessian, and
         # the solve holds that factor, the old one going first (at most one
         # LU besides K0 is alive); CG on it multiplies by the assembled matrix.
-        diagonal = None if kinks.level.size == 0 else (
-            mesh.node_weight * band.sum(axis=0) / gamma)[order]
+        diagonal = None if kinks.level.size == 0 else weight * band[:, :-1].sum(axis=0) / gamma
         data = None
         try:
             if held is None and mesh.dim > 1 and kinks.level.size == 0 and pinned is None:
@@ -692,8 +736,8 @@ def _solve_prescribed(mesh: Mesh, e, initial=None, kinks=_NO_KINKS, gamma=1.0, p
         noise = 1e-15 * (1.0 + abs(obj))
         t = 1.0
         while True:
-            cand = values.copy()
-            cand[order] += t * direction
+            cand = x.copy()
+            cand[:-1] += t * direction
             g_c, g2_c = grad_sq(cand)
             if (g2_c <= limit2).all():
                 obj_c, smooth_c = objective(g2_c, cand)
@@ -703,7 +747,7 @@ def _solve_prescribed(mesh: Mesh, e, initial=None, kinks=_NO_KINKS, gamma=1.0, p
             if t < 1e-18:
                 raise failure(f"line search stalled (residual {residual:.3e})", residual)
         flat = flat + 1 if abs(obj_c - obj) <= noise else 0
-        values, g, g2, obj, (_, slope, band) = cand, g_c, g2_c, obj_c, smooth_c
+        x, g, g2, obj, (_, slope, band) = cand, g_c, g2_c, obj_c, smooth_c
         stats.iterations += 1
     raise AssertionError("unreachable")
 

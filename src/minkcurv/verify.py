@@ -132,7 +132,7 @@ class RadialSolution:
             points = points.reshape(-1, 1)
         center = self.center if self.center is not None else np.zeros(points.shape[1])
         d = points - center
-        return self.radial(np.sqrt((d * d).sum(axis=1)))
+        return self.radial(np.sqrt(squared_norms(d)))
 
     def on_mesh(self, mesh: Mesh) -> Field:
         vals = self(mesh.nodes)

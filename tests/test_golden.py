@@ -6,14 +6,17 @@ as they are: the solution CSV and the report carry every digit of `u`,
 cover the 1D band step (interval `step`), a kink-free 1D run (interval
 `neg_sign`), the 2D K0-preconditioned CG with a kinked stage's held
 factor (disk `step`) and a kink-free 2D run, whose CG on K0 applies the
-Hessian unassembled (disk `constant`).  The hashes were taken with numpy 2.4 and scipy 1.17
-on x86-64; other builds of the linear algebra may round differently.
+Hessian unassembled (disk `constant`).  A last hash pins the benchmark's
+own path, `solve_prescribed` on a disk from the flux start.  The hashes were
+taken with numpy 2.4 and scipy 1.17 on x86-64; other builds of the linear
+algebra may round differently.
 """
 
 import hashlib
 
 import pytest
 
+from minkcurv import build_disk_mesh, solve_prescribed
 from minkcurv.cli import main
 
 INTERVAL = "domain.kind = interval\ndomain.a = -1\ndomain.b = 1\ndomain.n = {n}\n"
@@ -50,3 +53,12 @@ def test_solve_outputs_are_byte_identical(tmp_path, capsys, case):
     digest = {name: hashlib.sha256((tmp_path / "out" / name).read_bytes()).hexdigest()
               for name in ("solution.csv", "report.txt")}
     assert digest == {"solution.csv": solution_sha, "report.txt": report_sha}
+
+
+def test_prescribed_solution_is_bit_identical():
+    # disk-5 at a = 2.4, inside the right-hand sides of the `newton_disk`
+    # benchmark: the flux start's two K0 solves, then three Newton steps
+    # whose CG applies the Hessian unassembled
+    values = solve_prescribed(build_disk_mesh(1.0, 5), 2.4).values
+    assert (hashlib.sha256(values.tobytes()).hexdigest()
+            == "9b63857bfe1071c2fd0b67914a492db2dd66c9c7bd9c04b78b98e1f5ff233bf0")

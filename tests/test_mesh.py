@@ -206,6 +206,18 @@ class TestSquaredNorms:
         assert got.shape == (rows,) and got.dtype == np.float64
         assert got.tobytes() == (g * g).sum(axis=1).tobytes()
 
+    @pytest.mark.parametrize("make", [lambda rng: build_disk_mesh(1.0, 6).nodes,
+                                      lambda rng: rng.standard_normal((5000, 2)),
+                                      lambda rng: rng.standard_normal((5000, 3)) * 1e3],
+                             ids=["disk6-nodes", "random-2d", "random-3d"])
+    def test_bits_of_the_radius_expressions(self, make):
+        # the radial solution's (d * d).sum(axis=1) and the config expressions'
+        # (nodes ** 2).sum(axis=1), which now call the kernel, had these bits
+        points = make(np.random.default_rng(11))
+        got = squared_norms(points)
+        assert got.tobytes() == (points * points).sum(axis=1).tobytes()
+        assert got.tobytes() == (points ** 2).sum(axis=1).tobytes()
+
 
 def test_verify_reexports_the_trial_fields():
     assert verify.random_feasible_field is random_feasible_field

@@ -12,11 +12,11 @@ from scipy.linalg import solveh_banded
 from scipy.linalg.lapack import dpttrf, dpttrs
 from scipy.sparse.linalg import splu
 
-from minkcurv import solver
+from minkcurv import energy as energy_module, mesh as mesh_module, solver
 from minkcurv.energy import FEASIBILITY_MARGIN, StrictFeasibilityError, total_energy
 from minkcurv.mesh import (Field, Mesh, MeshError, build_disk_mesh, build_interval_mesh,
-                           build_rectangle_mesh, element_gradients, inradius,
-                           max_gradient_norm)
+                           build_rectangle_mesh, element_gradients, gradient_adjoint,
+                           inradius, max_gradient_norm)
 from minkcurv.energy import psi, psi_gradient
 from minkcurv.nonlinearity import (Jump, NonlinearitySpec, bracket, constant, envelopes,
                                    heaviside, neg_sign, power, step)
@@ -1236,6 +1236,12 @@ def shuffled_ids(mesh, seed=7):
                  new_id[mesh.boundary_nodes]), new_id)
 
 
+# the meshes of the gradient-operator checks: 2D with a curved and a straight
+# boundary, and 3D
+PRODUCT_MESHES = pytest.mark.parametrize(
+    "build", [lambda: build_disk_mesh(1.0, 4), lambda: build_rectangle_mesh(2.0, 1.0, 40, 20),
+              lambda: cube_mesh(6)], ids=["disk4", "rectangle40x20", "cube6"])
+
 WORKSPACE_MESHES = {
     "interval": lambda: build_interval_mesh(-1, 1, 64),
     "rectangle": lambda: build_rectangle_mesh(2.0, 1.0, 12, 7),
@@ -1331,10 +1337,34 @@ class TestNewtonWorkspace:
         ref = reference_hessian(mesh, values, ws.order)
         assert np.abs(K.toarray() - ref).max() <= 1e-13 * np.abs(ref).max()
 
-    @pytest.mark.parametrize("build", [lambda: build_disk_mesh(1.0, 4),
-                                       lambda: build_rectangle_mesh(2.0, 1.0, 40, 20),
-                                       lambda: cube_mesh(6)],
-                             ids=["disk4", "rectangle40x20", "cube6"])
+    @PRODUCT_MESHES
+    def test_interior_operator_gives_the_bits_of_the_gradient_operator(self, build):
+        # on the workspace's coordinates (the interior in elimination order,
+        # then a dummy 0 for the boundary) G and G^T repeat the mesh's terms
+        # one for one, so signed zeros inside and on the boundary change nothing
+        mesh = build()
+        ws = _newton_workspace(mesh)
+        rng = np.random.default_rng(9)
+        v = rng.standard_normal(len(mesh.nodes))
+        v[mesh.boundary_nodes] = 0.0
+        v[mesh.boundary_nodes[::2]] = -0.0
+        v[mesh.interior_nodes[::5]] = 0.0
+        v[mesh.interior_nodes[2::5]] = -0.0
+        x = np.append(v[ws.order], 0.0)
+        assert x[ws.rank].tobytes() == np.where(mesh.is_boundary, 0.0, v).tobytes()
+        assert (ws.gradient @ x).tobytes() == element_gradients(mesh, v).tobytes()
+        y = rng.standard_normal(len(mesh.elements) * mesh.dim)
+        y[::5] = 0.0
+        y[2::5] = -0.0
+        assert ws.sums(y).tobytes() == gradient_adjoint(mesh, y)[ws.order].tobytes()
+        # it holds one new array, its column indices; the rest is G's
+        G = mesh.gradient_operator
+        assert np.shares_memory(ws.gradient.data, G.data)
+        assert np.shares_memory(ws.gradient.indptr, G.indptr)
+        assert ws.gradient.indices.dtype == np.int32
+        assert np.shares_memory(ws.adjoint.indices, ws.gradient.indices)
+
+    @PRODUCT_MESHES
     def test_step_product_is_the_assembled_step_matrix(self, build):
         # K p by the gradient operator alone equals the assembled K times p
         mesh = build()
@@ -1367,6 +1397,18 @@ class TestNewtonWorkspace:
         _, stats = _solve_prescribed(mesh, 2.4)
         solver._K0.clear()
         assert stats.iterations == 6 and assembled == [1]
+
+    def test_warm_kink_free_solve_reads_no_node_arrays(self, monkeypatch):
+        # its Newton loop applies G and G^T through the workspace alone
+        mesh = build_disk_mesh(1.0, 4)
+        warm = solve_prescribed(mesh, 2.0).values
+        calls = []
+        for module in (mesh_module, energy_module, solver):
+            for name in ("element_gradients", "gradient_adjoint"):
+                if hasattr(module, name):
+                    monkeypatch.setattr(module, name, lambda *args, name=name: calls.append(name))
+        _, stats = _solve_prescribed(mesh, 2.4, initial=warm)
+        assert stats.iterations > 0 and calls == []
 
     @pytest.mark.parametrize("name", sorted(WORKSPACE_MESHES))
     def test_order_is_a_permutation_of_the_interior(self, name):

@@ -157,16 +157,39 @@ def attribute_reads(module_tree, attr):
     return found
 
 
+def gradient_operator_readers(trees):
+    """(module, function) of every read of `gradient_operator` in `trees`,
+    a dict of module name to syntax tree."""
+    return {(name, where) for name, module_tree in trees.items()
+            for where in attribute_reads(module_tree, "gradient_operator")}
+
+
+# G's readers: the mesh's gradient and its transpose, and the solver's Newton
+# workspace, which restricts G to its interior coordinates once per mesh
+GRADIENT_OPERATOR_READERS = {("mesh", "element_gradients"), ("mesh", "_gradient_transpose"),
+                             ("solver", "_newton_workspace")}
+
+
 def test_only_element_gradients_reads_the_gradient_operator():
     # one gradient path: every element gradient, and every sum back onto the
-    # nodes, is a call of `element_gradients` or `gradient_adjoint`; the
-    # latter reads G through its per-mesh transpose, which nothing else reads
-    reads = {(name, where) for name in MODULES
-             for where in attribute_reads(tree(name), "gradient_operator")}
-    assert reads == {("mesh", "element_gradients"), ("mesh", "_gradient_transpose")}
+    # nodes, is a call of `element_gradients` or `gradient_adjoint`, or in
+    # Newton's interior coordinates a product with the workspace's
+    # restriction of G; `gradient_adjoint` reads G through its per-mesh
+    # transpose, which nothing else reads
+    reads = gradient_operator_readers({name: tree(name) for name in MODULES})
+    assert reads == GRADIENT_OPERATOR_READERS
     transposes = {(name, where) for name in MODULES
                   for where in attribute_reads(tree(name), "_gradient_transpose")}
     assert transposes == {("mesh", "gradient_adjoint")}
+
+
+def test_the_reader_scan_sees_a_stray_reader():
+    # a second restriction elsewhere in the solver is a reader too
+    trees = {name: tree(name) for name in MODULES}
+    trees["solver"] = ast.parse(
+        "def _newton_workspace(mesh):\n    G = mesh.gradient_operator\n"
+        "def _flux_start(mesh, e):\n    return mesh.gradient_operator[:, order] @ e\n")
+    assert gradient_operator_readers(trees) == GRADIENT_OPERATOR_READERS | {("solver", "_flux_start")}
 
 
 def test_the_attribute_scan_sees_bare_names():
