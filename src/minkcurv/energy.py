@@ -58,8 +58,9 @@ def check_margin(g2, margin: float, name: str = "") -> None:
 class EnergyBounds:
     """Uniform constants implied by the growth bound on the feasible set.
 
-    c_omega bounds |v| on the feasible set, C1 bounds |f(x, v)|, C2 bounds
-    |F(x, v)|, and lower_bound = -C2 * vol is a floor for the total energy.
+    c_omega bounds |v| on the feasible set of any mesh (`inradius`), C1
+    bounds |f(x, v)|, C2 bounds |F(x, v)|, and lower_bound = -C2 * vol is a
+    floor for the total energy.
     """
 
     c_omega: float
@@ -208,7 +209,9 @@ def total_energy(mesh: Mesh, field: Field, spec: NonlinearitySpec) -> float:
 
 
 def bounds(mesh: Mesh, spec: NonlinearitySpec) -> EnergyBounds:
-    """Uniform constants from the growth bound over the feasible set."""
+    """Uniform constants from the growth bound over the feasible set; c_omega
+    is `inradius`, inf only on a mesh part with no marked node, which the
+    solver's Newton workspace rejects before any report is written."""
     c = inradius(mesh)
     C, q = spec.growth_c, spec.growth_q
     C1 = C * (1.0 + c ** (q - 1.0))

@@ -4,8 +4,8 @@ Built-in generators cover intervals, triangulated rectangles, and disks
 (midpoint refinement of an inscribed hexagon, boundary nodes kept exactly
 on the circle).  External meshes are exchanged through a small text format,
 see `read_mesh` / `write_mesh`.  Trial fields live here too, as they need
-only the mesh geometry and element gradients: the distance cones of the
-critical-point check, and seeded random feasible fields for the tests.
+only the mesh geometry and element gradients: the edge-path distance cones
+of the critical-point check, and seeded random feasible fields for the tests.
 
 Element gradients are one sparse mat-vec: each mesh carries its gradient
 operator G, the CSR matrix of shape (M*dim, K) whose row e*dim + k holds
@@ -313,9 +313,9 @@ class _EdgeTable(NamedTuple):
 def _edge_table(mesh: Mesh) -> _EdgeTable:
     """The mesh's edges, read-only, from one `np.unique` per mesh.  Vertex
     pairs (a, b), a < b, of an element are in `np.triu_indices` order.  Its
-    CSR pattern is the mesh's one node graph: `_mesh_size`,
-    `_boundary_path_length`, `_smoother` and the solver's Newton workspace
-    and elimination order read it here."""
+    CSR pattern is the mesh's one node graph: `_mesh_size`, the distance to
+    the boundary (`_boundary_path_length`), `_smoother` and the solver's
+    Newton workspace and elimination order read it here."""
     K = len(mesh.nodes)
     a, b = np.triu_indices(mesh.dim + 1, 1)
     first, second = mesh.elements[:, a], mesh.elements[:, b]
@@ -379,53 +379,22 @@ def max_gradient_norm(mesh: Mesh, values) -> float:
 
 
 def inradius(mesh: Mesh) -> float:
-    """Largest distance from an interior node to the nearest boundary node.
+    """Largest `_boundary_path_length`, the edge-path distance to a marked node.
 
     It bounds |v| on the feasible set (element gradient norms <= 1, zero
-    boundary values) when the marked nodes are the whole boundary of the
-    meshed domain, convex or not: the ball of radius dist(x, boundary)
-    around a point x lies in the domain, so the segment from x to its
-    nearest boundary point does too, v is 1-Lipschitz along it and 0 at its
-    end, and dist(x, boundary) is at most the distance to the nearest
-    boundary node.  It serves as the discrete uniform bound on the feasible
-    set.  A mesh that marks only some of its boundary nodes needs the
-    edge-path bound `_boundary_path_length` instead.
+    marked boundary values) on any mesh, convex or not, fully marked or not:
+    along an element edge such a v changes by at most the edge's length.  It
+    is inf where no edge path reaches a marked node: constants are free there.
     """
-    return float(_boundary_distance(mesh).max(initial=0.0))
-
-
-@per_mesh
-def _boundary_distance(mesh: Mesh) -> np.ndarray:
-    """Distance from each interior node to the nearest boundary node, read-only:
-    one sweep over the boundary nodes per mesh, O(interior x boundary), in
-    place on one contiguous array per coordinate.  The squared distance adds
-    (x_0 - b_0)^2 + (x_1 - b_1)^2 + ... left to right and the square root is
-    taken of the least one."""
-    x = mesh.nodes[mesh.interior_nodes]
-    columns = [np.ascontiguousarray(x[:, k]) for k in range(mesh.dim)]
-    least = np.full(len(x), np.inf)
-    total, term = np.empty(len(x)), np.empty(len(x))
-    for b in mesh.nodes[mesh.boundary_nodes].tolist():
-        np.subtract(columns[0], b[0], out=total)
-        np.multiply(total, total, out=total)
-        for column, b_k in zip(columns[1:], b[1:]):
-            np.subtract(column, b_k, out=term)
-            np.multiply(term, term, out=term)
-            np.add(total, term, out=total)
-        np.minimum(least, total, out=least)
-    dist = np.sqrt(least)
-    dist.setflags(write=False)
-    return dist
+    return float(_boundary_path_length(mesh).max())
 
 
 @per_mesh
 def _boundary_path_length(mesh: Mesh) -> np.ndarray:
     """Edge-length graph distance from each node to the nearest marked boundary
-    node, read-only, inf where no edge path reaches one.  It bounds |v_i| for
-    every field with element gradient norms <= 1 and zero marked boundary
-    values on any mesh: along an element edge v changes by at most the
-    edge's length.  One multi-source Dijkstra per mesh on the node graph of
-    `_edge_table`, weighted by its edge lengths."""
+    node, read-only, inf where no edge path reaches one: the mesh's one
+    distance to the boundary.  One multi-source Dijkstra per mesh on the node
+    graph of `_edge_table`, weighted by its edge lengths."""
     edges, n = _edge_table(mesh), len(mesh.nodes)
     lengths = sp.csr_matrix((edges.length[edges.edge_at], edges.indices, edges.indptr),
                             shape=(n, n))
@@ -478,9 +447,10 @@ def random_feasible_field(mesh: Mesh, rng, max_gradient: float = 0.9) -> Field:
 
 
 def boundary_distance_cone(mesh: Mesh, max_gradient: float = 0.9) -> Field:
-    """Distance-to-boundary-nodes field rescaled to the given gradient bound."""
-    vals = np.zeros(len(mesh.nodes))
-    vals[mesh.interior_nodes] = _boundary_distance(mesh)
+    """`_boundary_path_length`, 0 where no path reaches a marked node (so it is
+    finite and feasible on any mesh), rescaled to the given gradient bound."""
+    dist = _boundary_path_length(mesh)
+    vals = np.where(np.isinf(dist), 0.0, dist)
     gmax = max_gradient_norm(mesh, vals)
     if gmax > 0.0:
         vals *= max_gradient / gmax

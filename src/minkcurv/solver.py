@@ -264,7 +264,7 @@ class _Kinks:
         """The kinks at `nodes`, (J, len(nodes)): at the Newton workspace's
         coordinates with `_NewtonWorkspace.node_of`, whose dummy is a
         boundary node, so that it has no kink (jump 0)."""
-        return _Kinks(self.level[:, nodes], self.jump[:, nodes]) if self.level.size else self
+        return _Kinks(self.level[:, nodes], self.jump[:, nodes])
 
     def subdifferential(self, values):
         """(lo, hi) per node: the kinks' subdifferential at `values`."""
@@ -614,7 +614,8 @@ def _flux_start(mesh: Mesh, e: np.ndarray) -> np.ndarray:
 def _solve_prescribed(mesh: Mesh, e, initial=None, kinks=_NO_KINKS, gamma=1.0, pinned=None,
                       l1_tol=math.inf, stats_sink=None):
     """Newton minimization over interior nodes of psi_h(w) + <e, w>_lumped
-    plus the lumped Moreau envelopes (smoothing `gamma`) of `kinks`.
+    plus the lumped Moreau envelopes (smoothing `gamma`) of `kinks`, given at
+    the workspace's coordinates (`_Kinks.restricted`; `_NO_KINKS` broadcasts).
 
     Returns (values, stats), stats also put on the list `stats_sink` if given;
     `stats.band` is the kinks' smoothing band at the returned values.
@@ -634,7 +635,6 @@ def _solve_prescribed(mesh: Mesh, e, initial=None, kinks=_NO_KINKS, gamma=1.0, p
     lumped = mesh.node_weight * e
     linear, weight = lumped[order], mesh.node_weight[order]
     lumped, at_interior = lumped[interior], rank[interior]  # the objective's, in node order
-    kinks = kinks.restricted(ws.node_of)
     fixed = None if pinned is None else pinned[order]
 
     x = np.zeros(len(order) + 1)  # the iterate's coordinates, the dummy 0 last
@@ -784,17 +784,18 @@ def _inner_solve(mesh: Mesh, e, initial, kinks: _Kinks, stats_sink, tol):
     if kinks.level.size == 0:
         return _solve_prescribed(mesh, e, initial=values, l1_tol=0.1 * tol,
                                  stats_sink=stats_sink)[0]
+    at = kinks.restricted(_newton_workspace(mesh).node_of)  # once for every stage
     for stage in range(1, _MAX_STAGES):
         gamma = 0.01 ** stage
         try:
-            values, stats = _solve_prescribed(mesh, e, initial=values, kinks=kinks, gamma=gamma,
+            values, stats = _solve_prescribed(mesh, e, initial=values, kinks=at, gamma=gamma,
                                               stats_sink=stats_sink)
             band = stats.band
             pinned = band.any(axis=0)
             if not pinned.any():
                 return values
             trial = np.where(pinned, kinks.level[band.argmax(axis=0), np.arange(len(values))], values)
-            trial, stats = _solve_prescribed(mesh, e, initial=trial, kinks=kinks, gamma=gamma,
+            trial, stats = _solve_prescribed(mesh, e, initial=trial, kinks=at, gamma=gamma,
                                              pinned=pinned, stats_sink=stats_sink)
         except InnerSolveError as err:  # e.g. a roundoff floor, or pinning left the feasible set
             if stage == _MAX_STAGES - 1:

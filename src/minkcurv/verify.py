@@ -54,8 +54,8 @@ def _slack_bound(mesh: Mesh, u: Field, zeta, m) -> float:
 
 def variational_inequality_check(mesh: Mesh, u: Field, zeta) -> float:
     """Minimum slack of psi(w) - psi(u) + <zeta, w - u> over a deterministic
-    suite of trial fields: the zero field, the candidate itself, and the
-    distance cone at amplitudes 0.9, 0.5, 0.25 and 0.1 with both signs.
+    suite: the zero field, the candidate itself, and the edge-path distance
+    cone at amplitudes 0.9, 0.5, 0.25 and 0.1 with both signs.
 
     At a critical point paired with its selection the minimum is
     nonnegative up to solver tolerances; `vi_slack_bound` covers every
@@ -156,15 +156,16 @@ def analytic_radial(a: float, R: float, N: int, center=None) -> RadialSolution:
 def brute_force_minimize(mesh: Mesh, spec: NonlinearitySpec, grid_step: float):
     """Global minimum over quantized interior values on a tiny 1D mesh.
 
-    Interior nodal values range over [-inradius, inradius] on a symmetric
-    grid of spacing grid_step (zero included); configurations violating the
-    per-element gradient bound (up to a 1e-12 quantization slack) are
-    excluded.  The energy is a sum of node terms and terms of neighbouring
-    node pairs along the chain of nodes sorted by coordinate, so dynamic
-    programming along the chain finds the minimum over every grid
-    configuration exactly, without enumerating them.  Returns (nodal values
-    including boundary zeros, energy).  Ties are broken by the
-    lexicographically smallest configuration in chain order.
+    Interior nodal values range over [-inradius, inradius], the edge-path
+    bound of every feasible field, on a symmetric grid of spacing grid_step
+    (zero included); configurations violating the per-element gradient
+    bound (up to a 1e-12 quantization slack) are excluded.  The energy is a
+    sum of node terms and terms of neighbouring node pairs along the chain
+    of nodes sorted by coordinate, so dynamic programming along the chain
+    finds the minimum over every grid configuration exactly, without
+    enumerating them.  Returns (nodal values including boundary zeros,
+    energy).  Ties are broken by the lexicographically smallest
+    configuration in chain order.
     """
     if mesh.dim != 1:
         raise ValueError("brute force search supports 1D meshes only")

@@ -111,13 +111,13 @@ def test_criterion_04_energy_lower_bound(catalog_runs):
 def test_criterion_05_constraint_containment(catalog_runs):
     violations = []
     for name, mesh, _, opts, res in catalog_runs:
-        cap = inradius(mesh) + mesh.mesh_size()
+        cap = inradius(mesh)
         if res.max_iterate_value > cap + 1e-12:
             violations.append((name, "value", res.max_iterate_value, cap))
         if res.max_iterate_gradient > 1.0 - opts.working_margin:
             violations.append((name, "gradient", res.max_iterate_gradient))
     ok = not violations
-    report(5, ok, f"iterate containment (|u|<=inradius+h, |grad|<=1-margin) "
+    report(5, ok, f"iterate containment (|u|<=inradius, |grad|<=1-margin) "
                   f"over {len(catalog_runs)} runs: {len(violations)} violations" +
                   (f" ({violations})" if violations else ""))
 

@@ -726,7 +726,7 @@ class TestMeshInfoCommand:
     def test_part_without_boundary_exits_1_in_solve_and_sweep(self, tmp_path, capsys):
         # two unit squares, the one at x = 3 with no node marked: the zero
         # boundary condition leaves it free and its energy has no minimum;
-        # mesh-info still reads the mesh
+        # mesh-info still reads the mesh, with no uniform bound
         square = build_rectangle_mesh(1.0, 1.0, 4, 4)
         n = len(square.nodes)
         write_mesh(Mesh(np.vstack([square.nodes, square.nodes + [3.0, 0.0]]),
@@ -736,7 +736,8 @@ class TestMeshInfoCommand:
                                   "nonlinearity.kind = constant\nnonlinearity.a = 1\n"
                                   "output.dir = {out}\n")
         assert main(["mesh-info", "--config", str(cfg)]) == 0
-        assert f"nodes {2 * n}\n" in capsys.readouterr().out
+        info = capsys.readouterr().out
+        assert f"nodes {2 * n}\n" in info and "inradius inf\n" in info
         message = (f"error: node {n} at [3.0, 0.0] is in a part of the mesh with no "
                    "boundary node\n")
         assert main(["solve", "--config", str(cfg)]) == 1

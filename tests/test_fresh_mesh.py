@@ -64,17 +64,6 @@ def reference_path_length(mesh):
     return dijkstra(lengths, indices=mesh.boundary_nodes, min_only=True)
 
 
-def reference_boundary_distance(mesh):
-    x = np.ascontiguousarray(mesh.nodes[mesh.interior_nodes].T)
-    diff = np.empty_like(x)
-    least = np.full(x.shape[1], np.inf)
-    for b in mesh.nodes[mesh.boundary_nodes]:
-        np.subtract(x, b[:, None], out=diff)
-        np.multiply(diff, diff, out=diff)
-        np.minimum(least, diff.sum(axis=0), out=least)
-    return np.sqrt(least)
-
-
 def reference_dissection(points, adjacency, nodes):
     indptr, indices = adjacency.indptr, adjacency.indices
     blocks = []
@@ -220,9 +209,6 @@ class TestEdgeTable:
 
     def test_path_length(self, mesh):
         assert_same(mesh_module._boundary_path_length(mesh), reference_path_length(mesh))
-
-    def test_boundary_distance(self, mesh):
-        assert_same(mesh_module._boundary_distance(mesh), reference_boundary_distance(mesh))
 
     def test_newton_workspace(self, mesh):
         ws = solver._newton_workspace(mesh)

@@ -31,10 +31,10 @@ GOLDEN = {
         INTERVAL.format(n=256) + "nonlinearity.kind = neg_sign\n",
         "83ebaf555d29f8919ebd61a770809fcc0486fc6894bcf679ceba42dd355d5b6e",
         "4f1fe9c4f0dc63898df022e48ffb97a5db7f0dea523301029e9d47e045846e27"),
-    "disk3-step": (
+    "disk3-step": (  # its report's c_omega is the unit disk's largest path length, 1
         "domain.kind = disk\ndomain.radius = 1\ndomain.refinement = 3\n" + STEP.format(s0=0.1),
         "73e2f4111874fda754770f0bd3b36784a08320e8f30401bb55e7c327092a5814",
-        "ccfef8e1a680f6838e39477970edbe5ed3c924d4079f12aef61f2312324a138e"),
+        "a16f131fbdd1368fd6abb01c5dc4c3ea041784dc1b56346b57e71d06d7ed8613"),
     "disk4-constant2": (
         "domain.kind = disk\ndomain.radius = 1\ndomain.refinement = 4\n"
         "nonlinearity.kind = constant\nnonlinearity.a = 2\n",

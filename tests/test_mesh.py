@@ -11,6 +11,7 @@ import pytest
 from scipy.spatial import Delaunay
 
 from minkcurv import mesh as mesh_module, verify
+from minkcurv.energy import bounds
 from minkcurv.mesh import (Field, Mesh, MeshError, MeshFormatError,
                            boundary_distance_cone, build_disk_mesh, build_interval_mesh,
                            build_rectangle_mesh, element_gradients, inradius, max_gradient_norm,
@@ -20,7 +21,9 @@ from minkcurv.solver import solve_inclusion
 
 
 def brute_inradius(mesh):
-    """Independent oracle: max over interior nodes of nearest-boundary distance."""
+    """Independent oracle: max over interior nodes of the straight-line distance
+    to the nearest boundary node, which the edge-path bound `inradius` meets
+    on the fully marked convex meshes below."""
     best = 0.0
     bnodes = mesh.nodes[mesh.boundary_nodes]
     for i in mesh.interior_nodes:
@@ -256,21 +259,25 @@ class TestPerMeshCaches:
             G.data[0] = 1.0
 
     def test_one_distance_query_per_mesh_freed_with_it(self, monkeypatch):
+        # inradius, the energy bounds, the distance cone, the report's slack
+        # bound and the solver's workspace read one edge-path field per mesh
         queries = []
-        build = mesh_module._boundary_distance.__wrapped__
-        monkeypatch.setattr(mesh_module, "_boundary_distance",
-                            mesh_module.per_mesh(lambda m: queries.append(1) or build(m)))
+        dijkstra = mesh_module.dijkstra
+        monkeypatch.setattr(mesh_module, "dijkstra",
+                            lambda *args, **kw: queries.append(1) or dijkstra(*args, **kw))
         m = build_disk_mesh(1.0, 3)
         radius = inradius(m)
-        u = verify.analytic_radial(-1.0, 1.0, 2).on_mesh(m)
-        verify.verification_report(m, u, np.full(len(m.nodes), -1.0), neg_sign(), vi_trials=4)
+        assert bounds(m, neg_sign()).c_omega == radius
+        boundary_distance_cone(m)
+        res = solve_inclusion(m, neg_sign())
+        verify.verification_report(m, res.u, res.zeta, neg_sign())
         assert inradius(m) == radius and len(queries) == 1
-        dist = mesh_module._boundary_distance(m)
+        dist = mesh_module._boundary_path_length(m)
         assert not dist.flags.writeable and dist.max() == radius
         inradius(build_disk_mesh(1.0, 2))
         assert len(queries) == 2  # another mesh makes its own
         mesh_ref, dist_ref = weakref.ref(m), weakref.ref(dist)
-        del m, u, dist
+        del m, res, dist
         gc.collect()
         assert mesh_ref() is None and dist_ref() is None
 
@@ -407,10 +414,10 @@ class TestMeshInvariants:
 
     def test_uniform_bound_for_feasible_fields(self):
         # any zero-boundary field with element slopes <= 1 is bounded by
-        # the inradius plus one mesh size
+        # the inradius, the largest edge-path distance to the boundary
         m = build_rectangle_mesh(1.0, 1.0, 6, 6)
         rng = np.random.default_rng(11)
-        cap = inradius(m) + m.mesh_size()
+        cap = inradius(m)
         for _ in range(25):
             v = rng.standard_normal(len(m.nodes))
             v[m.boundary_nodes] = 0.0

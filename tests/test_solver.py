@@ -84,7 +84,7 @@ class TestSolvePrescribed:
         m = build_interval_mesh(-1, 1, 64)
         vals, stats = _solve_prescribed(m, np.full(65, 3.0))
         assert stats.max_gradient <= 1.0 - SolverOptions().working_margin
-        assert stats.max_value <= inradius(m) + m.mesh_size() + 1e-12
+        assert stats.max_value <= inradius(m) + 1e-12
 
     def test_mirror_symmetry(self):
         # reflecting every coordinate leaves the discrete operator invariant
@@ -562,7 +562,7 @@ class TestSolveInclusion:
         opts = SolverOptions()
         res = solve_inclusion(m, neg_sign(), opts)
         assert res.max_iterate_gradient <= 1 - opts.working_margin
-        assert res.max_iterate_value <= inradius(m) + m.mesh_size() + 1e-12
+        assert res.max_iterate_value <= inradius(m) + 1e-12
 
     def test_closed_form_primitive_leaves_the_run_unchanged(self):
         # the energy trace of the repelling step is evaluated with both
@@ -1095,7 +1095,8 @@ class TestSingleInnerPath:
         smoothed = solver._Kinks.smoothed
         monkeypatch.setattr(solver._Kinks, "smoothed",
                             lambda *args: smoothings.append(1) or smoothed(*args))
-        _, stats = _solve_prescribed(mesh, -1.0, kinks=kinks, gamma=0.01)
+        at = kinks.restricted(solver._newton_workspace(mesh).node_of)
+        _, stats = _solve_prescribed(mesh, -1.0, kinks=at, gamma=0.01)
         assert stats.iterations > 1 and len(smoothings) == len(objectives) > stats.iterations
         objectives.clear()
         smoothings.clear()

@@ -693,6 +693,71 @@ def test_the_option_scan_sees_the_old_sites():
         "solve_inclusion", "rest", "floor"]
 
 
+def boundary_gathers(module_tree):
+    """Innermost enclosing function name of every subscript of `nodes` (a
+    name or an attribute) by an index that reads `boundary_nodes`: the
+    marked nodes' coordinates, where a straight-line distance sweep starts."""
+    found = []
+
+    def visit(node, where):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            where = node.name
+        if (isinstance(node, ast.Subscript)
+                and getattr(node.value, "attr", getattr(node.value, "id", None)) == "nodes"
+                and attribute_reads(node.slice, "boundary_nodes")):
+            found.append(where)
+        for child in ast.iter_child_nodes(node):
+            visit(child, where)
+    visit(module_tree, "<module>")
+    return found
+
+
+# the readers of the one distance to the boundary: the uniform bound, the
+# distance cones, the slack bound and the workspace's free-part check
+PATH_LENGTH_READERS = {("mesh", "inradius"), ("mesh", "boundary_distance_cone"),
+                       ("verify", "_slack_bound"), ("solver", "_newton_workspace")}
+
+
+def test_one_distance_to_the_boundary():
+    # inradius (so the energy bounds and the brute-force grid) and the
+    # distance cones read the edge-path field; no function gathers the
+    # marked nodes' coordinates for a second, straight-line distance
+    assert {(name, where) for name in MODULES for where in boundary_gathers(tree(name))} == set()
+    readers = {(name, where) for name in MODULES
+               for where in attribute_reads(tree(name), "_boundary_path_length")}
+    assert readers == PATH_LENGTH_READERS
+
+
+# the straight-line sweep that `inradius` and the distance cones used to read
+OLD_BOUNDARY_DISTANCE = """
+@per_mesh
+def _boundary_distance(mesh: Mesh) -> np.ndarray:
+    x = mesh.nodes[mesh.interior_nodes]
+    columns = [np.ascontiguousarray(x[:, k]) for k in range(mesh.dim)]
+    least = np.full(len(x), np.inf)
+    total, term = np.empty(len(x)), np.empty(len(x))
+    for b in mesh.nodes[mesh.boundary_nodes].tolist():
+        np.subtract(columns[0], b[0], out=total)
+        np.multiply(total, total, out=total)
+        for column, b_k in zip(columns[1:], b[1:]):
+            np.subtract(column, b_k, out=term)
+            np.multiply(term, term, out=term)
+            np.add(total, term, out=total)
+        np.minimum(least, total, out=least)
+    dist = np.sqrt(least)
+    dist.setflags(write=False)
+    return dist
+"""
+
+
+def test_the_distance_scan_sees_the_old_sweep():
+    assert boundary_gathers(ast.parse(OLD_BOUNDARY_DISTANCE)) == ["_boundary_distance"]
+    src = ("def brute(mesh, nodes, i):\n    b = nodes[mesh.boundary_nodes[i]]\n"
+           "def field(mesh, vals):\n    vals[mesh.boundary_nodes] = 0.0\n"
+           "    return mesh.nodes[mesh.interior_nodes], mesh.boundary_nodes[0]\n")
+    assert boundary_gathers(ast.parse(src)) == ["brute"]
+
+
 RUN_CONFIG = ("domain.kind = interval\ndomain.a = -1\ndomain.b = 1\ndomain.n = 8\n"
               "nonlinearity.kind = neg_sign\n")
 

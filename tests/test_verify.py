@@ -184,6 +184,13 @@ def l_shape(k=4, marked=lambda x, y: True):
     return Mesh(np.column_stack([x, y]), elements, np.flatnonzero(edge & marked(x, y)))
 
 
+def square_and_free_triangle():
+    """A unit square fanned around its marked rim (nodes 0-4), and a triangle
+    with no marked node (nodes 5-7), which no edge path joins to the rim."""
+    return Mesh([[0, 0], [1, 0], [1, 1], [0, 1], [0.5, 0.5], [3, 0], [4, 0], [3, 1]],
+                [[0, 1, 4], [1, 2, 4], [2, 3, 4], [3, 0, 4], [5, 6, 7]], [0, 1, 2, 3])
+
+
 SLACK_MESHES = {"n64": lambda: build_interval_mesh(-1, 1, 64),
                 "disk3": lambda: build_disk_mesh(1.0, 3), "L": l_shape}
 
@@ -257,10 +264,8 @@ class TestSlackBound:
         assert "vi_min_slack 0\n" in text and "all_passed true" in text
 
     def test_unreachable_nodes(self):
-        # a unit square fanned around its marked rim, and a triangle with no
-        # marked node: its path lengths are inf, which adds 0 where zeta = m
-        m = Mesh([[0, 0], [1, 0], [1, 1], [0, 1], [0.5, 0.5], [3, 0], [4, 0], [3, 1]],
-                 [[0, 1, 4], [1, 2, 4], [2, 3, 4], [3, 0, 4], [5, 6, 7]], [0, 1, 2, 3])
+        # the triangle's path lengths are inf, which adds 0 where zeta = m
+        m = square_and_free_triangle()
         u = Field.zero(m)
         dist = mesh_module._boundary_path_length(m)
         assert np.array_equal(dist[:5], [0, 0, 0, 0, math.sqrt(0.5)])
@@ -278,6 +283,12 @@ class TestSlackBound:
             vi_slack_bound(m, u, np.zeros(3))
 
 
+def straight_distance(mesh):
+    """Straight-line distance from each node to the nearest marked boundary node."""
+    marked = mesh.nodes[mesh.boundary_nodes]
+    return np.sqrt(((mesh.nodes[:, None, :] - marked[None, :, :]) ** 2).sum(axis=2)).min(axis=1)
+
+
 class TestBoundaryPathLength:
     def test_interval_distance_is_exact(self):
         m = build_interval_mesh(-1, 1, 16)
@@ -288,9 +299,9 @@ class TestBoundaryPathLength:
         m = build_disk_mesh(1.0, 3)
         dist = mesh_module._boundary_path_length(m)
         assert np.all(dist[m.boundary_nodes] == 0.0)
-        straight = mesh_module._boundary_distance(m)
-        assert np.all(dist[m.interior_nodes] >= straight - 1e-15)
-        assert dist.max() <= 1.2 * inradius(m)
+        straight = straight_distance(m)
+        assert np.all(dist >= straight - 1e-15)
+        assert dist.max() <= 1.2 * straight.max()
 
     def test_bounds_every_feasible_field_of_a_partly_marked_mesh(self):
         # only the top of the left arm is marked: the corner (2, 0) lies 1 +
@@ -298,14 +309,37 @@ class TestBoundaryPathLength:
         m = l_shape(marked=lambda x, y: y == 2)
         dist = mesh_module._boundary_path_length(m)
         corner = np.flatnonzero((m.nodes == [2.0, 0.0]).all(axis=1))[0]
-        euclid = np.zeros(len(m.nodes))
-        euclid[m.interior_nodes] = mesh_module._boundary_distance(m)
-        assert euclid[corner] == pytest.approx(math.sqrt(5.0))
+        assert straight_distance(m)[corner] == pytest.approx(math.sqrt(5.0))
         assert dist[corner] >= 1.0 + math.sqrt(2.0)
         rng = np.random.default_rng(3)
         for _ in range(50):
             v = random_feasible_field(m, rng, max_gradient=1.0).values
             assert np.all(np.abs(v) <= dist + 1e-12)
+
+    def test_partly_marked_solution_lies_inside_the_uniform_bound(self):
+        # with constant(10) the converged solution reaches 2.2522 near the
+        # corner (2, 0), past the straight distance sqrt(5) to the marked
+        # nodes; inradius and c_omega are the largest path length, 3
+        m = l_shape(marked=lambda x, y: y == 2)
+        spec = constant(10.0)
+        res = solve_inclusion(m, spec)
+        assert res.converged
+        peak = float(np.abs(res.u.values).max())
+        assert peak > math.sqrt(5.0) and inradius(m) == pytest.approx(3.0, rel=1e-15)
+        for cap in (inradius(m), energy_module.bounds(m, spec).c_omega):
+            assert peak <= cap and res.max_iterate_value <= cap
+
+    def test_a_part_without_boundary_has_no_bound_and_a_zero_cone(self):
+        # the triangle leaves constants free: no uniform bound, and the
+        # cone is 0 there, so the trial suite stays finite and feasible
+        m = square_and_free_triangle()
+        assert inradius(m) == math.inf
+        for amp in (0.9, 0.5):
+            cone = boundary_distance_cone(m, max_gradient=amp).values
+            assert np.all(np.isfinite(cone)) and np.all(cone[5:] == 0.0)
+            assert mesh_module.max_gradient_norm(m, cone) == pytest.approx(amp, rel=1e-15)
+        report = verification_report(m, Field.zero(m), np.zeros(8), neg_sign())
+        assert report.vi_min_slack == 0.0 and report.all_passed
 
     def test_built_once_read_only_and_freed_with_the_mesh(self, monkeypatch):
         builds = []
